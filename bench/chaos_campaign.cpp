@@ -16,11 +16,10 @@
 // guaranteed node failure lands mid-race, and the hedge exactly-once
 // oracle checks that every fired hedge resolves exactly once.
 //
-// A fourth family runs the base scenarios sharded over the conservative
-// parallel engine (4 partitions x 4 worker threads, cluster grown 4x so
-// each partition keeps a base-sized slice): cross-shard KV mirroring and
-// completion beacons ride along, and all eight oracles are evaluated
-// inside every partition plus on the merged scalars.
+// A fourth family runs the base scenarios sharded (4 partitions x 4
+// worker threads, cluster grown 4x so each partition keeps a base-sized
+// slice), and all eight oracles are evaluated inside every partition
+// plus on the merged scalars.
 //
 // A fifth family injects the partition surface: long zone bipartitions
 // that fence a minority fault domain, short asymmetric windows (one-way
@@ -30,7 +29,7 @@
 // attempted by a fenced minority-side zombie is rejected at the store's
 // epoch gate) and heal-convergence (all windows healed, no reachability
 // rule outlives the run, metadata liveness views agree at the end).
-// Every fourth partition seed runs sharded over the parallel engine.
+// Every fourth partition seed runs sharded.
 //
 // Usage: chaos_campaign [--quick] [--scenarios N] [--seed BASE]
 //                       [--traffic-scenarios N] [--hedge-scenarios N]
@@ -39,16 +38,15 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
-#include <future>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/table.hpp"
 #include "harness/chaos.hpp"
+#include "harness/fan_out.hpp"
 
 namespace {
 
@@ -139,72 +137,35 @@ int main(int argc, char** argv) {
             << partition_scenarios << " partition scenarios, base seed "
             << partition_base_seed << (quick ? " (quick)" : "") << "\n";
 
-  // Seeded scenarios are independent; run them in parallel batches. The
-  // traffic and hedge families ride in the same pool, indexed past the
-  // base family.
+  // Seeded scenarios are independent; fan them out over every hardware
+  // thread. The traffic, hedge, sharded and partition families ride in
+  // the same pool, indexed past the base family.
   const std::size_t total_scenarios = scenarios + traffic_scenarios +
                                       hedge_scenarios + sharded_scenarios +
                                       partition_scenarios;
-  std::vector<ChaosOutcome> outcomes(total_scenarios);
-  const std::size_t workers = std::max(1u, std::thread::hardware_concurrency());
-  std::size_t next = 0;
-  while (next < total_scenarios) {
-    const std::size_t batch = std::min(workers, total_scenarios - next);
-    std::vector<std::future<ChaosOutcome>> futures;
-    futures.reserve(batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      const std::size_t index = next + i;
-      enum class Family {
-        kBase,
-        kTraffic,
-        kHedge,
-        kSharded,
-        kPartition,
-        kShardedPartition,
-      };
-      Family family = Family::kBase;
-      std::uint64_t seed = base_seed + index;
-      if (index >=
-          scenarios + traffic_scenarios + hedge_scenarios + sharded_scenarios) {
-        const std::size_t off = index - scenarios - traffic_scenarios -
-                                hedge_scenarios - sharded_scenarios;
-        // Every fourth partition seed runs sharded over the parallel
-        // engine, so the split-brain oracles also cover cross-shard runs.
-        family = off % 4 == 3 ? Family::kShardedPartition : Family::kPartition;
-        seed = partition_base_seed + off;
-      } else if (index >= scenarios + traffic_scenarios + hedge_scenarios) {
-        family = Family::kSharded;
-        seed = sharded_base_seed +
-               (index - scenarios - traffic_scenarios - hedge_scenarios);
-      } else if (index >= scenarios + traffic_scenarios) {
-        family = Family::kHedge;
-        seed = hedge_base_seed + (index - scenarios - traffic_scenarios);
-      } else if (index >= scenarios) {
-        family = Family::kTraffic;
-        seed = traffic_base_seed + (index - scenarios);
-      }
-      futures.push_back(std::async(std::launch::async, [seed, family] {
-        switch (family) {
-          case Family::kTraffic:
-            return canary::harness::run_traffic_chaos_scenario(seed);
-          case Family::kHedge:
-            return canary::harness::run_hedge_chaos_scenario(seed);
-          case Family::kSharded:
-            return canary::harness::run_sharded_chaos_scenario(seed);
-          case Family::kPartition:
-            return canary::harness::run_partition_chaos_scenario(seed);
-          case Family::kShardedPartition:
-            return canary::harness::run_sharded_partition_chaos_scenario(seed);
-          case Family::kBase: break;
+  const std::vector<ChaosOutcome> outcomes = canary::harness::fan_out(
+      total_scenarios, 0, [&](std::size_t i) {
+        using namespace canary::harness;
+        if (i < scenarios) return run_chaos_scenario(base_seed + i);
+        i -= scenarios;
+        if (i < traffic_scenarios) {
+          return run_traffic_chaos_scenario(traffic_base_seed + i);
         }
-        return canary::harness::run_chaos_scenario(seed);
-      }));
-    }
-    for (std::size_t i = 0; i < batch; ++i) {
-      outcomes[next + i] = futures[i].get();
-    }
-    next += batch;
-  }
+        i -= traffic_scenarios;
+        if (i < hedge_scenarios) {
+          return run_hedge_chaos_scenario(hedge_base_seed + i);
+        }
+        i -= hedge_scenarios;
+        if (i < sharded_scenarios) {
+          return run_sharded_chaos_scenario(sharded_base_seed + i);
+        }
+        i -= sharded_scenarios;
+        // Every fourth partition seed runs sharded, so the split-brain
+        // oracles also cover sharded runs.
+        return i % 4 == 3
+                   ? run_sharded_partition_chaos_scenario(partition_base_seed + i)
+                   : run_partition_chaos_scenario(partition_base_seed + i);
+      });
 
   // ---- aggregate --------------------------------------------------------
   std::uint64_t violations = 0;

@@ -25,10 +25,10 @@
 // recovery time in at least one configuration.
 //
 // Emits a machine-readable canary.partition/v1 report. The report is
-// byte-identical across repeated runs and across engine worker counts
-// (--shard-workers N runs the scenario sharded over the parallel engine
-// with the partition count pinned; the worker count is deliberately kept
-// out of the report so the bytes can be compared). Violations exit 1.
+// byte-identical across repeated runs and across worker counts
+// (--shard-workers N runs the scenario sharded into 4 partitions on N
+// worker threads; the worker count is deliberately kept out of the
+// report so the bytes can be compared). Violations exit 1.
 //
 // Usage: fig13_partitions [--quick] [--shard-workers N]
 // Environment: CANARY_QUICK=1 (same as --quick), CANARY_REPORT_DIR.
@@ -84,8 +84,8 @@ constexpr Variant kVariants[] = {
 
 /// Long-running functions so the fault window lands mid-execution on
 /// every variant: ~3.8 s of state work per function, 30 functions over
-/// 12 nodes. `copies` scales the job list for sharded execution — the
-/// engine round-robins jobs over its slices, so 4 copies give each of
+/// 12 nodes. `copies` scales the job list for sharded execution — jobs
+/// are dealt round-robin over the partitions, so 4 copies give each of
 /// the 4 slices the same 30-function load the monolithic cluster sees.
 std::vector<canary::faas::JobSpec> make_jobs(int copies) {
   std::vector<canary::faas::JobSpec> jobs;
@@ -155,7 +155,6 @@ ScenarioConfig variant_config(const Variant& variant, bool spread,
     // partition count fixes the model (4 slices, each a full 12-node /
     // 3-zone replica of the monolithic cluster); the worker count must
     // not change a single output byte.
-    config.sharding.enabled = true;
     config.sharding.partitions = 4;
     config.sharding.workers = shard_workers;
     config.cluster_nodes = kNodes * 4;

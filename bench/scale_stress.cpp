@@ -13,12 +13,13 @@
 //   platform_scale  >= 1M invocations across 256 nodes through the full
 //                   FaaS platform (quick mode: 32k across 64 nodes)
 //
-// A second sweep reruns the platform phase over the sharded engine (the
-// same topology split into 8 partitions) at 1, 2 and 4 worker threads
-// and writes its own canary.bench/v1 report (BENCH_shard.json, gated
-// against bench/BENCH_shard.baseline.json in CI). The merged event count
-// is invariant in the worker count by construction, so the phases
-// measure pure scheduling overhead/parallelism, not different workloads.
+// A second sweep reruns the platform phase sharded (the same topology
+// split into 8 partitions, each an independent scenario) at 1, 2 and 4
+// worker threads and writes its own canary.bench/v1 report
+// (BENCH_shard.json, gated against bench/BENCH_shard.baseline.json in
+// CI). The merged event count is invariant in the worker count by
+// construction, so the phases measure parallelism, not different
+// workloads.
 //
 // Allocation counts come from interposing global operator new in this
 // binary, so allocations/event is exact, not sampled. Peak RSS comes
@@ -252,18 +253,17 @@ PhaseResult platform_scale(std::size_t nodes, std::size_t jobs,
   return result;
 }
 
-/// The platform phase over the sharded engine: the same topology split
-/// into 8 partitions, advanced by `workers` threads with the default
-/// 5 ms harness lookahead. The merged simulated event total is invariant
-/// in `workers` (the determinism suite proves it byte-for-byte), so the
-/// per-worker-count phases compare like against like.
+/// The platform phase sharded: the same topology split into 8
+/// partitions, run by `workers` threads. The merged simulated event
+/// total is invariant in `workers` (the determinism suite proves it
+/// byte-for-byte), so the per-worker-count phases compare like against
+/// like.
 PhaseResult platform_shard(std::size_t nodes, std::size_t jobs,
                            std::size_t functions_per_job, unsigned workers) {
   harness::ScenarioConfig config =
       scenario(recovery::StrategyConfig::retry(), /*error_rate=*/0.02, nodes);
   config.record_spans = false;
   config.record_events = false;
-  config.sharding.enabled = true;
   config.sharding.partitions = 8;
   config.sharding.workers = workers;
 
@@ -288,8 +288,7 @@ PhaseResult platform_shard(std::size_t nodes, std::size_t jobs,
     std::exit(1);
   }
   std::cout << "  " << result.name << ": " << run.shards.size()
-            << " partitions, " << run.shard_epochs << " epochs, "
-            << run.shard_messages << " cross-shard messages;";
+            << " partitions;";
   for (std::size_t p = 0; p < run.shards.size(); ++p) {
     std::cout << (p == 0 ? " per-shard events " : " / ")
               << run.shards[p]->simulated_events;

@@ -1,8 +1,9 @@
 // Leveled logging to stderr. Disabled below the compile/runtime threshold;
 // experiments run with kWarn so hot paths stay quiet.
 //
-// Two thread-local hooks tie the log into a running simulation (each
-// repetition runs on its own thread, so hooks never leak across runs):
+// Two thread-local hooks tie the log into a running simulation (a run
+// lives on one thread and restores the previous hooks when it ends, so
+// hooks never leak across runs):
 //   * ScopedLogClock prefixes every record with the simulated time
 //     ("[t=12.345678s]") while a run is active;
 //   * ScopedLogMirror copies kWarn+ records to a sink — the scenario

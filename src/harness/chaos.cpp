@@ -301,11 +301,10 @@ ChaosScenario make_partition_chaos_scenario(std::uint64_t seed) {
 
 ChaosScenario make_sharded_partition_chaos_scenario(std::uint64_t seed) {
   ChaosScenario out = make_partition_chaos_scenario(seed);
-  out.config.sharding.enabled = true;
   out.config.sharding.partitions = 4;
   out.config.sharding.workers = 4;
   // As in make_sharded_chaos_scenario: grow the cluster by the partition
-  // count so each engine partition keeps a full base-sized slice. Zone
+  // count so each partition keeps a full base-sized slice. Zone
   // windows and outages carry zone ids (slice-local layout is identical)
   // and the node-set windows' ids remap modularly, so every slice sees
   // the same storm the monolithic run would.
@@ -315,7 +314,6 @@ ChaosScenario make_sharded_partition_chaos_scenario(std::uint64_t seed) {
 
 ChaosScenario make_sharded_chaos_scenario(std::uint64_t seed) {
   ChaosScenario out = make_chaos_scenario(seed);
-  out.config.sharding.enabled = true;
   out.config.sharding.partitions = 4;
   out.config.sharding.workers = 4;
   // Grow the cluster by the partition count so each partition keeps a

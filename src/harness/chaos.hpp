@@ -78,9 +78,8 @@ ChaosScenario make_traffic_chaos_scenario(std::uint64_t seed);
 /// (and the traffic stream's child(4)) are untouched.
 ChaosScenario make_hedge_chaos_scenario(std::uint64_t seed);
 
-/// The base scenario scaled out over the conservative parallel engine:
-/// four partitions advanced by four worker threads, with KV checkpoint
-/// mirroring and completion beacons crossing shard boundaries. The
+/// The base scenario sharded: four partitions, each an independent
+/// scenario over its own cluster slice, run by four worker threads. The
 /// cluster is grown 4x so each partition keeps a full base-sized slice —
 /// a one-node slice could not survive its share of the node kills, which
 /// would fail the completion oracle for reasons unrelated to sharding.
@@ -99,9 +98,8 @@ ChaosScenario make_sharded_chaos_scenario(std::uint64_t seed);
 /// stream) are untouched.
 ChaosScenario make_partition_chaos_scenario(std::uint64_t seed);
 
-/// The partition scenario scaled out over the conservative parallel
-/// engine (4 partitions x 4 workers), the same way
-/// make_sharded_chaos_scenario scales the base: each shard keeps a full
+/// The partition scenario sharded (4 partitions x 4 workers), the same
+/// way make_sharded_chaos_scenario shards the base: each shard keeps a full
 /// base-sized cluster slice and resolves its zone windows/outages against
 /// its own slice.
 ChaosScenario make_sharded_partition_chaos_scenario(std::uint64_t seed);
@@ -156,9 +154,8 @@ ChaosOutcome run_traffic_chaos_scenario(std::uint64_t seed);
 /// and evaluate every oracle, hedge exactly-once included.
 ChaosOutcome run_hedge_chaos_scenario(std::uint64_t seed);
 
-/// Run one seeded sharded scenario (4 partitions x 4 workers over the
-/// parallel engine) and evaluate every oracle per shard plus the merged
-/// scalars. Exactly-once must survive cross-shard traffic and node kills.
+/// Run one seeded sharded scenario (4 partitions x 4 workers) and
+/// evaluate every oracle per shard plus the merged scalars.
 ChaosOutcome run_sharded_chaos_scenario(std::uint64_t seed);
 
 /// Run one seeded partition scenario (zone cuts + asymmetric windows +

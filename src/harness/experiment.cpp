@@ -1,6 +1,8 @@
 #include "harness/experiment.hpp"
 
-#include <future>
+#include <algorithm>
+
+#include "harness/fan_out.hpp"
 
 namespace canary::harness {
 
@@ -33,23 +35,21 @@ double Aggregate::counter_mean(const std::string& name) const {
 
 Aggregate run_repetitions(ScenarioConfig config,
                           const std::vector<faas::JobSpec>& jobs, int reps) {
-  std::vector<std::future<RunResult>> futures;
-  futures.reserve(static_cast<std::size_t>(reps));
-  for (int rep = 0; rep < reps; ++rep) {
-    ScenarioConfig rep_config = config;
-    // Decorrelate repetitions while keeping the whole experiment
-    // reproducible from the base seed.
-    std::uint64_t sm = config.seed + static_cast<std::uint64_t>(rep);
-    rep_config.seed = splitmix64(sm);
-    // The flight recorder writes files; one repetition (the base seed) is
-    // enough and keeps dump names collision-free.
-    if (rep > 0) rep_config.flight_recorder_path.clear();
-    futures.push_back(std::async(std::launch::async, [rep_config, &jobs] {
-      return ScenarioRunner::run(rep_config, jobs);
-    }));
-  }
+  const std::vector<RunResult> runs = fan_out(
+      static_cast<std::size_t>(std::max(reps, 0)), 0,
+      [&config, &jobs](std::size_t rep) {
+        ScenarioConfig rep_config = config;
+        // Decorrelate repetitions while keeping the whole experiment
+        // reproducible from the base seed.
+        std::uint64_t sm = config.seed + rep;
+        rep_config.seed = splitmix64(sm);
+        // The flight recorder writes files; one repetition (the base seed)
+        // is enough and keeps dump names collision-free.
+        if (rep > 0) rep_config.flight_recorder_path.clear();
+        return ScenarioRunner::run(rep_config, jobs);
+      });
   Aggregate agg;
-  for (auto& f : futures) agg.add(f.get());
+  for (const RunResult& run : runs) agg.add(run);
   return agg;
 }
 

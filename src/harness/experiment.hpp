@@ -1,7 +1,7 @@
 // Repetition driver: the paper runs every experiment 10 times and reports
 // averages (variance < 5%, §V-B). Repetitions differ only in their seed
-// and execute in parallel across hardware threads; each run is fully
-// self-contained and deterministic.
+// and fan out across hardware threads (harness/fan_out.hpp); each run is
+// fully self-contained and deterministic.
 #pragma once
 
 #include <cstddef>

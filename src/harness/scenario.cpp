@@ -97,7 +97,7 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
 
   // While this run is live, this thread's log records carry the simulated
   // time and kWarn+ records mirror into the causal log as annotations.
-  // Each repetition runs on its own thread, so parallel runs don't mix.
+  // A run stays on the thread that built it, so parallel runs don't mix.
   if (install_log_hooks) {
     log_clock.emplace(
         [this] { return simulator.now().count_usec(); });
@@ -471,7 +471,9 @@ RunResult ScenarioInstance::collect() {
 
 RunResult ScenarioRunner::run(const ScenarioConfig& config,
                               const std::vector<faas::JobSpec>& jobs) {
-  if (config.sharding.enabled) return internal::run_sharded(config, jobs);
+  if (config.sharding.partitions > 1) {
+    return internal::run_sharded(config, jobs);
+  }
 
   sim::Simulator simulator;
   internal::ScenarioInstance instance(simulator, config, jobs,

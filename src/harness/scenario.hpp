@@ -142,35 +142,19 @@ struct ScenarioConfig {
   /// default with the same byte-identity guarantee as `tail`.
   obs::TimeSeriesConfig timeseries;
 
-  /// Conservative parallel execution over sim::ShardEngine. Disabled by
-  /// default, in which case the monolithic single-simulator path runs,
-  /// byte-identical to builds without this feature.
-  ///
-  /// When enabled, the scenario is split into `partitions` independent
-  /// node groups — each with its own cluster slice, platform, KV store,
-  /// fault schedule, and derived RNG seed — advanced in conservative
-  /// lookahead windows by `workers` threads. The partition count fixes
-  /// the model: results depend on `partitions` but are invariant in
-  /// `workers` (the determinism suite asserts this byte-for-byte).
-  /// Cross-partition coupling flows through explicit timestamped
-  /// messages: each partition mirrors KV checkpoint writes to its buddy
-  /// partition and reports job completions to partition 0.
+  /// Sharded runs. With one partition (the default) the monolithic
+  /// single-simulator path runs. With `partitions` > 1 the scenario is
+  /// split into independent node groups — each with its own cluster
+  /// slice, platform, KV store, fault schedule, and derived RNG seed —
+  /// and every partition runs as an ordinary scenario on one of
+  /// `workers` threads. The partition count fixes the model: results
+  /// depend on `partitions` but are invariant in `workers` (the
+  /// determinism suite asserts this byte-for-byte).
   struct ShardingConfig {
-    bool enabled = false;
     /// Logical partition count (node groups). Semantics-bearing.
-    unsigned partitions = 8;
+    unsigned partitions = 1;
     /// Worker threads; any value yields identical results.
     unsigned workers = 1;
-    /// Conservative lookahead == the minimum cross-partition message
-    /// delay. Every cross-shard channel (KV mirror, completion beacons)
-    /// is stamped at least this far ahead, CHECK-enforced.
-    Duration lookahead = Duration::msec(5);
-    /// Mirror KV checkpoint puts to the buddy partition ((p+1) mod G).
-    bool kv_mirror = true;
-    /// Delay before a mirrored put lands remotely (>= lookahead).
-    Duration mirror_delay = Duration::msec(5);
-    /// Bound on each (src, dst) inter-shard queue.
-    std::size_t queue_capacity = 1 << 16;
   };
   ShardingConfig sharding;
 };
@@ -301,9 +285,6 @@ struct RunResult {
   /// chaos oracles and the multi-process chrome-trace writer consume
   /// these directly — FunctionIds and trace ids are partition-local.
   std::vector<std::shared_ptr<RunResult>> shards;
-  /// Sharded runs only: conservative-scheduler accounting.
-  std::uint64_t shard_epochs = 0;
-  std::uint64_t shard_messages = 0;
 };
 
 class ScenarioRunner {

@@ -1,13 +1,10 @@
 // Shared internals of the scenario runner: the full set of live objects
 // behind one simulated scenario, constructed against an externally owned
-// simulator so the same wiring drives both execution modes —
-//   * the monolithic path (ScenarioRunner::run, sharding disabled) builds
-//     one instance over one sim::Simulator and calls simulator.run();
-//   * the sharded path (run_sharded) builds one instance per partition
-//     over sim::ShardEngine partitions and advances them conservatively.
-// Keeping construction and result collection in one place is what makes
-// the two modes comparable: a partition IS a scenario, just a smaller
-// one, and its RunResult is harvested by the exact same code.
+// simulator. ScenarioRunner::run builds one instance over one
+// sim::Simulator and calls simulator.run(). The sharded path
+// (run_sharded) derives one config per partition and runs each through
+// ScenarioRunner::run: a partition IS a scenario, just a smaller one,
+// and its RunResult is harvested by the exact same code.
 #pragma once
 
 #include <memory>
@@ -37,15 +34,14 @@ namespace canary::harness::internal {
 /// One fully wired scenario over a borrowed simulator. The constructor
 /// performs the complete setup — platform, strategy, traffic, fault
 /// schedule, detector start — in the exact statement order the monolithic
-/// runner always used; the caller then drives the simulator (run() or a
-/// shard scheduler) and harvests the result with collect().
+/// runner always used; the caller then drives the simulator (run() or
+/// step()) and harvests the result with collect().
 ///
-/// `install_log_hooks` controls the thread-scoped log clock/mirror. The
-/// monolithic path installs them (records carry simulated time, kWarn+
-/// mirrors into the causal log). Sharded partitions must NOT: the hooks
-/// are thread-local, partition callbacks run on worker threads, and any
-/// cross-thread mirroring would make the event log depend on the worker
-/// count.
+/// `install_log_hooks` controls the thread-scoped log clock/mirror: while
+/// the instance lives, log records on the constructing thread carry
+/// simulated time and kWarn+ records mirror into the causal log.
+/// ScenarioRunner::run installs them; pass false when the simulator will
+/// be driven from a different thread than the one constructing it.
 struct ScenarioInstance {
   ScenarioInstance(sim::Simulator& sim, const ScenarioConfig& cfg,
                    const std::vector<faas::JobSpec>& jobs,
@@ -103,7 +99,9 @@ ScenarioConfig derive_partition_config(const ScenarioConfig& config,
 /// RunResult::shards.
 RunResult merge_sharded_results(std::vector<std::shared_ptr<RunResult>> parts);
 
-/// Execute a sharding-enabled scenario on a ShardEngine.
+/// Execute a scenario with `sharding.partitions` > 1: derive every
+/// partition's config, run the partitions as independent scenarios on
+/// `sharding.workers` threads, and merge the results.
 RunResult run_sharded(const ScenarioConfig& config,
                       const std::vector<faas::JobSpec>& jobs);
 

@@ -1,55 +1,18 @@
-// Sharded scenario execution: one ScenarioInstance per partition over a
-// conservative sim::ShardEngine, plus the explicit cross-shard channels
-// (KV checkpoint mirroring, job-completion beacons) and the deterministic
-// partition-order merge of the per-partition results.
+// Sharded scenario execution: each partition is an ordinary monolithic
+// scenario over its slice of the config. run_sharded splits the config,
+// fans the partitions out over worker threads and merges the results in
+// partition order.
 #include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "harness/fan_out.hpp"
 #include "harness/scenario_internal.hpp"
-#include "sim/sharded.hpp"
 
 namespace canary::harness::internal {
 namespace {
-
-/// Per-partition cross-shard endpoints. Each partition owns one:
-///   * as a PlatformObserver on its own platform it posts a completion
-///     beacon to the hub partition (0) for every finished job — the
-///     sharded stand-in for cross-node control-plane traffic;
-///   * its `mirror_store` receives the buddy partition's checkpoint
-///     writes ((p-1 mod G) mirrors into p), modelling cross-group KV
-///     replication without ever touching the writer's state directly.
-/// All effects travel as ShardEngine messages stamped >= lookahead ahead,
-/// so they are worker-count invariant by construction.
-class ShardChannels : public faas::PlatformObserver {
- public:
-  ShardChannels(sim::ShardEngine& engine, unsigned partition,
-                const ScenarioConfig::ShardingConfig& sharding,
-                ScenarioInstance& self, obs::MetricRegistry& hub_metrics)
-      : engine_(engine),
-        partition_(partition),
-        sharding_(sharding),
-        hub_metrics_(hub_metrics),
-        mirror_store_(self.config.kv, self.cluster.node_ids()) {}
-
-  void on_job_completed(JobId) override {
-    const TimePoint when =
-        engine_.partition(partition_).now() + sharding_.lookahead;
-    obs::MetricRegistry* hub = &hub_metrics_;
-    engine_.post(0, when, [hub] { hub->count("shard_job_beacons"); });
-  }
-
-  kv::KvStore& mirror_store() { return mirror_store_; }
-
- private:
-  sim::ShardEngine& engine_;
-  unsigned partition_;
-  const ScenarioConfig::ShardingConfig& sharding_;
-  obs::MetricRegistry& hub_metrics_;
-  kv::KvStore mirror_store_;
-};
 
 template <typename T>
 std::vector<T> round_robin_slice(const std::vector<T>& all, unsigned partition,
@@ -75,7 +38,7 @@ ScenarioConfig derive_partition_config(const ScenarioConfig& config,
                                        unsigned partition,
                                        unsigned partitions) {
   ScenarioConfig part = config;
-  part.sharding.enabled = false;  // each partition runs the monolithic wiring
+  part.sharding = {};  // each partition runs the monolithic wiring
 
   // Split the cluster into near-equal node groups, never below one node.
   std::size_t nodes = config.cluster_nodes / partitions +
@@ -113,9 +76,7 @@ ScenarioConfig derive_partition_config(const ScenarioConfig& config,
   // faults resolve membership at fire time against the partition's own
   // cluster slice (a zone absent from the slice makes the window/outage a
   // counted no-op, so merged fault totals stay partition-count
-  // invariant). Cross-shard KV mirroring respects reachability for free:
-  // a quorum-blocked writer's put fails locally before the mirror
-  // observer ever fires.
+  // invariant).
   part.partitions = round_robin_slice(config.partitions, partition, partitions);
   for (auto& window : part.partitions) {
     for (auto& from : window.from) {
@@ -246,88 +207,14 @@ RunResult merge_sharded_results(
 
 RunResult run_sharded(const ScenarioConfig& config,
                       const std::vector<faas::JobSpec>& jobs) {
-  const ScenarioConfig::ShardingConfig& sharding = config.sharding;
-  const unsigned partitions = sharding.partitions < 1 ? 1 : sharding.partitions;
-  if (sharding.kv_mirror) {
-    CANARY_CHECK(sharding.mirror_delay >= sharding.lookahead,
-                 "KV mirror delay below the lookahead would make mirrored "
-                 "puts undeliverable");
-  }
-
-  sim::ShardEngineOptions engine_options;
-  engine_options.partitions = partitions;
-  engine_options.workers = sharding.workers;
-  engine_options.lookahead = sharding.lookahead;
-  engine_options.queue_capacity = sharding.queue_capacity;
-  sim::ShardEngine engine(engine_options);
-
-  std::vector<std::vector<faas::JobSpec>> part_jobs(partitions);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    part_jobs[j % partitions].push_back(jobs[j]);
-  }
-
-  std::vector<std::unique_ptr<ScenarioInstance>> parts;
-  parts.reserve(partitions);
-  for (unsigned p = 0; p < partitions; ++p) {
-    parts.push_back(std::make_unique<ScenarioInstance>(
-        engine.partition(p), derive_partition_config(config, p, partitions),
-        part_jobs[p], /*install_log_hooks=*/false));
-  }
-
-  std::vector<std::unique_ptr<ShardChannels>> channels;
-  channels.reserve(partitions);
-  for (unsigned p = 0; p < partitions; ++p) {
-    channels.push_back(std::make_unique<ShardChannels>(
-        engine, p, sharding, *parts[p], parts[0]->metrics));
-    parts[p]->platform.add_observer(channels.back().get());
-  }
-  if (sharding.kv_mirror) {
-    for (unsigned p = 0; p < partitions; ++p) {
-      const unsigned buddy = (p + 1) % partitions;
-      kv::KvStore* mirror = &channels[buddy]->mirror_store();
-      obs::MetricRegistry* buddy_metrics = &parts[buddy]->metrics;
-      parts[p]->store.set_put_observer(
-          [&engine, p, buddy, mirror, buddy_metrics,
-           delay = sharding.mirror_delay](const std::string& key,
-                                          std::string payload,
-                                          Bytes logical_size) {
-            const TimePoint when = engine.partition(p).now() + delay;
-            const double bytes = static_cast<double>(payload.size());
-            engine.post(
-                buddy, when,
-                [mirror, buddy_metrics, bytes, key,
-                 payload = std::move(payload), logical_size]() mutable {
-                  (void)mirror->put(key, std::move(payload), logical_size);
-                  buddy_metrics->count("kv_mirror_in");
-                  buddy_metrics->count("kv_mirror_bytes", bytes);
-                });
-          });
-    }
-  }
-
-  engine.run();
-
-  std::vector<std::shared_ptr<RunResult>> shard_results;
-  shard_results.reserve(partitions);
-  for (unsigned p = 0; p < partitions; ++p) {
-    if (sharding.kv_mirror) {
-      parts[p]->metrics.set_gauge(
-          "kv_mirror_entries",
-          static_cast<double>(channels[p]->mirror_store().size()));
-    }
-    shard_results.push_back(
-        std::make_shared<RunResult>(parts[p]->collect()));
-  }
-
-  RunResult merged = merge_sharded_results(std::move(shard_results));
-  merged.shard_epochs = engine.epochs();
-  merged.shard_messages = engine.messages_delivered();
-  merged.metrics.set_gauge("shard_partitions", static_cast<double>(partitions));
-  merged.metrics.set_gauge("shard_epochs",
-                           static_cast<double>(merged.shard_epochs));
-  merged.metrics.set_gauge("shard_messages",
-                           static_cast<double>(merged.shard_messages));
-  return merged;
+  const unsigned partitions = config.sharding.partitions;
+  return merge_sharded_results(fan_out(
+      partitions, std::max(config.sharding.workers, 1u), [&](std::size_t p) {
+        const auto partition = static_cast<unsigned>(p);
+        return std::make_shared<RunResult>(ScenarioRunner::run(
+            derive_partition_config(config, partition, partitions),
+            round_robin_slice(jobs, partition, partitions)));
+      }));
 }
 
 }  // namespace canary::harness::internal

@@ -100,7 +100,6 @@ Status KvStore::put(const std::string& key, std::string payload,
     return Error::unavailable("no cache node alive");
   }
   auto& shard = shard_for(key);
-  std::string mirrored;  // copied under the lock only when observed
   {
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
     auto& entry = shard.map[key];
@@ -109,13 +108,11 @@ Status KvStore::put(const std::string& key, std::string payload,
     ++entry.version;
     entry.checksum = kv_checksum(entry.payload);
     entry.owners = std::move(owners);
-    if (put_observer_) mirrored = entry.payload;
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.puts;
   }
-  if (put_observer_) put_observer_(key, std::move(mirrored), size);
   return Status::ok_status();
 }
 

@@ -127,18 +127,6 @@ class KvStore {
   /// a client remove). Returns false when the key is absent.
   bool drop_entry(const std::string& key);
 
-  /// Observer invoked after every successful put, outside the shard
-  /// lock, with the key, a copy of the stored payload, and the entry's
-  /// logical size. The sharded harness uses it to mirror checkpoint
-  /// writes to a buddy partition's replica store. Unset by default —
-  /// the non-observed put path is unchanged.
-  using PutObserver =
-      std::function<void(const std::string& key, std::string payload,
-                         Bytes logical_size)>;
-  void set_put_observer(PutObserver observer) {
-    put_observer_ = std::move(observer);
-  }
-
   /// All live keys beginning with `prefix`, sorted. O(total keys).
   std::vector<std::string> keys_with_prefix(const std::string& prefix) const;
 
@@ -185,7 +173,6 @@ class KvStore {
   bool entry_alive(const KvEntry& entry) const;
 
   KvConfig config_;
-  PutObserver put_observer_;
   std::function<bool(NodeId)> writer_quorum_;
   std::function<std::uint32_t(NodeId)> zone_of_;
   std::vector<NodeId> cache_nodes_;

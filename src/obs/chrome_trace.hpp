@@ -23,8 +23,8 @@
 
 namespace canary::obs {
 
-/// One process ("pid") worth of trace inputs — a shard's spans, causal
-/// events, and rollups. Any member may be null.
+/// One process ("pid") worth of trace inputs — a partition's spans,
+/// causal events, and rollups. Any member may be null.
 struct TraceSection {
   const SpanRecorder* spans = nullptr;
   const EventLog* events = nullptr;
@@ -48,10 +48,10 @@ void write_chrome_trace(std::ostream& os, const SpanRecorder* spans,
 
 /// Multi-process export for sharded runs: section i renders under
 /// pid == i + 1 with a "shard i" process label, so every partition's
-/// node tracks group under their own process lane in the viewer. A
-/// single unlabeled section at pid 1 is NOT emitted by this overload —
-/// monolithic runs keep using the pointer overloads above, whose output
-/// is byte-identical to pre-sharding builds.
+/// node tracks (whose ids are partition-local) group under their own
+/// process lane in the viewer. A single unlabeled section at pid 1 is
+/// NOT emitted by this overload — monolithic runs keep using the pointer
+/// overloads above.
 void write_chrome_trace(std::ostream& os,
                         const std::vector<TraceSection>& sections);
 

@@ -216,9 +216,4 @@ std::uint64_t Simulator::run_until(TimePoint until) {
 
 bool Simulator::step() { return dispatch_one(); }
 
-std::int64_t Simulator::next_event_usec() {
-  const HeapEntry* head = peek_live();
-  return head != nullptr ? head->when_usec : -1;
-}
-
 }  // namespace canary::sim

@@ -118,12 +118,6 @@ class Simulator {
   std::size_t pending_events() const { return live_count_; }
   std::uint64_t executed_events() const { return executed_; }
 
-  /// Timestamp (usec) of the earliest live event, or -1 when the queue
-  /// holds none. Non-const: lazily deleted tombstones at the heap head
-  /// are dropped on the way, exactly as run() would. The conservative
-  /// shard scheduler uses this to compute the global safe window.
-  std::int64_t next_event_usec();
-
  private:
   friend class EventHandle;
 

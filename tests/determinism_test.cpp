@@ -14,8 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "harness/chaos.hpp"
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
+#include "harness/scenario_internal.hpp"
 #include "obs/chrome_trace.hpp"
 #include "realexec/backend.hpp"
 #include "recovery/strategies.hpp"
@@ -184,7 +186,7 @@ TEST(DeterminismTest, RealBackendUnselectedLeavesSimArtifactsByteIdentical) {
 
 // ---- sharded execution: worker-count invariance -----------------------
 //
-// The parallel engine's contract: the partition count fixes the model,
+// The sharded path's contract: the partition count fixes the model,
 // worker threads only map partitions onto cores. With partitions pinned
 // at 8, the merged report and the multi-process chrome trace must be
 // byte-identical at workers ∈ {1, 2, 4, 8} — with and without traffic,
@@ -193,7 +195,6 @@ TEST(DeterminismTest, RealBackendUnselectedLeavesSimArtifactsByteIdentical) {
 harness::ScenarioConfig sharded_scenario(unsigned workers) {
   harness::ScenarioConfig config = scenario_under_test();
   config.cluster_nodes = 48;  // 6 nodes per partition
-  config.sharding.enabled = true;
   config.sharding.partitions = 8;
   config.sharding.workers = workers;
   return config;
@@ -247,7 +248,7 @@ void add_attribution(harness::ScenarioConfig& config) {
 }
 
 void add_partitions(harness::ScenarioConfig& config) {
-  // The v3 partition surface, active inside every engine slice: a zone
+  // The v3 partition surface, active inside every partition: a zone
   // bipartition that fences the slice's minority side, plus a correlated
   // zone outage landing on the already-fenced nodes (skipped kills).
   config.detection.enabled = true;
@@ -331,7 +332,7 @@ TEST(ShardInvarianceTest, InvariantWithAttribution) {
 TEST(ShardInvarianceTest, InvariantWithPartitions) {
   // Worker invariance with the partition surface ENABLED: zone cuts,
   // logical fencing, and the correlated outage resolve inside each
-  // engine slice, so the worker count still must not change a byte.
+  // partition, so the worker count still must not change a byte.
   expect_worker_invariant(
       [](harness::ScenarioConfig& c) { add_partitions(c); });
 }
@@ -366,28 +367,58 @@ TEST(DeterminismTest, PartitionSurfaceOffKeepsArtifactsByteIdentical) {
   EXPECT_EQ(trace.find("injected_zone_outage"), std::string::npos);
 }
 
-TEST(ShardInvarianceTest, ShardedRunExercisesCrossShardChannels) {
-  // The invariance above would be vacuous if nothing crossed shards:
-  // assert the KV mirror and completion beacons actually flowed.
-  harness::ScenarioConfig config = sharded_scenario(2);
-  const harness::RunResult result =
-      harness::ScenarioRunner::run(config, sharded_jobs());
-  EXPECT_TRUE(result.completed);
-  EXPECT_GT(result.shard_messages, 0u);
-  EXPECT_GT(result.shard_epochs, 0u);
-  EXPECT_GT(result.metrics.counter("shard_job_beacons"), 0.0);
-  EXPECT_GT(result.metrics.counter("kv_mirror_in"), 0.0);
+// A partition is exactly the standalone scenario derive_partition_config
+// describes: running it inside a sharded run must not change one model
+// result, its bill included — a partition's cost may not depend on how
+// long the other partitions ran.
+void expect_partitions_match_standalone(const harness::ScenarioConfig& config,
+                                        const std::vector<faas::JobSpec>& jobs) {
+  const unsigned partitions = config.sharding.partitions;
+  const harness::RunResult sharded = harness::ScenarioRunner::run(config, jobs);
+  ASSERT_EQ(sharded.shards.size(), partitions);
+  for (unsigned p = 0; p < partitions; ++p) {
+    SCOPED_TRACE("partition " + std::to_string(p));
+    std::vector<faas::JobSpec> part_jobs;
+    for (std::size_t j = p; j < jobs.size(); j += partitions) {
+      part_jobs.push_back(jobs[j]);
+    }
+    const harness::RunResult alone = harness::ScenarioRunner::run(
+        harness::internal::derive_partition_config(config, p, partitions),
+        part_jobs);
+    const harness::RunResult& shard = *sharded.shards[p];
+    EXPECT_EQ(shard.makespan_s, alone.makespan_s);
+    EXPECT_EQ(shard.total_recovery_s, alone.total_recovery_s);
+    EXPECT_EQ(shard.lost_work_s, alone.lost_work_s);
+    EXPECT_EQ(shard.failures, alone.failures);
+    EXPECT_EQ(shard.simulated_events, alone.simulated_events);
+    EXPECT_EQ(shard.counters, alone.counters);
+    EXPECT_EQ(shard.cost_usd, alone.cost_usd);
+    EXPECT_EQ(shard.usage_gb_seconds, alone.usage_gb_seconds);
+  }
+}
+
+TEST(ShardInvarianceTest, PartitionsMatchStandaloneRuns) {
+  expect_partitions_match_standalone(sharded_scenario(4), sharded_jobs());
+  // The chaos campaign's sharded families, at their first quick seeds.
+  for (const std::uint64_t seed : {30001u, 30002u}) {
+    SCOPED_TRACE("sharded chaos seed " + std::to_string(seed));
+    const harness::ChaosScenario s = harness::make_sharded_chaos_scenario(seed);
+    expect_partitions_match_standalone(s.config, s.jobs);
+  }
+  for (const std::uint64_t seed : {10004u, 10008u}) {
+    SCOPED_TRACE("sharded partition chaos seed " + std::to_string(seed));
+    const harness::ChaosScenario s =
+        harness::make_sharded_partition_chaos_scenario(seed);
+    expect_partitions_match_standalone(s.config, s.jobs);
+  }
 }
 
 TEST(ShardInvarianceTest, ShardingOffIsUntouched) {
-  // sharding.enabled=false must route through the monolithic path and
-  // leave no sharded artifacts behind.
+  // One partition (the default) must route through the monolithic path
+  // and leave no sharded artifacts behind.
   const harness::RunResult result =
       harness::ScenarioRunner::run(scenario_under_test(), jobs_under_test());
   EXPECT_TRUE(result.shards.empty());
-  EXPECT_EQ(result.shard_epochs, 0u);
-  EXPECT_EQ(result.shard_messages, 0u);
-  EXPECT_EQ(result.metrics.counter("shard_job_beacons"), 0.0);
 }
 
 TEST(DeterminismTest, HeadlineScalarsAreReproducible) {

@@ -268,9 +268,8 @@ TEST(ChaosSweepTest, MiniSweepHoldsAllInvariants) {
 
 TEST(ChaosSweepTest, ShardedMiniSweepHoldsAllInvariants) {
   // The fourth family: the same scenarios split over 4 partitions x 4
-  // worker threads on the conservative parallel engine, all eight
-  // oracles evaluated inside every partition. The 64-seed subset lives
-  // in bench/chaos_campaign.
+  // worker threads, all eight oracles evaluated inside every partition.
+  // The 64-seed subset lives in bench/chaos_campaign.
   for (std::uint64_t seed = 30001; seed < 30003; ++seed) {
     const ChaosOutcome outcome = run_sharded_chaos_scenario(seed);
     EXPECT_TRUE(outcome.violations.empty())

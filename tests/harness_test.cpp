@@ -3,7 +3,11 @@
 // deterministic and reproducible.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "harness/experiment.hpp"
+#include "harness/fan_out.hpp"
 #include "workloads/workloads.hpp"
 
 namespace canary::harness {
@@ -176,6 +180,29 @@ TEST(ExperimentTest, RepetitionsVaryAcrossSeeds) {
       run_repetitions(base_config(recovery::StrategyConfig::retry(), 0.3),
                       small_web_jobs(), 6);
   EXPECT_GT(agg.total_recovery_s.stddev(), 0.0);
+}
+
+// ---- fan-out -------------------------------------------------------------
+
+TEST(FanOutTest, ResultsComeBackInIndexOrderAtAnyWorkerCount) {
+  for (const unsigned workers : {0u, 1u, 3u, 64u}) {
+    const std::vector<std::string> out = fan_out(
+        17, workers, [](std::size_t i) { return std::to_string(i * i); });
+    ASSERT_EQ(out.size(), 17u) << "workers=" << workers;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], std::to_string(i * i)) << "workers=" << workers;
+    }
+  }
+  EXPECT_TRUE(fan_out(0, 4, [](std::size_t i) { return i; }).empty());
+}
+
+TEST(FanOutTest, RethrowsATaskException) {
+  EXPECT_THROW(fan_out(8, 4,
+                       [](std::size_t i) -> int {
+                         if (i == 5) throw std::runtime_error("task 5");
+                         return 0;
+                       }),
+               std::runtime_error);
 }
 
 TEST(ExperimentTest, HelperMath) {

@@ -301,9 +301,8 @@ TEST(PartitionChaosSweepTest, MiniSweepHoldsAllInvariants) {
 }
 
 TEST(PartitionChaosSweepTest, ShardedMiniSweepHoldsAllInvariants) {
-  // The same scenarios split over 4 partitions x 4 worker threads on the
-  // conservative parallel engine, all ten oracles evaluated inside every
-  // engine partition plus the merged scalars.
+  // The same scenarios split over 4 partitions x 4 worker threads, all
+  // ten oracles evaluated inside every partition plus the merged scalars.
   for (std::uint64_t seed = 10001; seed < 10003; ++seed) {
     const ChaosOutcome outcome = run_sharded_partition_chaos_scenario(seed);
     EXPECT_TRUE(outcome.violations.empty())

@@ -27,7 +27,6 @@
 
 #include "harness/scenario.hpp"
 #include "obs/critical_path.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/workloads.hpp"
 
@@ -178,140 +177,6 @@ TEST(SimFuzzTest, DispatchOrderIsIdenticalAcrossArities) {
     for (std::size_t i = 0; i < a.fired.size(); ++i) {
       EXPECT_EQ(a.fired[i].id, b.fired[i].id) << "divergence at index " << i;
       EXPECT_EQ(a.fired[i].id, c.fired[i].id) << "divergence at index " << i;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Sharded engine fuzz
-// ---------------------------------------------------------------------
-//
-// Random relay programs over a random partition count: every fired event
-// appends to its partition's tape and relays onward — sometimes locally
-// (sub-lookahead, via its own simulator), sometimes cross-partition (via
-// post(), >= lookahead ahead). Everything a callback does is a pure
-// function of its event's id, never of execution order, so the oracle is
-// exact: the per-partition tapes of a multi-worker run must equal the
-// single-worker reference byte for byte, and FIFO/monotonicity/
-// conservation must hold on both.
-
-struct ShardTapeResult {
-  std::vector<std::vector<FiredEvent>> tapes;  // one per partition
-  std::uint64_t executed = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t epochs = 0;
-};
-
-struct ShardFuzzCtx {
-  sim::ShardEngine* engine = nullptr;
-  std::vector<std::vector<FiredEvent>>* tapes = nullptr;
-  unsigned partitions = 0;
-};
-
-std::uint64_t shard_mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-void shard_fire(ShardFuzzCtx* ctx, unsigned p, std::uint64_t id, int hops) {
-  sim::Simulator& self = ctx->engine->partition(p);
-  const std::int64_t now = self.now().count_usec();
-  (*ctx->tapes)[p].push_back({static_cast<int>(id & 0x7fffffff), now});
-  if (hops <= 0) return;
-  const std::uint64_t h = shard_mix(id * 2654435761ull + hops);
-  if (h % 3 == 0) {
-    // Local relay below the lookahead — legal only through the
-    // partition's own simulator, never through post().
-    const std::int64_t delay = 1 + static_cast<std::int64_t>((h >> 8) % 90);
-    self.schedule_after(Duration::usec(delay), [ctx, p, id, hops] {
-      shard_fire(ctx, p, shard_mix(id), hops - 1);
-    });
-  } else {
-    const unsigned dst = static_cast<unsigned>(h % ctx->partitions);
-    const std::int64_t delay =
-        100 + static_cast<std::int64_t>((h >> 16) % 400);
-    ctx->engine->post(dst, TimePoint::from_usec(now + delay),
-                      [ctx, dst, id, hops] {
-                        shard_fire(ctx, dst, shard_mix(id + 1), hops - 1);
-                      });
-  }
-}
-
-ShardTapeResult run_shard_tape(std::uint64_t seed, unsigned partitions,
-                               unsigned workers) {
-  std::mt19937_64 rng(seed);  // consumed before run() only
-  sim::ShardEngineOptions options;
-  options.partitions = partitions;
-  options.workers = workers;
-  options.lookahead = Duration::usec(100);
-  sim::ShardEngine engine(options);
-
-  ShardTapeResult result;
-  result.tapes.resize(partitions);
-  ShardFuzzCtx ctx{&engine, &result.tapes, partitions};
-
-  const int initial = 20 + static_cast<int>(rng() % 30);
-  for (int i = 0; i < initial; ++i) {
-    const unsigned p = static_cast<unsigned>(rng() % partitions);
-    const std::int64_t at = 100 + static_cast<std::int64_t>(rng() % 5000);
-    const std::uint64_t id = rng();
-    const int hops = static_cast<int>(rng() % 6);
-    ShardFuzzCtx* c = &ctx;
-    engine.post(p, TimePoint::from_usec(at),
-                [c, p, id, hops] { shard_fire(c, p, id, hops); });
-  }
-
-  engine.run();
-  result.executed = engine.executed_events();
-  result.messages = engine.messages_delivered();
-  result.epochs = engine.epochs();
-  return result;
-}
-
-TEST(SimFuzzTest, ShardedTapesMatchSingleWorkerReferenceAcross32Seeds) {
-  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    std::mt19937_64 shape(seed * 0x9e3779b97f4a7c15ull);
-    const unsigned partitions = 1 + static_cast<unsigned>(shape() % 6);
-    const unsigned workers = 2 + static_cast<unsigned>(shape() % 7);
-
-    const ShardTapeResult reference = run_shard_tape(seed, partitions, 1);
-    const ShardTapeResult parallel =
-        run_shard_tape(seed, partitions, workers);
-
-    // Worker-count invariance: identical tapes, counts, and barrier
-    // schedule.
-    ASSERT_EQ(parallel.tapes.size(), reference.tapes.size());
-    for (unsigned p = 0; p < partitions; ++p) {
-      SCOPED_TRACE("partition=" + std::to_string(p));
-      ASSERT_EQ(parallel.tapes[p].size(), reference.tapes[p].size());
-      for (std::size_t i = 0; i < reference.tapes[p].size(); ++i) {
-        EXPECT_EQ(parallel.tapes[p][i].id, reference.tapes[p][i].id)
-            << "tape divergence at index " << i;
-        EXPECT_EQ(parallel.tapes[p][i].when_usec,
-                  reference.tapes[p][i].when_usec)
-            << "timestamp divergence at index " << i;
-      }
-    }
-    EXPECT_EQ(parallel.executed, reference.executed);
-    EXPECT_EQ(parallel.messages, reference.messages);
-    EXPECT_EQ(parallel.epochs, reference.epochs);
-
-    // Oracle invariants on both runs: per-partition clocks never go
-    // backwards, and every executed event left exactly one tape entry
-    // (conservation — nothing fired twice or vanished).
-    for (const ShardTapeResult* run : {&reference, &parallel}) {
-      std::size_t taped = 0;
-      for (const auto& tape : run->tapes) {
-        for (std::size_t i = 1; i < tape.size(); ++i) {
-          EXPECT_GE(tape[i].when_usec, tape[i - 1].when_usec)
-              << "partition clock went backwards";
-        }
-        taped += tape.size();
-      }
-      EXPECT_EQ(taped, run->executed);
     }
   }
 }
