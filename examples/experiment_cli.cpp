@@ -380,9 +380,10 @@ int main(int argc, char** argv) {
   }
 
   if (!opts.trace_path.empty()) {
-    // One extra run of the base seed with span recording on: the trace is
-    // a timeline of a single repetition, not an aggregate. The causal DAG
-    // rides along as instant + flow events linking failures to recoveries.
+    // One extra run of the base seed with the span timeline on: the trace
+    // is a timeline of a single repetition, not an aggregate. The causal
+    // DAG it is derived from rides along as instant + flow events linking
+    // failures to recoveries.
     harness::ScenarioConfig traced = config;
     traced.record_spans = true;
     traced.record_events = true;

@@ -154,22 +154,16 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
   }
   metrics_.count("checkpoints_written");
   metrics_.sample("checkpoint_payload_mib", payload.to_mib());
-  if (spans_ != nullptr) {
-    // The commit fires at the end of the state's epilogue, so the write
-    // window is the epilogue interval ending now.
-    const Duration write = state_epilogue(inv, idx);
-    obs::SpanLabels labels{inv.job, inv.id, inv.container, inv.node,
-                           inv.attempt};
-    spans_->record(obs::SpanKind::kCheckpoint, "checkpoint",
-                   sim_.now() - write, sim_.now(), labels);
-  }
   if (events_ != nullptr && inv.trace.valid()) {
     // Leaf event off the invocation's chain: checkpoints are side effects
-    // of the state commit, not steps on the critical path.
+    // of the state commit, not steps on the critical path. The commit
+    // fires at the end of the state's epilogue, so the write window is
+    // the nominal epilogue interval ending now.
     obs::SpanLabels labels{inv.job, inv.id, inv.container, inv.node,
                            inv.attempt};
     events_->append(inv.trace, obs::EventKind::kCheckpoint,
-                    "checkpoint_" + std::to_string(idx), sim_.now(), labels);
+                    "checkpoint_" + std::to_string(idx), sim_.now(), labels,
+                    obs::kNoEvent, state_epilogue(inv, idx));
   }
 
   // A recommit of the same state (after a restore) replaces the old row.

@@ -27,7 +27,6 @@
 #include "kvstore/kvstore.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metric_registry.hpp"
-#include "obs/span.hpp"
 #include "sim/simulator.hpp"
 
 namespace canary::core {
@@ -79,10 +78,8 @@ class CheckpointingModule {
 
   const CheckpointingConfig& config() const { return config_; }
 
-  /// Record checkpoint-write spans into `spans` (null disables).
-  void set_spans(obs::SpanRecorder* spans) { spans_ = spans; }
-  /// Append kCheckpoint leaf events to each invocation's causal chain
-  /// (null disables).
+  /// Append kCheckpoint leaf events, each carrying its write window, to
+  /// each invocation's causal chain (null disables).
   void set_event_log(obs::EventLog* events) { events_ = events; }
 
   /// Time appended to state `idx` for writing its checkpoint. Pure in
@@ -128,7 +125,6 @@ class CheckpointingModule {
   kv::KvStore& store_;
   MetadataStore& metadata_;
   obs::MetricRegistry& metrics_;
-  obs::SpanRecorder* spans_ = nullptr;
   obs::EventLog* events_ = nullptr;
   CheckpointingConfig config_;
   IdGenerator<CheckpointId> ids_;

@@ -28,9 +28,7 @@ void CoreModule::install() {
   platform_.set_recovery_handler(this);
   platform_.set_hooks(this);
   platform_.add_observer(this);
-  checkpointing_.set_spans(platform_.spans());
   checkpointing_.set_event_log(platform_.events());
-  replication_.set_spans(platform_.spans());
   // Split-brain probe: when the platform logically fences a worker that is
   // alive but cut off from the quorum, the worker's in-flight functions
   // finish executing over there and try to commit. Route those attempts
@@ -100,17 +98,6 @@ void CoreModule::drain_queue() {
 
 // ---- RecoveryHandler ------------------------------------------------------
 
-void CoreModule::recovery_instant(const faas::Invocation& inv,
-                                  const char* name) {
-  platform_.log_recovery_action(inv.id, name);
-  obs::SpanRecorder* spans = platform_.spans();
-  if (spans == nullptr) return;
-  obs::SpanLabels labels{inv.job, inv.id, inv.container, inv.node,
-                         inv.attempt};
-  spans->instant(obs::SpanKind::kRecovery, name, platform_.simulator().now(),
-                 labels);
-}
-
 bool CoreModule::sla_urgent(const faas::Invocation& inv) const {
   if (!config_.sla_aware) return false;
   auto it = deadlines_.find(inv.job);
@@ -172,7 +159,7 @@ void CoreModule::recover_cold(const faas::Invocation& inv,
   start.node_pref = target;
   start.extra_setup = plan.restore_time;
   platform_.metrics().count("cold_fallback_recoveries");
-  recovery_instant(inv, "cold_fallback_recovery");
+  platform_.log_recovery_action(inv.id, "cold_fallback_recovery");
   arm_recovery_watch(inv.id, target);
   platform_.start_attempt(inv.id, start);
 }
@@ -214,7 +201,7 @@ void CoreModule::dispatch_recovery(const faas::Invocation& inv,
     start.container = replica->container;
     start.extra_setup = config_.migration_overhead + plan.restore_time;
     platform_.metrics().count("replica_recoveries");
-    recovery_instant(inv, "replica_recovery");
+    platform_.log_recovery_action(inv.id, "replica_recovery");
     replication_.on_replica_consumed(image);
     arm_recovery_watch(inv.id, replica->worker);
     platform_.start_attempt(inv.id, start);
@@ -231,7 +218,7 @@ void CoreModule::dispatch_recovery(const faas::Invocation& inv,
     if (auto pending = runtime_manager_.promise_launching(image, min_age)) {
       promised_[pending->container] = inv.id;
       platform_.metrics().count("sla_promised_recoveries");
-      recovery_instant(inv, "sla_promised_recovery");
+      platform_.log_recovery_action(inv.id, "sla_promised_recovery");
       replication_.on_replica_consumed(image);
       arm_recovery_watch(inv.id, pending->worker);
       return;  // dispatch happens in on_container_ready
@@ -292,7 +279,7 @@ void CoreModule::recovery_watch_fired(FunctionId id) {
     // signature. Kill the attempt and re-route the next dispatch away
     // from the stalled node. kRecoveryStall skips the invoker detection
     // delay (the controller initiated the kill, it already knows).
-    recovery_instant(inv, "recovery_stall_reroute");
+    platform_.log_recovery_action(inv.id, "recovery_stall_reroute");
     avoid_[id] = stalled;
     platform_.kill_function(id, faas::FailureKind::kRecoveryStall);
     return;  // on_failure re-dispatches and re-arms the watch

@@ -148,8 +148,6 @@ class CoreModule final : public faas::RecoveryHandler,
   /// Whether the function's job deadline is threatened if recovery pays a
   /// full cold start.
   bool sla_urgent(const faas::Invocation& inv) const;
-  /// Mark which recovery path handled `inv` in the span timeline.
-  void recovery_instant(const faas::Invocation& inv, const char* name);
 
   faas::Platform& platform_;
   /// Retained for split-brain fencing: a worker the detector confirms dead

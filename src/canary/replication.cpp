@@ -225,12 +225,6 @@ void ReplicationModule::reconcile(faas::RuntimeImage image) {
     if (!container) break;  // the excess is still launching; leave it
     platform_.destroy_warm_container(*container);
     metrics_.count("replicas_retired");
-    if (spans_ != nullptr) {
-      obs::SpanLabels labels;
-      labels.container = *container;
-      spans_->instant(obs::SpanKind::kReplication, "replica_retire",
-                      platform_.simulator().now(), labels);
-    }
     --live;
   }
 
@@ -239,27 +233,10 @@ void ReplicationModule::reconcile(faas::RuntimeImage image) {
     if (!node) break;  // no capacity anywhere
     auto launched = platform_.launch_warm_container(
         *node, image, faas::ContainerPurpose::kRuntimeReplica,
-        [this](ContainerId cid) {
-          manager_.mark_active(cid);
-          auto it = launching_spans_.find(cid);
-          if (it != launching_spans_.end()) {
-            if (spans_ != nullptr) {
-              spans_->close(it->second, platform_.simulator().now());
-            }
-            launching_spans_.erase(it);
-          }
-        });
+        [this](ContainerId cid) { manager_.mark_active(cid); });
     if (!launched.ok()) break;
     manager_.register_replica(image, *node, launched.value());
     metrics_.count("replicas_launched");
-    if (spans_ != nullptr) {
-      obs::SpanLabels labels;
-      labels.container = launched.value();
-      labels.node = *node;
-      launching_spans_[launched.value()] = spans_->open(
-          obs::SpanKind::kReplication, "replica_provision",
-          platform_.simulator().now(), labels);
-    }
     ++live;
   }
 }

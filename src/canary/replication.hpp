@@ -27,7 +27,6 @@
 #include "canary/runtime_manager.hpp"
 #include "faas/platform.hpp"
 #include "obs/metric_registry.hpp"
-#include "obs/span.hpp"
 
 namespace canary::core {
 
@@ -76,10 +75,6 @@ class ReplicationModule {
   /// suspects exist.
   void set_advisor(const ProactiveMitigator* advisor) { advisor_ = advisor; }
 
-  /// Record replica-provisioning spans (launch -> warm) into `spans`
-  /// (null disables).
-  void set_spans(obs::SpanRecorder* spans) { spans_ = spans; }
-
   // ---- event feed from the Core Module ---------------------------------
   /// Algorithm 2: runtime replication at job submission.
   void on_job_submitted(JobId job);
@@ -116,9 +111,6 @@ class ReplicationModule {
   obs::MetricRegistry& metrics_;
   ReplicationConfig config_;
   const ProactiveMitigator* advisor_ = nullptr;
-  obs::SpanRecorder* spans_ = nullptr;
-  /// Provisioning spans still waiting for their replica to turn warm.
-  std::unordered_map<ContainerId, obs::SpanHandle> launching_spans_;
 
   /// Functions submitted and not yet completed, per runtime image.
   std::unordered_map<faas::RuntimeImage, std::size_t> active_;

@@ -79,18 +79,6 @@ obs::SpanLabels Platform::obs_labels(const InvocationInternal& inv) const {
                          inv.attempt};
 }
 
-void Platform::obs_phase(InvocationInternal& inv, obs::SpanKind kind,
-                         const char* name) {
-  if (spans_ == nullptr) return;
-  spans_->close(inv.phase_span, sim_.now());
-  inv.phase_span = spans_->open(kind, name, sim_.now(), obs_labels(inv));
-}
-
-void Platform::obs_end_phase(InvocationInternal& inv) {
-  if (spans_ == nullptr) return;
-  spans_->close(inv.phase_span, sim_.now());
-}
-
 obs::EventId Platform::obs_event(InvocationInternal& inv, obs::EventKind kind,
                                  std::string_view name, obs::EventId cause) {
   if (events_ == nullptr) return obs::kNoEvent;
@@ -561,7 +549,6 @@ void Platform::start_cold(InvocationInternal& inv, NodeId node,
   inv.container = cid;
   m_cold_starts_.add();
   if (series_ != nullptr) series_->count("cold_starts", sim_.now());
-  obs_phase(inv, obs::SpanKind::kLaunch, "launch");
   obs_event(inv, obs::EventKind::kLaunch, "launch");
 
   const double speed = host.speed();
@@ -585,7 +572,6 @@ void Platform::start_cold(InvocationInternal& inv, NodeId node,
     if (target == nullptr) return;
     c->state = ContainerState::kInitializing;
     target->phase = Phase::kInitializing;
-    obs_phase(*target, obs::SpanKind::kInit, "init");
     obs_event(*target, obs::EventKind::kInit, "init");
     target->progress_event =
         sim_.schedule_after(init, [this, id, attempt, cid, setup] {
@@ -594,7 +580,6 @@ void Platform::start_cold(InvocationInternal& inv, NodeId node,
           container_ref(cid).state = ContainerState::kBusy;
           target->phase = Phase::kStarting;
           if (setup > Duration::zero()) {
-            obs_phase(*target, obs::SpanKind::kRestore, "restore");
             obs_event(*target, obs::EventKind::kRestore, "restore");
           }
           target->progress_event =
@@ -629,7 +614,6 @@ void Platform::start_warm(InvocationInternal& inv, Container& c,
   m_warm_starts_.add();
   // Warm adoption skips launch+init (the replication win); the dispatch
   // window plus any checkpoint restore is the whole pre-exec cost.
-  obs_phase(inv, obs::SpanKind::kRestore, "warm_dispatch");
   obs_event(inv, obs::EventKind::kRestore, "warm_dispatch");
 
   const double speed = cluster_.node(c.node).speed();
@@ -649,7 +633,6 @@ void Platform::start_warm(InvocationInternal& inv, Container& c,
 void Platform::begin_execution(InvocationInternal& inv, int attempt) {
   CANARY_CHECK(inv.attempt == attempt, "stale execution event");
   inv.phase = Phase::kExecuting;
-  obs_phase(inv, obs::SpanKind::kExec, "exec");
   obs_event(inv, obs::EventKind::kExec, "exec");
   if (inv.first_dispatch_time == TimePoint::max()) {
     inv.first_dispatch_time = sim_.now();
@@ -666,7 +649,6 @@ void Platform::schedule_next_state(InvocationInternal& inv) {
 
   if (inv.next_state >= inv.spec->states.size()) {
     inv.phase = Phase::kFinalizing;
-    obs_phase(inv, obs::SpanKind::kFinalize, "finalize");
     obs_event(inv, obs::EventKind::kFinalize, "finalize");
     const Duration fin = inv.spec->finalize * speed;
     inv.progress_event = sim_.schedule_after(fin, [this, id, attempt] {
@@ -706,7 +688,6 @@ void Platform::complete_function(InvocationInternal& inv) {
   inv.kill_event.cancel();
   inv.timeout_event.cancel();
   inv.progress_event.cancel();
-  obs_end_phase(inv);
   m_function_latency_.record_duration(sim_.now() - inv.submit_time);
   record_tail_latency(inv);
   if (inv.first_dispatch_time != TimePoint::max()) {
@@ -847,11 +828,6 @@ void Platform::handle_kill(InvocationInternal& inv, FailureKind kind) {
   inv.phase = Phase::kFailed;
   m_failures_.add();
   if (series_ != nullptr) series_->count("failures", sim_.now());
-  obs_end_phase(inv);
-  if (spans_ != nullptr) {
-    spans_->instant(obs::SpanKind::kFailure, std::string(to_string_view(kind)),
-                    sim_.now(), obs_labels(inv));
-  }
 
   FailureInfo info;
   info.kind = kind;
@@ -999,10 +975,6 @@ void Platform::resolve_recovery_markers(InvocationInternal& inv) {
         series_->count("recoveries", now);
         series_->sample("recovery_time", now, recovery.to_seconds());
       }
-      if (spans_ != nullptr) {
-        spans_->record(obs::SpanKind::kRecovery, "recovery", it->fail_time,
-                       now, obs_labels(inv));
-      }
       obs_event(inv, obs::EventKind::kRecovered, "recovered", it->fail_event);
       it = inv.markers.erase(it);
     } else {
@@ -1140,12 +1112,6 @@ void Platform::fail_node(NodeId node, obs::EventId cause) {
     series_->count("node_failures", sim_.now());
     series_->set_level("nodes_up", sim_.now(),
                        static_cast<double>(cluster_.alive_count()));
-  }
-  if (spans_ != nullptr) {
-    obs::SpanLabels labels;
-    labels.node = node;
-    spans_->instant(obs::SpanKind::kNodeFailure, "node_failure", sim_.now(),
-                    labels);
   }
   // The node failure is an ambient root event on its own trace; every
   // victim invocation's kFailure event points back to it via a cause

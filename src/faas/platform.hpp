@@ -123,11 +123,6 @@ class Platform {
   void set_recovery_handler(RecoveryHandler* handler) { recovery_ = handler; }
   void set_hooks(ExecutionHooks* hooks) { hooks_ = hooks; }
   void add_observer(PlatformObserver* observer);
-  /// Install a span recorder capturing the lifecycle phases (launch, init,
-  /// restore, exec, finalize) plus failure/recovery windows on the sim
-  /// clock. Null disables span recording (the default).
-  void set_span_recorder(obs::SpanRecorder* spans) { spans_ = spans; }
-  obs::SpanRecorder* spans() const { return spans_; }
   /// Install a causal event log: every invocation becomes a trace whose
   /// lifecycle steps, failures, detections and recovery actions chain
   /// into a per-trace DAG. Null disables event recording (the default).
@@ -312,7 +307,6 @@ class Platform {
     sim::EventHandle progress_event;
     sim::EventHandle kill_event;
     sim::EventHandle timeout_event;
-    obs::SpanHandle phase_span;
     std::vector<RecoveryMarker> markers;
     TimePoint state_start;
     TimePoint state_planned_end;
@@ -375,11 +369,6 @@ class Platform {
                                  bool cold) const;
   Duration epilogue_nominal(const Invocation& inv, std::size_t state_idx);
 
-  /// Close the invocation's open phase span (if any) and open a new one.
-  void obs_phase(InvocationInternal& inv, obs::SpanKind kind,
-                 const char* name);
-  /// Close the invocation's open phase span (if any).
-  void obs_end_phase(InvocationInternal& inv);
   obs::SpanLabels obs_labels(const InvocationInternal& inv) const;
   /// Append an event to the invocation's causal chain (no-op without an
   /// installed EventLog). Returns the event id for cause edges. Takes a
@@ -416,7 +405,6 @@ class Platform {
   FailurePolicy* failure_policy_ = nullptr;
   RecoveryHandler* recovery_ = nullptr;
   ExecutionHooks* hooks_ = nullptr;
-  obs::SpanRecorder* spans_ = nullptr;
   obs::EventLog* events_ = nullptr;
   obs::SloMonitor* slo_ = nullptr;
   obs::TimeSeries* series_ = nullptr;

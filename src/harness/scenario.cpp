@@ -62,12 +62,7 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
                metrics) {
   using recovery::StrategyKind;
 
-  if (config.record_spans) {
-    spans = std::make_shared<obs::SpanRecorder>();
-    platform.set_span_recorder(spans.get());
-  }
-
-  if (config.record_events) {
+  if (config.record_events || config.record_spans) {
     events = std::make_shared<obs::EventLog>();
     if (!config.flight_recorder_path.empty()) {
       events->set_flight_recorder(config.flight_recorder_path);
@@ -277,7 +272,6 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
 
 RunResult ScenarioInstance::collect() {
   platform.finalize_usage();
-  if (spans != nullptr) spans->close_all_open(simulator.now());
 
   RunResult result;
   result.completed = platform.all_jobs_completed();
@@ -389,10 +383,6 @@ RunResult ScenarioInstance::collect() {
     }
   }
 
-  if (spans != nullptr) {
-    result.spans_recorded = spans->size();
-    result.spans_dropped = spans->dropped();
-  }
   if (events != nullptr) {
     result.events_recorded = events->size();
     result.events_dropped = events->dropped();
@@ -412,6 +402,14 @@ RunResult ScenarioInstance::collect() {
       obs::TailAnalyzer tail_analyzer(metrics, *events, analyzer);
       result.tail = tail_analyzer.analyze(config.tail);
     }
+  }
+  if (config.record_spans) {
+    // Spans still open when the run quiesced close at the current clock.
+    auto spans = std::make_shared<const std::vector<obs::Span>>(
+        obs::derive_spans(*events, simulator.now()));
+    result.spans_recorded = spans->size();
+    result.spans_dropped = events->dropped();
+    result.spans = std::move(spans);
   }
   if (traffic_gen.has_value()) {
     RunResult::TrafficSummary& t = result.traffic;
@@ -462,7 +460,6 @@ RunResult ScenarioInstance::collect() {
   }
   if (series.enabled()) result.timeseries = std::move(series);
   result.metrics = std::move(metrics);
-  result.spans = std::move(spans);
   result.events = std::move(events);
   return result;
 }

@@ -113,9 +113,10 @@ struct ScenarioConfig {
   /// (§V-C1). Lets experiments model e.g. an NFS-only deployment or a
   /// custom external endpoint ("such as an S3 bucket", §IV-C4a).
   std::optional<cluster::StorageHierarchy> storage;
-  /// Record a per-run span timeline (lifecycle phases, checkpoints,
-  /// replication, recoveries) into RunResult::spans for chrome://tracing
-  /// export. Off by default: spans cost memory proportional to events.
+  /// Derive a per-run span timeline (lifecycle phases, checkpoints,
+  /// replication, recoveries) from the causal event log at collect time
+  /// into RunResult::spans for chrome://tracing export. Turns the event
+  /// log on. Off by default: spans cost memory proportional to events.
   bool record_spans = false;
   /// Record the per-invocation causal event DAG into RunResult::events and
   /// derive RunResult::breakdown from it. On by default: events are cheap
@@ -176,15 +177,19 @@ struct RunResult {
   /// Full metric registry of the run (counters + gauges + latency
   /// histograms). `counters` above is kept as a convenience view.
   obs::MetricRegistry metrics;
-  /// Span timeline; non-null only when ScenarioConfig::record_spans.
-  std::shared_ptr<obs::SpanRecorder> spans;
-  /// Causal event DAG; non-null only when ScenarioConfig::record_events.
+  /// Span timeline derived from `events`; non-null only when
+  /// ScenarioConfig::record_spans.
+  std::shared_ptr<const std::vector<obs::Span>> spans;
+  /// Causal event DAG; non-null only when ScenarioConfig::record_events
+  /// or record_spans.
   std::shared_ptr<obs::EventLog> events;
   /// Critical-path decomposition of end-to-end latency and every
   /// failure-to-recovery window, plus the SLO watchdog's verdicts.
   /// Derived from `events`; empty when event recording is off.
   obs::BreakdownReport breakdown;
   /// Recorder overflow accounting (events/spans recorded vs. dropped).
+  /// The timeline is derived from the log, so its drop count is the
+  /// log's: a truncated log yields a truncated timeline.
   std::uint64_t spans_recorded = 0;
   std::uint64_t spans_dropped = 0;
   std::uint64_t events_recorded = 0;

@@ -50,7 +50,7 @@ struct ScenarioInstance {
   ScenarioInstance& operator=(const ScenarioInstance&) = delete;
 
   /// Harvest the RunResult after the simulator has quiesced. Finalizes
-  /// the usage ledger and closes open spans; call exactly once.
+  /// the usage ledger and derives the span timeline; call exactly once.
   RunResult collect();
 
   ScenarioConfig config;  // owned copy: partition configs are derived
@@ -62,7 +62,6 @@ struct ScenarioInstance {
   obs::MetricRegistry metrics;
   faas::Platform platform;
 
-  std::shared_ptr<obs::SpanRecorder> spans;
   std::shared_ptr<obs::EventLog> events;
   obs::SloMonitor slo;
   obs::TimeSeries series;

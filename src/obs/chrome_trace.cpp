@@ -141,9 +141,7 @@ void write_counter_tracks(JsonWriter& json, const TimeSeries& series,
 void write_section(JsonWriter& json, const TraceSection& section,
                    std::int64_t pid) {
   if (section.spans != nullptr) {
-    for (const Span& span : section.spans->spans()) {
-      write_event(json, span, pid);
-    }
+    for (const Span& span : *section.spans) write_event(json, span, pid);
   }
   if (section.events != nullptr) {
     for (const Event& event : section.events->events()) {
@@ -188,12 +186,14 @@ void write_trace_document(std::ostream& os,
     write_section(json, sections[i], pid);
   }
   json.end_array();
-  // Recorder health: a truncated stream means this timeline is partial.
+  // Recorder health: a truncated log means this timeline is partial too,
+  // since the spans are derived from it.
   std::uint64_t spans_dropped = 0;
   std::uint64_t events_dropped = 0;
   for (const TraceSection& section : sections) {
-    if (section.spans != nullptr) spans_dropped += section.spans->dropped();
-    if (section.events != nullptr) events_dropped += section.events->dropped();
+    if (section.events == nullptr) continue;
+    events_dropped += section.events->dropped();
+    if (section.spans != nullptr) spans_dropped += section.events->dropped();
   }
   json.key("otherData").begin_object();
   json.field("spans_dropped", spans_dropped);
@@ -205,16 +205,7 @@ void write_trace_document(std::ostream& os,
 
 }  // namespace
 
-void write_chrome_trace(std::ostream& os, const SpanRecorder& spans) {
-  write_chrome_trace(os, &spans, nullptr);
-}
-
-void write_chrome_trace(std::ostream& os, const SpanRecorder* spans,
-                        const EventLog* events) {
-  write_chrome_trace(os, spans, events, nullptr);
-}
-
-void write_chrome_trace(std::ostream& os, const SpanRecorder* spans,
+void write_chrome_trace(std::ostream& os, const std::vector<Span>* spans,
                         const EventLog* events, const TimeSeries* series) {
   write_trace_document(os, {TraceSection{spans, events, series}},
                        /*label_processes=*/false);
@@ -226,30 +217,11 @@ void write_chrome_trace(std::ostream& os,
 }
 
 bool write_chrome_trace_file(const std::string& path,
-                             const SpanRecorder& spans) {
-  return write_chrome_trace_file(path, &spans, nullptr);
-}
-
-bool write_chrome_trace_file(const std::string& path,
-                             const SpanRecorder* spans,
-                             const EventLog* events) {
-  return write_chrome_trace_file(path, spans, events, nullptr);
-}
-
-bool write_chrome_trace_file(const std::string& path,
-                             const SpanRecorder* spans, const EventLog* events,
-                             const TimeSeries* series) {
+                             const std::vector<Span>* spans,
+                             const EventLog* events, const TimeSeries* series) {
   std::ofstream out(path);
   if (!out) return false;
   write_chrome_trace(out, spans, events, series);
-  return out.good();
-}
-
-bool write_chrome_trace_file(const std::string& path,
-                             const std::vector<TraceSection>& sections) {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_chrome_trace(out, sections);
   return out.good();
 }
 

@@ -75,9 +75,11 @@ EventId EventLog::extend(TraceContext& ctx, EventKind kind, std::string name,
 
 EventId EventLog::append(const TraceContext& ctx, EventKind kind,
                          std::string name, TimePoint at, SpanLabels labels,
-                         EventId cause) {
-  return append_raw(ctx.trace, ctx.last, kind, std::move(name), at, labels,
-                    cause);
+                         EventId cause, Duration window) {
+  const EventId id = append_raw(ctx.trace, ctx.last, kind, std::move(name),
+                                at, labels, cause);
+  if (id != kNoEvent) events_[id].window = window;
+  return id;
 }
 
 void EventLog::rebind(EventId event, TraceId trace, EventId parent) {

@@ -1,19 +1,19 @@
 // Causal event log: the per-invocation trace DAG behind the span timeline.
 //
-// Spans (span.hpp) answer "how long did this phase take"; the event log
-// answers "why did it happen". Every invocation carries a TraceContext —
-// a trace id plus the id of its most recent event — and each lifecycle
-// step (submit, launch, init, restore, exec, state commit, finalize,
-// complete), every failure, every detection, and every recovery action
-// appends an Event whose `parent` points at the previous event of the
-// same causal chain. Cross-chain causality (a node failure killing many
-// containers, a failure whose lost work is later regained) is expressed
-// through the secondary `cause` edge, which the chrome-trace exporter
-// renders as flow arrows.
+// The log answers "why did it happen"; the span timeline derived from it
+// (derive_spans in span.hpp) answers "how long did this phase take".
+// Every invocation carries a TraceContext — a trace id plus the id of its
+// most recent event — and each lifecycle step (submit, launch, init,
+// restore, exec, state commit, finalize, complete), every failure, every
+// detection, and every recovery action appends an Event whose `parent`
+// points at the previous event of the same causal chain. Cross-chain
+// causality (a node failure killing many containers, a failure whose lost
+// work is later regained) is expressed through the secondary `cause` edge,
+// which the chrome-trace exporter renders as flow arrows.
 //
-// Like SpanRecorder, the log is one append-only vector with a capacity
-// cap: overflow is counted (truncated()), never reallocated past the cap,
-// and each run owns a private log so the record path takes no locks.
+// The log is one append-only vector with a capacity cap: overflow is
+// counted (truncated()), never reallocated past the cap, and each run owns
+// a private log so the record path takes no locks.
 //
 // Flight recorder: when configured with an output prefix, the log dumps
 // its most recent events to disk whenever a node failure or an SLA breach
@@ -92,6 +92,9 @@ struct Event {
   std::string name;
   TimePoint at;
   SpanLabels labels;
+  /// kCheckpoint only: the write window ending at `at`, which starts the
+  /// derived checkpoint span. Never serialized.
+  Duration window;
 };
 
 class EventLog {
@@ -109,10 +112,11 @@ class EventLog {
                  EventId cause = kNoEvent);
 
   /// Append a leaf event hanging off `ctx` without advancing it — side
-  /// branches such as checkpoint writes recorded by the Canary modules.
+  /// branches such as checkpoint writes recorded by the Canary modules,
+  /// which also pass their write `window`.
   EventId append(const TraceContext& ctx, EventKind kind, std::string name,
                  TimePoint at, SpanLabels labels = {},
-                 EventId cause = kNoEvent);
+                 EventId cause = kNoEvent, Duration window = Duration::zero());
 
   /// Append an event with explicit edges (ambient events pass
   /// TraceId::invalid() and kNoEvent).

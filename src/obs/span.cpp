@@ -1,5 +1,11 @@
 #include "obs/span.hpp"
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+
+#include "obs/event_log.hpp"
+
 namespace canary::obs {
 
 std::string_view to_string_view(SpanKind kind) {
@@ -19,93 +25,135 @@ std::string_view to_string_view(SpanKind kind) {
   return "unknown";
 }
 
-SpanHandle SpanRecorder::open(SpanKind kind, std::string name, TimePoint start,
-                              SpanLabels labels) {
-  if (full()) return SpanHandle{};
-  Span span;
-  span.kind = kind;
-  span.name = std::move(name);
-  span.start = start;
-  span.end = start;
-  span.open = true;
-  span.labels = labels;
-  spans_.push_back(std::move(span));
-  return SpanHandle{spans_.size() - 1};
-}
+namespace {
 
-void SpanRecorder::close(SpanHandle& handle, TimePoint end) {
-  if (!handle.valid() || handle.index_ >= spans_.size()) return;
-  Span& span = spans_[handle.index_];
-  if (span.open) {
-    span.end = end;
-    span.open = false;
-  }
-  handle = SpanHandle{};
-}
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+constexpr std::string_view kProvision = "replica_provision";
+constexpr std::string_view kReady = "replica_ready";
 
-void SpanRecorder::record(SpanKind kind, std::string name, TimePoint start,
-                          TimePoint end, SpanLabels labels) {
-  if (full()) return;
-  Span span;
-  span.kind = kind;
-  span.name = std::move(name);
-  span.start = start;
-  span.end = end;
-  span.labels = labels;
-  spans_.push_back(std::move(span));
-}
-
-void SpanRecorder::instant(SpanKind kind, std::string name, TimePoint at,
-                           SpanLabels labels) {
-  if (full()) return;
-  Span span;
-  span.kind = kind;
-  span.name = std::move(name);
-  span.start = at;
-  span.end = at;
-  span.instant = true;
-  span.labels = labels;
-  spans_.push_back(std::move(span));
-}
-
-void SpanRecorder::close_all_open(TimePoint end) {
-  for (Span& span : spans_) {
-    if (span.open) {
-      span.end = end;
-      span.open = false;
-    }
+/// True when `event` adds a span to the timeline. The counting pass and
+/// the building pass share it, so the output is sized exactly.
+bool adds_span(const EventLog& log, const Event& event) {
+  switch (event.kind) {
+    case EventKind::kLaunch:
+    case EventKind::kInit:
+    case EventKind::kRestore:
+    case EventKind::kExec:
+    case EventKind::kFinalize:
+    case EventKind::kFailure:
+    case EventKind::kNodeFailure:
+    case EventKind::kRecoveryAction:
+    case EventKind::kCheckpoint:
+      return true;
+    case EventKind::kRecovered:
+      // The window starts at the failure; a truncated log may lack it.
+      return log.find(event.cause) != nullptr;
+    case EventKind::kReplica:
+      return event.name == kProvision;
+    default:
+      return false;
   }
 }
 
-std::size_t SpanRecorder::open_count() const {
-  std::size_t open = 0;
-  for (const Span& span : spans_) {
-    if (span.open) ++open;
+SpanKind phase_kind(EventKind kind) {
+  switch (kind) {
+    case EventKind::kLaunch: return SpanKind::kLaunch;
+    case EventKind::kInit: return SpanKind::kInit;
+    case EventKind::kRestore: return SpanKind::kRestore;
+    case EventKind::kExec: return SpanKind::kExec;
+    case EventKind::kFinalize: return SpanKind::kFinalize;
+    default: return SpanKind::kOther;
   }
-  return open;
 }
 
-std::size_t SpanRecorder::count_of(SpanKind kind) const {
+}  // namespace
+
+std::vector<Span> derive_spans(const EventLog& log, TimePoint end) {
+  const std::vector<Event>& events = log.events();
   std::size_t count = 0;
-  for (const Span& span : spans_) {
-    if (span.kind == kind) ++count;
+  std::uint64_t max_function = 0;
+  std::uint64_t max_container = 0;
+  for (const Event& event : events) {
+    if (adds_span(log, event)) ++count;
+    max_function = std::max(max_function, event.labels.function.value());
+    max_container = std::max(max_container, event.labels.container.value());
   }
-  return count;
-}
 
-Duration SpanRecorder::total_duration(SpanKind kind) const {
-  Duration total = Duration::zero();
-  for (const Span& span : spans_) {
-    if (span.kind == kind && !span.open && !span.instant) {
-      total += span.duration();
+  std::vector<Span> spans;
+  spans.reserve(count);
+  // Index of each function's open phase span and each container's open
+  // provisioning span, or kNone.
+  std::vector<std::size_t> open_phase(max_function + 1, kNone);
+  std::vector<std::size_t> open_provision(max_container + 1, kNone);
+  auto close = [&spans](std::size_t& open, TimePoint at) {
+    if (open == kNone) return;
+    spans[open].end = at;
+    open = kNone;
+  };
+  auto add = [&spans](SpanKind kind, std::string_view name, TimePoint start,
+                      TimePoint stop, const SpanLabels& labels,
+                      bool instant = false) {
+    spans.push_back(
+        Span{kind, std::string(name), start, stop, instant, labels});
+    return spans.size() - 1;
+  };
+
+  for (const Event& event : events) {
+    std::size_t& phase = open_phase[event.labels.function.value()];
+    switch (event.kind) {
+      case EventKind::kLaunch:
+      case EventKind::kInit:
+      case EventKind::kRestore:
+      case EventKind::kExec:
+      case EventKind::kFinalize:
+        close(phase, event.at);
+        phase = add(phase_kind(event.kind), event.name, event.at, event.at,
+                    event.labels);
+        break;
+      case EventKind::kComplete:
+        close(phase, event.at);
+        break;
+      case EventKind::kFailure:
+        close(phase, event.at);
+        add(SpanKind::kFailure, event.name, event.at, event.at, event.labels,
+            /*instant=*/true);
+        break;
+      case EventKind::kNodeFailure:
+        add(SpanKind::kNodeFailure, event.name, event.at, event.at,
+            event.labels, /*instant=*/true);
+        break;
+      case EventKind::kRecoveryAction:
+        add(SpanKind::kRecovery, event.name, event.at, event.at, event.labels,
+            /*instant=*/true);
+        break;
+      case EventKind::kRecovered:
+        if (const Event* failure = log.find(event.cause)) {
+          add(SpanKind::kRecovery, "recovery", failure->at, event.at,
+              event.labels);
+        }
+        break;
+      case EventKind::kCheckpoint:
+        add(SpanKind::kCheckpoint, "checkpoint", event.at - event.window,
+            event.at, event.labels);
+        break;
+      case EventKind::kReplica: {
+        std::size_t& provision =
+            open_provision[event.labels.container.value()];
+        if (event.name == kProvision) {
+          provision = add(SpanKind::kReplication, kProvision, event.at,
+                          event.at, event.labels);
+        } else if (event.name == kReady) {
+          close(provision, event.at);
+        }
+        break;
+      }
+      default:
+        break;
     }
   }
-  return total;
-}
-
-void SpanRecorder::clear() {
-  spans_.clear();
-  dropped_ = 0;
+  for (std::size_t& open : open_phase) close(open, end);
+  for (std::size_t& open : open_provision) close(open, end);
+  return spans;
 }
 
 }  // namespace canary::obs

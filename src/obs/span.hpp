@@ -1,20 +1,19 @@
-// Span recorder: structured timing of lifecycle phases on the sim clock.
+// Span timeline: structured timing of lifecycle phases on the sim clock.
 //
 // Every function attempt decomposes into the four phases of the paper's
 // Eq. (1) — launch, init, exec, finalize — plus the Canary-specific
 // windows layered on top: checkpoint writes, replica provisioning,
-// checkpoint restore, and failure-to-recovery intervals. The recorder
-// captures each as a Span keyed by simulated time, cheap enough to leave
-// on in tests and exportable to chrome://tracing for debugging.
+// checkpoint restore, and failure-to-recovery intervals. Each is a Span
+// keyed by simulated time, exportable to chrome://tracing.
 //
-// Friendly to hot paths by construction: spans live in one append-only
-// vector, handles are plain indices (no shared ownership, no lookup maps),
-// closing writes a single timestamp, and each run owns a private recorder
-// so the record path takes no locks. A capacity cap bounds memory on
-// pathological runs; overflow is counted, never reallocated past the cap.
+// Spans are not recorded separately: derive_spans() builds the timeline
+// from the causal event log in one pass, since the log already holds both
+// endpoints of every span (a phase ends where the invocation's next step
+// begins). The timeline therefore cannot disagree with the log the
+// critical-path and tail analyses read, and a truncated log yields an
+// equally truncated timeline.
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +22,8 @@
 #include "common/time.hpp"
 
 namespace canary::obs {
+
+class EventLog;
 
 enum class SpanKind {
   kLaunch,       // cold container creation until the runtime is up
@@ -53,74 +54,25 @@ struct Span {
   std::string name;
   TimePoint start;
   TimePoint end;
-  bool open = false;     // still awaiting close()
   bool instant = false;  // zero-duration marker event
   SpanLabels labels;
 
   Duration duration() const { return end - start; }
 };
 
-/// Index-based handle into the recorder. Default-constructed (or
-/// overflow-issued) handles are inert: close() on them is a no-op.
-class SpanHandle {
- public:
-  SpanHandle() = default;
-  bool valid() const { return index_ != kInvalid; }
-
- private:
-  friend class SpanRecorder;
-  static constexpr std::size_t kInvalid = static_cast<std::size_t>(-1);
-  explicit SpanHandle(std::size_t index) : index_(index) {}
-  std::size_t index_ = kInvalid;
-};
-
-class SpanRecorder {
- public:
-  explicit SpanRecorder(std::size_t capacity = 1u << 20)
-      : capacity_(capacity) {}
-
-  /// Open a span starting at `start`. Returns an inert handle once the
-  /// capacity cap is reached (the drop is counted).
-  SpanHandle open(SpanKind kind, std::string name, TimePoint start,
-                  SpanLabels labels = {});
-
-  /// Close an open span at `end`. No-op for inert handles and for spans
-  /// that were already closed.
-  void close(SpanHandle& handle, TimePoint end);
-
-  /// Record a complete [start, end] span retroactively — used for windows
-  /// whose start is only known in hindsight (e.g. failure -> recovery).
-  void record(SpanKind kind, std::string name, TimePoint start, TimePoint end,
-              SpanLabels labels = {});
-
-  /// Record a zero-duration marker event.
-  void instant(SpanKind kind, std::string name, TimePoint at,
-               SpanLabels labels = {});
-
-  /// Close every still-open span at `end` (simulation teardown).
-  void close_all_open(TimePoint end);
-
-  const std::vector<Span>& spans() const { return spans_; }
-  std::size_t size() const { return spans_.size(); }
-  std::size_t dropped() const { return dropped_; }
-  std::size_t open_count() const;
-
-  std::size_t count_of(SpanKind kind) const;
-  /// Sum of closed-span durations of `kind`.
-  Duration total_duration(SpanKind kind) const;
-
-  void clear();
-
- private:
-  bool full() {
-    if (spans_.size() < capacity_) return false;
-    ++dropped_;
-    return true;
-  }
-
-  std::size_t capacity_;
-  std::size_t dropped_ = 0;
-  std::vector<Span> spans_;
-};
+/// The span timeline of `log`, in the order of the events that open each
+/// span. Rules, applied in log order (F = the event's function):
+///   * kLaunch / kInit / kRestore / kExec / kFinalize close F's open phase
+///     and open a phase span of the same kind, named after the event;
+///   * kComplete closes F's open phase;
+///   * kFailure closes F's open phase and adds a kFailure instant;
+///   * kNodeFailure adds a kNodeFailure instant;
+///   * kRecoveryAction adds a kRecovery instant named after the event;
+///   * kRecovered adds a "recovery" span from its cause event's time;
+///   * kCheckpoint adds a "checkpoint" span over its write window;
+///   * kReplica "replica_provision" / "replica_ready" open / close a
+///     kReplication span on the event's container.
+/// Spans still open at the end of the log close at `end`.
+std::vector<Span> derive_spans(const EventLog& log, TimePoint end);
 
 }  // namespace canary::obs

@@ -53,9 +53,6 @@ void ActiveStandbyHandler::on_attempt_started(const faas::Invocation& inv) {
 void ActiveStandbyHandler::on_failure(const faas::Invocation& inv,
                                       const faas::FailureInfo& info) {
   (void)info;
-  obs::SpanRecorder* spans = platform_.spans();
-  const obs::SpanLabels labels{inv.job, inv.id, inv.container, inv.node,
-                               inv.attempt};
   auto it = standbys_.find(inv.id);
   if (it != standbys_.end() && it->second.ready) {
     const ContainerId standby = it->second.container;
@@ -68,20 +65,12 @@ void ActiveStandbyHandler::on_failure(const faas::Invocation& inv,
     start.container = standby;
     platform_.metrics().count("as_standby_activations");
     platform_.log_recovery_action(inv.id, "as_standby_activation");
-    if (spans != nullptr) {
-      spans->instant(obs::SpanKind::kRecovery, "as_standby_activation",
-                     platform_.simulator().now(), labels);
-    }
     platform_.start_attempt(inv.id, start);
   } else {
     // Standby not ready (still launching, or lost with its node): cold
     // restart, as a retry would.
     platform_.metrics().count("as_cold_restarts");
     platform_.log_recovery_action(inv.id, "as_cold_restart");
-    if (spans != nullptr) {
-      spans->instant(obs::SpanKind::kRecovery, "as_cold_restart",
-                     platform_.simulator().now(), labels);
-    }
     platform_.start_attempt(inv.id, faas::StartSpec{});
   }
   // Takeover triggers the creation of a new passive instance.

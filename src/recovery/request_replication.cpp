@@ -72,12 +72,6 @@ void RequestReplicationHandler::on_failure(const faas::Invocation& inv,
   // Every instance of the request died: restart the whole group from the
   // beginning (no checkpoints in RR).
   platform_.metrics().count("rr_group_restarts");
-  if (obs::SpanRecorder* spans = platform_.spans()) {
-    spans->instant(obs::SpanKind::kRecovery, "rr_group_restart",
-                   platform_.simulator().now(),
-                   obs::SpanLabels{inv.job, inv.id, inv.container, inv.node,
-                                   inv.attempt});
-  }
   for (std::size_t i = 0; i < group->members.size(); ++i) {
     group->down[i] = false;
     platform_.log_recovery_action(group->members[i], "rr_group_restart");

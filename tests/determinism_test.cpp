@@ -9,6 +9,7 @@
 // globals, statics, or allocator-address-dependent ordering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -87,6 +88,51 @@ TEST(DeterminismTest, ChromeTraceIsByteIdenticalAcrossRuns) {
   const std::string trace_b = render_trace(b);
   ASSERT_FALSE(trace_a.empty());
   EXPECT_EQ(trace_a, trace_b) << "chrome trace diverged between runs";
+}
+
+TEST(SpanTimelineTest, EveryStrategyMarksWhatItsLogRecords) {
+  // The timeline is derived from the causal log, so the two cannot
+  // disagree: under every strategy, each recovery action the log records
+  // has its recovery instant, and each warm provisioning its span.
+  const std::vector<faas::JobSpec> jobs = jobs_under_test();
+  for (const recovery::StrategyConfig& strategy :
+       {recovery::StrategyConfig::canary_full(),
+        recovery::StrategyConfig::retry(),
+        recovery::StrategyConfig::hedged(),
+        recovery::StrategyConfig::active_standby(),
+        recovery::StrategyConfig::request_replication()}) {
+    SCOPED_TRACE(strategy.label());
+    harness::ScenarioConfig config = scenario_under_test();
+    config.strategy = strategy;
+    const harness::RunResult run = harness::ScenarioRunner::run(config, jobs);
+    ASSERT_NE(run.spans, nullptr);
+    ASSERT_NE(run.events, nullptr);
+    EXPECT_EQ(run.spans_recorded, run.spans->size());
+    std::size_t actions = 0;
+    for (const obs::Event& event : run.events->events()) {
+      if (event.kind == obs::EventKind::kRecoveryAction) {
+        ++actions;
+        const auto marks = std::count_if(
+            run.spans->begin(), run.spans->end(), [&](const obs::Span& s) {
+              return s.kind == obs::SpanKind::kRecovery && s.instant &&
+                     s.name == event.name && s.start == event.at &&
+                     s.labels.function == event.labels.function;
+            });
+        EXPECT_EQ(marks, 1) << event.name << " at " << event.at.count_usec();
+      } else if (event.kind == obs::EventKind::kReplica &&
+                 event.name == "replica_provision") {
+        const auto provisions = std::count_if(
+            run.spans->begin(), run.spans->end(), [&](const obs::Span& s) {
+              return s.kind == obs::SpanKind::kReplication &&
+                     s.start == event.at &&
+                     s.labels.container == event.labels.container;
+            });
+        EXPECT_EQ(provisions, 1) << "container "
+                                 << event.labels.container.value();
+      }
+    }
+    EXPECT_GT(actions, 0u) << "the scenario exercised no recovery";
+  }
 }
 
 TEST(DeterminismTest, AttributionSectionsAreByteIdenticalAcrossRuns) {

@@ -1,6 +1,6 @@
-// Tests for the observability layer: span recorder semantics, histogram
-// percentile math, deterministic JSON exporters, and byte-identical
-// run reports across identical seeded runs.
+// Tests for the observability layer: span timeline derivation from the
+// causal log, histogram percentile math, deterministic JSON exporters,
+// and byte-identical run reports across identical seeded runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/event_log.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/metric_registry.hpp"
@@ -24,89 +25,193 @@
 namespace canary {
 namespace {
 
+using obs::EventKind;
+using obs::EventLog;
 using obs::Histogram;
 using obs::JsonWriter;
 using obs::MetricRegistry;
 using obs::RunReport;
+using obs::Span;
 using obs::SpanKind;
 using obs::SpanLabels;
-using obs::SpanRecorder;
 
 // ---------------------------------------------------------------------------
-// SpanRecorder
+// derive_spans
 // ---------------------------------------------------------------------------
 
-TEST(SpanRecorderTest, OpenCloseRecordsDuration) {
-  SpanRecorder rec;
-  auto h = rec.open(SpanKind::kExec, "exec", TimePoint::from_usec(100));
-  EXPECT_TRUE(h.valid());
-  EXPECT_EQ(rec.open_count(), 1u);
-  rec.close(h, TimePoint::from_usec(350));
-  ASSERT_EQ(rec.size(), 1u);
-  const auto& span = rec.spans()[0];
-  EXPECT_EQ(span.kind, SpanKind::kExec);
-  EXPECT_FALSE(span.open);
-  EXPECT_EQ(span.duration(), Duration::usec(250));
-  EXPECT_EQ(rec.open_count(), 0u);
+TimePoint at_us(std::int64_t usec) { return TimePoint::from_usec(usec); }
+
+SpanLabels fn_labels(std::uint64_t function, int attempt = 1) {
+  return SpanLabels{JobId{1}, FunctionId{function}, ContainerId{function},
+                    NodeId{1}, attempt};
 }
 
-TEST(SpanRecorderTest, NestedSpansCloseIndependently) {
-  // launch ⊃ init ⊃ exec: closing out of order must not corrupt siblings.
-  SpanRecorder rec;
-  auto launch = rec.open(SpanKind::kLaunch, "launch", TimePoint::from_usec(0));
-  auto init = rec.open(SpanKind::kInit, "init", TimePoint::from_usec(10));
-  auto exec = rec.open(SpanKind::kExec, "exec", TimePoint::from_usec(40));
-  EXPECT_EQ(rec.open_count(), 3u);
-  rec.close(init, TimePoint::from_usec(40));
-  rec.close(exec, TimePoint::from_usec(90));
-  rec.close(launch, TimePoint::from_usec(95));
-  EXPECT_EQ(rec.open_count(), 0u);
-  EXPECT_EQ(rec.total_duration(SpanKind::kInit), Duration::usec(30));
-  EXPECT_EQ(rec.total_duration(SpanKind::kExec), Duration::usec(50));
-  EXPECT_EQ(rec.total_duration(SpanKind::kLaunch), Duration::usec(95));
-  // Nesting invariant: every child interval lies inside its parent.
-  const auto& spans = rec.spans();
-  EXPECT_GE(spans[1].start, spans[0].start);
-  EXPECT_LE(spans[2].end, spans[0].end);
+/// Hand-built log helper: one trace per function, events chained in
+/// append order.
+struct LogBuilder {
+  EventLog log;
+  std::vector<obs::TraceContext> traces;
+
+  explicit LogBuilder(std::size_t capacity = 1u << 20) : log(capacity) {}
+
+  obs::EventId add(EventKind kind, std::string name, std::int64_t usec,
+                   SpanLabels labels, obs::EventId cause = obs::kNoEvent) {
+    const std::size_t slot = labels.function.value();
+    if (traces.size() <= slot) traces.resize(slot + 1);
+    if (!traces[slot].valid()) traces[slot].trace = log.new_trace();
+    return log.extend(traces[slot], kind, std::move(name), at_us(usec),
+                      labels, cause);
+  }
+};
+
+void expect_span(const Span& span, SpanKind kind, std::string_view name,
+                 std::int64_t start, std::int64_t end) {
+  EXPECT_EQ(span.kind, kind);
+  EXPECT_EQ(span.name, name);
+  EXPECT_EQ(span.start, at_us(start)) << span.name;
+  EXPECT_EQ(span.end, at_us(end)) << span.name;
 }
 
-TEST(SpanRecorderTest, DoubleCloseAndInertHandlesAreNoOps) {
-  SpanRecorder rec;
-  auto h = rec.open(SpanKind::kExec, "exec", TimePoint::from_usec(0));
-  rec.close(h, TimePoint::from_usec(10));
-  rec.close(h, TimePoint::from_usec(999));  // second close must not move `end`
-  EXPECT_EQ(rec.spans()[0].end, TimePoint::from_usec(10));
+TEST(DeriveSpansTest, PhaseChainClosesEachPhaseAtTheNext) {
+  LogBuilder b;
+  b.add(EventKind::kSubmit, "fn", 0, fn_labels(1));
+  b.add(EventKind::kLaunch, "launch", 10, fn_labels(1));
+  b.add(EventKind::kInit, "init", 40, fn_labels(1));
+  b.add(EventKind::kExec, "exec", 55, fn_labels(1));
+  b.add(EventKind::kStateCommit, "state_0", 80, fn_labels(1));
+  b.add(EventKind::kFinalize, "finalize", 90, fn_labels(1));
+  b.add(EventKind::kComplete, "complete", 97, fn_labels(1));
 
-  obs::SpanHandle inert;
-  EXPECT_FALSE(inert.valid());
-  rec.close(inert, TimePoint::from_usec(50));  // must not crash or record
-  EXPECT_EQ(rec.size(), 1u);
+  const std::vector<Span> spans = obs::derive_spans(b.log, at_us(500));
+  ASSERT_EQ(spans.size(), 4u);
+  expect_span(spans[0], SpanKind::kLaunch, "launch", 10, 40);
+  expect_span(spans[1], SpanKind::kInit, "init", 40, 55);
+  expect_span(spans[2], SpanKind::kExec, "exec", 55, 90);
+  // The completion closes the last phase; nothing waits for `end`.
+  expect_span(spans[3], SpanKind::kFinalize, "finalize", 90, 97);
+  for (const Span& span : spans) {
+    EXPECT_FALSE(span.instant);
+    EXPECT_EQ(span.labels.function, FunctionId{1});
+    EXPECT_EQ(span.labels.attempt, 1);
+  }
+  EXPECT_EQ(spans.capacity(), spans.size());  // sized by the counting pass
 }
 
-TEST(SpanRecorderTest, CapacityCapCountsDrops) {
-  SpanRecorder rec(2);
-  (void)rec.open(SpanKind::kExec, "a", TimePoint::from_usec(0));
-  rec.instant(SpanKind::kFailure, "b", TimePoint::from_usec(1));
-  auto overflow = rec.open(SpanKind::kExec, "c", TimePoint::from_usec(2));
-  rec.record(SpanKind::kRecovery, "d", TimePoint::from_usec(3), TimePoint::from_usec(4));
-  EXPECT_FALSE(overflow.valid());
-  EXPECT_EQ(rec.size(), 2u);
-  EXPECT_EQ(rec.dropped(), 2u);
+TEST(DeriveSpansTest, InterleavedFunctionsCloseIndependently) {
+  // Two invocations' phases interleave in the log; each phase closes at
+  // its own function's next step, never at the other's.
+  LogBuilder b;
+  b.add(EventKind::kLaunch, "launch", 0, fn_labels(1));
+  b.add(EventKind::kRestore, "warm_dispatch", 5, fn_labels(2));
+  b.add(EventKind::kExec, "exec", 20, fn_labels(2));
+  b.add(EventKind::kInit, "init", 30, fn_labels(1));
+  b.add(EventKind::kComplete, "complete", 60, fn_labels(2));
+  b.add(EventKind::kExec, "exec", 70, fn_labels(1));
+  b.add(EventKind::kComplete, "complete", 95, fn_labels(1));
+
+  const std::vector<Span> spans = obs::derive_spans(b.log, at_us(500));
+  ASSERT_EQ(spans.size(), 5u);
+  expect_span(spans[0], SpanKind::kLaunch, "launch", 0, 30);
+  expect_span(spans[1], SpanKind::kRestore, "warm_dispatch", 5, 20);
+  expect_span(spans[2], SpanKind::kExec, "exec", 20, 60);
+  expect_span(spans[3], SpanKind::kInit, "init", 30, 70);
+  expect_span(spans[4], SpanKind::kExec, "exec", 70, 95);
+  EXPECT_EQ(spans[1].labels.function, FunctionId{2});
+  EXPECT_EQ(spans[3].labels.function, FunctionId{1});
 }
 
-TEST(SpanRecorderTest, CloseAllOpenAndRetroactiveRecord) {
-  SpanRecorder rec;
-  (void)rec.open(SpanKind::kExec, "left-open", TimePoint::from_usec(5));
-  rec.record(SpanKind::kRecovery, "window", TimePoint::from_usec(10),
-             TimePoint::from_usec(70), SpanLabels{JobId{1}, FunctionId{2},
-                                             ContainerId{3}, NodeId{4}, 2});
-  rec.close_all_open(TimePoint::from_usec(100));
-  EXPECT_EQ(rec.open_count(), 0u);
-  EXPECT_EQ(rec.spans()[0].end, TimePoint::from_usec(100));
-  const auto& window = rec.spans()[1];
-  EXPECT_EQ(window.duration(), Duration::usec(60));
-  EXPECT_EQ(window.labels.attempt, 2);
-  EXPECT_EQ(rec.count_of(SpanKind::kRecovery), 1u);
+TEST(DeriveSpansTest, FailureRecoveryCheckpointAndReplication) {
+  LogBuilder b;
+  SpanLabels replica;
+  replica.container = ContainerId{9};
+  replica.node = NodeId{3};
+  obs::TraceContext warm;
+  warm.trace = b.log.new_trace();
+  b.log.extend(warm, EventKind::kReplica, "replica_provision", at_us(2),
+               replica);
+  b.add(EventKind::kExec, "exec", 10, fn_labels(1));
+  b.add(EventKind::kStateCommit, "state_0", 40, fn_labels(1));
+  b.log.append(b.traces[1], EventKind::kCheckpoint, "checkpoint_0", at_us(40),
+               fn_labels(1), obs::kNoEvent, Duration::usec(6));
+  SpanLabels node_only;
+  node_only.node = NodeId{1};
+  const obs::EventId node_failure = b.log.append_raw(
+      b.log.new_trace(), obs::kNoEvent, EventKind::kNodeFailure,
+      "node_failure", at_us(50), node_only);
+  const obs::EventId failure = b.add(EventKind::kFailure, "node_failure", 50,
+                                     fn_labels(1), node_failure);
+  b.log.append(warm, EventKind::kReplica, "replica_ready", at_us(52), replica);
+  b.add(EventKind::kDetect, "detect", 60, fn_labels(1));
+  b.add(EventKind::kRecoveryAction, "replica_recovery", 60, fn_labels(1));
+  b.add(EventKind::kRestore, "warm_dispatch", 60, fn_labels(1, 2));
+  b.add(EventKind::kExec, "exec", 70, fn_labels(1, 2));
+  b.add(EventKind::kRecovered, "recovered", 85, fn_labels(1, 2), failure);
+  b.add(EventKind::kComplete, "complete", 90, fn_labels(1, 2));
+  // A completion with nothing open is a no-op.
+  b.add(EventKind::kComplete, "complete", 91, fn_labels(1, 2));
+
+  const std::vector<Span> spans = obs::derive_spans(b.log, at_us(500));
+  ASSERT_EQ(spans.size(), 9u);
+  // Output order is event order.
+  expect_span(spans[0], SpanKind::kReplication, "replica_provision", 2, 52);
+  EXPECT_EQ(spans[0].labels.container, ContainerId{9});
+  EXPECT_EQ(spans[0].labels.node, NodeId{3});
+  // The failure closed the attempt's exec phase at the kill.
+  expect_span(spans[1], SpanKind::kExec, "exec", 10, 50);
+  // Checkpoint span: the write window ending at the commit.
+  expect_span(spans[2], SpanKind::kCheckpoint, "checkpoint", 34, 40);
+  expect_span(spans[3], SpanKind::kNodeFailure, "node_failure", 50, 50);
+  EXPECT_TRUE(spans[3].instant);
+  EXPECT_FALSE(spans[3].labels.function.valid());
+  expect_span(spans[4], SpanKind::kFailure, "node_failure", 50, 50);
+  EXPECT_TRUE(spans[4].instant);
+  expect_span(spans[5], SpanKind::kRecovery, "replica_recovery", 60, 60);
+  EXPECT_TRUE(spans[5].instant);
+  expect_span(spans[6], SpanKind::kRestore, "warm_dispatch", 60, 70);
+  expect_span(spans[7], SpanKind::kExec, "exec", 70, 90);
+  // The recovery window runs from its cause (the failure) to regained work.
+  expect_span(spans[8], SpanKind::kRecovery, "recovery", 50, 85);
+  EXPECT_FALSE(spans[8].instant);
+  EXPECT_EQ(spans[8].labels.attempt, 2);
+}
+
+TEST(DeriveSpansTest, UnfinishedSpansCloseAtEnd) {
+  LogBuilder b;
+  SpanLabels replica;
+  replica.container = ContainerId{4};
+  obs::TraceContext warm;
+  warm.trace = b.log.new_trace();
+  b.log.extend(warm, EventKind::kReplica, "replica_provision", at_us(5),
+               replica);
+  b.add(EventKind::kLaunch, "launch", 10, fn_labels(1));
+  b.add(EventKind::kExec, "exec", 20, fn_labels(2));
+  // A ready for a container with no open provision closes nothing.
+  SpanLabels stranger;
+  stranger.container = ContainerId{7};
+  b.log.append_raw(b.log.new_trace(), obs::kNoEvent, EventKind::kReplica,
+                   "replica_ready", at_us(30), stranger);
+
+  const std::vector<Span> spans = obs::derive_spans(b.log, at_us(100));
+  ASSERT_EQ(spans.size(), 3u);
+  expect_span(spans[0], SpanKind::kReplication, "replica_provision", 5, 100);
+  expect_span(spans[1], SpanKind::kLaunch, "launch", 10, 100);
+  expect_span(spans[2], SpanKind::kExec, "exec", 20, 100);
+}
+
+TEST(DeriveSpansTest, TruncatedLogTruncatesTheTimeline) {
+  // The timeline is a view of the log: events the capacity cap dropped
+  // leave their spans missing or unclosed, and the drop count says so.
+  LogBuilder b(/*capacity=*/2);
+  b.add(EventKind::kLaunch, "launch", 10, fn_labels(1));
+  b.add(EventKind::kExec, "exec", 20, fn_labels(1));
+  b.add(EventKind::kFinalize, "finalize", 30, fn_labels(1));
+  b.add(EventKind::kComplete, "complete", 35, fn_labels(1));
+  EXPECT_EQ(b.log.dropped(), 2u);
+
+  const std::vector<Span> spans = obs::derive_spans(b.log, at_us(40));
+  ASSERT_EQ(spans.size(), 2u);
+  expect_span(spans[0], SpanKind::kLaunch, "launch", 10, 20);
+  expect_span(spans[1], SpanKind::kExec, "exec", 20, 40);
 }
 
 // ---------------------------------------------------------------------------
@@ -390,15 +495,15 @@ TEST(RunReportTest, JsonRoundTripContainsEveryField) {
 }
 
 TEST(ChromeTraceTest, EmitsCompleteAndInstantEvents) {
-  SpanRecorder rec;
-  auto h = rec.open(SpanKind::kExec, "exec", TimePoint::from_usec(100),
-                    SpanLabels{JobId{1}, FunctionId{2}, ContainerId{3},
-                               NodeId{4}, 1});
-  rec.close(h, TimePoint::from_usec(400));
-  rec.instant(SpanKind::kFailure, "container_kill", TimePoint::from_usec(250));
+  const std::vector<Span> spans = {
+      Span{SpanKind::kExec, "exec", at_us(100), at_us(400), /*instant=*/false,
+           SpanLabels{JobId{1}, FunctionId{2}, ContainerId{3}, NodeId{4}, 1}},
+      Span{SpanKind::kFailure, "container_kill", at_us(250), at_us(250),
+           /*instant=*/true, SpanLabels{}},
+  };
 
   std::ostringstream os;
-  obs::write_chrome_trace(os, rec);
+  obs::write_chrome_trace(os, &spans, nullptr);
   const std::string json = os.str();
   // The exporter emits compact JSON (no whitespace after separators).
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -460,10 +565,9 @@ TEST(ReportDeterminismTest, SpanTimelineIsDeterministic) {
   ASSERT_NE(run2.spans, nullptr);
   EXPECT_GT(run1.spans->size(), 0u);
   std::ostringstream t1, t2;
-  obs::write_chrome_trace(t1, *run1.spans);
-  obs::write_chrome_trace(t2, *run2.spans);
+  obs::write_chrome_trace(t1, run1.spans.get(), nullptr);
+  obs::write_chrome_trace(t2, run2.spans.get(), nullptr);
   EXPECT_EQ(t1.str(), t2.str());
-  EXPECT_EQ(run1.spans->open_count(), 0u);  // runner closes leftovers
 }
 
 }  // namespace
