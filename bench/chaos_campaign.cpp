@@ -31,63 +31,34 @@
 // rule outlives the run, metadata liveness views agree at the end).
 // Every fourth partition seed runs sharded.
 //
+// Writes BENCH_chaos_campaign.json (canary.bench/v2): every oracle
+// violation, prefixed with its seed, lands in checks.violations, next to
+// the campaign-total checks — traffic and hedge-race identities, heal
+// convergence, every zombie commit rejected, and the non-vacuity checks
+// (a hedge family that fired hedges, a partition family that cut zones
+// and rejected stale-epoch writes).
+//
 // Usage: chaos_campaign [--quick] [--scenarios N] [--seed BASE]
 //                       [--traffic-scenarios N] [--hedge-scenarios N]
 //                       [--sharded-scenarios N] [--partition-scenarios N]
 // Environment: CANARY_QUICK=1 (same as --quick), CANARY_REPORT_DIR.
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "support.hpp"
 
 #include "common/table.hpp"
 #include "harness/chaos.hpp"
 #include "harness/fan_out.hpp"
-
-namespace {
-
-bool quick_mode_env() {
-  const char* v = std::getenv("CANARY_QUICK");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string num(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(6) << v;
-  return os.str();
-}
-
-}  // namespace
+#include "obs/json.hpp"
 
 int main(int argc, char** argv) {
   using canary::harness::ChaosOutcome;
 
-  bool quick = quick_mode_env();
+  bool quick = canary::bench::quick_mode();
   std::size_t scenarios = 0;          // 0 = derive from quick flag below
   std::size_t traffic_scenarios = 0;  // 0 = derive from quick flag below
   std::size_t hedge_scenarios = 0;    // 0 = derive from quick flag below
@@ -168,7 +139,6 @@ int main(int argc, char** argv) {
       });
 
   // ---- aggregate --------------------------------------------------------
-  std::uint64_t violations = 0;
   std::uint64_t node_kills = 0, gray = 0, hb_dropped = 0, hb_delayed = 0;
   std::uint64_t store_dropped = 0, store_corrupted = 0;
   std::uint64_t suspicions = 0, false_suspicions = 0, stalls = 0;
@@ -181,9 +151,11 @@ int main(int argc, char** argv) {
   std::uint64_t zombie_attempts = 0, zombie_rejected = 0;
   double total_failures = 0.0;
   double max_detection = 0.0;
-  std::vector<const ChaosOutcome*> failed;
+  std::vector<std::string> violations;
   for (const ChaosOutcome& out : outcomes) {
-    violations += out.violations.size();
+    for (const std::string& v : out.violations) {
+      violations.push_back("seed " + std::to_string(out.seed) + ": " + v);
+    }
     node_kills += out.node_kills;
     gray += out.gray_windows;
     hb_dropped += out.heartbeats_dropped;
@@ -210,8 +182,44 @@ int main(int argc, char** argv) {
     zombie_rejected += out.zombie_commits_rejected;
     total_failures += out.failures;
     max_detection = std::max(max_detection, out.max_detection_latency_s);
-    if (!out.violations.empty()) failed.push_back(&out);
   }
+  const std::size_t oracle_violations = violations.size();
+
+  // ---- campaign totals ---------------------------------------------------
+  // Every scenario runs to completion, so the totals obey the same
+  // identities as each run, and each family must have exercised its
+  // fault surface.
+  auto check = [&violations](bool ok, const std::string& what) {
+    if (!ok) violations.push_back("campaign totals: " + what);
+  };
+  check(false_suspicions <= suspicions,
+        "more false suspicions than suspicions");
+  check(traffic_offered == traffic_admitted + traffic_shed,
+        "offered " + std::to_string(traffic_offered) + " != admitted " +
+            std::to_string(traffic_admitted) + " + shed " +
+            std::to_string(traffic_shed));
+  check(traffic_completed <= traffic_admitted,
+        "completed exceeds admitted arrivals");
+  check(hedges_fired == hedge_wins + hedges_cancelled,
+        "hedges fired " + std::to_string(hedges_fired) + " != wins " +
+            std::to_string(hedge_wins) + " + cancelled " +
+            std::to_string(hedges_cancelled));
+  check(hedge_scenarios == 0 || hedges_fired > 0,
+        "hedge scenarios ran but no hedge ever fired");
+  check(partitions_healed == partitions_started,
+        std::to_string(partitions_started) + " partition(s) started but " +
+            std::to_string(partitions_healed) + " healed");
+  check(zombie_attempts == zombie_rejected,
+        std::to_string(zombie_attempts) + " zombie commit attempt(s) != " +
+            std::to_string(zombie_rejected) +
+            " rejected: a fenced commit reached the store");
+  check(partition_scenarios == 0 || partitions_started > 0,
+        "partition scenarios ran but no window ever started");
+  // At the quick campaign size and above, the zone cuts reliably fence
+  // minority-side writers mid-commit; zero rejects means the epoch gate
+  // is not being exercised.
+  check(partition_scenarios < 8 || stale_epoch_rejects > 0,
+        "no stale-epoch write was ever rejected");
 
   canary::TextTable table({"metric", "total"});
   table.add_row({"scenarios", std::to_string(scenarios)});
@@ -240,109 +248,74 @@ int main(int argc, char** argv) {
   table.add_row({"zone outages", std::to_string(zone_outages)});
   table.add_row({"stale-epoch rejects", std::to_string(stale_epoch_rejects)});
   table.add_row({"zombie commit attempts", std::to_string(zombie_attempts)});
-  table.add_row({"oracle violations", std::to_string(violations)});
+  table.add_row({"oracle violations", std::to_string(oracle_violations)});
   table.print(std::cout);
 
-  if (!failed.empty()) {
-    std::cout << "\nFAILED scenarios:\n";
-    for (const ChaosOutcome* out : failed) {
-      std::cout << "  seed " << out->seed << ":\n";
-      for (const std::string& v : out->violations) {
-        std::cout << "    - " << v << "\n";
-      }
-    }
-  }
-
-  // ---- canary.chaos/v1 report ------------------------------------------
-  const char* dir = std::getenv("CANARY_REPORT_DIR");
-  std::string path =
-      (dir != nullptr && *dir != '\0') ? std::string(dir) + "/" : "";
-  path += "BENCH_chaos_campaign.json";
-  std::ofstream os(path);
-  if (!os) {
-    std::cerr << "failed to write " << path << "\n";
-    return 1;
-  }
-  os << "{\n";
-  os << "  \"schema\": \"canary.chaos/v1\",\n";
-  os << "  \"name\": \"chaos_campaign\",\n";
-  os << "  \"params\": {\n";
-  os << "    \"quick\": " << (quick ? "true" : "false") << ",\n";
-  os << "    \"scenarios\": " << scenarios << ",\n";
-  os << "    \"base_seed\": " << base_seed << ",\n";
-  os << "    \"traffic_scenarios\": " << traffic_scenarios << ",\n";
-  os << "    \"traffic_base_seed\": " << traffic_base_seed << ",\n";
-  os << "    \"hedge_scenarios\": " << hedge_scenarios << ",\n";
-  os << "    \"hedge_base_seed\": " << hedge_base_seed << ",\n";
-  os << "    \"sharded_scenarios\": " << sharded_scenarios << ",\n";
-  os << "    \"sharded_base_seed\": " << sharded_base_seed << ",\n";
-  os << "    \"partition_scenarios\": " << partition_scenarios << ",\n";
-  os << "    \"partition_base_seed\": " << partition_base_seed << "\n";
-  os << "  },\n";
-  os << "  \"fault_totals\": {\n";
-  os << "    \"function_failures\": " << num(total_failures) << ",\n";
-  os << "    \"node_kills\": " << node_kills << ",\n";
-  os << "    \"gray_windows\": " << gray << ",\n";
-  os << "    \"heartbeats_dropped\": " << hb_dropped << ",\n";
-  os << "    \"heartbeats_delayed\": " << hb_delayed << ",\n";
-  os << "    \"store_entries_dropped\": " << store_dropped << ",\n";
-  os << "    \"store_entries_corrupted\": " << store_corrupted << "\n";
-  os << "  },\n";
-  os << "  \"detection\": {\n";
-  os << "    \"suspicions\": " << suspicions << ",\n";
-  os << "    \"false_suspicions\": " << false_suspicions << ",\n";
-  os << "    \"recovery_stalls\": " << stalls << ",\n";
-  os << "    \"max_latency_s\": " << num(max_detection) << "\n";
-  os << "  },\n";
-  os << "  \"traffic_totals\": {\n";
-  os << "    \"offered\": " << traffic_offered << ",\n";
-  os << "    \"admitted\": " << traffic_admitted << ",\n";
-  os << "    \"shed\": " << traffic_shed << ",\n";
-  os << "    \"completed\": " << traffic_completed << "\n";
-  os << "  },\n";
-  os << "  \"hedge_totals\": {\n";
-  os << "    \"fired\": " << hedges_fired << ",\n";
-  os << "    \"wins\": " << hedge_wins << ",\n";
-  os << "    \"cancelled\": " << hedges_cancelled << "\n";
-  os << "  },\n";
-  os << "  \"partition_totals\": {\n";
-  os << "    \"partitions_started\": " << partitions_started << ",\n";
-  os << "    \"partitions_healed\": " << partitions_healed << ",\n";
-  os << "    \"zone_outages\": " << zone_outages << ",\n";
-  os << "    \"heartbeats_partition_dropped\": " << hb_partition_dropped
-     << ",\n";
-  os << "    \"stale_epoch_rejects\": " << stale_epoch_rejects << ",\n";
-  os << "    \"quorum_blocked_puts\": " << quorum_blocked << ",\n";
-  os << "    \"zombie_commit_attempts\": " << zombie_attempts << ",\n";
-  os << "    \"zombie_commits_rejected\": " << zombie_rejected << "\n";
-  os << "  },\n";
-  os << "  \"oracles\": {\n";
-  os << "    \"checked\": [\"completion\", \"exactly_once\", "
-        "\"no_corrupt_restore\", \"detection_bound\", \"ledger_balance\", "
-        "\"no_stranded_failures\", \"conservation\", "
-        "\"hedge_exactly_once\", \"no_split_brain\", "
-        "\"heal_convergence\"],\n";
-  os << "    \"violations\": " << violations << "\n";
-  os << "  },\n";
-  os << "  \"failed_scenarios\": [";
-  for (std::size_t i = 0; i < failed.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n");
-    os << "    {\"seed\": " << failed[i]->seed << ", \"violations\": [";
-    const auto& vs = failed[i]->violations;
-    for (std::size_t v = 0; v < vs.size(); ++v) {
-      os << (v == 0 ? "" : ", ") << "\"" << json_escape(vs[v]) << "\"";
-    }
-    os << "]}";
-  }
-  os << (failed.empty() ? "]\n" : "\n  ]\n");
-  os << "}\n";
-  os.close();
-  std::cout << "\nreport: " << path << "\n";
-
-  if (violations > 0) {
-    std::cerr << "\nchaos campaign FAILED: " << violations
-              << " oracle violation(s)\n";
-    return 1;
+  using canary::obs::JsonWriter;
+  const bool written = canary::bench::write_bench_report(
+      "chaos_campaign", quick, violations, {},
+      [&](JsonWriter& json) {
+        json.field("scenarios", scenarios);
+        json.field("base_seed", base_seed);
+        json.field("traffic_scenarios", traffic_scenarios);
+        json.field("traffic_base_seed", traffic_base_seed);
+        json.field("hedge_scenarios", hedge_scenarios);
+        json.field("hedge_base_seed", hedge_base_seed);
+        json.field("sharded_scenarios", sharded_scenarios);
+        json.field("sharded_base_seed", sharded_base_seed);
+        json.field("partition_scenarios", partition_scenarios);
+        json.field("partition_base_seed", partition_base_seed);
+      },
+      [&](JsonWriter& json) {
+        json.key("fault_totals").begin_object();
+        json.field("function_failures", total_failures);
+        json.field("node_kills", node_kills);
+        json.field("gray_windows", gray);
+        json.field("heartbeats_dropped", hb_dropped);
+        json.field("heartbeats_delayed", hb_delayed);
+        json.field("store_entries_dropped", store_dropped);
+        json.field("store_entries_corrupted", store_corrupted);
+        json.end_object();
+        json.key("detection").begin_object();
+        json.field("suspicions", suspicions);
+        json.field("false_suspicions", false_suspicions);
+        json.field("recovery_stalls", stalls);
+        json.field("max_latency_s", max_detection);
+        json.end_object();
+        json.key("traffic_totals").begin_object();
+        json.field("offered", traffic_offered);
+        json.field("admitted", traffic_admitted);
+        json.field("shed", traffic_shed);
+        json.field("completed", traffic_completed);
+        json.end_object();
+        json.key("hedge_totals").begin_object();
+        json.field("fired", hedges_fired);
+        json.field("wins", hedge_wins);
+        json.field("cancelled", hedges_cancelled);
+        json.end_object();
+        json.key("partition_totals").begin_object();
+        json.field("partitions_started", partitions_started);
+        json.field("partitions_healed", partitions_healed);
+        json.field("zone_outages", zone_outages);
+        json.field("heartbeats_partition_dropped", hb_partition_dropped);
+        json.field("stale_epoch_rejects", stale_epoch_rejects);
+        json.field("quorum_blocked_puts", quorum_blocked);
+        json.field("zombie_commit_attempts", zombie_attempts);
+        json.field("zombie_commits_rejected", zombie_rejected);
+        json.end_object();
+        json.key("oracles").begin_array();
+        for (const char* oracle :
+             {"completion", "exactly_once", "no_corrupt_restore",
+              "detection_bound", "ledger_balance", "no_stranded_failures",
+              "conservation", "hedge_exactly_once", "no_split_brain",
+              "heal_convergence"}) {
+          json.value(oracle);
+        }
+        json.end_array();
+      });
+  if (!written) return 1;
+  if (!violations.empty()) {
+    return canary::bench::fail("chaos campaign", violations);
   }
   std::cout << "\nchaos campaign passed: " << total_scenarios
             << " scenarios, zero oracle violations\n";

@@ -15,28 +15,31 @@
 // fraction of its cost: clones launch only for the slow tail, so the
 // duplicated work is bounded by (1 - percentile) instead of 100%.
 //
-// Emits a machine-readable canary.hedge/v1 report and self-checks the
+// Writes BENCH_fig09_hedging.json (canary.bench/v2; the hedge
+// strategy's p99 and cost are gated against
+// bench/BENCH_hedge.baseline.json) and self-checks every strategy's
 // exactly-once race accounting on every run:
 //
+//   p50 <= p99 <= p999                              (percentiles monotone)
+//   completed <= admitted, hedges_fired <= admitted (at most one per request)
 //   hedges_fired == hedge_wins + hedges_cancelled   (no race left open)
-//   hedges_fired <= admitted                        (at most one per request)
 //   hedge p99    <= no-hedge p99                    (the point of hedging)
+//   hedge cost   <  replication cost
 //
 // Violations exit 1.
 //
 // Usage: fig09_hedging [--quick]
 // Environment: CANARY_QUICK=1 (same as --quick), CANARY_REPORT_DIR.
-#include <cstdlib>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "support.hpp"
 
 #include "common/table.hpp"
 #include "harness/scenario.hpp"
 #include "obs/histogram.hpp"
+#include "obs/json.hpp"
 #include "recovery/strategies.hpp"
 #include "traffic/generator.hpp"
 
@@ -48,16 +51,7 @@ using canary::harness::RunResult;
 using canary::harness::ScenarioConfig;
 using canary::harness::ScenarioRunner;
 
-bool quick_mode() {
-  const char* v = std::getenv("CANARY_QUICK");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
-
-std::string num(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(4) << v;
-  return os.str();
-}
+std::string num(double v) { return TextTable::num(v, 4); }
 
 constexpr std::uint64_t kSeed = 20250807;
 const Duration kStateWork = Duration::msec(250);
@@ -167,27 +161,61 @@ StrategyResult run_strategy(const std::string& name,
   return out;
 }
 
-void write_strategy_json(std::ostream& os, const std::string& indent,
-                         const StrategyResult& s) {
-  os << indent << "\"name\": \"" << s.name << "\",\n";
-  os << indent << "\"p50_ms\": " << num(s.p50_ms()) << ",\n";
-  os << indent << "\"p99_ms\": " << num(s.p99_ms()) << ",\n";
-  os << indent << "\"p999_ms\": " << num(s.p999_ms()) << ",\n";
-  os << indent << "\"cost_usd\": " << num(s.cost_usd) << ",\n";
-  os << indent << "\"admitted\": " << s.admitted << ",\n";
-  os << indent << "\"completed\": " << s.completed << ",\n";
-  os << indent << "\"shed\": " << s.shed << ",\n";
-  os << indent << "\"hedges_fired\": " << s.hedges_fired << ",\n";
-  os << indent << "\"hedge_wins\": " << s.hedge_wins << ",\n";
-  os << indent << "\"hedges_cancelled\": " << s.hedges_cancelled << ",\n";
-  os << indent << "\"hedges_denied\": " << s.hedges_denied << ",\n";
-  os << indent << "\"open_races\": " << s.open_races;
+void write_strategy(canary::obs::JsonWriter& json, const StrategyResult& s) {
+  json.begin_object();
+  json.field("name", s.name);
+  json.field("p50_ms", s.p50_ms());
+  json.field("p99_ms", s.p99_ms());
+  json.field("p999_ms", s.p999_ms());
+  json.field("cost_usd", s.cost_usd);
+  json.field("admitted", s.admitted);
+  json.field("completed", s.completed);
+  json.field("shed", s.shed);
+  json.field("hedges_fired", s.hedges_fired);
+  json.field("hedge_wins", s.hedge_wins);
+  json.field("hedges_cancelled", s.hedges_cancelled);
+  json.field("hedges_denied", s.hedges_denied);
+  json.field("open_races", s.open_races);
+  json.end_object();
+}
+
+/// The race and percentile accounting every strategy must satisfy.
+void check_strategy(const StrategyResult& s,
+                    std::vector<std::string>& violations) {
+  const std::string who = s.name + ": ";
+  if (!s.completed_ok) {
+    violations.push_back(who + "a run ended with incomplete jobs");
+  }
+  if (!(s.p50_ms() <= s.p99_ms() && s.p99_ms() <= s.p999_ms())) {
+    violations.push_back(who + "percentiles not monotone (p50 " +
+                         num(s.p50_ms()) + ", p99 " + num(s.p99_ms()) +
+                         ", p999 " + num(s.p999_ms()) + ")");
+  }
+  if (s.completed > s.admitted) {
+    violations.push_back(who + "completed " + std::to_string(s.completed) +
+                         " exceeds admitted " + std::to_string(s.admitted));
+  }
+  if (s.hedges_fired > s.admitted) {
+    violations.push_back(who + "fired " + std::to_string(s.hedges_fired) +
+                         " hedges for only " + std::to_string(s.admitted) +
+                         " admitted");
+  }
+  if (s.hedges_fired != s.hedge_wins + s.hedges_cancelled) {
+    violations.push_back(
+        who + "exactly-once: fired " + std::to_string(s.hedges_fired) +
+        " != wins " + std::to_string(s.hedge_wins) + " + cancelled " +
+        std::to_string(s.hedges_cancelled));
+  }
+  if (s.open_races != 0) {
+    violations.push_back(who + std::to_string(s.open_races) +
+                         " race(s) left open after completed runs");
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = quick_mode();
+  bool quick = canary::bench::quick_mode();
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--quick") {
       quick = true;
@@ -238,23 +266,11 @@ int main(int argc, char** argv) {
 
   // ---- self-checks ------------------------------------------------------
   std::vector<std::string> violations;
-  if (!retry.completed_ok || !hedge.completed_ok || !rr.completed_ok) {
-    violations.push_back("a run ended with incomplete jobs");
+  for (const StrategyResult* s : {&retry, &hedge, &rr}) {
+    check_strategy(*s, violations);
   }
-  if (hedge.hedges_fired != hedge.hedge_wins + hedge.hedges_cancelled) {
-    violations.push_back(
-        "exactly-once: fired " + std::to_string(hedge.hedges_fired) +
-        " != wins " + std::to_string(hedge.hedge_wins) + " + cancelled " +
-        std::to_string(hedge.hedges_cancelled));
-  }
-  if (hedge.open_races != 0) {
-    violations.push_back(std::to_string(hedge.open_races) +
-                         " race(s) left open after completed runs");
-  }
-  if (hedge.hedges_fired > hedge.admitted) {
-    violations.push_back("fired " + std::to_string(hedge.hedges_fired) +
-                         " hedges for only " +
-                         std::to_string(hedge.admitted) + " admitted");
+  if (retry.hedges_fired != 0) {
+    violations.push_back("the no-hedge baseline fired hedges");
   }
   if (hedge.hedges_fired == 0) {
     violations.push_back("no hedge ever fired: the gray tail is missing");
@@ -269,58 +285,34 @@ int main(int argc, char** argv) {
                          " not below replication cost " + num(rr.cost_usd));
   }
 
-  // ---- canary.hedge/v1 report ------------------------------------------
-  const char* dir = std::getenv("CANARY_REPORT_DIR");
-  std::string path =
-      (dir != nullptr && *dir != '\0') ? std::string(dir) + "/" : "";
-  path += "BENCH_fig09_hedging.json";
-  std::ofstream os(path);
-  if (!os) {
-    std::cerr << "failed to write " << path << "\n";
-    return 1;
-  }
-  os << "{\n";
-  os << "  \"schema\": \"canary.hedge/v1\",\n";
-  os << "  \"name\": \"fig09_hedging\",\n";
-  os << "  \"params\": {\n";
-  os << "    \"quick\": " << (quick ? "true" : "false") << ",\n";
-  os << "    \"horizon_s\": " << num(horizon.to_seconds()) << ",\n";
-  os << "    \"repetitions\": " << reps << ",\n";
-  os << "    \"nodes\": 16,\n";
-  os << "    \"rate_hz\": " << num(10.0) << ",\n";
-  os << "    \"hedge_percentile\": " << num(hedge_config().percentile)
-     << ",\n";
-  os << "    \"seed\": " << kSeed << "\n";
-  os << "  },\n";
-  os << "  \"baseline\": {\n";
-  write_strategy_json(os, "    ", retry);
-  os << "\n  },\n";
-  os << "  \"strategies\": [";
-  bool first = true;
-  for (const StrategyResult* s : {&hedge, &rr}) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "    {\n";
-    write_strategy_json(os, "      ", *s);
-    os << "\n    }";
-  }
-  os << "\n  ],\n";
-  os << "  \"claims\": {\n";
-  os << "    \"hedge_vs_retry_p99_reduction_pct\": " << num(p99_cut) << ",\n";
-  os << "    \"hedge_vs_rr_cost_reduction_pct\": " << num(cost_vs_rr) << "\n";
-  os << "  },\n";
-  os << "  \"checks\": {\n";
-  os << "    \"ok\": " << (violations.empty() ? "true" : "false") << ",\n";
-  os << "    \"violations\": " << violations.size() << "\n";
-  os << "  }\n";
-  os << "}\n";
-  os.close();
-  std::cout << "\nreport: " << path << "\n";
-
+  using canary::obs::JsonWriter;
+  const bool written = canary::bench::write_bench_report(
+      "fig09_hedging", quick, violations,
+      {{"hedge.p99_ms", hedge.p99_ms(), true},
+       {"hedge.cost_usd", hedge.cost_usd, true}},
+      [&](JsonWriter& json) {
+        json.field("horizon_s", horizon.to_seconds());
+        json.field("repetitions", reps);
+        json.field("nodes", 16);
+        json.field("rate_hz", 10.0);
+        json.field("hedge_percentile", hedge_config().percentile);
+        json.field("seed", kSeed);
+      },
+      [&](JsonWriter& json) {
+        json.key("baseline");
+        write_strategy(json, retry);
+        json.key("strategies").begin_array();
+        write_strategy(json, hedge);
+        write_strategy(json, rr);
+        json.end_array();
+        json.key("claims").begin_object();
+        json.field("hedge_vs_retry_p99_reduction_pct", p99_cut);
+        json.field("hedge_vs_rr_cost_reduction_pct", cost_vs_rr);
+        json.end_object();
+      });
+  if (!written) return 1;
   if (!violations.empty()) {
-    std::cerr << "\nfig09 hedging FAILED:\n";
-    for (const std::string& v : violations) std::cerr << "  - " << v << "\n";
-    return 1;
+    return canary::bench::fail("fig09 hedging", violations);
   }
   std::cout << "\nfig09 hedging passed: exactly-once held and hedging beat "
                "the no-hedge tail\n";

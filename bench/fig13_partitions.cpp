@@ -24,24 +24,26 @@
 // safety); domain-aware placement must strictly reduce correlated-loss
 // recovery time in at least one configuration.
 //
-// Emits a machine-readable canary.partition/v1 report. The report is
-// byte-identical across repeated runs and across worker counts
-// (--shard-workers N runs the scenario sharded into 4 partitions on N
-// worker threads; the worker count is deliberately kept out of the
-// report so the bytes can be compared). Violations exit 1.
+// Writes BENCH_fig13_partitions.json (canary.bench/v2; each
+// configuration's domain-aware recovery and makespan are gated against
+// bench/BENCH_partition.baseline.json). The report is byte-identical
+// across repeated runs and across worker counts (--shard-workers N runs
+// the scenario sharded into 4 partitions on N worker threads; the worker
+// count is deliberately kept out of the report so the bytes can be
+// compared). Violations exit 1.
 //
 // Usage: fig13_partitions [--quick] [--shard-workers N]
 // Environment: CANARY_QUICK=1 (same as --quick), CANARY_REPORT_DIR.
 #include <cstdlib>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "support.hpp"
+
 #include "common/table.hpp"
 #include "harness/scenario.hpp"
+#include "obs/json.hpp"
 #include "recovery/strategies.hpp"
 
 namespace {
@@ -53,16 +55,7 @@ using canary::harness::RunResult;
 using canary::harness::ScenarioConfig;
 using canary::harness::ScenarioRunner;
 
-bool quick_mode() {
-  const char* v = std::getenv("CANARY_QUICK");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
-
-std::string num(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(4) << v;
-  return os.str();
-}
+std::string num(double v) { return TextTable::num(v, 4); }
 
 constexpr std::uint64_t kSeed = 20260808;
 constexpr std::size_t kNodes = 12;  // zones {0, 1, 2}, four nodes each
@@ -212,31 +205,27 @@ StrategyResult run_strategy(const Variant& variant, bool spread,
   return out;
 }
 
-void write_strategy_json(std::ostream& os, const std::string& indent,
-                         const StrategyResult& s) {
-  os << indent << "\"name\": \"" << s.name << "\",\n";
-  os << indent << "\"recovery_s\": " << num(s.recovery_s) << ",\n";
-  os << indent << "\"makespan_s\": " << num(s.makespan_s) << ",\n";
-  os << indent << "\"double_execution_attempts\": "
-     << s.double_execution_attempts << ",\n";
-  os << indent << "\"zombie_commits_rejected\": " << s.zombie_commits_rejected
-     << ",\n";
-  os << indent << "\"zombie_commits_committed\": "
-     << s.zombie_commits_committed << ",\n";
-  os << indent << "\"stale_epoch_rejects\": " << s.stale_epoch_rejects
-     << ",\n";
-  os << indent << "\"quorum_blocked_puts\": " << s.quorum_blocked_puts
-     << ",\n";
-  os << indent << "\"partitions_started\": " << s.partitions_started << ",\n";
-  os << indent << "\"partitions_healed\": " << s.partitions_healed << ",\n";
-  os << indent << "\"zone_outages\": " << s.zone_outages << ",\n";
-  os << indent << "\"completed\": " << (s.completed ? "true" : "false");
+void write_strategy(canary::obs::JsonWriter& json, const StrategyResult& s) {
+  json.begin_object();
+  json.field("name", s.name);
+  json.field("recovery_s", s.recovery_s);
+  json.field("makespan_s", s.makespan_s);
+  json.field("double_execution_attempts", s.double_execution_attempts);
+  json.field("zombie_commits_rejected", s.zombie_commits_rejected);
+  json.field("zombie_commits_committed", s.zombie_commits_committed);
+  json.field("stale_epoch_rejects", s.stale_epoch_rejects);
+  json.field("quorum_blocked_puts", s.quorum_blocked_puts);
+  json.field("partitions_started", s.partitions_started);
+  json.field("partitions_healed", s.partitions_healed);
+  json.field("zone_outages", s.zone_outages);
+  json.field("completed", s.completed);
+  json.end_object();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = quick_mode();
+  bool quick = canary::bench::quick_mode();
   unsigned shard_workers = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -306,6 +295,15 @@ int main(int argc, char** argv) {
             std::to_string(s->zombie_commits_committed) +
             " fenced-writer commit(s) reached the store");
       }
+      if (s->double_execution_attempts !=
+          s->zombie_commits_rejected + s->zombie_commits_committed) {
+        violations.push_back(
+            std::string(vr.variant->name) + "/" + s->name +
+            ": double-execution attempts " +
+            std::to_string(s->double_execution_attempts) + " != rejected " +
+            std::to_string(s->zombie_commits_rejected) + " + committed " +
+            std::to_string(s->zombie_commits_committed));
+      }
       if (s->partitions_healed != s->partitions_started ||
           s->partitions_active_end != 0) {
         violations.push_back(std::string(vr.variant->name) + "/" + s->name +
@@ -334,63 +332,46 @@ int main(int argc, char** argv) {
             << " double-execution attempt(s), " << committed_total
             << " committed\n";
 
-  // ---- canary.partition/v1 report ---------------------------------------
-  const char* dir = std::getenv("CANARY_REPORT_DIR");
-  std::string path =
-      (dir != nullptr && *dir != '\0') ? std::string(dir) + "/" : "";
-  path += "BENCH_fig13_partitions.json";
-  std::ofstream os(path);
-  if (!os) {
-    std::cerr << "failed to write " << path << "\n";
-    return 1;
+  std::vector<canary::bench::Gated> gated;
+  for (const VariantResult& vr : results) {
+    const std::string prefix = std::string(vr.variant->name) + ".domain_aware.";
+    gated.push_back({prefix + "recovery_s", vr.aware.recovery_s, true});
+    gated.push_back({prefix + "makespan_s", vr.aware.makespan_s, true});
   }
-  os << "{\n";
-  os << "  \"schema\": \"canary.partition/v1\",\n";
-  os << "  \"name\": \"fig13_partitions\",\n";
-  os << "  \"params\": {\n";
-  os << "    \"quick\": " << (quick ? "true" : "false") << ",\n";
-  os << "    \"nodes\": " << kNodes << ",\n";
-  os << "    \"zones\": 3,\n";
-  os << "    \"fault_zone\": " << kFaultZone << ",\n";
-  os << "    \"repetitions\": " << reps << ",\n";
-  os << "    \"seed\": " << kSeed << "\n";
-  os << "  },\n";
-  os << "  \"configurations\": [";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n");
-    os << "    {\n";
-    os << "      \"name\": \"" << results[i].variant->name << "\",\n";
-    os << "      \"strategies\": [\n";
-    os << "        {\n";
-    write_strategy_json(os, "          ", results[i].blind);
-    os << "\n        },\n";
-    os << "        {\n";
-    write_strategy_json(os, "          ", results[i].aware);
-    os << "\n        }\n";
-    os << "      ],\n";
-    os << "      \"recovery_reduction_pct\": " << num(results[i].reduction_pct)
-       << "\n";
-    os << "    }";
-  }
-  os << "\n  ],\n";
-  os << "  \"claims\": {\n";
-  os << "    \"aware_strictly_faster_configs\": " << strictly_faster << ",\n";
-  os << "    \"max_recovery_reduction_pct\": " << num(max_reduction) << ",\n";
-  os << "    \"double_execution_attempts\": " << attempts_total << ",\n";
-  os << "    \"zombie_commits_committed\": " << committed_total << "\n";
-  os << "  },\n";
-  os << "  \"checks\": {\n";
-  os << "    \"ok\": " << (violations.empty() ? "true" : "false") << ",\n";
-  os << "    \"violations\": " << violations.size() << "\n";
-  os << "  }\n";
-  os << "}\n";
-  os.close();
-  std::cout << "\nreport: " << path << "\n";
 
+  using canary::obs::JsonWriter;
+  const bool written = canary::bench::write_bench_report(
+      "fig13_partitions", quick, violations, gated,
+      [&](JsonWriter& json) {
+        json.field("nodes", static_cast<std::uint64_t>(kNodes));
+        json.field("zones", 3);
+        json.field("fault_zone", static_cast<std::uint64_t>(kFaultZone));
+        json.field("repetitions", reps);
+        json.field("seed", kSeed);
+      },
+      [&](JsonWriter& json) {
+        json.key("configurations").begin_array();
+        for (const VariantResult& vr : results) {
+          json.begin_object();
+          json.field("name", vr.variant->name);
+          json.key("strategies").begin_array();
+          write_strategy(json, vr.blind);
+          write_strategy(json, vr.aware);
+          json.end_array();
+          json.field("recovery_reduction_pct", vr.reduction_pct);
+          json.end_object();
+        }
+        json.end_array();
+        json.key("claims").begin_object();
+        json.field("aware_strictly_faster_configs", strictly_faster);
+        json.field("max_recovery_reduction_pct", max_reduction);
+        json.field("double_execution_attempts", attempts_total);
+        json.field("zombie_commits_committed", committed_total);
+        json.end_object();
+      });
+  if (!written) return 1;
   if (!violations.empty()) {
-    std::cerr << "\nfig13 partitions FAILED:\n";
-    for (const std::string& v : violations) std::cerr << "  - " << v << "\n";
-    return 1;
+    return canary::bench::fail("fig13 partitions", violations);
   }
   std::cout << "\nfig13 partitions passed: split-brain-safe fencing held and "
                "domain-aware placement cut correlated-loss recovery\n";

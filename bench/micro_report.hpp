@@ -10,12 +10,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "obs/report.hpp"
+#include "support.hpp"
 
 namespace canary::bench {
 
@@ -56,10 +56,7 @@ inline int run_micro_benchmarks(int argc, char** argv,
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  const char* dir = std::getenv("CANARY_REPORT_DIR");
-  std::string path =
-      (dir != nullptr && *dir != '\0') ? std::string(dir) + "/" : "";
-  path += "BENCH_" + name + ".json";
+  const std::string path = report_path(name);
   if (!report.save(path)) {
     std::cerr << "failed to write " << path << "\n";
     return 1;

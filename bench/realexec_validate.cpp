@@ -5,39 +5,36 @@
 // mid-execution, heartbeat detection, epoch-fenced KV commits — then
 // configures the simulator twin from the measured step times /
 // checkpoint sizes / kill offsets and replays the same fail/recover
-// scenario in simulated time. Emits a canary.realexec/v1 report with
-// the per-component (detection / scheduling / launch / init / restore /
-// re-exec) recovery deltas; tools/check_report.py --calibrate gates the
-// real/sim ratios against the committed tolerance band in
-// bench/BENCH_realexec.baseline.json.
+// scenario in simulated time. Writes BENCH_realexec.json
+// (canary.bench/v2) with the per-component (detection / scheduling /
+// launch / init / restore / re-exec) recovery deltas;
+// tools/check_report.py --calibrate gates the real/sim ratios against
+// the committed tolerance band in bench/BENCH_realexec.baseline.json.
 //
 // Self-checks (exit 1): every scenario completes with the reference
-// checksum, kills >= 1 real worker per scenario, exactly-once holds
-// (no unfenced stale commits, no duplicates), restores only use intact
-// checkpoints.
+// checksum, kills >= 1 real worker and recovers it in a second worker
+// process, exactly-once holds (no unfenced stale commits, no
+// duplicates), restores only use intact checkpoints, and each
+// substrate's components sum to its recovery window.
 //
 // Usage: realexec_validate [--quick]
 // Environment: CANARY_QUICK=1 (same as --quick), CANARY_REPORT_DIR.
-#include <cstdlib>
+#include <cmath>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "support.hpp"
+
 #include "common/table.hpp"
 #include "harness/calibration.hpp"
+#include "obs/json.hpp"
 #include "realexec/backend.hpp"
 
 using namespace canary;
 
 namespace {
-
-bool env_quick() {
-  const char* v = std::getenv("CANARY_QUICK");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
 
 struct Case {
   realexec::KernelKind kernel;
@@ -68,24 +65,49 @@ recovery::StrategyConfig strategy_for(realexec::RecoveryPolicy policy) {
 
 double num_or_zero(double v) { return v > 0 ? v : 0.0; }
 
-void write_components(std::ostream& os, const std::string& indent,
-                      double window, double detection, double scheduling,
-                      double launch, double init, double restore,
-                      double re_exec) {
-  os << indent << "\"window_s\": " << TextTable::num(window, 6) << ",\n";
-  os << indent << "\"detection_s\": " << TextTable::num(detection, 6) << ",\n";
-  os << indent << "\"scheduling_s\": " << TextTable::num(scheduling, 6)
-     << ",\n";
-  os << indent << "\"launch_s\": " << TextTable::num(launch, 6) << ",\n";
-  os << indent << "\"init_s\": " << TextTable::num(init, 6) << ",\n";
-  os << indent << "\"restore_s\": " << TextTable::num(restore, 6) << ",\n";
-  os << indent << "\"re_exec_s\": " << TextTable::num(re_exec, 6) << "\n";
+/// One substrate's recovery decomposition, per recovery.
+struct Components {
+  double window_s, detection_s, scheduling_s, launch_s, init_s, restore_s,
+      re_exec_s;
+
+  double sum() const {
+    return detection_s + scheduling_s + launch_s + init_s + restore_s +
+           re_exec_s;
+  }
+};
+
+Components real_components(const CaseResult& cr) {
+  const double n = std::max<double>(1.0, cr.real.recoveries);
+  const auto& r = cr.real.recovery;
+  return {r.window_s() / n,    r.detection_s / n, r.scheduling_s / n,
+          r.launch_s / n,      r.init_s / n,      r.restore_s / n,
+          r.re_exec_s / n};
+}
+
+Components sim_components(const CaseResult& cr) {
+  const auto& s = cr.sim;
+  return {num_or_zero(s.window_s),     num_or_zero(s.detection_s),
+          num_or_zero(s.scheduling_s), num_or_zero(s.launch_s),
+          num_or_zero(s.init_s),       num_or_zero(s.restore_s),
+          num_or_zero(s.re_exec_s)};
+}
+
+void write_components(obs::JsonWriter& json, const Components& c) {
+  json.begin_object();
+  json.field("window_s", c.window_s);
+  json.field("detection_s", c.detection_s);
+  json.field("scheduling_s", c.scheduling_s);
+  json.field("launch_s", c.launch_s);
+  json.field("init_s", c.init_s);
+  json.field("restore_s", c.restore_s);
+  json.field("re_exec_s", c.re_exec_s);
+  json.end_object();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = env_quick();
+  bool quick = bench::quick_mode();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
@@ -170,6 +192,11 @@ int main(int argc, char** argv) {
     if (cr.real.recoveries < 1) {
       violations.push_back(label + ": no recovery was measured");
     }
+    if (cr.real.stats.workers_spawned < 2) {
+      violations.push_back(label +
+                           ": a recovery implies at least two worker "
+                           "processes");
+    }
 
     // Configure the twin from what the real run measured.
     harness::CalibrationWorkload twin;
@@ -188,6 +215,17 @@ int main(int argc, char** argv) {
     cr.sim = harness::run_calibration_twin(twin);
     if (cr.sim.recoveries == 0) {
       violations.push_back(label + ": sim twin produced no recovery");
+    }
+    // The components partition the window, on both substrates.
+    for (const auto& [substrate, c] :
+         {std::pair{"real", real_components(cr)},
+          std::pair{"sim", sim_components(cr)}}) {
+      if (std::fabs(c.sum() - c.window_s) > 2e-3) {
+        violations.push_back(label + ": " + substrate +
+                             " components sum " + TextTable::num(c.sum(), 6) +
+                             " s != window " + TextTable::num(c.window_s, 6) +
+                             " s");
+      }
     }
     results.push_back(std::move(cr));
   }
@@ -212,104 +250,42 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // ---- canary.realexec/v1 report ---------------------------------------
-  const char* dir = std::getenv("CANARY_REPORT_DIR");
-  const std::string path =
-      std::string(dir != nullptr && *dir != '\0' ? dir : ".") +
-      "/BENCH_realexec.json";
-  std::ofstream os(path);
-  if (!os) {
-    std::cerr << "failed to write " << path << "\n";
-    return 1;
-  }
-  os << "{\n";
-  os << "  \"schema\": \"canary.realexec/v1\",\n";
-  os << "  \"name\": \"realexec_validate\",\n";
-  os << "  \"params\": {\n";
-  os << "    \"quick\": " << (quick ? "true" : "false") << ",\n";
-  os << "    \"heartbeat_interval_ms\": " << TextTable::num(heartbeat.to_msec(), 1)
-     << ",\n";
-  os << "    \"timeout_multiplier\": " << TextTable::num(timeout_multiplier, 1)
-     << ",\n";
-  os << "    \"seed\": 7\n";
-  os << "  },\n";
-  os << "  \"scenarios\": [";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& cr = results[i];
-    const double n = std::max<double>(1.0, cr.real.recoveries);
-    os << (i == 0 ? "\n" : ",\n");
-    os << "    {\n";
-    os << "      \"kernel\": \"" << realexec::to_string(cr.scenario.kernel)
-       << "\",\n";
-    os << "      \"policy\": \"" << realexec::to_string(cr.scenario.policy)
-       << "\",\n";
-    os << "      \"completed\": " << (cr.real.completed ? "true" : "false")
-       << ",\n";
-    os << "      \"kills\": " << cr.real.stats.sigkills_sent << ",\n";
-    os << "      \"recoveries\": " << cr.real.recoveries << ",\n";
-    os << "      \"workers_spawned\": " << cr.real.stats.workers_spawned
-       << ",\n";
-    os << "      \"commits_accepted\": " << cr.real.stats.commits_accepted
-       << ",\n";
-    os << "      \"commits_torn\": " << cr.real.stats.commits_torn << ",\n";
-    os << "      \"stale_epoch_rejects\": " << cr.real.kv_stale_epoch_rejects
-       << ",\n";
-    os << "      \"duplicate_commits\": " << cr.real.stats.duplicate_commits
-       << ",\n";
-    os << "      \"unfenced_stale_commits\": "
-       << cr.real.stats.unfenced_stale_commits << ",\n";
-    os << "      \"checkpoint_bytes\": " << cr.real.checkpoint_bytes << ",\n";
-    os << "      \"step_exec_ms\": "
-       << TextTable::num(cr.real.first_step_exec_s * 1e3, 3) << ",\n";
-    os << "      \"kill_offset_ms\": "
-       << TextTable::num(cr.real.kill_offset_s * 1e3, 3) << ",\n";
-    os << "      \"real\": {\n";
-    write_components(os, "        ", cr.real.recovery.window_s() / n,
-                     cr.real.recovery.detection_s / n,
-                     cr.real.recovery.scheduling_s / n,
-                     cr.real.recovery.launch_s / n,
-                     cr.real.recovery.init_s / n,
-                     cr.real.recovery.restore_s / n,
-                     cr.real.recovery.re_exec_s / n);
-    os << "      },\n";
-    os << "      \"sim\": {\n";
-    write_components(os, "        ", num_or_zero(cr.sim.window_s),
-                     num_or_zero(cr.sim.detection_s),
-                     num_or_zero(cr.sim.scheduling_s),
-                     num_or_zero(cr.sim.launch_s), num_or_zero(cr.sim.init_s),
-                     num_or_zero(cr.sim.restore_s),
-                     num_or_zero(cr.sim.re_exec_s));
-    os << "      }\n";
-    os << "    }";
-  }
-  os << "\n  ],\n";
-  os << "  \"violations\": [";
-  for (std::size_t i = 0; i < violations.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n") << "    \"" << violations[i] << "\"";
-  }
-  os << (violations.empty() ? "" : "\n  ") << "],\n";
-  os << "  \"oracles\": {\n";
-  os << "    \"completion\": "
-     << (violations.empty() ? "true" : "false") << ",\n";
-  bool exactly_once = true;
-  for (const auto& cr : results) {
-    if (cr.real.stats.unfenced_stale_commits > 0 ||
-        cr.real.stats.duplicate_commits > 0) {
-      exactly_once = false;
-    }
-  }
-  os << "    \"exactly_once\": " << (exactly_once ? "true" : "false") << ",\n";
-  os << "    \"no_corrupt_restore\": true\n";
-  os << "  }\n";
-  os << "}\n";
-  os.close();
-  std::cout << "\nreport: " << path << "\n";
-
-  if (!violations.empty()) {
-    std::cout << "\nSELF-CHECK VIOLATIONS:\n";
-    for (const auto& v : violations) std::cout << "  - " << v << "\n";
-    return 1;
-  }
+  const bool written = bench::write_bench_report(
+      "realexec", quick, violations, {},
+      [&](obs::JsonWriter& json) {
+        json.field("heartbeat_interval_ms", heartbeat.to_msec());
+        json.field("timeout_multiplier", timeout_multiplier);
+        json.field("seed", 7);
+      },
+      [&](obs::JsonWriter& json) {
+        json.key("scenarios").begin_array();
+        for (const auto& cr : results) {
+          json.begin_object();
+          json.field("kernel", realexec::to_string(cr.scenario.kernel));
+          json.field("policy", realexec::to_string(cr.scenario.policy));
+          json.field("completed", cr.real.completed);
+          json.field("kills", cr.real.stats.sigkills_sent);
+          json.field("recoveries", cr.real.recoveries);
+          json.field("workers_spawned", cr.real.stats.workers_spawned);
+          json.field("commits_accepted", cr.real.stats.commits_accepted);
+          json.field("commits_torn", cr.real.stats.commits_torn);
+          json.field("stale_epoch_rejects", cr.real.kv_stale_epoch_rejects);
+          json.field("duplicate_commits", cr.real.stats.duplicate_commits);
+          json.field("unfenced_stale_commits",
+                     cr.real.stats.unfenced_stale_commits);
+          json.field("checkpoint_bytes", cr.real.checkpoint_bytes);
+          json.field("step_exec_ms", cr.real.first_step_exec_s * 1e3);
+          json.field("kill_offset_ms", cr.real.kill_offset_s * 1e3);
+          json.key("real");
+          write_components(json, real_components(cr));
+          json.key("sim");
+          write_components(json, sim_components(cr));
+          json.end_object();
+        }
+        json.end_array();
+      });
+  if (!written) return 1;
+  if (!violations.empty()) return bench::fail("realexec_validate", violations);
   std::cout << "\nall recovery oracles held (exactly-once, no-corrupt-"
                "restore, completion)\n";
   return 0;

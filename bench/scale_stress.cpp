@@ -3,9 +3,9 @@
 // Unlike the figure benches (which reproduce the paper's plots) this
 // binary answers an engineering question: how fast is the event engine
 // and the platform above it, and does the hot path allocate? It runs
-// three phases and emits a machine-readable canary.bench/v1 report that
-// CI diffs against a committed baseline (>20% events/sec regression
-// fails the perf-smoke job):
+// three phases and writes BENCH_scale.json (canary.bench/v2) with each
+// phase's events/sec gated against bench/BENCH_scale.baseline.json (a
+// >20% events/sec regression fails the smoke run):
 //
 //   engine_steady   schedule/dispatch churn on a bare sim::Simulator
 //   engine_cancel   timer churn: every work event cancels a timeout
@@ -15,22 +15,17 @@
 //
 // A second sweep reruns the platform phase sharded (the same topology
 // split into 8 partitions, each an independent scenario) at 1, 2 and 4
-// worker threads and writes its own canary.bench/v1 report
-// (BENCH_shard.json, gated against bench/BENCH_shard.baseline.json in
-// CI). The merged event count is invariant in the worker count by
-// construction, so the phases measure parallelism, not different
-// workloads.
+// worker threads and writes its own report (BENCH_shard.json, gated
+// against bench/BENCH_shard.baseline.json). The merged event count is
+// invariant in the worker count by construction, so the phases measure
+// parallelism, not different workloads.
 //
 // Allocation counts come from interposing global operator new in this
 // binary, so allocations/event is exact, not sampled. Peak RSS comes
 // from getrusage(RUSAGE_SELF).
 //
-// Usage: scale_stress [--quick] [--out=PATH] [--shard-out=PATH]
-//   --quick       shrink the workload for CI smoke runs (also CANARY_QUICK=1)
-//   --out=PATH    write the JSON report to PATH (default:
-//                 $CANARY_REPORT_DIR/BENCH_scale.json or ./BENCH_scale.json)
-//   --shard-out=PATH  write the shard-sweep report to PATH (default:
-//                 $CANARY_REPORT_DIR/BENCH_shard.json or ./BENCH_shard.json)
+// Usage: scale_stress [--quick]
+// Environment: CANARY_QUICK=1 (same as --quick), CANARY_REPORT_DIR.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -38,8 +33,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <new>
 #include <string>
@@ -297,64 +290,58 @@ PhaseResult platform_shard(std::size_t nodes, std::size_t jobs,
   return result;
 }
 
-void write_report(const std::string& path, const std::string& name,
-                  bool quick, std::size_t nodes, std::uint64_t invocations,
-                  const std::vector<PhaseResult>& phases) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "failed to open " << path << "\n";
-    std::exit(1);
-  }
-  obs::JsonWriter json(out, /*indent=*/2);
-  json.begin_object();
-  json.field("schema", "canary.bench/v1");
-  json.field("name", name);
-  json.field("quick", quick);
-  json.key("config").begin_object();
-  json.field("nodes", static_cast<std::uint64_t>(nodes));
-  json.field("invocations", invocations);
-  json.end_object();
-  json.key("phases").begin_array();
+/// Writes one phase set as a bench report; every phase's events/sec is
+/// gated. A phase that dispatched nothing or took no time is a broken
+/// measurement and fails the report. Returns the exit status.
+int write_report(const std::string& name, bool quick, std::size_t nodes,
+                 std::uint64_t invocations,
+                 const std::vector<PhaseResult>& phases) {
+  std::vector<std::string> violations;
+  std::vector<Gated> gated;
   for (const PhaseResult& phase : phases) {
-    json.begin_object();
-    json.field("name", phase.name);
-    json.field("events", phase.events);
-    json.field("wall_s", phase.wall_s);
-    json.field("events_per_sec", phase.events_per_sec());
-    json.field("allocations", phase.allocations);
-    json.field("allocations_per_event", phase.allocations_per_event());
-    json.end_object();
+    if (phase.events == 0 || phase.wall_s <= 0.0) {
+      violations.push_back(phase.name + ": no events or no wall time");
+    }
+    gated.push_back(
+        {phase.name + ".events_per_sec", phase.events_per_sec(), false});
   }
-  json.end_array();
-  json.field("peak_rss_bytes", peak_rss_bytes());
-  json.end_object();
-  out << '\n';
-  std::cout << "\nreport: " << path << "\n";
+  const std::uint64_t rss = peak_rss_bytes();
+  if (rss == 0) violations.push_back("peak RSS unavailable");
+  const bool written = write_bench_report(
+      name, quick, violations, gated,
+      [&](obs::JsonWriter& json) {
+        json.field("nodes", static_cast<std::uint64_t>(nodes));
+        json.field("invocations", invocations);
+      },
+      [&](obs::JsonWriter& json) {
+        json.key("phases").begin_array();
+        for (const PhaseResult& phase : phases) {
+          json.begin_object();
+          json.field("name", phase.name);
+          json.field("events", phase.events);
+          json.field("wall_s", phase.wall_s);
+          json.field("events_per_sec", phase.events_per_sec());
+          json.field("allocations", phase.allocations);
+          json.field("allocations_per_event", phase.allocations_per_event());
+          json.end_object();
+        }
+        json.end_array();
+        json.field("peak_rss_bytes", rss);
+      });
+  if (!written) return 1;
+  return violations.empty() ? 0 : fail("scale_stress " + name, violations);
 }
 
 int run(int argc, char** argv) {
   bool quick = quick_mode();
-  std::string out_path;
-  std::string shard_out_path;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
+    if (std::string(argv[i]) == "--quick") {
       quick = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--shard-out=", 0) == 0) {
-      shard_out_path = arg.substr(12);
     } else {
-      std::cerr << "usage: scale_stress [--quick] [--out=PATH] "
-                   "[--shard-out=PATH]\n";
+      std::cerr << "usage: scale_stress [--quick]\n";
       return 2;
     }
   }
-  const char* dir = std::getenv("CANARY_REPORT_DIR");
-  const std::string report_dir =
-      (dir != nullptr && *dir != '\0') ? std::string(dir) + "/" : "";
-  if (out_path.empty()) out_path = report_dir + "BENCH_scale.json";
-  if (shard_out_path.empty()) shard_out_path = report_dir + "BENCH_shard.json";
 
   // Full mode: >= 1M invocations over 256 nodes, 4M-event engine phases.
   // Quick mode: 32k invocations over 64 nodes, 256k-event engine phases —
@@ -399,10 +386,11 @@ int run(int argc, char** argv) {
             << " nodes\npeak rss: " << peak_rss_bytes() / (1024 * 1024)
             << " MiB\n";
 
-  write_report(out_path, "scale", quick, nodes, invocations, phases);
-  write_report(shard_out_path, "shard", quick, nodes, invocations,
-               shard_phases);
-  return 0;
+  const int scale_status =
+      write_report("scale", quick, nodes, invocations, phases);
+  const int shard_status =
+      write_report("shard", quick, nodes, invocations, shard_phases);
+  return scale_status != 0 ? scale_status : shard_status;
 }
 
 }  // namespace

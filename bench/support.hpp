@@ -4,9 +4,13 @@
 // sweeps the figure's x-axis, runs the compared strategies with the
 // paper's repetition discipline (averaged repetitions, fixed seeds), and
 // prints (a) the figure's series as an aligned table and (b) the paper's
-// headline claim next to the measured value. Every bench also emits a
-// machine-readable BENCH_<name>.json run report (obs::RunReport) so CI
-// can archive and diff results across commits.
+// headline claim next to the measured value. Every figure bench also
+// emits a machine-readable BENCH_<name>.json run report (obs::RunReport,
+// canary.run_report/v2) so CI can archive and diff results across
+// commits. The bench-family binaries (scale_stress, chaos_campaign,
+// traffic_curves, fig09_hedging, fig13_partitions, realexec_validate)
+// write their reports through write_bench_report() instead, in the one
+// canary.bench/v2 envelope.
 //
 // Environment:
 //   CANARY_QUICK=1        shrink sweeps/repetitions for CI smoke runs
@@ -15,14 +19,17 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/table.hpp"
 #include "harness/experiment.hpp"
 #include "obs/critical_path.hpp"
+#include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "workloads/workloads.hpp"
 
@@ -33,6 +40,85 @@ namespace canary::bench {
 inline bool quick_mode() {
   const char* v = std::getenv("CANARY_QUICK");
   return v != nullptr && *v != '\0' && *v != '0';
+}
+
+/// Where a bench writes its report: BENCH_<name>.json in
+/// $CANARY_REPORT_DIR, or in the working directory.
+inline std::string report_path(std::string_view name) {
+  const char* dir = std::getenv("CANARY_REPORT_DIR");
+  std::string path =
+      (dir != nullptr && *dir != '\0') ? std::string(dir) + "/" : "";
+  return path + "BENCH_" + std::string(name) + ".json";
+}
+
+/// One headline number of a bench-family report. `tools/check_report.py
+/// --baseline` fails when it is more than 20% worse than the committed
+/// baseline's value in the direction that counts.
+struct Gated {
+  std::string name;
+  double value = 0.0;
+  bool lower_is_better = true;
+};
+
+/// Writes BENCH_<name>.json in the envelope every bench-family report
+/// shares (canary.bench/v2):
+///
+///   {"schema": "canary.bench/v2", "name", "params": {"quick", ...},
+///    "checks": {"violations": [<string>...]},
+///    "gated": {<name>: {"value", "better": "lower"|"higher"}},
+///    ...payload}
+///
+/// `params(json)` adds fields to the open params object and
+/// `payload(json)` adds the bench's own top-level fields. The self-check
+/// violations go in verbatim; tools/check_report.py fails a report that
+/// lists any. Returns false (and complains) on I/O error.
+template <typename ParamsFn, typename PayloadFn>
+bool write_bench_report(std::string_view name, bool quick,
+                        const std::vector<std::string>& violations,
+                        const std::vector<Gated>& gated, ParamsFn&& params,
+                        PayloadFn&& payload) {
+  const std::string path = report_path(name);
+  std::ofstream out(path);
+  if (out) {
+    obs::JsonWriter json(out, /*indent=*/2);
+    json.begin_object();
+    json.field("schema", "canary.bench/v2");
+    json.field("name", name);
+    json.key("params").begin_object();
+    json.field("quick", quick);
+    params(json);
+    json.end_object();
+    json.key("checks").begin_object().key("violations").begin_array();
+    for (const std::string& v : violations) json.value(v);
+    json.end_array().end_object();
+    json.key("gated").begin_object();
+    for (const Gated& g : gated) {
+      json.key(g.name).begin_object();
+      json.field("value", g.value);
+      json.field("better", g.lower_is_better ? "lower" : "higher");
+      json.end_object();
+    }
+    json.end_object();
+    payload(json);
+    json.end_object();
+    out << '\n';
+    out.close();
+  }
+  if (!out) {
+    std::cerr << "failed to write " << path << "\n";
+    return false;
+  }
+  std::cout << "\nreport: " << path << "\n";
+  return true;
+}
+
+/// Lists a bench's self-check violations on stderr; returns the exit
+/// status 1.
+inline int fail(std::string_view bench,
+                const std::vector<std::string>& violations) {
+  std::cerr << "\n" << bench << " FAILED:\n";
+  for (const std::string& v : violations) std::cerr << "  - " << v << "\n";
+  return 1;
 }
 
 /// Error-rate sweep used across Figures 4-10 ("vary the error rate from
@@ -103,10 +189,7 @@ class Reporter {
 
   /// Write BENCH_<name>.json; returns false (and complains) on I/O error.
   bool save() const {
-    const char* dir = std::getenv("CANARY_REPORT_DIR");
-    std::string path =
-        (dir != nullptr && *dir != '\0') ? std::string(dir) + "/" : "";
-    path += "BENCH_" + report_.name + ".json";
+    const std::string path = report_path(report_.name);
     if (!report_.save(path)) {
       std::cerr << "failed to write " << path << "\n";
       return false;

@@ -7,27 +7,30 @@
 // burst (with vs. without) and overload concurrent with a node failure
 // under the full Canary strategy.
 //
-// Emits a machine-readable canary.traffic/v1 report and self-checks the
-// conservation identities on every run:
+// Writes BENCH_traffic_curves.json (canary.bench/v2) and self-checks
+// every run (each sweep point, both burst runs, the overload run):
 //
 //   offered == admitted + shed + queued_end
 //   admitted == completed + failed + in_flight
+//   in_flight == queued_end == 0         (the run drained: no backlog)
+//   p50 <= p99                           (when anything completed)
 //
-// plus "no shedding below 0.75x capacity". Violations exit 1.
+// plus a strictly increasing offered-load axis, goodput never above
+// offered load, no shedding below 0.75x capacity, and the autoscaler
+// retiring no more containers than it launched. Violations exit 1.
 //
 // Usage: traffic_curves [--quick]
 // Environment: CANARY_QUICK=1 (same as --quick), CANARY_REPORT_DIR.
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "support.hpp"
+
 #include "common/table.hpp"
 #include "harness/scenario.hpp"
+#include "obs/json.hpp"
 #include "recovery/strategies.hpp"
 #include "traffic/generator.hpp"
 
@@ -38,17 +41,9 @@ using canary::TextTable;
 using canary::harness::RunResult;
 using canary::harness::ScenarioConfig;
 using canary::harness::ScenarioRunner;
+using canary::obs::JsonWriter;
 
-bool quick_mode() {
-  const char* v = std::getenv("CANARY_QUICK");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
-
-std::string num(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(4) << v;
-  return os.str();
-}
+std::string num(double v) { return TextTable::num(v, 4); }
 
 // The sweep's nominal service capacity is the tighter of two pipeline
 // bottlenecks: `max_concurrent` admission slots each turning over one
@@ -107,28 +102,51 @@ struct Point {
   }
 };
 
-void write_summary_json(std::ostream& os, const std::string& indent,
-                        const RunResult::TrafficSummary& t) {
-  os << indent << "\"offered\": " << t.offered << ",\n";
-  os << indent << "\"admitted\": " << t.admitted << ",\n";
-  os << indent << "\"shed\": " << t.shed << ",\n";
-  os << indent << "\"completed\": " << t.completed << ",\n";
-  os << indent << "\"failed\": " << t.failed << ",\n";
-  os << indent << "\"in_flight\": " << t.in_flight << ",\n";
-  os << indent << "\"queued_end\": " << t.queued_end << ",\n";
-  os << indent << "\"queue_peak\": " << t.queue_peak << ",\n";
-  os << indent << "\"p50_ms\": " << num(t.latency_p50_ms) << ",\n";
-  os << indent << "\"p99_ms\": " << num(t.latency_p99_ms) << ",\n";
-  os << indent << "\"queue_wait_p99_ms\": " << num(t.queue_wait_p99_ms)
-     << ",\n";
-  os << indent << "\"conservation_ok\": "
-     << (t.conservation_ok ? "true" : "false");
+/// Writes one summary's fields into the open object.
+void write_summary(JsonWriter& json, const RunResult::TrafficSummary& t) {
+  json.field("offered", t.offered);
+  json.field("admitted", t.admitted);
+  json.field("shed", t.shed);
+  json.field("completed", t.completed);
+  json.field("failed", t.failed);
+  json.field("in_flight", t.in_flight);
+  json.field("queued_end", t.queued_end);
+  json.field("queue_peak", t.queue_peak);
+  json.field("p50_ms", t.latency_p50_ms);
+  json.field("p99_ms", t.latency_p99_ms);
+  json.field("queue_wait_p99_ms", t.queue_wait_p99_ms);
+  json.field("conservation_ok", t.conservation_ok);
+}
+
+/// The identities every traffic run must satisfy once it has drained.
+void check_summary(const std::string& where, const RunResult::TrafficSummary& t,
+                   std::vector<std::string>& violations) {
+  if (!t.conservation_ok) {
+    violations.push_back("conservation violated at " + where);
+  }
+  if (t.offered != t.admitted + t.shed + t.queued_end) {
+    violations.push_back(where + ": offered " + std::to_string(t.offered) +
+                         " != admitted + shed + queued_end");
+  }
+  if (t.admitted != t.completed + t.failed + t.in_flight) {
+    violations.push_back(where + ": admitted " + std::to_string(t.admitted) +
+                         " != completed + failed + in_flight");
+  }
+  if (t.in_flight != 0 || t.queued_end != 0) {
+    violations.push_back(where + ": run ended with backlog (in_flight " +
+                         std::to_string(t.in_flight) + ", queued " +
+                         std::to_string(t.queued_end) + ")");
+  }
+  if (t.completed > 0 && t.latency_p99_ms < t.latency_p50_ms) {
+    violations.push_back(where + ": p99 " + num(t.latency_p99_ms) +
+                         " < p50 " + num(t.latency_p50_ms));
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = quick_mode();
+  bool quick = canary::bench::quick_mode();
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--quick") {
       quick = true;
@@ -160,12 +178,20 @@ int main(int argc, char** argv) {
     p.load = load;
     p.t = result.traffic;
     p.horizon_s = horizon.to_seconds();
-    if (!p.t.conservation_ok) {
-      violations.push_back("conservation violated at load " + num(load));
-    }
+    check_summary("load " + num(load), p.t, violations);
     if (load <= 0.75 && p.t.shed != 0) {
       violations.push_back("shed " + std::to_string(p.t.shed) +
                            " arrival(s) at subcritical load " + num(load));
+    }
+    if (p.goodput_rps() > p.offered_rps() + 1e-9) {
+      violations.push_back("goodput " + num(p.goodput_rps()) +
+                           " rps exceeds offered " + num(p.offered_rps()) +
+                           " rps at load " + num(load));
+    }
+    if (!points.empty() && p.offered_rps() <= points.back().offered_rps()) {
+      violations.push_back("offered load " + num(p.offered_rps()) +
+                           " rps at load " + num(load) +
+                           " not above the previous point's");
     }
     points.push_back(p);
   }
@@ -196,8 +222,12 @@ int main(int argc, char** argv) {
   };
   const RunResult burst_off = ScenarioRunner::run(burst_config(false), {});
   const RunResult burst_on = ScenarioRunner::run(burst_config(true), {});
-  if (!burst_off.traffic.conservation_ok || !burst_on.traffic.conservation_ok) {
-    violations.push_back("conservation violated in burst section");
+  check_summary("burst without autoscaler", burst_off.traffic, violations);
+  check_summary("burst with autoscaler", burst_on.traffic, violations);
+  if (burst_on.traffic.containers_retired >
+      burst_on.traffic.containers_launched) {
+    violations.push_back("autoscaler retired more containers than it "
+                         "launched");
   }
 
   TextTable burst({"autoscaler", "offered", "completed", "shed", "p99 [ms]",
@@ -220,9 +250,7 @@ int main(int argc, char** argv) {
   overload.traffic.streams.push_back(web_stream(1.2 * capacity));
   overload.node_failure_offsets.push_back(horizon * 0.4);
   const RunResult failure_run = ScenarioRunner::run(overload, {});
-  if (!failure_run.traffic.conservation_ok) {
-    violations.push_back("conservation violated in overload+failure section");
-  }
+  check_summary("overload + failure", failure_run.traffic, violations);
   const auto& ft = failure_run.traffic;
   std::cout << "\noverload (1.2x) + node failure at "
             << (horizon * 0.4).to_seconds() << " s: offered " << ft.offered
@@ -230,68 +258,48 @@ int main(int argc, char** argv) {
             << ", p99 " << num(ft.latency_p99_ms) << " ms, node kills "
             << failure_run.injected_node_kills << "\n";
 
-  // ---- canary.traffic/v1 report ----------------------------------------
-  const char* dir = std::getenv("CANARY_REPORT_DIR");
-  std::string path =
-      (dir != nullptr && *dir != '\0') ? std::string(dir) + "/" : "";
-  path += "BENCH_traffic_curves.json";
-  std::ofstream os(path);
-  if (!os) {
-    std::cerr << "failed to write " << path << "\n";
-    return 1;
-  }
-  os << "{\n";
-  os << "  \"schema\": \"canary.traffic/v1\",\n";
-  os << "  \"name\": \"traffic_curves\",\n";
-  os << "  \"params\": {\n";
-  os << "    \"quick\": " << (quick ? "true" : "false") << ",\n";
-  os << "    \"horizon_s\": " << num(horizon.to_seconds()) << ",\n";
-  os << "    \"capacity_rps\": " << num(capacity) << ",\n";
-  os << "    \"max_concurrent\": " << kMaxConcurrent << ",\n";
-  os << "    \"queue_capacity\": " << kQueueCapacity << ",\n";
-  os << "    \"seed\": 20240801\n";
-  os << "  },\n";
-  os << "  \"curves\": [";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    os << (i == 0 ? "\n" : ",\n");
-    os << "    {\n";
-    os << "      \"load_factor\": " << num(p.load) << ",\n";
-    os << "      \"offered_rps\": " << num(p.offered_rps()) << ",\n";
-    os << "      \"goodput_rps\": " << num(p.goodput_rps()) << ",\n";
-    write_summary_json(os, "      ", p.t);
-    os << "\n    }";
-  }
-  os << "\n  ],\n";
-  os << "  \"burst\": {\n";
-  os << "    \"without_autoscaler\": {\n";
-  write_summary_json(os, "      ", burst_off.traffic);
-  os << "\n    },\n";
-  os << "    \"with_autoscaler\": {\n";
-  write_summary_json(os, "      ", burst_on.traffic);
-  os << ",\n      \"scale_ups\": " << burst_on.traffic.scale_ups << ",\n";
-  os << "      \"scale_ins\": " << burst_on.traffic.scale_ins << ",\n";
-  os << "      \"containers_launched\": " << burst_on.traffic.containers_launched
-     << ",\n";
-  os << "      \"containers_retired\": " << burst_on.traffic.containers_retired
-     << "\n    }\n";
-  os << "  },\n";
-  os << "  \"overload_failure\": {\n";
-  write_summary_json(os, "    ", failure_run.traffic);
-  os << ",\n    \"node_kills\": " << failure_run.injected_node_kills << "\n";
-  os << "  },\n";
-  os << "  \"conservation\": {\n";
-  os << "    \"ok\": " << (violations.empty() ? "true" : "false") << ",\n";
-  os << "    \"violations\": " << violations.size() << "\n";
-  os << "  }\n";
-  os << "}\n";
-  os.close();
-  std::cout << "\nreport: " << path << "\n";
-
+  const bool written = canary::bench::write_bench_report(
+      "traffic_curves", quick, violations, {},
+      [&](JsonWriter& json) {
+        json.field("horizon_s", horizon.to_seconds());
+        json.field("capacity_rps", capacity);
+        json.field("max_concurrent",
+                   static_cast<std::uint64_t>(kMaxConcurrent));
+        json.field("queue_capacity",
+                   static_cast<std::uint64_t>(kQueueCapacity));
+        json.field("seed", 20240801);
+      },
+      [&](JsonWriter& json) {
+        json.key("curves").begin_array();
+        for (const Point& p : points) {
+          json.begin_object();
+          json.field("load_factor", p.load);
+          json.field("offered_rps", p.offered_rps());
+          json.field("goodput_rps", p.goodput_rps());
+          write_summary(json, p.t);
+          json.end_object();
+        }
+        json.end_array();
+        json.key("burst").begin_object();
+        json.key("without_autoscaler").begin_object();
+        write_summary(json, burst_off.traffic);
+        json.end_object();
+        json.key("with_autoscaler").begin_object();
+        write_summary(json, burst_on.traffic);
+        json.field("scale_ups", burst_on.traffic.scale_ups);
+        json.field("scale_ins", burst_on.traffic.scale_ins);
+        json.field("containers_launched", burst_on.traffic.containers_launched);
+        json.field("containers_retired", burst_on.traffic.containers_retired);
+        json.end_object();
+        json.end_object();
+        json.key("overload_failure").begin_object();
+        write_summary(json, failure_run.traffic);
+        json.field("node_kills", failure_run.injected_node_kills);
+        json.end_object();
+      });
+  if (!written) return 1;
   if (!violations.empty()) {
-    std::cerr << "\ntraffic curves FAILED:\n";
-    for (const std::string& v : violations) std::cerr << "  - " << v << "\n";
-    return 1;
+    return canary::bench::fail("traffic curves", violations);
   }
   std::cout << "\ntraffic curves passed: conservation held at every point\n";
   return 0;

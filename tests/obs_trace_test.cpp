@@ -27,6 +27,7 @@
 #include "obs/slo_monitor.hpp"
 #include "recovery/strategies.hpp"
 #include "sim/simulator.hpp"
+#include "workloads/workloads.hpp"
 
 namespace canary::faas {
 namespace {
@@ -490,6 +491,51 @@ TEST(TraceScenarioTest, BreakdownComponentsPartitionEveryRecoveryWindow) {
   EXPECT_EQ(result.events_recorded, result.events->size());
   EXPECT_EQ(result.events_dropped, 0u);
   EXPECT_FALSE(result.events->truncated());
+}
+
+/// The chrome trace experiment_cli writes for `--functions=40 --seed=7
+/// --node-failures=1 --sla=60` (Canary with dynamic replication, error
+/// rate 0.2): one run of the base seed with the timeline recorded.
+std::string cli_trace(harness::ScenarioConfig config) {
+  JobSpec job = workloads::make_job(workloads::WorkloadKind::kWebService, 40);
+  job.sla = Duration::sec(60.0);
+  config.strategy =
+      recovery::StrategyConfig::canary_full(core::ReplicationMode::kDynamic);
+  config.strategy.canary.sla_aware = true;
+  config.error_rate = 0.2;
+  config.seed = 7;
+  config.node_failure_offsets.push_back(Duration::sec(8.0));
+  config.record_spans = true;
+  config.record_events = true;
+  const auto run = harness::ScenarioRunner::run(config, {job});
+  std::ostringstream os;
+  obs::write_chrome_trace(os, run.spans.get(), run.events.get(),
+                          run.timeseries.enabled() ? &run.timeseries : nullptr);
+  return os.str();
+}
+
+TEST(TraceScenarioTest, CliTracesCarrySpansFlowsAndCounterTrack) {
+  // The smoke run's trace (16 nodes): complete spans, checkpoint writes
+  // and recoveries among them, and causal instants with flow arrows.
+  const std::string trace = cli_trace(harness::ScenarioConfig{});
+  for (const char* record :
+       {"\"ph\":\"X\"", "\"cat\":\"checkpoint\",\"ph\":\"X\"",
+        "\"cat\":\"recovery\"", "\"cat\":\"causal\"", "\"ph\":\"s\"",
+        "\"ph\":\"f\""}) {
+    EXPECT_NE(trace.find(record), std::string::npos) << record;
+  }
+
+  // The attribution run (`--nodes=8 --attribution`) adds the windowed
+  // rollups as a counter track.
+  harness::ScenarioConfig attribution;
+  attribution.cluster_nodes = 8;
+  attribution.tail.enabled = true;
+  attribution.timeseries.enabled = true;
+  attribution.timeseries.window = Duration::sec(1.0);
+  const std::string attributed = cli_trace(attribution);
+  EXPECT_NE(attributed.find("\"ph\":\"C\""), std::string::npos);
+  EXPECT_NE(attributed.find("\"name\":\"ts.completions\""),
+            std::string::npos);
 }
 
 }  // namespace
