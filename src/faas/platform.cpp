@@ -689,7 +689,7 @@ void Platform::complete_function(InvocationInternal& inv) {
   inv.timeout_event.cancel();
   inv.progress_event.cancel();
   m_function_latency_.record_duration(sim_.now() - inv.submit_time);
-  record_tail_latency(inv);
+  record_completion_series(inv);
   if (inv.first_dispatch_time != TimePoint::max()) {
     m_function_queue_wait_.record_duration(inv.first_dispatch_time -
                                            inv.submit_time);
@@ -753,41 +753,19 @@ void Platform::complete_function(InvocationInternal& inv) {
   retry_capacity_waiters();
 }
 
-void Platform::enable_tail_attribution(const obs::ExemplarConfig& config) {
-  tail_exemplars_ = config;
-  // The run-wide tail histogram exists from the start so its reservoir
-  // sees every completion; per-family histograms opt in lazily as
-  // families first complete.
-  if (config.enabled) metrics_.enable_exemplars("tail_latency", config);
-}
-
-void Platform::record_tail_latency(InvocationInternal& inv) {
-  const bool series_on = series_ != nullptr && series_->enabled();
-  if (!tail_exemplars_.enabled && !series_on) return;
+void Platform::record_completion_series(InvocationInternal& inv) {
+  if (series_ == nullptr || !series_->enabled()) return;
 
   // Anchor at the admission arrival for open-loop requests — the same
-  // instant the retroactive kQueued event carries — so the recorded value
-  // is exactly the causal chain's end-to-end window and the tail
-  // analyzer's partition sums back to it.
+  // instant the retroactive kQueued event carries — so the windowed
+  // latency is the causal chain's end-to-end window.
   const TimePoint enqueued = job_record(inv.job).spec->enqueued_at;
   const TimePoint anchor =
       enqueued != TimePoint::max() && enqueued < inv.submit_time
           ? enqueued
           : inv.submit_time;
-  const double latency = (sim_.now() - anchor).to_seconds();
-
-  if (series_on) {
-    series_->count("completions", sim_.now());
-    series_->sample("latency", sim_.now(), latency);
-  }
-  if (!tail_exemplars_.enabled) return;
-
-  const std::uint64_t trace = inv.trace.trace.value();
-  metrics_.sample_traced("tail_latency", latency, trace, inv.id.value());
-  obs::Histogram& family = metrics_.histogram_ref(
-      "tail_latency.fn." + obs::base_function_name(inv.spec->name));
-  if (!family.exemplars_enabled()) family.enable_exemplars(tail_exemplars_);
-  family.record_traced(latency, trace, inv.id.value());
+  series_->count("completions", sim_.now());
+  series_->sample("latency", sim_.now(), (sim_.now() - anchor).to_seconds());
 }
 
 void Platform::handle_kill(InvocationInternal& inv, FailureKind kind) {

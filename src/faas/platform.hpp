@@ -138,18 +138,6 @@ class Platform {
   /// windows. Null disables (the default).
   void set_time_series(obs::TimeSeries* series) { series_ = series; }
   obs::TimeSeries* time_series() const { return series_; }
-  /// Enable tail-latency attribution: completions additionally record
-  /// into exemplar-carrying histograms ("tail_latency" plus one per
-  /// workload family) whose tail buckets retain trace ids, anchored at
-  /// the admission arrival for open-loop requests so the recorded value
-  /// equals the causal chain's end-to-end window. Off by default;
-  /// attribution-off runs emit byte-identical reports.
-  void enable_tail_attribution(const obs::ExemplarConfig& config);
-  bool tail_attribution_enabled() const { return tail_exemplars_.enabled; }
-  const obs::ExemplarConfig& tail_exemplar_config() const {
-    return tail_exemplars_;
-  }
-
   /// Current simulated time (handlers recording into the time series
   /// need a timestamp without holding their own simulator reference).
   TimePoint now() const { return sim_.now(); }
@@ -392,9 +380,9 @@ class Platform {
   /// attempts for its executing invocations, then kill-and-redeploy them.
   void logically_fence(NodeId node);
   void resolve_recovery_markers(InvocationInternal& inv);
-  /// Tail-histogram + time-series recording at completion (no-op unless
-  /// attribution or the series is installed).
-  void record_tail_latency(InvocationInternal& inv);
+  /// Time-series recording at completion (no-op unless the series is
+  /// installed).
+  void record_completion_series(InvocationInternal& inv);
 
   sim::Simulator& sim_;
   cluster::Cluster& cluster_;
@@ -408,9 +396,6 @@ class Platform {
   obs::EventLog* events_ = nullptr;
   obs::SloMonitor* slo_ = nullptr;
   obs::TimeSeries* series_ = nullptr;
-  /// Exemplar shape for the tail histograms; .enabled gates the whole
-  /// attribution path.
-  obs::ExemplarConfig tail_exemplars_;
   /// While fail_node() kills a node's containers, the kNodeFailure event
   /// whose cause edge every victim's kFailure event carries.
   obs::EventId node_failure_cause_ = obs::kNoEvent;

@@ -15,7 +15,6 @@ void Aggregate::add(const RunResult& run) {
   failures.add(run.failures);
   lost_work_s.add(run.lost_work_s);
   sla_violations.add(run.sla_violations);
-  for (const auto& [name, value] : run.counters) counter_sums[name] += value;
   metrics.merge(run.metrics);
   breakdown.merge(run.breakdown);
   span_health.merge({run.spans_recorded, run.spans_dropped});
@@ -28,9 +27,8 @@ void Aggregate::add(const RunResult& run) {
 }
 
 double Aggregate::counter_mean(const std::string& name) const {
-  auto it = counter_sums.find(name);
-  if (it == counter_sums.end() || makespan_s.count() == 0) return 0.0;
-  return it->second / static_cast<double>(makespan_s.count());
+  if (makespan_s.count() == 0) return 0.0;
+  return metrics.counter(name) / static_cast<double>(makespan_s.count());
 }
 
 Aggregate run_repetitions(ScenarioConfig config,

@@ -80,14 +80,11 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
       [&net = network](NodeId writer) { return net.reaches_majority(writer); });
   store.set_zone_map([&c = cluster](NodeId node) { return c.zone_of(node); });
 
-  // Opt-in tail attribution + windowed rollups. Neither touches any code
-  // path when disabled, so attribution-off runs stay byte-identical.
+  // Opt-in windowed rollups: no code path changes when disabled, so
+  // series-off runs stay byte-identical.
   if (config.timeseries.enabled) {
     series.configure(config.timeseries);
     platform.set_time_series(&series);
-  }
-  if (config.tail.enabled) {
-    platform.enable_tail_attribution(config.tail.exemplar_config());
   }
 
   // While this run is live, this thread's log records carry the simulated
@@ -398,10 +395,7 @@ RunResult ScenarioInstance::collect() {
     }
     obs::CriticalPathAnalyzer analyzer(*events);
     result.breakdown = analyzer.report(slo.targets());
-    if (config.tail.enabled) {
-      obs::TailAnalyzer tail_analyzer(metrics, *events, analyzer);
-      result.tail = tail_analyzer.analyze(config.tail);
-    }
+    result.tail = obs::attribute_tail(analyzer, config.tail);
   }
   if (config.record_spans) {
     // Spans still open when the run quiesced close at the current clock.

@@ -131,10 +131,10 @@ struct ScenarioConfig {
   /// — the batch `jobs`. Disabled by default; enabling it forces
   /// PlatformConfig::reuse_containers so warm-pool sizing can matter.
   traffic::TrafficConfig traffic;
-  /// Tail-latency attribution: exemplar-linked latency histograms whose
-  /// tail buckets retain trace ids, resolved post-run into exact
-  /// per-component attributions (queueing/cold-start/detection/...) via
-  /// the causal event DAG. Off by default; when disabled the run — and
+  /// Tail-latency attribution: at collect time, the completion at each
+  /// tail percentile is read off the causal event log together with its
+  /// exact per-component attribution (queueing/cold-start/detection/...).
+  /// Needs record_events. Off by default; when disabled the run — and
   /// every artifact derived from it — is byte-identical to a build
   /// without this feature.
   obs::TailConfig tail;
@@ -276,8 +276,9 @@ struct RunResult {
   HedgeSummary hedge;
 
   /// Tail-latency attribution (empty unless ScenarioConfig::tail.enabled
-  /// and event recording is on): per-histogram percentile targets with a
-  /// representative exemplar and its exact component attribution.
+  /// and event recording is on): per-group percentile targets, each with
+  /// its nearest-rank completion and that completion's exact component
+  /// attribution.
   obs::TailReport tail;
   /// Windowed rollups (empty unless ScenarioConfig::timeseries.enabled).
   obs::TimeSeries timeseries;

@@ -112,6 +112,10 @@ int state_for(EventKind kind) {
 
 struct CriticalPathAnalyzer::FunctionTimeline {
   std::string family;
+  /// First event's time, and the first kComplete event's time and trace.
+  TimePoint root = TimePoint::max();
+  TimePoint completed = TimePoint::max();
+  TraceId complete_trace;
   /// (time, phase) transitions in event order; phase kStateEnd terminates.
   std::vector<std::pair<TimePoint, int>> transitions;
   /// Resolved recovery windows [failed, recovered].
@@ -182,7 +186,13 @@ void CriticalPathAnalyzer::analyze(const EventLog& log) {
     const FunctionId fn = event.labels.function;
     if (!fn.valid()) continue;
     FunctionTimeline& tl = timelines[fn];
+    if (tl.root == TimePoint::max()) tl.root = event.at;
     if (event.at > tl.last_seen) tl.last_seen = event.at;
+    if (event.kind == EventKind::kComplete &&
+        tl.completed == TimePoint::max()) {
+      tl.completed = event.at;
+      tl.complete_trace = event.trace;
+    }
     if ((event.kind == EventKind::kSubmit || event.kind == EventKind::kShed ||
          event.kind == EventKind::kQueued) &&
         tl.family.empty()) {
@@ -214,6 +224,9 @@ void CriticalPathAnalyzer::analyze(const EventLog& log) {
 
     PerFunction& pf = functions_[fn];
     pf.family = tl.family;
+    pf.root = tl.root;
+    pf.completed = tl.completed;
+    pf.trace = tl.complete_trace;
     pf.end_to_end = tl.accumulate(first, tl.last_seen);
     if (tl.hedge_cancelled) {
       // Every second a losing copy spent — launch, init, exec — was

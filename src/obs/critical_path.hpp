@@ -14,7 +14,9 @@
 // re-execution; nothing else can occur there). The per-run aggregation
 // groups functions by their workload family (the spec name with the
 // per-instance "-<i>" / replica "+r<k>" suffixes stripped) so reports
-// stay small and byte-deterministic.
+// stay small and byte-deterministic. The same pass keeps each function's
+// root and completion, from which attribute_tail (tail_analyzer.hpp)
+// picks the exact invocation at each tail percentile.
 #pragma once
 
 #include <array>
@@ -134,10 +136,21 @@ class CriticalPathAnalyzer {
     std::uint64_t recoveries = 0;
     double window_s = 0.0;
     ComponentSums recovery;
+    /// The function's first logged event: kSubmit, or the kQueued
+    /// arrival for open-loop requests.
+    TimePoint root;
+    /// Time and trace of the kComplete event; `completed` stays max()
+    /// for a function that never completed (running, failed or shed).
+    TimePoint completed = TimePoint::max();
+    TraceId trace;
+
+    bool complete() const { return completed != TimePoint::max(); }
+    /// Root-to-completion latency, read off the two timestamps.
+    Duration latency() const { return completed - root; }
   };
   /// Per-instance decomposition (not family-aggregated): the exact
-  /// submit-to-completion partition of one invocation. The tail analyzer
-  /// resolves exemplar refs (FunctionId values) through this map.
+  /// root-to-completion partition of one invocation, from which
+  /// attribute_tail (tail_analyzer.hpp) picks its representatives.
   const std::map<FunctionId, PerFunction>& per_function_decomposition() const {
     return functions_;
   }

@@ -6,26 +6,16 @@
 
 namespace canary::obs {
 
-namespace {
-
-/// splitmix64-style finalizer: a stateless, deterministic 64-bit mix used
-/// for reservoir replacement draws.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+std::uint64_t nearest_rank(double p, std::uint64_t count) {
+  // p/100*count can land an ulp above its exact value (e.g. 40 samples at
+  // p=97.5), which would inflate the rank by one full position. Shaving
+  // 1e-9 before ceil() keeps exact boundaries on the correct side without
+  // disturbing interior ranks.
+  return std::min<std::uint64_t>(
+      count, std::max<std::uint64_t>(
+                 1, static_cast<std::uint64_t>(std::ceil(
+                        p / 100.0 * static_cast<double>(count) - 1e-9))));
 }
-
-/// Deterministic ordering for exemplar listings and merge truncation:
-/// largest value first, ties broken by trace id then ref.
-bool exemplar_before(const Exemplar& a, const Exemplar& b) {
-  if (a.value != b.value) return a.value > b.value;
-  if (a.trace != b.trace) return a.trace < b.trace;
-  return a.ref < b.ref;
-}
-
-}  // namespace
 
 std::size_t Histogram::bucket_index(std::uint64_t ticks) {
   if (ticks < kSubBuckets) return static_cast<std::size_t>(ticks);
@@ -66,92 +56,6 @@ void Histogram::record(double value) {
   ++buckets_[index];
 }
 
-void Histogram::record_traced(double value, std::uint64_t trace,
-                              std::uint64_t ref) {
-  record(value);
-  if (!exemplar_config_.enabled) return;
-
-  const double clamped = std::max(value, 0.0);
-  const auto ticks = static_cast<std::uint64_t>(std::llround(clamped * 1e6));
-  const std::size_t index = bucket_index(ticks);
-  if (exemplars_.size() < buckets_.size()) exemplars_.resize(buckets_.size());
-
-  // Retention floor on the live distribution: the bucket holding the
-  // min_quantile sample. Buckets below it never retain and are pruned,
-  // so memory tracks only the tail the analyzer will ever ask about.
-  const double q = std::clamp(exemplar_config_.min_quantile, 0.0, 1.0);
-  const auto rank = std::min<std::uint64_t>(
-      count_, std::max<std::uint64_t>(
-                  1, static_cast<std::uint64_t>(std::ceil(
-                         q * static_cast<double>(count_) - 1e-9))));
-  const std::size_t floor_bucket = bucket_of_rank(rank);
-  if (index >= floor_bucket) {
-    reservoir_insert(index, Exemplar{value, trace, ref});
-  }
-  prune_exemplars();
-}
-
-void Histogram::enable_exemplars(const ExemplarConfig& config) {
-  exemplar_config_ = config;
-  if (!config.enabled) {
-    exemplars_.clear();
-    exemplars_.shrink_to_fit();
-  }
-}
-
-void Histogram::reservoir_insert(std::size_t bucket,
-                                 const Exemplar& exemplar) {
-  BucketExemplars& slot = exemplars_[bucket];
-  ++slot.seen;
-  if (slot.entries.size() < exemplar_config_.per_bucket) {
-    slot.entries.push_back(exemplar);
-    return;
-  }
-  // Classic reservoir step, drawn from a stateless hash of
-  // (seed, bucket, stream position) so the choice is reproducible.
-  const std::uint64_t draw =
-      mix64(exemplar_config_.seed ^ mix64(bucket * 0x100000001b3ull) ^
-            slot.seen) %
-      slot.seen;
-  if (draw < slot.entries.size()) {
-    slot.entries[static_cast<std::size_t>(draw)] = exemplar;
-  }
-}
-
-void Histogram::prune_exemplars() {
-  if (count_ == 0 || exemplars_.empty()) return;
-  const double q = std::clamp(exemplar_config_.min_quantile, 0.0, 1.0);
-  const auto rank = std::min<std::uint64_t>(
-      count_, std::max<std::uint64_t>(
-                  1, static_cast<std::uint64_t>(std::ceil(
-                         q * static_cast<double>(count_) - 1e-9))));
-  const std::size_t floor_bucket = bucket_of_rank(rank);
-  const std::size_t limit = std::min(floor_bucket, exemplars_.size());
-  for (std::size_t i = 0; i < limit; ++i) {
-    if (!exemplars_[i].entries.empty()) {
-      exemplars_[i].entries.clear();
-      exemplars_[i].seen = 0;  // re-entering the tail restarts the stream
-    }
-  }
-}
-
-std::vector<Exemplar> Histogram::exemplars_above(double min_value) const {
-  std::vector<Exemplar> out;
-  for (const BucketExemplars& slot : exemplars_) {
-    for (const Exemplar& exemplar : slot.entries) {
-      if (exemplar.value >= min_value) out.push_back(exemplar);
-    }
-  }
-  std::sort(out.begin(), out.end(), exemplar_before);
-  return out;
-}
-
-std::size_t Histogram::exemplar_count() const {
-  std::size_t total = 0;
-  for (const BucketExemplars& slot : exemplars_) total += slot.entries.size();
-  return total;
-}
-
 void Histogram::merge(const Histogram& other) {
   if (other.count_ == 0) return;
   if (count_ == 0) {
@@ -169,30 +73,6 @@ void Histogram::merge(const Histogram& other) {
   for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }
-
-  if (!exemplar_config_.enabled && other.exemplar_config_.enabled) {
-    exemplar_config_ = other.exemplar_config_;
-  }
-  if (!other.exemplars_.empty()) {
-    if (exemplars_.size() < other.exemplars_.size()) {
-      exemplars_.resize(other.exemplars_.size());
-    }
-    for (std::size_t i = 0; i < other.exemplars_.size(); ++i) {
-      const BucketExemplars& theirs = other.exemplars_[i];
-      if (theirs.entries.empty() && theirs.seen == 0) continue;
-      BucketExemplars& ours = exemplars_[i];
-      ours.seen += theirs.seen;
-      ours.entries.insert(ours.entries.end(), theirs.entries.begin(),
-                          theirs.entries.end());
-      if (ours.entries.size() > exemplar_config_.per_bucket) {
-        // Keep the K largest values: a deterministic rule independent of
-        // which repetition finished first.
-        std::sort(ours.entries.begin(), ours.entries.end(), exemplar_before);
-        ours.entries.resize(exemplar_config_.per_bucket);
-      }
-    }
-    prune_exemplars();
-  }
 }
 
 std::size_t Histogram::bucket_of_rank(std::uint64_t rank) const {
@@ -208,15 +88,7 @@ double Histogram::percentile(double p) const {
   if (count_ == 0) return 0.0;
   if (p <= 0.0) return min_;
   if (p >= 100.0) return max_;
-  // Nearest-rank with a guard: p/100*count can land an ulp above its
-  // exact value (e.g. 40 samples at p=97.5), which would inflate the
-  // rank by one full position. Shaving 1e-9 before ceil() keeps exact
-  // boundaries on the correct side without disturbing interior ranks.
-  const auto rank = std::min<std::uint64_t>(
-      count_, std::max<std::uint64_t>(
-                  1, static_cast<std::uint64_t>(std::ceil(
-                         p / 100.0 * static_cast<double>(count_) - 1e-9))));
-  const std::size_t index = bucket_of_rank(rank);
+  const std::size_t index = bucket_of_rank(nearest_rank(p, count_));
   const double value = bucket_mid(index) / 1e6;
   return std::clamp(value, min_, max_);
 }

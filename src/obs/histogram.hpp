@@ -8,17 +8,6 @@
 // allocation past the high-water bucket; merging two histograms is exact
 // (bucket-wise addition), which is what lets the experiment harness fold
 // per-repetition histograms into one deterministic aggregate.
-//
-// Exemplars (opt-in): when enabled, tail buckets additionally retain up
-// to K exemplar trace ids via a deterministic seeded reservoir, so a
-// histogram bucket links back into the causal event DAG — "p99.9 moved"
-// becomes "these invocations are the p99.9". A bucket only retains
-// exemplars while it sits at or above the configured quantile of the live
-// distribution, which keeps retention focused on the tail without
-// knowing the final shape in advance. Everything stays deterministic:
-// the reservoir is seeded, replacement depends only on the insertion
-// order (which the simulator fixes), and merging keeps the K
-// largest-valued exemplars per bucket.
 #pragma once
 
 #include <cstddef>
@@ -27,28 +16,12 @@
 
 namespace canary::obs {
 
-/// One retained sample: its exact value plus the ids linking it back to
-/// the causal event log. `trace` is the obs::TraceId value; `ref` is an
-/// opaque caller reference (the platform stores the FunctionId value so
-/// the tail analyzer can look up the invocation's decomposition).
-struct Exemplar {
-  double value = 0.0;
-  std::uint64_t trace = 0;
-  std::uint64_t ref = 0;
-};
-
-struct ExemplarConfig {
-  bool enabled = false;
-  /// Reservoir capacity per bucket.
-  std::size_t per_bucket = 4;
-  /// A bucket retains exemplars only while it lies at or above this
-  /// quantile (in [0, 1]) of the histogram's current distribution. 0.5
-  /// keeps the upper half — enough to anchor p50 while bounding memory.
-  double min_quantile = 0.5;
-  /// Reservoir seed; replacement draws are splitmix-style hashes of
-  /// (seed, bucket, arrival index), so runs are reproducible.
-  std::uint64_t seed = 0x9e3779b97f4a7c15ull;
-};
+/// Nearest-rank position (1-based) of percentile p, p in [0, 100], among
+/// `count` > 0 samples: ceil(p/100 * count) clamped to [1, count], with a
+/// 1e-9 guard so floating-point rank inflation cannot push an exact
+/// boundary up one position. Histogram::percentile and the exact tail
+/// representatives (tail_analyzer.hpp) share this rule.
+std::uint64_t nearest_rank(double p, std::uint64_t count);
 
 class Histogram {
  public:
@@ -56,28 +29,8 @@ class Histogram {
   /// reflected in min()); values are quantised to 1e-6 units.
   void record(double value);
 
-  /// Record one value carrying an exemplar reference. Identical to
-  /// record() unless exemplars are enabled, in which case the tail
-  /// bucket's reservoir may retain (value, trace, ref).
-  void record_traced(double value, std::uint64_t trace, std::uint64_t ref);
-
-  /// Enable exemplar retention. Call before recording; enabling on a
-  /// populated histogram only affects future samples.
-  void enable_exemplars(const ExemplarConfig& config);
-  bool exemplars_enabled() const { return exemplar_config_.enabled; }
-  const ExemplarConfig& exemplar_config() const { return exemplar_config_; }
-
-  /// Every retained exemplar with value >= min_value, sorted by value
-  /// descending (ties by trace id ascending) so iteration order is
-  /// deterministic.
-  std::vector<Exemplar> exemplars_above(double min_value) const;
-  /// Total exemplars currently retained across all buckets.
-  std::size_t exemplar_count() const;
-
   /// Bucket-wise addition of `other` into this histogram. Exact: merging
   /// then querying equals querying the concatenated sample streams.
-  /// Exemplar reservoirs merge by keeping the per-bucket K largest
-  /// values (deterministic regardless of sample interleaving).
   void merge(const Histogram& other);
 
   std::size_t count() const { return count_; }
@@ -88,8 +41,7 @@ class Histogram {
   double max() const { return count_ > 0 ? max_ : 0.0; }
 
   /// Approximate percentile, p in [0, 100]. Returns the midpoint of the
-  /// bucket holding the rank-p sample (nearest-rank, rank = ceil(p/100*n)
-  /// with a guard against floating-point rank inflation), clamped to
+  /// bucket holding the nearest_rank(p, count()) sample, clamped to
   /// [min, max]; p <= 0 and p >= 100 return the exact min/max. An empty
   /// histogram returns 0.
   double percentile(double p) const;
@@ -112,22 +64,11 @@ class Histogram {
   /// Index of the bucket holding the rank-`rank` sample (1-based).
   std::size_t bucket_of_rank(std::uint64_t rank) const;
 
-  struct BucketExemplars {
-    std::uint64_t seen = 0;  // reservoir stream length for this bucket
-    std::vector<Exemplar> entries;
-  };
-  void reservoir_insert(std::size_t bucket, const Exemplar& exemplar);
-  /// Drop reservoirs from buckets that fell below the retention quantile.
-  void prune_exemplars();
-
   std::vector<std::uint64_t> buckets_;
   std::size_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-
-  ExemplarConfig exemplar_config_;
-  std::vector<BucketExemplars> exemplars_;  // parallel to buckets_ when enabled
 };
 
 }  // namespace canary::obs

@@ -7,6 +7,8 @@
 // faas::UsageLedger summaries, and ad-hoc bench printouts: the experiment
 // harness snapshots the whole registry into RunResult, merges repetitions
 // exactly, and the report exporter serialises it into run_report.json.
+// Histograms hold distributions only: which invocation sits at a given
+// percentile is read off the causal event log (tail_analyzer.hpp).
 //
 // Names are ordered maps so every iteration (export, merge, diff) is
 // deterministic. The registry is single-writer per run — repetitions each
@@ -56,18 +58,6 @@ class MetricRegistry {
   }
   void sample_duration(const std::string& name, Duration d) {
     sample(name, d.to_seconds());
-  }
-  /// Exemplar-carrying sample: like sample(), but if the named histogram
-  /// has exemplars enabled the tail bucket may retain (value, trace, ref).
-  void sample_traced(const std::string& name, double value,
-                     std::uint64_t trace, std::uint64_t ref) {
-    histograms_[name].record_traced(value, trace, ref);
-  }
-  /// Turn on exemplar retention for one named histogram (creating it if
-  /// absent). Opt-in per histogram so attribution-off runs keep the exact
-  /// pre-exemplar memory and report bytes.
-  void enable_exemplars(const std::string& name, const ExemplarConfig& config) {
-    histograms_[name].enable_exemplars(config);
   }
   /// Histogram for `name`; an empty histogram if never sampled.
   const Histogram& histogram(const std::string& name) const;
@@ -121,10 +111,6 @@ class HistogramHandle {
     slot_->record(value);
   }
   void record_duration(Duration d) { record(d.to_seconds()); }
-  void record_traced(double value, std::uint64_t trace, std::uint64_t ref) {
-    if (slot_ == nullptr) slot_ = &registry_->histogram_ref(name_);
-    slot_->record_traced(value, trace, ref);
-  }
 
  private:
   MetricRegistry* registry_;

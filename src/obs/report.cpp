@@ -48,23 +48,17 @@ void write_tail(JsonWriter& json, const TailReport& tail) {
   json.key("groups").begin_object();
   for (const TailGroup& group : tail.groups) {
     json.key(group.metric).begin_object();
-    json.field("exemplars", group.exemplars);
     json.key("percentiles").begin_array();
     for (const TailAttribution& a : group.percentiles) {
       json.begin_object();
       json.field("p", a.percentile);
       json.field("samples", a.samples);
-      json.field("bucket_estimate_s", a.bucket_estimate_s);
-      if (a.has_exemplar) {
-        json.field("latency_s", a.latency_s);
-        json.field("trace", a.trace);
-        json.field("function", a.function);
-        json.field("attributed_s", a.attributed_s);
-        json.field("chain_events", a.chain_events);
-        json.field("chain_complete", a.chain_complete);
-        json.key("components");
-        write_components(json, a.components);
-      }
+      json.field("latency_s", a.latency_s);
+      json.field("trace", a.trace);
+      json.field("function", a.function);
+      json.field("attributed_s", a.attributed_s);
+      json.key("components");
+      write_components(json, a.components);
       json.end_object();
     }
     json.end_array();

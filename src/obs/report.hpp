@@ -29,7 +29,10 @@
 //       "spans":  { "recorded", "dropped", "truncated" },
 //       "events": { "recorded", "dropped", "truncated" }
 //     },
-//     "tail": { ... },                  // v3 only: tail attribution
+//     "tail": { "groups": {             // v3 only: tail attribution
+//       "<metric>": { "percentiles": [ { "p", "samples", "latency_s",
+//         "trace", "function", "attributed_s", "components": {..} } ] }
+//     } },
 //     "timeseries": { ... },            // v3 only: windowed rollups
 //     "series": [ { "name", "columns": [..], "rows": [[..], ..] }, .. ],
 //     "claims": [ { "claim", "measured", "unit" }, .. ]

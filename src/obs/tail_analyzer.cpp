@@ -1,6 +1,10 @@
 #include "obs/tail_analyzer.hpp"
 
 #include <algorithm>
+#include <map>
+#include <utility>
+
+#include "obs/histogram.hpp"
 
 namespace canary::obs {
 
@@ -11,13 +15,14 @@ namespace {
 /// order cannot change the outcome.
 bool representative_beats(const TailAttribution& candidate,
                           const TailAttribution& incumbent) {
-  if (!incumbent.has_exemplar) return candidate.has_exemplar;
-  if (!candidate.has_exemplar) return false;
   if (candidate.latency_s != incumbent.latency_s) {
     return candidate.latency_s > incumbent.latency_s;
   }
   return candidate.trace < incumbent.trace;
 }
+
+using Completion =
+    std::pair<FunctionId, const CriticalPathAnalyzer::PerFunction*>;
 
 }  // namespace
 
@@ -31,7 +36,6 @@ void TailReport::merge(const TailReport& other) {
       groups.push_back(theirs);
       continue;
     }
-    it->exemplars += theirs.exemplars;
     for (const TailAttribution& attribution : theirs.percentiles) {
       auto pit = std::find_if(it->percentiles.begin(), it->percentiles.end(),
                               [&](const TailAttribution& a) {
@@ -55,91 +59,44 @@ void TailReport::merge(const TailReport& other) {
             });
 }
 
-TailAnalyzer::TailAnalyzer(const MetricRegistry& metrics, const EventLog& log,
-                           const CriticalPathAnalyzer& paths)
-    : metrics_(&metrics), log_(&log), paths_(&paths) {}
-
-TailReport TailAnalyzer::analyze(const TailConfig& config) const {
+TailReport attribute_tail(const CriticalPathAnalyzer& paths,
+                          const TailConfig& config) {
   TailReport report;
   if (!config.enabled) return report;
   report.enabled = true;
 
-  for (const auto& [name, hist] : metrics_->histograms()) {
-    if (!hist.exemplars_enabled() || hist.empty()) continue;
+  // Name-ordered, so the groups come out sorted as merge() expects.
+  std::map<std::string, std::vector<Completion>> groups;
+  for (const auto& [fn, pf] : paths.per_function_decomposition()) {
+    if (!pf.complete()) continue;
+    groups["tail_latency"].emplace_back(fn, &pf);
+    groups["tail_latency.fn." + pf.family].emplace_back(fn, &pf);
+  }
+
+  for (auto& [metric, completions] : groups) {
+    std::sort(completions.begin(), completions.end(),
+              [](const Completion& a, const Completion& b) {
+                return std::pair(a.second->latency(), a.first) <
+                       std::pair(b.second->latency(), b.first);
+              });
     TailGroup group;
-    group.metric = name;
-    group.exemplars = hist.exemplar_count();
-    for (const double percentile : config.percentiles) {
-      group.percentiles.push_back(attribute(hist, percentile));
+    group.metric = metric;
+    for (const double percentile : kTailPercentiles) {
+      const auto& [fn, pf] =
+          completions[nearest_rank(percentile, completions.size()) - 1];
+      TailAttribution a;
+      a.percentile = percentile;
+      a.samples = completions.size();
+      a.latency_s = pf->latency().to_seconds();
+      a.trace = pf->trace.value();
+      a.function = fn.value();
+      a.components = pf->end_to_end;
+      a.attributed_s = a.components.total();
+      group.percentiles.push_back(a);
     }
     report.groups.push_back(std::move(group));
   }
-  // std::map iteration is already name-ordered; the sort documents the
-  // invariant merge() relies on.
-  std::sort(report.groups.begin(), report.groups.end(),
-            [](const TailGroup& a, const TailGroup& b) {
-              return a.metric < b.metric;
-            });
   return report;
-}
-
-TailAttribution TailAnalyzer::attribute(const Histogram& hist,
-                                        double percentile) const {
-  TailAttribution out;
-  out.percentile = percentile;
-  out.samples = hist.count();
-  out.bucket_estimate_s = hist.percentile(percentile);
-
-  // Representative: the smallest retained exemplar at or above the
-  // nearest-rank estimate — the invocation sitting closest to the target
-  // rank from the tail side. When retention holds nothing above the
-  // estimate (possible right after a prune), fall back to the largest
-  // retained exemplar overall.
-  std::vector<Exemplar> candidates =
-      hist.exemplars_above(out.bucket_estimate_s);
-  Exemplar representative;
-  if (!candidates.empty()) {
-    representative = candidates.back();
-  } else {
-    candidates = hist.exemplars_above(0.0);
-    if (candidates.empty()) return out;
-    representative = candidates.front();
-  }
-
-  out.has_exemplar = true;
-  out.latency_s = representative.value;
-  out.trace = representative.trace;
-  out.function = representative.ref;
-
-  const auto& decompositions = paths_->per_function_decomposition();
-  const auto it = decompositions.find(FunctionId{representative.ref});
-  if (it != decompositions.end()) {
-    out.components = it->second.end_to_end;
-    out.attributed_s = out.components.total();
-  }
-
-  // Chain resolution: every event of the representative's trace, with
-  // parents resolving inside the log, anchored by a lifecycle root
-  // (queued/submit) and terminated by a completion.
-  const TraceId trace{representative.trace};
-  bool rooted = false;
-  bool completed = false;
-  bool parents_ok = true;
-  for (const Event& event : log_->events()) {
-    if (event.trace != trace) continue;
-    ++out.chain_events;
-    if (event.kind == EventKind::kQueued ||
-        event.kind == EventKind::kSubmit) {
-      rooted = true;
-    }
-    if (event.kind == EventKind::kComplete) completed = true;
-    if (event.parent != kNoEvent && log_->find(event.parent) == nullptr) {
-      parents_ok = false;
-    }
-  }
-  out.chain_complete =
-      rooted && completed && parents_ok && out.chain_events > 0;
-  return out;
 }
 
 }  // namespace canary::obs

@@ -152,22 +152,6 @@ void TrafficGenerator::on_job_completed(JobId job) {
     series->count("traffic_completed", sim_.now());
     series->sample("traffic_latency", sim_.now(), latency.to_seconds());
   }
-  // Per-traffic-class tail histogram: the stream name is the traffic
-  // class, and the recorded value (arrival to completion) is exactly the
-  // causal chain's end-to-end window (kQueued roots at arrival).
-  if (platform_.tail_attribution_enabled()) {
-    const std::vector<FunctionId>& fns = platform_.job_functions(job);
-    if (!fns.empty()) {
-      const faas::Invocation& inv = platform_.invocation(fns.front());
-      obs::Histogram& hist = platform_.metrics().histogram_ref(
-          "tail_latency.class." + stream.config.name);
-      if (!hist.exemplars_enabled()) {
-        hist.enable_exemplars(platform_.tail_exemplar_config());
-      }
-      hist.record_traced(latency.to_seconds(), inv.trace.trace.value(),
-                         fns.front().value());
-    }
-  }
   current_stream_ = bound.stream;
   admission_.on_complete(stream.admission_class);
 }

@@ -137,8 +137,9 @@ TEST(SpanTimelineTest, EveryStrategyMarksWhatItsLogRecords) {
 
 TEST(DeterminismTest, AttributionSectionsAreByteIdenticalAcrossRuns) {
   // The v3 sections (tail + timeseries) must be as deterministic as the
-  // rest of the report: exemplar reservoirs are seeded, repetition merge
-  // is associative, and window rollups key off sim time only.
+  // rest of the report: representatives are derived from the event log,
+  // repetition merge is associative, and window rollups key off sim time
+  // only.
   harness::ScenarioConfig config = scenario_under_test();
   config.tail.enabled = true;
   config.timeseries.enabled = true;

@@ -1,9 +1,11 @@
-// Tests for the observability layer: span timeline derivation from the
-// causal log, histogram percentile math, deterministic JSON exporters,
-// and byte-identical run reports across identical seeded runs.
+// Tests for the observability layer: span timeline and tail attribution
+// derivation from the causal log, histogram percentile math,
+// deterministic JSON exporters, and byte-identical run reports across
+// identical seeded runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <random>
 #include <sstream>
@@ -13,12 +15,14 @@
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/critical_path.hpp"
 #include "obs/event_log.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/metric_registry.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
+#include "obs/tail_analyzer.hpp"
 #include "recovery/strategies.hpp"
 #include "workloads/workloads.hpp"
 
@@ -322,103 +326,87 @@ TEST(HistogramTest, PercentileEdgeTable) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram exemplars
+// attribute_tail
 // ---------------------------------------------------------------------------
 
-TEST(HistogramExemplarTest, DisabledByDefaultAndRetainsNothing) {
-  Histogram h;
-  EXPECT_FALSE(h.exemplars_enabled());
-  for (int i = 1; i <= 50; ++i) {
-    h.record_traced(static_cast<double>(i), 1000 + i, i);
-  }
-  EXPECT_EQ(h.exemplar_count(), 0u);
-  EXPECT_TRUE(h.exemplars_above(0.0).empty());
-  // record_traced must still behave exactly like record().
-  EXPECT_EQ(h.count(), 50u);
-  EXPECT_DOUBLE_EQ(h.max(), 50.0);
-}
-
-TEST(HistogramExemplarTest, RetainsOnlyTheTailAboveTheQuantileFloor) {
-  obs::ExemplarConfig config;
-  config.enabled = true;
-  config.per_bucket = 2;
-  config.min_quantile = 0.5;
-  Histogram h;
-  h.enable_exemplars(config);
-  for (int i = 1; i <= 100; ++i) {
-    h.record_traced(static_cast<double>(i), 1000 + i, i);
-  }
-  const auto retained = h.exemplars_above(0.0);
-  ASSERT_FALSE(retained.empty());
-  // Retention floor: nothing below the median may survive the prune.
-  const double median = h.quantile(0.5);
-  for (const obs::Exemplar& e : retained) {
-    EXPECT_GE(e.value, median * 0.98)
-        << "exemplar " << e.value << " below the retention floor";
-    // The exemplar carries the ids it was recorded with.
-    EXPECT_EQ(e.trace, 1000 + static_cast<std::uint64_t>(e.value));
-    EXPECT_EQ(e.ref, static_cast<std::uint64_t>(e.value));
-  }
-  // The deepest tail is always retained (reservoir of the max bucket).
-  EXPECT_DOUBLE_EQ(retained.front().value, 100.0);
-  // Sorted by value descending for deterministic iteration.
-  for (std::size_t i = 1; i < retained.size(); ++i) {
-    EXPECT_GE(retained[i - 1].value, retained[i].value);
-  }
-  // exemplars_above(min) filters.
-  for (const obs::Exemplar& e : h.exemplars_above(90.0)) {
-    EXPECT_GE(e.value, 90.0);
-  }
-}
-
-TEST(HistogramExemplarTest, SeededReservoirIsDeterministic) {
-  auto run = [](std::uint64_t seed) {
-    obs::ExemplarConfig config;
-    config.enabled = true;
-    config.per_bucket = 3;
-    config.seed = seed;
-    Histogram h;
-    h.enable_exemplars(config);
-    // Many samples per bucket so the reservoir actually replaces.
-    for (int i = 0; i < 2000; ++i) {
-      const double v = 1.0 + (i % 17) * 0.5;
-      h.record_traced(v, static_cast<std::uint64_t>(i), 7000 + i);
-    }
-    return h.exemplars_above(0.0);
+TEST(AttributeTailTest, PicksTheNearestRankCompletionOfEachGroup) {
+  LogBuilder b;
+  const auto sec = [](double s) { return static_cast<std::int64_t>(s * 1e6); };
+  std::vector<obs::EventId> completes(8, obs::kNoEvent);
+  const auto complete = [&](std::uint64_t fn, double at) {
+    completes[fn] = b.add(EventKind::kComplete, "complete", sec(at),
+                          fn_labels(fn));
   };
-  const auto a = run(42);
-  const auto b = run(42);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].value, b[i].value);
-    EXPECT_EQ(a[i].trace, b[i].trace);
-    EXPECT_EQ(a[i].ref, b[i].ref);
-  }
-}
+  // Two families. alpha-0 and alpha-1 tie at 3 s, and alpha-1 completes
+  // first; beta-0 is open-loop, so its window starts at its kQueued
+  // arrival, 2 s before its kSubmit. alpha-3 never completes and beta-2
+  // is shed: neither is in any group.
+  b.add(EventKind::kSubmit, "alpha-1", 0, fn_labels(2));
+  b.add(EventKind::kSubmit, "alpha-2", 0, fn_labels(3));
+  b.add(EventKind::kQueued, "beta-0", 0, fn_labels(4));
+  b.add(EventKind::kSubmit, "alpha-3", 0, fn_labels(6));
+  b.add(EventKind::kQueued, "beta-2", 0, fn_labels(7));
+  b.add(EventKind::kExec, "exec", sec(0.2), fn_labels(3));
+  b.add(EventKind::kExec, "exec", sec(1.0), fn_labels(2));
+  complete(3, 1.0);
+  b.add(EventKind::kSubmit, "beta-1", sec(1.0), fn_labels(5));
+  b.add(EventKind::kExec, "exec", sec(1.0), fn_labels(6));
+  b.add(EventKind::kShed, "beta-2", sec(1.0), fn_labels(7));
+  b.add(EventKind::kExec, "exec", sec(1.5), fn_labels(5));
+  b.add(EventKind::kSubmit, "alpha-0", sec(2.0), fn_labels(1));
+  b.add(EventKind::kSubmit, "beta-0", sec(2.0), fn_labels(4));
+  b.add(EventKind::kExec, "exec", sec(2.5), fn_labels(1));
+  complete(2, 3.0);
+  b.add(EventKind::kExec, "exec", sec(3.0), fn_labels(4));
+  complete(5, 3.0);
+  complete(1, 5.0);
+  complete(4, 9.0);
+  b.add(EventKind::kStateCommit, "state_0", sec(20.0), fn_labels(6));
 
-TEST(HistogramExemplarTest, MergeKeepsLargestPerBucketAndStaysBounded) {
-  obs::ExemplarConfig config;
-  config.enabled = true;
-  config.per_bucket = 2;
-  config.min_quantile = 0.0;  // retain everywhere: the bound is per bucket
-  Histogram a, b;
-  a.enable_exemplars(config);
-  b.enable_exemplars(config);
-  // Same bucket (same value), disjoint trace ids.
-  for (int i = 0; i < 8; ++i) {
-    a.record_traced(5.0, 100 + i, 100 + i);
-    b.record_traced(5.0, 200 + i, 200 + i);
+  const obs::CriticalPathAnalyzer paths(b.log);
+  EXPECT_FALSE(obs::attribute_tail(paths, obs::TailConfig{}).enabled);
+  const obs::TailReport report =
+      obs::attribute_tail(paths, obs::TailConfig{true});
+  ASSERT_TRUE(report.enabled);
+
+  struct Expected {
+    std::string metric;
+    std::uint64_t samples;
+    // Representative function and its latency at p50 / p99 / p99.9.
+    std::array<std::uint64_t, 3> function;
+    std::array<double, 3> latency_s;
+  };
+  // Sorted by (latency, id): run-wide alpha-2 1 s, beta-1 2 s, alpha-0
+  // 3 s, alpha-1 3 s, beta-0 9 s — the p50 (rank 3) is alpha-0, the
+  // smaller id of the tie.
+  const std::vector<Expected> expected = {
+      {"tail_latency", 5, {1, 4, 4}, {3.0, 9.0, 9.0}},
+      {"tail_latency.fn.alpha", 3, {1, 2, 2}, {3.0, 3.0, 3.0}},
+      {"tail_latency.fn.beta", 2, {5, 4, 4}, {2.0, 9.0, 9.0}},
+  };
+  ASSERT_EQ(report.groups.size(), expected.size());
+  for (std::size_t g = 0; g < expected.size(); ++g) {
+    const obs::TailGroup& group = report.groups[g];
+    EXPECT_EQ(group.metric, expected[g].metric);
+    ASSERT_EQ(group.percentiles.size(), obs::kTailPercentiles.size());
+    for (std::size_t i = 0; i < group.percentiles.size(); ++i) {
+      const obs::TailAttribution& a = group.percentiles[i];
+      EXPECT_EQ(a.percentile, obs::kTailPercentiles[i]);
+      EXPECT_EQ(a.samples, expected[g].samples) << group.metric;
+      EXPECT_EQ(a.function, expected[g].function[i])
+          << group.metric << " p" << a.percentile;
+      EXPECT_DOUBLE_EQ(a.latency_s, expected[g].latency_s[i])
+          << group.metric << " p" << a.percentile;
+      EXPECT_NEAR(a.attributed_s, a.latency_s, 1e-9);
+      EXPECT_EQ(a.trace, b.log.find(completes[a.function])->trace.value());
+    }
   }
-  a.merge(b);
-  EXPECT_EQ(a.count(), 16u);
-  const auto retained = a.exemplars_above(0.0);
-  // The shared bucket may keep at most per_bucket exemplars.
-  EXPECT_LE(retained.size(), config.per_bucket);
-  // Merging into an exemplar-less histogram adopts the other's config.
-  Histogram c;
-  c.merge(a);
-  EXPECT_TRUE(c.exemplars_enabled());
-  EXPECT_EQ(c.exemplars_above(0.0).size(), retained.size());
+  // The open-loop window includes its 2 s admission wait.
+  const obs::TailAttribution& open_loop = report.groups[0].percentiles[1];
+  EXPECT_DOUBLE_EQ(open_loop.components[obs::PathComponent::kQueueing], 2.0);
+  EXPECT_DOUBLE_EQ(open_loop.components[obs::PathComponent::kScheduling],
+                   1.0);
+  EXPECT_DOUBLE_EQ(open_loop.components[obs::PathComponent::kExec], 6.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ Every numeric leaf reachable through nested objects is compared:
 
 Arrays other than tail percentile entries (series rows, timeseries rows)
 are not diffed — they are per-window raw data, not headline metrics.
-Identity-like leaves (trace/function ids, seeds, chain_events) are
-ignored by default because they legitimately differ between runs.
+Identity-like leaves (trace/function ids, seeds) are ignored by
+default because they legitimately differ between runs.
 
 A metric passes when |candidate - baseline| <= tol * max(|baseline|,
 abs_floor). The default band is --default-tol (0.10); per-metric bands
@@ -38,12 +38,11 @@ import json
 import sys
 
 # Leaves that are expected to differ between otherwise-equivalent runs:
-# identity handles, seeds, and chain bookkeeping. Matched with fnmatch
-# against the flattened dotted path.
+# identity handles and seeds. Matched with fnmatch against the flattened
+# dotted path.
 DEFAULT_IGNORE = [
     "*.trace",
     "*.function",
-    "*.chain_events",
     "params.seed",
     "name",
     "schema",

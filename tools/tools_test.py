@@ -2,11 +2,12 @@
 """Negative and positive checks of the report tools (stdlib unittest).
 
 Proves that the gates fail when they should: a 20% p99 inflation fails
-compare_report.py, a 99 s calibration drift fails check_report.py
---calibrate, a bench report listing a self-check violation fails its
-envelope check, a gated value 25% worse than its baseline fails the
---baseline gate, and smoke.py catches a report that changes between
-repeated runs. Registered in ctest as tools_test; run directly with
+compare_report.py, a tail attribution entry without a latency or 2 ms
+off its latency fails check_report.py, a 99 s calibration drift fails
+check_report.py --calibrate, a bench report listing a self-check
+violation fails its envelope check, a gated value 25% worse than its
+baseline fails the --baseline gate, and smoke.py catches a report that
+changes between repeated runs. Registered in ctest as tools_test; run directly with
 `python3 tools/tools_test.py`.
 """
 
@@ -84,6 +85,35 @@ class CompareReportTest(ToolCase):
                                        regressed)
         self.assertEqual(status, 1)
         self.assertIn("p99", output)
+
+
+class TailCheckTest(ToolCase):
+    """The v3 tail validator: every percentile entry is a full
+    attribution whose components sum to its latency within 1 sim-ms."""
+    REFERENCE = CompareReportTest.REFERENCE
+
+    def with_entry(self, mutate):
+        with open(self.REFERENCE, encoding="utf-8") as fh:
+            report = json.load(fh)
+        mutate(report["tail"]["groups"]["tail_latency"]["percentiles"][0])
+        return self.write("tail.json", report)
+
+    def test_reference_passes(self):
+        status, output = self.run_main(check_report, self.REFERENCE)
+        self.assertEqual(status, 0, output)
+
+    def test_entry_missing_latency_fails(self):
+        report = self.with_entry(lambda e: e.pop("latency_s"))
+        status, output = self.run_main(check_report, report)
+        self.assertEqual(status, 1)
+        self.assertIn("missing 'latency_s'", output)
+
+    def test_attribution_two_ms_off_fails(self):
+        report = self.with_entry(
+            lambda e: e.update(attributed_s=e["latency_s"] + 2e-3))
+        status, output = self.run_main(check_report, report)
+        self.assertEqual(status, 1)
+        self.assertIn("tolerance 1e-3", output)
 
 
 class CalibrateTest(ToolCase):
