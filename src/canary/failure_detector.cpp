@@ -37,7 +37,8 @@ bool FailureDetector::is_confirmed_dead(NodeId node) const {
 }
 
 bool FailureDetector::done() const {
-  return platform_.all_jobs_completed() ||
+  return (platform_.all_jobs_completed() &&
+          !(pending_work_ && pending_work_())) ||
          sim_.now() >= TimePoint::origin() + config_.horizon;
 }
 

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "canary/metadata.hpp"
@@ -79,10 +80,18 @@ class FailureDetector {
   /// Mirror heartbeat/suspicion state into worker_info rows (the paper's
   /// table); null skips the mirror (non-Canary strategies).
   void set_metadata(MetadataStore* metadata) { metadata_ = metadata; }
+  /// Work the platform has not seen yet, such as open-loop arrivals still
+  /// to come or queued at admission. While it reports true the detector
+  /// keeps running even when every submitted job has completed — an idle
+  /// gap between arrivals is not the end of the run. Null = none.
+  void set_pending_work(std::function<bool()> pending) {
+    pending_work_ = std::move(pending);
+  }
 
   /// Start the per-worker heartbeat publishers and the controller sweep.
   /// Call after jobs are submitted; the recurring events stop once the
-  /// platform reports all jobs completed, so Simulator::run() terminates.
+  /// platform reports all jobs completed and no pending work remains, so
+  /// Simulator::run() terminates.
   void start();
 
   /// Phi-style suspicion: heartbeat intervals elapsed since the last
@@ -135,6 +144,7 @@ class FailureDetector {
   FailureDetectorListener* listener_ = nullptr;
   failure::HeartbeatFaultProvider* faults_ = nullptr;
   MetadataStore* metadata_ = nullptr;
+  std::function<bool()> pending_work_;
   std::vector<WorkerState> workers_;  // indexed by node id - 1
   bool started_ = false;
   std::uint64_t heartbeats_sent_ = 0;

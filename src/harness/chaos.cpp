@@ -10,6 +10,10 @@ namespace canary::harness {
 
 namespace {
 
+// ChaosSpec::scaled: twice the base load per node on a 4x cluster.
+constexpr unsigned kScaledJobs = 8;
+constexpr unsigned kScaledNodes = 4;
+
 faas::RuntimeImage pick_runtime(Rng& rng) {
   static constexpr faas::RuntimeImage kPool[] = {
       faas::RuntimeImage::kPython3,
@@ -20,16 +24,11 @@ faas::RuntimeImage pick_runtime(Rng& rng) {
   return kPool[rng.uniform_int(0, 3)];
 }
 
-}  // namespace
-
-ChaosScenario make_chaos_scenario(std::uint64_t seed) {
-  ChaosScenario out;
+// The base scenario, from child(1..3) of the seed: independent streams per
+// concern, so adding a fault class never perturbs how the workload itself
+// is drawn.
+void draw_base(ChaosScenario& out, const Rng& root, unsigned job_scale) {
   ScenarioConfig& cfg = out.config;
-  cfg.seed = seed;
-
-  Rng root(seed);
-  // Independent child streams per concern: adding a fault class never
-  // perturbs how the workload itself is drawn.
   Rng shape = root.child(1);
   Rng jobs_rng = root.child(2);
   Rng faults = root.child(3);
@@ -58,7 +57,7 @@ ChaosScenario make_chaos_scenario(std::uint64_t seed) {
   }
 
   // ---- workload ---------------------------------------------------------
-  const std::size_t job_count = jobs_rng.uniform_int(2, 4);
+  const std::size_t job_count = jobs_rng.uniform_int(2, 4) * job_scale;
   for (std::size_t j = 0; j < job_count; ++j) {
     faas::JobSpec job;
     job.name = "chaos-job-" + std::to_string(j);
@@ -143,18 +142,13 @@ ChaosScenario make_chaos_scenario(std::uint64_t seed) {
     if (fault.lose == 0 && fault.corrupt == 0) fault.corrupt = 1;
     cfg.store_faults.push_back(fault);
   }
-
-  return out;
 }
 
-ChaosScenario make_traffic_chaos_scenario(std::uint64_t seed) {
-  ChaosScenario out = make_chaos_scenario(seed);
-  // child(4): the base scenario consumes child(1..3), so layering traffic
-  // on top never perturbs the shape/job/fault draws — the same seed with
-  // traffic disabled reproduces the plain chaos scenario exactly.
-  Rng traffic = Rng(seed).child(4);
-
-  traffic::TrafficConfig& cfg = out.config.traffic;
+// An on/off burst stream driven through admission control and the
+// warm-pool autoscaler. The runner seeds the arrival process from the
+// same child(4) stream.
+void add_traffic(ScenarioConfig& config, Rng traffic) {
+  traffic::TrafficConfig& cfg = config.traffic;
   cfg.enabled = true;
   cfg.horizon = Duration::sec(traffic.uniform(12.0, 18.0));
 
@@ -187,18 +181,11 @@ ChaosScenario make_traffic_chaos_scenario(std::uint64_t seed) {
 
   // One node failure guaranteed to land inside the burst window, so every
   // seed exercises shed/queue accounting concurrent with recovery.
-  out.config.node_failure_offsets.push_back(
+  config.node_failure_offsets.push_back(
       Duration::sec(traffic.uniform(4.0, 10.0)));
-  return out;
 }
 
-ChaosScenario make_hedge_chaos_scenario(std::uint64_t seed) {
-  ChaosScenario out = make_chaos_scenario(seed);
-  // child(5): the base scenario consumes child(1..3) and the traffic
-  // overlay child(4), so the hedge overlay draws from its own stream —
-  // disabling it reproduces the plain chaos scenario exactly.
-  Rng hedge = Rng(seed).child(5);
-
+recovery::HedgeConfig draw_hedge_config(Rng& hedge) {
   recovery::HedgeConfig cfg;
   cfg.percentile = hedge.uniform(80.0, 97.0);
   cfg.min_samples = hedge.uniform_int(4, 12);
@@ -209,29 +196,25 @@ ChaosScenario make_hedge_chaos_scenario(std::uint64_t seed) {
   if (hedge.bernoulli(0.5)) {
     cfg.retry_backoff = Duration::msec(hedge.uniform_int(50, 400));
   }
-  out.config.strategy = recovery::StrategyConfig::hedged(cfg);
-
-  // A gray window manufactures the stragglers that make hedges fire, and
-  // an extra node failure is guaranteed to land inside the racing phase —
-  // the clone (or its primary) dies mid-race on every seed.
-  ScenarioConfig::GrayFailure gray;
-  gray.at = Duration::sec(hedge.uniform(0.5, 3.0));
-  gray.duration = Duration::sec(hedge.uniform(3.0, 8.0));
-  gray.slowdown = hedge.uniform(3.0, 8.0);
-  out.config.gray_failures.push_back(gray);
-  out.config.node_failure_offsets.push_back(
-      Duration::sec(hedge.uniform(2.0, 8.0)));
-  return out;
+  return cfg;
 }
 
-ChaosScenario make_partition_chaos_scenario(std::uint64_t seed) {
-  ChaosScenario out = make_chaos_scenario(seed);
-  // child(6): the base consumes child(1..3), traffic child(4), hedge
-  // child(5); the partition overlay draws from its own stream, so the
-  // same seed without the overlay reproduces the plain chaos scenario.
-  Rng part = Rng(seed).child(6);
-  ScenarioConfig& cfg = out.config;
+// A gray window manufactures the stragglers that make hedges fire, and an
+// extra node failure is guaranteed to land inside the racing phase — the
+// clone (or its primary) dies mid-race on every hedged seed.
+void add_stragglers(ScenarioConfig& config, Rng& stragglers) {
+  ScenarioConfig::GrayFailure gray;
+  gray.at = Duration::sec(stragglers.uniform(0.5, 3.0));
+  gray.duration = Duration::sec(stragglers.uniform(3.0, 8.0));
+  gray.slowdown = stragglers.uniform(3.0, 8.0);
+  config.gray_failures.push_back(gray);
+  config.node_failure_offsets.push_back(
+      Duration::sec(stragglers.uniform(2.0, 8.0)));
+}
 
+// Partition/zone/heal storms: long zone bipartitions, an optional short
+// asymmetric window and an optional correlated zone outage.
+void add_partition(ScenarioConfig& cfg, Rng part) {
   // Re-size the cluster so cutting the last (smallest) fault domain
   // always leaves a strict majority in the worst case. Ten nodes put two
   // in the last zone (testbed racks hold four); even with every other
@@ -295,41 +278,89 @@ ChaosScenario make_partition_chaos_scenario(std::uint64_t seed) {
     outage.zone = cut_zone;
     cfg.zone_outages.push_back(outage);
   }
+}
 
+}  // namespace
+
+ChaosScenario make_chaos_scenario(const ChaosSpec& spec, std::uint64_t seed) {
+  ChaosScenario out;
+  ScenarioConfig& cfg = out.config;
+  cfg.seed = seed;
+  const Rng root(seed);
+  draw_base(out, root, spec.scaled ? kScaledJobs : 1);
+  if (spec.traffic) add_traffic(cfg, root.child(4));
+  // child(5) opens with the hedge trigger config whatever the strategy,
+  // so the straggler windows drawn after it are the same under every
+  // strategy.
+  Rng stragglers = root.child(5);
+  const recovery::HedgeConfig hedge = draw_hedge_config(stragglers);
+  if (spec.stragglers) add_stragglers(cfg, stragglers);
+  if (spec.partition) add_partition(cfg, root.child(6));
+
+  using recovery::StrategyConfig;
+  switch (spec.strategy) {
+    case recovery::StrategyKind::kCanary: break;  // drawn by the base
+    case recovery::StrategyKind::kIdeal:
+      cfg.strategy = StrategyConfig::ideal();
+      break;
+    case recovery::StrategyKind::kRetry:
+      cfg.strategy = StrategyConfig::retry();
+      break;
+    case recovery::StrategyKind::kRequestReplication:
+      cfg.strategy = StrategyConfig::request_replication();
+      break;
+    case recovery::StrategyKind::kActiveStandby:
+      cfg.strategy = StrategyConfig::active_standby();
+      break;
+    case recovery::StrategyKind::kHedge:
+      cfg.strategy = StrategyConfig::hedged(hedge);
+      break;
+  }
+
+  // Grow the cluster last: every fault node id and zone was drawn against
+  // the unscaled cluster, so each stays in range (and, sharded, inside
+  // every partition's slice, zone windows and outages included).
+  cfg.cluster_nodes *= (spec.scaled ? kScaledNodes : 1) * spec.partitions;
+  if (spec.partitions > 1) {
+    cfg.sharding.partitions = spec.partitions;
+    cfg.sharding.workers = spec.partitions;
+  }
   return out;
 }
 
-ChaosScenario make_sharded_partition_chaos_scenario(std::uint64_t seed) {
-  ChaosScenario out = make_partition_chaos_scenario(seed);
-  out.config.sharding.partitions = 4;
-  out.config.sharding.workers = 4;
-  // As in make_sharded_chaos_scenario: grow the cluster by the partition
-  // count so each partition keeps a full base-sized slice. Zone
-  // windows and outages carry zone ids (slice-local layout is identical)
-  // and the node-set windows' ids remap modularly, so every slice sees
-  // the same storm the monolithic run would.
-  out.config.cluster_nodes *= out.config.sharding.partitions;
-  return out;
+double ChaosOutcome::total(std::string_view key) const {
+  for (std::size_t i = 0; i < totals.size(); ++i) {
+    if (key == kChaosTotals[i].key) return totals[i];
+  }
+  CANARY_CHECK(false, "unknown chaos total");
+  return 0.0;
 }
 
-ChaosScenario make_sharded_chaos_scenario(std::uint64_t seed) {
-  ChaosScenario out = make_chaos_scenario(seed);
-  out.config.sharding.partitions = 4;
-  out.config.sharding.workers = 4;
-  // Grow the cluster by the partition count so each partition keeps a
-  // full base-sized slice. Fault node ids were drawn against the base
-  // cluster size, so they stay in range inside every slice after the
-  // round-robin split's modular remap.
-  out.config.cluster_nodes *= out.config.sharding.partitions;
-  return out;
-}
+namespace {
 
-std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
-                                       const RunResult& result) {
+struct OracleCheck {
   std::vector<std::string> violations;
+  double max_detection_latency_s = 0.0;
+  Duration detection_bound = Duration::zero();
+};
+
+OracleCheck check_oracles(const ChaosScenario& scenario,
+                          const RunResult& result) {
+  OracleCheck check;
+  std::vector<std::string>& violations = check.violations;
   auto violate = [&violations](const std::string& what) {
     violations.push_back(what);
   };
+
+  // Node failures in heartbeat mode are confirmed within
+  // interval*(timeout+confirm) of the death plus sweep granularity and
+  // any injected delivery delay (a delayed beat can un-suspect once
+  // before re-confirmation).
+  const auto& det = scenario.config.detection;
+  check.detection_bound =
+      det.heartbeat_interval *
+          (1.0 + det.timeout_multiplier + det.confirm_multiplier) +
+      det.sweep_interval * 2.0 + scenario.max_heartbeat_delay;
 
   // Sharded runs: every oracle must hold within each partition —
   // function ids and causal trace ids are partition-local, so the
@@ -338,10 +369,12 @@ std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
   // no event log of its own, so falling through below re-checks just the
   // scalar oracles across the reduction.
   for (std::size_t i = 0; i < result.shards.size(); ++i) {
-    for (const std::string& violation :
-         chaos_oracles(scenario, *result.shards[i])) {
+    const OracleCheck shard = check_oracles(scenario, *result.shards[i]);
+    for (const std::string& violation : shard.violations) {
       violations.push_back("shard " + std::to_string(i) + ": " + violation);
     }
+    check.max_detection_latency_s = std::max(check.max_detection_latency_s,
+                                             shard.max_detection_latency_s);
   }
 
   // 1. Completion: recovery terminated and every job finished.
@@ -457,7 +490,7 @@ std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
   // 2 + 4 (and 8's event identities) need the causal event log; a
   // truncated log cannot prove any of them.
   if (result.events == nullptr || result.events->truncated()) {
-    return violations;
+    return check;
   }
   const auto& events = result.events->events();
 
@@ -516,18 +549,12 @@ std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
     }
   }
 
-  // 4. Detection latency bounded. Node failures in heartbeat mode must be
-  // confirmed within interval*(timeout+confirm) of the death plus sweep
-  // granularity and any injected delivery delay (a delayed beat can
-  // un-suspect once before re-confirmation); every other failure kind
-  // uses the constant invoker/oracle delay. kRecoveryStall is
-  // controller-initiated and detected instantly.
-  const auto& det = scenario.config.detection;
+  // 4. Detection latency bounded: node failures in heartbeat mode by the
+  // heartbeat bound above; every other failure kind uses the constant
+  // invoker/oracle delay. kRecoveryStall is controller-initiated and
+  // detected instantly.
   const Duration epsilon = Duration::msec(100);
-  const Duration heartbeat_bound =
-      det.heartbeat_interval *
-          (1.0 + det.timeout_multiplier + det.confirm_multiplier) +
-      det.sweep_interval * 2.0 + scenario.max_heartbeat_delay + epsilon;
+  const Duration heartbeat_bound = check.detection_bound + epsilon;
   const Duration oracle_bound =
       scenario.config.platform.failure_detect_delay + epsilon;
   // Per-trace time of the most recent unresolved failure.
@@ -542,6 +569,8 @@ std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
       const Duration latency = event.at - it->second.first;
       const bool node_level = it->second.second;
       open_failures.erase(it);
+      check.max_detection_latency_s =
+          std::max(check.max_detection_latency_s, latency.to_seconds());
       const Duration bound =
           node_level && det.enabled ? heartbeat_bound : oracle_bound;
       if (latency > bound) {
@@ -553,118 +582,38 @@ std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
       }
     }
   }
-
-  return violations;
+  return check;
 }
 
-namespace {
+}  // namespace
 
-double max_detection_latency_s(const obs::EventLog* events) {
-  if (events == nullptr) return 0.0;
-  double max_latency = 0.0;
-  std::unordered_map<std::uint64_t, TimePoint> open;
-  for (const obs::Event& event : events->events()) {
-    if (event.kind == obs::EventKind::kFailure) {
-      open[event.trace.value()] = event.at;
-    } else if (event.kind == obs::EventKind::kDetect) {
-      auto it = open.find(event.trace.value());
-      if (it == open.end()) continue;
-      const double latency = (event.at - it->second).to_seconds();
-      open.erase(it);
-      if (latency > max_latency) max_latency = latency;
-    }
-  }
-  return max_latency;
+std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
+                                       const RunResult& result) {
+  return check_oracles(scenario, result).violations;
 }
 
-ChaosOutcome evaluate_scenario(const ChaosScenario& scenario,
-                               std::uint64_t seed) {
+ChaosOutcome run_chaos_scenario(const ChaosSpec& spec, std::uint64_t seed) {
+  const ChaosScenario scenario = make_chaos_scenario(spec, seed);
   const RunResult result = ScenarioRunner::run(scenario.config, scenario.jobs);
 
   ChaosOutcome out;
   out.seed = seed;
   out.completed = result.completed;
   out.makespan_s = result.makespan_s;
-  out.failures = result.failures;
-  out.node_kills = result.injected_node_kills;
-  out.gray_windows = result.injected_gray_windows;
-  out.heartbeats_dropped = result.injected_heartbeats_dropped;
-  out.heartbeats_delayed = result.injected_heartbeats_delayed;
-  out.store_entries_dropped = result.injected_store_drops;
-  out.store_entries_corrupted = result.injected_store_corruptions;
-  out.detector_suspicions = result.detector_suspicions;
-  out.detector_false_suspicions = result.detector_false_suspicions;
-  if (auto it = result.counters.find("recovery_stalls");
-      it != result.counters.end()) {
-    out.recovery_stalls = static_cast<std::uint64_t>(it->second);
+  for (std::size_t i = 0; i < out.totals.size(); ++i) {
+    const ChaosTotal& total = kChaosTotals[i];
+    if (total.read != nullptr) {
+      out.totals[i] = total.read(result);
+    } else if (auto it = result.counters.find(total.key);
+               it != result.counters.end()) {
+      out.totals[i] = it->second;
+    }
   }
-
-  const auto& det = scenario.config.detection;
-  out.detection_bound_s =
-      (det.heartbeat_interval *
-           (1.0 + det.timeout_multiplier + det.confirm_multiplier) +
-       det.sweep_interval * 2.0 + scenario.max_heartbeat_delay)
-          .to_seconds();
-  out.max_detection_latency_s = max_detection_latency_s(result.events.get());
-  // Sharded runs keep their event logs per partition.
-  for (const auto& shard : result.shards) {
-    out.max_detection_latency_s =
-        std::max(out.max_detection_latency_s,
-                 max_detection_latency_s(shard->events.get()));
-  }
-
-  out.traffic_offered = result.traffic.offered;
-  out.traffic_admitted = result.traffic.admitted;
-  out.traffic_shed = result.traffic.shed;
-  out.traffic_completed = result.traffic.completed;
-
-  out.hedges_fired = result.hedge.fired;
-  out.hedge_wins = result.hedge.wins;
-  out.hedges_cancelled = result.hedge.cancelled;
-
-  out.partitions_started = result.injected_partitions;
-  out.partitions_healed = result.injected_partition_heals;
-  out.zone_outages = result.injected_zone_outages;
-  out.heartbeats_partition_dropped = result.heartbeats_partition_dropped;
-  out.stale_epoch_rejects = result.kv_stale_epoch_rejects;
-  out.quorum_blocked_puts = result.kv_quorum_blocked_puts;
-  if (auto it = result.counters.find("zombie_commit_attempts");
-      it != result.counters.end()) {
-    out.zombie_commit_attempts = static_cast<std::uint64_t>(it->second);
-  }
-  if (auto it = result.counters.find("zombie_commits_rejected");
-      it != result.counters.end()) {
-    out.zombie_commits_rejected = static_cast<std::uint64_t>(it->second);
-  }
-
-  out.violations = chaos_oracles(scenario, result);
+  OracleCheck check = check_oracles(scenario, result);
+  out.max_detection_latency_s = check.max_detection_latency_s;
+  out.detection_bound_s = check.detection_bound.to_seconds();
+  out.violations = std::move(check.violations);
   return out;
-}
-
-}  // namespace
-
-ChaosOutcome run_chaos_scenario(std::uint64_t seed) {
-  return evaluate_scenario(make_chaos_scenario(seed), seed);
-}
-
-ChaosOutcome run_traffic_chaos_scenario(std::uint64_t seed) {
-  return evaluate_scenario(make_traffic_chaos_scenario(seed), seed);
-}
-
-ChaosOutcome run_hedge_chaos_scenario(std::uint64_t seed) {
-  return evaluate_scenario(make_hedge_chaos_scenario(seed), seed);
-}
-
-ChaosOutcome run_sharded_chaos_scenario(std::uint64_t seed) {
-  return evaluate_scenario(make_sharded_chaos_scenario(seed), seed);
-}
-
-ChaosOutcome run_partition_chaos_scenario(std::uint64_t seed) {
-  return evaluate_scenario(make_partition_chaos_scenario(seed), seed);
-}
-
-ChaosOutcome run_sharded_partition_chaos_scenario(std::uint64_t seed) {
-  return evaluate_scenario(make_sharded_partition_chaos_scenario(seed), seed);
 }
 
 }  // namespace canary::harness

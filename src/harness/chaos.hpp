@@ -2,11 +2,14 @@
 // invariant oracles that every scenario must satisfy regardless of what
 // was injected.
 //
-// A chaos scenario draws a small cluster, a handful of jobs and a random
-// mix of the v2 fault surface (container kills, node failures, gray
-// slowdown windows, heartbeat delay/drop, KV checkpoint loss/corruption)
-// from one seed, runs it under the Canary strategy with heartbeat
-// detection and the recovery watchdog enabled, and then checks:
+// A chaos scenario is composed from a ChaosSpec and a seed. The base draws
+// a small cluster, a handful of jobs and a random mix of the v2 fault
+// surface (container kills, node failures, gray slowdown windows,
+// heartbeat delay/drop, KV checkpoint loss/corruption), with heartbeat
+// detection and the recovery watchdog on. The spec picks the strategy
+// under test and the overlays layered on top — open-loop traffic,
+// stragglers, a partition storm — then scales and shards the run. Every
+// run is checked against:
 //
 //   1. completion    — every job finished (recovery terminated);
 //   2. exactly-once  — each function has exactly one kComplete event;
@@ -24,8 +27,8 @@
 //                      (offered == admitted + shed + queued_end and
 //                      admitted == completed + failed + in_flight), and a
 //                      completed run leaves nothing queued or in flight;
-//   8. hedge exactly-once — when speculative clones race (hedge
-//                      scenarios), every fired hedge resolves exactly
+//   8. hedge exactly-once — when speculative clones race (the hedged
+//                      strategy), every fired hedge resolves exactly
 //                      once (fired == wins + cancelled, no race left
 //                      open on a completed run) and the causal log
 //                      agrees (#kHedged == fired, #kHedgeCancelled ==
@@ -44,13 +47,44 @@
 //                      is left stranded (oracle 6 under partitions).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/scenario.hpp"
 
 namespace canary::harness {
+
+/// Which scenario to draw for a seed. Each overlay draws from its own
+/// child stream of the seed (the base uses child(1..3)), so switching one
+/// on never perturbs the base draws or another overlay's: every
+/// combination of overlays is the same base scenario with more on top.
+struct ChaosSpec {
+  /// Canary runs canary_full() with the base's SLA-awareness and watchdog
+  /// draws; hedged takes its trigger config from the child(5) stream.
+  recovery::StrategyKind strategy = recovery::StrategyKind::kCanary;
+  /// child(4): an on/off burst stream through admission control and the
+  /// warm-pool autoscaler, plus one node failure inside the burst window.
+  bool traffic = false;
+  /// child(5): a gray window that manufactures the stragglers hedges fire
+  /// on, plus one node failure inside the racing phase.
+  bool stragglers = false;
+  /// child(6): 1-2 zone bipartitions of a 10-node cluster, an optional
+  /// asymmetric window and an optional correlated zone outage, under
+  /// tightened detection; fault-domain-aware placement on half the seeds.
+  bool partition = false;
+  /// Above 1, run sharded (one worker thread per partition), with the
+  /// cluster grown by the same factor so each partition keeps a full
+  /// slice. Fault node ids drawn against the unsharded cluster stay in
+  /// range inside every slice after the round-robin split's remap.
+  unsigned partitions = 1;
+  /// The scaled shape: 8x the drawn jobs (the first are the unscaled
+  /// scenario's) on 4x the nodes.
+  bool scaled = false;
+};
 
 /// One generated scenario: the config plus its jobs.
 struct ChaosScenario {
@@ -61,110 +95,88 @@ struct ChaosScenario {
   Duration max_heartbeat_delay = Duration::zero();
 };
 
-/// Deterministically derive a scenario from `seed`.
-ChaosScenario make_chaos_scenario(std::uint64_t seed);
+/// Deterministically compose `spec`'s scenario for `seed`.
+ChaosScenario make_chaos_scenario(const ChaosSpec& spec, std::uint64_t seed);
 
-/// The same scenario with an open-loop burst stream layered on top: an
-/// on/off arrival process driven through admission control and the
-/// warm-pool autoscaler, plus one guaranteed node failure timed to land
-/// inside the traffic window. Derived from `Rng(seed).child(4)`, so the
-/// base scenario's draws are untouched.
-ChaosScenario make_traffic_chaos_scenario(std::uint64_t seed);
+/// One per-run total the campaign sums over its scenarios. `key` names it
+/// everywhere: ChaosOutcome::total, the campaign printout and its report.
+struct ChaosTotal {
+  const char* key;
+  /// Null reads the run's counter named `key` (zero when never counted).
+  double (*read)(const RunResult&);
+};
 
-/// The base scenario re-armed for the hedge strategy: speculative clones
-/// race their primaries while a guaranteed extra node failure lands
-/// mid-race and a gray window manufactures the stragglers that make
-/// hedges fire. Derived from `Rng(seed).child(5)`, so the base draws
-/// (and the traffic stream's child(4)) are untouched.
-ChaosScenario make_hedge_chaos_scenario(std::uint64_t seed);
-
-/// The base scenario sharded: four partitions, each an independent
-/// scenario over its own cluster slice, run by four worker threads. The
-/// cluster is grown 4x so each partition keeps a full base-sized slice —
-/// a one-node slice could not survive its share of the node kills, which
-/// would fail the completion oracle for reasons unrelated to sharding.
-/// Every oracle is evaluated inside each partition (function ids and
-/// causal trace ids are partition-local) and the scalar oracles are
-/// re-evaluated on the merged result.
-ChaosScenario make_sharded_chaos_scenario(std::uint64_t seed);
-
-/// The fifth family: partition/zone/heal storms. The base scenario gains
-/// 1-2 long zone bipartitions (cutting the cluster's last fault domain,
-/// sized so the majority side always survives), an optional short
-/// asymmetric window (one-way heartbeat loss that must un-suspect cleanly
-/// on heal), and an optional correlated zone outage racing the windows.
-/// Half the seeds turn on fault-domain-aware placement. Derived from
-/// `Rng(seed).child(6)`, so the base draws (and every other overlay's
-/// stream) are untouched.
-ChaosScenario make_partition_chaos_scenario(std::uint64_t seed);
-
-/// The partition scenario sharded (4 partitions x 4 workers), the same
-/// way make_sharded_chaos_scenario shards the base: each shard keeps a full
-/// base-sized cluster slice and resolves its zone windows/outages against
-/// its own slice.
-ChaosScenario make_sharded_partition_chaos_scenario(std::uint64_t seed);
+inline constexpr ChaosTotal kChaosTotals[] = {
+    // Injected faults.
+    {"function_failures", [](const RunResult& r) { return r.failures; }},
+    {"node_kills",
+     [](const RunResult& r) { return double(r.injected_node_kills); }},
+    {"gray_windows",
+     [](const RunResult& r) { return double(r.injected_gray_windows); }},
+    {"heartbeats_dropped",
+     [](const RunResult& r) { return double(r.injected_heartbeats_dropped); }},
+    {"heartbeats_delayed",
+     [](const RunResult& r) { return double(r.injected_heartbeats_delayed); }},
+    {"store_entries_dropped",
+     [](const RunResult& r) { return double(r.injected_store_drops); }},
+    {"store_entries_corrupted",
+     [](const RunResult& r) { return double(r.injected_store_corruptions); }},
+    // Detection and recovery.
+    {"detector_suspicions",
+     [](const RunResult& r) { return double(r.detector_suspicions); }},
+    {"detector_false_suspicions",
+     [](const RunResult& r) { return double(r.detector_false_suspicions); }},
+    {"recovery_stalls", nullptr},
+    // Open-loop traffic (zero without the traffic overlay).
+    {"traffic_offered",
+     [](const RunResult& r) { return double(r.traffic.offered); }},
+    {"traffic_admitted",
+     [](const RunResult& r) { return double(r.traffic.admitted); }},
+    {"traffic_shed", [](const RunResult& r) { return double(r.traffic.shed); }},
+    {"traffic_completed",
+     [](const RunResult& r) { return double(r.traffic.completed); }},
+    // Hedge races (zero unless the strategy hedges).
+    {"hedges_fired", [](const RunResult& r) { return double(r.hedge.fired); }},
+    {"hedge_wins", [](const RunResult& r) { return double(r.hedge.wins); }},
+    {"hedges_cancelled",
+     [](const RunResult& r) { return double(r.hedge.cancelled); }},
+    // Partition surface (zero without the partition overlay).
+    {"partitions_started",
+     [](const RunResult& r) { return double(r.injected_partitions); }},
+    {"partitions_healed",
+     [](const RunResult& r) { return double(r.injected_partition_heals); }},
+    {"zone_outages",
+     [](const RunResult& r) { return double(r.injected_zone_outages); }},
+    {"heartbeats_partition_dropped",
+     [](const RunResult& r) { return double(r.heartbeats_partition_dropped); }},
+    {"stale_epoch_rejects",
+     [](const RunResult& r) { return double(r.kv_stale_epoch_rejects); }},
+    {"quorum_blocked_puts",
+     [](const RunResult& r) { return double(r.kv_quorum_blocked_puts); }},
+    {"zombie_commit_attempts", nullptr},
+    {"zombie_commits_rejected", nullptr},
+};
 
 struct ChaosOutcome {
   std::uint64_t seed = 0;
   bool completed = false;
   double makespan_s = 0.0;
-  double failures = 0.0;
+  /// Longest failure-to-detect window in the causal log (zero when the
+  /// log is truncated), and the heartbeat detection bound it is checked
+  /// against, before the oracle's 100 ms slack.
   double max_detection_latency_s = 0.0;
   double detection_bound_s = 0.0;
-  // Injected fault totals (for the campaign report).
-  std::uint64_t node_kills = 0;
-  std::uint64_t gray_windows = 0;
-  std::uint64_t heartbeats_dropped = 0;
-  std::uint64_t heartbeats_delayed = 0;
-  std::uint64_t store_entries_dropped = 0;
-  std::uint64_t store_entries_corrupted = 0;
-  std::uint64_t detector_suspicions = 0;
-  std::uint64_t detector_false_suspicions = 0;
-  std::uint64_t recovery_stalls = 0;
-  // Open-loop traffic totals (zero for non-traffic scenarios).
-  std::uint64_t traffic_offered = 0;
-  std::uint64_t traffic_admitted = 0;
-  std::uint64_t traffic_shed = 0;
-  std::uint64_t traffic_completed = 0;
-  // Hedge-race totals (zero for non-hedge scenarios).
-  std::uint64_t hedges_fired = 0;
-  std::uint64_t hedge_wins = 0;
-  std::uint64_t hedges_cancelled = 0;
-  // Partition-surface totals (zero for non-partition scenarios).
-  std::uint64_t partitions_started = 0;
-  std::uint64_t partitions_healed = 0;
-  std::uint64_t zone_outages = 0;
-  std::uint64_t heartbeats_partition_dropped = 0;
-  std::uint64_t stale_epoch_rejects = 0;
-  std::uint64_t quorum_blocked_puts = 0;
-  std::uint64_t zombie_commit_attempts = 0;
-  std::uint64_t zombie_commits_rejected = 0;
+  /// One value per kChaosTotals entry, in table order.
+  std::array<double, std::size(kChaosTotals)> totals{};
   /// Human-readable oracle violations; empty = scenario passed.
   std::vector<std::string> violations;
+
+  /// The kChaosTotals entry named `key`.
+  double total(std::string_view key) const;
 };
 
-/// Run one seeded scenario and evaluate every oracle.
-ChaosOutcome run_chaos_scenario(std::uint64_t seed);
-
-/// Run one seeded traffic scenario (burst + node failure) and evaluate
-/// every oracle, conservation included.
-ChaosOutcome run_traffic_chaos_scenario(std::uint64_t seed);
-
-/// Run one seeded hedge scenario (racing clones + mid-race node failure)
-/// and evaluate every oracle, hedge exactly-once included.
-ChaosOutcome run_hedge_chaos_scenario(std::uint64_t seed);
-
-/// Run one seeded sharded scenario (4 partitions x 4 workers) and
-/// evaluate every oracle per shard plus the merged scalars.
-ChaosOutcome run_sharded_chaos_scenario(std::uint64_t seed);
-
-/// Run one seeded partition scenario (zone cuts + asymmetric windows +
-/// correlated outages) and evaluate every oracle, no-split-brain and
-/// heal-convergence included.
-ChaosOutcome run_partition_chaos_scenario(std::uint64_t seed);
-
-/// Run one seeded sharded partition scenario (4 partitions x 4 workers).
-ChaosOutcome run_sharded_partition_chaos_scenario(std::uint64_t seed);
+/// Compose `spec`'s scenario for `seed`, run it and evaluate every oracle.
+ChaosOutcome run_chaos_scenario(const ChaosSpec& spec, std::uint64_t seed);
 
 /// Oracle evaluation, separated for tests: checks `result` (and the
 /// scenario it came from) and returns the violations. For sharded

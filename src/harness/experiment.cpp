@@ -17,10 +17,9 @@ void Aggregate::add(const RunResult& run) {
   sla_violations.add(run.sla_violations);
   metrics.merge(run.metrics);
   breakdown.merge(run.breakdown);
-  span_health.merge({run.spans_recorded, run.spans_dropped});
-  obs::RecorderHealth events{run.events_recorded, run.events_dropped};
-  events.dropped_by_kind = run.events_dropped_by_kind;
-  event_health.merge(events);
+  span_health.merge({run.spans_recorded, run.spans_dropped, {}});
+  event_health.merge(
+      {run.events_recorded, run.events_dropped, run.events_dropped_by_kind});
   tail.merge(run.tail);
   timeseries.merge(run.timeseries);
   if (!run.completed) ++incomplete_runs;
@@ -41,9 +40,6 @@ Aggregate run_repetitions(ScenarioConfig config,
         // reproducible from the base seed.
         std::uint64_t sm = config.seed + rep;
         rep_config.seed = splitmix64(sm);
-        // The flight recorder writes files; one repetition (the base seed)
-        // is enough and keeps dump names collision-free.
-        if (rep > 0) rep_config.flight_recorder_path.clear();
         return ScenarioRunner::run(rep_config, jobs);
       });
   Aggregate agg;

@@ -64,9 +64,6 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
 
   if (config.record_events || config.record_spans) {
     events = std::make_shared<obs::EventLog>();
-    if (!config.flight_recorder_path.empty()) {
-      events->set_flight_recorder(config.flight_recorder_path);
-    }
     platform.set_event_log(events.get());
   }
   platform.set_slo_monitor(&slo);
@@ -214,6 +211,12 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
       hedge->set_budget_hooks(
           [tg = &*traffic_gen](JobId job) { return tg->try_hedge(job); },
           [tg = &*traffic_gen](JobId job) { tg->hedge_resolved(job); });
+    }
+    if (detector) {
+      // An idle gap between bursts can complete every submitted job; the
+      // detector must keep watching until no arrival is left to come.
+      detector->set_pending_work(
+          [tg = &*traffic_gen] { return !tg->quiescent(); });
     }
     traffic_gen->start();
   }

@@ -122,10 +122,6 @@ struct ScenarioConfig {
   /// derive RunResult::breakdown from it. On by default: events are cheap
   /// and the critical-path breakdown feeds the v2 run report.
   bool record_events = true;
-  /// When non-empty, arm the event log's flight recorder: on each node
-  /// failure or SLA breach the last events are dumped to
-  /// "<path>.<n>.json" (at most 4 dumps per run).
-  std::string flight_recorder_path;
   /// Open-loop traffic: arrival streams driven through admission control
   /// (and optionally the warm-pool autoscaler) on top of — or instead of
   /// — the batch `jobs`. Disabled by default; enabling it forces

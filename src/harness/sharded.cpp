@@ -94,10 +94,6 @@ ScenarioConfig derive_partition_config(const ScenarioConfig& config,
   part.traffic.streams =
       round_robin_slice(config.traffic.streams, partition, partitions);
 
-  // The flight recorder writes files; keep dump names collision-free.
-  if (!part.flight_recorder_path.empty()) {
-    part.flight_recorder_path += ".shard" + std::to_string(partition);
-  }
   return part;
 }
 

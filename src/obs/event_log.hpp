@@ -14,11 +14,6 @@
 // The log is one append-only vector with a capacity cap: overflow is
 // counted (truncated()), never reallocated past the cap, and each run owns
 // a private log so the record path takes no locks.
-//
-// Flight recorder: when configured with an output prefix, the log dumps
-// its most recent events to disk whenever a node failure or an SLA breach
-// is appended — a bounded number of post-mortem snapshots for runs too
-// big to keep full traces of.
 #pragma once
 
 #include <array>
@@ -147,33 +142,15 @@ class EventLog {
 
   std::size_t count_of(EventKind kind) const;
 
-  /// Enable post-mortem dumps: on every kNodeFailure / kSlaViolation
-  /// append, write the most recent `tail` events to
-  /// "<prefix>.<n>.json" (n = 0..max_dumps-1, then stop).
-  void set_flight_recorder(std::string path_prefix, std::size_t max_dumps = 4,
-                           std::size_t tail = 256);
-  std::size_t flight_dumps_written() const { return flight_dumps_; }
-
-  /// Serialise events [begin, size) as a deterministic JSON array of
-  /// objects (the flight-recorder format; also handy in tests).
-  void write_json(std::ostream& os, std::size_t begin = 0) const;
-
   void clear();
 
  private:
-  void maybe_flight_dump(EventKind kind);
-
   std::size_t capacity_;
   std::size_t dropped_ = 0;
   std::array<std::size_t, kEventKindCount> dropped_by_kind_{};
   std::array<bool, kEventKindCount> drop_warned_{};
   std::uint64_t next_trace_ = 1;
   std::vector<Event> events_;
-
-  std::string flight_prefix_;
-  std::size_t flight_max_dumps_ = 0;
-  std::size_t flight_tail_ = 256;
-  std::size_t flight_dumps_ = 0;
 };
 
 }  // namespace canary::obs

@@ -286,7 +286,9 @@ void add_hedging(harness::ScenarioConfig& config) {
   hedge.initial_delay = Duration::msec(800);
   hedge.max_outstanding = 8;
   config.strategy = recovery::StrategyConfig::hedged(hedge);
-  config.gray_failures.push_back({Duration::sec(3.0)});
+  harness::ScenarioConfig::GrayFailure gray;
+  gray.at = Duration::sec(3.0);
+  config.gray_failures.push_back(gray);
 }
 
 void add_attribution(harness::ScenarioConfig& config) {
@@ -446,16 +448,17 @@ void expect_partitions_match_standalone(const harness::ScenarioConfig& config,
 
 TEST(ShardInvarianceTest, PartitionsMatchStandaloneRuns) {
   expect_partitions_match_standalone(sharded_scenario(4), sharded_jobs());
-  // The chaos campaign's sharded families, at their first quick seeds.
+  // Sharded chaos scenarios, with and without the partition overlay.
   for (const std::uint64_t seed : {30001u, 30002u}) {
     SCOPED_TRACE("sharded chaos seed " + std::to_string(seed));
-    const harness::ChaosScenario s = harness::make_sharded_chaos_scenario(seed);
+    const harness::ChaosScenario s =
+        harness::make_chaos_scenario({.partitions = 4}, seed);
     expect_partitions_match_standalone(s.config, s.jobs);
   }
   for (const std::uint64_t seed : {10004u, 10008u}) {
     SCOPED_TRACE("sharded partition chaos seed " + std::to_string(seed));
-    const harness::ChaosScenario s =
-        harness::make_sharded_partition_chaos_scenario(seed);
+    const harness::ChaosScenario s = harness::make_chaos_scenario(
+        {.partition = true, .partitions = 4}, seed);
     expect_partitions_match_standalone(s.config, s.jobs);
   }
 }

@@ -257,9 +257,9 @@ TEST(FailureDetectorScenarioTest, DisabledDetectorLeavesRunUntouched) {
 
 TEST(ChaosSweepTest, MiniSweepHoldsAllInvariants) {
   // A handful of full chaos scenarios inline in the unit suite; the
-  // 200+-seed campaign lives in bench/chaos_campaign.
+  // campaign's cell table lives in bench/chaos_campaign.
   for (std::uint64_t seed = 4242; seed < 4248; ++seed) {
-    const ChaosOutcome outcome = run_chaos_scenario(seed);
+    const ChaosOutcome outcome = run_chaos_scenario({}, seed);
     EXPECT_TRUE(outcome.violations.empty())
         << "seed " << seed << ": " << outcome.violations.front();
     EXPECT_TRUE(outcome.completed) << "seed " << seed;
@@ -267,11 +267,10 @@ TEST(ChaosSweepTest, MiniSweepHoldsAllInvariants) {
 }
 
 TEST(ChaosSweepTest, ShardedMiniSweepHoldsAllInvariants) {
-  // The fourth family: the same scenarios split over 4 partitions x 4
-  // worker threads, all eight oracles evaluated inside every partition.
-  // The 64-seed subset lives in bench/chaos_campaign.
+  // The same scenarios split over 4 partitions x 4 worker threads, every
+  // oracle evaluated inside every partition.
   for (std::uint64_t seed = 30001; seed < 30003; ++seed) {
-    const ChaosOutcome outcome = run_sharded_chaos_scenario(seed);
+    const ChaosOutcome outcome = run_chaos_scenario({.partitions = 4}, seed);
     EXPECT_TRUE(outcome.violations.empty())
         << "seed " << seed << ": " << outcome.violations.front();
     EXPECT_TRUE(outcome.completed) << "seed " << seed;

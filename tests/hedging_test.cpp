@@ -293,35 +293,36 @@ TEST(AdmissionHedgeBudgetTest, GrantsToBudgetAndDeniesUnderBacklog) {
 
 // ---- seeded chaos family -------------------------------------------------
 
+// The hedged strategy over the stragglers overlay (racing clones, gray
+// windows, mid-race node kills).
+constexpr harness::ChaosSpec kHedgeChaos{.strategy = StrategyKind::kHedge,
+                                         .stragglers = true};
+
 TEST(HedgeChaosTest, SameSeedSameOutcome) {
-  const auto a = harness::run_hedge_chaos_scenario(50001);
-  const auto b = harness::run_hedge_chaos_scenario(50001);
+  const auto a = harness::run_chaos_scenario(kHedgeChaos, 50001);
+  const auto b = harness::run_chaos_scenario(kHedgeChaos, 50001);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.failures, b.failures);
-  EXPECT_EQ(a.hedges_fired, b.hedges_fired);
-  EXPECT_EQ(a.hedge_wins, b.hedge_wins);
-  EXPECT_EQ(a.hedges_cancelled, b.hedges_cancelled);
+  EXPECT_EQ(a.totals, b.totals);
   EXPECT_EQ(a.violations, b.violations);
 }
 
-// 64-seed sweep over the hedge chaos family (racing clones, gray windows,
-// mid-race node kills): the hedge exactly-once oracle — and every other
-// oracle — must hold on all of them.
+// 64-seed sweep: the hedge exactly-once oracle — and every other oracle —
+// must hold on all of them.
 TEST(HedgeChaosTest, SixtyFourSeedSweepPassesAllOracles) {
-  std::uint64_t fired = 0;
+  double fired = 0;
   for (std::uint64_t i = 0; i < 64; ++i) {
     const std::uint64_t seed = 50001 + i;
-    const auto outcome = harness::run_hedge_chaos_scenario(seed);
+    const auto outcome = harness::run_chaos_scenario(kHedgeChaos, seed);
     EXPECT_TRUE(outcome.violations.empty())
         << "seed " << seed << ": " << outcome.violations.front();
-    EXPECT_EQ(outcome.hedges_fired,
-              outcome.hedge_wins + outcome.hedges_cancelled)
+    EXPECT_EQ(outcome.total("hedges_fired"),
+              outcome.total("hedge_wins") + outcome.total("hedges_cancelled"))
         << "seed " << seed << " leaked an open race";
-    fired += outcome.hedges_fired;
+    fired += outcome.total("hedges_fired");
   }
   // The family is not vacuous: the sweep actually raced clones.
-  EXPECT_GT(fired, 0u);
+  EXPECT_GT(fired, 0.0);
 }
 
 }  // namespace

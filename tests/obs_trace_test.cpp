@@ -6,8 +6,6 @@
 // and node-failure recovery.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -347,30 +345,6 @@ TEST(EventLogTest, OverflowIsCountedAndLeavesContextsIntact) {
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.dropped(), 3u);
   EXPECT_TRUE(log.truncated());
-}
-
-TEST(EventLogTest, FlightRecorderDumpsOnNodeFailure) {
-  const std::string prefix = "obs_trace_test_flight";
-  obs::EventLog log;
-  log.set_flight_recorder(prefix, /*max_dumps=*/1, /*tail=*/4);
-  obs::TraceContext ctx{log.new_trace()};
-  log.extend(ctx, obs::EventKind::kSubmit, "fn", TimePoint::origin());
-  log.append_raw(log.new_trace(), obs::kNoEvent, obs::EventKind::kNodeFailure,
-                 "node_failure", TimePoint::origin());
-  EXPECT_EQ(log.flight_dumps_written(), 1u);
-  // Capped: a second trigger does not write another dump.
-  log.append_raw(log.new_trace(), obs::kNoEvent, obs::EventKind::kNodeFailure,
-                 "node_failure", TimePoint::origin());
-  EXPECT_EQ(log.flight_dumps_written(), 1u);
-
-  const std::string path = prefix + ".0.json";
-  std::ifstream dump(path);
-  ASSERT_TRUE(dump.good());
-  std::stringstream content;
-  content << dump.rdbuf();
-  EXPECT_NE(content.str().find("node_failure"), std::string::npos);
-  dump.close();
-  std::remove(path.c_str());
 }
 
 TEST(QueueingAttributionTest, PreAdmissionWaitIsQueueingNotScheduling) {

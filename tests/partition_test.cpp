@@ -283,18 +283,20 @@ TEST(PartitionScenarioTest, SurfaceOffLeavesCountersUntouched) {
 }
 
 TEST(PartitionChaosSweepTest, MiniSweepHoldsAllInvariants) {
-  // A handful of fifth-family scenarios inline in the unit suite; the
-  // 64-seed subset lives in bench/chaos_campaign. Both new oracles (no
-  // split brain, heal convergence) run inside chaos_oracles.
+  // A handful of partition-overlay scenarios inline in the unit suite;
+  // the campaign's cells live in bench/chaos_campaign. Both partition
+  // oracles (no split brain, heal convergence) run inside chaos_oracles.
   std::uint64_t partitions_started = 0;
   for (std::uint64_t seed = 10001; seed < 10005; ++seed) {
-    const ChaosOutcome outcome = run_partition_chaos_scenario(seed);
+    const ChaosOutcome outcome = run_chaos_scenario({.partition = true}, seed);
     EXPECT_TRUE(outcome.violations.empty())
         << "seed " << seed << ": " << outcome.violations.front();
     EXPECT_TRUE(outcome.completed) << "seed " << seed;
-    EXPECT_EQ(outcome.partitions_started, outcome.partitions_healed)
+    EXPECT_EQ(outcome.total("partitions_started"),
+              outcome.total("partitions_healed"))
         << "seed " << seed;
-    partitions_started += outcome.partitions_started;
+    partitions_started +=
+        static_cast<std::uint64_t>(outcome.total("partitions_started"));
   }
   // The family always injects at least one window per seed.
   EXPECT_GE(partitions_started, 4u);
@@ -304,7 +306,8 @@ TEST(PartitionChaosSweepTest, ShardedMiniSweepHoldsAllInvariants) {
   // The same scenarios split over 4 partitions x 4 worker threads, all
   // ten oracles evaluated inside every partition plus the merged scalars.
   for (std::uint64_t seed = 10001; seed < 10003; ++seed) {
-    const ChaosOutcome outcome = run_sharded_partition_chaos_scenario(seed);
+    const ChaosOutcome outcome =
+        run_chaos_scenario({.partition = true, .partitions = 4}, seed);
     EXPECT_TRUE(outcome.violations.empty())
         << "seed " << seed << ": " << outcome.violations.front();
     EXPECT_TRUE(outcome.completed) << "seed " << seed;
