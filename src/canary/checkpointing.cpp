@@ -1,11 +1,37 @@
 #include "canary/checkpointing.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
 
 #include "common/logging.hpp"
 
 namespace canary::core {
+namespace {
+
+void append_decimal(std::string& out, std::uint64_t value) {
+  char digits[20];
+  const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+  out.append(digits, end);
+}
+
+/// The KV record of a checkpoint: "job=<j>;fn=<f>;state=<i>;bytes=<n>".
+/// Reserved up front so the spill path's ";loc=<tier>" suffix fits too.
+std::string checkpoint_record(const faas::Invocation& inv, std::size_t idx,
+                              Bytes payload) {
+  std::string record;
+  record.reserve(96);
+  record.append("job=");
+  append_decimal(record, inv.job.value());
+  record.append(";fn=");
+  append_decimal(record, inv.id.value());
+  record.append(";state=");
+  append_decimal(record, idx);
+  record.append(";bytes=");
+  append_decimal(record, payload.count());
+  return record;
+}
+
+}  // namespace
 
 CheckpointingModule::CheckpointingModule(
     sim::Simulator& simulator, cluster::Cluster& cluster,
@@ -116,16 +142,14 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
   row.kv_key = key;
   row.created = sim_.now();
 
-  std::ostringstream meta;
-  meta << "job=" << to_string(inv.job) << ";fn=" << to_string(inv.id)
-       << ";state=" << idx << ";bytes=" << payload.count();
+  std::string meta = checkpoint_record(inv, idx, payload);
 
   if (payload <= store_.config().max_entry_size) {
     row.location = cluster::StorageTier::kKvStore;
     // The KV store is replicated (and persistent in the testbed config),
     // so in-KV checkpoints survive node failures immediately.
     row.flushed_to_shared = true;
-    const Status put = store_.put(key, meta.str(), payload, inv.node);
+    const Status put = store_.put(key, std::move(meta), payload, inv.node);
     if (!put.ok()) {
       // A degraded store (shard fault, capacity, fenced/partitioned
       // writer) must never crash the checkpoint path: the state commit
@@ -141,8 +165,8 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
     row.location = tier.value_or(cluster::StorageTier::kNfs);
     const auto& tier_profile = storage_.profile(row.location);
     row.flushed_to_shared = tier_profile.shared;
-    meta << ";loc=" << to_string_view(row.location);
-    const Status put = store_.put(key, meta.str(), config_.metadata_size,
+    meta.append(";loc=").append(to_string_view(row.location));
+    const Status put = store_.put(key, std::move(meta), config_.metadata_size,
                                   inv.node);
     if (!put.ok()) {
       metrics_.count("checkpoint_write_failures");
@@ -150,10 +174,10 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
                       << key << ": " << put.error().message);
       return;
     }
-    metrics_.count("checkpoint_spills");
+    m_checkpoint_spills_.add();
   }
-  metrics_.count("checkpoints_written");
-  metrics_.sample("checkpoint_payload_mib", payload.to_mib());
+  m_checkpoints_written_.add();
+  m_checkpoint_payload_mib_.record(payload.to_mib());
   if (events_ != nullptr && inv.trace.valid()) {
     // Leaf event off the invocation's chain: checkpoints are side effects
     // of the state commit, not steps on the critical path. The commit
@@ -167,24 +191,29 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
   }
 
   // A recommit of the same state (after a restore) replaces the old row.
-  for (const auto* existing : metadata_.checkpoints_of(inv.id)) {
-    if (existing->state_index == idx) {
-      metadata_.remove_checkpoint(existing->checkpoint);
+  for (const CheckpointInfoRow& existing : metadata_.checkpoints_of(inv.id)) {
+    if (existing.state_index == idx) {
+      metadata_.remove_checkpoint(inv.id, existing.checkpoint);
       break;
     }
+  }
+  // Retention is pure in (spec, config): computed on the function's first
+  // checkpoint and kept with its rows.
+  unsigned retention = metadata_.checkpoint_retention(inv.id);
+  if (retention == 0) {
+    retention = retention_for(*inv.spec);
+    metadata_.set_checkpoint_retention(inv.id, retention);
   }
   const CheckpointId row_id = row.checkpoint;
   const bool needs_flush = !row.flushed_to_shared;
   metadata_.insert_checkpoint(std::move(row));
 
   // Retention: keep the latest n checkpoints (Algorithm 1 lines 14-16).
-  const unsigned retention = retention_for(*inv.spec);
   auto rows = metadata_.checkpoints_of(inv.id);
   while (rows.size() > retention) {
-    const auto* oldest = rows.front();
-    (void)store_.remove(oldest->kv_key);
-    metadata_.remove_checkpoint(oldest->checkpoint);
-    rows.erase(rows.begin());
+    (void)store_.remove(rows.front().kv_key);
+    metadata_.remove_checkpoint(inv.id, rows.front().checkpoint);
+    rows = metadata_.checkpoints_of(inv.id);
   }
 
   if (needs_flush) {
@@ -193,8 +222,8 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
     const Duration flush_time =
         config_.async_flush_delay +
         storage_.write_time(cluster::StorageTier::kNfs, payload);
-    sim_.schedule_after(flush_time, [this, row_id] {
-      auto* pending = metadata_.mutable_checkpoint(row_id);
+    sim_.schedule_after(flush_time, [this, fn = inv.id, row_id] {
+      auto* pending = metadata_.mutable_checkpoint(fn, row_id);
       if (pending == nullptr) return;  // evicted by retention meanwhile
       if (!cluster_.node(pending->stored_on).alive()) return;  // lost
       pending->flushed_to_shared = true;
@@ -206,9 +235,9 @@ RestorePlan CheckpointingModule::restore_plan(FunctionId fn,
                                               NodeId target_node) const {
   RestorePlan plan;
   if (!config_.enabled) return plan;
-  auto rows = metadata_.checkpoints_of(fn);
+  const auto rows = metadata_.checkpoints_of(fn);
   for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
-    const CheckpointInfoRow& row = **it;
+    const CheckpointInfoRow& row = *it;
     Duration read = Duration::zero();
     if (row.location == cluster::StorageTier::kKvStore) {
       if (!store_.contains(row.kv_key)) continue;  // lost with cache nodes
@@ -280,8 +309,8 @@ void CheckpointingModule::zombie_commit(NodeId node, FunctionId fn) {
 }
 
 void CheckpointingModule::drop_function(FunctionId fn) {
-  for (const auto* row : metadata_.checkpoints_of(fn)) {
-    (void)store_.remove(row->kv_key);
+  for (const CheckpointInfoRow& row : metadata_.checkpoints_of(fn)) {
+    (void)store_.remove(row.kv_key);
   }
   metadata_.remove_checkpoints_of(fn);
 }

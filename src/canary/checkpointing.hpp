@@ -95,7 +95,8 @@ class CheckpointingModule {
   /// was not yet flushed are skipped (older checkpoints are consulted).
   RestorePlan restore_plan(FunctionId fn, NodeId target_node) const;
 
-  /// Dynamic latest-n retention for a function (paper §IV-C4b).
+  /// Dynamic latest-n retention for a function (paper §IV-C4b). Pure in
+  /// (spec, config); the commit path computes it once per function.
   unsigned retention_for(const faas::FunctionSpec& spec) const;
 
   /// Drop all checkpoints of a completed function.
@@ -128,6 +129,10 @@ class CheckpointingModule {
   obs::EventLog* events_ = nullptr;
   CheckpointingConfig config_;
   IdGenerator<CheckpointId> ids_;
+  obs::CounterHandle m_checkpoints_written_{metrics_, "checkpoints_written"};
+  obs::CounterHandle m_checkpoint_spills_{metrics_, "checkpoint_spills"};
+  obs::HistogramHandle m_checkpoint_payload_mib_{metrics_,
+                                                 "checkpoint_payload_mib"};
 };
 
 }  // namespace canary::core

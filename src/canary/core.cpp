@@ -317,10 +317,6 @@ void CoreModule::on_job_submitted(JobId job) {
   row.account = spec.account;
   row.function_count = spec.functions.size();
   row.submitted = platform_.simulator().now();
-  if (!spec.functions.empty()) {
-    row.checkpoint_retention =
-        checkpointing_.retention_for(spec.functions.front());
-  }
   metadata_.insert_job(row);
 
   const auto& functions = platform_.job_functions(job);

@@ -60,87 +60,89 @@ std::vector<const FunctionInfoRow*> MetadataStore::functions_of_job(
 }
 
 void MetadataStore::insert_checkpoint(CheckpointInfoRow row) {
-  const CheckpointId id = row.checkpoint;
-  const FunctionId fn = row.function;
-  CANARY_CHECK(checkpoints_.find(id) == checkpoints_.end(),
-               "duplicate checkpoint row");
-  checkpoints_.emplace(id, std::move(row));
-  checkpoints_by_fn_[fn].push_back(id);
-}
-
-void MetadataStore::remove_checkpoint(CheckpointId id) {
-  auto it = checkpoints_.find(id);
-  if (it == checkpoints_.end()) return;
-  auto& per_fn = checkpoints_by_fn_[it->second.function];
-  per_fn.erase(std::remove(per_fn.begin(), per_fn.end(), id), per_fn.end());
-  checkpoints_.erase(it);
-}
-
-CheckpointInfoRow* MetadataStore::mutable_checkpoint(CheckpointId id) {
-  auto it = checkpoints_.find(id);
-  return it == checkpoints_.end() ? nullptr : &it->second;
-}
-
-std::vector<const CheckpointInfoRow*> MetadataStore::checkpoints_of(
-    FunctionId fn) const {
-  std::vector<const CheckpointInfoRow*> rows;
-  auto it = checkpoints_by_fn_.find(fn);
-  if (it == checkpoints_by_fn_.end()) return rows;
-  rows.reserve(it->second.size());
-  for (const CheckpointId id : it->second) {
-    auto row = checkpoints_.find(id);
-    if (row != checkpoints_.end()) rows.push_back(&row->second);
+  auto& rows = checkpoints_[row.function].rows;
+  for (const CheckpointInfoRow& existing : rows) {
+    CANARY_CHECK(existing.checkpoint != row.checkpoint,
+                 "duplicate checkpoint row");
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const CheckpointInfoRow* a, const CheckpointInfoRow* b) {
-              return a->state_index < b->state_index;
-            });
-  return rows;
+  const auto at = std::upper_bound(
+      rows.begin(), rows.end(), row.state_index,
+      [](std::size_t state, const CheckpointInfoRow& r) {
+        return state < r.state_index;
+      });
+  rows.insert(at, std::move(row));
 }
 
-std::size_t MetadataStore::checkpoint_count(FunctionId fn) const {
-  auto it = checkpoints_by_fn_.find(fn);
-  return it == checkpoints_by_fn_.end() ? 0 : it->second.size();
+void MetadataStore::remove_checkpoint(FunctionId fn, CheckpointId id) {
+  auto it = checkpoints_.find(fn);
+  if (it == checkpoints_.end()) return;
+  auto& rows = it->second.rows;
+  auto row = std::find_if(rows.begin(), rows.end(),
+                          [id](const CheckpointInfoRow& r) {
+                            return r.checkpoint == id;
+                          });
+  if (row != rows.end()) rows.erase(row);
 }
 
-void MetadataStore::remove_checkpoints_of(FunctionId fn) {
-  auto it = checkpoints_by_fn_.find(fn);
-  if (it == checkpoints_by_fn_.end()) return;
-  for (const CheckpointId id : it->second) checkpoints_.erase(id);
-  checkpoints_by_fn_.erase(it);
-}
-
-void MetadataStore::insert_replica(ReplicationInfoRow row) {
-  CANARY_CHECK(replicas_.find(row.replica) == replicas_.end(),
-               "duplicate replica row");
-  replicas_.emplace(row.replica, std::move(row));
-}
-
-ReplicationInfoRow* MetadataStore::mutable_replica(ReplicaId id) {
-  auto it = replicas_.find(id);
-  return it == replicas_.end() ? nullptr : &it->second;
-}
-
-ReplicationInfoRow* MetadataStore::replica_by_container(ContainerId id) {
-  for (auto& [rid, row] : replicas_) {
-    if (row.container == id && row.status != ReplicaStatus::kDead) {
-      return &row;
-    }
+CheckpointInfoRow* MetadataStore::mutable_checkpoint(FunctionId fn,
+                                                     CheckpointId id) {
+  auto it = checkpoints_.find(fn);
+  if (it == checkpoints_.end()) return nullptr;
+  for (CheckpointInfoRow& row : it->second.rows) {
+    if (row.checkpoint == id) return &row;
   }
   return nullptr;
 }
 
-std::vector<const ReplicationInfoRow*> MetadataStore::replicas_of(
-    faas::RuntimeImage image) const {
-  std::vector<const ReplicationInfoRow*> rows;
-  for (const auto& [rid, row] : replicas_) {
-    if (row.runtime == image) rows.push_back(&row);
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const ReplicationInfoRow* a, const ReplicationInfoRow* b) {
-              return a->replica < b->replica;
-            });
-  return rows;
+std::span<const CheckpointInfoRow> MetadataStore::checkpoints_of(
+    FunctionId fn) const {
+  auto it = checkpoints_.find(fn);
+  if (it == checkpoints_.end()) return {};
+  return it->second.rows;
+}
+
+void MetadataStore::remove_checkpoints_of(FunctionId fn) {
+  checkpoints_.erase(fn);
+}
+
+unsigned MetadataStore::checkpoint_retention(FunctionId fn) const {
+  auto it = checkpoints_.find(fn);
+  return it == checkpoints_.end() ? 0 : it->second.retention;
+}
+
+void MetadataStore::set_checkpoint_retention(FunctionId fn,
+                                             unsigned retention) {
+  FunctionCheckpoints& entry = checkpoints_[fn];
+  entry.retention = retention;
+  // Room for the bound plus the one row an insert adds before eviction.
+  entry.rows.reserve(retention + 1);
+}
+
+void MetadataStore::insert_replica(ReplicationInfoRow row) {
+  auto& by_image = replicas_by_image_[row.runtime];
+  const auto at = std::lower_bound(
+      by_image.begin(), by_image.end(), row.replica,
+      [](const ReplicationInfoRow* r, ReplicaId id) { return r->replica < id; });
+  CANARY_CHECK(at == by_image.end() || (*at)->replica != row.replica,
+               "duplicate replica row");
+  ReplicationInfoRow& stored = replicas_.emplace_back();
+  stored = std::move(row);
+  by_image.insert(at, &stored);
+  replica_by_container_[stored.container] = &stored;
+}
+
+ReplicationInfoRow* MetadataStore::replica_by_container(ContainerId id) {
+  auto it = replica_by_container_.find(id);
+  if (it == replica_by_container_.end()) return nullptr;
+  ReplicationInfoRow* row = it->second;
+  return row->status == ReplicaStatus::kDead ? nullptr : row;
+}
+
+std::span<ReplicationInfoRow* const> MetadataStore::replicas_of(
+    faas::RuntimeImage image) {
+  auto it = replicas_by_image_.find(image);
+  if (it == replicas_by_image_.end()) return {};
+  return it->second;
 }
 
 }  // namespace canary::core

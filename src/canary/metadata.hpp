@@ -4,11 +4,15 @@
 // function_info, checkpoint_info, and replication_info." The paper keeps
 // them in CouchDB; here they are typed in-memory tables with the same
 // schema and the lookups the Core Module performs during recovery
-// (failed function -> runtime -> replica -> latest checkpoint).
+// (failed function -> runtime -> replica -> latest checkpoint). Those
+// lookups run on every state commit and every recovery, so the two hot
+// tables are indexed on write: checkpoint_info by function and
+// replication_info by image and by container.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "cluster/storage.hpp"
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
+#include "common/slab.hpp"
 #include "common/time.hpp"
 #include "faas/runtime.hpp"
 
@@ -49,8 +54,6 @@ struct JobInfoRow {
   AccountId account;
   std::size_t function_count = 0;
   TimePoint submitted;
-  unsigned checkpoint_retention = 3;
-  unsigned replication_factor = 1;
 };
 
 struct FunctionInfoRow {
@@ -106,28 +109,48 @@ class MetadataStore {
   std::vector<const FunctionInfoRow*> functions_of_job(JobId id) const;
 
   // -- checkpoint_info ---------------------------------------------------
+  // Rows are stored per function and addressed by (function, checkpoint
+  // id); each function's rows stay ordered by state index on insert.
   void insert_checkpoint(CheckpointInfoRow row);
-  void remove_checkpoint(CheckpointId id);
-  CheckpointInfoRow* mutable_checkpoint(CheckpointId id);
-  /// Rows for `fn`, ordered oldest-first by state index.
-  std::vector<const CheckpointInfoRow*> checkpoints_of(FunctionId fn) const;
-  std::size_t checkpoint_count(FunctionId fn) const;
+  /// Unknown ids are a no-op.
+  void remove_checkpoint(FunctionId fn, CheckpointId id);
+  CheckpointInfoRow* mutable_checkpoint(FunctionId fn, CheckpointId id);
+  /// Rows for `fn`, ordered oldest-first by state index. The view is
+  /// invalidated by the next insert or remove for `fn`.
+  std::span<const CheckpointInfoRow> checkpoints_of(FunctionId fn) const;
+  std::size_t checkpoint_count(FunctionId fn) const {
+    return checkpoints_of(fn).size();
+  }
   void remove_checkpoints_of(FunctionId fn);
+  /// Latest-n bound Algorithm 1 enforces on `fn`'s rows, kept with them
+  /// (and dropped with them); 0 until set.
+  unsigned checkpoint_retention(FunctionId fn) const;
+  void set_checkpoint_retention(FunctionId fn, unsigned retention);
 
   // -- replication_info --------------------------------------------------
   void insert_replica(ReplicationInfoRow row);
-  ReplicationInfoRow* mutable_replica(ReplicaId id);
+  /// The live (not dead) row holding `id`, if any.
   ReplicationInfoRow* replica_by_container(ContainerId id);
-  std::vector<const ReplicationInfoRow*> replicas_of(
-      faas::RuntimeImage image) const;
+  /// Every row ever inserted for `image`, dead ones included, in
+  /// replica-id order. The view is invalidated by the next insert for
+  /// `image`; the rows themselves never move.
+  std::span<ReplicationInfoRow* const> replicas_of(faas::RuntimeImage image);
 
  private:
+  struct FunctionCheckpoints {
+    unsigned retention = 0;
+    std::vector<CheckpointInfoRow> rows;
+  };
+
   std::unordered_map<NodeId, WorkerInfoRow> workers_;
   std::unordered_map<JobId, JobInfoRow> jobs_;
   std::unordered_map<FunctionId, FunctionInfoRow> functions_;
-  std::unordered_map<CheckpointId, CheckpointInfoRow> checkpoints_;
-  std::unordered_map<FunctionId, std::vector<CheckpointId>> checkpoints_by_fn_;
-  std::unordered_map<ReplicaId, ReplicationInfoRow> replicas_;
+  std::unordered_map<FunctionId, FunctionCheckpoints> checkpoints_;
+  /// Rows never move once appended, so the indexes hold plain pointers.
+  StableSlab<ReplicationInfoRow> replicas_;
+  std::unordered_map<faas::RuntimeImage, std::vector<ReplicationInfoRow*>>
+      replicas_by_image_;
+  std::unordered_map<ContainerId, ReplicationInfoRow*> replica_by_container_;
 };
 
 }  // namespace canary::core

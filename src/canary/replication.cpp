@@ -94,16 +94,31 @@ void ReplicationModule::on_job_submitted(JobId job) {
   for (const auto image : runtimes) reconcile(image);
 }
 
+void ReplicationModule::count_rack(NodeId node, int delta) {
+  auto& cluster = platform_.cluster();
+  if (!cluster.contains(node)) return;
+  const std::uint32_t rack = cluster.node(node).spec().rack;
+  if (rack >= functions_per_rack_.size()) functions_per_rack_.resize(rack + 1);
+  functions_per_rack_[rack] += delta;
+}
+
 void ReplicationModule::on_attempt_started(const faas::Invocation& inv) {
   auto [it, inserted] = fn_node_.try_emplace(inv.id, inv.node);
-  it->second = inv.node;
-  if (inserted) ++running_[inv.spec->runtime];
+  if (inserted) {
+    ++running_[inv.spec->runtime];
+  } else {
+    count_rack(it->second, -1);  // the attempt moved off its last node
+    it->second = inv.node;
+  }
+  count_rack(inv.node, +1);
 }
 
 void ReplicationModule::on_function_completed(const faas::Invocation& inv) {
   auto it = active_.find(inv.spec->runtime);
   if (it != active_.end() && it->second > 0) --it->second;
-  if (fn_node_.erase(inv.id) > 0) {
+  if (auto fn = fn_node_.find(inv.id); fn != fn_node_.end()) {
+    count_rack(fn->second, -1);
+    fn_node_.erase(fn);
     auto run_it = running_.find(inv.spec->runtime);
     if (run_it != running_.end() && run_it->second > 0) --run_it->second;
   }
@@ -140,7 +155,8 @@ std::optional<NodeId> ReplicationModule::place_replica(
   const auto replica_nodes = manager_.replica_nodes(image);
 
   // First replica: co-locate with a worker hosting a function of this
-  // runtime (checkpoint/data locality).
+  // runtime (checkpoint/data locality). Ties on free slots go to the
+  // first node in fn_node_'s hash-map iteration order.
   if (replica_nodes.empty()) {
     std::optional<NodeId> best;
     std::uint32_t best_free = 0;
@@ -158,12 +174,6 @@ std::optional<NodeId> ReplicationModule::place_replica(
 
   // Further replicas: avoid nodes already hosting a replica of this
   // runtime (anti-SPOF), prefer racks hosting the functions.
-  std::vector<std::uint32_t> function_racks;
-  for (const auto& [fn, node] : fn_node_) {
-    if (cluster.contains(node)) {
-      function_racks.push_back(cluster.node(node).spec().rack);
-    }
-  }
   std::vector<std::uint32_t> replica_zones;
   if (config_.spread_fault_domains) {
     for (const NodeId node : replica_nodes) {
@@ -181,9 +191,9 @@ std::optional<NodeId> ReplicationModule::place_replica(
         replica_nodes.end()) {
       continue;
     }
+    const std::uint32_t rack = host.spec().rack;
     const bool near_functions =
-        std::find(function_racks.begin(), function_racks.end(),
-                  host.spec().rack) != function_racks.end();
+        rack < functions_per_rack_.size() && functions_per_rack_[rack] > 0;
     const bool suspect = advisor_ != nullptr && advisor_->is_suspect(node);
     // Fault-domain spreading: a zone already holding a replica of this
     // runtime is a single correlated failure away from losing both

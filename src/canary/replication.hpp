@@ -20,7 +20,9 @@
 // rack locality as a tiebreaker.
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "canary/metadata.hpp"
 #include "canary/proactive.hpp"
@@ -104,6 +106,8 @@ class ReplicationModule {
 
  private:
   std::optional<NodeId> place_replica(faas::RuntimeImage image) const;
+  /// Move the rack census of `node`'s rack by `delta` live functions.
+  void count_rack(NodeId node, int delta);
 
   faas::Platform& platform_;
   RuntimeManagerModule& manager_;
@@ -119,6 +123,8 @@ class ReplicationModule {
   std::unordered_map<faas::RuntimeImage, std::size_t> running_;
   /// Nodes hosting the last-seen attempt of each live function.
   std::unordered_map<FunctionId, NodeId> fn_node_;
+  /// Live functions per rack (indexed by rack id), counted over fn_node_.
+  std::vector<std::int64_t> functions_per_rack_;
   double failures_seen_ = 0.0;
   double functions_seen_ = 0.0;
 };

@@ -38,8 +38,7 @@ std::optional<ReplicationInfoRow> RuntimeManagerModule::acquire(
     std::optional<NodeId> avoid, std::optional<std::uint32_t> avoid_zone) {
   ReplicationInfoRow* best = nullptr;
   int best_score = 0;
-  for (const auto* row_view : metadata_.replicas_of(image)) {
-    auto* row = metadata_.mutable_replica(row_view->replica);
+  for (ReplicationInfoRow* row : metadata_.replicas_of(image)) {
     if (row->status != ReplicaStatus::kActive) continue;
     if (!cluster_.node(row->worker).alive()) continue;
     if (avoid && row->worker == *avoid) continue;
@@ -70,7 +69,7 @@ std::optional<ReplicationInfoRow> RuntimeManagerModule::acquire(
 std::size_t RuntimeManagerModule::active_count(
     faas::RuntimeImage image) const {
   std::size_t count = 0;
-  for (const auto* row : metadata_.replicas_of(image)) {
+  for (const ReplicationInfoRow* row : metadata_.replicas_of(image)) {
     if (row->status == ReplicaStatus::kActive) ++count;
   }
   return count;
@@ -79,7 +78,7 @@ std::size_t RuntimeManagerModule::active_count(
 std::size_t RuntimeManagerModule::pending_count(
     faas::RuntimeImage image) const {
   std::size_t count = 0;
-  for (const auto* row : metadata_.replicas_of(image)) {
+  for (const ReplicationInfoRow* row : metadata_.replicas_of(image)) {
     if (row->status == ReplicaStatus::kLaunching) ++count;
   }
   return count;
@@ -88,7 +87,7 @@ std::size_t RuntimeManagerModule::pending_count(
 std::vector<NodeId> RuntimeManagerModule::replica_nodes(
     faas::RuntimeImage image) const {
   std::vector<NodeId> nodes;
-  for (const auto* row : metadata_.replicas_of(image)) {
+  for (const ReplicationInfoRow* row : metadata_.replicas_of(image)) {
     if (row->status == ReplicaStatus::kActive ||
         row->status == ReplicaStatus::kLaunching) {
       nodes.push_back(row->worker);
@@ -103,8 +102,7 @@ std::optional<ReplicationInfoRow> RuntimeManagerModule::promise_launching(
     faas::RuntimeImage image, Duration min_age) {
   ReplicationInfoRow* best = nullptr;
   const TimePoint now = platform_.simulator().now();
-  for (const auto* row_view : metadata_.replicas_of(image)) {
-    auto* row = metadata_.mutable_replica(row_view->replica);
+  for (ReplicationInfoRow* row : metadata_.replicas_of(image)) {
     if (row->status != ReplicaStatus::kLaunching) continue;
     if (!cluster_.node(row->worker).alive()) continue;
     if (now - row->created < min_age) continue;
@@ -119,8 +117,7 @@ std::optional<ReplicationInfoRow> RuntimeManagerModule::promise_launching(
 std::optional<ContainerId> RuntimeManagerModule::retire_one(
     faas::RuntimeImage image) {
   ReplicationInfoRow* newest = nullptr;
-  for (const auto* row_view : metadata_.replicas_of(image)) {
-    auto* row = metadata_.mutable_replica(row_view->replica);
+  for (ReplicationInfoRow* row : metadata_.replicas_of(image)) {
     if (row->status != ReplicaStatus::kActive) continue;
     if (newest == nullptr || row->created > newest->created) newest = row;
   }

@@ -77,8 +77,8 @@ TEST_F(CheckpointingTest, SmallPayloadWritesToKv) {
   EXPECT_TRUE(store_.contains(CheckpointingModule::kv_key(inv.id, 0)));
   const auto rows = metadata_.checkpoints_of(inv.id);
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows.front()->location, cluster::StorageTier::kKvStore);
-  EXPECT_TRUE(rows.front()->flushed_to_shared);
+  EXPECT_EQ(rows.front().location, cluster::StorageTier::kKvStore);
+  EXPECT_TRUE(rows.front().flushed_to_shared);
 }
 
 TEST_F(CheckpointingTest, OversizedPayloadSpills) {
@@ -94,9 +94,9 @@ TEST_F(CheckpointingTest, OversizedPayloadSpills) {
   module.on_state_committed(inv, 0);
   const auto rows = metadata_.checkpoints_of(inv.id);
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows.front()->location, cluster::StorageTier::kRamdisk);
-  EXPECT_FALSE(rows.front()->flushed_to_shared);  // async flush pending
-  EXPECT_EQ(rows.front()->stored_on, NodeId{1});
+  EXPECT_EQ(rows.front().location, cluster::StorageTier::kRamdisk);
+  EXPECT_FALSE(rows.front().flushed_to_shared);  // async flush pending
+  EXPECT_EQ(rows.front().stored_on, NodeId{1});
   EXPECT_EQ(metrics_.counter("checkpoint_spills"), 1.0);
   // The KV store holds only the location record.
   const auto entry = store_.get(CheckpointingModule::kv_key(inv.id, 0));
@@ -105,7 +105,7 @@ TEST_F(CheckpointingTest, OversizedPayloadSpills) {
 
   // After the async flush completes the spilled checkpoint is shared.
   sim_.run();
-  EXPECT_TRUE(metadata_.checkpoints_of(inv.id).front()->flushed_to_shared);
+  EXPECT_TRUE(metadata_.checkpoints_of(inv.id).front().flushed_to_shared);
 }
 
 TEST_F(CheckpointingTest, ZeroPayloadStillRecordsState) {
@@ -126,11 +126,36 @@ TEST_F(CheckpointingTest, RetentionKeepsLatestN) {
   for (std::size_t i = 0; i < 6; ++i) module.on_state_committed(inv, i);
   const auto rows = metadata_.checkpoints_of(inv.id);
   ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows.front()->state_index, 3u);
-  EXPECT_EQ(rows.back()->state_index, 5u);
+  EXPECT_EQ(rows.front().state_index, 3u);
+  EXPECT_EQ(rows.back().state_index, 5u);
   // Evicted KV keys are gone, retained ones remain.
   EXPECT_FALSE(store_.contains(CheckpointingModule::kv_key(inv.id, 0)));
   EXPECT_TRUE(store_.contains(CheckpointingModule::kv_key(inv.id, 5)));
+}
+
+TEST_F(CheckpointingTest, EachFunctionKeepsItsOwnLatestN) {
+  auto module = make_module();
+  // One job, two functions: slow states keep 3, fast states keep 5.
+  const auto slow = spec_with_payload(Bytes::kib(16), 8, Duration::sec(3.0));
+  const auto fast = spec_with_payload(Bytes::kib(16), 8, Duration::msec(200));
+  ASSERT_EQ(module.retention_for(slow), 3u);
+  ASSERT_EQ(module.retention_for(fast), 5u);
+  const auto a = invocation_for(slow, 1);
+  const auto b = invocation_for(fast, 2);
+  ASSERT_EQ(a.job, b.job);
+  for (std::size_t i = 0; i < 8; ++i) {
+    module.on_state_committed(a, i);
+    module.on_state_committed(b, i);
+  }
+  const auto slow_rows = metadata_.checkpoints_of(a.id);
+  ASSERT_EQ(slow_rows.size(), 3u);
+  EXPECT_EQ(slow_rows.front().state_index, 5u);
+  const auto fast_rows = metadata_.checkpoints_of(b.id);
+  ASSERT_EQ(fast_rows.size(), 5u);
+  EXPECT_EQ(fast_rows.front().state_index, 3u);
+  EXPECT_FALSE(store_.contains(CheckpointingModule::kv_key(a.id, 4)));
+  EXPECT_TRUE(store_.contains(CheckpointingModule::kv_key(b.id, 4)));
+  EXPECT_EQ(store_.size(), 8u);
 }
 
 TEST_F(CheckpointingTest, DynamicRetentionAdapts) {
@@ -158,7 +183,7 @@ TEST_F(CheckpointingTest, ExplicitModeShrinksPayload) {
   const auto inv = invocation_for(spec);
   // 8 MiB * 0.25 = 2 MiB: fits the KV limit, no spill.
   module.on_state_committed(inv, 0);
-  EXPECT_EQ(metadata_.checkpoints_of(inv.id).front()->location,
+  EXPECT_EQ(metadata_.checkpoints_of(inv.id).front().location,
             cluster::StorageTier::kKvStore);
   EXPECT_EQ(metrics_.counter("checkpoint_spills"), 0.0);
 }

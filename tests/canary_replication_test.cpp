@@ -198,6 +198,53 @@ TEST_F(ReplicationTest, ReconcileLaunchesAndPlacesAntiSpof) {
   EXPECT_GE(metrics_.counter("replicas_launched"), 3.0);
 }
 
+TEST_F(ReplicationTest, FurtherReplicaFollowsLiveFunctionRacks) {
+  // Nodes 1-4 sit in rack 0, nodes 5-8 in rack 1. At fraction 1 the
+  // aggressive target is one replica per submitted function, so each
+  // submission below places exactly one more replica. Among free nodes
+  // without a replica, placement picks the lowest id, unless a rack
+  // hosts a started function.
+  ReplicationConfig config;
+  config.mode = ReplicationMode::kAggressive;
+  config.aggressive_fraction = 1.0;
+  auto module = make_module(config);
+  const auto image = faas::RuntimeImage::kPython3;
+  auto newest_replica = [&] {
+    return metadata_.replicas_of(image).back()->worker;
+  };
+
+  const JobId job = submit(image, 1);
+  faas::Invocation inv;
+  inv.id = platform_.job_functions(job).front();
+  inv.spec = &platform_.job_spec(job).functions.front();
+  inv.node = NodeId{6};
+  module.on_attempt_started(inv);
+  module.on_job_submitted(job);
+  EXPECT_EQ(newest_replica(), NodeId{6});  // first replica joins it
+
+  // The second replica prefers the started function's rack.
+  module.on_job_submitted(submit(image, 1));
+  EXPECT_EQ(newest_replica(), NodeId{5});
+
+  // The next attempt starts in rack 0: the preference moves with it.
+  inv.node = NodeId{2};
+  module.on_attempt_started(inv);
+  module.on_job_submitted(submit(image, 1));
+  EXPECT_EQ(newest_replica(), NodeId{1});
+
+  // And back to rack 1: rack 0 no longer counts.
+  inv.node = NodeId{7};
+  module.on_attempt_started(inv);
+  module.on_job_submitted(submit(image, 1));
+  EXPECT_EQ(newest_replica(), NodeId{7});
+
+  // Once the function completes no rack is preferred.
+  module.on_function_completed(inv);
+  module.on_job_submitted(submit(image, 2));
+  EXPECT_EQ(newest_replica(), NodeId{2});
+  EXPECT_EQ(metadata_.replicas_of(image).size(), 5u);
+}
+
 TEST_F(ReplicationTest, CompletionRetiresExcessReplicas) {
   ReplicationConfig config;
   config.mode = ReplicationMode::kAggressive;

@@ -212,7 +212,7 @@ TEST_F(CompressionTest, CompressionAvoidsSpill) {
   core::CheckpointingConfig off;
   auto plain = make_module(off);
   plain.on_state_committed(inv, 0);
-  EXPECT_EQ(metadata_.checkpoints_of(inv.id).front()->location,
+  EXPECT_EQ(metadata_.checkpoints_of(inv.id).front().location,
             cluster::StorageTier::kRamdisk);
   plain.drop_function(inv.id);
 
@@ -220,9 +220,9 @@ TEST_F(CompressionTest, CompressionAvoidsSpill) {
   on.compress = true;
   auto compressed = make_module(on);
   compressed.on_state_committed(inv, 0);
-  EXPECT_EQ(metadata_.checkpoints_of(inv.id).front()->location,
+  EXPECT_EQ(metadata_.checkpoints_of(inv.id).front().location,
             cluster::StorageTier::kKvStore);
-  EXPECT_LT(metadata_.checkpoints_of(inv.id).front()->payload, Bytes::mib(3));
+  EXPECT_LT(metadata_.checkpoints_of(inv.id).front().payload, Bytes::mib(3));
 }
 
 TEST_F(CompressionTest, EpilogueIncludesCompressionCpu) {
