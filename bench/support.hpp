@@ -6,7 +6,7 @@
 // prints (a) the figure's series as an aligned table and (b) the paper's
 // headline claim next to the measured value. Every figure bench also
 // emits a machine-readable BENCH_<name>.json run report (obs::RunReport,
-// canary.run_report/v2) so CI can archive and diff results across
+// canary.run_report/v3) so CI can archive and diff results across
 // commits. The bench-family binaries (scale_stress, chaos_campaign,
 // traffic_curves, fig09_hedging, fig13_partitions, realexec_validate)
 // write their reports through write_bench_report() instead, in the one

@@ -6,11 +6,14 @@
 //       --error-rate=0.3 --functions=100 --nodes=16 --reps=5
 //       [--node-failures=2] [--sla=60] [--proactive] [--csv] [--breakdown]
 //       [--report=run_report.json] [--trace=run.trace.json]
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 
 #include "common/table.hpp"
 #include "faas/substrate.hpp"
@@ -35,7 +38,6 @@ struct Options {
   double sla_seconds = 0.0;
   bool proactive = false;
   bool attribution = false;
-  double window_seconds = 1.0;
   std::uint64_t seed = 42;
   bool csv = false;
   bool breakdown = false;
@@ -57,22 +59,44 @@ void usage() {
       "                   graph-bfs | compression | spark-mining with\n"
       "                   retry | canary-ckpt | as)\n"
       "  --error-rate=F   0.0 - 0.95 (default 0.2)\n"
-      "  --functions=N    functions in the job (default 100)\n"
-      "  --nodes=N        cluster size (default 16)\n"
-      "  --reps=N         repetitions (default 5)\n"
-      "  --node-failures=N  node-level failures during the run\n"
-      "  --sla=SECONDS    job deadline (enables SLA accounting)\n"
+      "  --functions=N    functions in the job, >= 1 (default 100)\n"
+      "  --nodes=N        cluster size, >= 1 (default 16)\n"
+      "  --reps=N         repetitions, >= 1 (default 5)\n"
+      "  --node-failures=N  node-level failures during the run, >= 0\n"
+      "  --sla=SECONDS    job deadline, >= 0 (enables SLA accounting)\n"
       "  --proactive      enable proactive failure mitigation\n"
-      "  --attribution    enable tail-latency attribution + windowed\n"
-      "                   time-series (report schema becomes v3; the\n"
-      "                   trace gains a counter track)\n"
-      "  --window=SECONDS time-series window width (default 1.0)\n"
+      "  --attribution    derive tail-latency attribution and the 1 s\n"
+      "                   windowed time series from the causal log (the\n"
+      "                   report gains tail + timeseries sections, the\n"
+      "                   trace a counter track)\n"
       "  --seed=N         base seed (default 42)\n"
       "  --csv            emit CSV instead of an aligned table\n"
       "  --breakdown      print the recovery critical-path breakdown\n"
       "                   (detection/scheduling/launch/init/restore/re-exec)\n"
       "  --report=FILE    write a run_report.json (deterministic in seed)\n"
       "  --trace=FILE     write a chrome://tracing span timeline of one run\n";
+}
+
+/// Parse `value`, the whole of it, as a number in [lo, hi]. Anything else
+/// is one `error:` line and exit status 2.
+template <typename T>
+T parse_number(const char* flag, const std::string& value, T lo,
+               T hi = std::numeric_limits<T>::max()) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  // Written as !(in range) so a parsed NaN is rejected too.
+  if (ec != std::errc{} || ptr != end || !(out >= lo && out <= hi)) {
+    std::cerr << "error: " << flag << "=" << value << ": expected "
+              << (std::is_integral_v<T> ? "an integer" : "a number");
+    if (hi == std::numeric_limits<T>::max()) {
+      std::cerr << " >= " << lo << "\n";
+    } else {
+      std::cerr << " in [" << lo << ", " << hi << "]\n";
+    }
+    std::exit(2);
+  }
+  return out;
 }
 
 bool parse_flag(const char* arg, const char* name, std::string& out) {
@@ -95,25 +119,23 @@ Options parse(int argc, char** argv) {
     } else if (parse_flag(argv[i], "--backend", value)) {
       opts.backend = value;
     } else if (parse_flag(argv[i], "--error-rate", value)) {
-      opts.error_rate = std::atof(value.c_str());
+      opts.error_rate = parse_number("--error-rate", value, 0.0, 0.95);
     } else if (parse_flag(argv[i], "--functions", value)) {
-      opts.functions = static_cast<std::size_t>(std::atoll(value.c_str()));
+      opts.functions = parse_number<std::size_t>("--functions", value, 1);
     } else if (parse_flag(argv[i], "--nodes", value)) {
-      opts.nodes = static_cast<std::size_t>(std::atoll(value.c_str()));
+      opts.nodes = parse_number<std::size_t>("--nodes", value, 1);
     } else if (parse_flag(argv[i], "--reps", value)) {
-      opts.reps = std::atoi(value.c_str());
+      opts.reps = parse_number("--reps", value, 1);
     } else if (parse_flag(argv[i], "--node-failures", value)) {
-      opts.node_failures = std::atoi(value.c_str());
+      opts.node_failures = parse_number("--node-failures", value, 0);
     } else if (parse_flag(argv[i], "--sla", value)) {
-      opts.sla_seconds = std::atof(value.c_str());
+      opts.sla_seconds = parse_number("--sla", value, 0.0);
     } else if (parse_flag(argv[i], "--seed", value)) {
-      opts.seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
+      opts.seed = parse_number<std::uint64_t>("--seed", value, 0);
     } else if (parse_flag(argv[i], "--report", value)) {
       opts.report_path = value;
     } else if (parse_flag(argv[i], "--trace", value)) {
       opts.trace_path = value;
-    } else if (parse_flag(argv[i], "--window", value)) {
-      opts.window_seconds = std::atof(value.c_str());
     } else if (std::strcmp(argv[i], "--proactive") == 0) {
       opts.proactive = true;
     } else if (std::strcmp(argv[i], "--attribution") == 0) {
@@ -207,7 +229,7 @@ int run_real_backend(const Options& opts) {
     return 2;
   }
   rc.seed = opts.seed;
-  rc.kills = static_cast<std::uint32_t>(std::max(opts.node_failures, 0));
+  rc.kills = static_cast<std::uint32_t>(opts.node_failures);
 
   realexec::ControllerConfig base;
   base.kv.max_entry_size = Bytes::mib(64);
@@ -215,7 +237,7 @@ int run_real_backend(const Options& opts) {
 
   SampleSet makespan, window, recoveries;
   faas::SubstrateRunSummary last;
-  for (int rep = 0; rep < std::max(opts.reps, 1); ++rep) {
+  for (int rep = 0; rep < opts.reps; ++rep) {
     realexec::RealScenarioConfig rep_config = rc;
     rep_config.seed = opts.seed + static_cast<std::uint64_t>(rep);
     const auto result = backend.run(rep_config);
@@ -299,11 +321,7 @@ int main(int argc, char** argv) {
   for (int n = 0; n < opts.node_failures; ++n) {
     config.node_failure_offsets.push_back(Duration::sec(8.0 * (n + 1)));
   }
-  if (opts.attribution) {
-    config.tail.enabled = true;
-    config.timeseries.enabled = true;
-    config.timeseries.window = Duration::sec(opts.window_seconds);
-  }
+  config.attribution = opts.attribution;
 
   const auto agg = harness::run_repetitions(config, jobs, opts.reps);
 
@@ -389,9 +407,9 @@ int main(int argc, char** argv) {
     traced.record_events = true;
     const auto run = harness::ScenarioRunner::run(traced, jobs);
     // With attribution on, the windowed rollups ride along as a counter
-    // track; passing nullptr otherwise keeps the trace byte-identical.
+    // track.
     const obs::TimeSeries* series =
-        run.timeseries.enabled() ? &run.timeseries : nullptr;
+        run.attribution ? &run.attribution->timeseries : nullptr;
     if (run.spans == nullptr ||
         !obs::write_chrome_trace_file(opts.trace_path, run.spans.get(),
                                       run.events.get(), series)) {

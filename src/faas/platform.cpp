@@ -292,7 +292,6 @@ Result<JobId> Platform::shed_job(JobSpec spec) {
     }
     obs_event(inv, obs::EventKind::kShed, fn.name);
     m_functions_shed_.add();
-    if (series_ != nullptr) series_->count("shed", sim_.now());
   }
   return job_id;
 }
@@ -548,7 +547,6 @@ void Platform::start_cold(InvocationInternal& inv, NodeId node,
   }
   inv.container = cid;
   m_cold_starts_.add();
-  if (series_ != nullptr) series_->count("cold_starts", sim_.now());
   obs_event(inv, obs::EventKind::kLaunch, "launch");
 
   const double speed = host.speed();
@@ -689,7 +687,6 @@ void Platform::complete_function(InvocationInternal& inv) {
   inv.timeout_event.cancel();
   inv.progress_event.cancel();
   m_function_latency_.record_duration(sim_.now() - inv.submit_time);
-  record_completion_series(inv);
   if (inv.first_dispatch_time != TimePoint::max()) {
     m_function_queue_wait_.record_duration(inv.first_dispatch_time -
                                            inv.submit_time);
@@ -753,21 +750,6 @@ void Platform::complete_function(InvocationInternal& inv) {
   retry_capacity_waiters();
 }
 
-void Platform::record_completion_series(InvocationInternal& inv) {
-  if (series_ == nullptr || !series_->enabled()) return;
-
-  // Anchor at the admission arrival for open-loop requests — the same
-  // instant the retroactive kQueued event carries — so the windowed
-  // latency is the causal chain's end-to-end window.
-  const TimePoint enqueued = job_record(inv.job).spec->enqueued_at;
-  const TimePoint anchor =
-      enqueued != TimePoint::max() && enqueued < inv.submit_time
-          ? enqueued
-          : inv.submit_time;
-  series_->count("completions", sim_.now());
-  series_->sample("latency", sim_.now(), (sim_.now() - anchor).to_seconds());
-}
-
 void Platform::handle_kill(InvocationInternal& inv, FailureKind kind) {
   if (inv.phase == Phase::kCompleted || inv.phase == Phase::kFailed ||
       inv.phase == Phase::kPending || inv.phase == Phase::kShed) {
@@ -805,7 +787,6 @@ void Platform::handle_kill(InvocationInternal& inv, FailureKind kind) {
   ++inv.failures;
   inv.phase = Phase::kFailed;
   m_failures_.add();
-  if (series_ != nullptr) series_->count("failures", sim_.now());
 
   FailureInfo info;
   info.kind = kind;
@@ -835,7 +816,6 @@ void Platform::handle_kill(InvocationInternal& inv, FailureKind kind) {
     auto& target = internal(id);
     if (target.attempt != attempt || target.phase != Phase::kFailed) return;
     obs_event(target, obs::EventKind::kDetect, "detect");
-    if (series_ != nullptr) series_->count("detections", sim_.now());
     if (recovery_ != nullptr) recovery_->on_failure(target, info);
   });
 }
@@ -873,7 +853,6 @@ void Platform::confirm_node_dead(NodeId node) {
       continue;
     }
     obs_event(target, obs::EventKind::kDetect, "detect");
-    if (series_ != nullptr) series_->count("detections", sim_.now());
     if (recovery_ != nullptr) recovery_->on_failure(target, stash.info);
   }
 }
@@ -923,10 +902,6 @@ void Platform::logically_fence(NodeId node) {
   // kHeartbeat mode the kills stash into undetected_ and our caller
   // drains them.
   cluster_.fail_node(node);
-  if (series_ != nullptr) {
-    series_->set_level("nodes_up", sim_.now(),
-                       static_cast<double>(cluster_.alive_count()));
-  }
   for (const ContainerId cid : on_node) {
     auto& c = container_ref(cid);
     if (!c.alive()) continue;
@@ -949,10 +924,6 @@ void Platform::resolve_recovery_markers(InvocationInternal& inv) {
       inv.recovery_time += recovery;
       m_recovery_time_.record_duration(recovery);
       m_recoveries_.add();
-      if (series_ != nullptr) {
-        series_->count("recoveries", now);
-        series_->sample("recovery_time", now, recovery.to_seconds());
-      }
       obs_event(inv, obs::EventKind::kRecovered, "recovered", it->fail_event);
       it = inv.markers.erase(it);
     } else {
@@ -1086,11 +1057,6 @@ void Platform::cancel_hedge(FunctionId loser, FunctionId winner) {
 void Platform::fail_node(NodeId node, obs::EventId cause) {
   cluster_.fail_node(node);
   m_node_failures_.add();
-  if (series_ != nullptr) {
-    series_->count("node_failures", sim_.now());
-    series_->set_level("nodes_up", sim_.now(),
-                       static_cast<double>(cluster_.alive_count()));
-  }
   // The node failure is an ambient root event on its own trace; every
   // victim invocation's kFailure event points back to it via a cause
   // edge, so one chrome flow fans out from the node to all casualties.

@@ -36,7 +36,6 @@
 #include "obs/metric_registry.hpp"
 #include "obs/slo_monitor.hpp"
 #include "obs/span.hpp"
-#include "obs/time_series.hpp"
 #include "sim/simulator.hpp"
 
 namespace canary::faas {
@@ -132,15 +131,6 @@ class Platform {
   /// falling back to the job deadline) are armed at submission and their
   /// breaches recorded online as kSlaViolation events.
   void set_slo_monitor(obs::SloMonitor* slo) { slo_ = slo; }
-  obs::SloMonitor* slo_monitor() const { return slo_; }
-  /// Install windowed time-series rollups: completions, failures,
-  /// detections, cold starts and node health land in fixed sim-interval
-  /// windows. Null disables (the default).
-  void set_time_series(obs::TimeSeries* series) { series_ = series; }
-  obs::TimeSeries* time_series() const { return series_; }
-  /// Current simulated time (handlers recording into the time series
-  /// need a timestamp without holding their own simulator reference).
-  TimePoint now() const { return sim_.now(); }
 
   // ---- job/function API ----------------------------------------------
   /// Validate against platform limits and enqueue every function of the
@@ -380,9 +370,6 @@ class Platform {
   /// attempts for its executing invocations, then kill-and-redeploy them.
   void logically_fence(NodeId node);
   void resolve_recovery_markers(InvocationInternal& inv);
-  /// Time-series recording at completion (no-op unless the series is
-  /// installed).
-  void record_completion_series(InvocationInternal& inv);
 
   sim::Simulator& sim_;
   cluster::Cluster& cluster_;
@@ -395,7 +382,6 @@ class Platform {
   ExecutionHooks* hooks_ = nullptr;
   obs::EventLog* events_ = nullptr;
   obs::SloMonitor* slo_ = nullptr;
-  obs::TimeSeries* series_ = nullptr;
   /// While fail_node() kills a node's containers, the kNodeFailure event
   /// whose cause edge every victim's kFailure event carries.
   obs::EventId node_failure_cause_ = obs::kNoEvent;

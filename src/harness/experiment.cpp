@@ -20,8 +20,7 @@ void Aggregate::add(const RunResult& run) {
   span_health.merge({run.spans_recorded, run.spans_dropped, {}});
   event_health.merge(
       {run.events_recorded, run.events_dropped, run.events_dropped_by_kind});
-  tail.merge(run.tail);
-  timeseries.merge(run.timeseries);
+  obs::merge(attribution, run.attribution);
   if (!run.completed) ++incomplete_runs;
 }
 
@@ -81,8 +80,7 @@ obs::RunReport make_report(std::string name, const ScenarioConfig& config,
   report.breakdown = agg.breakdown;
   report.span_health = agg.span_health;
   report.event_health = agg.event_health;
-  report.tail = agg.tail;
-  report.timeseries = agg.timeseries;
+  report.attribution = agg.attribution;
   return report;
 }
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,12 +34,11 @@ struct Aggregate {
   /// Recorder overflow accounting summed across repetitions.
   obs::RecorderHealth span_health;
   obs::RecorderHealth event_health;
-  /// Merged tail attribution across repetitions (sample counts add, the
-  /// deeper-tail representative wins); empty unless tail attribution ran.
-  obs::TailReport tail;
-  /// Merged windowed rollups (windows align by start, counters add,
-  /// per-window histograms merge); empty unless time-series ran.
-  obs::TimeSeries timeseries;
+  /// Merged attribution across repetitions: tail sample counts add and
+  /// the deeper-tail representative wins; series windows align by start,
+  /// counters add and per-window histograms merge. Unset unless
+  /// attribution ran.
+  std::optional<obs::Attribution> attribution;
 
   void add(const RunResult& run);
   /// Per-run mean of a metrics counter (e.g. "replica_recoveries").

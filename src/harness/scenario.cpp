@@ -62,7 +62,7 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
                metrics) {
   using recovery::StrategyKind;
 
-  if (config.record_events || config.record_spans) {
+  if (config.record_events || config.record_spans || config.attribution) {
     events = std::make_shared<obs::EventLog>();
     platform.set_event_log(events.get());
   }
@@ -76,13 +76,6 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
   store.set_writer_quorum(
       [&net = network](NodeId writer) { return net.reaches_majority(writer); });
   store.set_zone_map([&c = cluster](NodeId node) { return c.zone_of(node); });
-
-  // Opt-in windowed rollups: no code path changes when disabled, so
-  // series-off runs stay byte-identical.
-  if (config.timeseries.enabled) {
-    series.configure(config.timeseries);
-    platform.set_time_series(&series);
-  }
 
   // While this run is live, this thread's log records carry the simulated
   // time and kWarn+ records mirror into the causal log as annotations.
@@ -398,7 +391,11 @@ RunResult ScenarioInstance::collect() {
     }
     obs::CriticalPathAnalyzer analyzer(*events);
     result.breakdown = analyzer.report(slo.targets());
-    result.tail = obs::attribute_tail(analyzer, config.tail);
+    if (config.attribution) {
+      result.attribution = obs::Attribution{
+          obs::attribute_tail(analyzer),
+          obs::derive_time_series(*events, analyzer, config.cluster_nodes)};
+    }
   }
   if (config.record_spans) {
     // Spans still open when the run quiesced close at the current clock.
@@ -455,7 +452,6 @@ RunResult ScenarioInstance::collect() {
     h.skipped = static_cast<std::uint64_t>(metrics.counter("hedges_skipped"));
     h.open = hedge->open_races();
   }
-  if (series.enabled()) result.timeseries = std::move(series);
   result.metrics = std::move(metrics);
   result.events = std::move(events);
   return result;

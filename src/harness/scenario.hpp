@@ -19,9 +19,8 @@
 #include "obs/critical_path.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metric_registry.hpp"
+#include "obs/report.hpp"
 #include "obs/span.hpp"
-#include "obs/tail_analyzer.hpp"
-#include "obs/time_series.hpp"
 #include "recovery/strategies.hpp"
 #include "traffic/generator.hpp"
 
@@ -120,24 +119,21 @@ struct ScenarioConfig {
   bool record_spans = false;
   /// Record the per-invocation causal event DAG into RunResult::events and
   /// derive RunResult::breakdown from it. On by default: events are cheap
-  /// and the critical-path breakdown feeds the v2 run report.
+  /// and the critical-path breakdown feeds the run report.
   bool record_events = true;
   /// Open-loop traffic: arrival streams driven through admission control
   /// (and optionally the warm-pool autoscaler) on top of — or instead of
   /// — the batch `jobs`. Disabled by default; enabling it forces
   /// PlatformConfig::reuse_containers so warm-pool sizing can matter.
   traffic::TrafficConfig traffic;
-  /// Tail-latency attribution: at collect time, the completion at each
-  /// tail percentile is read off the causal event log together with its
-  /// exact per-component attribution (queueing/cold-start/detection/...).
-  /// Needs record_events. Off by default; when disabled the run — and
-  /// every artifact derived from it — is byte-identical to a build
-  /// without this feature.
-  obs::TailConfig tail;
-  /// Windowed time-series rollups (counter rates, per-window latency
-  /// quantiles, node health) over fixed sim-time intervals. Off by
-  /// default with the same byte-identity guarantee as `tail`.
-  obs::TimeSeriesConfig timeseries;
+  /// Attribution: at collect time, derive RunResult::attribution from the
+  /// causal event log — the completion at each tail percentile with its
+  /// exact per-component attribution (queueing/cold-start/detection/...),
+  /// and the windowed time series (counter rates, per-window latency
+  /// quantiles, node health). Turns the event log on. Off by default:
+  /// both views cost collect time and report size, and nothing else
+  /// reads them.
+  bool attribution = false;
 
   /// Sharded runs. With one partition (the default) the monolithic
   /// single-simulator path runs. With `partitions` > 1 the scenario is
@@ -271,13 +267,11 @@ struct RunResult {
   };
   HedgeSummary hedge;
 
-  /// Tail-latency attribution (empty unless ScenarioConfig::tail.enabled
-  /// and event recording is on): per-group percentile targets, each with
-  /// its nearest-rank completion and that completion's exact component
-  /// attribution.
-  obs::TailReport tail;
-  /// Windowed rollups (empty unless ScenarioConfig::timeseries.enabled).
-  obs::TimeSeries timeseries;
+  /// Tail attribution (per-group percentile targets, each with its
+  /// nearest-rank completion and that completion's exact component
+  /// attribution) and the windowed time series; set exactly when
+  /// ScenarioConfig::attribution is on.
+  std::optional<obs::Attribution> attribution;
   /// Per-EventKind drop counts for the causal log (recorder health);
   /// empty when nothing was dropped.
   std::map<std::string, std::uint64_t> events_dropped_by_kind;

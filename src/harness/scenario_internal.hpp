@@ -64,7 +64,6 @@ struct ScenarioInstance {
 
   std::shared_ptr<obs::EventLog> events;
   obs::SloMonitor slo;
-  obs::TimeSeries series;
 
   std::optional<ScopedLogClock> log_clock;
   std::optional<ScopedLogMirror> log_mirror;
@@ -93,7 +92,7 @@ ScenarioConfig derive_partition_config(const ScenarioConfig& config,
                                        unsigned partition, unsigned partitions);
 
 /// Reduce per-partition results into one merged RunResult, in partition
-/// order (every constituent merge — metrics, breakdown, tail, series —
+/// order (every constituent merge — metrics, breakdown, attribution —
 /// is deterministic and order-fixed). The inputs are retained in
 /// RunResult::shards.
 RunResult merge_sharded_results(std::vector<std::shared_ptr<RunResult>> parts);

@@ -119,8 +119,7 @@ RunResult merge_sharded_results(
     merged.simulated_events += r.simulated_events;
     merged.metrics.merge(r.metrics);
     merged.breakdown.merge(r.breakdown);
-    merged.tail.merge(r.tail);
-    merged.timeseries.merge(r.timeseries);
+    obs::merge(merged.attribution, r.attribution);
     merged.spans_recorded += r.spans_recorded;
     merged.spans_dropped += r.spans_dropped;
     merged.events_recorded += r.events_recorded;

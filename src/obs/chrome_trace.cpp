@@ -153,7 +153,7 @@ void write_section(JsonWriter& json, const TraceSection& section,
       }
     }
   }
-  if (section.series != nullptr && section.series->enabled()) {
+  if (section.series != nullptr) {
     write_counter_tracks(json, *section.series, pid);
   }
 }

@@ -35,8 +35,8 @@ struct TraceSection {
 /// Write the trace JSON document: the span timeline plus causal events
 /// with flow arrows for cause edges, and windowed rollups rendered as
 /// counter tracks ("ph":"C" — one stepped graph per counter/level/p99
-/// stream, named "ts.<stream>"). Any input may be null; a null or
-/// disabled series adds nothing, byte for byte.
+/// stream, named "ts.<stream>"). Any input may be null; a null series
+/// adds nothing, byte for byte.
 void write_chrome_trace(std::ostream& os, const std::vector<Span>* spans,
                         const EventLog* events,
                         const TimeSeries* series = nullptr);

@@ -64,7 +64,7 @@ struct ComponentSums {
   PathComponent dominant() const;
 };
 
-/// The `breakdown` section of a v2 run report. Mergeable across
+/// The `breakdown` section of a run report. Mergeable across
 /// repetitions (sums add, counts add).
 struct BreakdownReport {
   /// Resolved failure-to-recovery windows.

@@ -91,12 +91,4 @@ std::size_t EventLog::count_of(EventKind kind) const {
   return count;
 }
 
-void EventLog::clear() {
-  events_.clear();
-  dropped_ = 0;
-  dropped_by_kind_.fill(0);
-  drop_warned_.fill(false);
-  next_trace_ = 1;
-}
-
 }  // namespace canary::obs

@@ -142,8 +142,6 @@ class EventLog {
 
   std::size_t count_of(EventKind kind) const;
 
-  void clear();
-
  private:
   std::size_t capacity_;
   std::size_t dropped_ = 0;

@@ -26,10 +26,4 @@ void MetricRegistry::merge(const MetricRegistry& other) {
   }
 }
 
-void MetricRegistry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 }  // namespace canary::obs

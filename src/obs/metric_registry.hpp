@@ -38,8 +38,7 @@ class MetricRegistry {
   // dominates the platform's bookkeeping at million-invocation scale.
   // Hot recorders resolve their metric once and increment through the
   // returned reference instead. Map nodes are stable, so handles stay
-  // valid for the registry's lifetime — except across clear(), after
-  // which they must be re-acquired.
+  // valid for the registry's lifetime.
   double& counter_ref(const std::string& name) { return counters_[name]; }
   Histogram& histogram_ref(const std::string& name) {
     return histograms_[name];
@@ -69,8 +68,6 @@ class MetricRegistry {
   /// exactly, gauges take `other`'s value (last writer wins). Used by the
   /// harness to aggregate per-repetition registries deterministically.
   void merge(const MetricRegistry& other);
-
-  void clear();
 
  private:
   std::map<std::string, double> counters_;

@@ -70,7 +70,7 @@ void write_tail(JsonWriter& json, const TailReport& tail) {
 
 void write_timeseries(JsonWriter& json, const TimeSeries& series) {
   json.key("timeseries").begin_object();
-  json.field("window_s", series.config().window.to_seconds());
+  json.field("window_s", kTimeSeriesWindow.to_seconds());
   json.field("windows", static_cast<std::uint64_t>(series.windows().size()));
   json.field("evicted", series.evicted());
 
@@ -142,15 +142,22 @@ void write_timeseries(JsonWriter& json, const TimeSeries& series) {
 
 }  // namespace
 
+void merge(std::optional<Attribution>& into,
+           const std::optional<Attribution>& from) {
+  if (!from) return;
+  if (!into) into.emplace();
+  into->tail.merge(from->tail);
+  into->timeseries.merge(from->timeseries);
+}
+
 void RunReport::set_param(const std::string& key, double value) {
   params[key] = JsonWriter::format_double(value);
 }
 
 void RunReport::write_json(std::ostream& os) const {
   JsonWriter json(os, /*indent=*/2);
-  const bool v3 = tail.enabled || timeseries.enabled();
   json.begin_object();
-  json.field("schema", v3 ? kRunReportSchemaV3 : kRunReportSchema);
+  json.field("schema", kRunReportSchema);
   json.field("name", name);
 
   json.key("params").begin_object();
@@ -224,8 +231,10 @@ void RunReport::write_json(std::ostream& os) const {
   write_health(json, event_health);
   json.end_object();
 
-  if (tail.enabled) write_tail(json, tail);
-  if (timeseries.enabled()) write_timeseries(json, timeseries);
+  if (attribution) {
+    write_tail(json, attribution->tail);
+    write_timeseries(json, attribution->timeseries);
+  }
 
   json.key("series").begin_array();
   for (const Series& s : series) {

@@ -1,4 +1,4 @@
-// Machine-readable run report (the `run_report.json` schema, v2).
+// Machine-readable run report (the `run_report.json` schema, v3).
 //
 // Every bench binary and the experiment CLI emit one of these so results
 // stop living in ad-hoc stdout tables: CI archives BENCH_<name>.json per
@@ -6,7 +6,7 @@
 // deliberately small and stable:
 //
 //   {
-//     "schema": "canary.run_report/v2",
+//     "schema": "canary.run_report/v3",
 //     "name": "<binary or experiment id>",
 //     "params": { "<key>": "<string value>", ... },
 //     "scalars": { "<key>": <number>, ... },
@@ -17,7 +17,7 @@
 //         "<name>": { "count", "mean", "min", "max", "p50", "p95", "p99" }
 //       }
 //     },
-//     "breakdown": {                    // v2: critical-path decomposition
+//     "breakdown": {                    // critical-path decomposition
 //       "recoveries": { "count", "window_s", "components": {..} },
 //       "end_to_end": { "components": {..} },
 //       "per_function": { "<family>": { "functions", "recoveries",
@@ -25,22 +25,23 @@
 //       "slo": { "targets", "violations", "violation_ratio",
 //                "breaches_by_component": {..} }
 //     },
-//     "obs": {                          // v2: recorder health
+//     "obs": {                          // recorder health
 //       "spans":  { "recorded", "dropped", "truncated" },
 //       "events": { "recorded", "dropped", "truncated" }
 //     },
-//     "tail": { "groups": {             // v3 only: tail attribution
+//     "tail": { "groups": {             // attribution only
 //       "<metric>": { "percentiles": [ { "p", "samples", "latency_s",
 //         "trace", "function", "attributed_s", "components": {..} } ] }
 //     } },
-//     "timeseries": { ... },            // v3 only: windowed rollups
+//     "timeseries": { "window_s", "windows", "evicted",  // attribution only
+//       "counters" | "levels": { "<stream>": [ [t_s, value], .. ] },
+//       "quantiles": { "<stream>": [ [t_s, count, p50, p99], .. ] } },
 //     "series": [ { "name", "columns": [..], "rows": [[..], ..] }, .. ],
 //     "claims": [ { "claim", "measured", "unit" }, .. ]
 //   }
 //
-// With tail attribution enabled the schema string becomes
-// "canary.run_report/v3" and the `tail` / `timeseries` sections appear;
-// otherwise the report is exactly the v2 document above.
+// The `tail` and `timeseries` sections appear together, exactly when the
+// run had ScenarioConfig::attribution on (RunReport::attribution set).
 //
 // Serialisation is deterministic: map keys are ordered, numbers are
 // formatted locale-free, and nothing wall-clock-dependent is embedded —
@@ -50,6 +51,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,11 +62,20 @@
 
 namespace canary::obs {
 
-inline constexpr std::string_view kRunReportSchema = "canary.run_report/v2";
-/// Emitted instead of v2 when the report carries `tail` / `timeseries`
-/// sections (attribution enabled). Attribution-off reports keep the v2
-/// string and stay byte-identical to pre-attribution builds.
-inline constexpr std::string_view kRunReportSchemaV3 = "canary.run_report/v3";
+inline constexpr std::string_view kRunReportSchema = "canary.run_report/v3";
+
+/// The two views the attribution switch derives from a run's causal log
+/// at collect time. Callers hold it as a std::optional: present exactly
+/// when attribution ran, so one bit says whether either view exists.
+struct Attribution {
+  TailReport tail;
+  TimeSeries timeseries;
+};
+
+/// Fold `from` into `into` (repetitions, partitions): present when either
+/// side is, both views merged in place.
+void merge(std::optional<Attribution>& into,
+           const std::optional<Attribution>& from);
 
 /// Health of one capacity-capped recorder stream. A truncated stream means
 /// every count derived from it is a lower bound — the report says so
@@ -103,10 +114,9 @@ struct RunReport {
   RecorderHealth span_health;
   RecorderHealth event_health;
 
-  /// Tail-latency attribution (v3; absent from the JSON unless enabled).
-  TailReport tail;
-  /// Windowed rollups (v3; absent from the JSON unless enabled).
-  TimeSeries timeseries;
+  /// Tail attribution and windowed rollups; absent from the JSON unless
+  /// attribution ran.
+  std::optional<Attribution> attribution;
 
   /// A named table, e.g. one reproduced figure's series.
   struct Series {

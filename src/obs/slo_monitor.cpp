@@ -24,14 +24,6 @@ void SloMonitor::arm(FunctionId fn, TimePoint deadline) {
   targets_[slot] = deadline;
 }
 
-std::optional<TimePoint> SloMonitor::deadline(FunctionId fn) const {
-  const std::size_t slot = fn.value() - 1;
-  if (slot >= targets_.size() || targets_[slot] == kUnarmed) {
-    return std::nullopt;
-  }
-  return targets_[slot];
-}
-
 bool SloMonitor::record_violation(FunctionId fn, TimePoint at) {
   const std::size_t slot = fn.value() - 1;
   grow_to(violated_, slot, false);
@@ -39,13 +31,6 @@ bool SloMonitor::record_violation(FunctionId fn, TimePoint at) {
   violated_[slot] = true;
   breaches_.emplace_back(fn, at);
   return true;
-}
-
-void SloMonitor::clear() {
-  targets_.clear();
-  violated_.clear();
-  armed_ = 0;
-  breaches_.clear();
 }
 
 }  // namespace canary::obs

@@ -11,7 +11,7 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -25,8 +25,6 @@ class SloMonitor {
   /// previous target (retries keep the original submission deadline, so
   /// the platform arms exactly once per function).
   void arm(FunctionId fn, TimePoint deadline);
-
-  std::optional<TimePoint> deadline(FunctionId fn) const;
 
   /// Record a breach; returns false when this function's breach was
   /// already recorded (violations are per-function, not per-attempt).
@@ -43,8 +41,6 @@ class SloMonitor {
   const std::vector<std::pair<FunctionId, TimePoint>>& breaches() const {
     return breaches_;
   }
-
-  void clear();
 
  private:
   /// Deadlines and breach flags indexed by function id - 1. Function ids

@@ -27,7 +27,6 @@ using Completion =
 }  // namespace
 
 void TailReport::merge(const TailReport& other) {
-  enabled = enabled || other.enabled;
   for (const TailGroup& theirs : other.groups) {
     auto it = std::find_if(
         groups.begin(), groups.end(),
@@ -59,11 +58,8 @@ void TailReport::merge(const TailReport& other) {
             });
 }
 
-TailReport attribute_tail(const CriticalPathAnalyzer& paths,
-                          const TailConfig& config) {
+TailReport attribute_tail(const CriticalPathAnalyzer& paths) {
   TailReport report;
-  if (!config.enabled) return report;
-  report.enabled = true;
 
   // Name-ordered, so the groups come out sorted as merge() expects.
   std::map<std::string, std::vector<Completion>> groups;

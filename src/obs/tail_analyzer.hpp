@@ -16,11 +16,12 @@
 // attribution from the component sum; the two are derived
 // independently and agree to within one simulated millisecond.
 //
-// Everything is opt-in (TailConfig::enabled) and deterministic: with
-// attribution off no tail section is emitted and reports stay
-// byte-identical to pre-attribution builds. A truncated log
-// (obs.events.truncated) leaves the view a lower bound: a function
-// whose kComplete was dropped is not in any group.
+// The view is deterministic. The harness derives it only when
+// ScenarioConfig::attribution is on, together with the windowed time
+// series (time_series.hpp) over the same analyzer; the two travel as one
+// obs::Attribution (report.hpp). A truncated log (obs.events.truncated)
+// leaves the view a lower bound: a function whose kComplete was dropped
+// is not in any group.
 #pragma once
 
 #include <array>
@@ -31,12 +32,6 @@
 #include "obs/critical_path.hpp"
 
 namespace canary::obs {
-
-/// Run-level switch for the attribution layer, carried by the scenario
-/// config; the harness derives the view at collect time when it is on.
-struct TailConfig {
-  bool enabled = false;
-};
 
 /// Target percentiles, in [0, 100], attributed in every group.
 inline constexpr std::array<double, 3> kTailPercentiles{50.0, 99.0, 99.9};
@@ -65,19 +60,16 @@ struct TailGroup {
   std::vector<TailAttribution> percentiles;
 };
 
-/// The `tail` section of a v3 run report. Merging across repetitions is
+/// The `tail` section of a run report. Merging across repetitions is
 /// deterministic and associative: sample counts add and the deeper-tail
 /// representative wins (ties toward the smaller trace id).
 struct TailReport {
-  bool enabled = false;
   std::vector<TailGroup> groups;  // sorted by metric name
 
   void merge(const TailReport& other);
 };
 
-/// Derive the tail section from one run's decomposition. Returns a
-/// disabled report when config.enabled is false.
-TailReport attribute_tail(const CriticalPathAnalyzer& paths,
-                          const TailConfig& config);
+/// Derive the tail section from one run's decomposition.
+TailReport attribute_tail(const CriticalPathAnalyzer& paths);
 
 }  // namespace canary::obs

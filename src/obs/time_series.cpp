@@ -1,12 +1,12 @@
 #include "obs/time_series.hpp"
 
 #include <algorithm>
+#include <set>
 
 namespace canary::obs {
 
 TimeSeries::Window& TimeSeries::window_at(TimePoint at) {
-  const std::int64_t width = std::max<std::int64_t>(
-      1, config_.window.count_usec());
+  const std::int64_t width = kTimeSeriesWindow.count_usec();
   std::int64_t start_us = (at.count_usec() / width) * width;
   if (at.count_usec() < 0) start_us = 0;  // defensive; sim time is >= 0
 
@@ -15,9 +15,8 @@ TimeSeries::Window& TimeSeries::window_at(TimePoint at) {
     return windows_.back();
   }
 
-  // Retroactive timestamps (kQueued is stamped at enqueue time) can land
-  // before the oldest retained window; fold them into it rather than
-  // resurrecting evicted history.
+  // A timestamp before the oldest retained window folds into it rather
+  // than resurrecting evicted history.
   if (start_us <= windows_.front().start.count_usec()) {
     return windows_.front();
   }
@@ -28,7 +27,7 @@ TimeSeries::Window& TimeSeries::window_at(TimePoint at) {
     const TimePoint next =
         TimePoint::from_usec(windows_.back().start.count_usec() + width);
     windows_.push_back(Window{next, {}, {}, {}});
-    while (windows_.size() > std::max<std::size_t>(1, config_.max_windows)) {
+    while (windows_.size() > kTimeSeriesMaxWindows) {
       windows_.pop_front();
       ++evicted_;
     }
@@ -36,25 +35,65 @@ TimeSeries::Window& TimeSeries::window_at(TimePoint at) {
   return windows_.back();
 }
 
-void TimeSeries::count(std::string_view counter, TimePoint at, double delta) {
-  if (!config_.enabled) return;
-  window_at(at).counters[std::string(counter)] += delta;
-}
-
-void TimeSeries::sample(std::string_view series, TimePoint at, double value) {
-  if (!config_.enabled) return;
-  window_at(at).samples[std::string(series)].record(value);
-}
-
-void TimeSeries::set_level(std::string_view level, TimePoint at,
-                           double value) {
-  if (!config_.enabled) return;
-  window_at(at).levels[std::string(level)] = value;
+TimeSeries derive_time_series(const EventLog& log,
+                              const CriticalPathAnalyzer& paths,
+                              std::size_t nodes) {
+  TimeSeries series;
+  const auto& functions = paths.per_function_decomposition();
+  std::set<FunctionId> hedged;  // functions that fired a hedge
+  std::size_t down = 0;         // nodes failed or fenced so far
+  for (const Event& event : log.events()) {
+    const auto count = [&](const char* stream) {
+      series.window_at(event.at).counters[stream] += 1.0;
+    };
+    const auto sample = [&](const char* stream, TimePoint from) {
+      series.window_at(event.at).samples[stream].record(
+          (event.at - from).to_seconds());
+    };
+    const auto node_lost = [&] {
+      series.window_at(event.at).levels["nodes_up"] =
+          static_cast<double>(nodes - ++down);
+    };
+    switch (event.kind) {
+      case EventKind::kShed: count("shed"); break;
+      case EventKind::kLaunch: count("cold_starts"); break;
+      case EventKind::kComplete:
+        count("completions");
+        if (const auto it = functions.find(event.labels.function);
+            it != functions.end()) {
+          sample("latency", it->second.root);
+        }
+        break;
+      case EventKind::kFailure: count("failures"); break;
+      case EventKind::kDetect: count("detections"); break;
+      case EventKind::kRecovered:
+        count("recoveries");
+        if (const Event* failure = log.find(event.cause)) {
+          sample("recovery_time", failure->at);
+        }
+        break;
+      case EventKind::kNodeFailure:
+        count("node_failures");
+        node_lost();
+        break;
+      case EventKind::kAnnotation:
+        if (event.name == "node_fenced") node_lost();
+        break;
+      case EventKind::kHedged:
+        count("hedges_fired");
+        hedged.insert(event.labels.function);
+        break;
+      case EventKind::kHedgeCancelled:
+        count(hedged.count(event.labels.function) > 0 ? "hedge_wins"
+                                                       : "hedge_cancelled");
+        break;
+      default: break;
+    }
+  }
+  return series;
 }
 
 void TimeSeries::merge(const TimeSeries& other) {
-  if (!other.config_.enabled && other.windows_.empty()) return;
-  if (!config_.enabled) config_ = other.config_;
   evicted_ += other.evicted_;
   for (const Window& theirs : other.windows_) {
     auto it = std::find_if(windows_.begin(), windows_.end(),
@@ -81,15 +120,10 @@ void TimeSeries::merge(const TimeSeries& other) {
       if (!inserted) lit->second = std::max(lit->second, value);
     }
   }
-  while (windows_.size() > std::max<std::size_t>(1, config_.max_windows)) {
+  while (windows_.size() > kTimeSeriesMaxWindows) {
     windows_.pop_front();
     ++evicted_;
   }
-}
-
-void TimeSeries::clear() {
-  windows_.clear();
-  evicted_ = 0;
 }
 
 }  // namespace canary::obs

@@ -66,9 +66,6 @@ void HedgeHandler::maybe_hedge(FunctionId id) {
   races_[id] = clone;
   clone_index_[clone] = id;
   m_fired_.add();
-  if (auto* series = platform_.time_series()) {
-    series->count("hedges_fired", platform_.now());
-  }
 }
 
 void HedgeHandler::finish_race(FunctionId primary, FunctionId loser,
@@ -98,9 +95,6 @@ void HedgeHandler::on_function_completed(const faas::Invocation& inv) {
         (inv.completion_time - platform_.invocation(primary).submit_time)
             .to_seconds());
     m_wins_.add();
-    if (auto* series = platform_.time_series()) {
-      series->count("hedge_wins", platform_.now());
-    }
     finish_race(primary, /*loser=*/primary, /*winner=*/inv.id);
     return;
   }
@@ -108,9 +102,6 @@ void HedgeHandler::on_function_completed(const faas::Invocation& inv) {
     // The primary beat its clone: cancel the speculation exactly-once.
     latency_.record((inv.completion_time - inv.submit_time).to_seconds());
     m_cancelled_.add();
-    if (auto* series = platform_.time_series()) {
-      series->count("hedge_cancelled", platform_.now());
-    }
     finish_race(inv.id, /*loser=*/it->second, /*winner=*/inv.id);
     return;
   }
@@ -127,9 +118,6 @@ void HedgeHandler::on_failure(const faas::Invocation& inv,
     const FunctionId primary = it->second;
     platform_.log_recovery_action(inv.id, "hedge_clone_abandoned");
     m_cancelled_.add();
-    if (auto* series = platform_.time_series()) {
-      series->count("hedge_cancelled", platform_.now());
-    }
     finish_race(primary, /*loser=*/inv.id, /*winner=*/primary);
     return;
   }

@@ -109,9 +109,6 @@ void TrafficGenerator::handle_arrival(std::size_t stream_idx) {
   pending_[job.functions.front().name] = PendingArrival{stream_idx, now};
   ++stream.stats.offered;
   m_offered_.add();
-  if (auto* series = platform_.time_series()) {
-    series->count("traffic_offered", now);
-  }
   current_stream_ = stream_idx;
   const AdmissionOutcome outcome =
       admission_.offer(stream.admission_class, std::move(job));
@@ -148,10 +145,6 @@ void TrafficGenerator::on_job_completed(JobId job) {
   const Duration latency = sim_.now() - bound.arrived;
   stream.stats.latency.record(latency.to_seconds());
   m_latency_.record_duration(latency);
-  if (auto* series = platform_.time_series()) {
-    series->count("traffic_completed", sim_.now());
-    series->sample("traffic_latency", sim_.now(), latency.to_seconds());
-  }
   current_stream_ = bound.stream;
   admission_.on_complete(stream.admission_class);
 }

@@ -1,5 +1,5 @@
 // Byte-level determinism: the same scenario run twice in the same
-// process must produce byte-identical run_report v2 JSON and
+// process must produce byte-identical run_report JSON and
 // byte-identical chrome-trace output. This is the property the figure
 // pipeline (and CI's cross-run `cmp`) relies on, asserted here without
 // touching the filesystem so it also runs under sanitizers cheaply.
@@ -52,9 +52,12 @@ std::string render_report(const harness::Aggregate& agg) {
   return report.to_json();
 }
 
+/// The chrome trace, with the counter track when attribution ran.
 std::string render_trace(const harness::RunResult& result) {
   std::ostringstream out;
-  obs::write_chrome_trace(out, result.spans.get(), result.events.get());
+  obs::write_chrome_trace(
+      out, result.spans.get(), result.events.get(),
+      result.attribution ? &result.attribution->timeseries : nullptr);
   return out.str();
 }
 
@@ -68,8 +71,8 @@ TEST(DeterminismTest, RunReportJsonIsByteIdenticalAcrossRuns) {
       render_report(harness::run_repetitions(config, jobs, 3));
 
   ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, second) << "run_report v2 JSON diverged between runs";
-  EXPECT_NE(first.find("canary.run_report/v2"), std::string::npos);
+  EXPECT_EQ(first, second) << "run_report JSON diverged between runs";
+  EXPECT_NE(first.find("canary.run_report/v3"), std::string::npos);
 }
 
 TEST(DeterminismTest, ChromeTraceIsByteIdenticalAcrossRuns) {
@@ -136,13 +139,12 @@ TEST(SpanTimelineTest, EveryStrategyMarksWhatItsLogRecords) {
 }
 
 TEST(DeterminismTest, AttributionSectionsAreByteIdenticalAcrossRuns) {
-  // The v3 sections (tail + timeseries) must be as deterministic as the
-  // rest of the report: representatives are derived from the event log,
+  // The attribution sections (tail + timeseries) must be as deterministic
+  // as the rest of the report: both are derived from the event log,
   // repetition merge is associative, and window rollups key off sim time
   // only.
   harness::ScenarioConfig config = scenario_under_test();
-  config.tail.enabled = true;
-  config.timeseries.enabled = true;
+  config.attribution = true;
   const std::vector<faas::JobSpec> jobs = jobs_under_test();
 
   const std::string first =
@@ -151,50 +153,41 @@ TEST(DeterminismTest, AttributionSectionsAreByteIdenticalAcrossRuns) {
       render_report(harness::run_repetitions(config, jobs, 3));
 
   ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, second) << "v3 report JSON diverged between runs";
+  EXPECT_EQ(first, second) << "attribution report JSON diverged between runs";
   EXPECT_NE(first.find("canary.run_report/v3"), std::string::npos);
   EXPECT_NE(first.find("\"tail\""), std::string::npos);
   EXPECT_NE(first.find("\"timeseries\""), std::string::npos);
 }
 
 TEST(DeterminismTest, AttributionOffKeepsArtifactsByteIdentical) {
-  // The attribution layer's contract: when disabled (the default), the
-  // report is tagged v2, carries neither new section, and the chrome
-  // trace has no counter track — nothing a pre-attribution build would
-  // not also emit.
+  // The attribution switch's contract: when off (the default), the
+  // report carries the one schema tag and neither attribution section,
+  // the run carries no attribution, and the chrome trace has no counter
+  // track.
   const harness::ScenarioConfig config = scenario_under_test();
   const std::vector<faas::JobSpec> jobs = jobs_under_test();
 
   const std::string report =
       render_report(harness::run_repetitions(config, jobs, 2));
-  EXPECT_NE(report.find("canary.run_report/v2"), std::string::npos);
+  EXPECT_NE(report.find("canary.run_report/v3"), std::string::npos);
   EXPECT_EQ(report.find("\"tail\""), std::string::npos);
   EXPECT_EQ(report.find("\"timeseries\""), std::string::npos);
   EXPECT_EQ(report.find("dropped_by_kind"), std::string::npos);
 
   const harness::RunResult run = harness::ScenarioRunner::run(config, jobs);
-  EXPECT_FALSE(run.timeseries.enabled());
-  EXPECT_EQ(run.tail.groups.size(), 0u);
-  std::ostringstream two_arg;
-  obs::write_chrome_trace(two_arg, run.spans.get(), run.events.get());
-  std::ostringstream four_arg;
-  obs::write_chrome_trace(four_arg, run.spans.get(), run.events.get(),
-                          &run.timeseries);
-  // A disabled series pointer must not change a byte of the trace.
-  EXPECT_EQ(two_arg.str(), four_arg.str());
-  EXPECT_EQ(two_arg.str().find("\"ph\":\"C\""), std::string::npos);
+  EXPECT_FALSE(run.attribution.has_value());
+  EXPECT_EQ(render_trace(run).find("\"ph\":\"C\""), std::string::npos);
 }
 
 TEST(DeterminismTest, RealBackendUnselectedLeavesSimArtifactsByteIdentical) {
   // The substrate seam's contract: linking the real-execution backend —
   // and even running it, forks, SIGKILLs and all — must not perturb a
-  // single byte of the simulator's artifacts. The sim side is the v3
-  // report + chrome trace this suite already pins; the figure benches
-  // (fig04/06/09/11) are the same pipeline, held byte-identical by CI's
-  // cross-run cmp against pre-generated artifacts.
+  // single byte of the simulator's artifacts. The sim side is the
+  // attribution report + chrome trace this suite already pins; the
+  // figure benches (fig04/06/09/11) are the same pipeline, held
+  // byte-identical by CI's cross-run cmp against pre-generated artifacts.
   harness::ScenarioConfig config = scenario_under_test();
-  config.tail.enabled = true;
-  config.timeseries.enabled = true;
+  config.attribution = true;
   const std::vector<faas::JobSpec> jobs = jobs_under_test();
 
   const std::string report_before =
@@ -228,7 +221,7 @@ TEST(DeterminismTest, RealBackendUnselectedLeavesSimArtifactsByteIdentical) {
       << "running the real backend perturbed the sim report";
   EXPECT_EQ(trace_before, render_trace(run_after))
       << "running the real backend perturbed the chrome trace";
-  EXPECT_NE(report_before.find("canary.run_report/v3"), std::string::npos);
+  EXPECT_NE(report_before.find("\"timeseries\""), std::string::npos);
 }
 
 // ---- sharded execution: worker-count invariance -----------------------
@@ -292,8 +285,7 @@ void add_hedging(harness::ScenarioConfig& config) {
 }
 
 void add_attribution(harness::ScenarioConfig& config) {
-  config.tail.enabled = true;
-  config.timeseries.enabled = true;
+  config.attribution = true;
 }
 
 void add_partitions(harness::ScenarioConfig& config) {
@@ -326,8 +318,8 @@ std::string render_sharded_trace(const harness::RunResult& result) {
   std::vector<obs::TraceSection> sections;
   for (const auto& shard : result.shards) {
     sections.push_back({shard->spans.get(), shard->events.get(),
-                        shard->timeseries.enabled() ? &shard->timeseries
-                                                    : nullptr});
+                        shard->attribution ? &shard->attribution->timeseries
+                                           : nullptr});
   }
   std::ostringstream out;
   obs::write_chrome_trace(out, sections);

@@ -1,5 +1,5 @@
-// Tests for the observability layer: span timeline and tail attribution
-// derivation from the causal log, histogram percentile math,
+// Tests for the observability layer: span timeline, tail attribution and
+// time series derivation from the causal log, histogram percentile math,
 // deterministic JSON exporters, and byte-identical run reports across
 // identical seeded runs.
 #include <gtest/gtest.h>
@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -23,6 +24,7 @@
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "obs/tail_analyzer.hpp"
+#include "obs/time_series.hpp"
 #include "recovery/strategies.hpp"
 #include "workloads/workloads.hpp"
 
@@ -364,10 +366,7 @@ TEST(AttributeTailTest, PicksTheNearestRankCompletionOfEachGroup) {
   b.add(EventKind::kStateCommit, "state_0", sec(20.0), fn_labels(6));
 
   const obs::CriticalPathAnalyzer paths(b.log);
-  EXPECT_FALSE(obs::attribute_tail(paths, obs::TailConfig{}).enabled);
-  const obs::TailReport report =
-      obs::attribute_tail(paths, obs::TailConfig{true});
-  ASSERT_TRUE(report.enabled);
+  const obs::TailReport report = obs::attribute_tail(paths);
 
   struct Expected {
     std::string metric;
@@ -407,6 +406,137 @@ TEST(AttributeTailTest, PicksTheNearestRankCompletionOfEachGroup) {
   EXPECT_DOUBLE_EQ(open_loop.components[obs::PathComponent::kScheduling],
                    1.0);
   EXPECT_DOUBLE_EQ(open_loop.components[obs::PathComponent::kExec], 6.0);
+}
+
+// ---------------------------------------------------------------------------
+// derive_time_series
+// ---------------------------------------------------------------------------
+
+std::int64_t sec_us(double s) { return static_cast<std::int64_t>(s * 1e6); }
+
+obs::TimeSeries derive_series(const EventLog& log, std::size_t nodes = 8) {
+  return obs::derive_time_series(log, obs::CriticalPathAnalyzer(log), nodes);
+}
+
+using Values = std::map<std::string, double>;
+
+TEST(DeriveTimeSeriesTest, EachEventLandsInItsStreamAndWindow) {
+  LogBuilder b;
+  // Function 1 is open-loop: queued at 0.5 s, submitted at 2.2 s.
+  // kQueued, kSubmit and kExec record nothing, so the series opens at the
+  // first cold start (window 2 s) and the trailing kExec adds no window.
+  b.add(EventKind::kQueued, "web-1", sec_us(0.5), fn_labels(1));
+  b.add(EventKind::kSubmit, "web-1", sec_us(2.2), fn_labels(1));
+  b.add(EventKind::kSubmit, "web-2", sec_us(2.2), fn_labels(2));
+  b.add(EventKind::kLaunch, "launch", sec_us(2.4), fn_labels(1));
+  b.add(EventKind::kExec, "exec", sec_us(2.6), fn_labels(2));
+  const obs::EventId failure = b.add(EventKind::kFailure, "container_kill",
+                                     sec_us(3.1), fn_labels(2));
+  b.add(EventKind::kDetect, "detect", sec_us(3.3), fn_labels(2));
+  b.add(EventKind::kExec, "exec", sec_us(4.0), fn_labels(1));
+  b.add(EventKind::kRecovered, "recovered", sec_us(5.6), fn_labels(2, 2),
+        failure);
+  b.add(EventKind::kComplete, "complete", sec_us(5.9), fn_labels(1));
+  b.add(EventKind::kShed, "web-3", sec_us(5.9), fn_labels(3));
+  b.add(EventKind::kExec, "exec", sec_us(9.0), fn_labels(2, 2));
+
+  const obs::TimeSeries series = derive_series(b.log);
+  ASSERT_EQ(series.windows().size(), 4u);
+  EXPECT_EQ(series.evicted(), 0u);
+  const auto& w = series.windows();
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    EXPECT_EQ(w[i].start, at_us(sec_us(2.0 + static_cast<double>(i))));
+    EXPECT_TRUE(w[i].levels.empty());
+  }
+  EXPECT_EQ(w[0].counters, (Values{{"cold_starts", 1.0}}));
+  EXPECT_EQ(w[1].counters, (Values{{"detections", 1.0}, {"failures", 1.0}}));
+  EXPECT_TRUE(w[2].counters.empty());  // a gap is a window with no events
+  EXPECT_EQ(w[3].counters, (Values{{"completions", 1.0},
+                                   {"recoveries", 1.0},
+                                   {"shed", 1.0}}));
+  EXPECT_TRUE(w[0].samples.empty() && w[1].samples.empty() &&
+              w[2].samples.empty());
+  ASSERT_EQ(w[3].samples.size(), 2u);
+  // Latency runs from the kQueued arrival (5.9 - 0.5), not from kSubmit.
+  const Histogram& latency = w[3].samples.at("latency");
+  EXPECT_EQ(latency.count(), 1u);
+  EXPECT_DOUBLE_EQ(latency.min(), 5.4);
+  EXPECT_DOUBLE_EQ(latency.max(), 5.4);
+  // Recovery time runs along the kRecovered cause edge (5.6 - 3.1).
+  const Histogram& recovery = w[3].samples.at("recovery_time");
+  EXPECT_EQ(recovery.count(), 1u);
+  EXPECT_DOUBLE_EQ(recovery.sum(), 2.5);
+}
+
+TEST(DeriveTimeSeriesTest, NodesUpCountsDownOnNodeFailureAndFence) {
+  LogBuilder b;
+  const auto ambient = [&](EventKind kind, const char* name, double at,
+                           std::uint64_t node) {
+    SpanLabels labels;
+    labels.node = NodeId{node};
+    b.log.append_raw(b.log.new_trace(), obs::kNoEvent, kind, name,
+                     at_us(sec_us(at)), labels);
+  };
+  ambient(EventKind::kNodeFailure, "node_failure", 1.5, 2);
+  ambient(EventKind::kAnnotation, "node_fenced", 3.2, 3);
+  // Any other annotation (a mirrored log line) leaves the level alone.
+  ambient(EventKind::kAnnotation, "worker 4 slow", 4.1, 4);
+
+  const obs::TimeSeries series = derive_series(b.log, 8);
+  ASSERT_EQ(series.windows().size(), 3u);
+  const auto& w = series.windows();
+  EXPECT_EQ(w[0].start, at_us(sec_us(1.0)));
+  EXPECT_EQ(w[0].counters, (Values{{"node_failures", 1.0}}));
+  EXPECT_EQ(w[0].levels, (Values{{"nodes_up", 7.0}}));
+  EXPECT_TRUE(w[1].counters.empty() && w[1].levels.empty());
+  EXPECT_TRUE(w[2].counters.empty());
+  EXPECT_EQ(w[2].levels, (Values{{"nodes_up", 6.0}}));
+}
+
+TEST(DeriveTimeSeriesTest, HedgeCancelledOnThePrimaryIsAWin) {
+  LogBuilder b;
+  // Race A: clone 2 of primary 1 finishes first, so the primary is the
+  // cancelled copy. Race B: primary 3 beats clone 4.
+  b.add(EventKind::kSubmit, "fn-1", sec_us(0.1), fn_labels(1));
+  b.add(EventKind::kSubmit, "fn-3", sec_us(0.1), fn_labels(3));
+  b.add(EventKind::kHedged, "hedged", sec_us(0.5), fn_labels(1));
+  b.add(EventKind::kSubmit, "fn-1", sec_us(0.5), fn_labels(2));
+  b.add(EventKind::kHedged, "hedged", sec_us(0.6), fn_labels(3));
+  b.add(EventKind::kSubmit, "fn-3", sec_us(0.6), fn_labels(4));
+  b.add(EventKind::kComplete, "complete", sec_us(1.2), fn_labels(2));
+  b.add(EventKind::kHedgeCancelled, "hedge_cancelled", sec_us(1.2),
+        fn_labels(1));
+  b.add(EventKind::kComplete, "complete", sec_us(1.2), fn_labels(1));
+  b.add(EventKind::kComplete, "complete", sec_us(2.3), fn_labels(3));
+  b.add(EventKind::kHedgeCancelled, "hedge_cancelled", sec_us(2.3),
+        fn_labels(4));
+  b.add(EventKind::kComplete, "complete", sec_us(2.3), fn_labels(4));
+
+  const obs::TimeSeries series = derive_series(b.log);
+  ASSERT_EQ(series.windows().size(), 3u);
+  const auto& w = series.windows();
+  EXPECT_EQ(w[0].counters, (Values{{"hedges_fired", 2.0}}));
+  EXPECT_EQ(w[1].counters, (Values{{"completions", 2.0}, {"hedge_wins", 1.0}}));
+  EXPECT_EQ(w[2].counters,
+            (Values{{"completions", 2.0}, {"hedge_cancelled", 1.0}}));
+  // The winning clone is measured from its own kSubmit (1.2 - 0.5).
+  EXPECT_DOUBLE_EQ(w[1].samples.at("latency").min(), 0.7);
+  EXPECT_DOUBLE_EQ(w[1].samples.at("latency").max(), 1.1);
+}
+
+TEST(DeriveTimeSeriesTest, RingKeeps512WindowsAndCountsEvictions) {
+  LogBuilder b;
+  b.add(EventKind::kLaunch, "launch", 0, fn_labels(1));
+  b.add(EventKind::kLaunch, "launch", sec_us(599.5), fn_labels(2));
+
+  const obs::TimeSeries series = derive_series(b.log);
+  ASSERT_EQ(series.windows().size(), obs::kTimeSeriesMaxWindows);
+  EXPECT_EQ(series.windows().size(), 512u);
+  EXPECT_EQ(series.evicted(), 88u);
+  EXPECT_EQ(series.windows().front().start, at_us(sec_us(88.0)));
+  EXPECT_TRUE(series.windows().front().counters.empty());
+  EXPECT_EQ(series.windows().back().start, at_us(sec_us(599.0)));
+  EXPECT_EQ(series.windows().back().counters, (Values{{"cold_starts", 1.0}}));
 }
 
 // ---------------------------------------------------------------------------
@@ -472,7 +602,7 @@ TEST(RunReportTest, JsonRoundTripContainsEveryField) {
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
   for (const char* needle :
-       {"\"schema\": \"canary.run_report/v2\"", "\"name\": \"unit\"",
+       {"\"schema\": \"canary.run_report/v3\"", "\"name\": \"unit\"",
         "\"strategy\": \"canary-dr\"", "\"error_rate\": \"0.25\"",
         "\"makespan_s_mean\": 12.5", "\"failures\": 7", "\"lat\"",
         "\"p50\"", "\"sweep\"", "\"recovers faster\"", "\"measured\": 81"}) {

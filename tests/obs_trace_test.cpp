@@ -483,8 +483,9 @@ std::string cli_trace(harness::ScenarioConfig config) {
   config.record_events = true;
   const auto run = harness::ScenarioRunner::run(config, {job});
   std::ostringstream os;
-  obs::write_chrome_trace(os, run.spans.get(), run.events.get(),
-                          run.timeseries.enabled() ? &run.timeseries : nullptr);
+  obs::write_chrome_trace(
+      os, run.spans.get(), run.events.get(),
+      run.attribution ? &run.attribution->timeseries : nullptr);
   return os.str();
 }
 
@@ -503,9 +504,7 @@ TEST(TraceScenarioTest, CliTracesCarrySpansFlowsAndCounterTrack) {
   // rollups as a counter track.
   harness::ScenarioConfig attribution;
   attribution.cluster_nodes = 8;
-  attribution.tail.enabled = true;
-  attribution.timeseries.enabled = true;
-  attribution.timeseries.window = Duration::sec(1.0);
+  attribution.attribution = true;
   const std::string attributed = cli_trace(attribution);
   EXPECT_NE(attributed.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(attributed.find("\"name\":\"ts.completions\""),

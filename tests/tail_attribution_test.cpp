@@ -34,8 +34,7 @@ harness::ScenarioConfig attribution_scenario() {
   // A node failure mid-run puts detection + restore into the tail, so
   // the attribution has non-trivial components to partition.
   config.node_failure_offsets.push_back(Duration::sec(6.0));
-  config.tail.enabled = true;
-  config.timeseries.enabled = true;
+  config.attribution = true;
   return config;
 }
 
@@ -49,10 +48,10 @@ TEST(TailAttributionTest, AttributionSumsToMeasuredLatencyWithinOneMs) {
   const harness::RunResult run =
       harness::ScenarioRunner::run(attribution_scenario(), attribution_jobs());
   ASSERT_TRUE(run.completed);
-  ASSERT_TRUE(run.tail.enabled);
-  ASSERT_FALSE(run.tail.groups.empty());
+  ASSERT_TRUE(run.attribution.has_value());
+  ASSERT_FALSE(run.attribution->tail.groups.empty());
 
-  for (const obs::TailGroup& group : run.tail.groups) {
+  for (const obs::TailGroup& group : run.attribution->tail.groups) {
     ASSERT_EQ(group.percentiles.size(), obs::kTailPercentiles.size());
     for (const obs::TailAttribution& a : group.percentiles) {
       EXPECT_GT(a.samples, 0u) << group.metric << " p" << a.percentile;
@@ -68,7 +67,8 @@ TEST(TailAttributionTest, AttributionSumsToMeasuredLatencyWithinOneMs) {
 TEST(TailAttributionTest, RepresentativeIsTheNearestRankCompletion) {
   const harness::RunResult run =
       harness::ScenarioRunner::run(attribution_scenario(), attribution_jobs());
-  ASSERT_TRUE(run.tail.enabled);
+  ASSERT_TRUE(run.attribution.has_value());
+  const obs::TailReport& tail = run.attribution->tail;
   ASSERT_NE(run.events, nullptr);
   ASSERT_FALSE(run.events->truncated());
 
@@ -104,8 +104,8 @@ TEST(TailAttributionTest, RepresentativeIsTheNearestRankCompletion) {
     groups["tail_latency.fn." + fn.family].push_back(entry);
   }
 
-  ASSERT_EQ(run.tail.groups.size(), groups.size());
-  for (const obs::TailGroup& group : run.tail.groups) {
+  ASSERT_EQ(tail.groups.size(), groups.size());
+  for (const obs::TailGroup& group : tail.groups) {
     const auto it = groups.find(group.metric);
     ASSERT_NE(it, groups.end()) << group.metric;
     std::vector<std::pair<Duration, FunctionId>>& sorted = it->second;
@@ -130,10 +130,10 @@ TEST(TailAttributionTest, RepresentativeIsTheNearestRankCompletion) {
 TEST(TailAttributionTest, PerFamilyHistogramsGetTheirOwnGroups) {
   const harness::RunResult run =
       harness::ScenarioRunner::run(attribution_scenario(), attribution_jobs());
-  ASSERT_TRUE(run.tail.enabled);
+  ASSERT_TRUE(run.attribution.has_value());
   bool run_wide = false;
   bool per_family = false;
-  for (const obs::TailGroup& group : run.tail.groups) {
+  for (const obs::TailGroup& group : run.attribution->tail.groups) {
     if (group.metric == "tail_latency") run_wide = true;
     if (group.metric.rfind("tail_latency.fn.", 0) == 0) per_family = true;
   }
@@ -144,13 +144,14 @@ TEST(TailAttributionTest, PerFamilyHistogramsGetTheirOwnGroups) {
 TEST(TailAttributionTest, TimeSeriesRollupsCoverTheRun) {
   const harness::RunResult run =
       harness::ScenarioRunner::run(attribution_scenario(), attribution_jobs());
-  ASSERT_TRUE(run.timeseries.enabled());
-  ASSERT_FALSE(run.timeseries.windows().empty());
+  ASSERT_TRUE(run.attribution.has_value());
+  const obs::TimeSeries& series = run.attribution->timeseries;
+  ASSERT_FALSE(series.windows().empty());
 
   double completions = 0.0;
   double node_failures = 0.0;
   std::int64_t prev_start = -1;
-  for (const obs::TimeSeries::Window& w : run.timeseries.windows()) {
+  for (const obs::TimeSeries::Window& w : series.windows()) {
     EXPECT_GT(w.start.count_usec(), prev_start) << "windows out of order";
     prev_start = w.start.count_usec();
     const auto c = w.counters.find("completions");
@@ -162,37 +163,57 @@ TEST(TailAttributionTest, TimeSeriesRollupsCoverTheRun) {
   EXPECT_EQ(node_failures, 1.0) << "the injected node failure is missing";
 }
 
-TEST(TailAttributionTest, DisabledLeavesReportOnV2WithNoNewSections) {
+TEST(TailAttributionTest, DisabledLeavesReportWithoutAttributionSections) {
   harness::ScenarioConfig config = attribution_scenario();
-  config.tail.enabled = false;
-  config.timeseries.enabled = false;
+  config.attribution = false;
   const std::vector<faas::JobSpec> jobs = attribution_jobs();
 
   const harness::Aggregate agg = harness::run_repetitions(config, jobs, 2);
-  EXPECT_FALSE(agg.tail.enabled);
-  EXPECT_FALSE(agg.timeseries.enabled());
+  EXPECT_FALSE(agg.attribution.has_value());
   const std::string json =
       harness::make_report("tail_off_probe", config, agg).to_json();
-  EXPECT_NE(json.find("canary.run_report/v2"), std::string::npos);
+  EXPECT_NE(json.find("canary.run_report/v3"), std::string::npos);
   EXPECT_EQ(json.find("\"tail\""), std::string::npos);
   EXPECT_EQ(json.find("\"timeseries\""), std::string::npos);
   // No tail group may appear when attribution is off.
   EXPECT_EQ(json.find("tail_latency"), std::string::npos);
 }
 
-TEST(TailAttributionTest, EnabledUpgradesReportToV3) {
+TEST(TailAttributionTest, EnabledAddsTailAndTimeSeriesSections) {
   const harness::ScenarioConfig config = attribution_scenario();
   const std::vector<faas::JobSpec> jobs = attribution_jobs();
 
   const harness::Aggregate agg = harness::run_repetitions(config, jobs, 2);
-  EXPECT_TRUE(agg.tail.enabled);
-  EXPECT_TRUE(agg.timeseries.enabled());
+  EXPECT_TRUE(agg.attribution.has_value());
   const std::string json =
       harness::make_report("tail_on_probe", config, agg).to_json();
   EXPECT_NE(json.find("canary.run_report/v3"), std::string::npos);
   EXPECT_NE(json.find("\"tail\""), std::string::npos);
   EXPECT_NE(json.find("\"timeseries\""), std::string::npos);
   EXPECT_NE(json.find("\"attributed_s\""), std::string::npos);
+}
+
+TEST(TailAttributionTest, AttributionTurnsTheEventLogOn) {
+  // The switch needs the log, so it turns it on like record_spans does:
+  // with record_events off the run still yields both views, and the
+  // same report as with the log requested explicitly.
+  harness::ScenarioConfig unlogged = attribution_scenario();
+  unlogged.record_events = false;
+  const std::vector<faas::JobSpec> jobs = attribution_jobs();
+  const harness::RunResult run = harness::ScenarioRunner::run(unlogged, jobs);
+  ASSERT_TRUE(run.attribution.has_value());
+  EXPECT_FALSE(run.attribution->tail.groups.empty());
+  EXPECT_FALSE(run.attribution->timeseries.windows().empty());
+
+  const auto render = [](const harness::ScenarioConfig& config,
+                         const harness::RunResult& result) {
+    harness::Aggregate agg;
+    agg.add(result);
+    return harness::make_report("log_probe", config, agg).to_json();
+  };
+  const harness::ScenarioConfig logged = attribution_scenario();
+  EXPECT_EQ(render(unlogged, run),
+            render(logged, harness::ScenarioRunner::run(logged, jobs)));
 }
 
 TEST(TailAttributionTest, RepetitionMergeIsDeterministicAndAssociative) {
@@ -206,10 +227,11 @@ TEST(TailAttributionTest, RepetitionMergeIsDeterministicAndAssociative) {
   const harness::RunResult a = harness::ScenarioRunner::run(config, jobs);
   const harness::RunResult b = harness::ScenarioRunner::run(other, jobs);
 
-  obs::TailReport ab = a.tail;
-  ab.merge(b.tail);
-  obs::TailReport ba = b.tail;
-  ba.merge(a.tail);
+  ASSERT_TRUE(a.attribution.has_value() && b.attribution.has_value());
+  obs::TailReport ab = a.attribution->tail;
+  ab.merge(b.attribution->tail);
+  obs::TailReport ba = b.attribution->tail;
+  ba.merge(a.attribution->tail);
 
   ASSERT_EQ(ab.groups.size(), ba.groups.size());
   for (std::size_t g = 0; g < ab.groups.size(); ++g) {

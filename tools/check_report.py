@@ -1,20 +1,17 @@
 #!/usr/bin/env python3
 """Validate canary report JSON files, dispatched on the `schema` tag.
 
-canary.run_report/v2 — the machine-readable run reports emitted by the
+canary.run_report/v3 — the machine-readable run reports emitted by the
 figure benches, the experiment CLI and harness::make_report. Verifies the
 presence and types of every section, that the breakdown's component maps
 carry exactly the known critical-path components, and that the recovery
 components sum to the recovery window within tolerance (1 sim-ms per
-recovery, the acceptance bound of the decomposition).
-
-canary.run_report/v3 — a v2 report plus the opt-in tail-attribution
-sections: `tail` (per group and target percentile, the nearest-rank
-completion read off the causal log, whose component partition must sum
-to its measured latency within 1 sim-ms) and/or `timeseries`
-(fixed-window rollups whose row counts must match the declared window
-count). A v3 report must carry at least one of the two sections; a v2
-report must carry neither.
+recovery, the acceptance bound of the decomposition). A report of a run
+with attribution on carries both `tail` (per group and target
+percentile, the nearest-rank completion read off the causal log, whose
+component partition must sum to its measured latency within 1 sim-ms)
+and `timeseries` (fixed-window rollups whose row counts must match the
+declared window count); any other report carries neither.
 
 canary.bench/v2 — the one envelope of the bench-family reports
 (scale_stress, chaos_campaign, traffic_curves, fig09_hedging,
@@ -52,8 +49,7 @@ Exits non-zero on the first invalid report. Stdlib only.
 import json
 import sys
 
-SCHEMA = "canary.run_report/v2"
-SCHEMA_V3 = "canary.run_report/v3"
+SCHEMA = "canary.run_report/v3"
 BENCH_SCHEMA = "canary.bench/v2"
 REALEXEC_BASELINE_SCHEMA = "canary.realexec.baseline/v1"
 # A gated value may be at most this much worse than its baseline.
@@ -177,7 +173,7 @@ def check_breakdown(breakdown):
 
 
 def check_tail(tail, path="tail"):
-    """Validate a v3 tail-attribution section."""
+    """Validate a tail-attribution section."""
     expect(isinstance(tail, dict), f"{path}: expected an object")
     groups = tail.get("groups")
     expect(isinstance(groups, dict), f"{path}.groups: expected an object")
@@ -210,7 +206,7 @@ def check_tail(tail, path="tail"):
 
 
 def check_timeseries(ts, path="timeseries"):
-    """Validate a v3 windowed-rollup section."""
+    """Validate a windowed-rollup section."""
     expect(isinstance(ts, dict), f"{path}: expected an object")
     check_number(ts, "window_s", path)
     expect(ts["window_s"] > 0, f"{path}.window_s: must be positive")
@@ -261,8 +257,7 @@ def check_timeseries(ts, path="timeseries"):
 def check_report(report, path):
     expect(isinstance(report, dict), "top level: expected an object")
     schema = report.get("schema")
-    expect(schema in (SCHEMA, SCHEMA_V3),
-           f"schema: expected '{SCHEMA}' or '{SCHEMA_V3}', got {schema!r}")
+    expect(schema == SCHEMA, f"schema: expected '{SCHEMA}', got {schema!r}")
     expect(isinstance(report.get("name"), str) and report["name"],
            "name: expected a non-empty string")
 
@@ -286,21 +281,15 @@ def check_report(report, path):
     check_health(obs.get("spans"), "obs.spans")
     check_health(obs.get("events"), "obs.events")
 
-    # Schema discipline: the attribution sections both require and imply
-    # the v3 tag — a v2 report carrying them (or a v3 report without
-    # either) means the writer's gating broke.
+    # The attribution switch writes both sections or neither: one without
+    # the other means the writer's gating broke.
     tail_stats = None
     ts_streams = None
-    if schema == SCHEMA_V3:
-        expect("tail" in report or "timeseries" in report,
-               "v3 report carries neither a tail nor a timeseries section")
-        if "tail" in report:
-            tail_stats = check_tail(report["tail"])
-        if "timeseries" in report:
-            ts_streams = check_timeseries(report["timeseries"])
-    else:
-        expect("tail" not in report and "timeseries" not in report,
-               "v2 report carries attribution sections (should be v3)")
+    expect(("tail" in report) == ("timeseries" in report),
+           "report carries only one of the tail and timeseries sections")
+    if "tail" in report:
+        tail_stats = check_tail(report["tail"])
+        ts_streams = check_timeseries(report["timeseries"])
 
     series = report.get("series")
     expect(isinstance(series, list), "series: expected an array")

@@ -2,18 +2,21 @@
 """Differential run reports: diff two canary report JSONs with tolerance
 bands and emit a pass/fail verdict for CI.
 
-Both inputs must carry the same schema tag (canary.run_report/v2 or /v3,
-or any of the bench schemas — the tool diffs numeric leaves generically).
-Every numeric leaf reachable through nested objects is compared:
+Both inputs must carry the same schema tag (canary.run_report/v3, or any
+of the bench schemas — the tool diffs numeric leaves generically). Every
+numeric leaf reachable through nested objects is compared:
 
     scalars.*, metrics.counters.*, metrics.gauges.*,
     metrics.histograms.<name>.{count,mean,min,max,p50,p95,p99},
     breakdown.recoveries.*, breakdown.*.components.*,
     tail.groups.<metric>.p<P>.* (percentile entries indexed by target),
-    timeseries.{window_s,windows,evicted}, obs.*, ...
+    timeseries.{window_s,windows,evicted},
+    timeseries.counters.<stream>.t<start>,
+    timeseries.quantiles.<stream>.t<start>.{count,p50,p99},
+    timeseries.levels.<stream>.t<start> (rows keyed by window start),
+    obs.*, ...
 
-Arrays other than tail percentile entries (series rows, timeseries rows)
-are not diffed — they are per-window raw data, not headline metrics.
+Other arrays (the `series` tables) are not diffed.
 Identity-like leaves (trace/function ids, seeds) are ignored by
 default because they legitimately differ between runs.
 
@@ -49,12 +52,19 @@ DEFAULT_IGNORE = [
 ]
 
 
+# Path suffix of each value after the window start, per timeseries row
+# kind: [t_s, value] rows, and [t_s, count, p50, p99] quantile rows.
+ROW_SUFFIXES = {"counters": ("",), "levels": ("",),
+                "quantiles": (".count", ".p50", ".p99")}
+
+
 def flatten(node, path="", out=None):
     """Collect numeric leaves of nested dicts into {dotted path: value}.
 
     Lists are skipped except for tail percentile entries, which are
-    re-keyed by their target percentile so the two reports line up even
-    if the percentile list order ever changed.
+    re-keyed by their target percentile, and timeseries rows, which are
+    re-keyed by their window start, so the two reports line up even if
+    a list's order or a sparse stream's row count differed.
     """
     if out is None:
         out = {}
@@ -65,6 +75,14 @@ def flatten(node, path="", out=None):
                     all(isinstance(e, dict) and "p" in e for e in value):
                 for entry in value:
                     flatten(entry, f"{path}.p{entry['p']:g}", out)
+                continue
+            if path == "timeseries" and key in ROW_SUFFIXES and \
+                    isinstance(value, dict):
+                for stream, rows in value.items():
+                    for start, *values in rows:
+                        for suffix, v in zip(ROW_SUFFIXES[key], values):
+                            out[f"{sub}.{stream}.t{start:g}{suffix}"] = \
+                                float(v)
                 continue
             flatten(value, sub, out)
     elif isinstance(node, bool):

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Negative and positive checks of the report tools (stdlib unittest).
 
-Proves that the gates fail when they should: a 20% p99 inflation fails
-compare_report.py, a tail attribution entry without a latency or 2 ms
-off its latency fails check_report.py, a 99 s calibration drift fails
+Proves that the gates fail when they should: a 20% p99 inflation, a
+doubled time-series row or a dropped time-series stream fails
+compare_report.py, a retired run-report schema tag, a tail attribution
+entry without a latency or 2 ms off its latency fails check_report.py,
+a 99 s calibration drift fails
 check_report.py --calibrate, a bench report listing a self-check
 violation fails its envelope check, a gated value 25% worse than its
 baseline fails the --baseline gate, and smoke.py catches a report that
@@ -70,21 +72,43 @@ class ToolCase(unittest.TestCase):
 class CompareReportTest(ToolCase):
     REFERENCE = os.path.join(ROOT, "bench", "attribution.reference.json")
 
+    def reference(self):
+        with open(self.REFERENCE, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def compare_with(self, report):
+        return self.run_main(compare_report, self.REFERENCE,
+                             self.write("candidate.json", report))
+
     def test_reference_matches_itself(self):
         status, _ = self.run_main(compare_report, self.REFERENCE,
                                   self.REFERENCE)
         self.assertEqual(status, 0)
 
     def test_inflated_p99_fails(self):
-        with open(self.REFERENCE, encoding="utf-8") as fh:
-            report = json.load(fh)
+        report = self.reference()
         for hist in report["metrics"]["histograms"].values():
             hist["p99"] *= 1.20
-        regressed = self.write("regressed.json", report)
-        status, output = self.run_main(compare_report, self.REFERENCE,
-                                       regressed)
+        status, output = self.compare_with(report)
         self.assertEqual(status, 1)
         self.assertIn("p99", output)
+
+    def test_doubled_completions_row_fails(self):
+        report = self.reference()
+        rows = report["timeseries"]["counters"]["completions"]
+        row = max(rows, key=lambda r: r[1])
+        row[1] *= 2
+        status, output = self.compare_with(report)
+        self.assertEqual(status, 1)
+        self.assertIn(f"timeseries.counters.completions.t{row[0]:g}", output)
+
+    def test_dropped_stream_fails_as_missing(self):
+        report = self.reference()
+        del report["timeseries"]["levels"]["nodes_up"]
+        status, output = self.compare_with(report)
+        self.assertEqual(status, 1)
+        self.assertIn("timeseries.levels.nodes_up.t", output)
+        self.assertIn("missing in candidate", output)
 
 
 class TailCheckTest(ToolCase):
@@ -114,6 +138,15 @@ class TailCheckTest(ToolCase):
         status, output = self.run_main(check_report, report)
         self.assertEqual(status, 1)
         self.assertIn("tolerance 1e-3", output)
+
+    def test_retired_v2_schema_fails(self):
+        with open(self.REFERENCE, encoding="utf-8") as fh:
+            report = json.load(fh)
+        report["schema"] = "canary.run_report/v2"
+        status, output = self.run_main(check_report,
+                                       self.write("v2.json", report))
+        self.assertEqual(status, 1)
+        self.assertIn("canary.run_report/v2", output)
 
 
 class CalibrateTest(ToolCase):
