@@ -13,10 +13,11 @@
 // violation, prefixed with its cell and seed, lands in checks.violations,
 // next to the campaign-total checks — traffic and hedge-race identities,
 // heal convergence, every zombie commit rejected, and the non-vacuity
-// checks (hedged runs that fired hedges, partition runs that cut zones
-// and rejected stale-epoch writes). The payload lists every cell with its
-// seed range and violation count, and the sum of every kChaosTotals
-// entry.
+// checks (hedged runs that fired hedges, traffic runs that offered and
+// completed arrivals and suspected a worker, partition runs that cut
+// zones, dropped heartbeats and rejected stale-epoch writes). The
+// payload lists every cell with its seed range and violation count, and
+// the sum of every kChaosTotals entry.
 //
 // Usage: chaos_campaign [--quick] [--seeds N]
 //   --quick    each cell's quick seed count (the CI smoke run)
@@ -149,7 +150,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Task> tasks;
   std::vector<std::size_t> cell_seeds;
-  std::size_t hedged_runs = 0, partition_runs = 0;
+  std::size_t hedged_runs = 0, partition_runs = 0, traffic_runs = 0;
   for (std::size_t c = 0; c < std::size(kCells); ++c) {
     const Cell& cell = kCells[c];
     const std::size_t count =
@@ -160,6 +161,7 @@ int main(int argc, char** argv) {
     cell_seeds.push_back(count);
     if (cell.spec.strategy == Kind::kHedge) hedged_runs += count;
     if (cell.spec.partition) partition_runs += count;
+    if (cell.spec.traffic) traffic_runs += count;
   }
   std::cout << "chaos campaign: " << std::size(kCells) << " cells, "
             << tasks.size() << " scenarios" << (quick ? " (quick)" : "")
@@ -215,6 +217,15 @@ int main(int argc, char** argv) {
             " + cancelled " + std::to_string(total("hedges_cancelled")));
   check(hedged_runs == 0 || total("hedges_fired") > 0,
         "hedged runs ran but no hedge ever fired");
+  // A registry read of a misspelled name is zero, and zero passes every
+  // identity above; these catch a total that silently reads nothing.
+  // Every traffic run kills a node under heartbeat detection.
+  check(traffic_runs == 0 || total("traffic_offered") > 0,
+        "traffic runs ran but no arrival was ever offered");
+  check(traffic_runs == 0 || total("traffic_completed") > 0,
+        "traffic runs ran but no arrival ever completed");
+  check(traffic_runs == 0 || total("detector_suspicions") > 0,
+        "traffic runs ran but no worker was ever suspected");
   check(total("partitions_healed") == total("partitions_started"),
         std::to_string(total("partitions_started")) +
             " partition(s) started but " +
@@ -226,6 +237,8 @@ int main(int argc, char** argv) {
             " rejected: a fenced commit reached the store");
   check(partition_runs == 0 || total("partitions_started") > 0,
         "partition runs ran but no window ever started");
+  check(partition_runs == 0 || total("heartbeats_partition_dropped") > 0,
+        "partition runs ran but no heartbeat was ever cut off");
   // From eight partition runs on, the zone cuts reliably fence
   // minority-side writers mid-commit; zero rejects means the epoch gate
   // is not being exercised.

@@ -146,16 +146,20 @@ StrategyResult run_strategy(const std::string& name,
         strategy_config(strategy, horizon,
                         kSeed + static_cast<std::uint64_t>(rep)),
         {});
-    out.latency.merge(result.metrics.histogram("traffic_latency"));
-    out.admitted += result.traffic.admitted;
-    out.completed += result.traffic.completed;
-    out.shed += result.traffic.shed;
+    const canary::obs::MetricRegistry& m = result.metrics;
+    const auto count = [&m](const char* name) {
+      return static_cast<std::uint64_t>(m.counter(name));
+    };
+    out.latency.merge(m.histogram("traffic_latency"));
+    out.admitted += count("traffic_admitted");
+    out.completed += count("traffic_completed");
+    out.shed += count("traffic_shed");
     out.cost_usd += result.cost_usd;
-    out.hedges_fired += result.hedge.fired;
-    out.hedge_wins += result.hedge.wins;
-    out.hedges_cancelled += result.hedge.cancelled;
-    out.hedges_denied += result.hedge.denied;
-    out.open_races += result.hedge.open;
+    out.hedges_fired += count("hedges_fired");
+    out.hedge_wins += count("hedge_wins");
+    out.hedges_cancelled += count("hedges_cancelled");
+    out.hedges_denied += count("hedges_denied");
+    out.open_races += static_cast<std::uint64_t>(m.gauge("hedge_open_races"));
     out.completed_ok = out.completed_ok && result.completed;
   }
   return out;

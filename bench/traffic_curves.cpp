@@ -11,7 +11,7 @@
 // every run (each sweep point, both burst runs, the overload run):
 //
 //   offered == admitted + shed + queued_end
-//   admitted == completed + failed + in_flight
+//   admitted == completed + in_flight
 //   in_flight == queued_end == 0         (the run drained: no backlog)
 //   p50 <= p99                           (when anything completed)
 //
@@ -89,9 +89,54 @@ ScenarioConfig base_config(Duration horizon) {
   return config;
 }
 
+/// One traffic run's totals, read off its metric registry.
+struct TrafficView {
+  std::uint64_t offered = 0;
+  std::uint64_t admitted = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t in_flight = 0;   // admitted, unresolved at run end
+  std::uint64_t queued_end = 0;  // still buffered at run end
+  std::uint64_t queue_peak = 0;
+  double latency_p50_ms = 0.0;  // arrival -> completion
+  double latency_p99_ms = 0.0;
+  double queue_wait_p99_ms = 0.0;  // arrival -> platform submission
+  std::uint64_t scale_ups = 0;
+  std::uint64_t scale_ins = 0;
+  std::uint64_t containers_launched = 0;
+  std::uint64_t containers_retired = 0;
+};
+
+TrafficView traffic_view(const RunResult& r) {
+  const canary::obs::MetricRegistry& m = r.metrics;
+  const auto count = [&m](const char* name) {
+    return static_cast<std::uint64_t>(m.counter(name));
+  };
+  const auto level = [&m](const char* name) {
+    return static_cast<std::uint64_t>(m.gauge(name));
+  };
+  TrafficView t;
+  t.offered = count("traffic_offered");
+  t.admitted = count("traffic_admitted");
+  t.shed = count("traffic_shed");
+  t.completed = count("traffic_completed");
+  t.in_flight = level("traffic_in_flight_end");
+  t.queued_end = level("traffic_queued_end");
+  t.queue_peak = level("traffic_queue_peak");
+  const canary::obs::Histogram& latency = m.histogram("traffic_latency");
+  t.latency_p50_ms = latency.p50() * 1e3;
+  t.latency_p99_ms = latency.p99() * 1e3;
+  t.queue_wait_p99_ms = m.histogram("traffic_queue_wait").p99() * 1e3;
+  t.scale_ups = count("autoscaler_scale_ups");
+  t.scale_ins = count("autoscaler_scale_ins");
+  t.containers_launched = count("autoscaler_containers_launched");
+  t.containers_retired = count("autoscaler_containers_retired");
+  return t;
+}
+
 struct Point {
   double load = 0.0;
-  RunResult::TrafficSummary t;
+  TrafficView t;
   double horizon_s = 0.0;
 
   double offered_rps() const {
@@ -103,34 +148,29 @@ struct Point {
 };
 
 /// Writes one summary's fields into the open object.
-void write_summary(JsonWriter& json, const RunResult::TrafficSummary& t) {
+void write_summary(JsonWriter& json, const TrafficView& t) {
   json.field("offered", t.offered);
   json.field("admitted", t.admitted);
   json.field("shed", t.shed);
   json.field("completed", t.completed);
-  json.field("failed", t.failed);
   json.field("in_flight", t.in_flight);
   json.field("queued_end", t.queued_end);
   json.field("queue_peak", t.queue_peak);
   json.field("p50_ms", t.latency_p50_ms);
   json.field("p99_ms", t.latency_p99_ms);
   json.field("queue_wait_p99_ms", t.queue_wait_p99_ms);
-  json.field("conservation_ok", t.conservation_ok);
 }
 
 /// The identities every traffic run must satisfy once it has drained.
-void check_summary(const std::string& where, const RunResult::TrafficSummary& t,
+void check_summary(const std::string& where, const TrafficView& t,
                    std::vector<std::string>& violations) {
-  if (!t.conservation_ok) {
-    violations.push_back("conservation violated at " + where);
-  }
   if (t.offered != t.admitted + t.shed + t.queued_end) {
     violations.push_back(where + ": offered " + std::to_string(t.offered) +
                          " != admitted + shed + queued_end");
   }
-  if (t.admitted != t.completed + t.failed + t.in_flight) {
+  if (t.admitted != t.completed + t.in_flight) {
     violations.push_back(where + ": admitted " + std::to_string(t.admitted) +
-                         " != completed + failed + in_flight");
+                         " != completed + in_flight");
   }
   if (t.in_flight != 0 || t.queued_end != 0) {
     violations.push_back(where + ": run ended with backlog (in_flight " +
@@ -176,7 +216,7 @@ int main(int argc, char** argv) {
     const RunResult result = ScenarioRunner::run(config, {});
     Point p;
     p.load = load;
-    p.t = result.traffic;
+    p.t = traffic_view(result);
     p.horizon_s = horizon.to_seconds();
     check_summary("load " + num(load), p.t, violations);
     if (load <= 0.75 && p.t.shed != 0) {
@@ -220,21 +260,22 @@ int main(int argc, char** argv) {
     config.traffic.autoscaler.max_warm = 16;
     return config;
   };
-  const RunResult burst_off = ScenarioRunner::run(burst_config(false), {});
-  const RunResult burst_on = ScenarioRunner::run(burst_config(true), {});
-  check_summary("burst without autoscaler", burst_off.traffic, violations);
-  check_summary("burst with autoscaler", burst_on.traffic, violations);
-  if (burst_on.traffic.containers_retired >
-      burst_on.traffic.containers_launched) {
+  const TrafficView burst_off =
+      traffic_view(ScenarioRunner::run(burst_config(false), {}));
+  const TrafficView burst_on =
+      traffic_view(ScenarioRunner::run(burst_config(true), {}));
+  check_summary("burst without autoscaler", burst_off, violations);
+  check_summary("burst with autoscaler", burst_on, violations);
+  if (burst_on.containers_retired > burst_on.containers_launched) {
     violations.push_back("autoscaler retired more containers than it "
                          "launched");
   }
 
   TextTable burst({"autoscaler", "offered", "completed", "shed", "p99 [ms]",
                    "scale ups", "scale ins", "launched", "retired"});
-  for (const RunResult* r : {&burst_off, &burst_on}) {
-    const auto& t = r->traffic;
-    burst.add_row({r == &burst_off ? "off" : "on", std::to_string(t.offered),
+  for (const TrafficView* v : {&burst_off, &burst_on}) {
+    const TrafficView& t = *v;
+    burst.add_row({v == &burst_off ? "off" : "on", std::to_string(t.offered),
                    std::to_string(t.completed), std::to_string(t.shed),
                    num(t.latency_p99_ms), std::to_string(t.scale_ups),
                    std::to_string(t.scale_ins),
@@ -250,13 +291,13 @@ int main(int argc, char** argv) {
   overload.traffic.streams.push_back(web_stream(1.2 * capacity));
   overload.node_failure_offsets.push_back(horizon * 0.4);
   const RunResult failure_run = ScenarioRunner::run(overload, {});
-  check_summary("overload + failure", failure_run.traffic, violations);
-  const auto& ft = failure_run.traffic;
+  const TrafficView ft = traffic_view(failure_run);
+  check_summary("overload + failure", ft, violations);
   std::cout << "\noverload (1.2x) + node failure at "
             << (horizon * 0.4).to_seconds() << " s: offered " << ft.offered
             << ", completed " << ft.completed << ", shed " << ft.shed
             << ", p99 " << num(ft.latency_p99_ms) << " ms, node kills "
-            << failure_run.injected_node_kills << "\n";
+            << failure_run.injected.node_kills << "\n";
 
   const bool written = canary::bench::write_bench_report(
       "traffic_curves", quick, violations, {},
@@ -282,19 +323,19 @@ int main(int argc, char** argv) {
         json.end_array();
         json.key("burst").begin_object();
         json.key("without_autoscaler").begin_object();
-        write_summary(json, burst_off.traffic);
+        write_summary(json, burst_off);
         json.end_object();
         json.key("with_autoscaler").begin_object();
-        write_summary(json, burst_on.traffic);
-        json.field("scale_ups", burst_on.traffic.scale_ups);
-        json.field("scale_ins", burst_on.traffic.scale_ins);
-        json.field("containers_launched", burst_on.traffic.containers_launched);
-        json.field("containers_retired", burst_on.traffic.containers_retired);
+        write_summary(json, burst_on);
+        json.field("scale_ups", burst_on.scale_ups);
+        json.field("scale_ins", burst_on.scale_ins);
+        json.field("containers_launched", burst_on.containers_launched);
+        json.field("containers_retired", burst_on.containers_retired);
         json.end_object();
         json.end_object();
         json.key("overload_failure").begin_object();
-        write_summary(json, failure_run.traffic);
-        json.field("node_kills", failure_run.injected_node_kills);
+        write_summary(json, ft);
+        json.field("node_kills", failure_run.injected.node_kills);
         json.end_object();
       });
   if (!written) return 1;

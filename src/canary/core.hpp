@@ -120,8 +120,6 @@ class CoreModule final : public faas::RecoveryHandler,
   void on_worker_unsuspected(NodeId node) override;
   void on_worker_confirmed_dead(NodeId node) override;
 
-  std::uint64_t recovery_stalls() const { return recovery_stalls_; }
-
  private:
   void refresh_worker_table();
   void drain_queue();
@@ -182,7 +180,6 @@ class CoreModule final : public faas::RecoveryHandler,
   /// Worker to route the next recovery of a function away from (set when
   /// the watchdog killed a stalled attempt on it).
   std::unordered_map<FunctionId, NodeId> avoid_;
-  std::uint64_t recovery_stalls_ = 0;
 };
 
 }  // namespace canary::core

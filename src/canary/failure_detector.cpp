@@ -69,7 +69,6 @@ void FailureDetector::schedule_heartbeat(NodeId node) {
       return;  // dead workers stop heartbeating — that is the signal
     }
     const TimePoint sent = sim_.now();
-    ++heartbeats_sent_;
     platform_.metrics().count("heartbeats_sent");
     // Partition gate: the controller hears the majority side. A beat from
     // a worker that cannot reach a quorum of its peers never arrives —
@@ -77,7 +76,6 @@ void FailureDetector::schedule_heartbeat(NodeId node) {
     // at send time; reaches_majority short-circuits to true when no
     // partition is active.
     if (!platform_.network().reaches_majority(node)) {
-      ++heartbeats_partition_dropped_;
       platform_.metrics().count("heartbeats_partition_dropped");
       schedule_heartbeat(node);
       return;
@@ -86,7 +84,6 @@ void FailureDetector::schedule_heartbeat(NodeId node) {
         faults_ != nullptr ? faults_->heartbeat_delay(node, sent)
                            : std::optional<Duration>(Duration::zero());
     if (!delay.has_value()) {
-      ++heartbeats_lost_;
       platform_.metrics().count("heartbeats_dropped");
     } else if (*delay <= Duration::zero()) {
       deliver_heartbeat(node, sent);
@@ -108,7 +105,6 @@ void FailureDetector::deliver_heartbeat(NodeId node, TimePoint sent) {
     // Un-suspect before any recovery was confirmed, so nothing
     // double-executes.
     w.suspected = false;
-    ++false_suspicions_;
     platform_.metrics().count("false_suspicions");
     annotate(node, "worker_unsuspected");
     if (listener_ != nullptr) listener_->on_worker_unsuspected(node);
@@ -132,7 +128,6 @@ void FailureDetector::sweep() {
     const double suspicion = suspicion_level(node);
     if (!w.suspected && suspicion >= config_.timeout_multiplier) {
       w.suspected = true;
-      ++suspicions_;
       platform_.metrics().count("worker_suspicions");
       annotate(node, "worker_suspected");
       if (listener_ != nullptr) listener_->on_worker_suspected(node, suspicion);
@@ -140,7 +135,6 @@ void FailureDetector::sweep() {
     if (w.suspected &&
         suspicion >= config_.timeout_multiplier + config_.confirm_multiplier) {
       w.confirmed = true;
-      ++confirmed_dead_;
       platform_.metrics().count("workers_confirmed_dead");
       annotate(node, "worker_confirmed_dead");
       if (listener_ != nullptr) listener_->on_worker_confirmed_dead(node);

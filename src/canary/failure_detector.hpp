@@ -16,9 +16,13 @@
 // interval x multipliers + sweep granularity + injected network delay —
 // feeding the critical-path `detection` component, instead of the legacy
 // constant-oracle PlatformConfig::failure_detect_delay.
+//
+// The detector's totals live in the platform's metric registry only:
+// heartbeats_sent, heartbeats_dropped (injected drops),
+// heartbeats_partition_dropped, worker_suspicions, false_suspicions and
+// workers_confirmed_dead.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -109,17 +113,6 @@ class FailureDetector {
            config_.sweep_interval;
   }
 
-  std::uint64_t heartbeats_sent() const { return heartbeats_sent_; }
-  std::uint64_t heartbeats_lost() const { return heartbeats_lost_; }
-  /// Beats that never reached the controller because the sender was on
-  /// the minority side of an active partition.
-  std::uint64_t heartbeats_partition_dropped() const {
-    return heartbeats_partition_dropped_;
-  }
-  std::uint64_t suspicions() const { return suspicions_; }
-  std::uint64_t false_suspicions() const { return false_suspicions_; }
-  std::uint64_t confirmed_dead() const { return confirmed_dead_; }
-
  private:
   struct WorkerState {
     TimePoint last_heartbeat;
@@ -147,12 +140,6 @@ class FailureDetector {
   std::function<bool()> pending_work_;
   std::vector<WorkerState> workers_;  // indexed by node id - 1
   bool started_ = false;
-  std::uint64_t heartbeats_sent_ = 0;
-  std::uint64_t heartbeats_lost_ = 0;
-  std::uint64_t heartbeats_partition_dropped_ = 0;
-  std::uint64_t suspicions_ = 0;
-  std::uint64_t false_suspicions_ = 0;
-  std::uint64_t confirmed_dead_ = 0;
 };
 
 }  // namespace canary::core

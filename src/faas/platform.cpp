@@ -91,7 +91,7 @@ void Platform::arm_slo(InvocationInternal& inv, Duration sla,
                        TimePoint anchor) {
   if (slo_ == nullptr || sla <= Duration::zero()) return;
   const TimePoint deadline = anchor + sla;
-  slo_->arm(inv.id, deadline);
+  slo_->arm(inv.id);
   const FunctionId id = inv.id;
   // An arrival-anchored deadline can already be in the past when the
   // request spent longer than its SLA waiting in admission control.

@@ -21,6 +21,20 @@ obs::EventId annotate_injection(sim::Simulator& simulator,
 }
 }  // namespace
 
+FaultTotals& FaultTotals::operator+=(const FaultTotals& other) {
+  planned_kills += other.planned_kills;
+  node_kills += other.node_kills;
+  skipped_node_kills += other.skipped_node_kills;
+  gray_windows += other.gray_windows;
+  heartbeats_delayed += other.heartbeats_delayed;
+  store_entries_dropped += other.store_entries_dropped;
+  store_entries_corrupted += other.store_entries_corrupted;
+  partitions_started += other.partitions_started;
+  partitions_healed += other.partitions_healed;
+  zone_outages += other.zone_outages;
+  return *this;
+}
+
 std::optional<Duration> FailureInjector::plan_kill(const faas::Invocation& inv,
                                                    int attempt,
                                                    Duration busy_estimate) {
@@ -43,7 +57,7 @@ std::optional<Duration> FailureInjector::plan_kill(const faas::Invocation& inv,
     Rng draw = rng_.child(inv.id.value() * 1315423911ULL +
                           static_cast<std::uint64_t>(attempt));
     if (!draw.bernoulli(p_fail)) return std::nullopt;
-    ++planned_kills_;
+    ++totals_.planned_kills;
     return busy_estimate * draw.uniform01();
   }
 
@@ -54,7 +68,7 @@ std::optional<Duration> FailureInjector::plan_kill(const faas::Invocation& inv,
     Rng draw = rng_.child(inv.id.value() * 1315423911ULL +
                           static_cast<std::uint64_t>(attempt));
     if (!draw.bernoulli(config_.error_rate)) return std::nullopt;
-    ++planned_kills_;
+    ++totals_.planned_kills;
     return busy_estimate * draw.uniform01();
   }
 
@@ -68,7 +82,7 @@ std::optional<Duration> FailureInjector::plan_kill(const faas::Invocation& inv,
   if (!plan.fail || plan.consumed) return std::nullopt;
   if (attempt != config_.kill_on_attempt) return std::nullopt;
   plan.consumed = true;
-  ++planned_kills_;
+  ++totals_.planned_kills;
   return busy_estimate * plan.fraction;
 }
 
@@ -76,7 +90,7 @@ void FailureInjector::fire_node_failure(sim::Simulator& simulator,
                                         faas::Platform& platform,
                                         kv::KvStore* store, NodeId victim,
                                         const char* what, obs::EventId cause) {
-  ++node_kills_;
+  ++totals_.node_kills;
   annotate_injection(simulator, platform, victim, what);
   platform.fail_node(victim, cause);
   if (store != nullptr) store->fail_node(victim);
@@ -97,7 +111,7 @@ void FailureInjector::schedule_node_failure(sim::Simulator& simulator,
       // (and in partitioned mode re-prune) its KV entries.
       if (!platform.cluster().contains(*victim) ||
           !platform.cluster().node(*victim).alive()) {
-        ++skipped_node_kills_;
+        ++totals_.skipped_node_kills;
         return;
       }
       target = *victim;
@@ -146,7 +160,7 @@ void FailureInjector::schedule_correlated_node_failure(
     // schedule_node_failure — one node, one death in the accounting.
     simulator.schedule_at(when, [this, &simulator, &platform, store, node] {
       if (!platform.cluster().node(node).alive()) {
-        ++skipped_node_kills_;
+        ++totals_.skipped_node_kills;
         return;
       }
       if (platform.cluster().alive_count() <= 1) return;
@@ -174,7 +188,7 @@ void FailureInjector::schedule_gray_window(sim::Simulator& simulator,
     } else {
       return;  // requested victim already dead
     }
-    ++gray_windows_;
+    ++totals_.gray_windows;
     auto& node = platform.cluster().node(target);
     // Stack with any narrower gray window already in force.
     node.set_slowdown(node.slowdown() * slowdown);
@@ -211,14 +225,11 @@ std::optional<Duration> FailureInjector::heartbeat_delay(NodeId node,
           node.value() * 2654435761ULL +
           static_cast<std::uint64_t>((send_time - TimePoint::origin())
                                          .count_usec()));
-      if (draw.bernoulli(fault.drop_rate)) {
-        ++heartbeats_dropped_;
-        return std::nullopt;
-      }
+      if (draw.bernoulli(fault.drop_rate)) return std::nullopt;
     }
     if (fault.delay > delay) delay = fault.delay;
   }
-  if (delay > Duration::zero()) ++heartbeats_delayed_;
+  if (delay > Duration::zero()) ++totals_.heartbeats_delayed;
   return delay;
 }
 
@@ -245,7 +256,7 @@ void FailureInjector::schedule_store_fault(sim::Simulator& simulator,
     for (unsigned i = 0; i < lose; ++i) {
       if (auto key = pick()) {
         if (store.drop_entry(*key)) {
-          ++store_entries_dropped_;
+          ++totals_.store_entries_dropped;
           fired = true;
         }
       }
@@ -253,7 +264,7 @@ void FailureInjector::schedule_store_fault(sim::Simulator& simulator,
     for (unsigned i = 0; i < corrupt; ++i) {
       if (auto key = pick()) {
         if (store.corrupt_entry(*key)) {
-          ++store_entries_corrupted_;
+          ++totals_.store_entries_corrupted;
           fired = true;
         }
       }
@@ -277,15 +288,15 @@ void FailureInjector::schedule_partition(sim::Simulator& simulator,
     if (from.empty() || to.empty()) {
       // Degenerate window (a zone slice with no members in this shard):
       // still counted, so per-shard counter merges stay invariant.
-      ++partitions_started_;
-      ++partitions_healed_;
+      ++totals_.partitions_started;
+      ++totals_.partitions_healed;
       return;
     }
     auto& net = platform.network();
     const auto forward = net.block(from, to);
     const auto reverse =
         symmetric ? net.block(to, from) : cluster::NetworkModel::RuleId{0};
-    ++partitions_started_;
+    ++totals_.partitions_started;
     annotate_injection(simulator, platform, NodeId::invalid(),
                        "partition_start");
     simulator.schedule_after(duration, [this, &simulator, &platform, forward,
@@ -293,7 +304,7 @@ void FailureInjector::schedule_partition(sim::Simulator& simulator,
       auto& healed = platform.network();
       healed.unblock(forward);
       if (symmetric) healed.unblock(reverse);
-      ++partitions_healed_;
+      ++totals_.partitions_healed;
       annotate_injection(simulator, platform, NodeId::invalid(),
                          "partition_heal");
     });
@@ -325,7 +336,7 @@ void FailureInjector::schedule_zone_outage(sim::Simulator& simulator,
                                            kv::KvStore* store, TimePoint when,
                                            std::uint32_t zone) {
   simulator.schedule_at(when, [this, &simulator, &platform, store, zone] {
-    ++zone_outages_;
+    ++totals_.zone_outages;
     // One causal root for the whole outage: every member's kNodeFailure
     // event carries a cause edge back to it, so the trace shows a single
     // domain-level event fanning out to correlated kills.
@@ -336,7 +347,7 @@ void FailureInjector::schedule_zone_outage(sim::Simulator& simulator,
         // Overlap with an earlier scheduled kill on this member: one
         // death, one count — the correlated extension of the PR4
         // double-kill guard.
-        ++skipped_node_kills_;
+        ++totals_.skipped_node_kills;
         continue;
       }
       // Keep at least one node alive so the workload can finish.

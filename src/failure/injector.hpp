@@ -3,12 +3,15 @@
 // and vary the error rate from 1% to 50%."
 //
 // The error rate is the percentage of functions that fail during a
-// workload. In the default OncePerFunction mode each function is selected
-// with probability `error_rate` and its container killed exactly once, at
-// a uniformly random point of the attempt's busy window (launch through
-// finalize) — failures "at random times during the job execution"
-// (§V-D2). PerAttempt mode re-samples on every attempt and is used for
-// the RR/AS baselines where each replica instance fails independently.
+// workload. Every scenario, whatever its strategy, injects in
+// kHazardRate mode unless its config says otherwise
+// (ScenarioConfig::injection_mode): an attempt's kill probability grows
+// with how long its container is up, and the kill lands at a uniformly
+// random point of the attempt's busy window (launch through finalize) —
+// failures "at random times during the job execution" (§V-D2). Only
+// tests select the other two modes: kOncePerFunction (InjectorConfig's
+// own default) kills each selected function exactly once, and
+// kPerAttempt re-samples every attempt independently.
 //
 // Node-level failures (§V-D6) take down a whole worker: every hosted
 // container dies and, unless the KV store replicates or persists them,
@@ -38,6 +41,25 @@ enum class InjectionMode {
   /// that redo the whole function stay exposed for the full duration,
   /// while checkpoint-resumed attempts are short and rarely re-killed.
   kHazardRate,
+};
+
+/// What the injector actually did over a run. RunResult holds one by
+/// value and the shard merge sums them. Dropped heartbeats are not here:
+/// the detector's "heartbeats_dropped" counter is that total's record.
+struct FaultTotals {
+  std::uint64_t planned_kills = 0;
+  std::uint64_t node_kills = 0;
+  /// Scheduled kills whose victim was already dead at fire time.
+  std::uint64_t skipped_node_kills = 0;
+  std::uint64_t gray_windows = 0;
+  std::uint64_t heartbeats_delayed = 0;
+  std::uint64_t store_entries_dropped = 0;
+  std::uint64_t store_entries_corrupted = 0;
+  std::uint64_t partitions_started = 0;
+  std::uint64_t partitions_healed = 0;
+  std::uint64_t zone_outages = 0;
+
+  FaultTotals& operator+=(const FaultTotals& other);
 };
 
 struct InjectorConfig {
@@ -140,20 +162,7 @@ class FailureInjector : public faas::FailurePolicy,
                             faas::Platform& platform, kv::KvStore* store,
                             TimePoint when, std::uint32_t zone);
 
-  std::uint64_t partitions_started() const { return partitions_started_; }
-  std::uint64_t partitions_healed() const { return partitions_healed_; }
-  std::uint64_t zone_outages() const { return zone_outages_; }
-
-  std::uint64_t planned_kills() const { return planned_kills_; }
-  std::uint64_t node_kills() const { return node_kills_; }
-  std::uint64_t skipped_node_kills() const { return skipped_node_kills_; }
-  std::uint64_t gray_windows() const { return gray_windows_; }
-  std::uint64_t heartbeats_dropped() const { return heartbeats_dropped_; }
-  std::uint64_t heartbeats_delayed() const { return heartbeats_delayed_; }
-  std::uint64_t store_entries_dropped() const { return store_entries_dropped_; }
-  std::uint64_t store_entries_corrupted() const {
-    return store_entries_corrupted_;
-  }
+  const FaultTotals& totals() const { return totals_; }
 
  private:
   struct Plan {
@@ -176,17 +185,7 @@ class FailureInjector : public faas::FailurePolicy,
   /// invocation on that hot path.
   std::vector<Duration> first_busy_;
   std::vector<HeartbeatFault> heartbeat_faults_;
-  std::uint64_t planned_kills_ = 0;
-  std::uint64_t node_kills_ = 0;
-  std::uint64_t skipped_node_kills_ = 0;
-  std::uint64_t gray_windows_ = 0;
-  std::uint64_t heartbeats_dropped_ = 0;
-  std::uint64_t heartbeats_delayed_ = 0;
-  std::uint64_t store_entries_dropped_ = 0;
-  std::uint64_t store_entries_corrupted_ = 0;
-  std::uint64_t partitions_started_ = 0;
-  std::uint64_t partitions_healed_ = 0;
-  std::uint64_t zone_outages_ = 0;
+  FaultTotals totals_;
 };
 
 }  // namespace canary::failure

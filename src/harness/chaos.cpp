@@ -377,6 +377,24 @@ OracleCheck check_oracles(const ChaosScenario& scenario,
                                              shard.max_detection_latency_s);
   }
 
+  const auto count = [&result](const char* name) {
+    return static_cast<std::uint64_t>(result.metrics.counter(name));
+  };
+  const auto level = [&result](const char* name) {
+    return static_cast<std::uint64_t>(result.metrics.gauge(name));
+  };
+  // Oracles 7 and 8 check monolithic results only. A sharded run has
+  // already checked them in every partition above, both identities are
+  // closed under addition, and a merged registry keeps only the last
+  // partition's gauges.
+  const bool monolithic = result.shards.empty();
+  const bool hedged =
+      monolithic &&
+      scenario.config.strategy.kind == recovery::StrategyKind::kHedge;
+  const std::uint64_t hedges_fired = count("hedges_fired");
+  const std::uint64_t hedge_wins = count("hedge_wins");
+  const std::uint64_t hedges_cancelled = count("hedges_cancelled");
+
   // 1. Completion: recovery terminated and every job finished.
   if (!result.completed) {
     violate("completion: run ended with incomplete jobs");
@@ -391,8 +409,7 @@ OracleCheck check_oracles(const ChaosScenario& scenario,
   }
 
   // 3. A corrupt checkpoint must never be selected for restore.
-  if (auto it = result.counters.find("restored_corrupt_checkpoints");
-      it != result.counters.end() && it->second > 0.0) {
+  if (count("restored_corrupt_checkpoints") > 0) {
     violate("corrupt-restore: a damaged checkpoint was selected");
   }
 
@@ -405,36 +422,44 @@ OracleCheck check_oracles(const ChaosScenario& scenario,
   }
 
   // 7. Traffic conservation: exactly-once accounting for every arrival.
-  if (result.traffic.enabled) {
-    const auto& t = result.traffic;
-    if (!t.conservation_ok) {
+  if (monolithic && scenario.config.traffic.enabled) {
+    const std::uint64_t offered = count("traffic_offered");
+    const std::uint64_t admitted = count("traffic_admitted");
+    const std::uint64_t shed = count("traffic_shed");
+    const std::uint64_t completed = count("traffic_completed");
+    const std::uint64_t in_flight = level("traffic_in_flight_end");
+    const std::uint64_t queued_end = level("traffic_queued_end");
+    if (offered != admitted + shed + queued_end ||
+        admitted != completed + in_flight) {
       std::ostringstream os;
-      os << "conservation: offered=" << t.offered << " admitted=" << t.admitted
-         << " shed=" << t.shed << " completed=" << t.completed
-         << " failed=" << t.failed << " in_flight=" << t.in_flight
-         << " queued_end=" << t.queued_end;
+      os << "conservation: offered=" << offered << " admitted=" << admitted
+         << " shed=" << shed << " completed=" << completed
+         << " in_flight=" << in_flight << " queued_end=" << queued_end;
       violate(os.str());
     }
-    if (result.completed && (t.in_flight != 0 || t.queued_end != 0)) {
+    if (result.completed && (in_flight != 0 || queued_end != 0)) {
       std::ostringstream os;
-      os << "conservation: completed run left " << t.in_flight
-         << " arrival(s) in flight and " << t.queued_end << " queued";
+      os << "conservation: completed run left " << in_flight
+         << " arrival(s) in flight and " << queued_end << " queued";
       violate(os.str());
     }
   }
 
-  // 8. Hedge exactly-once: every fired hedge resolves exactly once.
-  if (result.hedge.enabled) {
-    const auto& h = result.hedge;
-    if (h.fired != h.wins + h.cancelled + h.open) {
+  // 8. Hedge exactly-once: every fired hedge resolves exactly once. The
+  // open count is the handler's own tally of unresolved races, never
+  // derived from the counters.
+  if (hedged) {
+    const std::uint64_t open = level("hedge_open_races");
+    if (hedges_fired != hedge_wins + hedges_cancelled + open) {
       std::ostringstream os;
-      os << "hedge-exactly-once: fired=" << h.fired << " != wins=" << h.wins
-         << " + cancelled=" << h.cancelled << " + open=" << h.open;
+      os << "hedge-exactly-once: fired=" << hedges_fired
+         << " != wins=" << hedge_wins << " + cancelled=" << hedges_cancelled
+         << " + open=" << open;
       violate(os.str());
     }
-    if (result.completed && h.open != 0) {
+    if (result.completed && open != 0) {
       std::ostringstream os;
-      os << "hedge-exactly-once: completed run left " << h.open
+      os << "hedge-exactly-once: completed run left " << open
          << " race(s) open";
       violate(os.str());
     }
@@ -444,14 +469,10 @@ OracleCheck check_oracles(const ChaosScenario& scenario,
   // executing, but every commit it attempts must be rejected at the
   // store's epoch gate. Together with oracle 2 (one kComplete per
   // function) this bounds committed side effects at one per invocation.
-  auto counter = [&result](const char* name) -> double {
-    auto it = result.counters.find(name);
-    return it == result.counters.end() ? 0.0 : it->second;
-  };
-  const double zombie_attempts = counter("zombie_commit_attempts");
-  const double zombie_committed = counter("zombie_commits_committed");
-  const double zombie_rejected = counter("zombie_commits_rejected");
-  if (zombie_committed > 0.0) {
+  const std::uint64_t zombie_attempts = count("zombie_commit_attempts");
+  const std::uint64_t zombie_committed = count("zombie_commits_committed");
+  const std::uint64_t zombie_rejected = count("zombie_commits_rejected");
+  if (zombie_committed > 0) {
     std::ostringstream os;
     os << "no-split-brain: " << zombie_committed
        << " fenced-writer commit(s) reached the store";
@@ -466,11 +487,12 @@ OracleCheck check_oracles(const ChaosScenario& scenario,
   }
 
   // 10. Heal convergence: after the last heal the cluster's views agree.
-  if (result.injected_partitions > 0 || result.injected_zone_outages > 0) {
-    if (result.injected_partition_heals != result.injected_partitions) {
+  const failure::FaultTotals& injected = result.injected;
+  if (injected.partitions_started > 0 || injected.zone_outages > 0) {
+    if (injected.partitions_healed != injected.partitions_started) {
       std::ostringstream os;
-      os << "heal-convergence: " << result.injected_partitions
-         << " partition(s) started but " << result.injected_partition_heals
+      os << "heal-convergence: " << injected.partitions_started
+         << " partition(s) started but " << injected.partitions_healed
          << " healed";
       violate(os.str());
     }
@@ -494,24 +516,23 @@ OracleCheck check_oracles(const ChaosScenario& scenario,
   }
   const auto& events = result.events->events();
 
-  if (result.hedge.enabled) {
-    const std::size_t hedged =
+  if (hedged) {
+    const std::size_t hedged_events =
         result.events->count_of(obs::EventKind::kHedged);
-    const std::size_t cancelled =
+    const std::size_t cancelled_events =
         result.events->count_of(obs::EventKind::kHedgeCancelled);
-    const auto& h = result.hedge;
-    if (hedged != h.fired) {
+    if (hedged_events != hedges_fired) {
       std::ostringstream os;
-      os << "hedge-exactly-once: " << hedged << " kHedged event(s) vs "
-         << h.fired << " fired";
+      os << "hedge-exactly-once: " << hedged_events << " kHedged event(s) vs "
+         << hedges_fired << " fired";
       violate(os.str());
     }
     // Every resolved race emits exactly one kHedgeCancelled — on the
     // primary when the clone won, on the clone otherwise.
-    if (cancelled != h.wins + h.cancelled) {
+    if (cancelled_events != hedge_wins + hedges_cancelled) {
       std::ostringstream os;
-      os << "hedge-exactly-once: " << cancelled
-         << " kHedgeCancelled event(s) vs " << h.wins + h.cancelled
+      os << "hedge-exactly-once: " << cancelled_events
+         << " kHedgeCancelled event(s) vs " << hedge_wins + hedges_cancelled
          << " resolved race(s)";
       violate(os.str());
     }
@@ -602,12 +623,8 @@ ChaosOutcome run_chaos_scenario(const ChaosSpec& spec, std::uint64_t seed) {
   out.makespan_s = result.makespan_s;
   for (std::size_t i = 0; i < out.totals.size(); ++i) {
     const ChaosTotal& total = kChaosTotals[i];
-    if (total.read != nullptr) {
-      out.totals[i] = total.read(result);
-    } else if (auto it = result.counters.find(total.key);
-               it != result.counters.end()) {
-      out.totals[i] = it->second;
-    }
+    out.totals[i] = total.read != nullptr ? total.read(result)
+                                          : result.metrics.counter(total.key);
   }
   OracleCheck check = check_oracles(scenario, result);
   out.max_detection_latency_s = check.max_detection_latency_s;

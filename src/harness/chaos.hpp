@@ -25,12 +25,12 @@
 //   7. conservation  — when open-loop traffic rides along, every offered
 //                      arrival is accounted exactly once
 //                      (offered == admitted + shed + queued_end and
-//                      admitted == completed + failed + in_flight), and a
+//                      admitted == completed + in_flight), and a
 //                      completed run leaves nothing queued or in flight;
 //   8. hedge exactly-once — when speculative clones race (the hedged
 //                      strategy), every fired hedge resolves exactly
-//                      once (fired == wins + cancelled, no race left
-//                      open on a completed run) and the causal log
+//                      once (fired == wins + cancelled + open, no race
+//                      left open on a completed run) and the causal log
 //                      agrees (#kHedged == fired, #kHedgeCancelled ==
 //                      resolved races);
 //   9. no split brain — at most one committed side effect per invocation
@@ -102,7 +102,8 @@ ChaosScenario make_chaos_scenario(const ChaosSpec& spec, std::uint64_t seed);
 /// everywhere: ChaosOutcome::total, the campaign printout and its report.
 struct ChaosTotal {
   const char* key;
-  /// Null reads the run's counter named `key` (zero when never counted).
+  /// Null reads the run's registry counter named `key` (zero when never
+  /// counted).
   double (*read)(const RunResult&);
 };
 
@@ -110,45 +111,43 @@ inline constexpr ChaosTotal kChaosTotals[] = {
     // Injected faults.
     {"function_failures", [](const RunResult& r) { return r.failures; }},
     {"node_kills",
-     [](const RunResult& r) { return double(r.injected_node_kills); }},
+     [](const RunResult& r) { return double(r.injected.node_kills); }},
     {"gray_windows",
-     [](const RunResult& r) { return double(r.injected_gray_windows); }},
-    {"heartbeats_dropped",
-     [](const RunResult& r) { return double(r.injected_heartbeats_dropped); }},
+     [](const RunResult& r) { return double(r.injected.gray_windows); }},
+    {"heartbeats_dropped", nullptr},
     {"heartbeats_delayed",
-     [](const RunResult& r) { return double(r.injected_heartbeats_delayed); }},
+     [](const RunResult& r) { return double(r.injected.heartbeats_delayed); }},
     {"store_entries_dropped",
-     [](const RunResult& r) { return double(r.injected_store_drops); }},
+     [](const RunResult& r) {
+       return double(r.injected.store_entries_dropped);
+     }},
     {"store_entries_corrupted",
-     [](const RunResult& r) { return double(r.injected_store_corruptions); }},
+     [](const RunResult& r) {
+       return double(r.injected.store_entries_corrupted);
+     }},
     // Detection and recovery.
     {"detector_suspicions",
-     [](const RunResult& r) { return double(r.detector_suspicions); }},
+     [](const RunResult& r) { return r.metrics.counter("worker_suspicions"); }},
     {"detector_false_suspicions",
-     [](const RunResult& r) { return double(r.detector_false_suspicions); }},
+     [](const RunResult& r) { return r.metrics.counter("false_suspicions"); }},
     {"recovery_stalls", nullptr},
     // Open-loop traffic (zero without the traffic overlay).
-    {"traffic_offered",
-     [](const RunResult& r) { return double(r.traffic.offered); }},
-    {"traffic_admitted",
-     [](const RunResult& r) { return double(r.traffic.admitted); }},
-    {"traffic_shed", [](const RunResult& r) { return double(r.traffic.shed); }},
-    {"traffic_completed",
-     [](const RunResult& r) { return double(r.traffic.completed); }},
+    {"traffic_offered", nullptr},
+    {"traffic_admitted", nullptr},
+    {"traffic_shed", nullptr},
+    {"traffic_completed", nullptr},
     // Hedge races (zero unless the strategy hedges).
-    {"hedges_fired", [](const RunResult& r) { return double(r.hedge.fired); }},
-    {"hedge_wins", [](const RunResult& r) { return double(r.hedge.wins); }},
-    {"hedges_cancelled",
-     [](const RunResult& r) { return double(r.hedge.cancelled); }},
+    {"hedges_fired", nullptr},
+    {"hedge_wins", nullptr},
+    {"hedges_cancelled", nullptr},
     // Partition surface (zero without the partition overlay).
     {"partitions_started",
-     [](const RunResult& r) { return double(r.injected_partitions); }},
+     [](const RunResult& r) { return double(r.injected.partitions_started); }},
     {"partitions_healed",
-     [](const RunResult& r) { return double(r.injected_partition_heals); }},
+     [](const RunResult& r) { return double(r.injected.partitions_healed); }},
     {"zone_outages",
-     [](const RunResult& r) { return double(r.injected_zone_outages); }},
-    {"heartbeats_partition_dropped",
-     [](const RunResult& r) { return double(r.heartbeats_partition_dropped); }},
+     [](const RunResult& r) { return double(r.injected.zone_outages); }},
+    {"heartbeats_partition_dropped", nullptr},
     {"stale_epoch_rejects",
      [](const RunResult& r) { return double(r.kv_stale_epoch_rejects); }},
     {"quorum_blocked_puts",
@@ -179,9 +178,11 @@ struct ChaosOutcome {
 ChaosOutcome run_chaos_scenario(const ChaosSpec& spec, std::uint64_t seed);
 
 /// Oracle evaluation, separated for tests: checks `result` (and the
-/// scenario it came from) and returns the violations. For sharded
-/// results, recurses into each per-partition result (violations gain a
-/// "shard N: " prefix) before checking the merged scalars.
+/// scenario it came from) and returns the violations. Oracles 7 and 8
+/// read the run's registry counters and gauges. For sharded results,
+/// recurses into each per-partition result (violations gain a "shard N: "
+/// prefix) before checking the merged scalars; 7 and 8 are checked per
+/// partition only.
 std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
                                        const RunResult& result);
 

@@ -1,5 +1,6 @@
 #include "harness/scenario.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 
@@ -327,27 +328,9 @@ RunResult ScenarioInstance::collect() {
     }
   }
 
-  if (detector) {
-    result.detector_suspicions = detector->suspicions();
-    result.detector_false_suspicions = detector->false_suspicions();
-    result.detector_confirmed_dead = detector->confirmed_dead();
-  }
   result.undetected_failures = platform.undetected_failures();
-  result.injected_node_kills = injector->node_kills();
-  result.injected_skipped_node_kills = injector->skipped_node_kills();
-  result.injected_gray_windows = injector->gray_windows();
-  result.injected_heartbeats_dropped = injector->heartbeats_dropped();
-  result.injected_heartbeats_delayed = injector->heartbeats_delayed();
-  result.injected_store_drops = injector->store_entries_dropped();
-  result.injected_store_corruptions = injector->store_entries_corrupted();
-  result.injected_partitions = injector->partitions_started();
-  result.injected_partition_heals = injector->partitions_healed();
-  result.injected_zone_outages = injector->zone_outages();
+  result.injected = injector->totals();
   result.partitions_active_end = network.active_rules();
-  if (detector) {
-    result.heartbeats_partition_dropped =
-        detector->heartbeats_partition_dropped();
-  }
   {
     const kv::KvStats kv_stats = store.stats();
     result.kv_stale_epoch_rejects = kv_stats.stale_epoch_rejects;
@@ -405,52 +388,24 @@ RunResult ScenarioInstance::collect() {
     result.spans_dropped = events->dropped();
     result.spans = std::move(spans);
   }
+  // Run-end levels are gauges, set only on the runs that have them, so
+  // every other report stays byte-identical.
   if (traffic_gen.has_value()) {
-    RunResult::TrafficSummary& t = result.traffic;
-    t.enabled = true;
-    const traffic::StreamStats totals = traffic_gen->totals();
-    t.offered = totals.offered;
-    t.admitted = totals.admitted;
-    t.shed = totals.shed;
-    t.completed = totals.completed;
-    t.failed = totals.failed;
-    t.in_flight = traffic_gen->admission().total_in_flight();
-    t.queued_end = traffic_gen->admission().total_queued();
-    t.queue_peak = totals.queue_peak;
-    t.latency_p50_ms = totals.latency.p50() * 1e3;
-    t.latency_p95_ms = totals.latency.p95() * 1e3;
-    t.latency_p99_ms = totals.latency.p99() * 1e3;
-    t.latency_p999_ms = totals.latency.percentile(99.9) * 1e3;
-    t.queue_wait_p99_ms = totals.queue_wait.p99() * 1e3;
-    if (autoscaler.has_value()) {
-      t.scale_ups = autoscaler->scale_ups();
-      t.scale_ins = autoscaler->scale_ins();
-      t.containers_launched = static_cast<std::uint64_t>(
-          metrics.counter("autoscaler_containers_launched"));
-      t.containers_retired = static_cast<std::uint64_t>(
-          metrics.counter("autoscaler_containers_retired"));
+    const traffic::AdmissionController& admission = traffic_gen->admission();
+    std::uint64_t queue_peak = 0;
+    for (std::size_t c = 0; c < admission.class_count(); ++c) {
+      queue_peak = std::max(queue_peak, admission.stats(c).queue_peak);
     }
-    t.conservation_ok =
-        t.offered == t.admitted + t.shed + t.queued_end &&
-        t.admitted == t.completed + t.failed + t.in_flight;
-    // Gauges only exist for traffic runs, so traffic-off reports stay
-    // byte-identical.
-    metrics.set_gauge("traffic_queue_peak", static_cast<double>(t.queue_peak));
+    metrics.set_gauge("traffic_queue_peak", static_cast<double>(queue_peak));
     metrics.set_gauge("traffic_in_flight_end",
-                      static_cast<double>(t.in_flight));
-    metrics.set_gauge("traffic_queued_end", static_cast<double>(t.queued_end));
-    result.counters = metrics.counters();
+                      static_cast<double>(admission.total_in_flight()));
+    metrics.set_gauge("traffic_queued_end",
+                      static_cast<double>(admission.total_queued()));
   }
   if (hedge.has_value()) {
-    RunResult::HedgeSummary& h = result.hedge;
-    h.enabled = true;
-    h.fired = static_cast<std::uint64_t>(metrics.counter("hedges_fired"));
-    h.wins = static_cast<std::uint64_t>(metrics.counter("hedge_wins"));
-    h.cancelled =
-        static_cast<std::uint64_t>(metrics.counter("hedges_cancelled"));
-    h.denied = static_cast<std::uint64_t>(metrics.counter("hedges_denied"));
-    h.skipped = static_cast<std::uint64_t>(metrics.counter("hedges_skipped"));
-    h.open = hedge->open_races();
+    // The hedge oracle's independent count of unresolved races.
+    metrics.set_gauge("hedge_open_races",
+                      static_cast<double>(hedge->open_races()));
   }
   result.metrics = std::move(metrics);
   result.events = std::move(events);

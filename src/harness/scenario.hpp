@@ -167,7 +167,29 @@ struct RunResult {
   std::uint64_t simulated_events = 0;
   std::map<std::string, double> counters;
   /// Full metric registry of the run (counters + gauges + latency
-  /// histograms). `counters` above is kept as a convenience view.
+  /// histograms). `counters` above is kept as a convenience view. The
+  /// registry is the one record of every total a component counts:
+  ///   - failure detection (all absent when detection is off):
+  ///     worker_suspicions, false_suspicions, workers_confirmed_dead,
+  ///     heartbeats_sent, heartbeats_dropped (injected drops) and
+  ///     heartbeats_partition_dropped;
+  ///   - open-loop traffic: the traffic_offered / _admitted / _shed /
+  ///     _queued / _completed counters, the traffic_latency (arrival to
+  ///     completion) and traffic_queue_wait (arrival to platform submit)
+  ///     histograms, the autoscaler_* counters, and, on traffic runs
+  ///     only, the gauges traffic_queue_peak, traffic_in_flight_end and
+  ///     traffic_queued_end. Every traffic run satisfies
+  ///       offered == admitted + shed + queued_end
+  ///       admitted == completed + in_flight_end;
+  ///   - hedge races: hedges_fired, hedge_wins, hedges_cancelled,
+  ///     hedges_denied and hedges_skipped, and, on hedged runs only, the
+  ///     gauge hedge_open_races: races unresolved at run end, counted
+  ///     apart from the counters so that
+  ///       fired == wins + cancelled + open
+  ///     is a real check.
+  /// A sharded run's merged registry sums the counters and merges the
+  /// histograms exactly, but keeps the last partition's gauges: read
+  /// gauges per partition, from `shards`.
   obs::MetricRegistry metrics;
   /// Span timeline derived from `events`; non-null only when
   /// ScenarioConfig::record_spans.
@@ -192,30 +214,18 @@ struct RunResult {
   std::uint64_t usage_records = 0;
   std::uint64_t usage_unbalanced = 0;
   double usage_gb_seconds = 0.0;
-  /// Failure-detector outcomes (all zero when detection is disabled).
-  std::uint64_t detector_suspicions = 0;
-  std::uint64_t detector_false_suspicions = 0;
-  std::uint64_t detector_confirmed_dead = 0;
   /// Node failures the platform stashed but nobody ever confirmed (should
   /// be 0 at the end of any completed heartbeat-mode run).
   std::uint64_t undetected_failures = 0;
-  /// Injected-fault totals copied out of the FailureInjector.
-  std::uint64_t injected_node_kills = 0;
-  std::uint64_t injected_skipped_node_kills = 0;
-  std::uint64_t injected_gray_windows = 0;
-  std::uint64_t injected_heartbeats_dropped = 0;
-  std::uint64_t injected_heartbeats_delayed = 0;
-  std::uint64_t injected_store_drops = 0;
-  std::uint64_t injected_store_corruptions = 0;
+  /// What the failure injector did. Its totals have no registry counter;
+  /// this struct is their one record.
+  failure::FaultTotals injected;
   /// Partition surface (fault surface v3). Heal-convergence oracle inputs:
-  /// every started window must heal, no block rules may outlive the run,
-  /// and the controller's metadata liveness view must agree with the
-  /// cluster ground truth once the last partition heals.
-  std::uint64_t injected_partitions = 0;
-  std::uint64_t injected_partition_heals = 0;
-  std::uint64_t injected_zone_outages = 0;
+  /// every started window must heal (injected.partitions_started ==
+  /// injected.partitions_healed), no block rules may outlive the run, and
+  /// the controller's metadata liveness view must agree with the cluster
+  /// ground truth once the last partition heals.
   std::uint64_t partitions_active_end = 0;
-  std::uint64_t heartbeats_partition_dropped = 0;
   /// Epoch-fence accounting from the KV store: commits rejected because
   /// the writer was fenced (zombie side) or could not reach the quorum.
   std::uint64_t kv_stale_epoch_rejects = 0;
@@ -223,49 +233,6 @@ struct RunResult {
   /// True when every metadata worker row's liveness matches the cluster
   /// at run end (trivially true for non-Canary strategies).
   bool metadata_views_consistent = true;
-
-  /// Open-loop traffic accounting (all zero unless
-  /// ScenarioConfig::traffic.enabled). The two conservation identities —
-  ///   offered == admitted + shed + queued_end
-  ///   admitted == completed + failed + in_flight
-  /// — are pre-evaluated into `conservation_ok` for the chaos oracles.
-  struct TrafficSummary {
-    bool enabled = false;
-    std::uint64_t offered = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t in_flight = 0;   // admitted, unresolved at run end
-    std::uint64_t queued_end = 0;  // still buffered at run end
-    std::uint64_t queue_peak = 0;
-    double latency_p50_ms = 0.0;  // arrival -> completion
-    double latency_p95_ms = 0.0;
-    double latency_p99_ms = 0.0;
-    double latency_p999_ms = 0.0;
-    double queue_wait_p99_ms = 0.0;  // arrival -> platform submission
-    std::uint64_t scale_ups = 0;
-    std::uint64_t scale_ins = 0;
-    std::uint64_t containers_launched = 0;
-    std::uint64_t containers_retired = 0;
-    bool conservation_ok = true;
-  };
-  TrafficSummary traffic;
-
-  /// Hedge-race accounting (populated only under StrategyKind::kHedge).
-  /// The exactly-once identity — fired == wins + cancelled + open, with
-  /// open == 0 on any completed run — is the chaos campaign's hedge
-  /// oracle.
-  struct HedgeSummary {
-    bool enabled = false;
-    std::uint64_t fired = 0;
-    std::uint64_t wins = 0;       // the clone finished first
-    std::uint64_t cancelled = 0;  // the clone lost (or failed) mid-race
-    std::uint64_t denied = 0;     // budget-denied hedge attempts
-    std::uint64_t skipped = 0;    // trigger fired while still pending
-    std::uint64_t open = 0;       // races unresolved at run end
-  };
-  HedgeSummary hedge;
 
   /// Tail attribution (per-group percentile targets, each with its
   /// nearest-rank completion and that completion's exact component

@@ -130,64 +130,13 @@ RunResult merge_sharded_results(
     merged.usage_records += r.usage_records;
     merged.usage_unbalanced += r.usage_unbalanced;
     merged.usage_gb_seconds += r.usage_gb_seconds;
-    merged.detector_suspicions += r.detector_suspicions;
-    merged.detector_false_suspicions += r.detector_false_suspicions;
-    merged.detector_confirmed_dead += r.detector_confirmed_dead;
     merged.undetected_failures += r.undetected_failures;
-    merged.injected_node_kills += r.injected_node_kills;
-    merged.injected_skipped_node_kills += r.injected_skipped_node_kills;
-    merged.injected_gray_windows += r.injected_gray_windows;
-    merged.injected_heartbeats_dropped += r.injected_heartbeats_dropped;
-    merged.injected_heartbeats_delayed += r.injected_heartbeats_delayed;
-    merged.injected_store_drops += r.injected_store_drops;
-    merged.injected_store_corruptions += r.injected_store_corruptions;
-    merged.injected_partitions += r.injected_partitions;
-    merged.injected_partition_heals += r.injected_partition_heals;
-    merged.injected_zone_outages += r.injected_zone_outages;
+    merged.injected += r.injected;
     merged.partitions_active_end += r.partitions_active_end;
-    merged.heartbeats_partition_dropped += r.heartbeats_partition_dropped;
     merged.kv_stale_epoch_rejects += r.kv_stale_epoch_rejects;
     merged.kv_quorum_blocked_puts += r.kv_quorum_blocked_puts;
     merged.metadata_views_consistent =
         merged.metadata_views_consistent && r.metadata_views_consistent;
-    if (r.traffic.enabled) {
-      RunResult::TrafficSummary& t = merged.traffic;
-      t.enabled = true;
-      t.offered += r.traffic.offered;
-      t.admitted += r.traffic.admitted;
-      t.shed += r.traffic.shed;
-      t.completed += r.traffic.completed;
-      t.failed += r.traffic.failed;
-      t.in_flight += r.traffic.in_flight;
-      t.queued_end += r.traffic.queued_end;
-      t.queue_peak = std::max(t.queue_peak, r.traffic.queue_peak);
-      // Percentiles cannot be re-derived from summaries; report the
-      // worst shard's tail, which is what an operator would alarm on.
-      t.latency_p50_ms = std::max(t.latency_p50_ms, r.traffic.latency_p50_ms);
-      t.latency_p95_ms = std::max(t.latency_p95_ms, r.traffic.latency_p95_ms);
-      t.latency_p99_ms = std::max(t.latency_p99_ms, r.traffic.latency_p99_ms);
-      t.latency_p999_ms =
-          std::max(t.latency_p999_ms, r.traffic.latency_p999_ms);
-      t.queue_wait_p99_ms =
-          std::max(t.queue_wait_p99_ms, r.traffic.queue_wait_p99_ms);
-      t.scale_ups += r.traffic.scale_ups;
-      t.scale_ins += r.traffic.scale_ins;
-      t.containers_launched += r.traffic.containers_launched;
-      t.containers_retired += r.traffic.containers_retired;
-      // Both conservation identities are closed under addition, so the
-      // conjunction over shards certifies the merged totals too.
-      t.conservation_ok = t.conservation_ok && r.traffic.conservation_ok;
-    }
-    if (r.hedge.enabled) {
-      RunResult::HedgeSummary& h = merged.hedge;
-      h.enabled = true;
-      h.fired += r.hedge.fired;
-      h.wins += r.hedge.wins;
-      h.cancelled += r.hedge.cancelled;
-      h.denied += r.hedge.denied;
-      h.skipped += r.hedge.skipped;
-      h.open += r.hedge.open;
-    }
   }
   merged.counters = merged.metrics.counters();
   merged.cost_usd = merged.cost.total_usd;

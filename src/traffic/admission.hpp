@@ -14,7 +14,7 @@
 // Accounting is exactly-once by construction: every offer increments
 // `offered` and exactly one of `admitted`/`queued-then-admitted`/`shed`,
 // and every admitted request is balanced by exactly one on_complete().
-// The conservation oracle (offered == admitted + shed,
+// The conservation oracle (offered == admitted + shed + queued,
 // admitted == completed + in-flight) is checked by the chaos campaign.
 #pragma once
 

@@ -1,22 +1,10 @@
 #include "traffic/generator.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/result.hpp"
 
 namespace canary::traffic {
-
-void StreamStats::merge(const StreamStats& other) {
-  offered += other.offered;
-  admitted += other.admitted;
-  shed += other.shed;
-  completed += other.completed;
-  failed += other.failed;
-  queue_peak = std::max(queue_peak, other.queue_peak);
-  latency.merge(other.latency);
-  queue_wait.merge(other.queue_wait);
-}
 
 TrafficGenerator::TrafficGenerator(sim::Simulator& sim,
                                    faas::Platform& platform,
@@ -29,8 +17,6 @@ TrafficGenerator::TrafficGenerator(sim::Simulator& sim,
       rng_(rng),
       admission_(
           [this](faas::JobSpec spec) {
-            Stream& stream = streams_[current_stream_];
-            ++stream.stats.admitted;
             m_admitted_.add();
             // Keep a handle for the defensive shed path: the spec is
             // statically valid by construction, so a rejection here is a
@@ -39,8 +25,6 @@ TrafficGenerator::TrafficGenerator(sim::Simulator& sim,
             const Result<JobId> result = submit_(std::move(spec));
             if (!result.ok()) {
               const std::size_t cls = current_stream_;
-              --stream.stats.admitted;
-              ++stream.stats.shed;
               m_admitted_.add(-1.0);
               m_shed_.add();
               pending_.erase(fallback.functions.front().name);
@@ -49,8 +33,6 @@ TrafficGenerator::TrafficGenerator(sim::Simulator& sim,
             }
           },
           [this](faas::JobSpec spec) {
-            Stream& stream = streams_[current_stream_];
-            ++stream.stats.shed;
             m_shed_.add();
             pending_.erase(spec.functions.front().name);
             (void)platform_.shed_job(std::move(spec));
@@ -107,15 +89,11 @@ void TrafficGenerator::handle_arrival(std::size_t stream_idx) {
   const TimePoint now = sim_.now();
   faas::JobSpec job = make_job(stream, now);
   pending_[job.functions.front().name] = PendingArrival{stream_idx, now};
-  ++stream.stats.offered;
   m_offered_.add();
   current_stream_ = stream_idx;
   const AdmissionOutcome outcome =
       admission_.offer(stream.admission_class, std::move(job));
   if (outcome == AdmissionOutcome::kQueued) m_queued_.add();
-  stream.stats.queue_peak =
-      std::max(stream.stats.queue_peak,
-               admission_.stats(stream.admission_class).queue_peak);
   schedule_next(stream_idx, now);
 }
 
@@ -128,10 +106,7 @@ void TrafficGenerator::on_job_submitted(JobId job) {
   const PendingArrival arrival = it->second;
   pending_.erase(it);
   bound_[job.value()] = BoundArrival{arrival.stream, arrival.arrived};
-  Stream& stream = streams_[arrival.stream];
-  const Duration wait = sim_.now() - arrival.arrived;
-  stream.stats.queue_wait.record(wait.to_seconds());
-  m_queue_wait_.record_duration(wait);
+  m_queue_wait_.record_duration(sim_.now() - arrival.arrived);
 }
 
 void TrafficGenerator::on_job_completed(JobId job) {
@@ -139,14 +114,10 @@ void TrafficGenerator::on_job_completed(JobId job) {
   if (it == bound_.end()) return;  // not a traffic job
   const BoundArrival bound = it->second;
   bound_.erase(it);
-  Stream& stream = streams_[bound.stream];
-  ++stream.stats.completed;
   m_completed_.add();
-  const Duration latency = sim_.now() - bound.arrived;
-  stream.stats.latency.record(latency.to_seconds());
-  m_latency_.record_duration(latency);
+  m_latency_.record_duration(sim_.now() - bound.arrived);
   current_stream_ = bound.stream;
-  admission_.on_complete(stream.admission_class);
+  admission_.on_complete(streams_[bound.stream].admission_class);
 }
 
 bool TrafficGenerator::try_hedge(JobId job) {
@@ -159,17 +130,6 @@ void TrafficGenerator::hedge_resolved(JobId job) {
   const auto it = bound_.find(job.value());
   if (it == bound_.end()) return;
   admission_.hedge_done(streams_[it->second.stream].admission_class);
-}
-
-const StreamStats& TrafficGenerator::stream_stats(std::size_t stream) const {
-  CANARY_CHECK(stream < streams_.size(), "unknown traffic stream");
-  return streams_[stream].stats;
-}
-
-StreamStats TrafficGenerator::totals() const {
-  StreamStats total;
-  for (const Stream& stream : streams_) total.merge(stream.stats);
-  return total;
 }
 
 }  // namespace canary::traffic

@@ -22,12 +22,14 @@
 // PlatformObserver::on_job_submitted — robust to the Canary Request
 // Validator deferring a submission — and released at on_job_completed
 // (jobs always complete, even when request replication discards the
-// losing replicas, so admission slots cannot leak). Completions feed
-// latency (arrival to completion) and queue-wait (arrival to platform
-// submit) histograms plus the exactly-once conservation counters:
+// losing replicas, so admission slots cannot leak). The generator records
+// only into the platform's metric registry: the traffic_latency (arrival
+// to completion) and traffic_queue_wait (arrival to platform submit)
+// histograms and the exactly-once conservation counters, which with the
+// admission backlog at any instant satisfy
 //
-//   offered == admitted + shed
-//   admitted == completed + failed + in-flight
+//   traffic_offered == traffic_admitted + traffic_shed + queued
+//   traffic_admitted == traffic_completed + in-flight
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,7 @@
 #include "common/rng.hpp"
 #include "faas/events.hpp"
 #include "faas/platform.hpp"
-#include "obs/histogram.hpp"
+#include "obs/metric_registry.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/admission.hpp"
 #include "traffic/arrival.hpp"
@@ -92,20 +94,6 @@ struct TrafficConfig {
   AutoscalerConfig autoscaler;
 };
 
-/// Per-stream accounting. Histograms record seconds.
-struct StreamStats {
-  std::uint64_t offered = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t queue_peak = 0;
-  obs::Histogram latency;     // arrival -> completion
-  obs::Histogram queue_wait;  // arrival -> platform submission
-
-  void merge(const StreamStats& other);
-};
-
 class TrafficGenerator final : public faas::PlatformObserver {
  public:
   /// Submission route; the harness points this at Platform::submit_job or
@@ -130,11 +118,6 @@ class TrafficGenerator final : public faas::PlatformObserver {
   AdmissionController& admission() { return admission_; }
   const AdmissionController& admission() const { return admission_; }
 
-  const StreamStats& stream_stats(std::size_t stream) const;
-  /// All streams merged (histograms merge exactly).
-  StreamStats totals() const;
-  std::uint64_t in_flight() const { return admission_.total_in_flight(); }
-
   /// Admission-level hedge policy: grant a speculative clone for `job`
   /// under its stream's per-class budget. Jobs not bound to a stream
   /// (batch work sharing the run) are not budgeted here and always pass.
@@ -152,7 +135,6 @@ class TrafficGenerator final : public faas::PlatformObserver {
     std::unique_ptr<ArrivalProcess> process;
     std::size_t admission_class = 0;
     std::uint64_t seq = 0;
-    StreamStats stats;
     bool active = false;
   };
   /// An admitted arrival awaiting its platform invocation (keyed by the

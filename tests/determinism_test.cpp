@@ -396,9 +396,9 @@ TEST(DeterminismTest, PartitionSurfaceOffKeepsArtifactsByteIdentical) {
   EXPECT_EQ(report.find("heartbeats_partition_dropped"), std::string::npos);
 
   const harness::RunResult run = harness::ScenarioRunner::run(config, jobs);
-  EXPECT_EQ(run.injected_partitions, 0u);
-  EXPECT_EQ(run.injected_zone_outages, 0u);
-  EXPECT_EQ(run.heartbeats_partition_dropped, 0u);
+  EXPECT_EQ(run.injected.partitions_started, 0u);
+  EXPECT_EQ(run.injected.zone_outages, 0u);
+  EXPECT_EQ(run.metrics.counter("heartbeats_partition_dropped"), 0.0);
   EXPECT_EQ(run.kv_stale_epoch_rejects, 0u);
   EXPECT_EQ(run.kv_quorum_blocked_puts, 0u);
   const std::string trace = render_trace(run);

@@ -31,7 +31,7 @@ TEST(FailureInjectorTest, ZeroRateNeverKills) {
     EXPECT_FALSE(injector.plan_kill(fake_invocation(i), 1, Duration::sec(10))
                      .has_value());
   }
-  EXPECT_EQ(injector.planned_kills(), 0u);
+  EXPECT_EQ(injector.totals().planned_kills, 0u);
 }
 
 TEST(FailureInjectorTest, FullRateKillsEveryFunctionOnce) {
@@ -45,7 +45,7 @@ TEST(FailureInjectorTest, FullRateKillsEveryFunctionOnce) {
     // Second attempt of the same function runs clean.
     EXPECT_FALSE(injector.plan_kill(inv, 2, Duration::sec(10)).has_value());
   }
-  EXPECT_EQ(injector.planned_kills(), 50u);
+  EXPECT_EQ(injector.totals().planned_kills, 50u);
 }
 
 TEST(FailureInjectorTest, ErrorRateMatchesFractionOfFunctions) {
@@ -175,7 +175,7 @@ TEST(FailureInjectorTest, NodeFailureTakesDownNodeAndKvCopies) {
   injector.schedule_node_failure(sim, platform, &store,
                                  TimePoint::origin() + Duration::sec(1.0));
   sim.run();
-  EXPECT_EQ(injector.node_kills(), 1u);
+  EXPECT_EQ(injector.totals().node_kills, 1u);
   EXPECT_EQ(cluster.alive_count(), 3u);
   EXPECT_TRUE(store.contains("k"));  // replicated on surviving nodes
 }
@@ -242,8 +242,8 @@ TEST(FailureInjectorTest, NodeFailureSkipsAlreadyDeadVictim) {
                                  TimePoint::origin() + Duration::sec(2.0),
                                  victim);
   sim.run();
-  EXPECT_EQ(injector.node_kills(), 1u);
-  EXPECT_EQ(injector.skipped_node_kills(), 1u);
+  EXPECT_EQ(injector.totals().node_kills, 1u);
+  EXPECT_EQ(injector.totals().skipped_node_kills, 1u);
   EXPECT_EQ(cluster.alive_count(), 3u);
   // Partitioned with zero backups: the victim's single-copy entries are
   // lost exactly once; the skipped re-kill must not recount them.
@@ -262,7 +262,7 @@ TEST(FailureInjectorTest, NodeFailureSparesLastNode) {
   injector.schedule_node_failure(sim, platform, nullptr,
                                  TimePoint::origin() + Duration::sec(1.0));
   sim.run();
-  EXPECT_EQ(injector.node_kills(), 0u);
+  EXPECT_EQ(injector.totals().node_kills, 0u);
   EXPECT_EQ(cluster.alive_count(), 1u);
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "cluster/network.hpp"
 #include "harness/chaos.hpp"
@@ -323,6 +324,30 @@ TEST(HedgeChaosTest, SixtyFourSeedSweepPassesAllOracles) {
   }
   // The family is not vacuous: the sweep actually raced clones.
   EXPECT_GT(fired, 0.0);
+}
+
+TEST(HedgeChaosTest, OpenRaceOnCompletedRunFiresBothHedgeChecks) {
+  // Oracle 8 reads the handler's own count of open races; doctoring it
+  // on a clean completed run must trip both the resolution identity and
+  // the nothing-left-open check.
+  const harness::ChaosScenario scenario =
+      harness::make_chaos_scenario(kHedgeChaos, 50001);
+  harness::RunResult result =
+      harness::ScenarioRunner::run(scenario.config, scenario.jobs);
+  ASSERT_TRUE(result.completed);
+  ASSERT_EQ(result.metrics.gauges().count("hedge_open_races"), 1u);
+  ASSERT_GT(result.metrics.counter("hedges_fired"), 0.0);
+  ASSERT_TRUE(harness::chaos_oracles(scenario, result).empty());
+
+  result.metrics.set_gauge("hedge_open_races", 1.0);
+  const auto violations = harness::chaos_oracles(scenario, result);
+  ASSERT_EQ(violations.size(), 2u);
+  EXPECT_EQ(violations[0].rfind("hedge-exactly-once: fired=", 0), 0u)
+      << violations[0];
+  EXPECT_NE(violations[0].find(" + open=1"), std::string::npos)
+      << violations[0];
+  EXPECT_EQ(violations[1],
+            "hedge-exactly-once: completed run left 1 race(s) open");
 }
 
 }  // namespace

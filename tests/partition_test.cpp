@@ -216,11 +216,11 @@ TEST(PartitionScenarioTest, ZoneCutFencesZombiesWithoutSplitBrain) {
 
   const auto result = ScenarioRunner::run(config, partition_jobs());
   EXPECT_TRUE(result.completed);
-  EXPECT_EQ(result.injected_partitions, 1u);
-  EXPECT_EQ(result.injected_partition_heals, 1u);
+  EXPECT_EQ(result.injected.partitions_started, 1u);
+  EXPECT_EQ(result.injected.partitions_healed, 1u);
   EXPECT_EQ(result.partitions_active_end, 0u);
-  EXPECT_GT(result.heartbeats_partition_dropped, 0u);
-  EXPECT_GE(result.detector_confirmed_dead, 1u);
+  EXPECT_GT(counter(result, "heartbeats_partition_dropped"), 0.0);
+  EXPECT_GE(counter(result, "workers_confirmed_dead"), 1.0);
   EXPECT_GE(counter(result, "nodes_fenced_logical"), 1.0);
 
   const double attempts = counter(result, "zombie_commit_attempts");
@@ -248,9 +248,9 @@ TEST(PartitionScenarioTest, ZoneOutageIsOneCausalEventAndSkipsDeadNodes) {
 
   const auto result = ScenarioRunner::run(config, partition_jobs());
   EXPECT_TRUE(result.completed);
-  EXPECT_EQ(result.injected_zone_outages, 2u);
-  EXPECT_EQ(result.injected_node_kills, 4u);
-  EXPECT_EQ(result.injected_skipped_node_kills, 4u);
+  EXPECT_EQ(result.injected.zone_outages, 2u);
+  EXPECT_EQ(result.injected.node_kills, 4u);
+  EXPECT_EQ(result.injected.skipped_node_kills, 4u);
 
   ASSERT_NE(result.events, nullptr);
   std::size_t outage_roots = 0;
@@ -271,10 +271,10 @@ TEST(PartitionScenarioTest, SurfaceOffLeavesCountersUntouched) {
   auto config = partition_config(8);
   const auto result = ScenarioRunner::run(config, partition_jobs(1));
   EXPECT_TRUE(result.completed);
-  EXPECT_EQ(result.injected_partitions, 0u);
-  EXPECT_EQ(result.injected_partition_heals, 0u);
-  EXPECT_EQ(result.injected_zone_outages, 0u);
-  EXPECT_EQ(result.heartbeats_partition_dropped, 0u);
+  EXPECT_EQ(result.injected.partitions_started, 0u);
+  EXPECT_EQ(result.injected.partitions_healed, 0u);
+  EXPECT_EQ(result.injected.zone_outages, 0u);
+  EXPECT_EQ(counter(result, "heartbeats_partition_dropped"), 0.0);
   EXPECT_EQ(result.kv_stale_epoch_rejects, 0u);
   EXPECT_EQ(result.kv_quorum_blocked_puts, 0u);
   EXPECT_EQ(result.counters.count("zombie_commit_attempts"), 0u);

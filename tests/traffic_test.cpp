@@ -1,10 +1,13 @@
 // Traffic subsystem tests: arrival-process determinism and rate
 // matching, trace round-tripping, admission accounting, full-scenario
-// conservation, and the autoscaler's safety invariants.
+// conservation, the autoscaler's safety invariants, and the chaos
+// conservation oracle firing on doctored totals.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -218,18 +221,41 @@ harness::ScenarioConfig traffic_scenario(double rate_hz,
   return config;
 }
 
+/// A traffic run's totals, read off its metric registry.
+struct TrafficTotals {
+  std::uint64_t offered = 0;
+  std::uint64_t admitted = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t in_flight = 0;
+  std::uint64_t queued_end = 0;
+};
+
+TrafficTotals totals_of(const harness::RunResult& result) {
+  const obs::MetricRegistry& m = result.metrics;
+  TrafficTotals t;
+  t.offered = static_cast<std::uint64_t>(m.counter("traffic_offered"));
+  t.admitted = static_cast<std::uint64_t>(m.counter("traffic_admitted"));
+  t.shed = static_cast<std::uint64_t>(m.counter("traffic_shed"));
+  t.completed = static_cast<std::uint64_t>(m.counter("traffic_completed"));
+  t.in_flight = static_cast<std::uint64_t>(m.gauge("traffic_in_flight_end"));
+  t.queued_end = static_cast<std::uint64_t>(m.gauge("traffic_queued_end"));
+  return t;
+}
+
 TEST(TrafficScenarioTest, ConservationHoldsUnderload) {
   const auto result =
       harness::ScenarioRunner::run(traffic_scenario(10.0, 16), {});
-  const auto& t = result.traffic;
-  ASSERT_TRUE(t.enabled);
+  ASSERT_EQ(result.metrics.gauges().count("traffic_queued_end"), 1u);
+  const TrafficTotals t = totals_of(result);
   EXPECT_GT(t.offered, 0u);
   EXPECT_GT(t.completed, 0u);
-  EXPECT_TRUE(t.conservation_ok);
+  EXPECT_EQ(t.offered, t.admitted + t.shed + t.queued_end);
+  EXPECT_EQ(t.admitted, t.completed + t.in_flight);
   EXPECT_EQ(t.in_flight, 0u);
   EXPECT_EQ(t.queued_end, 0u);
   EXPECT_EQ(t.offered, t.admitted + t.shed);
-  EXPECT_GT(t.latency_p50_ms, 0.0);
+  EXPECT_GT(result.metrics.histogram("traffic_latency").p50(), 0.0);
 }
 
 TEST(TrafficScenarioTest, OverloadShedsButConservationHolds) {
@@ -237,11 +263,12 @@ TEST(TrafficScenarioTest, OverloadShedsButConservationHolds) {
   // every one of them must still be accounted for.
   const auto result =
       harness::ScenarioRunner::run(traffic_scenario(40.0, 1), {});
-  const auto& t = result.traffic;
+  const TrafficTotals t = totals_of(result);
   EXPECT_GT(t.shed, 0u);
-  EXPECT_TRUE(t.conservation_ok);
+  EXPECT_EQ(t.offered, t.admitted + t.shed + t.queued_end);
+  EXPECT_EQ(t.admitted, t.completed + t.in_flight);
   EXPECT_EQ(t.offered, t.admitted + t.shed);
-  EXPECT_EQ(t.admitted, t.completed + t.failed);
+  EXPECT_EQ(t.admitted, t.completed);
   // Shed arrivals surface as terminal invocations, never silently vanish.
   auto it = result.counters.find("functions_shed");
   ASSERT_NE(it, result.counters.end());
@@ -252,12 +279,13 @@ TEST(TrafficScenarioTest, DeterministicForSameSeed) {
   const auto config = traffic_scenario(15.0, 4, /*autoscale=*/true);
   const auto a = harness::ScenarioRunner::run(config, {});
   const auto b = harness::ScenarioRunner::run(config, {});
-  EXPECT_EQ(a.traffic.offered, b.traffic.offered);
-  EXPECT_EQ(a.traffic.admitted, b.traffic.admitted);
-  EXPECT_EQ(a.traffic.shed, b.traffic.shed);
-  EXPECT_EQ(a.traffic.completed, b.traffic.completed);
-  EXPECT_EQ(a.traffic.scale_ups, b.traffic.scale_ups);
-  EXPECT_EQ(a.traffic.latency_p99_ms, b.traffic.latency_p99_ms);
+  for (const char* name : {"traffic_offered", "traffic_admitted",
+                           "traffic_shed", "traffic_completed",
+                           "autoscaler_scale_ups"}) {
+    EXPECT_EQ(a.metrics.counter(name), b.metrics.counter(name)) << name;
+  }
+  EXPECT_EQ(a.metrics.histogram("traffic_latency").p99(),
+            b.metrics.histogram("traffic_latency").p99());
   EXPECT_EQ(a.simulated_events, b.simulated_events);
 }
 
@@ -272,8 +300,8 @@ TEST(TrafficScenarioTest, DisabledTrafficLeavesSummaryEmpty) {
   fn.states.push_back({Duration::msec(100), {}});
   job.functions.push_back(fn);
   const auto result = harness::ScenarioRunner::run(config, {job});
-  EXPECT_FALSE(result.traffic.enabled);
-  EXPECT_EQ(result.traffic.offered, 0u);
+  EXPECT_EQ(result.metrics.gauges().count("traffic_queued_end"), 0u);
+  EXPECT_EQ(result.metrics.counter("traffic_offered"), 0.0);
   EXPECT_EQ(result.counters.find("traffic_offered"), result.counters.end());
 }
 
@@ -349,7 +377,7 @@ class AutoscalerTest : public ::testing::Test {
 
 TEST_F(AutoscalerTest, ScalesUpUnderBurstAndDrainsToZero) {
   run(bursty_config());
-  EXPECT_GT(autoscaler_->scale_ups(), 0u);
+  EXPECT_GT(metrics_.counter("autoscaler_scale_ups"), 0.0);
   // Every container the autoscaler launched was retired or adopted by the
   // end of the drain; destroy_warm_container CHECK-fails on a busy or
   // replica container, so reaching this line proves the safety invariant.
@@ -410,6 +438,68 @@ TEST(TrafficChaosTest, BurstPlusNodeFailurePassesAllOracles) {
               outcome.total("traffic_admitted") + outcome.total("traffic_shed"))
         << "seed " << seed;
   }
+}
+
+// ---- oracle 7 fires ------------------------------------------------------
+
+// A completed traffic chaos run whose registry each case then doctors.
+struct OracleCase {
+  harness::ChaosScenario scenario;
+  harness::RunResult result;
+};
+
+OracleCase traffic_case(unsigned partitions) {
+  OracleCase c{harness::make_chaos_scenario(
+                   {.traffic = true, .partitions = partitions}, 70001),
+               {}};
+  c.result = harness::ScenarioRunner::run(c.scenario.config, c.scenario.jobs);
+  EXPECT_TRUE(c.result.completed);
+  EXPECT_TRUE(harness::chaos_oracles(c.scenario, c.result).empty());
+  return c;
+}
+
+TEST(TrafficOracleTest, ExtraOfferedArrivalIsOneConservationViolation) {
+  OracleCase c = traffic_case(1);
+  c.result.metrics.count("traffic_offered");
+  const auto violations = harness::chaos_oracles(c.scenario, c.result);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].rfind("conservation: offered=", 0), 0u)
+      << violations[0];
+}
+
+TEST(TrafficOracleTest, BacklogLeftByCompletedRunIsFlagged) {
+  // One arrival still queued at the end, with the identity kept intact:
+  // only the drained-run check can see it.
+  OracleCase c = traffic_case(1);
+  c.result.metrics.count("traffic_offered");
+  c.result.metrics.set_gauge("traffic_queued_end", 1.0);
+  const auto violations = harness::chaos_oracles(c.scenario, c.result);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0],
+            "conservation: completed run left 0 arrival(s) in flight and 1 "
+            "queued");
+}
+
+TEST(TrafficOracleTest, ShardOffByOneIsReportedOnceForItsShard) {
+  OracleCase c = traffic_case(4);
+  ASSERT_EQ(c.result.shards.size(), 4u);
+  std::size_t shard = 0;
+  while (shard < c.result.shards.size() &&
+         c.result.shards[shard]->metrics.counter("traffic_offered") == 0.0) {
+    ++shard;
+  }
+  ASSERT_LT(shard, c.result.shards.size());
+  // Doctor the shard and, as a real merge would, the merged sum.
+  auto doctored = std::make_shared<harness::RunResult>(*c.result.shards[shard]);
+  doctored->metrics.count("traffic_admitted");
+  c.result.shards[shard] = doctored;
+  c.result.metrics.count("traffic_admitted");
+  const auto violations = harness::chaos_oracles(c.scenario, c.result);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].rfind(
+                "shard " + std::to_string(shard) + ": conservation: ", 0),
+            0u)
+      << violations[0];
 }
 
 }  // namespace
