@@ -222,7 +222,9 @@ bool write_chrome_trace_file(const std::string& path,
   std::ofstream out(path);
   if (!out) return false;
   write_chrome_trace(out, spans, events, series);
-  return out.good();
+  // A write error may only surface when the file buffer is flushed.
+  out.close();
+  return !out.fail();
 }
 
 }  // namespace canary::obs

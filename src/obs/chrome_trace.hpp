@@ -51,7 +51,7 @@ void write_chrome_trace(std::ostream& os,
                         const std::vector<TraceSection>& sections);
 
 /// Write to `path`; returns false (and leaves no partial file guarantees)
-/// when the file cannot be opened.
+/// when the file cannot be opened or written in full.
 bool write_chrome_trace_file(const std::string& path,
                              const std::vector<Span>* spans,
                              const EventLog* events,

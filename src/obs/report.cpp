@@ -278,7 +278,9 @@ bool RunReport::save(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;
   write_json(out);
-  return out.good();
+  // A write error may only surface when the file buffer is flushed.
+  out.close();
+  return !out.fail();
 }
 
 }  // namespace canary::obs

@@ -148,7 +148,8 @@ struct RunReport {
 
   void write_json(std::ostream& os) const;
   std::string to_json() const;
-  /// Write to `path`; returns false when the file cannot be opened.
+  /// Write to `path`; returns false when the file cannot be opened or
+  /// written in full.
   bool save(const std::string& path) const;
 };
 

@@ -7,9 +7,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <filesystem>
+#include <limits>
 #include <map>
 #include <random>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -567,7 +570,6 @@ TEST(MetricRegistryTest, MergeAddsCountersAndMergesHistograms) {
 // ---------------------------------------------------------------------------
 
 TEST(JsonWriterTest, EscapesAndFormatsDeterministically) {
-  EXPECT_EQ(JsonWriter::escape("a\"b\\c\n\t"), "a\\\"b\\\\c\\n\\t");
   EXPECT_EQ(JsonWriter::format_double(42.0), "42");
   EXPECT_EQ(JsonWriter::format_double(0.5), "0.5");
   EXPECT_EQ(JsonWriter::format_double(std::nan("")), "null");
@@ -584,6 +586,188 @@ TEST(JsonWriterTest, EscapesAndFormatsDeterministically) {
       .end_array()
       .end_object();
   EXPECT_EQ(os.str(), R"({"name":"x","n":3,"arr":[1.5,true]})");
+}
+
+/// Empty and nested objects and arrays, in objects and in arrays.
+void write_shapes(JsonWriter& w) {
+  w.begin_object();
+  w.key("empty_object").begin_object().end_object();
+  w.key("empty_array").begin_array().end_array();
+  w.key("nested").begin_object().key("list").begin_array();
+  w.begin_object().field("a", 1).end_object();
+  w.begin_array().end_array();
+  w.begin_array().value(2).value(3).end_array();
+  w.end_array().end_object();
+  w.end_object();
+}
+
+TEST(JsonWriterTest, GoldenShapesCompact) {
+  std::ostringstream os;
+  JsonWriter w(os, /*indent=*/0);
+  write_shapes(w);
+  EXPECT_EQ(os.str(),
+            R"({"empty_object":{},"empty_array":[],)"
+            R"("nested":{"list":[{"a":1},[],[2,3]]}})");
+}
+
+TEST(JsonWriterTest, GoldenShapesIndented) {
+  std::ostringstream os;
+  JsonWriter w(os, /*indent=*/2);
+  write_shapes(w);
+  EXPECT_EQ(os.str(), R"({
+  "empty_object": {},
+  "empty_array": [],
+  "nested": {
+    "list": [
+      {
+        "a": 1
+      },
+      [],
+      [
+        2,
+        3
+      ]
+    ]
+  }
+})");
+}
+
+TEST(JsonWriterTest, GoldenTopLevelArrays) {
+  std::ostringstream compact, indented;
+  for (std::ostringstream* os : {&compact, &indented}) {
+    JsonWriter w(*os, os == &compact ? 0 : 2);
+    w.begin_array().value("x").begin_object().end_object().end_array();
+  }
+  EXPECT_EQ(compact.str(), R"(["x",{}])");
+  EXPECT_EQ(indented.str(), "[\n  \"x\",\n  {}\n]");
+
+  std::ostringstream empty;
+  JsonWriter(empty, /*indent=*/2).begin_array().end_array();
+  EXPECT_EQ(empty.str(), "[]");
+}
+
+TEST(JsonWriterTest, GoldenEveryValueOverload) {
+  std::ostringstream os;
+  JsonWriter w(os, /*indent=*/0);
+  w.begin_array();
+  w.value(std::string_view("view")).value("literal").value(std::string());
+  w.value(0).value(-7).value(std::numeric_limits<int>::max());
+  w.value(std::numeric_limits<std::int64_t>::min());
+  w.value(std::numeric_limits<std::int64_t>::max());
+  w.value(std::uint64_t{0}).value(std::numeric_limits<std::uint64_t>::max());
+  w.value(true).value(false);
+  w.value(42.0).value(0.5).value(-0.25).value(0.0).value(-3.0);
+  w.value(1e15).value(1e-7).value(1.0 / 3.0).value(123456789.125);
+  w.value(std::nan("")).value(std::numeric_limits<double>::infinity());
+  w.value(-std::numeric_limits<double>::infinity());
+  w.end_array();
+  EXPECT_EQ(os.str(),
+            R"(["view","literal","",0,-7,2147483647,)"
+            R"(-9223372036854775808,9223372036854775807,)"
+            R"(0,18446744073709551615,true,false,)"
+            R"(42,0.5,-0.25,0,-3,1e+15,1e-07,0.333333333333,123456789.125,)"
+            R"(null,null,null])");
+}
+
+TEST(JsonWriterTest, GoldenEscapesInKeysAndValues) {
+  // Every escaped byte, a control byte with a hex letter, and UTF-8 and
+  // DEL bytes, which pass through unchanged.
+  const std::string raw =
+      std::string("q\"b\\n\nr\rt\t") + '\x01' + '\x1f' + "\xc3\xa9\x7f.";
+  const std::string escaped =
+      "q\\\"b\\\\n\\nr\\rt\\t\\u0001\\u001f\xc3\xa9\x7f.";
+  std::ostringstream os;
+  JsonWriter w(os, /*indent=*/0);
+  w.begin_object().field(raw, raw).field("\"", "\\").end_object();
+  EXPECT_EQ(os.str(), "{\"" + escaped + "\":\"" + escaped +
+                          "\",\"\\\"\":\"\\\\\"}");
+}
+
+TEST(JsonWriterTest, DocumentLongerThanTwoChunksMatchesConcatenation) {
+  std::ostringstream os;
+  std::string expected = "{\"records\":[";
+  // One string longer than a whole chunk, with an escape inside it.
+  const std::string long_value =
+      std::string(100'000, 'a') + '\n' + std::string(50'000, 'b');
+  {
+    JsonWriter w(os, /*indent=*/0);
+    w.begin_object().key("records").begin_array();
+    for (std::int64_t i = 0; i < 6000; ++i) {
+      const std::string name =
+          "span-" + std::to_string(i) + std::string(i % 7, 'x');
+      const std::int64_t ts = i * 1'000'003 - 5'000'000;
+      w.begin_object().field("name", name).field("ts", ts).end_object();
+      if (i > 0) expected += ',';
+      expected +=
+          "{\"name\":\"" + name + "\",\"ts\":" + std::to_string(ts) + "}";
+    }
+    w.end_array();
+    w.field("long", long_value);
+    w.end_object();
+  }
+  expected += "],\"long\":\"" + std::string(100'000, 'a') + "\\n" +
+              std::string(50'000, 'b') + "\"}";
+  ASSERT_GT(expected.size(), 2u * 64 * 1024 + 150'000);
+  EXPECT_EQ(os.str(), expected);
+}
+
+TEST(JsonWriterTest, DocumentReachesTheStreamWhenTheOutermostCloses) {
+  std::ostringstream os;
+  JsonWriter w(os, /*indent=*/2);
+  w.begin_object().key("inner").begin_object().field("k", 1).end_object();
+  EXPECT_EQ(os.str(), "");  // still buffered inside the open document
+  w.end_object();
+  os << '\n';  // what the report and trace writers do next
+  EXPECT_EQ(os.str(), "{\n  \"inner\": {\n    \"k\": 1\n  }\n}\n");
+}
+
+TEST(JsonWriterTest, BareScalarReachesTheStreamOnFlushOrDestruction) {
+  std::ostringstream flushed, destroyed;
+  {
+    JsonWriter w(flushed, /*indent=*/0);
+    w.value(7);
+    EXPECT_EQ(flushed.str(), "");
+    EXPECT_TRUE(w.flush());
+    EXPECT_EQ(flushed.str(), "7");
+  }
+  JsonWriter(destroyed, /*indent=*/0).value("s");
+  EXPECT_EQ(destroyed.str(), "\"s\"");
+}
+
+/// Accepts the first `limit` bytes written to it, then refuses the rest.
+class FailingBuf final : public std::streambuf {
+ public:
+  explicit FailingBuf(std::size_t limit) : limit_(limit) {}
+  const std::string& accepted() const { return accepted_; }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (traits_type::eq_int_type(ch, traits_type::eof())) {
+      return traits_type::not_eof(ch);
+    }
+    if (accepted_.size() >= limit_) return traits_type::eof();
+    accepted_.push_back(traits_type::to_char_type(ch));
+    return ch;
+  }
+
+ private:
+  std::size_t limit_;
+  std::string accepted_;
+};
+
+TEST(JsonWriterTest, StreamThatFailsPartwayIsNotGood) {
+  FailingBuf buf(100);
+  std::ostream os(&buf);
+  JsonWriter w(os, /*indent=*/0);
+  w.begin_array();
+  for (int i = 0; i < 20'000; ++i) w.value("element");
+  EXPECT_FALSE(os.good());  // a full chunk was handed over and refused
+  w.end_array();
+  EXPECT_FALSE(os.good());
+  EXPECT_FALSE(w.flush());
+  EXPECT_EQ(buf.accepted(), R"(["element","element","element","element",)"
+                            R"("element","element","element","element",)"
+                            R"("element","element")");
 }
 
 TEST(RunReportTest, JsonRoundTripContainsEveryField) {
@@ -631,6 +815,130 @@ TEST(ChromeTraceTest, EmitsCompleteAndInstantEvents) {
   EXPECT_NE(json.find("\"container_kill\""), std::string::npos);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
+}
+
+/// Hand-built inputs for every record writer of the trace exporter: a
+/// complete span and an instant, a log whose third event carries a
+/// parent, an attempt and a cause edge (a flow pair), and the series
+/// derived from that log (counter samples).
+struct TraceInputs {
+  std::vector<Span> spans = {
+      Span{SpanKind::kExec, "exec", at_us(100), at_us(400), /*instant=*/false,
+           SpanLabels{JobId{1}, FunctionId{2}, ContainerId{3}, NodeId{4}, 1}},
+      Span{SpanKind::kFailure, "container_kill", at_us(250), at_us(250),
+           /*instant=*/true, SpanLabels{}},
+  };
+  LogBuilder log;
+  obs::TimeSeries series;
+
+  TraceInputs() {
+    log.add(EventKind::kLaunch, "launch", sec_us(0.2), fn_labels(2));
+    const obs::EventId failure = log.add(
+        EventKind::kFailure, "container_kill", sec_us(1.1), fn_labels(2));
+    log.add(EventKind::kRecovered, "recovered", sec_us(2.6),
+            fn_labels(2, 2), failure);
+    series = derive_series(log.log);
+  }
+};
+
+TEST(ChromeTraceTest, GoldenSingleSection) {
+  const TraceInputs in;
+  std::ostringstream os;
+  obs::write_chrome_trace(os, &in.spans, &in.log.log, &in.series);
+  EXPECT_EQ(
+      os.str(),
+      R"({"displayTimeUnit":"ms","traceEvents":[)"
+      R"({"name":"exec","cat":"exec","ph":"X","ts":100,"dur":300,"pid":1,)"
+      R"("tid":4,"args":{"job":1,"function":2,"container":3,"attempt":1}},)"
+      R"({"name":"container_kill","cat":"failure","ph":"i","ts":250,)"
+      R"("s":"t","pid":1,"tid":0,"args":{}},)"
+      R"({"name":"launch","cat":"launch","ph":"i","ts":200000,"s":"t",)"
+      R"("pid":1,"tid":1,"args":{"event":0,"trace":1,"function":2,)"
+      R"("attempt":1}},)"
+      R"({"name":"container_kill","cat":"failure","ph":"i","ts":1100000,)"
+      R"("s":"t","pid":1,"tid":1,"args":{"event":1,"trace":1,"parent":0,)"
+      R"("function":2,"attempt":1}},)"
+      R"({"name":"recovered","cat":"recovered","ph":"i","ts":2600000,)"
+      R"("s":"t","pid":1,"tid":1,"args":{"event":2,"trace":1,"parent":1,)"
+      R"("cause":1,"function":2,"attempt":2}},)"
+      R"({"name":"recovered","cat":"causal","ph":"s","id":2,"ts":1100000,)"
+      R"("pid":1,"tid":1},)"
+      R"({"name":"recovered","cat":"causal","ph":"f","bp":"e","id":2,)"
+      R"("ts":2600000,"pid":1,"tid":1},)"
+      R"({"name":"ts.cold_starts","cat":"timeseries","ph":"C","ts":0,)"
+      R"("pid":1,"tid":0,"args":{"value":1}},)"
+      R"({"name":"ts.failures","cat":"timeseries","ph":"C","ts":1000000,)"
+      R"("pid":1,"tid":0,"args":{"value":1}},)"
+      R"({"name":"ts.recoveries","cat":"timeseries","ph":"C","ts":2000000,)"
+      R"("pid":1,"tid":0,"args":{"value":1}},)"
+      R"({"name":"ts.recovery_time.p99","cat":"timeseries","ph":"C",)"
+      R"("ts":2000000,"pid":1,"tid":0,"args":{"value":1.5}}],)"
+      R"("otherData":{"spans_dropped":0,"events_dropped":0}})"
+      "\n");
+}
+
+TEST(ChromeTraceTest, GoldenLabelledSections) {
+  const TraceInputs in;
+  std::ostringstream os;
+  obs::write_chrome_trace(
+      os, {obs::TraceSection{&in.spans, nullptr, nullptr},
+           obs::TraceSection{nullptr, &in.log.log, &in.series}});
+  EXPECT_EQ(
+      os.str(),
+      R"({"displayTimeUnit":"ms","traceEvents":[)"
+      R"({"name":"process_name","ph":"M","pid":1,)"
+      R"("args":{"name":"shard 0"}},)"
+      R"({"name":"exec","cat":"exec","ph":"X","ts":100,"dur":300,"pid":1,)"
+      R"("tid":4,"args":{"job":1,"function":2,"container":3,"attempt":1}},)"
+      R"({"name":"container_kill","cat":"failure","ph":"i","ts":250,)"
+      R"("s":"t","pid":1,"tid":0,"args":{}},)"
+      R"({"name":"process_name","ph":"M","pid":2,)"
+      R"("args":{"name":"shard 1"}},)"
+      R"({"name":"launch","cat":"launch","ph":"i","ts":200000,"s":"t",)"
+      R"("pid":2,"tid":1,"args":{"event":0,"trace":1,"function":2,)"
+      R"("attempt":1}},)"
+      R"({"name":"container_kill","cat":"failure","ph":"i","ts":1100000,)"
+      R"("s":"t","pid":2,"tid":1,"args":{"event":1,"trace":1,"parent":0,)"
+      R"("function":2,"attempt":1}},)"
+      R"({"name":"recovered","cat":"recovered","ph":"i","ts":2600000,)"
+      R"("s":"t","pid":2,"tid":1,"args":{"event":2,"trace":1,"parent":1,)"
+      R"("cause":1,"function":2,"attempt":2}},)"
+      R"({"name":"recovered","cat":"causal","ph":"s","id":2,"ts":1100000,)"
+      R"("pid":2,"tid":1},)"
+      R"({"name":"recovered","cat":"causal","ph":"f","bp":"e","id":2,)"
+      R"("ts":2600000,"pid":2,"tid":1},)"
+      R"({"name":"ts.cold_starts","cat":"timeseries","ph":"C","ts":0,)"
+      R"("pid":2,"tid":0,"args":{"value":1}},)"
+      R"({"name":"ts.failures","cat":"timeseries","ph":"C","ts":1000000,)"
+      R"("pid":2,"tid":0,"args":{"value":1}},)"
+      R"({"name":"ts.recoveries","cat":"timeseries","ph":"C","ts":2000000,)"
+      R"("pid":2,"tid":0,"args":{"value":1}},)"
+      R"({"name":"ts.recovery_time.p99","cat":"timeseries","ph":"C",)"
+      R"("ts":2000000,"pid":2,"tid":0,"args":{"value":1.5}}],)"
+      R"("otherData":{"spans_dropped":0,"events_dropped":0}})"
+      "\n");
+}
+
+/// A device that accepts opens and refuses every write (ENOSPC).
+constexpr const char* kFullDevice = "/dev/full";
+
+TEST(ChromeTraceTest, FileWriteToAFullDeviceFails) {
+  if (!std::filesystem::exists(kFullDevice)) {
+    GTEST_SKIP() << kFullDevice << " does not exist";
+  }
+  const TraceInputs in;
+  EXPECT_FALSE(obs::write_chrome_trace_file(kFullDevice, &in.spans,
+                                            &in.log.log, &in.series));
+}
+
+TEST(RunReportTest, SaveToAFullDeviceFails) {
+  if (!std::filesystem::exists(kFullDevice)) {
+    GTEST_SKIP() << kFullDevice << " does not exist";
+  }
+  RunReport report;
+  report.name = "unit";
+  report.set_scalar("makespan_s_mean", 12.5);
+  EXPECT_FALSE(report.save(kFullDevice));
 }
 
 // ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ in DIR/smoke/<name>/ (DIR defaults to build): it runs the entry's target
 with its arguments and CANARY_QUICK=1, requires exit status 0 and every
 listed report, then validates each report with tools/check_report.py,
 gated against its committed baseline and calibration band, and diffs it
-against its tools/compare_report.py reference. An entry marked `repeat`
-runs twice, and each argument variant runs once more; every report must
-come out byte-identical to the first run's.
+against its tools/compare_report.py reference. Each file listed under an
+entry's `artifacts` (a chrome trace) must exist too and parse as JSON
+with a non-empty `traceEvents` array. An entry marked `repeat` runs
+twice, and each argument variant runs once more; every report and
+artifact must come out byte-identical to the first run's.
 
 --full runs at full depth instead: CANARY_QUICK is unset, and the
 repeats, variants and baselines (which hold quick-mode numbers) are
@@ -56,6 +58,19 @@ def run_target(binary, args, out_dir, full):
     return status == 0
 
 
+def trace_problem(path):
+    """Why `path` is not a chrome trace with events, or None if it is."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            trace = json.load(fh)
+    except ValueError as err:
+        return f"is not valid JSON ({err})"
+    events = trace.get("traceEvents") if isinstance(trace, dict) else None
+    if not isinstance(events, list) or not events:
+        return "has no traceEvents"
+    return None
+
+
 def tool(*argv):
     """Run one of the report tools; returns True on success."""
     sys.stdout.flush()
@@ -70,9 +85,10 @@ def run_entry(entry, build_dir, full):
     out_dir = os.path.join(build_dir, "smoke", entry["name"])
     args = entry.get("args", [])
     reports = entry["reports"]
+    outputs = list(reports) + entry.get("artifacts", [])
     if not run_target(binary, args, out_dir, full):
         return [f"{entry['target']} failed"]
-    missing = [r for r in reports
+    missing = [r for r in outputs
                if not os.path.isfile(os.path.join(out_dir, r))]
     if missing:
         return [f"{entry['target']} wrote no {', '.join(missing)}"]
@@ -89,7 +105,7 @@ def run_entry(entry, build_dir, full):
         if not run_target(binary, args + extra, rerun_dir, full):
             failures.append(f"{label} run failed")
             continue
-        for report in reports:
+        for report in outputs:
             same = filecmp.cmp(os.path.join(out_dir, report),
                                os.path.join(rerun_dir, report), shallow=False)
             print(f"   {label} ({' '.join(extra) or 'same arguments'}): "
@@ -109,6 +125,11 @@ def run_entry(entry, build_dir, full):
         if "reference" in checks and not tool(
                 COMPARE_REPORT, os.path.join(ROOT, checks["reference"]), path):
             failures.append(f"compare_report.py failed on {report}")
+    for artifact in entry.get("artifacts", []):
+        problem = trace_problem(os.path.join(out_dir, artifact))
+        if problem:
+            print(f"   {artifact} {problem}")
+            failures.append(f"{artifact} {problem}")
     return failures
 
 

@@ -8,8 +8,10 @@ entry without a latency or 2 ms off its latency fails check_report.py,
 a 99 s calibration drift fails
 check_report.py --calibrate, a bench report listing a self-check
 violation fails its envelope check, a gated value 25% worse than its
-baseline fails the --baseline gate, and smoke.py catches a report that
-changes between repeated runs. Registered in ctest as tools_test; run directly with
+baseline fails the --baseline gate, and smoke.py catches a report or a
+trace artifact that changes between repeated runs, and a trace artifact
+that is missing, not JSON or without events. Registered in ctest as
+tools_test; run directly with
 `python3 tools/tools_test.py`.
 """
 
@@ -312,6 +314,40 @@ class SmokeTest(ToolCase):
             "baseline": self.write("base.json", baseline)}})
         self.assertEqual(failures,
                          ["check_report.py failed on BENCH_probe.json"])
+
+    # WRITER plus a chrome trace whose events come from the command line
+    # (a lone "--bad" writes a truncated file instead).
+    TRACE_WRITER = WRITER + (
+        "trace = os.path.join(os.environ['CANARY_REPORT_DIR'],\n"
+        "                     'run.trace.json')\n"
+        "events = [{'name': a} for a in sys.argv[1:]]\n"
+        "text = json.dumps({'traceEvents': events})\n"
+        "if sys.argv[1:] == ['--bad']:\n"
+        "    text = text[:-1]\n"
+        "open(trace, 'w').write(text)\n")
+
+    def run_traced(self, args, **entry):
+        self.fake_target(self.TRACE_WRITER)
+        return self.run_entry(args=args, artifacts=["run.trace.json"], **entry)
+
+    def test_trace_artifact_passes_and_repeats(self):
+        self.assertEqual(self.run_traced(["--x"], repeat=True), [])
+
+    def test_trace_artifact_that_changes_across_runs_fails(self):
+        self.assertEqual(self.run_traced(["--x"], variants=[["--y"]]),
+                         ["BENCH_probe.json differs under variant1",
+                          "run.trace.json differs under variant1"])
+
+    def test_trace_artifact_missing_invalid_or_empty_fails(self):
+        self.fake_target(self.WRITER)
+        self.assertEqual(self.run_entry(artifacts=["run.trace.json"]),
+                         ["bench/fake wrote no run.trace.json"])
+        failures = self.run_traced(["--bad"])
+        self.assertEqual(len(failures), 1)
+        self.assertTrue(failures[0].startswith(
+            "run.trace.json is not valid JSON"), failures)
+        self.assertEqual(self.run_traced([]),
+                         ["run.trace.json has no traceEvents"])
 
     def test_manifest_names_existing_files(self):
         for report in EnvelopeTest.manifest_reports():
