@@ -1,37 +1,10 @@
 #include "canary/checkpointing.hpp"
 
 #include <algorithm>
-#include <charconv>
 
 #include "common/logging.hpp"
 
 namespace canary::core {
-namespace {
-
-void append_decimal(std::string& out, std::uint64_t value) {
-  char digits[20];
-  const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
-  out.append(digits, end);
-}
-
-/// The KV record of a checkpoint: "job=<j>;fn=<f>;state=<i>;bytes=<n>".
-/// Reserved up front so the spill path's ";loc=<tier>" suffix fits too.
-std::string checkpoint_record(const faas::Invocation& inv, std::size_t idx,
-                              Bytes payload) {
-  std::string record;
-  record.reserve(96);
-  record.append("job=");
-  append_decimal(record, inv.job.value());
-  record.append(";fn=");
-  append_decimal(record, inv.id.value());
-  record.append(";state=");
-  append_decimal(record, idx);
-  record.append(";bytes=");
-  append_decimal(record, payload.count());
-  return record;
-}
-
-}  // namespace
 
 CheckpointingModule::CheckpointingModule(
     sim::Simulator& simulator, cluster::Cluster& cluster,
@@ -142,14 +115,16 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
   row.kv_key = key;
   row.created = sim_.now();
 
-  std::string meta = checkpoint_record(inv, idx, payload);
-
+  // The KV entry models the checkpoint (or, on the spill path, its
+  // location record) by its logical size, owners and checksum alone:
+  // restore reads checkpoint_info, never the entry's bytes, so the
+  // payload is empty. A shard fault still leaves the checksum stale.
   if (payload <= store_.config().max_entry_size) {
     row.location = cluster::StorageTier::kKvStore;
     // The KV store is replicated (and persistent in the testbed config),
     // so in-KV checkpoints survive node failures immediately.
     row.flushed_to_shared = true;
-    const Status put = store_.put(key, std::move(meta), payload, inv.node);
+    const Status put = store_.put(key, {}, payload, inv.node);
     if (!put.ok()) {
       // A degraded store (shard fault, capacity, fenced/partitioned
       // writer) must never crash the checkpoint path: the state commit
@@ -165,9 +140,7 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
     row.location = tier.value_or(cluster::StorageTier::kNfs);
     const auto& tier_profile = storage_.profile(row.location);
     row.flushed_to_shared = tier_profile.shared;
-    meta.append(";loc=").append(to_string_view(row.location));
-    const Status put = store_.put(key, std::move(meta), config_.metadata_size,
-                                  inv.node);
+    const Status put = store_.put(key, {}, config_.metadata_size, inv.node);
     if (!put.ok()) {
       metrics_.count("checkpoint_write_failures");
       CANARY_LOG_WARN("checkpoint metadata put failed for "

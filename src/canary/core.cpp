@@ -38,28 +38,31 @@ void CoreModule::install() {
   });
 }
 
+void CoreModule::attach_detector(FailureDetector& detector) {
+  detector_ = &detector;
+  detector.set_listener(this);
+}
+
 void CoreModule::refresh_worker_table() {
   for (const NodeId id : platform_.cluster().node_ids()) {
     const auto& node = platform_.cluster().node(id);
     WorkerInfoRow row;
-    if (const WorkerInfoRow* existing = metadata_.worker(id)) {
-      // Preserve the failure detector's heartbeat lease fields — the
-      // refresh only re-reads the hardware facts and liveness.
-      row = *existing;
-    }
     row.node = id;
     row.cpu = node.spec().cpu;
     row.memory = node.spec().memory;
     row.container_slots = node.spec().container_slots;
     row.rack = node.spec().rack;
     row.zone = node.spec().zone;
-    row.alive = node.alive();
+    row.alive = node.alive() &&
+                !(detector_ != nullptr && detector_->is_confirmed_dead(id));
     metadata_.upsert_worker(row);
   }
 }
 
 bool CoreModule::node_suspect(NodeId node) const {
-  return mitigator_.is_suspect(node) || detector_suspects_.count(node) > 0;
+  return mitigator_.is_suspect(node) ||
+         (detector_ != nullptr && detector_->is_suspected(node) &&
+          !detector_->is_confirmed_dead(node));
 }
 
 Result<JobId> CoreModule::submit_job(faas::JobSpec spec) {
@@ -100,8 +103,9 @@ void CoreModule::drain_queue() {
 
 bool CoreModule::sla_urgent(const faas::Invocation& inv) const {
   if (!config_.sla_aware) return false;
-  auto it = deadlines_.find(inv.job);
-  if (it == deadlines_.end()) return false;
+  const Duration sla = platform_.job_spec(inv.job).sla;
+  if (sla <= Duration::zero()) return false;
+  const TimePoint deadline = platform_.job_submit_time(inv.job) + sla;
   // Remaining nominal work plus a cold restart's overhead against the
   // remaining slack: if a cold recovery would blow the deadline, the
   // function is urgent.
@@ -110,12 +114,12 @@ bool CoreModule::sla_urgent(const faas::Invocation& inv) const {
       inv.spec->total_state_work() - inv.work_done + inv.spec->finalize;
   const TimePoint done_if_cold = platform_.simulator().now() +
                                  rt.cold_launch + rt.init + remaining;
-  return done_if_cold > it->second;
+  return done_if_cold > deadline;
 }
 
 std::optional<std::uint32_t> CoreModule::recovery_avoid_zone(
     const faas::Invocation& inv) const {
-  if (!config_.spread_fault_domains) return std::nullopt;
+  if (!platform_.cluster().spread_fault_domains()) return std::nullopt;
   if (platform_.cluster().node(inv.node).alive()) return std::nullopt;
   return platform_.cluster().zone_of(inv.node);
 }
@@ -326,9 +330,6 @@ void CoreModule::on_job_submitted(JobId job) {
     fn_row.runtime = spec.functions[i].runtime;
     metadata_.insert_function(fn_row);
   }
-  if (spec.sla > Duration::zero()) {
-    deadlines_[job] = platform_.simulator().now() + spec.sla;
-  }
   replication_.on_job_submitted(job);
 }
 
@@ -429,17 +430,7 @@ void CoreModule::on_job_completed(JobId job) { (void)job; }
 
 // ---- FailureDetectorListener ------------------------------------------------
 
-void CoreModule::on_worker_suspected(NodeId node, double suspicion) {
-  (void)suspicion;
-  detector_suspects_.insert(node);
-}
-
-void CoreModule::on_worker_unsuspected(NodeId node) {
-  detector_suspects_.erase(node);
-}
-
 void CoreModule::on_worker_confirmed_dead(NodeId node) {
-  detector_suspects_.erase(node);  // dead, not merely suspect
   // Epoch fence before the platform acts on the confirmation: if the
   // worker is actually a minority-side zombie (alive but partitioned),
   // any commit it attempts from here on is stale-epoch and rejected. For

@@ -16,10 +16,8 @@
 #pragma once
 
 #include <deque>
-
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "canary/checkpointing.hpp"
 #include "canary/failure_detector.hpp"
@@ -44,11 +42,6 @@ struct CanaryConfig {
   /// functions may reserve a replica that is still launching instead of
   /// falling back to a cold container.
   bool sla_aware = false;
-  /// Fault-domain-aware recovery: when the failed worker is dead, its
-  /// whole zone is treated as suspect of a correlated outage — replica
-  /// acquisition and cold-fallback placement route out of that zone when
-  /// any other zone has capacity. Off by default (domain-blind recovery).
-  bool spread_fault_domains = false;
   /// Reassignment/routing overhead when migrating a failed function onto
   /// a replicated runtime (in addition to checkpoint restore time).
   Duration migration_overhead = Duration::msec(50);
@@ -113,18 +106,21 @@ class CoreModule final : public faas::RecoveryHandler,
   void on_container_destroyed(const faas::Container& c) override;
   void on_job_completed(JobId job) override;
 
+  /// Read heartbeat suspicion and confirmed deaths from `detector`, and
+  /// listen for confirmations. Heartbeat-suspected workers are avoided by
+  /// recovery placement and replica acquisition exactly like the
+  /// proactive mitigator's suspects.
+  void attach_detector(FailureDetector& detector);
+
   // ---- FailureDetectorListener ---------------------------------------------
-  /// Heartbeat-suspected workers are avoided by recovery placement and
-  /// replica acquisition exactly like the proactive mitigator's suspects.
-  void on_worker_suspected(NodeId node, double suspicion) override;
-  void on_worker_unsuspected(NodeId node) override;
   void on_worker_confirmed_dead(NodeId node) override;
 
  private:
   void refresh_worker_table();
   void drain_queue();
   /// Suspect by either signal source: the reactive proactive-mitigation
-  /// predictor or the heartbeat failure detector.
+  /// predictor or the heartbeat failure detector (suspected, not yet
+  /// confirmed dead).
   bool node_suspect(NodeId node) const;
   /// Dispatch a recovery for `inv`, routing around `avoid` (a worker the
   /// watchdog observed stalling this function's previous recovery).
@@ -136,8 +132,10 @@ class CoreModule final : public faas::RecoveryHandler,
                     std::optional<NodeId> avoid = std::nullopt,
                     std::optional<std::uint32_t> avoid_zone = std::nullopt);
   /// The failed worker's zone when it should be routed around: set only
-  /// when fault-domain spreading is on and the worker is actually dead
-  /// (a correlated outage may be eating the rest of its zone right now).
+  /// when the cluster spreads fault domains and the worker is actually
+  /// dead (a correlated outage may be eating the rest of its zone right
+  /// now) — replica acquisition and cold-fallback placement then route
+  /// out of that zone when any other zone has capacity.
   std::optional<std::uint32_t> recovery_avoid_zone(
       const faas::Invocation& inv) const;
   void arm_recovery_watch(FunctionId id, NodeId target);
@@ -163,13 +161,11 @@ class CoreModule final : public faas::RecoveryHandler,
   std::deque<faas::JobSpec> queue_;
   std::size_t in_flight_ = 0;
   bool installed_ = false;
-  /// Job deadlines for SLA-aware recovery.
-  std::unordered_map<JobId, TimePoint> deadlines_;
   /// Launching replicas promised to SLA-urgent functions.
   std::unordered_map<ContainerId, FunctionId> promised_;
 
-  /// Workers currently suspected by the heartbeat failure detector.
-  std::unordered_set<NodeId> detector_suspects_;
+  /// The heartbeat failure detector, when the scenario runs one.
+  const FailureDetector* detector_ = nullptr;
   /// Recovery-action watchdog state per recovering function.
   struct RecoveryWatch {
     int stalls = 0;

@@ -50,7 +50,6 @@ void FailureDetector::start() {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     const NodeId node{static_cast<std::uint64_t>(i + 1)};
     workers_[i].last_heartbeat = sim_.now();
-    publish_row(node, 0.0);
     schedule_heartbeat(node);
   }
   schedule_sweep();
@@ -98,7 +97,7 @@ void FailureDetector::schedule_heartbeat(NodeId node) {
 void FailureDetector::deliver_heartbeat(NodeId node, TimePoint sent) {
   WorkerState& w = state(node);
   if (w.confirmed) return;  // fenced; late beats are ignored
-  // Delayed beats can overtake each other; the table keeps the freshest.
+  // Delayed beats can overtake each other; the lease keeps the freshest.
   w.last_heartbeat = std::max(w.last_heartbeat, sent);
   if (w.suspected) {
     // The worker was alive all along — a delayed heartbeat, not a death.
@@ -107,9 +106,7 @@ void FailureDetector::deliver_heartbeat(NodeId node, TimePoint sent) {
     w.suspected = false;
     platform_.metrics().count("false_suspicions");
     annotate(node, "worker_unsuspected");
-    if (listener_ != nullptr) listener_->on_worker_unsuspected(node);
   }
-  publish_row(node, suspicion_level(node));
 }
 
 void FailureDetector::schedule_sweep() {
@@ -130,7 +127,6 @@ void FailureDetector::sweep() {
       w.suspected = true;
       platform_.metrics().count("worker_suspicions");
       annotate(node, "worker_suspected");
-      if (listener_ != nullptr) listener_->on_worker_suspected(node, suspicion);
     }
     if (w.suspected &&
         suspicion >= config_.timeout_multiplier + config_.confirm_multiplier) {
@@ -138,26 +134,10 @@ void FailureDetector::sweep() {
       platform_.metrics().count("workers_confirmed_dead");
       annotate(node, "worker_confirmed_dead");
       if (listener_ != nullptr) listener_->on_worker_confirmed_dead(node);
-      publish_row(node, suspicion);
       // Fence + drain stashed node failures into the recovery handler.
       platform_.confirm_node_dead(node);
-      continue;
     }
-    publish_row(node, suspicion);
   }
-}
-
-void FailureDetector::publish_row(NodeId node, double suspicion) {
-  if (metadata_ == nullptr) return;
-  const WorkerInfoRow* existing = metadata_->worker(node);
-  if (existing == nullptr) return;  // CoreModule has not registered it yet
-  WorkerInfoRow row = *existing;
-  const WorkerState& w = state(node);
-  row.last_heartbeat = w.last_heartbeat;
-  row.suspicion = suspicion;
-  row.suspected = w.suspected;
-  row.alive = row.alive && !w.confirmed;
-  metadata_->upsert_worker(row);
 }
 
 void FailureDetector::annotate(NodeId node, const char* what) {

@@ -1,21 +1,26 @@
 // Heartbeat/lease failure detection (paper §IV-C1: the Core Module
-// "monitors the heartbeats of the workers" through the worker_info table).
+// "monitors the heartbeats of the workers").
 //
-// Every worker publishes a heartbeat into worker_info on a configurable
-// interval; the controller sweeps the table and computes a phi-style
-// suspicion level per worker — the number of heartbeat intervals elapsed
-// since the last delivered beat. A worker whose suspicion crosses
-// `timeout_multiplier` becomes *suspected*; if a late heartbeat arrives
-// the suspicion was false and the worker is un-suspected (no recovery was
-// started, so nothing double-executes). A worker that stays silent for a
-// further `confirm_multiplier` intervals is *confirmed dead*: the
-// detector fences it through Platform::confirm_node_dead (killing it
-// outright if it was actually alive — the exactly-once guarantee) and the
-// stashed node-failure reports drain to the recovery handler. Detection
-// latency is therefore an emergent per-scenario quantity — heartbeat
-// interval x multipliers + sweep granularity + injected network delay —
-// feeding the critical-path `detection` component, instead of the legacy
-// constant-oracle PlatformConfig::failure_detect_delay.
+// Every worker sends a heartbeat on a configurable interval, and the
+// detector holds each worker's lease: the send time of its latest
+// delivered beat. A controller sweep computes a phi-style suspicion level
+// per worker — the number of heartbeat intervals elapsed since that beat.
+// A worker whose suspicion crosses `timeout_multiplier` becomes
+// *suspected*; if a late heartbeat arrives the suspicion was false and the
+// worker is un-suspected (no recovery was started, so nothing
+// double-executes). A worker that stays silent for a further
+// `confirm_multiplier` intervals is *confirmed dead*: the detector fences
+// it through Platform::confirm_node_dead (killing it outright if it was
+// actually alive — the exactly-once guarantee) and the stashed node-failure
+// reports drain to the recovery handler. Detection latency is therefore
+// an emergent per-scenario quantity — heartbeat interval x multipliers +
+// sweep granularity + injected network delay — feeding the critical-path
+// `detection` component, instead of the legacy constant-oracle
+// PlatformConfig::failure_detect_delay.
+//
+// The detector is the one owner of this state: the Core Module asks it
+// (is_suspected, is_confirmed_dead) instead of keeping a copy, and the
+// worker_info table holds only hardware facts and liveness.
 //
 // The detector's totals live in the platform's metric registry only:
 // heartbeats_sent, heartbeats_dropped (injected drops),
@@ -26,7 +31,6 @@
 #include <functional>
 #include <vector>
 
-#include "canary/metadata.hpp"
 #include "common/ids.hpp"
 #include "common/time.hpp"
 #include "faas/platform.hpp"
@@ -53,18 +57,13 @@ struct FailureDetectorConfig {
   Duration horizon = Duration::sec(3600.0);
 };
 
-/// Optional bookkeeping hooks for suspicion-lifecycle transitions. The
-/// detector itself drives Platform::confirm_node_dead, so installing a
-/// listener is never required for recovery to proceed.
+/// Optional hook for a confirmed death, called before the detector drives
+/// Platform::confirm_node_dead, so installing a listener is never required
+/// for recovery to proceed.
 class FailureDetectorListener {
  public:
   virtual ~FailureDetectorListener() = default;
-  virtual void on_worker_suspected(NodeId node, double suspicion) {
-    (void)node;
-    (void)suspicion;
-  }
-  virtual void on_worker_unsuspected(NodeId node) { (void)node; }
-  virtual void on_worker_confirmed_dead(NodeId node) { (void)node; }
+  virtual void on_worker_confirmed_dead(NodeId node) = 0;
 };
 
 class FailureDetector {
@@ -81,9 +80,6 @@ class FailureDetector {
   void set_fault_provider(failure::HeartbeatFaultProvider* faults) {
     faults_ = faults;
   }
-  /// Mirror heartbeat/suspicion state into worker_info rows (the paper's
-  /// table); null skips the mirror (non-Canary strategies).
-  void set_metadata(MetadataStore* metadata) { metadata_ = metadata; }
   /// Work the platform has not seen yet, such as open-loop arrivals still
   /// to come or queued at admission. While it reports true the detector
   /// keeps running even when every submitted job has completed — an idle
@@ -128,7 +124,6 @@ class FailureDetector {
   void deliver_heartbeat(NodeId node, TimePoint sent);
   void schedule_sweep();
   void sweep();
-  void publish_row(NodeId node, double suspicion);
   void annotate(NodeId node, const char* what);
 
   sim::Simulator& sim_;
@@ -136,7 +131,6 @@ class FailureDetector {
   FailureDetectorConfig config_;
   FailureDetectorListener* listener_ = nullptr;
   failure::HeartbeatFaultProvider* faults_ = nullptr;
-  MetadataStore* metadata_ = nullptr;
   std::function<bool()> pending_work_;
   std::vector<WorkerState> workers_;  // indexed by node id - 1
   bool started_ = false;

@@ -36,16 +36,10 @@ struct WorkerInfoRow {
   /// Fault domain (availability zone) the worker lives in; recovery and
   /// replica placement spread copies across zones when configured.
   std::uint32_t zone = 0;
+  /// The node is up and the failure detector has not confirmed it dead.
+  /// The heartbeat lease itself lives in the detector.
   bool alive = true;
   std::string role = "invoker";
-  /// Heartbeat lease state published by the failure detector (§IV-C1:
-  /// the Core Module monitors worker_info heartbeats). last_heartbeat is
-  /// the worker-side send time of the latest delivered heartbeat;
-  /// suspicion is the phi-style level (missed intervals) at the last
-  /// detector sweep.
-  TimePoint last_heartbeat = TimePoint::origin();
-  double suspicion = 0.0;
-  bool suspected = false;
 };
 
 struct JobInfoRow {

@@ -173,9 +173,13 @@ std::optional<NodeId> ReplicationModule::place_replica(
   }
 
   // Further replicas: avoid nodes already hosting a replica of this
-  // runtime (anti-SPOF), prefer racks hosting the functions.
+  // runtime (anti-SPOF), prefer racks hosting the functions. When the
+  // cluster spreads fault domains, a further replica strongly prefers a
+  // zone hosting no replica of the same runtime yet, so one correlated
+  // zone outage cannot take out the whole pool.
+  const bool spread = cluster.spread_fault_domains();
   std::vector<std::uint32_t> replica_zones;
-  if (config_.spread_fault_domains) {
+  if (spread) {
     for (const NodeId node : replica_nodes) {
       if (cluster.contains(node)) {
         replica_zones.push_back(cluster.node(node).spec().zone);
@@ -201,7 +205,7 @@ std::optional<NodeId> ReplicationModule::place_replica(
     // suspect term — a zone-diverse placement on a predicted-failing
     // worker is no diversity at all.
     const bool zone_taken =
-        config_.spread_fault_domains &&
+        spread &&
         std::find(replica_zones.begin(), replica_zones.end(),
                   host.spec().zone) != replica_zones.end();
     // Lower is better: predicted-failing workers are a last resort, then

@@ -52,11 +52,6 @@ struct ReplicationConfig {
   /// Disablable for ablation: when false, replicas are packed least-loaded
   /// with no anti-SPOF exclusion and no rack locality (§IV-C5b off).
   bool anti_spof_placement = true;
-  /// Fault-domain spreading: a further replica strongly prefers a zone
-  /// hosting no replica of the same runtime yet, so one correlated zone
-  /// outage cannot take out the whole pool. Off by default (domain-blind
-  /// placement, the pre-partition behaviour).
-  bool spread_fault_domains = false;
 };
 
 class ReplicationModule {

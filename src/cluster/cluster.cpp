@@ -15,13 +15,16 @@ Cluster::Cluster(std::vector<NodeSpec> specs) {
   attach_and_rebuild_index();
 }
 
-Cluster::Cluster(Cluster&& other) noexcept : nodes_(std::move(other.nodes_)) {
+Cluster::Cluster(Cluster&& other) noexcept
+    : nodes_(std::move(other.nodes_)),
+      spread_fault_domains_(other.spread_fault_domains_) {
   attach_and_rebuild_index();
 }
 
 Cluster& Cluster::operator=(Cluster&& other) noexcept {
   if (this != &other) {
     nodes_ = std::move(other.nodes_);
+    spread_fault_domains_ = other.spread_fault_domains_;
     attach_and_rebuild_index();
   }
   return *this;

@@ -81,6 +81,13 @@ class Cluster : private NodeUsageListener {
       Bytes memory, std::uint32_t avoid_zone,
       const std::vector<NodeId>& excluded) const;
 
+  /// Fault-domain spreading policy, set once from the scenario: hedge
+  /// clones, Canary's recovery re-dispatch and further runtime replicas
+  /// prefer a zone other than the copy they back up. Off by default
+  /// (domain-blind placement).
+  void set_spread_fault_domains(bool spread) { spread_fault_domains_ = spread; }
+  bool spread_fault_domains() const { return spread_fault_domains_; }
+
   void fail_node(NodeId id);
   void restore_node(NodeId id);
 
@@ -98,6 +105,7 @@ class Cluster : private NodeUsageListener {
   /// capacity, so the per-placement index maintenance never allocates in
   /// steady state.
   std::vector<std::vector<std::uint32_t>> occupancy_;
+  bool spread_fault_domains_ = false;
 };
 
 }  // namespace canary::cluster

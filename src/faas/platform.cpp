@@ -89,9 +89,9 @@ obs::EventId Platform::obs_event(InvocationInternal& inv, obs::EventKind kind,
 
 void Platform::arm_slo(InvocationInternal& inv, Duration sla,
                        TimePoint anchor) {
-  if (slo_ == nullptr || sla <= Duration::zero()) return;
+  if (sla <= Duration::zero()) return;
   const TimePoint deadline = anchor + sla;
-  slo_->arm(inv.id);
+  ++slo_targets_;
   const FunctionId id = inv.id;
   // An arrival-anchored deadline can already be in the past when the
   // request spent longer than its SLA waiting in admission control.
@@ -103,7 +103,6 @@ void Platform::arm_slo(InvocationInternal& inv, Duration sla,
         target.completion_time <= deadline) {
       return;
     }
-    if (!slo_->record_violation(id, sim_.now())) return;
     m_slo_violations_.add();
     obs_event(target, obs::EventKind::kSlaViolation, "sla_violation");
   });
@@ -462,7 +461,7 @@ double Platform::launch_contention_multiplier(NodeId node) const {
 }
 
 Duration Platform::epilogue_nominal(const Invocation& inv,
-                                    std::size_t state_idx) {
+                                    std::size_t state_idx) const {
   return hooks_ ? hooks_->state_epilogue(inv, state_idx) : Duration::zero();
 }
 
@@ -477,10 +476,8 @@ Duration Platform::attempt_busy_estimate(const InvocationInternal& inv,
     est += rt.warm_dispatch * speed;
   }
   est += spec.extra_setup;
-  auto* self = const_cast<Platform*>(this);
   for (std::size_t i = spec.from_state; i < inv.spec->states.size(); ++i) {
-    est += (inv.spec->states[i].duration + self->epilogue_nominal(inv, i)) *
-           speed;
+    est += (inv.spec->states[i].duration + epilogue_nominal(inv, i)) * speed;
   }
   est += inv.spec->finalize * speed;
   return est;
@@ -1026,11 +1023,12 @@ FunctionId Platform::hedge_clone(FunctionId primary) {
   // owns both, and a speculative copy must not double the request's
   // deadline bookkeeping or starve admission. Clones prefer a node other
   // than the primary's — a hedge against a gray host is useless if it
-  // lands on the same host.
+  // lands on the same host — and, with fault-domain spreading, a zone
+  // other than the primary's, so one zone outage cannot take both down.
   StartSpec spec;
   if (inv.node.valid()) {
     spec.node_pref =
-        config_.spread_fault_domains
+        cluster_.spread_fault_domains()
             ? cluster_.least_loaded_avoiding_zone(
                   clone.spec->effective_memory(),
                   cluster_.zone_of(inv.node), {inv.node})

@@ -34,7 +34,6 @@
 #include "faas/usage.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metric_registry.hpp"
-#include "obs/slo_monitor.hpp"
 #include "obs/span.hpp"
 #include "sim/simulator.hpp"
 
@@ -91,11 +90,6 @@ struct PlatformConfig {
   /// idles (providers do not charge users for the warm pool).
   bool reuse_containers = false;
   Duration warm_pool_idle_timeout = Duration::sec(60.0);
-  /// Fault-domain-aware dispatch: hedge clones prefer a node in a
-  /// *different zone* than the primary (not merely a different node), so
-  /// a zone outage cannot take both copies down together. Off by default;
-  /// disabled runs are byte-identical to builds without the feature.
-  bool spread_fault_domains = false;
 };
 
 /// How a (re)start should run: from which state, on which container/node,
@@ -127,10 +121,11 @@ class Platform {
   /// into a per-trace DAG. Null disables event recording (the default).
   void set_event_log(obs::EventLog* events) { events_ = events; }
   obs::EventLog* events() const { return events_; }
-  /// Install the SLO watchdog: SLA-carrying functions (FunctionSpec::sla,
-  /// falling back to the job deadline) are armed at submission and their
-  /// breaches recorded online as kSlaViolation events.
-  void set_slo_monitor(obs::SloMonitor* slo) { slo_ = slo; }
+  /// Functions the SLO watchdog has armed so far. Every SLA-carrying
+  /// function (FunctionSpec::sla, falling back to the job deadline) is
+  /// armed once at submission, and a breach is recorded online at its
+  /// deadline as the slo_violations counter and a kSlaViolation event.
+  std::size_t slo_targets() const { return slo_targets_; }
 
   // ---- job/function API ----------------------------------------------
   /// Validate against platform limits and enqueue every function of the
@@ -345,7 +340,8 @@ class Platform {
   Duration attempt_busy_estimate(const InvocationInternal& inv,
                                  const StartSpec& spec, double speed,
                                  bool cold) const;
-  Duration epilogue_nominal(const Invocation& inv, std::size_t state_idx);
+  Duration epilogue_nominal(const Invocation& inv,
+                            std::size_t state_idx) const;
 
   obs::SpanLabels obs_labels(const InvocationInternal& inv) const;
   /// Append an event to the invocation's causal chain (no-op without an
@@ -381,7 +377,7 @@ class Platform {
   RecoveryHandler* recovery_ = nullptr;
   ExecutionHooks* hooks_ = nullptr;
   obs::EventLog* events_ = nullptr;
-  obs::SloMonitor* slo_ = nullptr;
+  std::size_t slo_targets_ = 0;
   /// While fail_node() kills a node's containers, the kNodeFailure event
   /// whose cause edge every victim's kFailure event carries.
   obs::EventId node_failure_cause_ = obs::kNoEvent;

@@ -1,7 +1,7 @@
 // Interface between the controller's failure detector and the fault
 // injector's network model.
 //
-// Heartbeats travel from workers to the Core Module's worker_info table;
+// Heartbeats travel from workers to the controller's failure detector;
 // a congested or partitioned control-plane link delays or drops them,
 // which is how false suspicions (delayed heartbeat, live worker) and
 // slow detections happen in real clusters. The detector consults this

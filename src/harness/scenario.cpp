@@ -25,16 +25,7 @@ faas::PlatformConfig effective_platform_config(const ScenarioConfig& config) {
     // autoscaler's prewarmed containers could never serve an invocation.
     platform_config.reuse_containers = true;
   }
-  if (config.fault_domain_spread) {
-    platform_config.spread_fault_domains = true;  // hedge-clone placement
-  }
   return platform_config;
-}
-
-kv::KvConfig effective_kv_config(const ScenarioConfig& config) {
-  kv::KvConfig kv_config = config.kv;
-  if (config.fault_domain_spread) kv_config.spread_fault_domains = true;
-  return kv_config;
 }
 
 // Non-owning alias of a caller-owned batch spec. The scenario job list
@@ -57,7 +48,7 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
       cluster(cluster::Cluster::testbed(config.cluster_nodes)),
       network(&cluster, {}),
       storage(config.storage.value_or(cluster::StorageHierarchy::testbed())),
-      store(effective_kv_config(config), cluster.node_ids()),
+      store(config.kv, cluster.node_ids()),
       metrics(),
       platform(simulator, cluster, network, effective_platform_config(config),
                metrics) {
@@ -67,16 +58,20 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
     events = std::make_shared<obs::EventLog>();
     platform.set_event_log(events.get());
   }
-  platform.set_slo_monitor(&slo);
 
   // Writer-attributed KV commits route through the reachability model: a
   // writer cut off from the quorum cannot commit. With no partition rules
   // installed reaches_majority short-circuits to true, so this gate is
-  // free (and byte-identical) for every pre-partition scenario. The zone
-  // map only matters when fault_domain_spread turns on zone-aware owners.
+  // free (and byte-identical) for every pre-partition scenario.
   store.set_writer_quorum(
       [&net = network](NodeId writer) { return net.reaches_majority(writer); });
-  store.set_zone_map([&c = cluster](NodeId node) { return c.zone_of(node); });
+  // Fault-domain spreading has one owner, the cluster: platform, Canary
+  // and replication placement read it there. The KV store's zone-aware
+  // owner choice is on exactly when its zone map is installed.
+  cluster.set_spread_fault_domains(config.fault_domain_spread);
+  if (config.fault_domain_spread) {
+    store.set_zone_map([&c = cluster](NodeId node) { return c.zone_of(node); });
+  }
 
   // While this run is live, this thread's log records carry the simulated
   // time and kWarn+ records mirror into the causal log as annotations.
@@ -115,17 +110,9 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
       break;
     }
     case StrategyKind::kCanary: {
-      core::CanaryConfig canary_config = config.strategy.canary;
-      if (config.fault_domain_spread) {
-        canary_config.spread_fault_domains = true;
-        canary_config.replication.spread_fault_domains = true;
-      }
-      canary_fw.emplace(platform, store, storage, canary_config);
+      canary_fw.emplace(platform, store, storage, config.strategy.canary);
       canary_fw->install();
-      if (detector) {
-        detector->set_listener(&*canary_fw);
-        detector->set_metadata(&canary_fw->metadata());
-      }
+      if (detector) canary_fw->attach_detector(*detector);
       for (const auto& job : jobs) {
         auto submitted = canary_fw->submit_job(job);
         CANARY_CHECK(submitted.ok(), "job rejected by the request validator");
@@ -373,7 +360,7 @@ RunResult ScenarioInstance::collect() {
       }
     }
     obs::CriticalPathAnalyzer analyzer(*events);
-    result.breakdown = analyzer.report(slo.targets());
+    result.breakdown = analyzer.report(platform.slo_targets());
     if (config.attribution) {
       result.attribution = obs::Attribution{
           obs::attribute_tail(analyzer),

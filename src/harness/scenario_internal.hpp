@@ -22,7 +22,6 @@
 #include "failure/injector.hpp"
 #include "harness/scenario.hpp"
 #include "kvstore/kvstore.hpp"
-#include "obs/slo_monitor.hpp"
 #include "recovery/active_standby.hpp"
 #include "recovery/request_replication.hpp"
 #include "sim/simulator.hpp"
@@ -63,7 +62,6 @@ struct ScenarioInstance {
   faas::Platform platform;
 
   std::shared_ptr<obs::EventLog> events;
-  obs::SloMonitor slo;
 
   std::optional<ScopedLogClock> log_clock;
   std::optional<ScopedLogMirror> log_mirror;

@@ -39,7 +39,7 @@ std::vector<NodeId> KvStore::choose_owners(const std::string& key) const {
   const std::size_t copies =
       std::min<std::size_t>(1 + config_.backups, cache_nodes_.size());
   const std::size_t start = std::hash<std::string>{}(key) % cache_nodes_.size();
-  if (config_.spread_fault_domains && zone_of_ && copies > 1) {
+  if (zone_of_ && copies > 1) {
     // Primary at the hash slot as before; each backup walks forward and
     // takes the first node in a zone no copy occupies yet, falling back
     // to the plain consecutive choice when every remaining node shares a

@@ -49,11 +49,6 @@ struct KvConfig {
   /// Ignite native persistence: entries survive even if every cache node
   /// holding them dies.
   bool native_persistence = true;
-  /// Fault-domain-aware owner selection (partitioned mode): backup copies
-  /// prefer cache nodes in a *different zone* than the primary, so a zone
-  /// outage cannot destroy every copy of an entry. Requires a zone map
-  /// (set_zone_map); off by default and byte-identical when off.
-  bool spread_fault_domains = false;
 };
 
 struct KvEntry {
@@ -155,8 +150,11 @@ class KvStore {
   void set_writer_quorum(std::function<bool(NodeId)> predicate) {
     writer_quorum_ = std::move(predicate);
   }
-  /// Zone lookup for fault-domain-aware owner selection; wired to
-  /// Cluster::zone_of by the harness.
+  /// Zone lookup that turns on fault-domain-aware owner selection
+  /// (partitioned mode): backup copies prefer cache nodes in a *different
+  /// zone* than the primary, so a zone outage cannot destroy every copy of
+  /// an entry. The harness wires it to Cluster::zone_of only when
+  /// fault-domain spreading is on; unset = consecutive owners.
   void set_zone_map(std::function<std::uint32_t(NodeId)> zone_of) {
     zone_of_ = std::move(zone_of);
   }

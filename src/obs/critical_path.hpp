@@ -126,7 +126,8 @@ class CriticalPathAnalyzer {
   }
 
   /// Aggregate everything into a report. `slo_targets` comes from the
-  /// SloMonitor (the log only holds breaches, not armed targets).
+  /// platform (faas::Platform::slo_targets; the log only holds breaches,
+  /// not armed targets).
   BreakdownReport report(std::uint64_t slo_targets = 0) const;
 
   // Per-function end-to-end component sums + metadata, keyed by id.

@@ -27,7 +27,6 @@ const AdmissionController::ClassStats& AdmissionController::stats(
 
 void AdmissionController::admit(ClassState& c, faas::JobSpec spec) {
   ++c.stats.in_flight;
-  ++c.stats.admitted;
   submit_(std::move(spec));
 }
 
@@ -48,39 +47,33 @@ AdmissionOutcome AdmissionController::offer(std::size_t cls,
     }
     return AdmissionOutcome::kQueued;
   }
-  ++c.stats.shed;
   shed_(std::move(spec));
   return AdmissionOutcome::kShed;
+}
+
+void AdmissionController::release(ClassState& c) {
+  --c.stats.in_flight;
+  while (c.stats.in_flight < c.config.max_concurrent && !c.backlog.empty()) {
+    faas::JobSpec spec = std::move(c.backlog.front());
+    c.backlog.pop_front();
+    c.stats.queued = c.backlog.size();
+    admit(c, std::move(spec));
+  }
 }
 
 void AdmissionController::on_complete(std::size_t cls) {
   CANARY_CHECK(cls < classes_.size(), "unknown admission class");
   ClassState& c = classes_[cls];
   CANARY_CHECK(c.stats.in_flight > 0, "admission in-flight underflow");
-  --c.stats.in_flight;
-  ++c.stats.completed;
-  while (c.stats.in_flight < c.config.max_concurrent && !c.backlog.empty()) {
-    faas::JobSpec spec = std::move(c.backlog.front());
-    c.backlog.pop_front();
-    c.stats.queued = c.backlog.size();
-    admit(c, std::move(spec));
-  }
+  release(c);
 }
 
 void AdmissionController::reject_admitted(std::size_t cls) {
   CANARY_CHECK(cls < classes_.size(), "unknown admission class");
   ClassState& c = classes_[cls];
-  CANARY_CHECK(c.stats.in_flight > 0 && c.stats.admitted > 0,
+  CANARY_CHECK(c.stats.in_flight > 0,
                "admission reject without a matching admit");
-  --c.stats.in_flight;
-  --c.stats.admitted;
-  ++c.stats.shed;
-  while (c.stats.in_flight < c.config.max_concurrent && !c.backlog.empty()) {
-    faas::JobSpec spec = std::move(c.backlog.front());
-    c.backlog.pop_front();
-    c.stats.queued = c.backlog.size();
-    admit(c, std::move(spec));
-  }
+  release(c);
 }
 
 bool AdmissionController::try_hedge(std::size_t cls) {
@@ -89,11 +82,9 @@ bool AdmissionController::try_hedge(std::size_t cls) {
   // A backlogged class is saturated: every node-second a clone burns
   // would come straight out of queued requests' wait time.
   if (!c.backlog.empty() || c.stats.hedges_active >= c.config.hedge_budget) {
-    ++c.stats.hedges_denied;
     return false;
   }
   ++c.stats.hedges_active;
-  ++c.stats.hedges_granted;
   return true;
 }
 

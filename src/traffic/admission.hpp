@@ -11,11 +11,15 @@
 // sheds become terminal kShed invocations via Platform::shed_job so
 // nothing is ever silently dropped).
 //
-// Accounting is exactly-once by construction: every offer increments
-// `offered` and exactly one of `admitted`/`queued-then-admitted`/`shed`,
+// Accounting is exactly-once by construction: every offer ends in exactly
+// one submit callback (now or when a slot frees) or one shed callback,
 // and every admitted request is balanced by exactly one on_complete().
-// The conservation oracle (offered == admitted + shed + queued,
-// admitted == completed + in-flight) is checked by the chaos campaign.
+// The controller keeps only what it decides with — the live levels, the
+// arrival count the autoscaler samples and the backlog peak. The outcome
+// totals are counted once, by the traffic generator's callbacks, in the
+// platform's metric registry (traffic_admitted, traffic_shed, ...), where
+// the chaos campaign checks conservation (offered == admitted + shed +
+// queued, admitted == completed + in-flight).
 #pragma once
 
 #include <cstdint>
@@ -62,8 +66,9 @@ class AdmissionController {
   void on_complete(std::size_t cls);
 
   /// The submit callback could not place an admitted request (statically
-  /// invalid spec — never load): reclassify it as shed and free its slot.
-  /// Callable re-entrantly from inside the submit callback.
+  /// invalid spec — never load): free its slot and pump the backlog; the
+  /// caller counts the request as shed. Callable re-entrantly from inside
+  /// the submit callback.
   void reject_admitted(std::size_t cls);
 
   /// A speculative clone wants to launch for an admitted request of
@@ -75,12 +80,7 @@ class AdmissionController {
 
   struct ClassStats {
     std::uint64_t offered = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t completed = 0;
     std::uint64_t queue_peak = 0;
-    std::uint64_t hedges_granted = 0;
-    std::uint64_t hedges_denied = 0;
     std::size_t queued = 0;
     std::size_t in_flight = 0;
     std::size_t hedges_active = 0;
@@ -101,6 +101,9 @@ class AdmissionController {
   };
 
   void admit(ClassState& c, faas::JobSpec spec);
+  /// Free one in-flight slot and admit from the backlog (FIFO) while
+  /// slots remain.
+  void release(ClassState& c);
 
   SubmitFn submit_;
   ShedFn shed_;

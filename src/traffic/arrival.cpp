@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
-#include <string>
 
 #include "common/result.hpp"
 
@@ -184,27 +181,6 @@ std::unique_ptr<ArrivalProcess> make_arrival_process(const ArrivalSpec& spec,
   }
   CANARY_CHECK(false, "unknown arrival kind");
   return nullptr;
-}
-
-std::vector<Duration> parse_trace(std::istream& is) {
-  std::vector<Duration> offsets;
-  std::string line;
-  while (std::getline(is, line)) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::size_t begin = line.find_first_not_of(" \t\r");
-    if (begin == std::string::npos) continue;
-    const std::size_t end = line.find_last_not_of(" \t\r");
-    const std::string token = line.substr(begin, end - begin + 1);
-    offsets.push_back(Duration::usec(std::stoll(token)));
-  }
-  std::sort(offsets.begin(), offsets.end());
-  return offsets;
-}
-
-void write_trace(std::ostream& os, const std::vector<Duration>& offsets) {
-  os << "# canary arrival trace: one microsecond offset per line\n";
-  for (const Duration d : offsets) os << d.count_usec() << "\n";
 }
 
 }  // namespace canary::traffic

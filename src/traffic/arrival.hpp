@@ -14,17 +14,14 @@
 //   * diurnal        — a Poisson process whose rate is sinusoid-modulated
 //                      (daily peak/trough), sampled by Lewis-Shedler
 //                      thinning against the peak-rate majorant;
-//   * trace          — replay of explicit offsets, round-trippable through
-//                      a plain-text format (one microsecond offset per
-//                      line, '#' comments) so synthetic traces can be
-//                      stored next to the benches and replayed bit-exactly.
+//   * trace          — replay of explicit offsets (ArrivalSpec::trace),
+//                      bit-exact.
 //
 // Every process owns its Rng by value: two processes built from the same
 // spec and seed emit byte-identical streams, which is the determinism
 // contract the tests pin.
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -73,13 +70,5 @@ class ArrivalProcess {
 /// value: the caller keeps its own stream untouched).
 std::unique_ptr<ArrivalProcess> make_arrival_process(const ArrivalSpec& spec,
                                                      Rng rng);
-
-/// Parse the plain-text trace format: one non-negative integer
-/// (microseconds from origin) per line; '#' starts a comment; blank lines
-/// are skipped. Offsets are sorted so hand-edited traces stay valid.
-std::vector<Duration> parse_trace(std::istream& is);
-
-/// Serialise offsets in the format parse_trace reads back bit-exactly.
-void write_trace(std::ostream& os, const std::vector<Duration>& offsets);
 
 }  // namespace canary::traffic

@@ -1,10 +1,12 @@
 // End-to-end tests for the Core Module: validated submission, queueing,
-// checkpoint-based recovery onto replicated runtimes, and cold fallback.
+// checkpoint-based recovery onto replicated runtimes, cold fallback, and
+// recovery placement around a heartbeat-suspected worker.
 #include <gtest/gtest.h>
 
 #include <optional>
 
 #include "canary/core.hpp"
+#include "canary/failure_detector.hpp"
 #include "cluster/network.hpp"
 #include "failure/injector.hpp"
 
@@ -225,6 +227,109 @@ TEST_F(CoreModuleTest, NodeFailureRecoveryUsesSurvivingCheckpoints) {
   // Small checkpoints live in the replicated KV store, so recovery still
   // resumed from a checkpoint (lost work bounded by one state).
   EXPECT_LT(inv.lost_work.to_seconds(), 1.01);
+}
+
+struct SuspectRecovery {
+  NodeId first;      // worker attempt 1 ran on
+  NodeId recovered;  // worker the recovery ran on
+  bool suspected_at_kill = false;
+  bool confirmed_at_kill = false;
+  bool completed = false;
+  double cold_fallbacks = 0.0;
+};
+
+/// One function killed 3 s into its run on worker 1 while a second long
+/// function keeps worker 1 busy and three short ones have left workers
+/// 2-4 empty. With `silence_victim`, worker 1's heartbeats are dropped, so
+/// the detector suspects it from 1.5 s on; the confirm threshold is out of
+/// reach, so it is never confirmed dead.
+SuspectRecovery kill_on_worker_one(bool silence_victim) {
+  sim::Simulator sim;
+  cluster::Cluster cluster(uniform_nodes(4));
+  cluster::NetworkModel network(&cluster, {});
+  const auto storage = cluster::StorageHierarchy::testbed();
+  kv::KvStore store(kv::KvConfig{}, cluster.node_ids());
+  obs::MetricRegistry metrics;
+  faas::PlatformConfig pconfig;
+  pconfig.scheduler_overhead = Duration::zero();
+  pconfig.detection_mode = faas::DetectionMode::kHeartbeat;
+  faas::Platform platform(sim, cluster, network, pconfig, metrics);
+
+  CanaryConfig config;
+  config.replication.enabled = false;  // the cold path places by suspicion
+  CoreModule core(platform, store, storage, config);
+  core.install();
+  FailureDetectorConfig dconfig;
+  dconfig.enabled = true;
+  dconfig.confirm_multiplier = 1000.0;
+  FailureDetector detector(sim, platform, dconfig);
+  const NodeId worker_one{1};
+  failure::FailureInjector faults(Rng(1), failure::InjectorConfig{});
+  if (silence_victim) {
+    // Every heartbeat worker 1 sends is dropped; the others beat on time.
+    faults.add_heartbeat_fault({.start = TimePoint::origin(),
+                                .duration = Duration::sec(3600.0),
+                                .drop_rate = 1.0,
+                                .node = worker_one});
+  }
+  detector.set_fault_provider(&faults);
+  core.attach_detector(detector);
+
+  faas::JobSpec job;
+  job.functions.push_back(stateful_function());   // the victim
+  for (int i = 0; i < 3; ++i) job.functions.push_back(stateful_function(1));
+  job.functions.push_back(stateful_function());   // keeps worker 1 busy
+  const auto id = core.submit_job(job);
+  EXPECT_TRUE(id.ok());
+  const FunctionId victim = platform.job_functions(id.value()).front();
+
+  SuspectRecovery out;
+  struct Policy : faas::FailurePolicy {
+    FunctionId victim;
+    NodeId* first = nullptr;
+    std::optional<Duration> plan_kill(const faas::Invocation& inv,
+                                      int attempt, Duration) override {
+      if (inv.id != victim || attempt != 1) return std::nullopt;
+      *first = inv.node;
+      return Duration::sec(3.0);
+    }
+  } policy;
+  policy.victim = victim;
+  policy.first = &out.first;
+  platform.set_failure_policy(&policy);
+  // Sampled between the kill (3 s) and its report to recovery (3.3 s).
+  sim.schedule_at(TimePoint::origin() + Duration::sec(3.2), [&] {
+    out.suspected_at_kill = detector.is_suspected(worker_one);
+    out.confirmed_at_kill = detector.is_confirmed_dead(worker_one);
+  });
+  detector.start();
+  sim.run();
+
+  out.recovered = platform.invocation(victim).node;
+  out.completed = platform.job_completed(id.value());
+  out.cold_fallbacks = metrics.counter("cold_fallback_recoveries");
+  return out;
+}
+
+TEST(CoreDetectorTest, KillOnSuspectedWorkerRecoversOnAnotherWorker) {
+  // Control: a healthy worker 1 keeps its function (recovery prefers the
+  // failed worker while it is alive and unsuspected).
+  const SuspectRecovery healthy = kill_on_worker_one(false);
+  ASSERT_TRUE(healthy.completed);
+  EXPECT_EQ(healthy.first, NodeId{1});
+  EXPECT_FALSE(healthy.suspected_at_kill);
+  EXPECT_EQ(healthy.cold_fallbacks, 1.0);
+  EXPECT_EQ(healthy.recovered, NodeId{1});
+
+  // Worker 1 heartbeat-suspected but not confirmed dead: the Core Module
+  // reads the suspicion off the detector and recovers elsewhere.
+  const SuspectRecovery suspect = kill_on_worker_one(true);
+  ASSERT_TRUE(suspect.completed);
+  EXPECT_EQ(suspect.first, NodeId{1});
+  EXPECT_TRUE(suspect.suspected_at_kill);
+  EXPECT_FALSE(suspect.confirmed_at_kill);
+  EXPECT_EQ(suspect.cold_fallbacks, 1.0);
+  EXPECT_NE(suspect.recovered, NodeId{1});
 }
 
 TEST_F(CoreModuleTest, InstallTwiceAborts) {

@@ -217,18 +217,35 @@ TEST(KvStoreTest, PartitionedBackupsUnderOverlappingNodeLosses) {
 TEST(KvStoreTest, CorruptEntryFailsIntegrityButStillReads) {
   // Shard-fault bit rot: the payload flips but the stored checksum keeps
   // the put-time value, so intact() flags the damage while get() still
-  // returns bytes (the Checkpointing Module decides what to do).
-  auto store = make_store();
-  ASSERT_TRUE(store.put("ckpt/f1/3", "state-bytes").ok());
-  EXPECT_TRUE(store.intact("ckpt/f1/3"));
-  ASSERT_TRUE(store.corrupt_entry("ckpt/f1/3"));
-  EXPECT_FALSE(store.intact("ckpt/f1/3"));
-  EXPECT_TRUE(store.contains("ckpt/f1/3"));
-  EXPECT_TRUE(store.get("ckpt/f1/3").ok());
-  EXPECT_EQ(store.stats().entries_corrupted, 1u);
-  // Overwriting re-checksums: the entry is whole again.
-  ASSERT_TRUE(store.put("ckpt/f1/3", "fresh-bytes").ok());
-  EXPECT_TRUE(store.intact("ckpt/f1/3"));
+  // returns bytes (the Checkpointing Module decides what to do). Two
+  // inputs: a payload with bytes, and the empty payload the Checkpointing
+  // Module puts (its entries model a checkpoint by logical size alone),
+  // into which the fault plants a byte.
+  struct Input {
+    std::string payload;
+    std::optional<Bytes> logical_size;
+  };
+  for (const Input& input : {Input{"state-bytes", std::nullopt},
+                             Input{"", Bytes::kib(64)}}) {
+    SCOPED_TRACE("payload '" + input.payload + "'");
+    auto store = make_store();
+    ASSERT_TRUE(
+        store.put("ckpt/f1/3", input.payload, input.logical_size).ok());
+    EXPECT_TRUE(store.intact("ckpt/f1/3"));
+    ASSERT_TRUE(store.corrupt_entry("ckpt/f1/3"));
+    EXPECT_FALSE(store.intact("ckpt/f1/3"));
+    EXPECT_TRUE(store.contains("ckpt/f1/3"));
+    const auto read = store.get("ckpt/f1/3");
+    ASSERT_TRUE(read.ok());
+    EXPECT_NE(read.value().payload, input.payload);
+    EXPECT_EQ(read.value().logical_size,
+              input.logical_size.value_or(Bytes::of(input.payload.size())));
+    EXPECT_EQ(store.stats().entries_corrupted, 1u);
+    // Overwriting re-checksums: the entry is whole again.
+    ASSERT_TRUE(
+        store.put("ckpt/f1/3", input.payload, input.logical_size).ok());
+    EXPECT_TRUE(store.intact("ckpt/f1/3"));
+  }
 }
 
 TEST(KvStoreTest, DropEntryDestroysWithoutClientRemove) {

@@ -22,7 +22,6 @@
 #include "obs/critical_path.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metric_registry.hpp"
-#include "obs/slo_monitor.hpp"
 #include "recovery/strategies.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/workloads.hpp"
@@ -62,7 +61,7 @@ class FixedKillPolicy : public FailurePolicy {
   Duration offset_;
 };
 
-/// Platform fixture with the causal event log and SLO watchdog installed.
+/// Platform fixture with the causal event log installed.
 class TraceTest : public ::testing::Test {
  protected:
   explicit TraceTest(std::size_t nodes = 2)
@@ -72,7 +71,6 @@ class TraceTest : public ::testing::Test {
     config.scheduler_overhead = Duration::zero();
     platform_.emplace(sim_, cluster_, network_, config, metrics_);
     platform_->set_event_log(&events_);
-    platform_->set_slo_monitor(&slo_);
     retry_.emplace(*platform_);
     platform_->set_recovery_handler(&*retry_);
     return *platform_;
@@ -126,7 +124,6 @@ class TraceTest : public ::testing::Test {
   cluster::NetworkModel network_;
   obs::MetricRegistry metrics_;
   obs::EventLog events_;
-  obs::SloMonitor slo_;
   std::optional<Platform> platform_;
   std::optional<RetryHandler> retry_;
 };
@@ -282,20 +279,21 @@ TEST_F(TraceTest, SloWatchdogRecordsBreachOnline) {
   sim_.run();
   ASSERT_TRUE(p.job_completed(id.value()));
 
-  EXPECT_EQ(slo_.targets(), 2u);
-  EXPECT_EQ(slo_.violations(), 1u);
-  EXPECT_DOUBLE_EQ(slo_.violation_ratio(), 0.5);
-  ASSERT_EQ(slo_.breaches().size(), 1u);
-  EXPECT_EQ(slo_.breaches().front().first, p.job_functions(id.value())[0]);
+  EXPECT_EQ(p.slo_targets(), 2u);
+  EXPECT_EQ(metrics_.counter("slo_violations"), 1.0);
+  ASSERT_EQ(events_.count_of(obs::EventKind::kSlaViolation), 1u);
+  const obs::Event* breach = first_of(obs::EventKind::kSlaViolation);
+  ASSERT_NE(breach, nullptr);
+  EXPECT_EQ(breach->labels.function, p.job_functions(id.value())[0]);
   // The breach fires at the deadline, as a DAG event on the chain.
-  EXPECT_EQ(slo_.breaches().front().second.count_usec(), 1'000'000);
-  EXPECT_EQ(events_.count_of(obs::EventKind::kSlaViolation), 1u);
+  EXPECT_EQ(breach->at.count_usec(), 1'000'000);
 
   // The analyzer attributes the breach to the dominant component.
   obs::CriticalPathAnalyzer analyzer(events_);
-  const obs::BreakdownReport report = analyzer.report(slo_.targets());
+  const obs::BreakdownReport report = analyzer.report(p.slo_targets());
   EXPECT_EQ(report.slo_targets, 2u);
   EXPECT_EQ(report.slo_violations, 1u);
+  EXPECT_DOUBLE_EQ(report.slo_violation_ratio(), 0.5);
   std::uint64_t attributed = 0;
   for (const auto& [component, count] : report.slo_breaches_by_component) {
     attributed += count;
