@@ -15,14 +15,17 @@
 // checksum, kills >= 1 real worker and recovers it in a second worker
 // process, exactly-once holds (no unfenced stale commits, no
 // duplicates), restores only use intact checkpoints, and each
-// substrate's components sum to its recovery window.
+// substrate's obs::kRecoveryComponents sum to its measured recovery
+// window.
 //
 // Usage: realexec_validate [--quick]
 // Environment: CANARY_QUICK=1 (same as --quick), CANARY_REPORT_DIR.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "support.hpp"
@@ -61,47 +64,6 @@ recovery::StrategyConfig strategy_for(realexec::RecoveryPolicy policy) {
       return recovery::StrategyConfig::active_standby();
   }
   return recovery::StrategyConfig::retry();
-}
-
-double num_or_zero(double v) { return v > 0 ? v : 0.0; }
-
-/// One substrate's recovery decomposition, per recovery.
-struct Components {
-  double window_s, detection_s, scheduling_s, launch_s, init_s, restore_s,
-      re_exec_s;
-
-  double sum() const {
-    return detection_s + scheduling_s + launch_s + init_s + restore_s +
-           re_exec_s;
-  }
-};
-
-Components real_components(const CaseResult& cr) {
-  const double n = std::max<double>(1.0, cr.real.recoveries);
-  const auto& r = cr.real.recovery;
-  return {r.window_s() / n,    r.detection_s / n, r.scheduling_s / n,
-          r.launch_s / n,      r.init_s / n,      r.restore_s / n,
-          r.re_exec_s / n};
-}
-
-Components sim_components(const CaseResult& cr) {
-  const auto& s = cr.sim;
-  return {num_or_zero(s.window_s),     num_or_zero(s.detection_s),
-          num_or_zero(s.scheduling_s), num_or_zero(s.launch_s),
-          num_or_zero(s.init_s),       num_or_zero(s.restore_s),
-          num_or_zero(s.re_exec_s)};
-}
-
-void write_components(obs::JsonWriter& json, const Components& c) {
-  json.begin_object();
-  json.field("window_s", c.window_s);
-  json.field("detection_s", c.detection_s);
-  json.field("scheduling_s", c.scheduling_s);
-  json.field("launch_s", c.launch_s);
-  json.field("init_s", c.init_s);
-  json.field("restore_s", c.restore_s);
-  json.field("re_exec_s", c.re_exec_s);
-  json.end_object();
 }
 
 }  // namespace
@@ -171,7 +133,6 @@ int main(int argc, char** argv) {
     rc.steps_total = c.steps;
     rc.policy = c.policy;
     rc.kill_after_commit_step = c.kill_after_step;
-    rc.kill_delay = Duration::msec(5);
     rc.kills = c.kills;
     rc.heartbeat_interval = heartbeat;
     rc.timeout_multiplier = timeout_multiplier;
@@ -216,15 +177,16 @@ int main(int argc, char** argv) {
     if (cr.sim.recoveries == 0) {
       violations.push_back(label + ": sim twin produced no recovery");
     }
-    // The components partition the window, on both substrates.
-    for (const auto& [substrate, c] :
-         {std::pair{"real", real_components(cr)},
-          std::pair{"sim", sim_components(cr)}}) {
-      if (std::fabs(c.sum() - c.window_s) > 2e-3) {
-        violations.push_back(label + ": " + substrate +
-                             " components sum " + TextTable::num(c.sum(), 6) +
-                             " s != window " + TextTable::num(c.window_s, 6) +
-                             " s");
+    // The components partition the measured window, on both substrates.
+    const double n = std::max<double>(1.0, cr.real.recoveries);
+    for (const auto& [substrate, sum, window] :
+         {std::tuple{"real", cr.real.recovery.total() / n,
+                     cr.real.recovery_window_s / n},
+          std::tuple{"sim", cr.sim.components.total(), cr.sim.window_s}}) {
+      if (std::fabs(sum - window) > 2e-3) {
+        violations.push_back(label + ": " + substrate + " components sum " +
+                             TextTable::num(sum, 6) + " s != window " +
+                             TextTable::num(window, 6) + " s");
       }
     }
     results.push_back(std::move(cr));
@@ -234,7 +196,7 @@ int main(int argc, char** argv) {
                    "ratio", "real det [ms]", "sim det [ms]", "ckpt [KiB]"});
   for (const auto& cr : results) {
     const double n = std::max<double>(1.0, cr.real.recoveries);
-    const double real_window = cr.real.recovery.window_s() / n;
+    const double real_window = cr.real.recovery_window_s / n;
     table.add_row(
         {std::string(realexec::to_string(cr.scenario.kernel)),
          std::string(realexec::to_string(cr.scenario.policy)),
@@ -243,8 +205,10 @@ int main(int argc, char** argv) {
          TextTable::num(cr.sim.window_s > 0 ? real_window / cr.sim.window_s
                                             : 0.0,
                         2),
-         TextTable::num(cr.real.recovery.detection_s / n * 1e3, 1),
-         TextTable::num(cr.sim.detection_s * 1e3, 1),
+         TextTable::num(
+             cr.real.recovery[obs::PathComponent::kDetection] / n * 1e3, 1),
+         TextTable::num(
+             cr.sim.components[obs::PathComponent::kDetection] * 1e3, 1),
          TextTable::num(static_cast<double>(cr.real.checkpoint_bytes) / 1024.0,
                         1)});
   }
@@ -258,6 +222,20 @@ int main(int argc, char** argv) {
         json.field("seed", 7);
       },
       [&](obs::JsonWriter& json) {
+        // One substrate's decomposition per recovery: the window, then
+        // every recovery component.
+        auto write_per_recovery = [&json](const char* substrate,
+                                          double window_s,
+                                          const obs::ComponentSums& sums,
+                                          double recoveries) {
+          json.key(substrate).begin_object();
+          json.field("window_s", window_s / recoveries);
+          for (const obs::PathComponent c : obs::kRecoveryComponents) {
+            json.field(std::string(obs::to_string_view(c)) + "_s",
+                       sums[c] / recoveries);
+          }
+          json.end_object();
+        };
         json.key("scenarios").begin_array();
         for (const auto& cr : results) {
           json.begin_object();
@@ -276,10 +254,11 @@ int main(int argc, char** argv) {
           json.field("checkpoint_bytes", cr.real.checkpoint_bytes);
           json.field("step_exec_ms", cr.real.first_step_exec_s * 1e3);
           json.field("kill_offset_ms", cr.real.kill_offset_s * 1e3);
-          json.key("real");
-          write_components(json, real_components(cr));
-          json.key("sim");
-          write_components(json, sim_components(cr));
+          write_per_recovery("real", cr.real.recovery_window_s,
+                             cr.real.recovery,
+                             std::max<double>(1.0, cr.real.recoveries));
+          // The twin's result is already a per-recovery mean.
+          write_per_recovery("sim", cr.sim.window_s, cr.sim.components, 1.0);
           json.end_object();
         }
         json.end_array();

@@ -16,7 +16,6 @@
 #include <type_traits>
 
 #include "common/table.hpp"
-#include "faas/substrate.hpp"
 #include "harness/experiment.hpp"
 #include "obs/chrome_trace.hpp"
 #include "realexec/backend.hpp"
@@ -72,7 +71,7 @@ void usage() {
       "  --seed=N         base seed (default 42)\n"
       "  --csv            emit CSV instead of an aligned table\n"
       "  --breakdown      print the recovery critical-path breakdown\n"
-      "                   (detection/scheduling/launch/init/restore/re-exec)\n"
+      "                   (detection/scheduling/launch/init/restore/re_exec)\n"
       "  --report=FILE    write a run_report.json (deterministic in seed)\n"
       "  --trace=FILE     write a chrome://tracing span timeline of one run\n";
 }
@@ -117,6 +116,10 @@ Options parse(int argc, char** argv) {
     } else if (parse_flag(argv[i], "--strategy", value)) {
       opts.strategy = value;
     } else if (parse_flag(argv[i], "--backend", value)) {
+      if (value != "sim" && value != "real") {
+        std::cerr << "error: --backend=" << value << ": expected sim or real\n";
+        std::exit(2);
+      }
       opts.backend = value;
     } else if (parse_flag(argv[i], "--error-rate", value)) {
       opts.error_rate = parse_number("--error-rate", value, 0.0, 0.95);
@@ -236,7 +239,7 @@ int run_real_backend(const Options& opts) {
   realexec::RealBackend backend(base);
 
   SampleSet makespan, window, recoveries;
-  faas::SubstrateRunSummary last;
+  realexec::RealScenarioResult last;
   for (int rep = 0; rep < opts.reps; ++rep) {
     realexec::RealScenarioConfig rep_config = rc;
     rep_config.seed = opts.seed + static_cast<std::uint64_t>(rep);
@@ -245,10 +248,10 @@ int run_real_backend(const Options& opts) {
       std::cerr << "oracle violation: " << v << "\n";
     }
     if (!result.violations.empty()) return 1;
-    last = result.summary();
     makespan.add(result.makespan_s);
-    window.add(result.recovery.window_s());
+    window.add(result.recovery_window_s);
     recoveries.add(static_cast<double>(result.recoveries));
+    last = result;
   }
 
   std::cout << "workload=" << opts.workload << " strategy=" << opts.strategy
@@ -273,19 +276,17 @@ int run_real_backend(const Options& opts) {
 
   if (opts.breakdown) {
     TextTable bd({"component", "last run [s]"});
-    bd.add_row({"detection", TextTable::num(last.detection_s, 3)});
-    bd.add_row({"scheduling", TextTable::num(last.scheduling_s, 3)});
-    bd.add_row({"launch", TextTable::num(last.launch_s, 3)});
-    bd.add_row({"init", TextTable::num(last.init_s, 3)});
-    bd.add_row({"restore", TextTable::num(last.restore_s, 3)});
-    bd.add_row({"re-exec", TextTable::num(last.re_exec_s, 3)});
+    for (const obs::PathComponent c : obs::kRecoveryComponents) {
+      bd.add_row({std::string(obs::to_string_view(c)),
+                  TextTable::num(last.recovery[c], 3)});
+    }
     if (opts.csv) {
       bd.print_csv(std::cout);
     } else {
       bd.print(std::cout);
     }
   }
-  std::cout << "stale-epoch rejects: " << last.stale_epoch_rejects << "\n";
+  std::cout << "stale-epoch rejects: " << last.kv_stale_epoch_rejects << "\n";
   return 0;
 }
 
@@ -298,14 +299,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto backend = faas::parse_backend(opts.backend);
-  if (!backend.has_value()) {
-    std::cerr << "unknown backend '" << opts.backend << "' (sim | real)\n";
-    return 2;
-  }
-  if (*backend == faas::BackendKind::kReal) {
-    return run_real_backend(opts);
-  }
+  if (opts.backend == "real") return run_real_backend(opts);
 
   auto job = build_job(opts);
   if (opts.sla_seconds > 0.0) job.sla = Duration::sec(opts.sla_seconds);

@@ -46,19 +46,6 @@ const FunctionInfoRow* MetadataStore::function(FunctionId id) const {
   return it == functions_.end() ? nullptr : &it->second;
 }
 
-std::vector<const FunctionInfoRow*> MetadataStore::functions_of_job(
-    JobId id) const {
-  std::vector<const FunctionInfoRow*> rows;
-  for (const auto& [fid, row] : functions_) {
-    if (row.job == id) rows.push_back(&row);
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const FunctionInfoRow* a, const FunctionInfoRow* b) {
-              return a->function < b->function;
-            });
-  return rows;
-}
-
 void MetadataStore::insert_checkpoint(CheckpointInfoRow row) {
   auto& rows = checkpoints_[row.function].rows;
   for (const CheckpointInfoRow& existing : rows) {

@@ -100,7 +100,6 @@ class MetadataStore {
   void insert_function(FunctionInfoRow row);
   FunctionInfoRow* mutable_function(FunctionId id);
   const FunctionInfoRow* function(FunctionId id) const;
-  std::vector<const FunctionInfoRow*> functions_of_job(JobId id) const;
 
   // -- checkpoint_info ---------------------------------------------------
   // Rows are stored per function and addressed by (function, checkpoint

@@ -39,13 +39,4 @@ bool ProactiveMitigator::any_suspect() const {
   return false;
 }
 
-std::vector<NodeId> ProactiveMitigator::suspects() const {
-  std::vector<NodeId> result;
-  if (!config_.enabled) return result;
-  for (const auto& [node, events] : failures_) {
-    if (is_suspect(node)) result.push_back(node);
-  }
-  return result;
-}
-
 }  // namespace canary::core

@@ -45,7 +45,6 @@ class ProactiveMitigator {
   /// Whether `node` is currently predicted to be failing.
   bool is_suspect(NodeId node) const;
   bool any_suspect() const;
-  std::vector<NodeId> suspects() const;
 
   /// Replica-target multiplier for the current suspicion state.
   double replica_boost() const {

@@ -170,14 +170,6 @@ std::vector<NodeId> Cluster::nodes_in_zone(std::uint32_t zone) const {
   return ids;
 }
 
-std::vector<std::uint32_t> Cluster::zones() const {
-  std::vector<std::uint32_t> out;
-  for (const auto& n : nodes_) out.push_back(n.spec().zone);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 std::optional<NodeId> Cluster::least_loaded_avoiding_zone(
     Bytes memory, std::uint32_t avoid_zone,
     const std::vector<NodeId>& excluded) const {
@@ -199,6 +191,5 @@ std::optional<NodeId> Cluster::least_loaded_avoiding_zone(
 }
 
 void Cluster::fail_node(NodeId id) { node(id).mark_failed(); }
-void Cluster::restore_node(NodeId id) { node(id).mark_restored(); }
 
 }  // namespace canary::cluster

@@ -70,9 +70,6 @@ class Cluster : private NodeUsageListener {
   /// All node ids in `zone`, ascending.
   std::vector<NodeId> nodes_in_zone(std::uint32_t zone) const;
 
-  /// Sorted unique fault domains present in the cluster.
-  std::vector<std::uint32_t> zones() const;
-
   /// Least-loaded alive candidate preferring nodes OUTSIDE `avoid_zone`;
   /// falls back to in-zone hosts only when no other zone has capacity.
   /// The fault-domain-spreading placement primitive: two copies land in
@@ -89,7 +86,6 @@ class Cluster : private NodeUsageListener {
   bool spread_fault_domains() const { return spread_fault_domains_; }
 
   void fail_node(NodeId id);
-  void restore_node(NodeId id);
 
  private:
   std::size_t index_of(NodeId id) const;

@@ -2,15 +2,6 @@
 
 namespace canary::cluster {
 
-std::string_view to_string_view(CpuClass c) {
-  switch (c) {
-    case CpuClass::kXeonGold6126: return "Xeon-Gold-6126";
-    case CpuClass::kXeonGold6240R: return "Xeon-Gold-6240R";
-    case CpuClass::kXeonGold6242: return "Xeon-Gold-6242";
-  }
-  return "unknown";
-}
-
 double speed_factor(CpuClass c) {
   switch (c) {
     case CpuClass::kXeonGold6126: return 1.18;   // oldest, slowest

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
@@ -22,8 +21,6 @@ enum class CpuClass {
   kXeonGold6240R,  // Cascade Lake, 2020
   kXeonGold6242,   // Cascade Lake, 2019
 };
-
-std::string_view to_string_view(CpuClass c);
 
 /// Relative duration multiplier for work executed on this CPU class
 /// (1.0 = nominal). Older parts run slower.
@@ -82,14 +79,6 @@ class Node {
     const std::uint32_t old_slots = used_slots_;
     const bool was_alive = alive_;
     alive_ = false;
-    notify(old_slots, was_alive);
-  }
-  void mark_restored() {
-    const std::uint32_t old_slots = used_slots_;
-    const bool was_alive = alive_;
-    alive_ = true;
-    used_slots_ = 0;
-    used_memory_ = Bytes::zero();
     notify(old_slots, was_alive);
   }
 

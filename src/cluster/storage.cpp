@@ -4,18 +4,6 @@
 
 namespace canary::cluster {
 
-std::string_view to_string_view(StorageTier tier) {
-  switch (tier) {
-    case StorageTier::kKvStore: return "kvstore";
-    case StorageTier::kRamdisk: return "ramdisk";
-    case StorageTier::kPmem: return "pmem";
-    case StorageTier::kNfs: return "nfs";
-    case StorageTier::kLocalDisk: return "local-disk";
-    case StorageTier::kExternal: return "external";
-  }
-  return "unknown";
-}
-
 StorageHierarchy StorageHierarchy::testbed() {
   // Latency/bandwidth figures follow published measurements: Ignite-class
   // KV ops ~0.5 ms; Ramdisk multi-GiB/s; Optane AppDirect ~1-2 GiB/s
@@ -58,15 +46,6 @@ bool StorageHierarchy::has_tier(StorageTier tier) const {
 std::optional<StorageTier> StorageHierarchy::spill_tier_for(Bytes payload) const {
   for (const auto& t : tiers_) {
     if (t.tier == StorageTier::kKvStore) continue;  // spill leaves the KV
-    if (payload.count() <= t.capacity.count()) return t.tier;
-  }
-  return std::nullopt;
-}
-
-std::optional<StorageTier> StorageHierarchy::shared_tier_for(Bytes payload) const {
-  for (const auto& t : tiers_) {
-    if (t.tier == StorageTier::kKvStore) continue;
-    if (!t.shared && !t.survives_node_failure) continue;
     if (payload.count() <= t.capacity.count()) return t.tier;
   }
   return std::nullopt;

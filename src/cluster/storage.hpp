@@ -10,7 +10,6 @@
 #pragma once
 
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -26,8 +25,6 @@ enum class StorageTier {
   kLocalDisk,  // node-local SSD/HDD
   kExternal,   // custom endpoint (e.g. S3)
 };
-
-std::string_view to_string_view(StorageTier tier);
 
 struct TierProfile {
   StorageTier tier;
@@ -57,11 +54,6 @@ class StorageHierarchy {
   /// deployment order; the paper prefers PMem/Ramdisk and falls back to
   /// shared NFS. Returns nullopt only if no tier has capacity.
   std::optional<StorageTier> spill_tier_for(Bytes payload) const;
-
-  /// Fastest *shared* (or failure-surviving) tier for `payload`; used for
-  /// checkpoints that must outlive node failures (Fig. 11's node-level
-  /// failure experiments rely on shared-storage checkpoints).
-  std::optional<StorageTier> shared_tier_for(Bytes payload) const;
 
   Duration write_time(StorageTier tier, Bytes payload) const;
   Duration read_time(StorageTier tier, Bytes payload) const;

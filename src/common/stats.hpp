@@ -1,34 +1,12 @@
-// Streaming and sample statistics used by the metrics recorder and the
-// experiment harness (paper §V-B reports 10-run averages with <5%
-// variance; we report mean, stddev, and percentiles).
+// Sample statistics used by the experiment harness (paper §V-B reports
+// 10-run averages with <5% variance; we report mean, stddev, and
+// percentiles).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace canary {
-
-/// Welford's online mean/variance. O(1) memory, numerically stable.
-class RunningStats {
- public:
-  void add(double x);
-  void merge(const RunningStats& other);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  double variance() const;  // sample variance (n-1 denominator)
-  double stddev() const;
-  double min() const { return n_ > 0 ? min_ : 0.0; }
-  double max() const { return n_ > 0 ? max_ : 0.0; }
-  double sum() const { return mean_ * static_cast<double>(n_); }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Retains all samples; supports exact percentiles. Used where sample
 /// counts are bounded (per-experiment repetition results).

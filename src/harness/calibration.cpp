@@ -45,14 +45,10 @@ CalibrationTwinResult run_calibration_twin(
   result.recoveries = agg.breakdown.recovery_count;
   if (result.recoveries == 0) return result;
   const double n = static_cast<double>(result.recoveries);
-  const auto& c = agg.breakdown.recovery_components;
   result.window_s = agg.breakdown.recovery_window_s / n;
-  result.detection_s = c[obs::PathComponent::kDetection] / n;
-  result.scheduling_s = c[obs::PathComponent::kScheduling] / n;
-  result.launch_s = c[obs::PathComponent::kLaunch] / n;
-  result.init_s = c[obs::PathComponent::kInit] / n;
-  result.restore_s = c[obs::PathComponent::kRestore] / n;
-  result.re_exec_s = c[obs::PathComponent::kReExec] / n;
+  for (const obs::PathComponent c : obs::kRecoveryComponents) {
+    result.components[c] = agg.breakdown.recovery_components[c] / n;
+  }
   return result;
 }
 

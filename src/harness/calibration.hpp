@@ -15,6 +15,7 @@
 #include "common/bytes.hpp"
 #include "common/time.hpp"
 #include "harness/scenario.hpp"
+#include "obs/critical_path.hpp"
 
 namespace canary::harness {
 
@@ -37,18 +38,13 @@ struct CalibrationWorkload {
   int repetitions = 5;
 };
 
-/// Per-component recovery seconds, averaged per recovery across the
-/// twin's repetitions (a run whose random victim misses the busy node
-/// contributes no recovery and is excluded by construction).
+/// Recovery window and per-component seconds, averaged per recovery
+/// across the twin's repetitions (a run whose random victim misses the
+/// busy node contributes no recovery and is excluded by construction).
 struct CalibrationTwinResult {
   std::uint64_t recoveries = 0;
   double window_s = 0.0;
-  double detection_s = 0.0;
-  double scheduling_s = 0.0;
-  double launch_s = 0.0;
-  double init_s = 0.0;
-  double restore_s = 0.0;
-  double re_exec_s = 0.0;
+  obs::ComponentSums components;
 };
 
 /// The twin's scenario: a 2-node cluster running one kNativeProc

@@ -105,7 +105,6 @@ Status KvStore::put(const std::string& key, std::string payload,
     auto& entry = shard.map[key];
     entry.payload = std::move(payload);
     entry.logical_size = size;
-    ++entry.version;
     entry.checksum = kv_checksum(entry.payload);
     entry.owners = std::move(owners);
   }
@@ -235,15 +234,6 @@ std::size_t KvStore::size() const {
   return total;
 }
 
-Bytes KvStore::logical_bytes() const {
-  Bytes total = Bytes::zero();
-  for (const auto& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard->mutex);
-    for (const auto& [key, entry] : shard->map) total += entry.logical_size;
-  }
-  return total;
-}
-
 KvStats KvStore::stats() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   return stats_;
@@ -255,7 +245,6 @@ void KvStore::fail_node(NodeId node) {
     auto it = std::find(cache_nodes_.begin(), cache_nodes_.end(), node);
     if (it == cache_nodes_.end()) return;
     cache_nodes_.erase(it);
-    dead_nodes_.push_back(node);
   }
   std::uint64_t lost = 0;
   for (const auto& shard : shards_) {
@@ -274,17 +263,6 @@ void KvStore::fail_node(NodeId node) {
   }
   std::lock_guard<std::mutex> lock(stats_mutex_);
   stats_.entries_lost += lost;
-}
-
-void KvStore::restore_node(NodeId node) {
-  std::unique_lock<std::shared_mutex> mlock(membership_mutex_);
-  fenced_nodes_.erase(
-      std::remove(fenced_nodes_.begin(), fenced_nodes_.end(), node),
-      fenced_nodes_.end());
-  auto it = std::find(dead_nodes_.begin(), dead_nodes_.end(), node);
-  if (it == dead_nodes_.end()) return;
-  dead_nodes_.erase(it);
-  cache_nodes_.push_back(node);
 }
 
 void KvStore::fence_node(NodeId node) {

@@ -10,8 +10,8 @@
 //   * replicated vs. partitioned caching: entry copies live on cache
 //     nodes; a node failure destroys its copies, and an entry survives if
 //     any copy remains or native persistence is on;
-//   * version counters per key and prefix scans (used to enumerate the
-//     latest-n checkpoints of a function).
+//   * prefix scans (used to enumerate the latest-n checkpoints of a
+//     function).
 //
 // The store is genuinely concurrent — sharded with per-shard shared
 // mutexes — because examples and tests exercise it from multiple threads,
@@ -54,7 +54,6 @@ struct KvConfig {
 struct KvEntry {
   std::string payload;       // serialized metadata (small, real bytes)
   Bytes logical_size;        // size of the represented object
-  std::uint64_t version = 0;
   /// FNV-1a over the payload, written at put time. A shard fault that
   /// flips entry bits leaves the stored checksum stale, so readers that
   /// care (the Checkpointing Module) can detect the damage via intact().
@@ -126,17 +125,11 @@ class KvStore {
   std::vector<std::string> keys_with_prefix(const std::string& prefix) const;
 
   std::size_t size() const;
-  Bytes logical_bytes() const;
   KvStats stats() const;
 
   /// Drop the copies held by `node`. Entries with no remaining copy are
   /// destroyed unless native persistence is enabled.
   void fail_node(NodeId node);
-  /// Bring `node` back as a cache node for future puts (existing entries
-  /// are not rebalanced onto it, matching Ignite's lazy rebalancing).
-  /// Restoring also clears any fence: a re-admitted node rejoins at a
-  /// fresh epoch.
-  void restore_node(NodeId node);
 
   // ---- epoch fencing (split-brain safety) -------------------------------
   /// Advance `node`'s write epoch: every subsequent writer-attributed put
@@ -168,13 +161,11 @@ class KvStore {
   Shard& shard_for(const std::string& key);
   const Shard& shard_for(const std::string& key) const;
   std::vector<NodeId> choose_owners(const std::string& key) const;
-  bool entry_alive(const KvEntry& entry) const;
 
   KvConfig config_;
   std::function<bool(NodeId)> writer_quorum_;
   std::function<std::uint32_t(NodeId)> zone_of_;
   std::vector<NodeId> cache_nodes_;
-  std::vector<NodeId> dead_nodes_;
   /// Nodes whose write epoch was advanced by fence_node; guarded by
   /// membership_mutex_.
   std::vector<NodeId> fenced_nodes_;

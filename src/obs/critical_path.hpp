@@ -45,6 +45,15 @@ enum class PathComponent {
 };
 inline constexpr std::size_t kPathComponentCount = 10;
 
+/// The six components that partition a failure-to-recovery window, in
+/// report order. Both substrates (the analyzer here, the real-execution
+/// backend) decompose a window into exactly these.
+inline constexpr std::array<PathComponent, 6> kRecoveryComponents = {
+    PathComponent::kDetection, PathComponent::kScheduling,
+    PathComponent::kLaunch,    PathComponent::kInit,
+    PathComponent::kRestore,   PathComponent::kReExec,
+};
+
 std::string_view to_string_view(PathComponent component);
 
 /// Seconds attributed to each component; a tiny fixed-size map.

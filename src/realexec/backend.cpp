@@ -20,39 +20,7 @@ const char* to_string(RecoveryPolicy policy) {
   return "unknown";
 }
 
-void RecoveryTiming::add(const RecoveryTiming& other) {
-  detection_s += other.detection_s;
-  scheduling_s += other.scheduling_s;
-  launch_s += other.launch_s;
-  init_s += other.init_s;
-  restore_s += other.restore_s;
-  re_exec_s += other.re_exec_s;
-}
-
-faas::SubstrateRunSummary RealScenarioResult::summary() const {
-  faas::SubstrateRunSummary s;
-  s.backend = "real";
-  s.completed = completed;
-  s.invocations = 1;
-  s.failures = recoveries;
-  s.recoveries = recoveries;
-  s.makespan_s = makespan_s;
-  s.recovery_window_s = recovery.window_s();
-  s.detection_s = recovery.detection_s;
-  s.scheduling_s = recovery.scheduling_s;
-  s.launch_s = recovery.launch_s;
-  s.init_s = recovery.init_s;
-  s.restore_s = recovery.restore_s;
-  s.re_exec_s = recovery.re_exec_s;
-  s.stale_epoch_rejects = kv_stale_epoch_rejects;
-  return s;
-}
-
 RealBackend::RealBackend(ControllerConfig base) : base_(std::move(base)) {}
-
-void RealBackend::add_observer(faas::PlatformObserver* observer) {
-  observers_.push_back(observer);
-}
 
 RealScenarioResult RealBackend::run(const RealScenarioConfig& scenario) {
   ControllerConfig config = base_;
@@ -64,23 +32,6 @@ RealScenarioResult RealBackend::run(const RealScenarioConfig& scenario) {
   result.reference_checksum =
       reference_checksum(scenario.kernel, scenario.seed, scenario.size_param,
                          scenario.steps_total);
-
-  // Observer-facing invocation view, mirroring the simulated platform's.
-  faas::FunctionSpec spec;
-  spec.name = to_string(scenario.kernel);
-  spec.runtime = faas::RuntimeImage::kNativeProc;
-  spec.states.resize(scenario.steps_total);
-  faas::Invocation view;
-  view.id = FunctionId{1};
-  view.job = JobId{1};
-  view.spec = &spec;
-  auto notify_started = [&](WorkerId worker, std::uint32_t epoch) {
-    view.phase = faas::Phase::kExecuting;
-    view.attempt = static_cast<int>(epoch);
-    view.node = ctl.node_of(worker);
-    view.container = ContainerId{worker + 1};
-    for (auto* obs : observers_) obs->on_attempt_started(view);
-  };
 
   constexpr std::uint32_t kInv = 0;
   const TimePoint t_start = ctl.now();
@@ -135,15 +86,33 @@ RealScenarioResult RealBackend::run(const RealScenarioConfig& scenario) {
     lineage.epoch = ctl.dispatch(lineage.worker, task);
     lineage.dispatch_at = ctl.now();
     lineage.dispatched = true;
-    notify_started(lineage.worker, lineage.epoch);
   };
 
-  // Kill plan: arm on the trigger commit, fire after the delay.
+  // The current recovery lineage has repaid the failure's work deficit
+  // at `at`: close its window. Scheduling is the residual, so the
+  // components sum to the measured window.
+  auto close_window = [&](TimePoint at) {
+    using obs::PathComponent;
+    obs::ComponentSums t;
+    t[PathComponent::kDetection] =
+        (cur.dead_at - cur.kill_sent_at).to_seconds();
+    t[PathComponent::kLaunch] = (cur.hello_at - cur.spawn_at).to_seconds();
+    t[PathComponent::kInit] = (cur.ready_at - cur.dispatch_at).to_seconds();
+    t[PathComponent::kRestore] =
+        (cur.restore_done_at - cur.ready_at).to_seconds();
+    t[PathComponent::kReExec] = (at - cur.restore_done_at).to_seconds();
+    const double window = (at - cur.kill_sent_at).to_seconds();
+    t[PathComponent::kScheduling] = std::max(0.0, window - t.total());
+    result.recovery.merge(t);
+    result.recovery_window_s += window;
+    ++result.recoveries;
+    cur.caught_up = true;
+  };
+
+  // Kill plan: SIGKILL the worker as soon as the trigger commit is seen.
   std::uint32_t kills_done = 0;
   std::uint32_t next_kill_commit = scenario.kill_after_commit_step;
-  bool kill_armed = false;
   bool kill_outstanding = false;
-  TimePoint kill_at;
   TimePoint kill_sent_at;
 
   // Step-duration measurement (feeds the sim twin): inter-commit gaps
@@ -156,24 +125,8 @@ RealScenarioResult RealBackend::run(const RealScenarioConfig& scenario) {
   TimePoint t_end = t_start;
   std::vector<ControllerEvent> events;
   while (!done && ctl.now() - t_start < scenario.run_timeout) {
-    if (kill_armed && ctl.now() >= kill_at) {
-      ctl.sigkill(cur.worker);
-      kill_sent_at = ctl.now();
-      if (kills_done == 0) {
-        result.kill_offset_s = (kill_sent_at - t_start).to_seconds();
-      }
-      ++kills_done;
-      kill_armed = false;
-      kill_outstanding = true;
-    }
-    Duration slice = Duration::msec(5);
-    if (kill_armed) {
-      const Duration until =
-          kill_at > ctl.now() ? kill_at - ctl.now() : Duration::usec(100);
-      slice = std::min(slice, std::max(until, Duration::usec(100)));
-    }
     events.clear();
-    ctl.poll_events(slice, &events);
+    ctl.poll_events(Duration::msec(5), &events);
 
     for (const auto& ev : events) {
       switch (ev.kind) {
@@ -211,39 +164,26 @@ RealScenarioResult RealBackend::run(const RealScenarioConfig& scenario) {
           if (cur.is_recovery && !cur.caught_up &&
               ev.step >= cur.catchup_step) {
             // The step that was in flight when the SIGKILL landed has
-            // been recommitted: the failure's work deficit is repaid
-            // and the recovery window closes.
-            RecoveryTiming t;
-            t.detection_s = (cur.dead_at - cur.kill_sent_at).to_seconds();
-            t.launch_s = (cur.hello_at - cur.spawn_at).to_seconds();
-            t.init_s = (cur.ready_at - cur.dispatch_at).to_seconds();
-            t.restore_s = (cur.restore_done_at - cur.ready_at).to_seconds();
-            t.re_exec_s = (ev.at - cur.restore_done_at).to_seconds();
-            const double window = (ev.at - cur.kill_sent_at).to_seconds();
-            t.scheduling_s =
-                std::max(0.0, window - t.detection_s - t.launch_s - t.init_s -
-                                  t.restore_s - t.re_exec_s);
-            result.recovery.add(t);
-            ++result.recoveries;
-            cur.caught_up = true;
+            // been recommitted: the failure's work deficit is repaid.
+            close_window(ev.at);
           }
-          if (kills_done < scenario.kills && !kill_armed &&
-              !kill_outstanding && ev.step >= next_kill_commit) {
-            kill_armed = true;
-            kill_at = ev.at + scenario.kill_delay;
+          if (kills_done < scenario.kills && !kill_outstanding &&
+              ev.step >= next_kill_commit) {
+            // Fire now: a step takes milliseconds, so any delay risks
+            // the worker committing its last step before the kill lands.
+            ctl.sigkill(cur.worker);
+            kill_sent_at = ctl.now();
+            if (kills_done == 0) {
+              result.kill_offset_s = (kill_sent_at - t_start).to_seconds();
+            }
+            ++kills_done;
+            kill_outstanding = true;
             next_kill_commit = ev.step + 2;
           }
           break;
         }
         case ControllerEvent::Kind::kWorkerDead: {
           if (ev.worker != cur.worker) break;
-          view.phase = faas::Phase::kFailed;
-          view.node = ctl.node_of(ev.worker);
-          for (auto* obs : observers_) {
-            obs->on_function_failed(
-                view, {faas::FailureKind::kNodeFailure, ctl.node_of(ev.worker),
-                       ContainerId{ev.worker + 1}});
-          }
           if (!kill_outstanding) {
             result.violations.push_back(
                 "worker declared dead without an injected kill");
@@ -281,22 +221,8 @@ RealScenarioResult RealBackend::run(const RealScenarioConfig& scenario) {
           if (cur.is_recovery && !cur.caught_up) {
             // Kill landed after the last step's commit: nothing to
             // recommit, the window closes at completion.
-            RecoveryTiming t;
-            t.detection_s = (cur.dead_at - cur.kill_sent_at).to_seconds();
-            t.launch_s = (cur.hello_at - cur.spawn_at).to_seconds();
-            t.init_s = (cur.ready_at - cur.dispatch_at).to_seconds();
-            t.restore_s = (cur.restore_done_at - cur.ready_at).to_seconds();
-            t.re_exec_s = (ev.at - cur.restore_done_at).to_seconds();
-            const double window = (ev.at - cur.kill_sent_at).to_seconds();
-            t.scheduling_s =
-                std::max(0.0, window - t.detection_s - t.launch_s - t.init_s -
-                                  t.restore_s - t.re_exec_s);
-            result.recovery.add(t);
-            ++result.recoveries;
-            cur.caught_up = true;
+            close_window(ev.at);
           }
-          view.phase = faas::Phase::kCompleted;
-          for (auto* obs : observers_) obs->on_function_completed(view);
           break;
         }
         case ControllerEvent::Kind::kCommitStale:

@@ -6,9 +6,8 @@
 // One scenario = one invocation of a miniature kernel, SIGKILLed
 // mid-execution `kills` times, recovered under a policy (retry from
 // scratch, checkpoint restore from the epoch-fenced KV store, or a
-// pre-forked warm spare). PlatformObservers installed on the backend
-// receive the same attempt/failure/completion callbacks the simulated
-// Platform emits, so harness-side bookkeeping is substrate-blind.
+// pre-forked warm spare). Each recovery window is split into the same
+// obs::kRecoveryComponents the simulator's CriticalPathAnalyzer reports.
 #pragma once
 
 #include <cstdint>
@@ -16,9 +15,7 @@
 #include <vector>
 
 #include "common/time.hpp"
-#include "faas/events.hpp"
-#include "faas/function.hpp"
-#include "faas/substrate.hpp"
+#include "obs/critical_path.hpp"
 #include "realexec/controller.hpp"
 
 namespace canary::realexec {
@@ -37,11 +34,10 @@ struct RealScenarioConfig {
   std::uint64_t size_param = 1 << 20;
   std::uint32_t steps_total = 8;
   RecoveryPolicy policy = RecoveryPolicy::kCheckpointRestore;
-  /// SIGKILL the active worker this long after the commit of step
-  /// `kill_after_commit_step` is accepted (mid-execution of the next
-  /// step). Subsequent kills re-arm two steps later each.
+  /// SIGKILL the active worker as soon as the accepted commit of step
+  /// `kill_after_commit_step` is observed (mid-execution of the next
+  /// step). Subsequent kills trigger two steps later each.
   std::uint32_t kill_after_commit_step = 2;
-  Duration kill_delay = Duration::msec(5);
   std::uint32_t kills = 1;
   Duration heartbeat_interval = Duration::msec(40);
   double timeout_multiplier = 4.0;
@@ -49,28 +45,19 @@ struct RealScenarioConfig {
   Duration run_timeout = Duration::sec(120.0);
 };
 
-/// Per-component recovery time, the paper's decomposition. Scheduling
-/// is the residual, so the components sum exactly to the window.
-struct RecoveryTiming {
-  double detection_s = 0.0;   // SIGKILL -> heartbeat-declared dead
-  double scheduling_s = 0.0;  // residual (drain, spawn gap, dispatch gap)
-  double launch_s = 0.0;      // fork -> Hello
-  double init_s = 0.0;        // dispatch -> TaskReady (input synthesis)
-  double restore_s = 0.0;     // TaskReady -> RestoreDone
-  double re_exec_s = 0.0;     // RestoreDone -> in-flight step recommitted
-  double window_s() const {
-    return detection_s + scheduling_s + launch_s + init_s + restore_s +
-           re_exec_s;
-  }
-  void add(const RecoveryTiming& other);
-};
-
 struct RealScenarioResult {
   bool completed = false;
   std::uint64_t reference_checksum = 0;
   std::uint64_t final_checksum = 0;
   std::uint64_t recoveries = 0;
-  RecoveryTiming recovery;  // summed over recoveries
+  /// Per-component recovery time summed over recoveries, measured phase
+  /// by phase: detection is SIGKILL -> heartbeat-declared dead, launch
+  /// fork -> Hello, init dispatch -> TaskReady, restore TaskReady ->
+  /// RestoreDone, re-exec RestoreDone -> the in-flight step recommitted;
+  /// scheduling is the residual (drain, spawn and dispatch gaps).
+  obs::ComponentSums recovery;
+  /// Measured SIGKILL-to-recommit windows, summed over recoveries.
+  double recovery_window_s = 0.0;
   double makespan_s = 0.0;
   double first_step_exec_s = 0.0;  // mean accepted-commit inter-arrival
   std::uint64_t checkpoint_bytes = 0;  // last accepted checkpoint's size
@@ -80,23 +67,16 @@ struct RealScenarioResult {
   /// Oracle violations (empty = exactly-once, no-corrupt-restore and
   /// completion all held).
   std::vector<std::string> violations;
-
-  faas::SubstrateRunSummary summary() const;
 };
 
 class RealBackend {
  public:
   explicit RealBackend(ControllerConfig base = {});
 
-  /// Observers receive faas::PlatformObserver callbacks mirroring the
-  /// simulated platform's (attempt started / failed / completed).
-  void add_observer(faas::PlatformObserver* observer);
-
   RealScenarioResult run(const RealScenarioConfig& scenario);
 
  private:
   ControllerConfig base_;
-  std::vector<faas::PlatformObserver*> observers_;
 };
 
 }  // namespace canary::realexec

@@ -46,10 +46,6 @@ void ActiveStandbyHandler::on_job_submitted(JobId job) {
   }
 }
 
-void ActiveStandbyHandler::on_attempt_started(const faas::Invocation& inv) {
-  (void)inv;  // placement of future standbys reads the live invocation
-}
-
 void ActiveStandbyHandler::on_failure(const faas::Invocation& inv,
                                       const faas::FailureInfo& info) {
   (void)info;
@@ -103,14 +99,6 @@ void ActiveStandbyHandler::on_container_destroyed(const faas::Container& c) {
     // function is still live.
     provision_standby(fn);
   }
-}
-
-std::size_t ActiveStandbyHandler::ready_standbys() const {
-  std::size_t count = 0;
-  for (const auto& [fn, standby] : standbys_) {
-    if (standby.ready) ++count;
-  }
-  return count;
 }
 
 }  // namespace canary::recovery

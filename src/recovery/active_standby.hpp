@@ -28,11 +28,8 @@ class ActiveStandbyHandler final : public faas::RecoveryHandler,
 
   // PlatformObserver
   void on_job_submitted(JobId job) override;
-  void on_attempt_started(const faas::Invocation& inv) override;
   void on_function_completed(const faas::Invocation& inv) override;
   void on_container_destroyed(const faas::Container& c) override;
-
-  std::size_t ready_standbys() const;
 
  private:
   struct Standby {

@@ -48,14 +48,6 @@ RequestReplicationHandler::Group* RequestReplicationHandler::group_of(
   return &groups_[it->second.first][it->second.second];
 }
 
-TimePoint RequestReplicationHandler::group_completion(JobId job,
-                                                      std::size_t group) const {
-  auto it = groups_.find(job);
-  CANARY_CHECK(it != groups_.end(), "job not tracked");
-  CANARY_CHECK(group < it->second.size(), "group out of range");
-  return it->second[group].winner_time;
-}
-
 void RequestReplicationHandler::on_failure(const faas::Invocation& inv,
                                            const faas::FailureInfo& info) {
   (void)info;
@@ -85,7 +77,6 @@ void RequestReplicationHandler::on_function_completed(
   Group* group = group_of(inv.id);
   if (group == nullptr || group->won) return;
   group->won = true;
-  group->winner_time = platform_.simulator().now();
   platform_.metrics().count("rr_group_wins");
 
   // First successful response accepted; discard the rest.

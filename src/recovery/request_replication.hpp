@@ -32,9 +32,6 @@ class RequestReplicationHandler final : public faas::RecoveryHandler,
   /// Register the submitted (expanded) job's functions into race groups.
   void track_job(JobId job);
 
-  /// Completion time of logical group `g` of `job` (first winner).
-  TimePoint group_completion(JobId job, std::size_t group) const;
-
   // RecoveryHandler
   void on_failure(const faas::Invocation& inv,
                   const faas::FailureInfo& info) override;
@@ -47,7 +44,6 @@ class RequestReplicationHandler final : public faas::RecoveryHandler,
     std::vector<FunctionId> members;
     std::vector<bool> down;  // currently failed, awaiting a sibling win
     bool won = false;
-    TimePoint winner_time = TimePoint::max();
   };
 
   Group* group_of(FunctionId id);

@@ -98,17 +98,6 @@ faas::FunctionSpec runtime_probe_function(faas::RuntimeImage image,
   return fn;
 }
 
-faas::FunctionSpec scaled(faas::FunctionSpec fn, double factor) {
-  CANARY_CHECK(factor > 0.0, "scale factor must be positive");
-  for (auto& state : fn.states) {
-    state.duration = state.duration * factor;
-    state.checkpoint_payload = Bytes::of(static_cast<std::uint64_t>(
-        static_cast<double>(state.checkpoint_payload.count()) * factor));
-  }
-  fn.finalize = fn.finalize * factor;
-  return fn;
-}
-
 faas::FunctionSpec function_of(WorkloadKind kind) {
   switch (kind) {
     case WorkloadKind::kDlTraining: return dl_training_function();

@@ -62,12 +62,6 @@ faas::FunctionSpec graph_bfs_function(std::size_t million_vertices = 50);
 faas::FunctionSpec runtime_probe_function(faas::RuntimeImage image,
                                           std::size_t states = 6);
 
-/// SeBS-style input-size scaling: multiply every state duration and
-/// checkpoint payload (and the finalize phase) by `factor`, e.g. 0.1 for
-/// the "test" size, 1.0 for "small" (the defaults above), 10.0 for
-/// "large" inputs.
-faas::FunctionSpec scaled(faas::FunctionSpec fn, double factor);
-
 /// One workload function of the given kind with default parameters.
 faas::FunctionSpec function_of(WorkloadKind kind);
 

@@ -198,11 +198,14 @@ TEST_F(CoreModuleTest, MetadataTablesTrackExecution) {
   EXPECT_EQ(job_row->name, "tracked");
   EXPECT_EQ(job_row->function_count, 1u);
 
-  const auto fns = core.metadata().functions_of_job(id.value());
+  const auto& fns = platform().job_functions(id.value());
   ASSERT_EQ(fns.size(), 1u);
-  EXPECT_TRUE(fns.front()->completed);
-  EXPECT_EQ(fns.front()->attempts, 1);
-  EXPECT_TRUE(fns.front()->worker.valid());
+  const FunctionInfoRow* fn_row = core.metadata().function(fns.front());
+  ASSERT_NE(fn_row, nullptr);
+  EXPECT_EQ(fn_row->job, id.value());
+  EXPECT_TRUE(fn_row->completed);
+  EXPECT_EQ(fn_row->attempts, 1);
+  EXPECT_TRUE(fn_row->worker.valid());
 
   EXPECT_EQ(core.metadata().worker_count(), 4u);
 }

@@ -52,10 +52,12 @@ TEST(MetadataFunctionTest, InsertLookupByJob) {
     row.job = JobId{i == 3 ? 2u : 1u};
     db.insert_function(row);
   }
-  const auto of_job1 = db.functions_of_job(JobId{1});
-  ASSERT_EQ(of_job1.size(), 2u);
-  EXPECT_EQ(of_job1[0]->function, FunctionId{1});
-  EXPECT_EQ(of_job1[1]->function, FunctionId{2});
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    const FunctionInfoRow* row = db.function(FunctionId{i});
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(row->job, JobId{i == 3 ? 2u : 1u});
+  }
+  EXPECT_EQ(db.function(FunctionId{4}), nullptr);
   db.mutable_function(FunctionId{1})->attempts = 2;
   EXPECT_EQ(db.function(FunctionId{1})->attempts, 2);
 }

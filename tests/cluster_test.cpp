@@ -52,22 +52,12 @@ TEST(NodeTest, DeadNodeRefusesWork) {
   EXPECT_EQ(node.free_slots(), 0u);
 }
 
-TEST(NodeTest, RestoreClearsCapacity) {
-  Node node(NodeId{1}, NodeSpec{});
-  ASSERT_TRUE(node.reserve(Bytes::gib(1)).ok());
-  node.mark_failed();
-  node.mark_restored();
-  EXPECT_TRUE(node.alive());
-  EXPECT_EQ(node.used_slots(), 0u);
-}
-
 TEST(NodeTest, HeterogeneousProfiles) {
   // Older hardware: slower and more failure-prone (paper §I).
   EXPECT_GT(speed_factor(CpuClass::kXeonGold6126),
             speed_factor(CpuClass::kXeonGold6240R));
   EXPECT_GT(failure_weight(CpuClass::kXeonGold6126),
             failure_weight(CpuClass::kXeonGold6240R));
-  EXPECT_EQ(to_string_view(CpuClass::kXeonGold6242), "Xeon-Gold-6242");
 }
 
 // ---- cluster -----------------------------------------------------------
@@ -125,8 +115,6 @@ TEST(ClusterTest, AliveNodeIdsTracksFailures) {
   const auto alive = cluster.alive_node_ids();
   EXPECT_EQ(alive.size(), 3u);
   EXPECT_EQ(cluster.alive_count(), 3u);
-  cluster.restore_node(NodeId{2});
-  EXPECT_EQ(cluster.alive_count(), 4u);
 }
 
 TEST(ClusterTest, WeightedRandomOnlyPicksAlive) {
@@ -239,14 +227,6 @@ TEST(StorageTest, SpillFallsBackForHugePayloads) {
   const auto huge = storage.spill_tier_for(Bytes::gib(512));
   ASSERT_TRUE(huge.has_value());
   EXPECT_EQ(*huge, StorageTier::kNfs);
-}
-
-TEST(StorageTest, SharedTierSkipsNodeLocal) {
-  const auto storage = StorageHierarchy::testbed();
-  const auto tier = storage.shared_tier_for(Bytes::mib(100));
-  ASSERT_TRUE(tier.has_value());
-  // Ramdisk is node-local and volatile; pmem survives node failure.
-  EXPECT_EQ(*tier, StorageTier::kPmem);
 }
 
 TEST(StorageTest, WriteTimeScalesWithPayload) {

@@ -194,40 +194,6 @@ TEST(RngTest, ChildDerivationIgnoresParentPosition) {
 
 // ---- stats -------------------------------------------------------------------
 
-TEST(RunningStatsTest, MeanVarianceMinMax) {
-  RunningStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStatsTest, MergeMatchesSequential) {
-  RunningStats whole, left, right;
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform(0.0, 10.0);
-    whole.add(x);
-    (i < 500 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-}
-
-TEST(RunningStatsTest, EmptyAndSingle) {
-  RunningStats s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  s.add(3.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.mean(), 3.0);
-}
-
 TEST(SampleSetTest, PercentilesExact) {
   SampleSet s;
   for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));

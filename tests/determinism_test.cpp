@@ -204,7 +204,6 @@ TEST(DeterminismTest, RealBackendUnselectedLeavesSimArtifactsByteIdentical) {
   real.steps_total = 8;
   real.policy = realexec::RecoveryPolicy::kCheckpointRestore;
   real.kill_after_commit_step = 2;
-  real.kill_delay = Duration::msec(2);
   real.kills = 1;
   real.heartbeat_interval = Duration::msec(60);
   real.timeout_multiplier = 5.0;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "harness/calibration.hpp"
 #include "harness/experiment.hpp"
 #include "harness/fan_out.hpp"
 #include "workloads/workloads.hpp"
@@ -180,6 +181,25 @@ TEST(ExperimentTest, RepetitionsVaryAcrossSeeds) {
       run_repetitions(base_config(recovery::StrategyConfig::retry(), 0.3),
                       small_web_jobs(), 6);
   EXPECT_GT(agg.total_recovery_s.stddev(), 0.0);
+}
+
+// ---- calibration twin ----------------------------------------------------
+
+TEST(CalibrationTwinTest, ComponentsPartitionTheMeanWindow) {
+  // A small checkpoint-only workload in the shape realexec_validate
+  // measures: six 20 ms steps, 64 KiB checkpoints, a kill mid-run.
+  CalibrationWorkload workload;
+  workload.name = "census";
+  workload.steps = 6;
+  workload.step_exec = Duration::msec(20);
+  workload.checkpoint_bytes = Bytes::kib(64);
+  workload.kill_offset = Duration::msec(50);
+  workload.strategy = recovery::StrategyConfig::canary_checkpoint_only();
+  workload.repetitions = 3;
+  const CalibrationTwinResult twin = run_calibration_twin(workload);
+  ASSERT_GE(twin.recoveries, 1u);
+  EXPECT_GT(twin.window_s, 0.0);
+  EXPECT_NEAR(twin.components.total(), twin.window_s, 1e-3);
 }
 
 // ---- fan-out -------------------------------------------------------------

@@ -98,7 +98,9 @@ TEST_F(BaselineTest, RrFirstWinnerDiscardsLosers) {
   EXPECT_TRUE(platform_->job_completed(id.value()));
   EXPECT_EQ(metrics_.counter("rr_group_wins"), 1.0);
   EXPECT_EQ(metrics_.counter("functions_discarded"), 1.0);
-  EXPECT_NE(rr.group_completion(id.value(), 0), TimePoint::max());
+  // One race group per job: the job completes when its group's winner
+  // does.
+  EXPECT_NE(platform_->job_completion_time(id.value()), TimePoint::max());
 }
 
 TEST_F(BaselineTest, RrSurvivesSingleInstanceFailure) {
@@ -121,7 +123,8 @@ TEST_F(BaselineTest, RrSurvivesSingleInstanceFailure) {
   EXPECT_EQ(metrics_.counter("rr_group_restarts"), 0.0);
   EXPECT_EQ(metrics_.counter("rr_group_wins"), 1.0);
   // Completion at the replica's natural pace: 0.8 + 2.0 + 0.1 = 2.9s.
-  EXPECT_NEAR(rr.group_completion(id.value(), 0).to_seconds(), 2.9, 0.05);
+  EXPECT_NEAR(platform_->job_completion_time(id.value()).to_seconds(), 2.9,
+              0.05);
 }
 
 TEST_F(BaselineTest, RrRestartsWholeGroupWhenAllDown) {
@@ -142,7 +145,7 @@ TEST_F(BaselineTest, RrRestartsWholeGroupWhenAllDown) {
   EXPECT_TRUE(platform_->job_completed(id.value()));
   EXPECT_EQ(metrics_.counter("rr_group_restarts"), 1.0);
   // Restart happened after the second failure: completion > 3.9s.
-  EXPECT_GT(rr.group_completion(id.value(), 0).to_seconds(), 3.5);
+  EXPECT_GT(platform_->job_completion_time(id.value()).to_seconds(), 3.5);
 }
 
 TEST_F(BaselineTest, RrLateLoserFailureIsIgnored) {
@@ -175,11 +178,15 @@ TEST_F(BaselineTest, AsProvisionsStandbysAtSubmission) {
   const auto id = platform_->submit_job(job);
   ASSERT_TRUE(id.ok());
   sim_.run_until(TimePoint::origin() + Duration::sec(1.5));
-  EXPECT_EQ(as.ready_standbys(), 2u);
+  EXPECT_EQ(platform_->warm_idle_count(faas::RuntimeImage::kPython3,
+                                       faas::ContainerPurpose::kStandby),
+            2u);
   sim_.run();
   EXPECT_TRUE(platform_->job_completed(id.value()));
   // Standbys were torn down at completion.
-  EXPECT_EQ(as.ready_standbys(), 0u);
+  EXPECT_EQ(platform_->warm_idle_count(faas::RuntimeImage::kPython3,
+                                       faas::ContainerPurpose::kStandby),
+            0u);
   EXPECT_EQ(platform_->warm_container_count(faas::RuntimeImage::kPython3), 0u);
 }
 

@@ -68,24 +68,6 @@ TEST(WorkloadJobTest, KindNames) {
   EXPECT_EQ(workloads::to_string_view(WorkloadKind::kGraphBfs), "graph-bfs");
 }
 
-TEST(WorkloadSpecTest, ScaledMultipliesDurationsAndPayloads) {
-  const auto base = workloads::web_service_function(10);
-  const auto large = workloads::scaled(base, 10.0);
-  ASSERT_EQ(large.states.size(), base.states.size());
-  EXPECT_EQ(large.states[0].duration, base.states[0].duration * 10.0);
-  EXPECT_EQ(large.states[0].checkpoint_payload.count(),
-            base.states[0].checkpoint_payload.count() * 10);
-  EXPECT_EQ(large.finalize, base.finalize * 10.0);
-  // A "test"-size scale-down shrinks rather than grows.
-  const auto tiny = workloads::scaled(base, 0.1);
-  EXPECT_LT(tiny.total_state_work(), base.total_state_work());
-}
-
-TEST(WorkloadSpecDeathTest, ScaledRejectsNonPositiveFactor) {
-  EXPECT_DEATH((void)workloads::scaled(workloads::web_service_function(), 0.0),
-               "scale factor must be positive");
-}
-
 TEST(WorkloadSpecTest, TotalStateWork) {
   faas::FunctionSpec fn;
   fn.states.push_back({Duration::sec(1.0), {}});

@@ -381,14 +381,11 @@ def gate(report, baseline, path):
     expect(not failures, "; ".join(failures))
 
 
-REALEXEC_COMPONENTS = [
-    "detection_s",
-    "scheduling_s",
-    "launch_s",
-    "init_s",
-    "restore_s",
-    "re_exec_s",
-]
+# The components that partition a failure-to-recovery window
+# (obs::kRecoveryComponents): every component but first-try execution
+# and finalize, as the realexec report's `<component>_s` keys.
+REALEXEC_COMPONENTS = [f"{c}_s" for c in COMPONENTS
+                       if c not in ("exec", "finalize")]
 
 
 def calibrate_realexec(report, bands, path):
