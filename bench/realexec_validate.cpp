@@ -166,8 +166,7 @@ int main(int argc, char** argv) {
     twin.step_exec = Duration::usec(static_cast<std::int64_t>(
         std::max(cr.real.first_step_exec_s, 1e-4) * 1e6));
     twin.checkpoint_bytes = Bytes::of(cr.real.checkpoint_bytes);
-    twin.kill_offset = Duration::usec(static_cast<std::int64_t>(
-        std::max(cr.real.kill_offset_s, 1e-3) * 1e6));
+    twin.kill_after_step = c.kill_after_step;
     twin.strategy = strategy_for(c.policy);
     twin.heartbeat_interval = heartbeat;
     twin.timeout_multiplier = timeout_multiplier;

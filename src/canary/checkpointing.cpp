@@ -6,6 +6,23 @@
 
 namespace canary::core {
 
+namespace {
+
+/// Retention adapts when checkpoints are produced faster than these
+/// thresholds (frequent small states -> keep more).
+constexpr Duration kFastStateThreshold = Duration::msec(500);
+constexpr Duration kMediumStateThreshold = Duration::sec(2.0);
+/// Size of the {name, location, state} record pushed to the KV store when
+/// the payload itself spills to a storage tier.
+constexpr Bytes kMetadataSize = Bytes::of(512);
+/// Compression at zstd-class throughput; the ratio is calibrated on the
+/// repository's own LZ kernel over model-weight-like data.
+constexpr double kCompressionRatio = 2.8;
+constexpr double kCompressMibPerSec = 400.0;
+constexpr double kDecompressMibPerSec = 1200.0;
+
+}  // namespace
+
 CheckpointingModule::CheckpointingModule(
     sim::Simulator& simulator, cluster::Cluster& cluster,
     const cluster::StorageHierarchy& storage,
@@ -30,7 +47,7 @@ Bytes CheckpointingModule::effective_payload(const faas::FunctionSpec& spec,
   const Bytes nominal = spec.states[idx].checkpoint_payload;
   double scaled =
       static_cast<double>(nominal.count()) * config_.explicit_payload_factor;
-  if (config_.compress) scaled /= config_.compression_ratio;
+  if (config_.compress) scaled /= kCompressionRatio;
   return Bytes::of(static_cast<std::uint64_t>(scaled));
 }
 
@@ -41,14 +58,13 @@ Duration CheckpointingModule::compression_time(const faas::FunctionSpec& spec,
   const double mib = static_cast<double>(spec.states[idx].checkpoint_payload
                                              .count()) *
                      config_.explicit_payload_factor / (1024.0 * 1024.0);
-  return Duration::sec(mib / config_.compress_mib_per_sec);
+  return Duration::sec(mib / kCompressMibPerSec);
 }
 
 Duration CheckpointingModule::decompression_time(Bytes compressed) const {
   if (!config_.compress) return Duration::zero();
-  const double mib =
-      compressed.to_mib() * config_.compression_ratio;  // output bytes
-  return Duration::sec(mib / config_.decompress_mib_per_sec);
+  const double mib = compressed.to_mib() * kCompressionRatio;  // output bytes
+  return Duration::sec(mib / kDecompressMibPerSec);
 }
 
 Duration CheckpointingModule::state_epilogue(const faas::Invocation& inv,
@@ -58,8 +74,7 @@ Duration CheckpointingModule::state_epilogue(const faas::Invocation& inv,
   const Duration compress = compression_time(*inv.spec, idx);
   if (payload.count() == 0) {
     // State-only checkpoint: just the state record into the KV store.
-    return storage_.write_time(cluster::StorageTier::kKvStore,
-                               config_.metadata_size);
+    return storage_.write_time(cluster::StorageTier::kKvStore, kMetadataSize);
   }
   if (payload <= store_.config().max_entry_size) {
     return compress +
@@ -72,8 +87,7 @@ Duration CheckpointingModule::state_epilogue(const faas::Invocation& inv,
                              : storage_.write_time(
                                    cluster::StorageTier::kNfs, payload);
   return compress + bulk +
-         storage_.write_time(cluster::StorageTier::kKvStore,
-                             config_.metadata_size);
+         storage_.write_time(cluster::StorageTier::kKvStore, kMetadataSize);
 }
 
 unsigned CheckpointingModule::retention_for(
@@ -92,8 +106,8 @@ unsigned CheckpointingModule::retention_for(
   const Duration mean = total / static_cast<std::int64_t>(spec.states.size());
   // Frequent small states: keep more so a lagging async flush still
   // leaves a usable recent checkpoint.
-  if (mean < config_.fast_state_threshold) return config_.max_retention;
-  if (mean < config_.medium_state_threshold) {
+  if (mean < kFastStateThreshold) return config_.max_retention;
+  if (mean < kMediumStateThreshold) {
     return std::min(config_.max_retention, config_.initial_retention + 1);
   }
   return config_.initial_retention;
@@ -107,13 +121,11 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
 
   CheckpointInfoRow row;
   row.checkpoint = ids_.next();
-  row.job = inv.job;
   row.function = inv.id;
   row.state_index = idx;
   row.payload = payload;
   row.stored_on = inv.node;
   row.kv_key = key;
-  row.created = sim_.now();
 
   // The KV entry models the checkpoint (or, on the spill path, its
   // location record) by its logical size, owners and checksum alone:
@@ -140,7 +152,7 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
     row.location = tier.value_or(cluster::StorageTier::kNfs);
     const auto& tier_profile = storage_.profile(row.location);
     row.flushed_to_shared = tier_profile.shared;
-    const Status put = store_.put(key, {}, config_.metadata_size, inv.node);
+    const Status put = store_.put(key, {}, kMetadataSize, inv.node);
     if (!put.ok()) {
       metrics_.count("checkpoint_write_failures");
       CANARY_LOG_WARN("checkpoint metadata put failed for "
@@ -236,8 +248,7 @@ RestorePlan CheckpointingModule::restore_plan(FunctionId fn,
         continue;  // only copy died with its node and was never flushed
       }
       // The location record still comes out of the KV store first.
-      read += storage_.read_time(cluster::StorageTier::kKvStore,
-                                 config_.metadata_size);
+      read += storage_.read_time(cluster::StorageTier::kKvStore, kMetadataSize);
     }
     plan.from_state = row.state_index + 1;
     plan.restore_time = read + decompression_time(row.payload);

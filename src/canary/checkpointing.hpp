@@ -39,25 +39,14 @@ struct CheckpointingConfig {
   unsigned initial_retention = 3;  // paper: "initial value of n is set to 3"
   unsigned min_retention = 2;
   unsigned max_retention = 5;
-  /// Retention adapts when checkpoints are produced faster than these
-  /// thresholds (frequent small states -> keep more).
-  Duration fast_state_threshold = Duration::msec(500);
-  Duration medium_state_threshold = Duration::sec(2.0);
   /// Delay before the asynchronous flush of a node-local checkpoint to
   /// shared storage begins.
   Duration async_flush_delay = Duration::msec(200);
-  /// Size of the {name, location, state} record pushed to the KV store
-  /// when the payload itself spills to a storage tier.
-  Bytes metadata_size = Bytes::of(512);
   /// Checkpoint compression: trades CPU time (modelled at zstd-class
   /// throughput) for payload bytes — smaller checkpoints fit the KV
   /// store's entry limit more often and restore faster across the
-  /// network. Ratio calibrated on the repository's own LZ kernel over
-  /// model-weight-like data.
+  /// network.
   bool compress = false;
-  double compression_ratio = 2.8;
-  double compress_mib_per_sec = 400.0;
-  double decompress_mib_per_sec = 1200.0;
 };
 
 /// Where to resume a failed function and how long loading the checkpoint

@@ -156,14 +156,4 @@ std::optional<CheckpointClient::Restored> CheckpointClient::load_latest()
   return std::nullopt;
 }
 
-void CheckpointClient::clear() {
-  for (const auto& key : store_.keys_with_prefix("app-ckpt/" + app_id_ + "/")) {
-    (void)store_.remove(key);
-  }
-  for (const std::uint64_t index : saved_indices_) {
-    (void)blobs_.remove(blob_name(index));
-  }
-  saved_indices_.clear();
-}
-
 }  // namespace canary::client

@@ -77,10 +77,6 @@ class CheckpointClient {
   /// Newest restorable checkpoint, or nullopt if none survives.
   std::optional<Restored> load_latest() const;
 
-  /// Remove every checkpoint of this app (called after successful
-  /// completion; the final output is the application's own business).
-  void clear();
-
   std::uint64_t checkpoints_saved() const { return saved_; }
   std::uint64_t spills() const { return spills_; }
 

@@ -4,6 +4,19 @@
 
 namespace canary::core {
 
+namespace {
+
+/// Reassignment/routing overhead when migrating a failed function onto a
+/// replicated runtime (in addition to checkpoint restore time).
+constexpr Duration kMigrationOverhead = Duration::msec(50);
+/// Each consecutive stall of the same function widens the watchdog window
+/// by this factor (capped), so a genuinely slow cluster is not re-routed
+/// into a kill storm.
+constexpr double kRecoveryBackoffFactor = 2.0;
+constexpr Duration kRecoveryBackoffCap = Duration::sec(8.0);
+
+}  // namespace
+
 CoreModule::CoreModule(faas::Platform& platform, kv::KvStore& store,
                        const cluster::StorageHierarchy& storage,
                        CanaryConfig config)
@@ -45,15 +58,9 @@ void CoreModule::attach_detector(FailureDetector& detector) {
 
 void CoreModule::refresh_worker_table() {
   for (const NodeId id : platform_.cluster().node_ids()) {
-    const auto& node = platform_.cluster().node(id);
     WorkerInfoRow row;
     row.node = id;
-    row.cpu = node.spec().cpu;
-    row.memory = node.spec().memory;
-    row.container_slots = node.spec().container_slots;
-    row.rack = node.spec().rack;
-    row.zone = node.spec().zone;
-    row.alive = node.alive() &&
+    row.alive = platform_.cluster().node(id).alive() &&
                 !(detector_ != nullptr && detector_->is_confirmed_dead(id));
     metadata_.upsert_worker(row);
   }
@@ -203,7 +210,7 @@ void CoreModule::dispatch_recovery(const faas::Invocation& inv,
     faas::StartSpec start;
     start.from_state = plan.from_state;
     start.container = replica->container;
-    start.extra_setup = config_.migration_overhead + plan.restore_time;
+    start.extra_setup = kMigrationOverhead + plan.restore_time;
     platform_.metrics().count("replica_recoveries");
     platform_.log_recovery_action(inv.id, "replica_recovery");
     replication_.on_replica_consumed(image);
@@ -244,9 +251,9 @@ void CoreModule::arm_recovery_watch(FunctionId id, NodeId target) {
   // window, so a loaded-but-healthy cluster converges instead of looping.
   Duration window = config_.recovery_action_timeout;
   for (int i = 0; i < watch.stalls; ++i) {
-    window = window * config_.recovery_backoff_factor;
-    if (window >= config_.recovery_backoff_cap) {
-      window = config_.recovery_backoff_cap;
+    window = window * kRecoveryBackoffFactor;
+    if (window >= kRecoveryBackoffCap) {
+      window = kRecoveryBackoffCap;
       break;
     }
   }
@@ -313,42 +320,17 @@ void CoreModule::on_state_committed(const faas::Invocation& inv,
 // ---- PlatformObserver -------------------------------------------------------
 
 void CoreModule::on_job_submitted(JobId job) {
-  const auto& spec = platform_.job_spec(job);
-  JobInfoRow row;
-  row.job = job;
-  row.name = spec.name;
-  row.account = spec.account;
-  row.function_count = spec.functions.size();
-  row.submitted = platform_.simulator().now();
-  metadata_.insert_job(row);
-
-  const auto& functions = platform_.job_functions(job);
-  for (std::size_t i = 0; i < functions.size(); ++i) {
-    FunctionInfoRow fn_row;
-    fn_row.function = functions[i];
-    fn_row.job = job;
-    fn_row.runtime = spec.functions[i].runtime;
-    metadata_.insert_function(fn_row);
-  }
   replication_.on_job_submitted(job);
 }
 
 void CoreModule::on_attempt_started(const faas::Invocation& inv) {
   disarm_recovery_watch(inv.id);  // the recovery reached execution
-  if (auto* row = metadata_.mutable_function(inv.id)) {
-    row->worker = inv.node;
-    row->container = inv.container;
-    row->attempts = inv.attempt;
-  }
   replication_.on_attempt_started(inv);
 }
 
 void CoreModule::on_function_completed(const faas::Invocation& inv) {
   disarm_recovery_watch(inv.id);
   avoid_.erase(inv.id);
-  if (auto* row = metadata_.mutable_function(inv.id)) {
-    row->completed = true;
-  }
   // The final critical data is persisted by the application itself; the
   // recovery checkpoints are no longer needed.
   checkpointing_.drop_function(inv.id);
@@ -393,7 +375,7 @@ void CoreModule::on_container_ready(const faas::Container& c) {
       faas::StartSpec start;
       start.from_state = plan.from_state;
       start.container = c.id;
-      start.extra_setup = config_.migration_overhead + plan.restore_time;
+      start.extra_setup = kMigrationOverhead + plan.restore_time;
       platform_.metrics().count("sla_promised_dispatches");
       platform_.start_attempt(fn, start);
     }

@@ -1,14 +1,14 @@
 // Core Module (paper §IV-C1) — the orchestrator of the Canary framework.
 //
 // Receives job requests through a listener interface, validates them via
-// the Request Validator, creates the database entries, and coordinates
-// the Checkpointing, Replication and Runtime Manager modules. On function
-// failure it identifies the failed function's runtime, gathers the latest
-// checkpoint, selects the best replicated runtime, and redeploys the
-// function there with its state restored; with no replica available it
-// falls back to a cold container (still restoring the checkpoint), which
-// degenerates to the retry strategy's launch cost — exactly the paper's
-// lenient-replication worst case.
+// the Request Validator, and coordinates the Checkpointing, Replication
+// and Runtime Manager modules. On function failure it identifies the
+// failed function's runtime, gathers the latest checkpoint, selects the
+// best replicated runtime, and redeploys the function there with its
+// state restored; with no replica available it falls back to a cold
+// container (still restoring the checkpoint), which degenerates to the
+// retry strategy's launch cost — exactly the paper's lenient-replication
+// worst case.
 //
 // CoreModule plugs into the Platform as its RecoveryHandler (replacing
 // retry), its ExecutionHooks (checkpoint overhead + records), and a
@@ -42,9 +42,6 @@ struct CanaryConfig {
   /// functions may reserve a replica that is still launching instead of
   /// falling back to a cold container.
   bool sla_aware = false;
-  /// Reassignment/routing overhead when migrating a failed function onto
-  /// a replicated runtime (in addition to checkpoint restore time).
-  Duration migration_overhead = Duration::msec(50);
   /// Recovery-action watchdog: a recovery dispatch (replica claim or cold
   /// fallback) that has not begun executing within this window is treated
   /// as stalled — the attempt is killed with FailureKind::kRecoveryStall
@@ -52,11 +49,6 @@ struct CanaryConfig {
   /// containers arbitrarily slowly but never fail them). zero() disables
   /// the watchdog (the legacy behaviour).
   Duration recovery_action_timeout = Duration::zero();
-  /// Each consecutive stall of the same function widens the watchdog
-  /// window by this factor (capped), so a genuinely slow cluster is not
-  /// re-routed into a kill storm.
-  double recovery_backoff_factor = 2.0;
-  Duration recovery_backoff_cap = Duration::sec(8.0);
 };
 
 class CoreModule final : public faas::RecoveryHandler,

@@ -15,12 +15,12 @@
 // reports drain to the recovery handler. Detection latency is therefore
 // an emergent per-scenario quantity — heartbeat interval x multipliers +
 // sweep granularity + injected network delay — feeding the critical-path
-// `detection` component, instead of the legacy constant-oracle
-// PlatformConfig::failure_detect_delay.
+// `detection` component, instead of the legacy oracle's constant
+// faas::kFailureDetectDelay.
 //
 // The detector is the one owner of this state: the Core Module asks it
 // (is_suspected, is_confirmed_dead) instead of keeping a copy, and the
-// worker_info table holds only hardware facts and liveness.
+// worker_info table holds only liveness.
 //
 // The detector's totals live in the platform's metric registry only:
 // heartbeats_sent, heartbeats_dropped (injected drops),

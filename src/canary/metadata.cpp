@@ -15,37 +15,6 @@ const WorkerInfoRow* MetadataStore::worker(NodeId node) const {
   return it == workers_.end() ? nullptr : &it->second;
 }
 
-void MetadataStore::insert_job(JobInfoRow row) {
-  CANARY_CHECK(jobs_.find(row.job) == jobs_.end(), "duplicate job row");
-  jobs_.emplace(row.job, std::move(row));
-}
-
-const JobInfoRow* MetadataStore::job(JobId id) const {
-  auto it = jobs_.find(id);
-  return it == jobs_.end() ? nullptr : &it->second;
-}
-
-JobInfoRow* MetadataStore::mutable_job(JobId id) {
-  auto it = jobs_.find(id);
-  return it == jobs_.end() ? nullptr : &it->second;
-}
-
-void MetadataStore::insert_function(FunctionInfoRow row) {
-  CANARY_CHECK(functions_.find(row.function) == functions_.end(),
-               "duplicate function row");
-  functions_.emplace(row.function, std::move(row));
-}
-
-FunctionInfoRow* MetadataStore::mutable_function(FunctionId id) {
-  auto it = functions_.find(id);
-  return it == functions_.end() ? nullptr : &it->second;
-}
-
-const FunctionInfoRow* MetadataStore::function(FunctionId id) const {
-  auto it = functions_.find(id);
-  return it == functions_.end() ? nullptr : &it->second;
-}
-
 void MetadataStore::insert_checkpoint(CheckpointInfoRow row) {
   auto& rows = checkpoints_[row.function].rows;
   for (const CheckpointInfoRow& existing : rows) {

@@ -2,67 +2,40 @@
 //
 // "The five main tables created in the database are worker_info, job_info,
 // function_info, checkpoint_info, and replication_info." The paper keeps
-// them in CouchDB; here they are typed in-memory tables with the same
-// schema and the lookups the Core Module performs during recovery
-// (failed function -> runtime -> replica -> latest checkpoint). Those
-// lookups run on every state commit and every recovery, so the two hot
-// tables are indexed on write: checkpoint_info by function and
+// them in CouchDB beside OpenWhisk. Here the platform is in-process and
+// owns every job and function fact (JobSpec, submit time, Invocation), so
+// only three tables remain, typed and in memory: worker_info (liveness),
+// checkpoint_info and replication_info, with the lookups the Core Module
+// performs during recovery (failed function -> runtime -> replica ->
+// latest checkpoint). Those lookups run on every state commit and every
+// recovery, so both are indexed on write: checkpoint_info by function and
 // replication_info by image and by container.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/node.hpp"
 #include "cluster/storage.hpp"
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
 #include "common/slab.hpp"
-#include "common/time.hpp"
 #include "faas/runtime.hpp"
 
 namespace canary::core {
 
+/// A worker's liveness as the Core Module sees it. The node's hardware
+/// (CPU, memory, slots, rack, zone) is read from cluster::NodeSpec.
 struct WorkerInfoRow {
   NodeId node;
-  cluster::CpuClass cpu = cluster::CpuClass::kXeonGold6242;
-  Bytes memory = Bytes::zero();
-  std::uint32_t container_slots = 0;
-  std::uint32_t rack = 0;
-  /// Fault domain (availability zone) the worker lives in; recovery and
-  /// replica placement spread copies across zones when configured.
-  std::uint32_t zone = 0;
   /// The node is up and the failure detector has not confirmed it dead.
   /// The heartbeat lease itself lives in the detector.
   bool alive = true;
-  std::string role = "invoker";
-};
-
-struct JobInfoRow {
-  JobId job;
-  std::string name;
-  AccountId account;
-  std::size_t function_count = 0;
-  TimePoint submitted;
-};
-
-struct FunctionInfoRow {
-  FunctionId function;
-  JobId job;
-  faas::RuntimeImage runtime = faas::RuntimeImage::kPython3;
-  NodeId worker;         // current/last hosting worker
-  ContainerId container; // current/last container
-  int attempts = 0;
-  bool completed = false;
 };
 
 struct CheckpointInfoRow {
   CheckpointId checkpoint;
-  JobId job;
   FunctionId function;
   std::size_t state_index = 0;  // index of the committed state
   Bytes payload = Bytes::zero();
@@ -70,7 +43,6 @@ struct CheckpointInfoRow {
   NodeId stored_on;  // hosting node for node-local tiers
   bool flushed_to_shared = false;
   std::string kv_key;
-  TimePoint created;
 };
 
 enum class ReplicaStatus { kLaunching, kActive, kConsumed, kDead };
@@ -81,7 +53,6 @@ struct ReplicationInfoRow {
   NodeId worker;
   ContainerId container;
   ReplicaStatus status = ReplicaStatus::kLaunching;
-  TimePoint created;
 };
 
 class MetadataStore {
@@ -90,16 +61,6 @@ class MetadataStore {
   void upsert_worker(WorkerInfoRow row);
   const WorkerInfoRow* worker(NodeId node) const;
   std::size_t worker_count() const { return workers_.size(); }
-
-  // -- job_info ----------------------------------------------------------
-  void insert_job(JobInfoRow row);
-  const JobInfoRow* job(JobId id) const;
-  JobInfoRow* mutable_job(JobId id);
-
-  // -- function_info -----------------------------------------------------
-  void insert_function(FunctionInfoRow row);
-  FunctionInfoRow* mutable_function(FunctionId id);
-  const FunctionInfoRow* function(FunctionId id) const;
 
   // -- checkpoint_info ---------------------------------------------------
   // Rows are stored per function and addressed by (function, checkpoint
@@ -136,8 +97,6 @@ class MetadataStore {
   };
 
   std::unordered_map<NodeId, WorkerInfoRow> workers_;
-  std::unordered_map<JobId, JobInfoRow> jobs_;
-  std::unordered_map<FunctionId, FunctionInfoRow> functions_;
   std::unordered_map<FunctionId, FunctionCheckpoints> checkpoints_;
   /// Rows never move once appended, so the indexes hold plain pointers.
   StableSlab<ReplicationInfoRow> replicas_;

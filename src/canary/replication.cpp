@@ -5,20 +5,22 @@
 
 namespace canary::core {
 
-std::string_view to_string_view(ReplicationMode mode) {
-  switch (mode) {
-    case ReplicationMode::kDynamic: return "dynamic";
-    case ReplicationMode::kAggressive: return "aggressive";
-    case ReplicationMode::kLenient: return "lenient";
-  }
-  return "unknown";
-}
+namespace {
+
+/// DR: headroom multiplier over the estimated failure rate.
+constexpr double kDynamicSafety = 1.25;
+/// DR: Bayesian prior for the failure-rate estimate before evidence.
+constexpr double kFailureRatePrior = 0.05;
+constexpr double kPriorStrength = 20.0;
+constexpr unsigned kMaxReplicasPerRuntime = 128;
+
+}  // namespace
 
 double ReplicationModule::estimated_failure_rate() const {
   // Beta-binomial posterior mean: starts at the prior and converges to
   // the observed failure fraction as evidence accumulates.
-  return (failures_seen_ + config_.failure_rate_prior * config_.prior_strength) /
-         (functions_seen_ + config_.prior_strength);
+  return (failures_seen_ + kFailureRatePrior * kPriorStrength) /
+         (functions_seen_ + kPriorStrength);
 }
 
 std::size_t ReplicationModule::active_functions(
@@ -59,10 +61,9 @@ unsigned ReplicationModule::target_replicas(faas::RuntimeImage image) const {
           config_.aggressive_fraction * static_cast<double>(active)));
       break;
     case ReplicationMode::kDynamic: {
-      const double want = estimated_failure_rate() * config_.dynamic_safety *
+      const double want = estimated_failure_rate() * kDynamicSafety *
                           static_cast<double>(active);
-      const double cap =
-          config_.dynamic_cap_fraction * static_cast<double>(active);
+      const double cap = kDynamicCapFraction * static_cast<double>(active);
       target = static_cast<unsigned>(std::ceil(std::min(want, cap)));
       break;
     }
@@ -74,7 +75,7 @@ unsigned ReplicationModule::target_replicas(faas::RuntimeImage image) const {
         std::ceil(static_cast<double>(target) * advisor_->replica_boost()));
   }
   target = std::max(target, 1u);
-  return std::min(target, config_.max_replicas_per_runtime);
+  return std::min(target, kMaxReplicasPerRuntime);
 }
 
 void ReplicationModule::on_job_submitted(JobId job) {

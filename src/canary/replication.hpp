@@ -34,21 +34,14 @@ namespace canary::core {
 
 enum class ReplicationMode { kDynamic, kAggressive, kLenient };
 
-std::string_view to_string_view(ReplicationMode mode);
+/// DR: never exceed this fraction of active functions.
+inline constexpr double kDynamicCapFraction = 0.35;
 
 struct ReplicationConfig {
   bool enabled = true;
   ReplicationMode mode = ReplicationMode::kDynamic;
   /// AR: replicas >= fraction * active functions of the runtime.
   double aggressive_fraction = 0.25;
-  /// DR: headroom multiplier over the estimated failure rate.
-  double dynamic_safety = 1.25;
-  /// DR: never exceed this fraction of active functions.
-  double dynamic_cap_fraction = 0.35;
-  /// DR: Bayesian prior for the failure-rate estimate before evidence.
-  double failure_rate_prior = 0.05;
-  double prior_strength = 20.0;
-  unsigned max_replicas_per_runtime = 128;
   /// Disablable for ablation: when false, replicas are packed least-loaded
   /// with no anti-SPOF exclusion and no rack locality (§IV-C5b off).
   bool anti_spof_placement = true;

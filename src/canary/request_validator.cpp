@@ -7,11 +7,11 @@ ValidationResult RequestValidator::validate(const faas::JobSpec& job,
   if (job.functions.empty()) {
     return {Verdict::kReject, "job has no functions"};
   }
-  if (job.functions.size() > limits_.max_functions_per_job) {
+  if (job.functions.size() > faas::kMaxFunctionsPerJob) {
     return {Verdict::kReject, "job exceeds the per-job function limit"};
   }
   for (const auto& fn : job.functions) {
-    if (fn.effective_memory() > limits_.max_function_memory) {
+    if (fn.effective_memory() > faas::kMaxFunctionMemory) {
       return {Verdict::kReject,
               "function '" + fn.name + "' exceeds the memory limit"};
     }

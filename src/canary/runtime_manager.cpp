@@ -13,7 +13,6 @@ ReplicaId RuntimeManagerModule::register_replica(faas::RuntimeImage image,
   row.worker = node;
   row.container = container;
   row.status = ReplicaStatus::kLaunching;
-  row.created = platform_.simulator().now();
   const ReplicaId id = row.replica;
   metadata_.insert_replica(std::move(row));
   return id;
@@ -101,13 +100,18 @@ std::vector<NodeId> RuntimeManagerModule::replica_nodes(
 std::optional<ReplicationInfoRow> RuntimeManagerModule::promise_launching(
     faas::RuntimeImage image, Duration min_age) {
   ReplicationInfoRow* best = nullptr;
+  TimePoint best_created;
   const TimePoint now = platform_.simulator().now();
   for (ReplicationInfoRow* row : metadata_.replicas_of(image)) {
     if (row->status != ReplicaStatus::kLaunching) continue;
     if (!cluster_.node(row->worker).alive()) continue;
-    if (now - row->created < min_age) continue;
+    const TimePoint created = platform_.container(row->container).created;
+    if (now - created < min_age) continue;
     // Oldest launching replica = closest to warm = shortest wait.
-    if (best == nullptr || row->created < best->created) best = row;
+    if (best == nullptr || created < best_created) {
+      best = row;
+      best_created = created;
+    }
   }
   if (best == nullptr) return std::nullopt;
   best->status = ReplicaStatus::kConsumed;
@@ -117,9 +121,14 @@ std::optional<ReplicationInfoRow> RuntimeManagerModule::promise_launching(
 std::optional<ContainerId> RuntimeManagerModule::retire_one(
     faas::RuntimeImage image) {
   ReplicationInfoRow* newest = nullptr;
+  TimePoint newest_created;
   for (ReplicationInfoRow* row : metadata_.replicas_of(image)) {
     if (row->status != ReplicaStatus::kActive) continue;
-    if (newest == nullptr || row->created > newest->created) newest = row;
+    const TimePoint created = platform_.container(row->container).created;
+    if (newest == nullptr || created > newest_created) {
+      newest = row;
+      newest_created = created;
+    }
   }
   if (newest == nullptr) return std::nullopt;
   newest->status = ReplicaStatus::kDead;

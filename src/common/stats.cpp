@@ -28,23 +28,4 @@ double SampleSet::max() const {
   return samples_.empty() ? 0.0 : *std::max_element(samples_.begin(), samples_.end());
 }
 
-double SampleSet::sum() const {
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s;
-}
-
-double SampleSet::percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  if (p <= 0.0) return sorted.front();
-  if (p >= 100.0) return sorted.back();
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
-}
-
 }  // namespace canary

@@ -1,6 +1,6 @@
 // Sample statistics used by the experiment harness (paper §V-B reports
-// 10-run averages with <5% variance; we report mean, stddev, and
-// percentiles).
+// 10-run averages with <5% variance; we report mean, stddev, min and
+// max).
 #pragma once
 
 #include <cstddef>
@@ -8,8 +8,8 @@
 
 namespace canary {
 
-/// Retains all samples; supports exact percentiles. Used where sample
-/// counts are bounded (per-experiment repetition results).
+/// Retains all samples. Used where sample counts are bounded
+/// (per-experiment repetition results).
 class SampleSet {
  public:
   void add(double x) { samples_.push_back(x); }
@@ -20,12 +20,6 @@ class SampleSet {
   double stddev() const;
   double min() const;
   double max() const;
-  double sum() const;
-  /// Exact percentile by linear interpolation, p in [0, 100].
-  double percentile(double p) const;
-  double median() const { return percentile(50.0); }
-
-  const std::vector<double>& samples() const { return samples_; }
 
  private:
   std::vector<double> samples_;

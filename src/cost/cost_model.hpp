@@ -13,12 +13,6 @@
 
 namespace canary::cost {
 
-struct PricingModel {
-  double usd_per_gb_second = 0.000017;  // IBM Cloud Functions
-  static PricingModel ibm() { return {0.000017}; }
-  static PricingModel aws_lambda() { return {0.0000167}; }
-};
-
 struct CostBreakdown {
   double total_usd = 0.0;
   double function_usd = 0.0;   // primary function containers
@@ -27,18 +21,11 @@ struct CostBreakdown {
   double standby_usd = 0.0;    // active-standby passive instances
 };
 
+/// Prices a usage ledger at IBM Cloud Functions' rate.
 class CostModel {
  public:
-  explicit CostModel(PricingModel pricing = PricingModel::ibm())
-      : pricing_(pricing) {}
-
   double cost_usd(const faas::UsageLedger& ledger) const;
   CostBreakdown breakdown(const faas::UsageLedger& ledger) const;
-
-  const PricingModel& pricing() const { return pricing_; }
-
- private:
-  PricingModel pricing_;
 };
 
 }  // namespace canary::cost

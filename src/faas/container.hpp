@@ -46,7 +46,6 @@ struct Container {
   ContainerPurpose purpose = ContainerPurpose::kFunction;
   FunctionId assigned;  // invalid when warm/idle
   TimePoint created;
-  TimePoint destroyed = TimePoint::max();
   /// When the container last entered the Warm state (pool idle tracking).
   TimePoint idle_since = TimePoint::max();
 

@@ -8,6 +8,11 @@
 namespace canary::faas {
 
 namespace {
+/// Cold-launch slowdown per additional concurrent launch on the same node,
+/// capped at kContentionCap (multiplier on cold_launch).
+constexpr double kColdStartContention = 0.12;
+constexpr double kContentionCap = 4.0;
+
 /// Builds the trigger graph (reverse adjacency + indegrees) and verifies
 /// it is acyclic with in-range dependency indices (Kahn's algorithm).
 bool build_trigger_graph(const JobSpec& spec,
@@ -184,11 +189,11 @@ Result<JobId> Platform::submit_job(std::shared_ptr<const JobSpec> spec_ptr) {
   if (spec.functions.empty()) {
     return Error::invalid_argument("job has no functions");
   }
-  if (spec.functions.size() > config_.limits.max_functions_per_job) {
+  if (spec.functions.size() > kMaxFunctionsPerJob) {
     return Error::resource_exhausted("job exceeds max functions per job");
   }
   for (const auto& fn : spec.functions) {
-    if (fn.effective_memory() > config_.limits.max_function_memory) {
+    if (fn.effective_memory() > kMaxFunctionMemory) {
       return Error::resource_exhausted("function '" + fn.name +
                                        "' exceeds the memory limit");
     }
@@ -456,8 +461,8 @@ double Platform::launch_contention_multiplier(NodeId node) const {
   const unsigned inflight = inflight_launches_[node.value() - 1];
   if (inflight <= 1) return 1.0;
   const double mult =
-      1.0 + config_.cold_start_contention * static_cast<double>(inflight - 1);
-  return std::min(mult, config_.contention_cap);
+      1.0 + kColdStartContention * static_cast<double>(inflight - 1);
+  return std::min(mult, kContentionCap);
 }
 
 Duration Platform::epilogue_nominal(const Invocation& inv,
@@ -808,7 +813,7 @@ void Platform::handle_kill(InvocationInternal& inv, FailureKind kind) {
   // knows, so the invoker's detection delay does not apply.
   const Duration detect_delay = kind == FailureKind::kRecoveryStall
                                     ? Duration::zero()
-                                    : config_.failure_detect_delay;
+                                    : kFailureDetectDelay;
   sim_.schedule_after(detect_delay, [this, id, attempt, info] {
     auto& target = internal(id);
     if (target.attempt != attempt || target.phase != Phase::kFailed) return;
@@ -1231,7 +1236,6 @@ void Platform::destroy_container(ContainerId id) {
   }
   if (c.state == ContainerState::kWarm) warm_index_remove(c);
   c.state = ContainerState::kDead;
-  c.destroyed = sim_.now();
   ledger_.close(id, sim_.now());
   if (cluster_.contains(c.node) && cluster_.node(c.node).alive()) {
     cluster_.node(c.node).release(c.memory);

@@ -39,13 +39,18 @@
 
 namespace canary::faas {
 
+/// Maximum memory a single function may request (request failures).
+inline constexpr Bytes kMaxFunctionMemory = Bytes::gib(8);
+inline constexpr std::size_t kMaxFunctionsPerJob = 4096;
+
+/// Delay between a container dying and the failure being detected and
+/// reported to the recovery handler.
+inline constexpr Duration kFailureDetectDelay = Duration::msec(300);
+
 struct PlatformLimits {
   /// Maximum concurrently running invocations per account (concurrency
   /// failures happen beyond this; the Request Validator queues instead).
   unsigned max_concurrent_invocations = 1000;
-  /// Maximum memory a single function may request (request failures).
-  Bytes max_function_memory = Bytes::gib(8);
-  std::size_t max_functions_per_job = 4096;
   /// Per-attempt execution timeout (§II's "network timeouts" failure
   /// class): an attempt running longer than this is killed with
   /// FailureKind::kTimeout and handled by the recovery strategy.
@@ -56,14 +61,14 @@ struct PlatformLimits {
 /// How the platform learns about node-level failures.
 enum class DetectionMode {
   /// Legacy oracle: every failure is reported to the recovery handler a
-  /// constant `failure_detect_delay` after it happens.
+  /// constant kFailureDetectDelay after it happens.
   kOracle,
   /// Heartbeat detection: node-level failures are *not* reported until a
   /// failure detector (canary::core::FailureDetector or equivalent) calls
   /// confirm_node_dead() — detection latency becomes an emergent quantity
   /// of the heartbeat interval, timeout multiplier and injected network
   /// faults. Container-local failures (kills, timeouts) are still noticed
-  /// by the node's invoker after `failure_detect_delay`.
+  /// by the node's invoker after kFailureDetectDelay.
   kHeartbeat,
 };
 
@@ -71,16 +76,9 @@ struct PlatformConfig {
   PlatformLimits limits;
   /// Controller overhead to schedule one invocation.
   Duration scheduler_overhead = Duration::msec(15);
-  /// Delay between a container dying and the failure being detected and
-  /// reported to the recovery handler.
-  Duration failure_detect_delay = Duration::msec(300);
   /// Node-failure detection mode; kOracle preserves the legacy constant
   /// delay, kHeartbeat defers to confirm_node_dead().
   DetectionMode detection_mode = DetectionMode::kOracle;
-  /// Cold-launch slowdown per additional concurrent launch on the same
-  /// node, capped at `contention_cap` (multiplier on cold_launch).
-  double cold_start_contention = 0.12;
-  double contention_cap = 4.0;
   /// Container reuse (the paper's future work: "consolidating multiple
   /// functions in a single container to reduce the cold start latency"):
   /// completed functions return their container to a warm pool instead of

@@ -10,7 +10,6 @@ ScenarioConfig calibration_scenario(const CalibrationWorkload& workload) {
   config.error_rate = 0.0;  // the node kill is the only fault
   config.cluster_nodes = 2;
   config.seed = workload.seed;
-  config.node_failure_offsets = {workload.kill_offset};
   config.detection.enabled = true;
   config.detection.heartbeat_interval = workload.heartbeat_interval;
   config.detection.timeout_multiplier = workload.timeout_multiplier;
@@ -19,6 +18,22 @@ ScenarioConfig calibration_scenario(const CalibrationWorkload& workload) {
   // and no extra confirmation lag.
   config.detection.confirm_multiplier = 0.0;
   config.detection.sweep_interval = Duration::msec(5);
+  // The twin's startup (launch + init) differs from the real worker's, so
+  // the real run's wall-clock kill offset would land at another point of
+  // the work. The kill is placed by progress instead: a failure-free
+  // pilot finds the trigger commit on the twin's clock, and the node dies
+  // half a step later, mid-way into the next step like the real SIGKILL.
+  const RunResult pilot =
+      ScenarioRunner::run(config, calibration_jobs(workload));
+  const std::string trigger =
+      "state_" + std::to_string(workload.kill_after_step);
+  for (const obs::Event& event : pilot.events->events()) {
+    if (event.kind == obs::EventKind::kStateCommit && event.name == trigger) {
+      config.node_failure_offsets = {event.at - TimePoint::origin() +
+                                     workload.step_exec / 2};
+      break;
+    }
+  }
   return config;
 }
 

@@ -2,13 +2,14 @@
 //
 // Predictive validation (Quaresma et al.): configure the simulator from
 // quantities *measured* on the real substrate — per-step execution
-// time, checkpoint payload size, failure-injection offset, heartbeat
-// cadence — run the same fail/recover scenario in simulated time, and
-// compare the per-component recovery decomposition. The ratio between
-// the two substrates is the calibration delta that
+// time, checkpoint payload size, the step after whose commit the worker
+// is killed, heartbeat cadence — run the same fail/recover scenario in
+// simulated time, and compare the per-component recovery decomposition.
+// The ratio between the two substrates is the calibration delta that
 // tools/check_report.py --calibrate gates against a committed band.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,8 +28,10 @@ struct CalibrationWorkload {
   Duration step_exec = Duration::msec(20);
   /// Measured size of one checkpoint commit.
   Bytes checkpoint_bytes = Bytes::zero();
-  /// Measured offset of the (first) node kill from run start.
-  Duration kill_offset = Duration::msec(60);
+  /// The real run kills its worker as soon as it observes the commit of
+  /// this step (RealScenarioConfig::kill_after_commit_step); the twin
+  /// kills its node during the next step on its own clock.
+  std::uint32_t kill_after_step = 2;
   /// Recovery strategy under calibration (retry / canary-ckpt / AS).
   recovery::StrategyConfig strategy = recovery::StrategyConfig::retry();
   /// Real backend's detection parameters, mirrored exactly.
@@ -49,8 +52,9 @@ struct CalibrationTwinResult {
 
 /// The twin's scenario: a 2-node cluster running one kNativeProc
 /// function whose states mirror the measured steps, heartbeat detection
-/// on with the real backend's parameters, and one node failure at the
-/// measured offset.
+/// on with the real backend's parameters, and one node failure half a
+/// step after the commit of step `kill_after_step`. A failure-free pilot
+/// run of the same scenario times that commit.
 ScenarioConfig calibration_scenario(const CalibrationWorkload& workload);
 
 /// The single-function job matching calibration_scenario.

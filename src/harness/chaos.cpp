@@ -576,8 +576,7 @@ OracleCheck check_oracles(const ChaosScenario& scenario,
   // detected instantly.
   const Duration epsilon = Duration::msec(100);
   const Duration heartbeat_bound = check.detection_bound + epsilon;
-  const Duration oracle_bound =
-      scenario.config.platform.failure_detect_delay + epsilon;
+  const Duration oracle_bound = faas::kFailureDetectDelay + epsilon;
   // Per-trace time of the most recent unresolved failure.
   std::unordered_map<std::uint64_t, std::pair<TimePoint, bool>> open_failures;
   for (const obs::Event& event : events) {

@@ -289,8 +289,7 @@ RunResult ScenarioInstance::collect() {
   result.mean_recovery_s =
       recoveries > 0.0 ? result.total_recovery_s / recoveries : 0.0;
 
-  const cost::CostModel cost_model(config.pricing);
-  result.cost = cost_model.breakdown(platform.usage());
+  result.cost = cost::CostModel{}.breakdown(platform.usage());
   result.cost_usd = result.cost.total_usd;
   result.counters = metrics.counters();
 

@@ -107,7 +107,6 @@ struct ScenarioConfig {
   std::uint64_t seed = 42;
   faas::PlatformConfig platform;
   kv::KvConfig kv;
-  cost::PricingModel pricing = cost::PricingModel::ibm();
   /// Storage hierarchy override; defaults to the paper's testbed tiers
   /// (§V-C1). Lets experiments model e.g. an NFS-only deployment or a
   /// custom external endpoint ("such as an S3 bucket", §IV-C4a).

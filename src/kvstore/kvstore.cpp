@@ -225,15 +225,6 @@ std::vector<std::string> KvStore::keys_with_prefix(
   return keys;
 }
 
-std::size_t KvStore::size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard->mutex);
-    total += shard->map.size();
-  }
-  return total;
-}
-
 KvStats KvStore::stats() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   return stats_;

@@ -14,8 +14,9 @@
 //     function).
 //
 // The store is genuinely concurrent — sharded with per-shard shared
-// mutexes — because examples and tests exercise it from multiple threads,
-// even though each simulation run drives it single-threaded.
+// mutexes. Each simulation run drives it single-threaded; only
+// KvStoreTest.ConcurrentMixedWorkloadIsSafe and micro_substrate's
+// BM_KvConcurrentMixed drive it from several threads.
 #pragma once
 
 #include <cstdint>
@@ -124,7 +125,6 @@ class KvStore {
   /// All live keys beginning with `prefix`, sorted. O(total keys).
   std::vector<std::string> keys_with_prefix(const std::string& prefix) const;
 
-  std::size_t size() const;
   KvStats stats() const;
 
   /// Drop the copies held by `node`. Entries with no remaining copy are

@@ -9,8 +9,10 @@ namespace canary::obs {
 
 namespace {
 
-void write_event(JsonWriter& json, const Span& span,
-                 std::int64_t pid) {
+/// Every record renders under one process; tracks (tid) are nodes.
+constexpr std::int64_t kPid = 1;
+
+void write_event(JsonWriter& json, const Span& span) {
   json.begin_object();
   json.field("name", span.name);
   json.field("cat", to_string_view(span.kind));
@@ -22,7 +24,7 @@ void write_event(JsonWriter& json, const Span& span,
   } else {
     json.field("s", "t");  // thread-scoped instant marker
   }
-  json.field("pid", pid);
+  json.field("pid", kPid);
   // One track per node keeps the cluster timeline readable; spans with no
   // node (e.g. scheduler-side events) share track 0.
   json.field("tid", span.labels.node.valid()
@@ -51,15 +53,14 @@ std::int64_t event_tid(const Event& event) {
              : std::int64_t{0};
 }
 
-void write_log_event(JsonWriter& json, const Event& event,
-                     std::int64_t pid) {
+void write_log_event(JsonWriter& json, const Event& event) {
   json.begin_object();
   json.field("name", event.name);
   json.field("cat", to_string_view(event.kind));
   json.field("ph", "i");
   json.field("ts", event.at.count_usec());
   json.field("s", "t");
-  json.field("pid", pid);
+  json.field("pid", kPid);
   json.field("tid", event_tid(event));
   json.key("args").begin_object();
   json.field("event", event.id);
@@ -79,14 +80,14 @@ void write_log_event(JsonWriter& json, const Event& event,
 /// event's (time, track) and a binding-point-enclosing finish record at
 /// the effect's. Chrome pairs the two through the shared id.
 void write_flow_pair(JsonWriter& json, const Event& cause,
-                     const Event& effect, std::int64_t pid) {
+                     const Event& effect) {
   json.begin_object();
   json.field("name", effect.name);
   json.field("cat", "causal");
   json.field("ph", "s");
   json.field("id", effect.id);
   json.field("ts", cause.at.count_usec());
-  json.field("pid", pid);
+  json.field("pid", kPid);
   json.field("tid", event_tid(cause));
   json.end_object();
 
@@ -97,7 +98,7 @@ void write_flow_pair(JsonWriter& json, const Event& cause,
   json.field("bp", "e");
   json.field("id", effect.id);
   json.field("ts", effect.at.count_usec());
-  json.field("pid", pid);
+  json.field("pid", kPid);
   json.field("tid", event_tid(effect));
   json.end_object();
 }
@@ -105,14 +106,13 @@ void write_flow_pair(JsonWriter& json, const Event& cause,
 /// One stepped counter sample: chrome renders consecutive "C" records
 /// with the same name as a filled step graph.
 void write_counter_sample(JsonWriter& json, const std::string& name,
-                          std::int64_t ts_usec, double value,
-                          std::int64_t pid) {
+                          std::int64_t ts_usec, double value) {
   json.begin_object();
   json.field("name", name);
   json.field("cat", "timeseries");
   json.field("ph", "C");
   json.field("ts", ts_usec);
-  json.field("pid", pid);
+  json.field("pid", kPid);
   json.field("tid", std::int64_t{0});
   json.key("args").begin_object();
   json.field("value", value);
@@ -120,100 +120,55 @@ void write_counter_sample(JsonWriter& json, const std::string& name,
   json.end_object();
 }
 
-void write_counter_tracks(JsonWriter& json, const TimeSeries& series,
-                          std::int64_t pid) {
+void write_counter_tracks(JsonWriter& json, const TimeSeries& series) {
   for (const TimeSeries::Window& window : series.windows()) {
     const std::int64_t ts = window.start.count_usec();
     for (const auto& [name, value] : window.counters) {
-      write_counter_sample(json, "ts." + name, ts, value, pid);
+      write_counter_sample(json, "ts." + name, ts, value);
     }
     for (const auto& [name, value] : window.levels) {
-      write_counter_sample(json, "ts." + name, ts, value, pid);
+      write_counter_sample(json, "ts." + name, ts, value);
     }
     for (const auto& [name, hist] : window.samples) {
-      write_counter_sample(json, "ts." + name + ".p99", ts, hist.p99(),
-                           pid);
+      write_counter_sample(json, "ts." + name + ".p99", ts, hist.p99());
     }
   }
-}
-
-/// All of one section's trace events under one pid.
-void write_section(JsonWriter& json, const TraceSection& section,
-                   std::int64_t pid) {
-  if (section.spans != nullptr) {
-    for (const Span& span : *section.spans) write_event(json, span, pid);
-  }
-  if (section.events != nullptr) {
-    for (const Event& event : section.events->events()) {
-      write_log_event(json, event, pid);
-      if (event.cause != kNoEvent) {
-        if (const Event* cause = section.events->find(event.cause)) {
-          write_flow_pair(json, *cause, event, pid);
-        }
-      }
-    }
-  }
-  if (section.series != nullptr) {
-    write_counter_tracks(json, *section.series, pid);
-  }
-}
-
-/// Perfetto process label so shard lanes are named in the viewer.
-void write_process_name(JsonWriter& json, std::int64_t pid,
-                        const std::string& name) {
-  json.begin_object();
-  json.field("name", "process_name");
-  json.field("ph", "M");
-  json.field("pid", pid);
-  json.key("args").begin_object();
-  json.field("name", name);
-  json.end_object();
-  json.end_object();
-}
-
-void write_trace_document(std::ostream& os,
-                          const std::vector<TraceSection>& sections,
-                          bool label_processes) {
-  JsonWriter json(os, /*indent=*/0);
-  json.begin_object();
-  json.key("displayTimeUnit").value("ms");
-  json.key("traceEvents").begin_array();
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    const std::int64_t pid = static_cast<std::int64_t>(i) + 1;
-    if (label_processes) {
-      write_process_name(json, pid, "shard " + std::to_string(i));
-    }
-    write_section(json, sections[i], pid);
-  }
-  json.end_array();
-  // Recorder health: a truncated log means this timeline is partial too,
-  // since the spans are derived from it.
-  std::uint64_t spans_dropped = 0;
-  std::uint64_t events_dropped = 0;
-  for (const TraceSection& section : sections) {
-    if (section.events == nullptr) continue;
-    events_dropped += section.events->dropped();
-    if (section.spans != nullptr) spans_dropped += section.events->dropped();
-  }
-  json.key("otherData").begin_object();
-  json.field("spans_dropped", spans_dropped);
-  json.field("events_dropped", events_dropped);
-  json.end_object();
-  json.end_object();
-  os << '\n';
 }
 
 }  // namespace
 
 void write_chrome_trace(std::ostream& os, const std::vector<Span>* spans,
                         const EventLog* events, const TimeSeries* series) {
-  write_trace_document(os, {TraceSection{spans, events, series}},
-                       /*label_processes=*/false);
-}
-
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<TraceSection>& sections) {
-  write_trace_document(os, sections, /*label_processes=*/true);
+  JsonWriter json(os, /*indent=*/0);
+  json.begin_object();
+  json.key("displayTimeUnit").value("ms");
+  json.key("traceEvents").begin_array();
+  if (spans != nullptr) {
+    for (const Span& span : *spans) write_event(json, span);
+  }
+  if (events != nullptr) {
+    for (const Event& event : events->events()) {
+      write_log_event(json, event);
+      if (event.cause != kNoEvent) {
+        if (const Event* cause = events->find(event.cause)) {
+          write_flow_pair(json, *cause, event);
+        }
+      }
+    }
+  }
+  if (series != nullptr) write_counter_tracks(json, *series);
+  json.end_array();
+  // Recorder health: a truncated log means this timeline is partial too,
+  // since the spans are derived from it.
+  const std::uint64_t events_dropped =
+      events != nullptr ? events->dropped() : std::uint64_t{0};
+  json.key("otherData").begin_object();
+  json.field("spans_dropped",
+             spans != nullptr ? events_dropped : std::uint64_t{0});
+  json.field("events_dropped", events_dropped);
+  json.end_object();
+  json.end_object();
+  os << '\n';
 }
 
 bool write_chrome_trace_file(const std::string& path,

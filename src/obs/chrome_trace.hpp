@@ -24,14 +24,6 @@
 
 namespace canary::obs {
 
-/// One process ("pid") worth of trace inputs — a partition's spans,
-/// causal events, and rollups. Any member may be null.
-struct TraceSection {
-  const std::vector<Span>* spans = nullptr;
-  const EventLog* events = nullptr;
-  const TimeSeries* series = nullptr;
-};
-
 /// Write the trace JSON document: the span timeline plus causal events
 /// with flow arrows for cause edges, and windowed rollups rendered as
 /// counter tracks ("ph":"C" — one stepped graph per counter/level/p99
@@ -40,15 +32,6 @@ struct TraceSection {
 void write_chrome_trace(std::ostream& os, const std::vector<Span>* spans,
                         const EventLog* events,
                         const TimeSeries* series = nullptr);
-
-/// Multi-process export for sharded runs: section i renders under
-/// pid == i + 1 with a "shard i" process label, so every partition's
-/// node tracks (whose ids are partition-local) group under their own
-/// process lane in the viewer. A single unlabeled section at pid 1 is
-/// NOT emitted by this overload — monolithic runs keep using the one
-/// above.
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<TraceSection>& sections);
 
 /// Write to `path`; returns false (and leaves no partial file guarantees)
 /// when the file cannot be opened or written in full.

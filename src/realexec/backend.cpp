@@ -9,7 +9,9 @@ namespace canary::realexec {
 
 namespace {
 constexpr WorkerId kNoWorker = 0xffffffffu;
-}
+/// Abort (completed=false) if the scenario exceeds this wall time.
+constexpr Duration kRunTimeout = Duration::sec(120.0);
+}  // namespace
 
 const char* to_string(RecoveryPolicy policy) {
   switch (policy) {
@@ -124,7 +126,7 @@ RealScenarioResult RealBackend::run(const RealScenarioConfig& scenario) {
   bool done = false;
   TimePoint t_end = t_start;
   std::vector<ControllerEvent> events;
-  while (!done && ctl.now() - t_start < scenario.run_timeout) {
+  while (!done && ctl.now() - t_start < kRunTimeout) {
     events.clear();
     ctl.poll_events(Duration::msec(5), &events);
 

@@ -41,8 +41,6 @@ struct RealScenarioConfig {
   std::uint32_t kills = 1;
   Duration heartbeat_interval = Duration::msec(40);
   double timeout_multiplier = 4.0;
-  /// Abort (completed=false) if the scenario exceeds this wall time.
-  Duration run_timeout = Duration::sec(120.0);
 };
 
 struct RealScenarioResult {

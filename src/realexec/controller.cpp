@@ -17,6 +17,14 @@
 namespace canary::realexec {
 
 namespace {
+/// Allowance for the non-beating phases (spawn->Hello, input synthesis,
+/// restore): these run real compute whose duration is the thing being
+/// measured, so they get a generous fixed deadline.
+constexpr Duration kLaunchGrace = Duration::sec(10.0);
+/// Workers one controller spawns over its lifetime; each is also a KV
+/// cache node.
+constexpr std::size_t kMaxWorkers = 64;
+
 /// Best-effort pipe widening so multi-hundred-KB checkpoints don't
 /// serialize the event loop behind a 64 KiB kernel buffer. Failure
 /// (unprivileged caller, small pipe-max-size) is fine — the pending
@@ -43,8 +51,8 @@ std::string_view to_string_view(WorkerState state) {
 Controller::Controller(ControllerConfig config) : config_(std::move(config)) {
   signal(SIGPIPE, SIG_IGN);
   std::vector<NodeId> cache_nodes;
-  cache_nodes.reserve(config_.max_workers);
-  for (std::size_t i = 0; i < config_.max_workers; ++i) {
+  cache_nodes.reserve(kMaxWorkers);
+  for (std::size_t i = 0; i < kMaxWorkers; ++i) {
     cache_nodes.push_back(NodeId{i + 1});
   }
   kv_ = std::make_unique<kv::KvStore>(config_.kv, std::move(cache_nodes));
@@ -71,8 +79,7 @@ std::string Controller::checkpoint_key(std::uint32_t invocation,
 }
 
 WorkerId Controller::spawn() {
-  CANARY_CHECK(workers_.size() < config_.max_workers,
-               "worker capacity exhausted");
+  CANARY_CHECK(workers_.size() < kMaxWorkers, "worker capacity exhausted");
   int ctrl[2];
   CANARY_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, ctrl) == 0,
                "socketpair failed");
@@ -231,7 +238,7 @@ Duration Controller::death_deadline(const Worker& worker) const {
     case WorkerState::kSpawned:
     case WorkerState::kInitializing:
     case WorkerState::kRestoring:
-      return config_.launch_grace;
+      return kLaunchGrace;
     case WorkerState::kExecuting:
       return config_.heartbeat_interval * config_.timeout_multiplier;
     case WorkerState::kReady:

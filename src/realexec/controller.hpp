@@ -86,15 +86,10 @@ struct ControllerConfig {
   Duration heartbeat_interval = Duration::msec(50);
   /// Missed intervals before a worker is declared dead.
   double timeout_multiplier = 4.0;
-  /// Allowance for the non-beating phases (spawn->Hello, input
-  /// synthesis, restore): these run real compute whose duration is the
-  /// thing being measured, so they get a generous fixed deadline.
-  Duration launch_grace = Duration::sec(10.0);
   /// Physically SIGKILL a worker when it is declared dead. Off lets a
   /// live zombie keep running so tests can watch its late commit bounce
   /// off the epoch fence.
   bool kill_on_fence = true;
-  std::size_t max_workers = 64;
   kv::KvConfig kv;
 };
 

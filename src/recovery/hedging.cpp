@@ -7,12 +7,18 @@
 
 namespace canary::recovery {
 
+namespace {
+
+/// Floor on the hedge delay so a tight distribution cannot degenerate into
+/// hedging everything immediately.
+constexpr Duration kMinHedgeDelay = Duration::msec(50);
+
+}  // namespace
+
 HedgeHandler::HedgeHandler(faas::Platform& platform, HedgeConfig config)
     : platform_(platform), config_(config) {
   CANARY_CHECK(config_.percentile > 0.0 && config_.percentile <= 100.0,
                "hedge percentile out of range");
-  CANARY_CHECK(config_.delay_multiplier > 0.0,
-               "hedge delay multiplier must be positive");
 }
 
 void HedgeHandler::set_budget_hooks(TryHedgeFn try_hedge, HedgeDoneFn done) {
@@ -24,9 +30,8 @@ void HedgeHandler::set_budget_hooks(TryHedgeFn try_hedge, HedgeDoneFn done) {
 
 Duration HedgeHandler::current_delay() const {
   if (latency_.count() < config_.min_samples) return config_.initial_delay;
-  const Duration delay = Duration::sec(latency_.percentile(config_.percentile) *
-                                       config_.delay_multiplier);
-  return delay > config_.min_delay ? delay : config_.min_delay;
+  const Duration delay = Duration::sec(latency_.percentile(config_.percentile));
+  return delay > kMinHedgeDelay ? delay : kMinHedgeDelay;
 }
 
 void HedgeHandler::on_job_submitted(JobId job) {

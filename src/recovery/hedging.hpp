@@ -54,11 +54,6 @@ struct HedgeConfig {
   std::size_t min_samples = 20;
   /// Bootstrap delay used until `min_samples` completions are recorded.
   Duration initial_delay = Duration::sec(2.0);
-  /// Scale on the percentile-derived delay (>1 hedges later/less).
-  double delay_multiplier = 1.0;
-  /// Floor on the hedge delay so a tight distribution cannot degenerate
-  /// into hedging everything immediately.
-  Duration min_delay = Duration::msec(50);
   /// Global cap on concurrently racing clones (the per-class admission
   /// budget additionally applies under open-loop traffic).
   std::size_t max_outstanding = 64;

@@ -52,8 +52,8 @@ struct ArrivalSpec {
   // kTrace: explicit arrival offsets from the origin, ascending.
   std::vector<Duration> trace;
 
-  /// Long-run mean arrival rate implied by the spec (analytic, used by
-  /// the rate-matching property tests and the autoscaler's sanity caps).
+  /// Long-run mean arrival rate implied by the spec: the analytic
+  /// reference of the rate-matching property tests.
   double mean_rate_hz() const;
 };
 

@@ -7,6 +7,18 @@
 
 namespace canary::traffic {
 
+namespace {
+
+/// EWMA smoothing for the per-sweep arrival-rate sample.
+constexpr double kEwmaAlpha = 0.3;
+/// Warm target from rate: ceil(ewma_rate * kPrewarmWindow).
+constexpr Duration kPrewarmWindow = Duration::sec(1.0);
+/// Warm target from backlog: ceil(queue_depth * kQueueGain).
+constexpr double kQueueGain = 0.5;
+constexpr std::size_t kMinWarm = 0;
+
+}  // namespace
+
 WarmPoolAutoscaler::WarmPoolAutoscaler(sim::Simulator& sim,
                                        faas::Platform& platform,
                                        TrafficGenerator& generator)
@@ -71,16 +83,16 @@ void WarmPoolAutoscaler::sweep_class(std::size_t idx) {
   const double sample =
       static_cast<double>(offered - cls.last_offered) / interval_s;
   cls.last_offered = offered;
-  cls.ewma_rate_hz = config_.ewma_alpha * sample +
-                     (1.0 - config_.ewma_alpha) * cls.ewma_rate_hz;
+  cls.ewma_rate_hz =
+      kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * cls.ewma_rate_hz;
 
   const double rate_target =
-      std::ceil(cls.ewma_rate_hz * config_.prewarm_window.to_seconds());
+      std::ceil(cls.ewma_rate_hz * kPrewarmWindow.to_seconds());
   const double queue_target =
-      std::ceil(static_cast<double>(stats.queued) * config_.queue_gain);
+      std::ceil(static_cast<double>(stats.queued) * kQueueGain);
   const std::size_t desired = std::clamp(
       static_cast<std::size_t>(std::max(0.0, rate_target + queue_target)),
-      config_.min_warm, config_.max_warm);
+      kMinWarm, config_.max_warm);
 
   // Supply: everything warm-idle of this image (ours or the reuse pool's)
   // plus our launches still in flight.
@@ -89,7 +101,7 @@ void WarmPoolAutoscaler::sweep_class(std::size_t idx) {
       cls.launching.size();
 
   if (available < desired &&
-      now - cls.last_scale_up >= config_.scale_up_cooldown) {
+      now - cls.last_scale_up >= kScaleUpCooldown) {
     const std::size_t want = std::min(desired - available, config_.max_step);
     unsigned launched = 0;
     for (std::size_t n = 0; n < want; ++n) {

@@ -32,6 +32,9 @@
 
 namespace canary::traffic {
 
+/// Minimum gap between two scale-up sweeps of one pool class.
+inline constexpr Duration kScaleUpCooldown = Duration::msec(400);
+
 class WarmPoolAutoscaler final : public faas::PlatformObserver {
  public:
   /// Uses `generator.config().autoscaler` and one pool class per traffic

@@ -54,17 +54,9 @@ struct AutoscalerConfig {
   bool enabled = false;
   /// Reactive sweep cadence.
   Duration sweep_interval = Duration::msec(200);
-  /// EWMA smoothing for the per-sweep arrival-rate sample.
-  double ewma_alpha = 0.3;
-  /// Warm target from rate: ceil(ewma_rate * prewarm_window).
-  Duration prewarm_window = Duration::sec(1.0);
-  /// Warm target from backlog: ceil(queue_depth * queue_gain).
-  double queue_gain = 0.5;
-  std::size_t min_warm = 0;
   std::size_t max_warm = 16;
   /// Containers launched / retired per class per sweep, at most.
   std::size_t max_step = 4;
-  Duration scale_up_cooldown = Duration::msec(400);
   Duration scale_in_cooldown = Duration::sec(2.0);
   /// Hard stop for the sweep task past the traffic horizon: even if a
   /// run wedges short of quiescence, the autoscaler must not keep the

@@ -58,7 +58,7 @@ TEST_F(CheckpointingTest, DisabledModuleIsFree) {
   const auto inv = invocation_for(spec);
   EXPECT_EQ(module.state_epilogue(inv, 0), Duration::zero());
   module.on_state_committed(inv, 0);
-  EXPECT_EQ(store_.size(), 0u);
+  EXPECT_EQ(store_.keys_with_prefix("").size(), 0u);
   const auto plan = module.restore_plan(inv.id, NodeId{1});
   EXPECT_EQ(plan.from_state, 0u);
   EXPECT_FALSE(plan.checkpoint.has_value());
@@ -73,7 +73,7 @@ TEST_F(CheckpointingTest, SmallPayloadWritesToKv) {
   EXPECT_NEAR(epilogue.to_seconds(), 0.0005 + 1.0 / 900.0, 1e-6);
 
   module.on_state_committed(inv, 0);
-  EXPECT_EQ(store_.size(), 1u);
+  EXPECT_EQ(store_.keys_with_prefix("").size(), 1u);
   EXPECT_TRUE(store_.contains(CheckpointingModule::kv_key(inv.id, 0)));
   const auto rows = metadata_.checkpoints_of(inv.id);
   ASSERT_EQ(rows.size(), 1u);
@@ -155,7 +155,7 @@ TEST_F(CheckpointingTest, EachFunctionKeepsItsOwnLatestN) {
   EXPECT_EQ(fast_rows.front().state_index, 3u);
   EXPECT_FALSE(store_.contains(CheckpointingModule::kv_key(a.id, 4)));
   EXPECT_TRUE(store_.contains(CheckpointingModule::kv_key(b.id, 4)));
-  EXPECT_EQ(store_.size(), 8u);
+  EXPECT_EQ(store_.keys_with_prefix("").size(), 8u);
 }
 
 TEST_F(CheckpointingTest, DynamicRetentionAdapts) {
@@ -256,7 +256,7 @@ TEST_F(CheckpointingTest, DropFunctionClearsEverything) {
   module.on_state_committed(inv, 1);
   module.drop_function(inv.id);
   EXPECT_EQ(metadata_.checkpoint_count(inv.id), 0u);
-  EXPECT_EQ(store_.size(), 0u);
+  EXPECT_EQ(store_.keys_with_prefix("").size(), 0u);
   EXPECT_EQ(module.restore_plan(inv.id, NodeId{1}).from_state, 0u);
 }
 

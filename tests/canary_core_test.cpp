@@ -94,7 +94,7 @@ TEST_F(CoreModuleTest, CleanRunCompletesWithCheckpoints) {
   EXPECT_TRUE(platform().job_completed(id.value()));
   // Checkpoints were written during execution and dropped at completion.
   EXPECT_GE(metrics_.counter("checkpoints_written"), 4.0);
-  EXPECT_EQ(store_.size(), 0u);
+  EXPECT_EQ(store_.keys_with_prefix("").size(), 0u);
   EXPECT_EQ(core.in_flight_functions(), 0u);
   // A replica was provisioned for the active runtime (DR floor of 1).
   EXPECT_GE(metrics_.counter("replicas_launched"), 1.0);
@@ -193,20 +193,20 @@ TEST_F(CoreModuleTest, MetadataTablesTrackExecution) {
   ASSERT_TRUE(id.ok());
   sim_.run();
 
-  const auto* job_row = core.metadata().job(id.value());
-  ASSERT_NE(job_row, nullptr);
-  EXPECT_EQ(job_row->name, "tracked");
-  EXPECT_EQ(job_row->function_count, 1u);
+  // Job and function facts live in the platform, their one owner.
+  const faas::JobSpec& spec = platform().job_spec(id.value());
+  EXPECT_EQ(spec.name, "tracked");
+  EXPECT_EQ(spec.functions.size(), 1u);
 
   const auto& fns = platform().job_functions(id.value());
   ASSERT_EQ(fns.size(), 1u);
-  const FunctionInfoRow* fn_row = core.metadata().function(fns.front());
-  ASSERT_NE(fn_row, nullptr);
-  EXPECT_EQ(fn_row->job, id.value());
-  EXPECT_TRUE(fn_row->completed);
-  EXPECT_EQ(fn_row->attempts, 1);
-  EXPECT_TRUE(fn_row->worker.valid());
+  const faas::Invocation& inv = platform().invocation(fns.front());
+  EXPECT_EQ(inv.job, id.value());
+  EXPECT_TRUE(inv.completed());
+  EXPECT_EQ(inv.attempt, 1);
+  EXPECT_TRUE(inv.node.valid());
 
+  // worker_info keeps one liveness row per worker.
   EXPECT_EQ(core.metadata().worker_count(), 4u);
 }
 

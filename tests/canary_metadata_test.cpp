@@ -1,4 +1,4 @@
-// Unit tests for the Core Module's five database tables (paper §IV-C1).
+// Unit tests for the Core Module's database tables (paper §IV-C1).
 #include <gtest/gtest.h>
 
 #include "canary/metadata.hpp"
@@ -10,56 +10,15 @@ TEST(MetadataWorkerTest, UpsertAndLookup) {
   MetadataStore db;
   WorkerInfoRow row;
   row.node = NodeId{3};
-  row.rack = 1;
   db.upsert_worker(row);
   ASSERT_NE(db.worker(NodeId{3}), nullptr);
-  EXPECT_EQ(db.worker(NodeId{3})->rack, 1u);
+  EXPECT_TRUE(db.worker(NodeId{3})->alive);
   EXPECT_EQ(db.worker(NodeId{9}), nullptr);
 
   row.alive = false;
   db.upsert_worker(row);
   EXPECT_FALSE(db.worker(NodeId{3})->alive);
   EXPECT_EQ(db.worker_count(), 1u);
-}
-
-TEST(MetadataJobTest, InsertAndMutate) {
-  MetadataStore db;
-  JobInfoRow row;
-  row.job = JobId{1};
-  row.name = "j";
-  row.function_count = 4;
-  db.insert_job(row);
-  ASSERT_NE(db.job(JobId{1}), nullptr);
-  EXPECT_EQ(db.job(JobId{1})->function_count, 4u);
-  db.mutable_job(JobId{1})->function_count = 6;
-  EXPECT_EQ(db.job(JobId{1})->function_count, 6u);
-  EXPECT_EQ(db.job(JobId{2}), nullptr);
-}
-
-TEST(MetadataJobDeathTest, DuplicateJobAborts) {
-  MetadataStore db;
-  JobInfoRow row;
-  row.job = JobId{1};
-  db.insert_job(row);
-  EXPECT_DEATH(db.insert_job(row), "duplicate job row");
-}
-
-TEST(MetadataFunctionTest, InsertLookupByJob) {
-  MetadataStore db;
-  for (std::uint64_t i = 1; i <= 3; ++i) {
-    FunctionInfoRow row;
-    row.function = FunctionId{i};
-    row.job = JobId{i == 3 ? 2u : 1u};
-    db.insert_function(row);
-  }
-  for (std::uint64_t i = 1; i <= 3; ++i) {
-    const FunctionInfoRow* row = db.function(FunctionId{i});
-    ASSERT_NE(row, nullptr);
-    EXPECT_EQ(row->job, JobId{i == 3 ? 2u : 1u});
-  }
-  EXPECT_EQ(db.function(FunctionId{4}), nullptr);
-  db.mutable_function(FunctionId{1})->attempts = 2;
-  EXPECT_EQ(db.function(FunctionId{1})->attempts, 2);
 }
 
 TEST(MetadataCheckpointTest, OrderedByStateIndex) {

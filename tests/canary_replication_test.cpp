@@ -119,18 +119,25 @@ TEST_F(ReplicationTest, AcquireSkipsDeadNodes) {
 }
 
 TEST_F(ReplicationTest, RetireOnePicksNewest) {
-  manager_.register_replica(faas::RuntimeImage::kPython3, NodeId{1},
-                            ContainerId{1});
-  manager_.mark_active(ContainerId{1});
-  sim_.schedule_after(Duration::sec(1.0), [&] {
-    manager_.register_replica(faas::RuntimeImage::kPython3, NodeId{2},
-                              ContainerId{2});
-    manager_.mark_active(ContainerId{2});
-  });
+  // A replica is as old as its container: launch real ones a second apart.
+  auto add_active = [&](NodeId node) {
+    const auto launched = platform_.launch_warm_container(
+        node, faas::RuntimeImage::kPython3,
+        faas::ContainerPurpose::kRuntimeReplica, nullptr);
+    EXPECT_TRUE(launched.ok());
+    manager_.register_replica(faas::RuntimeImage::kPython3, node,
+                              launched.value());
+    manager_.mark_active(launched.value());
+    return launched.value();
+  };
+  add_active(NodeId{1});
+  ContainerId newest;
+  sim_.schedule_after(Duration::sec(1.0),
+                      [&] { newest = add_active(NodeId{2}); });
   sim_.run();
   const auto retired = manager_.retire_one(faas::RuntimeImage::kPython3);
   ASSERT_TRUE(retired.has_value());
-  EXPECT_EQ(*retired, ContainerId{2});
+  EXPECT_EQ(*retired, newest);
   EXPECT_EQ(manager_.active_count(faas::RuntimeImage::kPython3), 1u);
 }
 
@@ -180,7 +187,7 @@ TEST_F(ReplicationTest, DynamicFollowsObservedFailureRate) {
   const auto after = module.target_replicas(faas::RuntimeImage::kPython3);
   EXPECT_GT(after, before);
   // Bounded by the cap fraction.
-  EXPECT_LE(after, static_cast<unsigned>(40 * config.dynamic_cap_fraction) + 1);
+  EXPECT_LE(after, static_cast<unsigned>(40 * kDynamicCapFraction) + 1);
   EXPECT_GT(module.estimated_failure_rate(), 0.2);
 }
 
@@ -277,12 +284,6 @@ TEST_F(ReplicationTest, ConsumedReplicaIsReplaced) {
   module.on_replica_consumed(faas::RuntimeImage::kPython3);
   // A replacement replica is launching.
   EXPECT_EQ(manager_.pending_count(faas::RuntimeImage::kPython3), 1u);
-}
-
-TEST_F(ReplicationTest, ModeLabels) {
-  EXPECT_EQ(to_string_view(ReplicationMode::kDynamic), "dynamic");
-  EXPECT_EQ(to_string_view(ReplicationMode::kAggressive), "aggressive");
-  EXPECT_EQ(to_string_view(ReplicationMode::kLenient), "lenient");
 }
 
 }  // namespace

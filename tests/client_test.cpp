@@ -139,9 +139,8 @@ TEST(CheckpointClientTest, ClientsAreNamespaced) {
   ASSERT_TRUE(b.save(0, "b-state").ok());
   EXPECT_EQ(a.load_latest()->state_data, "a-state");
   EXPECT_EQ(b.load_latest()->state_data, "b-state");
-  a.clear();
-  EXPECT_FALSE(a.load_latest().has_value());
-  EXPECT_TRUE(b.load_latest().has_value());
+  EXPECT_EQ(store.keys_with_prefix("app-ckpt/fn-a/").size(), 1u);
+  EXPECT_EQ(store.keys_with_prefix("app-ckpt/fn-b/").size(), 1u);
 }
 
 TEST(CheckpointClientTest, EmptyStoreLoadsNothing) {

@@ -313,15 +313,16 @@ std::string render_sharded_report(const harness::RunResult& result,
   return harness::make_report("shard_probe", config, agg).to_json();
 }
 
+/// Every shard's spans, events and series, one trace document per shard,
+/// concatenated in shard order.
 std::string render_sharded_trace(const harness::RunResult& result) {
-  std::vector<obs::TraceSection> sections;
-  for (const auto& shard : result.shards) {
-    sections.push_back({shard->spans.get(), shard->events.get(),
-                        shard->attribution ? &shard->attribution->timeseries
-                                           : nullptr});
-  }
   std::ostringstream out;
-  obs::write_chrome_trace(out, sections);
+  for (const auto& shard : result.shards) {
+    obs::write_chrome_trace(out, shard->spans.get(), shard->events.get(),
+                            shard->attribution
+                                ? &shard->attribution->timeseries
+                                : nullptr);
+  }
   return out.str();
 }
 

@@ -193,13 +193,32 @@ TEST(CalibrationTwinTest, ComponentsPartitionTheMeanWindow) {
   workload.steps = 6;
   workload.step_exec = Duration::msec(20);
   workload.checkpoint_bytes = Bytes::kib(64);
-  workload.kill_offset = Duration::msec(50);
+  workload.kill_after_step = 2;
   workload.strategy = recovery::StrategyConfig::canary_checkpoint_only();
   workload.repetitions = 3;
   const CalibrationTwinResult twin = run_calibration_twin(workload);
   ASSERT_GE(twin.recoveries, 1u);
   EXPECT_GT(twin.window_s, 0.0);
   EXPECT_NEAR(twin.components.total(), twin.window_s, 1e-3);
+}
+
+TEST(CalibrationTwinTest, CensusKillAfterCommitMeasuresRestoreAndReExec) {
+  // Census steps are short (1.9 ms) next to the twin's startup (launch +
+  // init, 18 ms), so a kill placed at the real run's wall offset would
+  // land before the first step. Placed after the commit of step 2, it
+  // costs a checkpoint restore and a re-run of step 3.
+  CalibrationWorkload workload;
+  workload.name = "census";
+  workload.steps = 6;
+  workload.step_exec = Duration::usec(1900);
+  workload.checkpoint_bytes = Bytes::kib(2344);
+  workload.kill_after_step = 2;
+  workload.strategy = recovery::StrategyConfig::canary_checkpoint_only();
+  workload.repetitions = 3;
+  const CalibrationTwinResult twin = run_calibration_twin(workload);
+  ASSERT_GE(twin.recoveries, 1u);
+  EXPECT_GT(twin.components[obs::PathComponent::kRestore], 0.0);
+  EXPECT_GT(twin.components[obs::PathComponent::kReExec], 0.0);
 }
 
 // ---- fan-out -------------------------------------------------------------

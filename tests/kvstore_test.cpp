@@ -35,7 +35,7 @@ TEST(KvStoreTest, OverwriteReplacesPayload) {
   const auto got = store.get("k");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value().payload, "b");
-  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.keys_with_prefix("").size(), 1u);
 }
 
 TEST(KvStoreTest, MissingKeyIsNotFound) {
@@ -150,7 +150,7 @@ TEST(KvStoreTest, PartitionedModeLosesUnbackedEntries) {
   const auto lost = store.stats().entries_lost;
   EXPECT_GT(lost, 0u);
   EXPECT_LT(lost, 64u);
-  EXPECT_EQ(store.size(), 64u - lost);
+  EXPECT_EQ(store.keys_with_prefix("").size(), 64u - lost);
 }
 
 TEST(KvStoreTest, PartitionedBackupsSurviveSingleFailure) {
@@ -164,7 +164,7 @@ TEST(KvStoreTest, PartitionedBackupsSurviveSingleFailure) {
   }
   store.fail_node(NodeId{2});
   EXPECT_EQ(store.stats().entries_lost, 0u);
-  EXPECT_EQ(store.size(), 64u);
+  EXPECT_EQ(store.keys_with_prefix("").size(), 64u);
 }
 
 TEST(KvStoreTest, PartitionedBackupsUnderOverlappingNodeLosses) {
@@ -195,7 +195,7 @@ TEST(KvStoreTest, PartitionedBackupsUnderOverlappingNodeLosses) {
   store.fail_node(NodeId{1});
   store.fail_node(NodeId{2});
   EXPECT_EQ(store.stats().entries_lost, doomed);
-  EXPECT_EQ(store.size(), 64u - doomed);
+  EXPECT_EQ(store.keys_with_prefix("").size(), 64u - doomed);
   for (const auto& key : keys) {
     if (store.contains(key)) {
       const auto entry = store.get(key);

@@ -877,48 +877,6 @@ TEST(ChromeTraceTest, GoldenSingleSection) {
       "\n");
 }
 
-TEST(ChromeTraceTest, GoldenLabelledSections) {
-  const TraceInputs in;
-  std::ostringstream os;
-  obs::write_chrome_trace(
-      os, {obs::TraceSection{&in.spans, nullptr, nullptr},
-           obs::TraceSection{nullptr, &in.log.log, &in.series}});
-  EXPECT_EQ(
-      os.str(),
-      R"({"displayTimeUnit":"ms","traceEvents":[)"
-      R"({"name":"process_name","ph":"M","pid":1,)"
-      R"("args":{"name":"shard 0"}},)"
-      R"({"name":"exec","cat":"exec","ph":"X","ts":100,"dur":300,"pid":1,)"
-      R"("tid":4,"args":{"job":1,"function":2,"container":3,"attempt":1}},)"
-      R"({"name":"container_kill","cat":"failure","ph":"i","ts":250,)"
-      R"("s":"t","pid":1,"tid":0,"args":{}},)"
-      R"({"name":"process_name","ph":"M","pid":2,)"
-      R"("args":{"name":"shard 1"}},)"
-      R"({"name":"launch","cat":"launch","ph":"i","ts":200000,"s":"t",)"
-      R"("pid":2,"tid":1,"args":{"event":0,"trace":1,"function":2,)"
-      R"("attempt":1}},)"
-      R"({"name":"container_kill","cat":"failure","ph":"i","ts":1100000,)"
-      R"("s":"t","pid":2,"tid":1,"args":{"event":1,"trace":1,"parent":0,)"
-      R"("function":2,"attempt":1}},)"
-      R"({"name":"recovered","cat":"recovered","ph":"i","ts":2600000,)"
-      R"("s":"t","pid":2,"tid":1,"args":{"event":2,"trace":1,"parent":1,)"
-      R"("cause":1,"function":2,"attempt":2}},)"
-      R"({"name":"recovered","cat":"causal","ph":"s","id":2,"ts":1100000,)"
-      R"("pid":2,"tid":1},)"
-      R"({"name":"recovered","cat":"causal","ph":"f","bp":"e","id":2,)"
-      R"("ts":2600000,"pid":2,"tid":1},)"
-      R"({"name":"ts.cold_starts","cat":"timeseries","ph":"C","ts":0,)"
-      R"("pid":2,"tid":0,"args":{"value":1}},)"
-      R"({"name":"ts.failures","cat":"timeseries","ph":"C","ts":1000000,)"
-      R"("pid":2,"tid":0,"args":{"value":1}},)"
-      R"({"name":"ts.recoveries","cat":"timeseries","ph":"C","ts":2000000,)"
-      R"("pid":2,"tid":0,"args":{"value":1}},)"
-      R"({"name":"ts.recovery_time.p99","cat":"timeseries","ph":"C",)"
-      R"("ts":2000000,"pid":2,"tid":0,"args":{"value":1.5}}],)"
-      R"("otherData":{"spans_dropped":0,"events_dropped":0}})"
-      "\n");
-}
-
 /// A device that accepts opens and refuses every write (ENOSPC).
 constexpr const char* kFullDevice = "/dev/full";
 

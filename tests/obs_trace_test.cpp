@@ -211,7 +211,7 @@ TEST_F(TraceTest, RetryReattemptStaysOnTheFailureChain) {
   EXPECT_EQ(launches, 2u);  // killed cold start + retry cold start
   // Detection lags the failure by the configured detect delay.
   EXPECT_EQ((detect->at - failure->at).count_usec(),
-            PlatformConfig{}.failure_detect_delay.count_usec());
+            kFailureDetectDelay.count_usec());
   // The regained-work event points its cause edge back at the failure.
   EXPECT_EQ(recovered->cause, failure->id);
   EXPECT_EQ(evs.back()->kind, K::kComplete);

@@ -410,7 +410,7 @@ TEST_F(AutoscalerTest, RespectsScaleUpCooldown) {
     EXPECT_LE(e.count, cfg.max_step);
     if (!e.up) continue;
     if (last_up.has_value()) {
-      EXPECT_GE(e.at - *last_up, cfg.scale_up_cooldown);
+      EXPECT_GE(e.at - *last_up, kScaleUpCooldown);
     }
     last_up = e.at;
   }

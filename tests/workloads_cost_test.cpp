@@ -148,11 +148,5 @@ TEST(CostModelTest, ReopenedContainerClosesNewestInterval) {
   EXPECT_NEAR(ledger.total_gb_seconds(), 7.0, 1e-9);
 }
 
-TEST(CostModelTest, PricingPresets) {
-  EXPECT_DOUBLE_EQ(cost::PricingModel::ibm().usd_per_gb_second, 0.000017);
-  EXPECT_DOUBLE_EQ(cost::PricingModel::aws_lambda().usd_per_gb_second,
-                   0.0000167);
-}
-
 }  // namespace
 }  // namespace canary
