@@ -27,14 +27,12 @@ CheckpointingModule::CheckpointingModule(
     sim::Simulator& simulator, cluster::Cluster& cluster,
     const cluster::StorageHierarchy& storage,
     const cluster::NetworkModel& network, kv::KvStore& store,
-    MetadataStore& metadata, obs::MetricRegistry& metrics,
-    CheckpointingConfig config)
+    obs::MetricRegistry& metrics, CheckpointingConfig config)
     : sim_(simulator),
       cluster_(cluster),
       storage_(storage),
       network_(network),
       store_(store),
-      metadata_(metadata),
       metrics_(metrics),
       config_(config) {}
 
@@ -119,18 +117,16 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
   const Bytes payload = effective_payload(*inv.spec, idx);
   const std::string key = kv_key(inv.id, idx);
 
-  CheckpointInfoRow row;
+  CheckpointRow row;
   row.checkpoint = ids_.next();
-  row.function = inv.id;
   row.state_index = idx;
   row.payload = payload;
   row.stored_on = inv.node;
-  row.kv_key = key;
 
   // The KV entry models the checkpoint (or, on the spill path, its
-  // location record) by its logical size, owners and checksum alone:
-  // restore reads checkpoint_info, never the entry's bytes, so the
-  // payload is empty. A shard fault still leaves the checksum stale.
+  // location record) by its logical size and checksum alone: restore
+  // reads the module's rows, never the entry's bytes, so the payload is
+  // empty. A shard fault still leaves the checksum stale.
   if (payload <= store_.config().max_entry_size) {
     row.location = cluster::StorageTier::kKvStore;
     // The KV store is replicated (and persistent in the testbed config),
@@ -175,43 +171,52 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
                     obs::kNoEvent, state_epilogue(inv, idx));
   }
 
-  // A recommit of the same state (after a restore) replaces the old row.
-  for (const CheckpointInfoRow& existing : metadata_.checkpoints_of(inv.id)) {
-    if (existing.state_index == idx) {
-      metadata_.remove_checkpoint(inv.id, existing.checkpoint);
-      break;
-    }
-  }
+  FunctionCheckpoints& checkpoints = checkpoints_[inv.id];
+  auto& rows = checkpoints.rows;
   // Retention is pure in (spec, config): computed on the function's first
   // checkpoint and kept with its rows.
-  unsigned retention = metadata_.checkpoint_retention(inv.id);
-  if (retention == 0) {
-    retention = retention_for(*inv.spec);
-    metadata_.set_checkpoint_retention(inv.id, retention);
+  if (checkpoints.retention == 0) {
+    checkpoints.retention = retention_for(*inv.spec);
+    // Room for the bound plus the one row a commit adds before eviction.
+    rows.reserve(checkpoints.retention + 1);
   }
-  const CheckpointId row_id = row.checkpoint;
-  const bool needs_flush = !row.flushed_to_shared;
-  metadata_.insert_checkpoint(std::move(row));
+  // A recommit of the same state (after a restore) replaces the old row.
+  const auto same = std::find_if(
+      rows.begin(), rows.end(),
+      [idx](const CheckpointRow& r) { return r.state_index == idx; });
+  if (same != rows.end()) rows.erase(same);
+  rows.insert(std::upper_bound(rows.begin(), rows.end(), idx,
+                               [](std::size_t state, const CheckpointRow& r) {
+                                 return state < r.state_index;
+                               }),
+              row);
 
   // Retention: keep the latest n checkpoints (Algorithm 1 lines 14-16).
-  auto rows = metadata_.checkpoints_of(inv.id);
-  while (rows.size() > retention) {
-    (void)store_.remove(rows.front().kv_key);
-    metadata_.remove_checkpoint(inv.id, rows.front().checkpoint);
-    rows = metadata_.checkpoints_of(inv.id);
+  while (rows.size() > checkpoints.retention) {
+    (void)store_.remove(kv_key(inv.id, rows.front().state_index));
+    rows.erase(rows.begin());
   }
 
-  if (needs_flush) {
+  if (!row.flushed_to_shared) {
     // Asynchronous flush to shared storage; until it completes the spilled
     // checkpoint dies with its node.
     const Duration flush_time =
         config_.async_flush_delay +
         storage_.write_time(cluster::StorageTier::kNfs, payload);
-    sim_.schedule_after(flush_time, [this, fn = inv.id, row_id] {
-      auto* pending = metadata_.mutable_checkpoint(fn, row_id);
-      if (pending == nullptr) return;  // evicted by retention meanwhile
-      if (!cluster_.node(pending->stored_on).alive()) return;  // lost
-      pending->flushed_to_shared = true;
+    sim_.schedule_after(flush_time, [this, fn = inv.id, id = row.checkpoint] {
+      // Found by checkpoint id: a later recommit of the same state is a
+      // new row this flush must not mark. Nothing is found when retention
+      // evicted the row or the function was dropped meanwhile.
+      auto found = checkpoints_.find(fn);
+      if (found == checkpoints_.end()) return;
+      for (CheckpointRow& pending : found->second.rows) {
+        if (pending.checkpoint != id) continue;
+        // A copy whose node died before the flush finished is lost.
+        if (cluster_.node(pending.stored_on).alive()) {
+          pending.flushed_to_shared = true;
+        }
+        return;
+      }
     });
   }
 }
@@ -220,13 +225,14 @@ RestorePlan CheckpointingModule::restore_plan(FunctionId fn,
                                               NodeId target_node) const {
   RestorePlan plan;
   if (!config_.enabled) return plan;
-  const auto rows = metadata_.checkpoints_of(fn);
+  const auto rows = checkpoints_of(fn);
   for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
-    const CheckpointInfoRow& row = *it;
+    const CheckpointRow& row = *it;
+    const std::string key = kv_key(fn, row.state_index);
     Duration read = Duration::zero();
     if (row.location == cluster::StorageTier::kKvStore) {
-      if (!store_.contains(row.kv_key)) continue;  // lost with cache nodes
-      if (!store_.intact(row.kv_key)) {
+      if (!store_.contains(key)) continue;  // lost with cache nodes
+      if (!store_.intact(key)) {
         // Checksum mismatch: the entry survived but its payload is
         // damaged. Restoring it would silently resurrect corrupt state —
         // skip to the next-older checkpoint (or full re-execution).
@@ -257,7 +263,7 @@ RestorePlan CheckpointingModule::restore_plan(FunctionId fn,
     // above filters corrupt ones). The chaos campaign asserts this
     // counter stays zero.
     if (row.location == cluster::StorageTier::kKvStore &&
-        !store_.intact(row.kv_key)) {
+        !store_.intact(key)) {
       metrics_.count("restored_corrupt_checkpoints");
     }
     return plan;
@@ -293,10 +299,19 @@ void CheckpointingModule::zombie_commit(NodeId node, FunctionId fn) {
 }
 
 void CheckpointingModule::drop_function(FunctionId fn) {
-  for (const CheckpointInfoRow& row : metadata_.checkpoints_of(fn)) {
-    (void)store_.remove(row.kv_key);
+  auto found = checkpoints_.find(fn);
+  if (found == checkpoints_.end()) return;
+  for (const CheckpointRow& row : found->second.rows) {
+    (void)store_.remove(kv_key(fn, row.state_index));
   }
-  metadata_.remove_checkpoints_of(fn);
+  checkpoints_.erase(found);
+}
+
+std::span<const CheckpointRow> CheckpointingModule::checkpoints_of(
+    FunctionId fn) const {
+  auto found = checkpoints_.find(fn);
+  if (found == checkpoints_.end()) return {};
+  return found->second.rows;
 }
 
 }  // namespace canary::core

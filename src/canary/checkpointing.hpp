@@ -16,12 +16,15 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
-#include "canary/metadata.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/network.hpp"
 #include "cluster/storage.hpp"
+#include "common/bytes.hpp"
 #include "common/ids.hpp"
 #include "faas/events.hpp"
 #include "kvstore/kvstore.hpp"
@@ -49,6 +52,17 @@ struct CheckpointingConfig {
   bool compress = false;
 };
 
+/// One retained checkpoint of a function (a row of the paper's
+/// checkpoint_info table). Its KV key is kv_key(function, state_index).
+struct CheckpointRow {
+  CheckpointId checkpoint;
+  std::size_t state_index = 0;  // index of the committed state
+  Bytes payload = Bytes::zero();
+  cluster::StorageTier location = cluster::StorageTier::kKvStore;
+  NodeId stored_on;  // hosting node for node-local tiers
+  bool flushed_to_shared = false;
+};
+
 /// Where to resume a failed function and how long loading the checkpoint
 /// will take on the target node.
 struct RestorePlan {
@@ -62,8 +76,7 @@ class CheckpointingModule {
   CheckpointingModule(sim::Simulator& simulator, cluster::Cluster& cluster,
                       const cluster::StorageHierarchy& storage,
                       const cluster::NetworkModel& network, kv::KvStore& store,
-                      MetadataStore& metadata, obs::MetricRegistry& metrics,
-                      CheckpointingConfig config);
+                      obs::MetricRegistry& metrics, CheckpointingConfig config);
 
   const CheckpointingConfig& config() const { return config_; }
 
@@ -91,6 +104,10 @@ class CheckpointingModule {
   /// Drop all checkpoints of a completed function.
   void drop_function(FunctionId fn);
 
+  /// Retained checkpoints of `fn`, ordered oldest-first by state index.
+  /// The view is invalidated by the next commit or drop of `fn`.
+  std::span<const CheckpointRow> checkpoints_of(FunctionId fn) const;
+
   /// Split-brain probe: a logically fenced (minority-partition) worker
   /// finished executing `fn` and now tries to commit. The attempt is a
   /// REAL writer-attributed KV put routed through the store's epoch gate;
@@ -113,11 +130,17 @@ class CheckpointingModule {
   const cluster::StorageHierarchy& storage_;
   const cluster::NetworkModel& network_;
   kv::KvStore& store_;
-  MetadataStore& metadata_;
   obs::MetricRegistry& metrics_;
   obs::EventLog* events_ = nullptr;
   CheckpointingConfig config_;
   IdGenerator<CheckpointId> ids_;
+  /// The function's latest-n bound (Algorithm 1), computed on its first
+  /// checkpoint, and its rows sorted by state index.
+  struct FunctionCheckpoints {
+    unsigned retention = 0;
+    std::vector<CheckpointRow> rows;
+  };
+  std::unordered_map<FunctionId, FunctionCheckpoints> checkpoints_;
   obs::CounterHandle m_checkpoints_written_{metrics_, "checkpoints_written"};
   obs::CounterHandle m_checkpoint_spills_{metrics_, "checkpoint_spills"};
   obs::HistogramHandle m_checkpoint_payload_mib_{metrics_,

@@ -98,7 +98,6 @@ Status CheckpointClient::save(std::uint64_t state_index,
     if (!put.ok()) return put;
     ++spills_;
   }
-  ++saved_;
 
   // Latest-n retention (Algorithm 1 lines 14-16).
   saved_indices_.erase(

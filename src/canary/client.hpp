@@ -77,7 +77,6 @@ class CheckpointClient {
   /// Newest restorable checkpoint, or nullopt if none survives.
   std::optional<Restored> load_latest() const;
 
-  std::uint64_t checkpoints_saved() const { return saved_; }
   std::uint64_t spills() const { return spills_; }
 
  private:
@@ -90,7 +89,6 @@ class CheckpointClient {
   ClientConfig config_;
   std::vector<std::pair<std::string, std::function<std::string()>>> critical_;
   std::vector<std::uint64_t> saved_indices_;  // retention ring, oldest first
-  std::uint64_t saved_ = 0;
   std::uint64_t spills_ = 0;
 };
 

@@ -25,14 +25,13 @@ CoreModule::CoreModule(faas::Platform& platform, kv::KvStore& store,
       config_(config),
       validator_(platform.config().limits),
       checkpointing_(platform.simulator(), platform.cluster(), storage,
-                     platform.network(), store, metadata_, platform.metrics(),
+                     platform.network(), store, platform.metrics(),
                      config.checkpointing),
-      runtime_manager_(platform, platform.cluster(), metadata_),
-      replication_(platform, runtime_manager_, metadata_, platform.metrics(),
+      runtime_manager_(platform),
+      replication_(platform, runtime_manager_, platform.metrics(),
                    config.replication),
       mitigator_(platform.simulator(), config.proactive) {
   replication_.set_advisor(&mitigator_);
-  refresh_worker_table();
 }
 
 void CoreModule::install() {
@@ -54,16 +53,6 @@ void CoreModule::install() {
 void CoreModule::attach_detector(FailureDetector& detector) {
   detector_ = &detector;
   detector.set_listener(this);
-}
-
-void CoreModule::refresh_worker_table() {
-  for (const NodeId id : platform_.cluster().node_ids()) {
-    WorkerInfoRow row;
-    row.node = id;
-    row.alive = platform_.cluster().node(id).alive() &&
-                !(detector_ != nullptr && detector_->is_confirmed_dead(id));
-    metadata_.upsert_worker(row);
-  }
 }
 
 bool CoreModule::node_suspect(NodeId node) const {
@@ -179,7 +168,6 @@ void CoreModule::on_failure(const faas::Invocation& inv,
                             const faas::FailureInfo& info) {
   (void)info;
   replication_.on_failure_observed(inv);
-  refresh_worker_table();
 
   // A watchdog-initiated kill recorded the stalled worker; route this
   // dispatch away from it.
@@ -201,20 +189,21 @@ void CoreModule::dispatch_recovery(const faas::Invocation& inv,
           : std::nullopt;
 
   const std::optional<std::uint32_t> avoid_zone = recovery_avoid_zone(inv);
-  auto replica = runtime_manager_.acquire(image, prefer, avoid, avoid_zone);
+  const auto replica =
+      runtime_manager_.acquire(image, prefer, avoid, avoid_zone);
   if (replica) {
     // Fast path: migrate onto the warm replicated runtime and restore the
     // latest checkpoint there.
-    const RestorePlan plan =
-        checkpointing_.restore_plan(inv.id, replica->worker);
+    const NodeId worker = platform_.container(*replica).node;
+    const RestorePlan plan = checkpointing_.restore_plan(inv.id, worker);
     faas::StartSpec start;
     start.from_state = plan.from_state;
-    start.container = replica->container;
+    start.container = *replica;
     start.extra_setup = kMigrationOverhead + plan.restore_time;
     platform_.metrics().count("replica_recoveries");
     platform_.log_recovery_action(inv.id, "replica_recovery");
     replication_.on_replica_consumed(image);
-    arm_recovery_watch(inv.id, replica->worker);
+    arm_recovery_watch(inv.id, worker);
     platform_.start_attempt(inv.id, start);
     return;
   }
@@ -227,11 +216,11 @@ void CoreModule::dispatch_recovery(const faas::Invocation& inv,
     const auto& rt = faas::profile(image);
     const Duration min_age = (rt.cold_launch + rt.init) * (1.0 / 3.0);
     if (auto pending = runtime_manager_.promise_launching(image, min_age)) {
-      promised_[pending->container] = inv.id;
+      promised_[*pending] = inv.id;
       platform_.metrics().count("sla_promised_recoveries");
       platform_.log_recovery_action(inv.id, "sla_promised_recovery");
       replication_.on_replica_consumed(image);
-      arm_recovery_watch(inv.id, pending->worker);
+      arm_recovery_watch(inv.id, platform_.container(*pending).node);
       return;  // dispatch happens in on_container_ready
     }
   }
@@ -342,10 +331,8 @@ void CoreModule::on_function_completed(const faas::Invocation& inv) {
 
 void CoreModule::on_function_failed(const faas::Invocation& inv,
                                     const faas::FailureInfo& info) {
-  if (info.kind == faas::FailureKind::kNodeFailure) {
-    refresh_worker_table();
-    return;  // the node is already gone; nothing left to predict
-  }
+  // A node failure leaves nothing to predict: the node is already gone.
+  if (info.kind == faas::FailureKind::kNodeFailure) return;
   // Feed the failure predictor; a newly-suspect worker triggers an
   // immediate pre-scale of the failed function's runtime pool.
   if (mitigator_.observe_failure(info.node)) {
@@ -364,24 +351,20 @@ void CoreModule::on_function_failed(const faas::Invocation& inv,
 void CoreModule::on_container_ready(const faas::Container& c) {
   if (c.purpose != faas::ContainerPurpose::kRuntimeReplica) return;
   // A replica promised to an SLA-urgent function dispatches the moment it
-  // turns warm; everything else becomes an active pool replica.
+  // turns warm; every other replica is active from now on by its state.
   auto promised = promised_.find(c.id);
-  if (promised != promised_.end()) {
-    const FunctionId fn = promised->second;
-    promised_.erase(promised);
-    const auto& inv = platform_.invocation(fn);
-    if (!inv.completed()) {
-      const RestorePlan plan = checkpointing_.restore_plan(fn, c.node);
-      faas::StartSpec start;
-      start.from_state = plan.from_state;
-      start.container = c.id;
-      start.extra_setup = kMigrationOverhead + plan.restore_time;
-      platform_.metrics().count("sla_promised_dispatches");
-      platform_.start_attempt(fn, start);
-    }
-    return;
-  }
-  runtime_manager_.mark_active(c.id);
+  if (promised == promised_.end()) return;
+  const FunctionId fn = promised->second;
+  promised_.erase(promised);
+  const auto& inv = platform_.invocation(fn);
+  if (inv.completed()) return;
+  const RestorePlan plan = checkpointing_.restore_plan(fn, c.node);
+  faas::StartSpec start;
+  start.from_state = plan.from_state;
+  start.container = c.id;
+  start.extra_setup = kMigrationOverhead + plan.restore_time;
+  platform_.metrics().count("sla_promised_dispatches");
+  platform_.start_attempt(fn, start);
 }
 
 void CoreModule::on_container_destroyed(const faas::Container& c) {
@@ -392,7 +375,6 @@ void CoreModule::on_container_destroyed(const faas::Container& c) {
   if (promised != promised_.end()) {
     const FunctionId fn = promised->second;
     promised_.erase(promised);
-    runtime_manager_.mark_dead(c.id);
     const auto& inv = platform_.invocation(fn);
     if (!inv.completed() && inv.phase == faas::Phase::kFailed) {
       recover_cold(inv);
@@ -400,15 +382,11 @@ void CoreModule::on_container_destroyed(const faas::Container& c) {
     replication_.on_replica_destroyed(c.image);
     return;
   }
-  auto* row = metadata_.replica_by_container(c.id);
-  const bool was_live =
-      row != nullptr && (row->status == ReplicaStatus::kLaunching ||
-                         row->status == ReplicaStatus::kActive);
-  runtime_manager_.mark_dead(c.id);
-  if (was_live) replication_.on_replica_destroyed(c.image);
+  // A claimed or retired replica is gone from the registry already.
+  if (runtime_manager_.forget(c.image, c.id)) {
+    replication_.on_replica_destroyed(c.image);
+  }
 }
-
-void CoreModule::on_job_completed(JobId job) { (void)job; }
 
 // ---- FailureDetectorListener ------------------------------------------------
 
@@ -418,7 +396,6 @@ void CoreModule::on_worker_confirmed_dead(NodeId node) {
   // any commit it attempts from here on is stale-epoch and rejected. For
   // a genuinely dead worker the fence is a harmless no-op.
   store_.fence_node(node);
-  refresh_worker_table();
 }
 
 }  // namespace canary::core

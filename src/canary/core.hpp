@@ -21,7 +21,6 @@
 
 #include "canary/checkpointing.hpp"
 #include "canary/failure_detector.hpp"
-#include "canary/metadata.hpp"
 #include "canary/proactive.hpp"
 #include "canary/replication.hpp"
 #include "canary/request_validator.hpp"
@@ -72,10 +71,8 @@ class CoreModule final : public faas::RecoveryHandler,
   std::size_t queued_jobs() const { return queue_.size(); }
   std::size_t in_flight_functions() const { return in_flight_; }
 
-  MetadataStore& metadata() { return metadata_; }
   CheckpointingModule& checkpointing() { return checkpointing_; }
   ReplicationModule& replication() { return replication_; }
-  RuntimeManagerModule& runtime_manager() { return runtime_manager_; }
   const ProactiveMitigator& proactive() const { return mitigator_; }
 
   // ---- RecoveryHandler --------------------------------------------------
@@ -96,7 +93,6 @@ class CoreModule final : public faas::RecoveryHandler,
                           const faas::FailureInfo& info) override;
   void on_container_ready(const faas::Container& c) override;
   void on_container_destroyed(const faas::Container& c) override;
-  void on_job_completed(JobId job) override;
 
   /// Read heartbeat suspicion and confirmed deaths from `detector`, and
   /// listen for confirmations. Heartbeat-suspected workers are avoided by
@@ -108,7 +104,6 @@ class CoreModule final : public faas::RecoveryHandler,
   void on_worker_confirmed_dead(NodeId node) override;
 
  private:
-  void refresh_worker_table();
   void drain_queue();
   /// Suspect by either signal source: the reactive proactive-mitigation
   /// predictor or the heartbeat failure detector (suspected, not yet
@@ -143,7 +138,6 @@ class CoreModule final : public faas::RecoveryHandler,
   /// rejected as stale-epoch.
   kv::KvStore& store_;
   CanaryConfig config_;
-  MetadataStore metadata_;
   RequestValidator validator_;
   CheckpointingModule checkpointing_;
   RuntimeManagerModule runtime_manager_;

@@ -19,8 +19,8 @@
 // faas::kFailureDetectDelay.
 //
 // The detector is the one owner of this state: the Core Module asks it
-// (is_suspected, is_confirmed_dead) instead of keeping a copy, and the
-// worker_info table holds only liveness.
+// (is_suspected, is_confirmed_dead) instead of keeping a copy, and reads
+// liveness from cluster::Node::alive.
 //
 // The detector's totals live in the platform's metric registry only:
 // heartbeats_sent, heartbeats_dropped (injected drops),

@@ -247,10 +247,9 @@ void ReplicationModule::reconcile(faas::RuntimeImage image) {
     const auto node = place_replica(image);
     if (!node) break;  // no capacity anywhere
     auto launched = platform_.launch_warm_container(
-        *node, image, faas::ContainerPurpose::kRuntimeReplica,
-        [this](ContainerId cid) { manager_.mark_active(cid); });
+        *node, image, faas::ContainerPurpose::kRuntimeReplica, nullptr);
     if (!launched.ok()) break;
-    manager_.register_replica(image, *node, launched.value());
+    manager_.register_replica(image, launched.value());
     metrics_.count("replicas_launched");
     ++live;
   }

@@ -24,7 +24,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "canary/metadata.hpp"
 #include "canary/proactive.hpp"
 #include "canary/runtime_manager.hpp"
 #include "faas/platform.hpp"
@@ -50,11 +49,9 @@ struct ReplicationConfig {
 class ReplicationModule {
  public:
   ReplicationModule(faas::Platform& platform, RuntimeManagerModule& manager,
-                    MetadataStore& metadata, obs::MetricRegistry& metrics,
-                    ReplicationConfig config)
+                    obs::MetricRegistry& metrics, ReplicationConfig config)
       : platform_(platform),
         manager_(manager),
-        metadata_(metadata),
         metrics_(metrics),
         config_(config) {}
 
@@ -99,7 +96,6 @@ class ReplicationModule {
 
   faas::Platform& platform_;
   RuntimeManagerModule& manager_;
-  MetadataStore& metadata_;
   obs::MetricRegistry& metrics_;
   ReplicationConfig config_;
   const ProactiveMitigator* advisor_ = nullptr;

@@ -48,7 +48,6 @@ class StorageHierarchy {
 
   const TierProfile& profile(StorageTier tier) const;
   bool has_tier(StorageTier tier) const;
-  const std::vector<TierProfile>& tiers() const { return tiers_; }
 
   /// Fastest spill tier that can absorb `payload`. Tiers are consulted in
   /// deployment order; the paper prefers PMem/Ramdisk and falls back to

@@ -1,10 +1,10 @@
 // Strong identifier types.
 //
 // Every entity in the platform (jobs, function invocations, containers,
-// nodes, checkpoints, replicas) is addressed by a tagged 64-bit id. The
+// nodes, checkpoints) is addressed by a tagged 64-bit id. The
 // tag makes JobId/FunctionId/... distinct types, so passing a ContainerId
 // where a NodeId is expected fails to compile. Id value 0 is reserved as
-// the invalid sentinel; the Core Module's IdGenerator starts at 1.
+// the invalid sentinel; every IdGenerator starts at 1.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,6 @@ struct FunctionTag {};
 struct ContainerTag {};
 struct NodeTag {};
 struct CheckpointTag {};
-struct ReplicaTag {};
 struct AccountTag {};
 
 using JobId = Id<JobTag>;
@@ -42,7 +41,6 @@ using FunctionId = Id<FunctionTag>;
 using ContainerId = Id<ContainerTag>;
 using NodeId = Id<NodeTag>;
 using CheckpointId = Id<CheckpointTag>;
-using ReplicaId = Id<ReplicaTag>;
 using AccountId = Id<AccountTag>;
 
 template <typename Tag>
@@ -50,9 +48,11 @@ std::string to_string(Id<Tag> id) {
   return std::to_string(id.value());
 }
 
-/// Monotonic generator for one id family. The Core Module owns one
-/// generator per table (paper §IV-C1: "generates a set of unique IDs for
-/// the submitted jobs, functions, checkpoints, and replicas").
+/// Monotonic generator for one id family (paper §IV-C1: the Core Module
+/// "generates a set of unique IDs for the submitted jobs, functions,
+/// checkpoints, and replicas"). The platform issues job, function and
+/// container ids and the Checkpointing Module checkpoint ids; a replica
+/// is addressed by its container's id.
 template <typename IdT>
 class IdGenerator {
  public:

@@ -17,9 +17,7 @@ enum class ErrorCode {
   kInvalidArgument,
   kNotFound,
   kResourceExhausted,
-  kFailedPrecondition,
   kUnavailable,
-  kAlreadyExists,
   kInternal,
 };
 
@@ -38,14 +36,8 @@ struct Error {
   static Error resource_exhausted(std::string msg) {
     return {ErrorCode::kResourceExhausted, std::move(msg)};
   }
-  static Error failed_precondition(std::string msg) {
-    return {ErrorCode::kFailedPrecondition, std::move(msg)};
-  }
   static Error unavailable(std::string msg) {
     return {ErrorCode::kUnavailable, std::move(msg)};
-  }
-  static Error already_exists(std::string msg) {
-    return {ErrorCode::kAlreadyExists, std::move(msg)};
   }
   static Error internal(std::string msg) {
     return {ErrorCode::kInternal, std::move(msg)};
@@ -57,9 +49,7 @@ inline std::string_view to_string_view(ErrorCode code) {
     case ErrorCode::kInvalidArgument: return "invalid_argument";
     case ErrorCode::kNotFound: return "not_found";
     case ErrorCode::kResourceExhausted: return "resource_exhausted";
-    case ErrorCode::kFailedPrecondition: return "failed_precondition";
     case ErrorCode::kUnavailable: return "unavailable";
-    case ErrorCode::kAlreadyExists: return "already_exists";
     case ErrorCode::kInternal: return "internal";
   }
   return "unknown";

@@ -860,7 +860,6 @@ void Platform::confirm_node_dead(NodeId node) {
 }
 
 void Platform::logically_fence(NodeId node) {
-  fenced_nodes_.insert(node);
   metrics_.count("nodes_fenced_logical");
   // The fence is an ambient root event like a node failure: every victim
   // invocation's kFailure chains off it, and so does the zombie's later

@@ -228,18 +228,14 @@ class Platform {
   /// `node` dead. A still-alive node that can reach the majority side is
   /// fenced physically (failed outright — the exactly-once guarantee for
   /// false confirmations on gray workers). A still-alive node cut off by
-  /// a partition cannot be reached to kill: it is fenced *logically* —
-  /// marked fenced, excluded from placement, its invocations redeployed —
-  /// while the minority-side zombie runs to its natural completion and
-  /// attempts its commit through the zombie-commit hook, where the KV
-  /// store's epoch gate rejects it. Either way every stashed undetected
-  /// failure on the node is then reported to the recovery handler.
+  /// a partition cannot be reached to kill: it is fenced *logically*.
+  /// The cluster marks it failed, so placement excludes it, and its
+  /// invocations are redeployed, while the minority-side zombie runs to
+  /// its natural completion and attempts its commit through the
+  /// zombie-commit hook, where the KV store's epoch gate rejects it.
+  /// Either way every stashed undetected failure on the node is then
+  /// reported to the recovery handler.
   void confirm_node_dead(NodeId node);
-  /// True when `node` was logically fenced by confirm_node_dead (alive
-  /// but partitioned away from the majority at confirmation time).
-  bool node_fenced(NodeId node) const {
-    return fenced_nodes_.count(node) > 0;
-  }
   /// Install the zombie-commit hook: called at the sim-time a logically
   /// fenced invocation would have committed its in-flight state, with the
   /// fenced node and invocation id. The canary checkpointing layer wires
@@ -360,8 +356,8 @@ class Platform {
   void complete_function(InvocationInternal& inv);
   void handle_kill(InvocationInternal& inv, FailureKind kind);
   /// Logical fence for a confirmed-dead node the majority cannot reach:
-  /// mark fenced, retire it from placement, schedule zombie commit
-  /// attempts for its executing invocations, then kill-and-redeploy them.
+  /// retire it from placement, schedule zombie commit attempts for its
+  /// executing invocations, then kill-and-redeploy them.
   void logically_fence(NodeId node);
   void resolve_recovery_markers(InvocationInternal& inv);
 
@@ -414,10 +410,6 @@ class Platform {
   };
   std::vector<UndetectedFailure> undetected_;
 
-  /// Nodes logically fenced by confirm_node_dead: alive but unreachable
-  /// from the majority at confirmation, excluded from placement forever
-  /// after (re-admission after heal is out of scope).
-  std::set<NodeId> fenced_nodes_;
   std::function<void(NodeId, FunctionId)> zombie_commit_hook_;
 
   std::deque<FunctionId> pending_;  // waiting on account concurrency

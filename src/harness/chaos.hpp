@@ -42,9 +42,10 @@
 //                      count);
 //  10. heal convergence — every partition window that started also
 //                      healed, no reachability rule outlives the run,
-//                      the controller's worker_info liveness view agrees
-//                      with the cluster ground truth, and no invocation
-//                      is left stranded (oracle 6 under partitions).
+//                      every worker the detector confirmed dead is down
+//                      in the cluster and (under Canary) epoch-fenced in
+//                      the KV store, and no invocation is left stranded
+//                      (oracle 6 under partitions).
 #pragma once
 
 #include <array>

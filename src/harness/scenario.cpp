@@ -322,24 +322,16 @@ RunResult ScenarioInstance::collect() {
     result.kv_stale_epoch_rejects = kv_stats.stale_epoch_rejects;
     result.kv_quorum_blocked_puts = kv_stats.quorum_blocked_puts;
   }
-  if (canary_fw.has_value()) {
-    // Heal-convergence view check. A row may legitimately lag a death the
-    // detector never got to confirm (the run can end first), so the
-    // asserted direction is the split-brain-relevant one: no row declares
-    // dead a worker that is actually alive, and every detector-confirmed
-    // worker's row reads dead.
+  if (detector) {
+    // The fence behind every confirmation: a confirmed worker is down in
+    // the cluster (failed outright, or logically fenced when partitioned
+    // away), and under Canary its late commits are stale-epoch at the KV
+    // store. A death the detector never confirmed asserts nothing.
     for (const NodeId id : cluster.node_ids()) {
-      const auto* row = canary_fw->metadata().worker(id);
-      if (row == nullptr) {
-        result.metadata_views_consistent = false;
-        break;
-      }
-      if (!row->alive && cluster.node(id).alive()) {
-        result.metadata_views_consistent = false;
-        break;
-      }
-      if (detector && detector->is_confirmed_dead(id) && row->alive) {
-        result.metadata_views_consistent = false;
+      if (!detector->is_confirmed_dead(id)) continue;
+      if (cluster.node(id).alive() ||
+          (canary_fw.has_value() && !store.node_fenced(id))) {
+        result.confirmed_workers_fenced = false;
         break;
       }
     }

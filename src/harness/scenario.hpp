@@ -222,16 +222,16 @@ struct RunResult {
   /// Partition surface (fault surface v3). Heal-convergence oracle inputs:
   /// every started window must heal (injected.partitions_started ==
   /// injected.partitions_healed), no block rules may outlive the run, and
-  /// the controller's metadata liveness view must agree with the cluster
-  /// ground truth once the last partition heals.
+  /// every worker the detector confirmed dead must be fenced.
   std::uint64_t partitions_active_end = 0;
   /// Epoch-fence accounting from the KV store: commits rejected because
   /// the writer was fenced (zombie side) or could not reach the quorum.
   std::uint64_t kv_stale_epoch_rejects = 0;
   std::uint64_t kv_quorum_blocked_puts = 0;
-  /// True when every metadata worker row's liveness matches the cluster
-  /// at run end (trivially true for non-Canary strategies).
-  bool metadata_views_consistent = true;
+  /// True when every worker the failure detector confirmed dead is down
+  /// in the cluster and, under Canary, epoch-fenced in the KV store
+  /// (trivially true for a run without a detector).
+  bool confirmed_workers_fenced = true;
 
   /// Tail attribution (per-group percentile targets, each with its
   /// nearest-rank completion and that completion's exact component

@@ -135,8 +135,8 @@ RunResult merge_sharded_results(
     merged.partitions_active_end += r.partitions_active_end;
     merged.kv_stale_epoch_rejects += r.kv_stale_epoch_rejects;
     merged.kv_quorum_blocked_puts += r.kv_quorum_blocked_puts;
-    merged.metadata_views_consistent =
-        merged.metadata_views_consistent && r.metadata_views_consistent;
+    merged.confirmed_workers_fenced =
+        merged.confirmed_workers_fenced && r.confirmed_workers_fenced;
   }
   merged.counters = merged.metrics.counters();
   merged.cost_usd = merged.cost.total_usd;

@@ -32,8 +32,8 @@ const KvStore::Shard& KvStore::shard_for(const std::string& key) const {
 }
 
 std::vector<NodeId> KvStore::choose_owners(const std::string& key) const {
-  // Caller holds membership_mutex_ (shared or exclusive).
-  if (config_.mode == CacheMode::kReplicated) return cache_nodes_;
+  // Partitioned mode only; caller holds membership_mutex_ (shared or
+  // exclusive).
   if (cache_nodes_.empty()) return {};
   std::vector<NodeId> owners;
   const std::size_t copies =
@@ -92,11 +92,17 @@ Status KvStore::put(const std::string& key, std::string payload,
         "entry exceeds per-key limit; spill to a storage tier");
   }
   std::vector<NodeId> owners;
+  bool no_cache_node = false;
   {
     std::shared_lock<std::shared_mutex> mlock(membership_mutex_);
-    owners = choose_owners(key);
+    if (config_.mode == CacheMode::kPartitioned) {
+      owners = choose_owners(key);
+      no_cache_node = owners.empty();
+    } else {
+      no_cache_node = cache_nodes_.empty();
+    }
   }
-  if (owners.empty() && !config_.native_persistence) {
+  if (no_cache_node && !config_.native_persistence) {
     return Error::unavailable("no cache node alive");
   }
   auto& shard = shard_for(key);
@@ -231,15 +237,25 @@ KvStats KvStore::stats() const {
 }
 
 void KvStore::fail_node(NodeId node) {
+  const bool replicated = config_.mode == CacheMode::kReplicated;
+  bool last_node_gone = false;
   {
     std::unique_lock<std::shared_mutex> mlock(membership_mutex_);
     auto it = std::find(cache_nodes_.begin(), cache_nodes_.end(), node);
     if (it == cache_nodes_.end()) return;
     cache_nodes_.erase(it);
+    last_node_gone = cache_nodes_.empty();
   }
+  // A replicated entry loses its last copy exactly with the last node.
+  if (replicated && (!last_node_gone || config_.native_persistence)) return;
   std::uint64_t lost = 0;
   for (const auto& shard : shards_) {
     std::unique_lock<std::shared_mutex> lock(shard->mutex);
+    if (replicated) {
+      lost += shard->map.size();
+      shard->map.clear();
+      continue;
+    }
     for (auto it = shard->map.begin(); it != shard->map.end();) {
       auto& owners = it->second.owners;
       owners.erase(std::remove(owners.begin(), owners.end(), node),

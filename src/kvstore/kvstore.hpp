@@ -9,7 +9,9 @@
 //     Module spills to a storage tier;
 //   * replicated vs. partitioned caching: entry copies live on cache
 //     nodes; a node failure destroys its copies, and an entry survives if
-//     any copy remains or native persistence is on;
+//     any copy remains or native persistence is on. Cache nodes never
+//     rejoin, so a replicated entry's copies are exactly the live cache
+//     nodes: only partitioned entries record their owners;
 //   * prefix scans (used to enumerate the latest-n checkpoints of a
 //     function).
 //
@@ -59,7 +61,9 @@ struct KvEntry {
   /// flips entry bits leaves the stored checksum stale, so readers that
   /// care (the Checkpointing Module) can detect the damage via intact().
   std::uint64_t checksum = 0;
-  std::vector<NodeId> owners;  // cache nodes currently holding a copy
+  /// Partitioned mode: the cache nodes currently holding a copy. Empty in
+  /// replicated mode, where every live cache node holds one.
+  std::vector<NodeId> owners;
 };
 
 /// FNV-1a64 of a payload; the checksum stored alongside every entry.
@@ -128,7 +132,8 @@ class KvStore {
   KvStats stats() const;
 
   /// Drop the copies held by `node`. Entries with no remaining copy are
-  /// destroyed unless native persistence is enabled.
+  /// destroyed unless native persistence is enabled; in replicated mode
+  /// that is every entry, once the last cache node dies.
   void fail_node(NodeId node);
 
   // ---- epoch fencing (split-brain safety) -------------------------------

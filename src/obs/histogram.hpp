@@ -45,8 +45,6 @@ class Histogram {
   /// [min, max]; p <= 0 and p >= 100 return the exact min/max. An empty
   /// histogram returns 0.
   double percentile(double p) const;
-  /// quantile(q) == percentile(q * 100), q in [0, 1].
-  double quantile(double q) const { return percentile(q * 100.0); }
   double p50() const { return percentile(50.0); }
   double p95() const { return percentile(95.0); }
   double p99() const { return percentile(99.0); }

@@ -55,9 +55,6 @@ class MetricRegistry {
   void sample(const std::string& name, double value) {
     histograms_[name].record(value);
   }
-  void sample_duration(const std::string& name, Duration d) {
-    sample(name, d.to_seconds());
-  }
   /// Histogram for `name`; an empty histogram if never sampled.
   const Histogram& histogram(const std::string& name) const;
   const std::map<std::string, Histogram>& histograms() const {

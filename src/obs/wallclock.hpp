@@ -33,11 +33,6 @@ class WallClock {
   TimePoint now() const {
     return TimePoint::from_usec(monotonic_usec() - origin_usec_);
   }
-  /// Re-anchor a raw monotonic stamp captured elsewhere (e.g. inside a
-  /// worker process sharing the boot clock) onto this clock's axis.
-  TimePoint from_monotonic(std::int64_t raw_usec) const {
-    return TimePoint::from_usec(raw_usec - origin_usec_);
-  }
 
  private:
   std::int64_t origin_usec_;

@@ -58,7 +58,6 @@ class FrameReader {
   /// True when the stream ended mid-frame: bytes of an incomplete
   /// header/payload remain. Valid only after eof().
   bool torn() const { return eof_ && !buffer_.empty(); }
-  std::size_t torn_bytes() const { return eof_ ? buffer_.size() : 0; }
   int fd() const { return fd_; }
 
  private:

@@ -23,20 +23,12 @@ void ActiveStandbyHandler::provision_standby(FunctionId fn) {
 
   auto launched = platform_.launch_warm_container(
       *node, image, faas::ContainerPurpose::kStandby, [this](ContainerId cid) {
-        auto fn_it = by_container_.find(cid);
-        if (fn_it == by_container_.end()) {
-          // The function finished while the standby was launching; the
-          // orphan would idle (and bill) forever.
-          platform_.destroy_warm_container(cid);
-          return;
-        }
-        auto standby = standbys_.find(fn_it->second);
-        if (standby != standbys_.end() && standby->second.container == cid) {
-          standby->second.ready = true;
-        }
+        // The function finished while the standby was launching; the
+        // orphan would idle (and bill) forever.
+        if (!by_container_.contains(cid)) platform_.destroy_warm_container(cid);
       });
   if (!launched.ok()) return;
-  standbys_[fn] = Standby{launched.value(), false};
+  standbys_[fn] = launched.value();
   by_container_[launched.value()] = fn;
 }
 
@@ -50,8 +42,8 @@ void ActiveStandbyHandler::on_failure(const faas::Invocation& inv,
                                       const faas::FailureInfo& info) {
   (void)info;
   auto it = standbys_.find(inv.id);
-  if (it != standbys_.end() && it->second.ready) {
-    const ContainerId standby = it->second.container;
+  if (it != standbys_.end() && platform_.container(it->second).warm_idle()) {
+    const ContainerId standby = it->second;
     by_container_.erase(standby);
     standbys_.erase(it);
     // The standby becomes the active instance; no checkpoint exists, so
@@ -76,11 +68,10 @@ void ActiveStandbyHandler::on_failure(const faas::Invocation& inv,
 void ActiveStandbyHandler::on_function_completed(const faas::Invocation& inv) {
   auto it = standbys_.find(inv.id);
   if (it == standbys_.end()) return;
-  const ContainerId standby = it->second.container;
-  const bool ready = it->second.ready;
+  const ContainerId standby = it->second;
   by_container_.erase(standby);
   standbys_.erase(it);
-  if (ready && platform_.container(standby).warm_idle()) {
+  if (platform_.container(standby).warm_idle()) {
     platform_.destroy_warm_container(standby);
   }
   // A standby still launching is destroyed by its readiness callback once
@@ -93,7 +84,7 @@ void ActiveStandbyHandler::on_container_destroyed(const faas::Container& c) {
   const FunctionId fn = fn_it->second;
   by_container_.erase(fn_it);
   auto it = standbys_.find(fn);
-  if (it != standbys_.end() && it->second.container == c.id) {
+  if (it != standbys_.end() && it->second == c.id) {
     standbys_.erase(it);
     // The node took the standby down; provision a replacement if the
     // function is still live.

@@ -32,15 +32,11 @@ class ActiveStandbyHandler final : public faas::RecoveryHandler,
   void on_container_destroyed(const faas::Container& c) override;
 
  private:
-  struct Standby {
-    ContainerId container;
-    bool ready = false;
-  };
-
   void provision_standby(FunctionId fn);
 
   faas::Platform& platform_;
-  std::unordered_map<FunctionId, Standby> standbys_;
+  /// Each live function's standby container; it is ready once Warm.
+  std::unordered_map<FunctionId, ContainerId> standbys_;
   std::unordered_map<ContainerId, FunctionId> by_container_;
 };
 

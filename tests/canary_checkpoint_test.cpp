@@ -27,7 +27,7 @@ class CheckpointingTest : public ::testing::Test {
 
   CheckpointingModule make_module(CheckpointingConfig config = {}) {
     return CheckpointingModule(sim_, cluster_, storage_, network_, store_,
-                               metadata_, metrics_, config);
+                               metrics_, config);
   }
 
   faas::Invocation invocation_for(const faas::FunctionSpec& spec,
@@ -46,7 +46,6 @@ class CheckpointingTest : public ::testing::Test {
   cluster::NetworkModel network_;
   cluster::StorageHierarchy storage_;
   kv::KvStore store_;
-  MetadataStore metadata_;
   obs::MetricRegistry metrics_;
 };
 
@@ -75,7 +74,7 @@ TEST_F(CheckpointingTest, SmallPayloadWritesToKv) {
   module.on_state_committed(inv, 0);
   EXPECT_EQ(store_.keys_with_prefix("").size(), 1u);
   EXPECT_TRUE(store_.contains(CheckpointingModule::kv_key(inv.id, 0)));
-  const auto rows = metadata_.checkpoints_of(inv.id);
+  const auto rows = module.checkpoints_of(inv.id);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows.front().location, cluster::StorageTier::kKvStore);
   EXPECT_TRUE(rows.front().flushed_to_shared);
@@ -92,7 +91,7 @@ TEST_F(CheckpointingTest, OversizedPayloadSpills) {
               1e-6);
 
   module.on_state_committed(inv, 0);
-  const auto rows = metadata_.checkpoints_of(inv.id);
+  const auto rows = module.checkpoints_of(inv.id);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows.front().location, cluster::StorageTier::kRamdisk);
   EXPECT_FALSE(rows.front().flushed_to_shared);  // async flush pending
@@ -105,7 +104,7 @@ TEST_F(CheckpointingTest, OversizedPayloadSpills) {
 
   // After the async flush completes the spilled checkpoint is shared.
   sim_.run();
-  EXPECT_TRUE(metadata_.checkpoints_of(inv.id).front().flushed_to_shared);
+  EXPECT_TRUE(module.checkpoints_of(inv.id).front().flushed_to_shared);
 }
 
 TEST_F(CheckpointingTest, ZeroPayloadStillRecordsState) {
@@ -114,7 +113,7 @@ TEST_F(CheckpointingTest, ZeroPayloadStillRecordsState) {
   const auto inv = invocation_for(spec);
   EXPECT_GT(module.state_epilogue(inv, 0), Duration::zero());
   module.on_state_committed(inv, 0);
-  EXPECT_EQ(metadata_.checkpoint_count(inv.id), 1u);
+  EXPECT_EQ(module.checkpoints_of(inv.id).size(), 1u);
 }
 
 TEST_F(CheckpointingTest, RetentionKeepsLatestN) {
@@ -124,7 +123,7 @@ TEST_F(CheckpointingTest, RetentionKeepsLatestN) {
   EXPECT_EQ(module.retention_for(spec), 3u);
   const auto inv = invocation_for(spec);
   for (std::size_t i = 0; i < 6; ++i) module.on_state_committed(inv, i);
-  const auto rows = metadata_.checkpoints_of(inv.id);
+  const auto rows = module.checkpoints_of(inv.id);
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows.front().state_index, 3u);
   EXPECT_EQ(rows.back().state_index, 5u);
@@ -147,10 +146,10 @@ TEST_F(CheckpointingTest, EachFunctionKeepsItsOwnLatestN) {
     module.on_state_committed(a, i);
     module.on_state_committed(b, i);
   }
-  const auto slow_rows = metadata_.checkpoints_of(a.id);
+  const auto slow_rows = module.checkpoints_of(a.id);
   ASSERT_EQ(slow_rows.size(), 3u);
   EXPECT_EQ(slow_rows.front().state_index, 5u);
-  const auto fast_rows = metadata_.checkpoints_of(b.id);
+  const auto fast_rows = module.checkpoints_of(b.id);
   ASSERT_EQ(fast_rows.size(), 5u);
   EXPECT_EQ(fast_rows.front().state_index, 3u);
   EXPECT_FALSE(store_.contains(CheckpointingModule::kv_key(a.id, 4)));
@@ -183,7 +182,7 @@ TEST_F(CheckpointingTest, ExplicitModeShrinksPayload) {
   const auto inv = invocation_for(spec);
   // 8 MiB * 0.25 = 2 MiB: fits the KV limit, no spill.
   module.on_state_committed(inv, 0);
-  EXPECT_EQ(metadata_.checkpoints_of(inv.id).front().location,
+  EXPECT_EQ(module.checkpoints_of(inv.id).front().location,
             cluster::StorageTier::kKvStore);
   EXPECT_EQ(metrics_.counter("checkpoint_spills"), 0.0);
 }
@@ -206,7 +205,7 @@ TEST_F(CheckpointingTest, RecommitReplacesRow) {
   const auto inv = invocation_for(spec);
   module.on_state_committed(inv, 0);
   module.on_state_committed(inv, 0);  // re-executed after a restore
-  EXPECT_EQ(metadata_.checkpoint_count(inv.id), 1u);
+  EXPECT_EQ(module.checkpoints_of(inv.id).size(), 1u);
 }
 
 TEST_F(CheckpointingTest, UnflushedLocalCheckpointDiesWithNode) {
@@ -255,9 +254,72 @@ TEST_F(CheckpointingTest, DropFunctionClearsEverything) {
   module.on_state_committed(inv, 0);
   module.on_state_committed(inv, 1);
   module.drop_function(inv.id);
-  EXPECT_EQ(metadata_.checkpoint_count(inv.id), 0u);
+  EXPECT_EQ(module.checkpoints_of(inv.id).size(), 0u);
   EXPECT_EQ(store_.keys_with_prefix("").size(), 0u);
   EXPECT_EQ(module.restore_plan(inv.id, NodeId{1}).from_state, 0u);
+}
+
+TEST_F(CheckpointingTest, OrderedByStateIndex) {
+  auto module = make_module();
+  // Fast states: retention 5 keeps every row below.
+  const auto spec = spec_with_payload(Bytes::kib(16), 4, Duration::msec(200));
+  const auto inv = invocation_for(spec, 7);
+  for (const std::size_t idx : {2u, 0u, 1u}) module.on_state_committed(inv, idx);
+  const auto rows = module.checkpoints_of(inv.id);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].state_index, 0u);
+  EXPECT_EQ(rows[1].state_index, 1u);
+  EXPECT_EQ(rows[2].state_index, 2u);
+  EXPECT_TRUE(module.checkpoints_of(FunctionId{8}).empty());
+}
+
+TEST_F(CheckpointingTest, RemoveSingleAndAll) {
+  auto module = make_module();
+  const auto spec = spec_with_payload(Bytes::mib(1), /*states=*/6);
+  const auto inv = invocation_for(spec, 7);
+  for (std::size_t i = 0; i < 3; ++i) module.on_state_committed(inv, i);
+  const CheckpointId replaced = module.checkpoints_of(inv.id)[1].checkpoint;
+  // A recommit replaces exactly its own row, under a new checkpoint id.
+  module.on_state_committed(inv, 1);
+  auto rows = module.checkpoints_of(inv.id);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[1].state_index, 1u);
+  EXPECT_NE(rows[1].checkpoint, replaced);
+  // Retention (3 for slow states) evicts exactly the oldest row.
+  module.on_state_committed(inv, 3);
+  rows = module.checkpoints_of(inv.id);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows.front().state_index, 1u);
+  EXPECT_FALSE(store_.contains(CheckpointingModule::kv_key(inv.id, 0)));
+  // Dropping the function removes every row and key; an unknown function
+  // is a no-op.
+  module.drop_function(inv.id);
+  EXPECT_TRUE(module.checkpoints_of(inv.id).empty());
+  EXPECT_TRUE(store_.keys_with_prefix("").empty());
+  module.drop_function(inv.id);
+  module.drop_function(FunctionId{99});
+}
+
+TEST_F(CheckpointingTest, RetentionIsDroppedWithTheRows) {
+  auto module = make_module();
+  const auto slow = spec_with_payload(Bytes::kib(16), 8, Duration::sec(3.0));
+  const auto fast = spec_with_payload(Bytes::kib(16), 8, Duration::msec(200));
+  const auto a = invocation_for(slow, 7);
+  const auto b = invocation_for(slow, 8);
+  for (std::size_t i = 0; i < 8; ++i) {
+    module.on_state_committed(a, i);
+    module.on_state_committed(b, i);
+  }
+  EXPECT_EQ(module.checkpoints_of(a.id).size(), 3u);
+  // The bound is kept with the rows and dropped with them: the same id
+  // committing again under another spec gets that spec's bound, while
+  // function 8 keeps its own.
+  module.drop_function(a.id);
+  const auto again = invocation_for(fast, 7);
+  for (std::size_t i = 0; i < 8; ++i) module.on_state_committed(again, i);
+  EXPECT_EQ(module.checkpoints_of(a.id).size(), 5u);
+  module.on_state_committed(b, 7);
+  EXPECT_EQ(module.checkpoints_of(b.id).size(), 3u);
 }
 
 TEST_F(CheckpointingTest, EpilogueIsPure) {

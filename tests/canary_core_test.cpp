@@ -205,9 +205,6 @@ TEST_F(CoreModuleTest, MetadataTablesTrackExecution) {
   EXPECT_TRUE(inv.completed());
   EXPECT_EQ(inv.attempt, 1);
   EXPECT_TRUE(inv.node.valid());
-
-  // worker_info keeps one liveness row per worker.
-  EXPECT_EQ(core.metadata().worker_count(), 4u);
 }
 
 TEST_F(CoreModuleTest, NodeFailureRecoveryUsesSurvivingCheckpoints) {

@@ -38,7 +38,7 @@ class ReplicationTest : public ::testing::Test {
         network_(&cluster_, {}),
         platform_(sim_, cluster_, network_, make_platform_config(), metrics_),
         retry_(platform_),
-        manager_(platform_, cluster_, metadata_) {
+        manager_(platform_) {
     platform_.set_recovery_handler(&retry_);
   }
 
@@ -49,7 +49,22 @@ class ReplicationTest : public ::testing::Test {
   }
 
   ReplicationModule make_module(ReplicationConfig config = {}) {
-    return ReplicationModule(platform_, manager_, metadata_, metrics_, config);
+    return ReplicationModule(platform_, manager_, metrics_, config);
+  }
+
+  /// Launch a real Python replica container on `node` and register it; it
+  /// is pending until the simulator runs it to Warm.
+  ContainerId launch_replica(NodeId node) {
+    const auto launched = platform_.launch_warm_container(
+        node, faas::RuntimeImage::kPython3,
+        faas::ContainerPurpose::kRuntimeReplica, nullptr);
+    EXPECT_TRUE(launched.ok());
+    manager_.register_replica(faas::RuntimeImage::kPython3, launched.value());
+    return launched.value();
+  }
+
+  NodeId node_of(std::optional<ContainerId> container) const {
+    return platform_.container(container.value()).node;
   }
 
   JobId submit(faas::RuntimeImage image, std::size_t count) {
@@ -67,52 +82,53 @@ class ReplicationTest : public ::testing::Test {
   obs::MetricRegistry metrics_;
   faas::Platform platform_;
   faas::RetryHandler retry_;
-  MetadataStore metadata_;
   RuntimeManagerModule manager_;
 };
 
 // ---- runtime manager -----------------------------------------------------
 
 TEST_F(ReplicationTest, RuntimeManagerLifecycle) {
-  const auto rid = manager_.register_replica(faas::RuntimeImage::kPython3,
-                                             NodeId{1}, ContainerId{10});
-  EXPECT_TRUE(rid.valid());
-  EXPECT_EQ(manager_.pending_count(faas::RuntimeImage::kPython3), 1u);
-  EXPECT_EQ(manager_.active_count(faas::RuntimeImage::kPython3), 0u);
-  manager_.mark_active(ContainerId{10});
-  EXPECT_EQ(manager_.active_count(faas::RuntimeImage::kPython3), 1u);
-  manager_.mark_dead(ContainerId{10});
-  EXPECT_EQ(manager_.active_count(faas::RuntimeImage::kPython3), 0u);
+  const auto image = faas::RuntimeImage::kPython3;
+  const ContainerId replica = launch_replica(NodeId{1});
+  EXPECT_EQ(manager_.pending_count(image), 1u);
+  EXPECT_EQ(manager_.active_count(image), 0u);
+  EXPECT_EQ(manager_.replica_nodes(image), std::vector<NodeId>{NodeId{1}});
+  sim_.run();  // launch + init: the container turns Warm
+  EXPECT_EQ(manager_.pending_count(image), 0u);
+  EXPECT_EQ(manager_.active_count(image), 1u);
+  // Destroyed while unclaimed: forgotten once, and no longer counted.
+  platform_.destroy_warm_container(replica);
+  EXPECT_TRUE(manager_.forget(image, replica));
+  EXPECT_FALSE(manager_.forget(image, replica));
+  EXPECT_EQ(manager_.active_count(image), 0u);
+  EXPECT_TRUE(manager_.replica_nodes(image).empty());
 }
 
 TEST_F(ReplicationTest, AcquirePrefersLocality) {
-  auto add_active = [&](std::uint64_t container, NodeId node) {
-    manager_.register_replica(faas::RuntimeImage::kPython3, node,
-                              ContainerId{container});
-    manager_.mark_active(ContainerId{container});
-  };
-  add_active(1, NodeId{5});  // rack 1
-  add_active(2, NodeId{2});  // rack 0, same rack as prefer
-  add_active(3, NodeId{1});  // exact preferred node
+  launch_replica(NodeId{5});  // rack 1
+  launch_replica(NodeId{2});  // rack 0, same rack as prefer
+  launch_replica(NodeId{1});  // exact preferred node
+  sim_.run();
 
   const auto picked = manager_.acquire(faas::RuntimeImage::kPython3, NodeId{1});
   ASSERT_TRUE(picked.has_value());
-  EXPECT_EQ(picked->worker, NodeId{1});
-  // Consumed replicas are not offered again.
+  EXPECT_EQ(node_of(picked), NodeId{1});
+  // Claimed replicas are not offered again, even while still Warm.
+  EXPECT_TRUE(platform_.container(*picked).warm_idle());
   const auto second = manager_.acquire(faas::RuntimeImage::kPython3, NodeId{1});
   ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->worker, NodeId{2});  // same rack beats other rack
+  EXPECT_EQ(node_of(second), NodeId{2});  // same rack beats other rack
   const auto third = manager_.acquire(faas::RuntimeImage::kPython3, NodeId{1});
   ASSERT_TRUE(third.has_value());
-  EXPECT_EQ(third->worker, NodeId{5});
+  EXPECT_EQ(node_of(third), NodeId{5});
   EXPECT_FALSE(
       manager_.acquire(faas::RuntimeImage::kPython3, NodeId{1}).has_value());
+  EXPECT_EQ(manager_.active_count(faas::RuntimeImage::kPython3), 0u);
 }
 
 TEST_F(ReplicationTest, AcquireSkipsDeadNodes) {
-  manager_.register_replica(faas::RuntimeImage::kPython3, NodeId{3},
-                            ContainerId{1});
-  manager_.mark_active(ContainerId{1});
+  launch_replica(NodeId{3});
+  sim_.run();
   cluster_.fail_node(NodeId{3});
   EXPECT_FALSE(
       manager_.acquire(faas::RuntimeImage::kPython3, std::nullopt).has_value());
@@ -120,20 +136,10 @@ TEST_F(ReplicationTest, AcquireSkipsDeadNodes) {
 
 TEST_F(ReplicationTest, RetireOnePicksNewest) {
   // A replica is as old as its container: launch real ones a second apart.
-  auto add_active = [&](NodeId node) {
-    const auto launched = platform_.launch_warm_container(
-        node, faas::RuntimeImage::kPython3,
-        faas::ContainerPurpose::kRuntimeReplica, nullptr);
-    EXPECT_TRUE(launched.ok());
-    manager_.register_replica(faas::RuntimeImage::kPython3, node,
-                              launched.value());
-    manager_.mark_active(launched.value());
-    return launched.value();
-  };
-  add_active(NodeId{1});
+  launch_replica(NodeId{1});
   ContainerId newest;
   sim_.schedule_after(Duration::sec(1.0),
-                      [&] { newest = add_active(NodeId{2}); });
+                      [&] { newest = launch_replica(NodeId{2}); });
   sim_.run();
   const auto retired = manager_.retire_one(faas::RuntimeImage::kPython3);
   ASSERT_TRUE(retired.has_value());
@@ -216,8 +222,12 @@ TEST_F(ReplicationTest, FurtherReplicaFollowsLiveFunctionRacks) {
   config.aggressive_fraction = 1.0;
   auto module = make_module(config);
   const auto image = faas::RuntimeImage::kPython3;
+  // Nothing runs the dispatch ticks, so every container is a replica and
+  // the newest one has the highest id: one id per launch.
   auto newest_replica = [&] {
-    return metadata_.replicas_of(image).back()->worker;
+    const auto launched =
+        static_cast<std::uint64_t>(metrics_.counter("replicas_launched"));
+    return platform_.container(ContainerId{launched}).node;
   };
 
   const JobId job = submit(image, 1);
@@ -249,7 +259,7 @@ TEST_F(ReplicationTest, FurtherReplicaFollowsLiveFunctionRacks) {
   module.on_function_completed(inv);
   module.on_job_submitted(submit(image, 2));
   EXPECT_EQ(newest_replica(), NodeId{2});
-  EXPECT_EQ(metadata_.replicas_of(image).size(), 5u);
+  EXPECT_EQ(metrics_.counter("replicas_launched"), 5.0);
 }
 
 TEST_F(ReplicationTest, CompletionRetiresExcessReplicas) {

@@ -158,7 +158,7 @@ TEST(FailureDetectorScenarioTest, AsymmetricPartitionFalseSuspicionHeals) {
   EXPECT_EQ(result.injected.partitions_healed, 1u);
   EXPECT_EQ(result.partitions_active_end, 0u);
   EXPECT_EQ(result.counters.count("nodes_fenced_logical"), 0u);
-  EXPECT_TRUE(result.metadata_views_consistent);
+  EXPECT_TRUE(result.confirmed_workers_fenced);
   expect_exactly_once(result);
 }
 
@@ -293,7 +293,7 @@ class CorruptionFallbackTest : public ::testing::Test {
 
   CheckpointingModule make_module() {
     return CheckpointingModule(sim_, cluster_, storage_, network_, store_,
-                               metadata_, metrics_, {});
+                               metrics_, {});
   }
 
   sim::Simulator sim_;
@@ -301,7 +301,6 @@ class CorruptionFallbackTest : public ::testing::Test {
   cluster::NetworkModel network_;
   cluster::StorageHierarchy storage_;
   kv::KvStore store_;
-  MetadataStore metadata_;
   obs::MetricRegistry metrics_;
 };
 
@@ -341,14 +340,14 @@ TEST_F(CorruptionFallbackTest, CorruptNewestFallsBackToOlderCheckpoint) {
 
 TEST_F(CorruptionFallbackTest, WriteFailureDegradesWithoutMetadataRow) {
   // Every KV cache node dead and no persistence: the put fails, the
-  // module logs and counts it, and no metadata row advertises a
+  // module logs and counts it, and no checkpoint row advertises a
   // checkpoint that was never stored.
   kv::KvConfig kv_config;
   kv_config.native_persistence = false;
   kv::KvStore dead_store(kv_config, cluster_.node_ids());
   for (const NodeId node : cluster_.node_ids()) dead_store.fail_node(node);
   CheckpointingModule module(sim_, cluster_, storage_, network_, dead_store,
-                             metadata_, metrics_, {});
+                             metrics_, {});
   faas::FunctionSpec spec;
   spec.states.push_back({Duration::sec(3.0), Bytes::mib(1)});
   faas::Invocation inv;
@@ -359,7 +358,7 @@ TEST_F(CorruptionFallbackTest, WriteFailureDegradesWithoutMetadataRow) {
   (void)module.state_epilogue(inv, 0);
   module.on_state_committed(inv, 0);
   EXPECT_GE(metrics_.counter("checkpoint_write_failures"), 1.0);
-  EXPECT_TRUE(metadata_.checkpoints_of(inv.id).empty());
+  EXPECT_TRUE(module.checkpoints_of(inv.id).empty());
   const auto plan = module.restore_plan(inv.id, NodeId{2});
   EXPECT_EQ(plan.from_state, 0u);
   EXPECT_FALSE(plan.checkpoint.has_value());

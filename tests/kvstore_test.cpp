@@ -124,6 +124,19 @@ TEST(KvStoreTest, ReplicatedModeLosesDataWhenAllNodesDieWithoutPersistence) {
   store.fail_node(NodeId{2});
   EXPECT_FALSE(store.contains("k"));
   EXPECT_EQ(store.stats().entries_lost, 1u);
+
+  // Several keys, one of them put after the first death: each is held by
+  // every live cache node, so all of them die with the last one.
+  auto many = make_store(config, 3);
+  for (const char* key : {"a", "b", "c"}) ASSERT_TRUE(many.put(key, "v").ok());
+  many.fail_node(NodeId{1});
+  ASSERT_TRUE(many.put("d", "v").ok());
+  many.fail_node(NodeId{2});
+  EXPECT_EQ(many.keys_with_prefix("").size(), 4u);
+  EXPECT_EQ(many.stats().entries_lost, 0u);
+  many.fail_node(NodeId{3});
+  EXPECT_TRUE(many.keys_with_prefix("").empty());
+  EXPECT_EQ(many.stats().entries_lost, 4u);
 }
 
 TEST(KvStoreTest, NativePersistenceSurvivesTotalFailure) {

@@ -222,9 +222,9 @@ TEST(PartitionScenarioTest, ZoneCutFencesZombiesWithoutSplitBrain) {
   EXPECT_EQ(attempts, rejected);
   EXPECT_GT(result.kv_stale_epoch_rejects, 0u);
 
-  // Heal convergence: the controller's liveness view matches the cluster
-  // once the window heals, and no function ran twice.
-  EXPECT_TRUE(result.metadata_views_consistent);
+  // Heal convergence: every confirmed worker is fenced, and no function
+  // ran twice.
+  EXPECT_TRUE(result.confirmed_workers_fenced);
   EXPECT_EQ(result.undetected_failures, 0u);
   expect_exactly_once(result);
 }
@@ -271,7 +271,7 @@ TEST(PartitionScenarioTest, SurfaceOffLeavesCountersUntouched) {
   EXPECT_EQ(result.kv_quorum_blocked_puts, 0u);
   EXPECT_EQ(result.counters.count("zombie_commit_attempts"), 0u);
   EXPECT_EQ(result.counters.count("nodes_fenced_logical"), 0u);
-  EXPECT_TRUE(result.metadata_views_consistent);
+  EXPECT_TRUE(result.confirmed_workers_fenced);
 }
 
 TEST(PartitionChaosSweepTest, MiniSweepHoldsAllInvariants) {
@@ -304,6 +304,24 @@ TEST(PartitionChaosSweepTest, ShardedMiniSweepHoldsAllInvariants) {
         << "seed " << seed << ": " << outcome.violations.front();
     EXPECT_TRUE(outcome.completed) << "seed " << seed;
   }
+}
+
+// ---- oracle 10 fires -------------------------------------------------------
+
+TEST(PartitionOracleTest, UnfencedConfirmedWorkerIsOneHealConvergenceViolation) {
+  const ChaosScenario scenario = make_chaos_scenario({.partition = true}, 10001);
+  RunResult result = ScenarioRunner::run(scenario.config, scenario.jobs);
+  ASSERT_TRUE(result.completed);
+  EXPECT_GE(result.metrics.counter("workers_confirmed_dead"), 1.0);
+  EXPECT_TRUE(result.confirmed_workers_fenced);
+  EXPECT_TRUE(chaos_oracles(scenario, result).empty());
+
+  result.confirmed_workers_fenced = false;
+  const auto violations = chaos_oracles(scenario, result);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0],
+            "heal-convergence: a worker the detector confirmed dead is not "
+            "fenced");
 }
 
 }  // namespace

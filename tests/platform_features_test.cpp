@@ -187,7 +187,7 @@ class CompressionTest : public ::testing::Test {
 
   core::CheckpointingModule make_module(core::CheckpointingConfig config) {
     return core::CheckpointingModule(sim_, cluster_, storage_, network_,
-                                     store_, metadata_, metrics_, config);
+                                     store_, metrics_, config);
   }
 
   sim::Simulator sim_;
@@ -195,7 +195,6 @@ class CompressionTest : public ::testing::Test {
   cluster::NetworkModel network_;
   cluster::StorageHierarchy storage_;
   kv::KvStore store_;
-  core::MetadataStore metadata_;
   obs::MetricRegistry metrics_;
 };
 
@@ -212,7 +211,7 @@ TEST_F(CompressionTest, CompressionAvoidsSpill) {
   core::CheckpointingConfig off;
   auto plain = make_module(off);
   plain.on_state_committed(inv, 0);
-  EXPECT_EQ(metadata_.checkpoints_of(inv.id).front().location,
+  EXPECT_EQ(plain.checkpoints_of(inv.id).front().location,
             cluster::StorageTier::kRamdisk);
   plain.drop_function(inv.id);
 
@@ -220,9 +219,9 @@ TEST_F(CompressionTest, CompressionAvoidsSpill) {
   on.compress = true;
   auto compressed = make_module(on);
   compressed.on_state_committed(inv, 0);
-  EXPECT_EQ(metadata_.checkpoints_of(inv.id).front().location,
+  EXPECT_EQ(compressed.checkpoints_of(inv.id).front().location,
             cluster::StorageTier::kKvStore);
-  EXPECT_LT(metadata_.checkpoints_of(inv.id).front().payload, Bytes::mib(3));
+  EXPECT_LT(compressed.checkpoints_of(inv.id).front().payload, Bytes::mib(3));
 }
 
 TEST_F(CompressionTest, EpilogueIncludesCompressionCpu) {

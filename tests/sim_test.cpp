@@ -161,7 +161,7 @@ TEST(MetricRegistryTest, SamplesRecorded) {
   obs::MetricRegistry m;
   m.sample("lat", 1.0);
   m.sample("lat", 3.0);
-  m.sample_duration("dur", Duration::msec(500));
+  m.sample("dur", Duration::msec(500).to_seconds());
   EXPECT_EQ(m.histogram("lat").count(), 2u);
   EXPECT_DOUBLE_EQ(m.histogram("lat").mean(), 2.0);
   EXPECT_DOUBLE_EQ(m.histogram("dur").mean(), 0.5);
