@@ -17,16 +17,20 @@
 //                   warm replica pools and recovery; 65k invocations
 //                   across 256 nodes (quick mode: 8k across 64 nodes)
 //
-// The first three phases gate events/sec. canary_scale gates
-// allocations/event instead: the count is exact for a given build, so
-// that gate does not depend on how busy the host is.
+// The engine phases gate events/sec. platform_scale gates
+// invocations/sec: the platform dispatches one engine event per
+// execution segment, not per state, so the events it takes to simulate an
+// invocation are not fixed, and a change that removes events must not
+// read as a slowdown. canary_scale gates allocations/event instead: the
+// count is exact for a given build, so that gate does not depend on how
+// busy the host is.
 //
 // A second sweep reruns the platform phase sharded (the same topology
 // split into 8 partitions, each an independent scenario) at 1, 2 and 4
-// worker threads and writes its own report (BENCH_shard.json, gated
-// against bench/BENCH_shard.baseline.json). The merged event count is
-// invariant in the worker count by construction, so the phases measure
-// parallelism, not different workloads.
+// worker threads and writes its own report (BENCH_shard.json, gated on
+// invocations/sec against bench/BENCH_shard.baseline.json). The merged
+// event count is invariant in the worker count by construction, so the
+// phases measure parallelism, not different workloads.
 //
 // Allocation counts come from interposing global operator new in this
 // binary, so allocations/event is exact, not sampled. Peak RSS comes
@@ -113,14 +117,20 @@ std::uint64_t peak_rss_bytes() {
 }
 
 struct PhaseResult {
+  /// The gated value of a phase.
+  enum class Gate { kEventsPerSec, kInvocationsPerSec, kAllocationsPerEvent };
+
   std::string name;
   std::uint64_t events = 0;       // events dispatched or resolved
+  std::uint64_t invocations = 0;  // simulated invocations (platform phases)
   double wall_s = 0.0;
   std::uint64_t allocations = 0;  // operator new calls during the phase
-  /// The gated value: allocations/event when set, events/sec otherwise.
-  bool gate_allocations = false;
+  Gate gate = Gate::kEventsPerSec;
   double events_per_sec() const {
     return wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0;
+  }
+  double invocations_per_sec() const {
+    return wall_s > 0.0 ? static_cast<double>(invocations) / wall_s : 0.0;
   }
   double allocations_per_event() const {
     return events > 0
@@ -234,13 +244,12 @@ std::vector<faas::JobSpec> web_service_batch(std::size_t jobs,
 /// The full stack at scale: `jobs` x `functions_per_job` web-service
 /// invocations over `nodes` nodes under `strategy` with a small hazard
 /// error rate, event and span recording off (this phase measures the
-/// platform and the strategy, not the recorders). Reports simulated
-/// events/sec.
+/// platform and the strategy, not the recorders). Gates simulated
+/// invocations/sec.
 PhaseResult platform_scale(const std::string& name,
                            recovery::StrategyConfig strategy,
                            std::size_t nodes, std::size_t jobs,
-                           std::size_t functions_per_job,
-                           std::uint64_t* invocations_out) {
+                           std::size_t functions_per_job) {
   harness::ScenarioConfig config =
       scenario(strategy, /*error_rate=*/0.02, nodes);
   config.record_spans = false;
@@ -248,8 +257,6 @@ PhaseResult platform_scale(const std::string& name,
 
   const std::vector<faas::JobSpec> batch =
       web_service_batch(jobs, functions_per_job);
-  *invocations_out =
-      static_cast<std::uint64_t>(jobs) * functions_per_job;
 
   const std::uint64_t alloc_start = allocations_now();
   const auto start = std::chrono::steady_clock::now();
@@ -257,6 +264,8 @@ PhaseResult platform_scale(const std::string& name,
   PhaseResult result;
   result.name = name;
   result.events = run.simulated_events;
+  result.invocations = static_cast<std::uint64_t>(jobs) * functions_per_job;
+  result.gate = PhaseResult::Gate::kInvocationsPerSec;
   result.wall_s = wall_seconds_since(start);
   result.allocations = allocations_now() - alloc_start;
   if (!run.completed) {
@@ -289,6 +298,8 @@ PhaseResult platform_shard(std::size_t nodes, std::size_t jobs,
   PhaseResult result;
   result.name = "platform_shard_w" + std::to_string(workers);
   result.events = run.simulated_events;
+  result.invocations = static_cast<std::uint64_t>(jobs) * functions_per_job;
+  result.gate = PhaseResult::Gate::kInvocationsPerSec;
   result.wall_s = wall_seconds_since(start);
   result.allocations = allocations_now() - alloc_start;
   if (!run.completed) {
@@ -305,10 +316,9 @@ PhaseResult platform_shard(std::size_t nodes, std::size_t jobs,
   return result;
 }
 
-/// Writes one phase set as a bench report; every phase's events/sec or
-/// allocations/event is gated. A phase that dispatched nothing or took no
-/// time is a broken measurement and fails the report. Returns the exit
-/// status.
+/// Writes one phase set as a bench report; every phase's gated value is
+/// gated. A phase that dispatched nothing or took no time is a broken
+/// measurement and fails the report. Returns the exit status.
 int write_report(const std::string& name, bool quick, std::size_t nodes,
                  std::uint64_t invocations,
                  const std::vector<PhaseResult>& phases) {
@@ -318,12 +328,19 @@ int write_report(const std::string& name, bool quick, std::size_t nodes,
     if (phase.events == 0 || phase.wall_s <= 0.0) {
       violations.push_back(phase.name + ": no events or no wall time");
     }
-    if (phase.gate_allocations) {
-      gated.push_back({phase.name + ".allocations_per_event",
-                       phase.allocations_per_event(), true});
-    } else {
-      gated.push_back(
-          {phase.name + ".events_per_sec", phase.events_per_sec(), false});
+    switch (phase.gate) {
+      case PhaseResult::Gate::kEventsPerSec:
+        gated.push_back(
+            {phase.name + ".events_per_sec", phase.events_per_sec(), false});
+        break;
+      case PhaseResult::Gate::kInvocationsPerSec:
+        gated.push_back({phase.name + ".invocations_per_sec",
+                         phase.invocations_per_sec(), false});
+        break;
+      case PhaseResult::Gate::kAllocationsPerEvent:
+        gated.push_back({phase.name + ".allocations_per_event",
+                         phase.allocations_per_event(), true});
+        break;
     }
   }
   const std::uint64_t rss = peak_rss_bytes();
@@ -340,8 +357,10 @@ int write_report(const std::string& name, bool quick, std::size_t nodes,
           json.begin_object();
           json.field("name", phase.name);
           json.field("events", phase.events);
+          json.field("invocations", phase.invocations);
           json.field("wall_s", phase.wall_s);
           json.field("events_per_sec", phase.events_per_sec());
+          json.field("invocations_per_sec", phase.invocations_per_sec());
           json.field("allocations", phase.allocations);
           json.field("allocations_per_event", phase.allocations_per_event());
           json.end_object();
@@ -372,9 +391,10 @@ int run(int argc, char** argv) {
   const std::size_t nodes = quick ? 64 : 256;
   const std::size_t jobs = quick ? 8 : 245;
   const std::size_t functions_per_job = 4096;  // 245 * 4096 = 1,003,520
-  // canary_full simulates about as many events per invocation as retry
-  // (~55) but several times slower: 2 jobs in quick mode, and in full
-  // mode as many as keep the phase near 10 s.
+  // canary_full dispatches one event per state (~55 per invocation; its
+  // checkpoint hooks see every commit, where retry's segments need ~6)
+  // and runs many times slower per invocation: 2 jobs in quick mode, and
+  // in full mode as many as keep the phase near 10 s.
   const std::size_t canary_jobs = quick ? 2 : 16;
 
   std::cout << "=== scale_stress (" << (quick ? "quick" : "full")
@@ -383,15 +403,15 @@ int run(int argc, char** argv) {
   std::vector<PhaseResult> phases;
   phases.push_back(engine_steady(engine_events));
   phases.push_back(engine_cancel(cancel_pairs));
-  std::uint64_t invocations = 0;
   phases.push_back(platform_scale("platform_scale",
                                   recovery::StrategyConfig::retry(), nodes,
-                                  jobs, functions_per_job, &invocations));
-  std::uint64_t canary_invocations = 0;
-  phases.push_back(platform_scale(
-      "canary_scale", recovery::StrategyConfig::canary_full(), nodes,
-      canary_jobs, functions_per_job, &canary_invocations));
-  phases.back().gate_allocations = true;
+                                  jobs, functions_per_job));
+  phases.push_back(platform_scale("canary_scale",
+                                  recovery::StrategyConfig::canary_full(),
+                                  nodes, canary_jobs, functions_per_job));
+  phases.back().gate = PhaseResult::Gate::kAllocationsPerEvent;
+  const std::uint64_t invocations = phases[2].invocations;
+  const std::uint64_t canary_invocations = phases[3].invocations;
 
   std::cout << "\nshard sweep (8 partitions):\n";
   std::vector<PhaseResult> shard_phases;
@@ -400,13 +420,16 @@ int run(int argc, char** argv) {
         platform_shard(nodes, jobs, functions_per_job, workers));
   }
 
-  TextTable table(
-      {"phase", "events", "wall [s]", "events/sec", "allocs", "allocs/event"});
+  TextTable table({"phase", "events", "wall [s]", "events/sec",
+                   "invocations/sec", "allocs", "allocs/event"});
   for (const std::vector<PhaseResult>* set : {&phases, &shard_phases}) {
     for (const PhaseResult& phase : *set) {
       table.add_row({phase.name, std::to_string(phase.events),
                      TextTable::num(phase.wall_s, 3),
                      TextTable::num(phase.events_per_sec(), 0),
+                     phase.invocations > 0
+                         ? TextTable::num(phase.invocations_per_sec(), 0)
+                         : "-",
                      std::to_string(phase.allocations),
                      TextTable::num(phase.allocations_per_event(), 4)});
     }

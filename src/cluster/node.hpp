@@ -71,6 +71,8 @@ class Node {
   /// duration scheduled on this node that much longer (a straggler that
   /// trips timeouts without dying). Sampled at scheduling time only —
   /// already-scheduled state transitions keep their original end time.
+  /// Set it through faas::Platform::set_node_slowdown, which also cuts
+  /// the node's executing segments at their in-flight state.
   double slowdown() const { return slowdown_; }
   void set_slowdown(double factor) { slowdown_ = factor < 1.0 ? 1.0 : factor; }
 

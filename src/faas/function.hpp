@@ -95,6 +95,13 @@ std::string_view to_string_view(Phase phase);
 
 /// Public, read-only view of one function invocation's progress. Owned by
 /// the Platform; recovery handlers and observers receive const references.
+///
+/// The progress fields (`next_state`, `work_done`) are current at every
+/// platform callback: observer, recovery handler, execution hook and
+/// failure policy calls. In between they may lag. Without a per-state
+/// consumer (ExecutionHooks or an event log) the platform dispatches one
+/// engine event per execution segment, and the state commits inside a
+/// segment apply only at its end or when the attempt is interrupted.
 struct Invocation {
   FunctionId id;
   JobId job;

@@ -482,7 +482,7 @@ Duration Platform::attempt_busy_estimate(const InvocationInternal& inv,
   }
   est += spec.extra_setup;
   for (std::size_t i = spec.from_state; i < inv.spec->states.size(); ++i) {
-    est += (inv.spec->states[i].duration + epilogue_nominal(inv, i)) * speed;
+    est += state_time(inv, i, speed);
   }
   est += inv.spec->finalize * speed;
   return est;
@@ -639,15 +639,22 @@ void Platform::begin_execution(InvocationInternal& inv, int attempt) {
   }
   for (auto* obs : observers_) obs->on_attempt_started(inv);
   resolve_recovery_markers(inv);
-  schedule_next_state(inv);
+  schedule_segment(inv, /*continuation=*/false);
 }
 
-void Platform::schedule_next_state(InvocationInternal& inv) {
+Duration Platform::state_time(const InvocationInternal& inv, std::size_t idx,
+                              double speed) const {
+  return (inv.spec->states[idx].duration + epilogue_nominal(inv, idx)) *
+         speed;
+}
+
+void Platform::schedule_segment(InvocationInternal& inv, bool continuation) {
   const double speed = cluster_.node(inv.node).speed();
   const FunctionId id = inv.id;
   const int attempt = inv.attempt;
+  const std::size_t n = inv.spec->states.size();
 
-  if (inv.next_state >= inv.spec->states.size()) {
+  if (inv.next_state >= n) {
     inv.phase = Phase::kFinalizing;
     obs_event(inv, obs::EventKind::kFinalize, "finalize");
     const Duration fin = inv.spec->finalize * speed;
@@ -661,25 +668,88 @@ void Platform::schedule_next_state(InvocationInternal& inv) {
     return;
   }
 
-  const std::size_t idx = inv.next_state;
-  const StateSpec& state = inv.spec->states[idx];
-  const Duration epilogue = epilogue_nominal(inv, idx);
-  const Duration dur = (state.duration + epilogue) * speed;
+  // The segment ends at the earliest of: the last state, the first commit
+  // that regains a recovery marker (its window closes at that commit's
+  // time), and, when hooks or the event log must see every commit, the
+  // state in flight. The commits in between are virtual: catch_up applies
+  // them at the segment's end, or earlier when something interrupts or
+  // re-plans the attempt.
+  Duration floor = Duration::max();
+  for (const RecoveryMarker& marker : inv.markers) {
+    floor = std::min(floor, marker.floor);
+  }
+  std::size_t last = inv.next_state;
+  Duration work = inv.work_done + inv.spec->states[last].duration;
   inv.state_start = sim_.now();
-  inv.state_planned_end = sim_.now() + dur;
-  inv.progress_event = sim_.schedule_after(dur, [this, id, attempt, idx] {
+  inv.state_planned_end = sim_.now() + state_time(inv, last, speed);
+  TimePoint end = inv.state_planned_end;
+  if (!per_state_consumer()) {
+    while (last + 1 < n && work < floor) {
+      ++last;
+      work += inv.spec->states[last].duration;
+      end = end + state_time(inv, last, speed);
+    }
+  }
+  auto commit = [this, id, attempt, last] {
     auto& target = internal(id);
     if (target.attempt != attempt || target.phase != Phase::kExecuting) {
       return;
     }
-    target.work_done += target.spec->states[idx].duration;
-    target.next_state = idx + 1;
-    obs_event(target, obs::EventKind::kStateCommit,
-              "state_" + std::to_string(idx));
-    if (hooks_ != nullptr) hooks_->on_state_committed(target, idx);
+    catch_up(target, last);
     resolve_recovery_markers(target);
-    schedule_next_state(target);
-  });
+    schedule_segment(target, /*continuation=*/!per_state_consumer());
+  };
+  inv.progress_event = continuation
+                           ? sim_.schedule_continuation(end, std::move(commit))
+                           : sim_.schedule_at(end, std::move(commit));
+}
+
+void Platform::catch_up(InvocationInternal& inv,
+                        std::optional<std::size_t> segment_last) {
+  const std::size_t n = inv.spec->states.size();
+  if (inv.phase != Phase::kExecuting || inv.next_state >= n) return;
+  const TimePoint now = sim_.now();
+  const std::size_t through = std::min(segment_last.value_or(n - 1), n - 1);
+  // The node's speed has not changed since the segment was planned:
+  // set_node_slowdown catches up before it changes it.
+  const double speed = cluster_.node(inv.node).speed();
+  while (inv.next_state <= through && inv.state_planned_end <= now) {
+    // A commit at exactly `now` is done if its per-state event would have
+    // fired before the event being dispatched. That event would have been
+    // scheduled at the state's start, so it goes first exactly when the
+    // dispatching event was scheduled later. The segment's own event
+    // commits everything through its last state.
+    if (inv.state_planned_end == now && !segment_last &&
+        sim_.scheduled_at() <= inv.state_start) {
+      return;
+    }
+    const std::size_t idx = inv.next_state;
+    inv.work_done += inv.spec->states[idx].duration;
+    inv.next_state = idx + 1;
+    if (events_ != nullptr) {  // build the name only for a log
+      obs_event(inv, obs::EventKind::kStateCommit,
+                "state_" + std::to_string(idx));
+    }
+    if (hooks_ != nullptr) hooks_->on_state_committed(inv, idx);
+    if (inv.next_state > through) return;
+    inv.state_start = inv.state_planned_end;
+    inv.state_planned_end =
+        inv.state_planned_end + state_time(inv, inv.next_state, speed);
+  }
+}
+
+void Platform::set_node_slowdown(NodeId node, double slowdown) {
+  // Speed is read at each state's start. Every segment executing on the
+  // node is cut short at its in-flight state's planned end; the segment
+  // that follows reads the new speed.
+  for (const Container& c : containers_) {
+    if (c.node != node || !c.alive() || !c.assigned.valid()) continue;
+    InvocationInternal& inv = internal(c.assigned);
+    if (inv.container != c.id || inv.phase != Phase::kExecuting) continue;
+    catch_up(inv);
+    inv.progress_event.retime(inv.state_planned_end);
+  }
+  cluster_.node(node).set_slowdown(slowdown);
 }
 
 void Platform::complete_function(InvocationInternal& inv) {
@@ -757,6 +827,7 @@ void Platform::handle_kill(InvocationInternal& inv, FailureKind kind) {
       inv.phase == Phase::kPending || inv.phase == Phase::kShed) {
     return;
   }
+  catch_up(inv);
   inv.progress_event.cancel();
   inv.kill_event.cancel();
   inv.timeout_event.cancel();
@@ -886,8 +957,9 @@ void Platform::logically_fence(NodeId node) {
     for (const ContainerId cid : on_node) {
       const auto& c = container_ref(cid);
       if (!c.assigned.valid()) continue;
-      const InvocationInternal& inv = internal(c.assigned);
+      InvocationInternal& inv = internal(c.assigned);
       if (inv.container != cid || inv.phase != Phase::kExecuting) continue;
+      catch_up(inv);
       const TimePoint commit_at = std::max(sim_.now(), inv.state_planned_end);
       const FunctionId id = inv.id;
       // Deliberately not attempt-guarded: the replacement's progress on
@@ -959,6 +1031,7 @@ void Platform::join_trace(FunctionId follower, FunctionId leader) {
 void Platform::discard_function(FunctionId id) {
   auto& inv = internal(id);
   if (inv.phase == Phase::kCompleted || inv.phase == Phase::kShed) return;
+  catch_up(inv);
   inv.progress_event.cancel();
   inv.kill_event.cancel();
   inv.timeout_event.cancel();

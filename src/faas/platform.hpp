@@ -13,6 +13,10 @@
 // Scheduling is least-loaded-node with capacity probing; concurrent cold
 // starts on one node contend (image pull / containerd contention), which
 // is what makes mass retry storms slow in Fig. 4/11.
+//
+// An attempt's states run as execution segments, one engine event each
+// (schedule_segment): unless hooks or the event log must see every state
+// commit, the commits between two segment ends are applied lazily.
 #pragma once
 
 #include <deque>
@@ -245,6 +249,11 @@ class Platform {
   }
   /// Node failures awaiting heartbeat confirmation (kHeartbeat mode).
   std::size_t undetected_failures() const { return undetected_.size(); }
+  /// Set `node`'s gray-failure slowdown (Node::set_slowdown). Speed is
+  /// read at each state's start: an attempt executing on the node finishes
+  /// its in-flight state as planned, and its later states run at the new
+  /// speed.
+  void set_node_slowdown(NodeId node, double slowdown);
 
   // ---- accounting ------------------------------------------------------
   const UsageLedger& usage() const { return ledger_; }
@@ -275,6 +284,8 @@ class Platform {
     sim::EventHandle kill_event;
     sim::EventHandle timeout_event;
     std::vector<RecoveryMarker> markers;
+    /// The in-flight state's start and planned end. Like next_state and
+    /// work_done they advance at the segment's event or at catch_up.
     TimePoint state_start;
     TimePoint state_planned_end;
     /// work_done captured at the last failure; used to compute lost work
@@ -352,7 +363,25 @@ class Platform {
   void arm_slo(InvocationInternal& inv, Duration sla, TimePoint anchor);
 
   void begin_execution(InvocationInternal& inv, int attempt);
-  void schedule_next_state(InvocationInternal& inv);
+  /// True when something must see every state commit (Canary's hooks or
+  /// the causal event log): every segment is then one state long.
+  bool per_state_consumer() const {
+    return hooks_ != nullptr || events_ != nullptr;
+  }
+  /// State `idx`'s wall duration on a node of `speed`, epilogue included.
+  Duration state_time(const InvocationInternal& inv, std::size_t idx,
+                      double speed) const;
+  /// Schedule the event that ends the attempt's next execution segment
+  /// (or, past the last state, its finalize). A continuation takes over
+  /// the sequence number of the segment event being dispatched, so one
+  /// attempt's chain of segments ties with other events as its first one.
+  void schedule_segment(InvocationInternal& inv, bool continuation);
+  /// Bring an executing attempt's progress up to now by applying the
+  /// commits its segment skipped. Every entry point that interrupts, ends
+  /// or re-plans an attempt calls it first; the segment's own event passes
+  /// `segment_last`, the last state it commits.
+  void catch_up(InvocationInternal& inv,
+                std::optional<std::size_t> segment_last = std::nullopt);
   void complete_function(InvocationInternal& inv);
   void handle_kill(InvocationInternal& inv, FailureKind kind);
   /// Logical fence for a confirmed-dead node the majority cannot reach:

@@ -189,9 +189,9 @@ void FailureInjector::schedule_gray_window(sim::Simulator& simulator,
       return;  // requested victim already dead
     }
     ++totals_.gray_windows;
-    auto& node = platform.cluster().node(target);
     // Stack with any narrower gray window already in force.
-    node.set_slowdown(node.slowdown() * slowdown);
+    platform.set_node_slowdown(
+        target, platform.cluster().node(target).slowdown() * slowdown);
     annotate_injection(simulator, platform, target, "injected_gray_start");
     simulator.schedule_after(duration, [this, &simulator, &platform, target,
                                         slowdown] {
@@ -199,8 +199,8 @@ void FailureInjector::schedule_gray_window(sim::Simulator& simulator,
           !platform.cluster().node(target).alive()) {
         return;  // died mid-window; slowdown dies with it
       }
-      auto& healed = platform.cluster().node(target);
-      healed.set_slowdown(healed.slowdown() / slowdown);
+      platform.set_node_slowdown(
+          target, platform.cluster().node(target).slowdown() / slowdown);
       annotate_injection(simulator, platform, target, "injected_gray_end");
     });
   });

@@ -118,7 +118,10 @@ struct ScenarioConfig {
   bool record_spans = false;
   /// Record the per-invocation causal event DAG into RunResult::events and
   /// derive RunResult::breakdown from it. On by default: events are cheap
-  /// and the critical-path breakdown feeds the run report.
+  /// and the critical-path breakdown feeds the run report. The log sees
+  /// every state commit, so turning it on forces per-state dispatch: one
+  /// engine event per state instead of one per execution segment. Nothing
+  /// else a run measures changes, only RunResult::simulated_events.
   bool record_events = true;
   /// Open-loop traffic: arrival streams driven through admission control
   /// (and optionally the warm-pool autoscaler) on top of — or instead of

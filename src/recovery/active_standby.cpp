@@ -28,7 +28,14 @@ void ActiveStandbyHandler::provision_standby(FunctionId fn) {
         if (!by_container_.contains(cid)) platform_.destroy_warm_container(cid);
       });
   if (!launched.ok()) return;
-  standbys_[fn] = launched.value();
+  auto [it, inserted] = standbys_.try_emplace(fn, launched.value());
+  if (!inserted) {
+    // A failure found the previous standby still launching. Forget it:
+    // its readiness callback then tears it down instead of leaving it to
+    // idle (and bill) as a standby of nothing.
+    by_container_.erase(it->second);
+    it->second = launched.value();
+  }
   by_container_[launched.value()] = fn;
 }
 

@@ -10,6 +10,10 @@ void EventHandle::cancel() {
   if (sim_ != nullptr) sim_->cancel_slot(slot_, generation_);
 }
 
+void EventHandle::retime(TimePoint when) {
+  if (sim_ != nullptr) sim_->retime_slot(slot_, generation_, when);
+}
+
 bool EventHandle::pending() const {
   return sim_ != nullptr && sim_->slot_pending(slot_, generation_);
 }
@@ -47,7 +51,21 @@ void Simulator::cancel_slot(std::uint32_t slot, std::uint32_t generation) {
   rec.state = SlotState::kCancelled;
   rec.fn.reset();  // release captures now, not when the slot is reused
   --live_count_;
-  ++cancelled_in_heap_;
+  maybe_compact();
+}
+
+void Simulator::retime_slot(std::uint32_t slot, std::uint32_t generation,
+                            TimePoint when) {
+  if (slot >= records_.size()) return;
+  EventRecord& rec = records_[slot];
+  if (rec.generation != generation || rec.state != SlotState::kPending) {
+    return;  // already fired, cancelled, or the slot was reused
+  }
+  CANARY_CHECK(when >= now_, "cannot retime an event into the past");
+  if (rec.when_usec == when.count_usec()) return;
+  // The old entry goes dead: its time no longer matches the record's.
+  rec.when_usec = when.count_usec();
+  heap_push({rec.when_usec, rec.seq, slot, generation});
   maybe_compact();
 }
 
@@ -58,15 +76,34 @@ bool Simulator::slot_pending(std::uint32_t slot,
   return rec.generation == generation && rec.state == SlotState::kPending;
 }
 
-EventHandle Simulator::schedule_at(TimePoint when, Callback fn) {
+EventHandle Simulator::push_event(TimePoint when, std::uint64_t seq,
+                                  std::int64_t scheduled_usec, Callback fn) {
   CANARY_CHECK(when >= now_, "cannot schedule an event in the past");
   const std::uint32_t slot = alloc_slot();
   EventRecord& rec = records_[slot];
   rec.fn = std::move(fn);
   rec.state = SlotState::kPending;
-  heap_push({when.count_usec(), next_seq_++, slot, rec.generation});
+  rec.when_usec = when.count_usec();
+  rec.seq = seq;
+  rec.scheduled_usec = scheduled_usec;
+  heap_push({rec.when_usec, seq, slot, rec.generation});
   ++live_count_;
   return EventHandle(this, slot, rec.generation);
+}
+
+EventHandle Simulator::schedule_at(TimePoint when, Callback fn) {
+  return push_event(when, next_seq_++, now_.count_usec(), std::move(fn));
+}
+
+EventHandle Simulator::schedule_continuation(TimePoint when, Callback fn) {
+  CANARY_CHECK(continuation_open_,
+               "a continuation needs a dispatching event that has not "
+               "scheduled one yet");
+  continuation_open_ = false;
+  // The dispatched entry has left the heap, so its sequence number is
+  // free: (time, seq) stays unique among live entries.
+  return push_event(when, dispatch_seq_,
+                    dispatch_scheduled_at_.count_usec(), std::move(fn));
 }
 
 EventHandle Simulator::schedule_after(Duration delay, Callback fn) {
@@ -107,48 +144,42 @@ void Simulator::heap_pop_root() {
 bool Simulator::entry_live(const HeapEntry& entry) const {
   const EventRecord& rec = records_[entry.slot];
   return rec.generation == entry.generation &&
-         rec.state == SlotState::kPending;
+         rec.state == SlotState::kPending && rec.when_usec == entry.when_usec;
+}
+
+void Simulator::discard_dead(const HeapEntry& entry) {
+  // A cancelled event's slot is reclaimed at its first dead entry; any
+  // other entry of that slot then fails the generation check.
+  if (records_[entry.slot].generation == entry.generation &&
+      records_[entry.slot].state == SlotState::kCancelled) {
+    free_slot(entry.slot);
+  }
 }
 
 const Simulator::HeapEntry* Simulator::peek_live() {
   while (!heap_.empty()) {
-    const HeapEntry& top = heap_[0];
-    if (entry_live(top)) return &heap_[0];
-    // Stale head: a cancelled event (reclaim its slot) or an entry whose
-    // slot was already reclaimed by compaction.
-    EventRecord& rec = records_[top.slot];
-    if (rec.generation == top.generation &&
-        rec.state == SlotState::kCancelled) {
-      --cancelled_in_heap_;
-      free_slot(top.slot);
-    }
+    if (entry_live(heap_[0])) return &heap_[0];
+    discard_dead(heap_[0]);
     heap_pop_root();
   }
   return nullptr;
 }
 
 void Simulator::maybe_compact() {
-  if (cancelled_in_heap_ < compact_min_ ||
-      cancelled_in_heap_ * 2 < heap_.size()) {
-    return;
-  }
+  const std::size_t dead = heap_.size() - live_count_;
+  if (dead < compact_min_ || dead * 2 < heap_.size()) return;
   // Sweep out every dead entry, reclaim cancelled slots, and rebuild the
-  // heap in place. (time, seq) is a total order, so any valid heap over
-  // the surviving entries dispatches in exactly the same sequence.
+  // heap in place. (time, seq) is a total order on the live entries, so
+  // any valid heap over them dispatches in exactly the same sequence.
   std::size_t kept = 0;
   for (const HeapEntry& entry : heap_) {
     if (entry_live(entry)) {
       heap_[kept++] = entry;
-      continue;
-    }
-    EventRecord& rec = records_[entry.slot];
-    if (rec.generation == entry.generation &&
-        rec.state == SlotState::kCancelled) {
-      free_slot(entry.slot);
+    } else {
+      discard_dead(entry);
     }
   }
   heap_.resize(kept);
-  cancelled_in_heap_ = 0;
   if (kept > 1) {
     for (std::size_t i = (kept - 2) / arity_ + 1; i-- > 0;) {
       // Sift down from the last parent to the root.
@@ -173,14 +204,15 @@ bool Simulator::dispatch_one() {
   while (!heap_.empty()) {
     const HeapEntry top = heap_[0];
     heap_pop_root();
-    EventRecord& rec = records_[top.slot];
-    if (rec.generation != top.generation) continue;  // slot was compacted
-    if (rec.state == SlotState::kCancelled) {
-      --cancelled_in_heap_;
-      free_slot(top.slot);
+    if (!entry_live(top)) {
+      discard_dead(top);
       continue;
     }
+    EventRecord& rec = records_[top.slot];
     now_ = TimePoint::from_usec(top.when_usec);
+    dispatch_seq_ = top.seq;
+    dispatch_scheduled_at_ = TimePoint::from_usec(rec.scheduled_usec);
+    continuation_open_ = true;
     // Move the callback out and reclaim the slot *before* invoking: the
     // generation bump makes cancel-after-fire a no-op on every handle,
     // and the callback is free to schedule (growing the slab) without
@@ -190,6 +222,8 @@ bool Simulator::dispatch_one() {
     free_slot(top.slot);
     ++executed_;
     fn();
+    continuation_open_ = false;
+    dispatch_scheduled_at_ = TimePoint::max();
     return true;
   }
   return false;

@@ -8,6 +8,12 @@
 // the handle returned at scheduling time — used e.g. to retract a pending
 // kill when a function completes first.
 //
+// A chain of events can hold one place in that order. An event may
+// schedule one continuation, which takes over its sequence number, and a
+// pending event can be retimed without losing its number. The platform
+// uses both to dispatch a run of execution states as one event: the chain
+// ties with other events exactly as its first event did.
+//
 // Hot-path design (million-invocation runs):
 //   * Event records live in a slab with an intrusive free list and are
 //     addressed by {slot, generation} handles. Cancellation flips one
@@ -59,6 +65,10 @@ class EventHandle {
   }
 
   void cancel();
+  /// Move the pending event to `when` (not in the past). It keeps its
+  /// sequence number, so it ties with other events as before. A no-op on
+  /// an event that has fired or been cancelled.
+  void retime(TimePoint when);
   /// True if this handle refers to an event that has neither fired nor
   /// been cancelled.
   bool pending() const;
@@ -100,6 +110,19 @@ class Simulator {
   /// Schedule `fn` after `delay` (>= 0) from now.
   EventHandle schedule_after(Duration delay, Callback fn);
 
+  /// Schedule `fn` at `when` as the continuation of the event being
+  /// dispatched: it inherits that event's sequence number and scheduling
+  /// time, so it ties with other events as if the chain's first event had
+  /// been scheduled for `when`. Callable once per dispatch.
+  EventHandle schedule_continuation(TimePoint when, Callback fn);
+
+  /// When the event being dispatched was scheduled (for a continuation,
+  /// its chain's first event); TimePoint::max() outside a dispatch. An
+  /// event scheduled earlier than another event holds a smaller sequence
+  /// number, so this orders the dispatching event against events that
+  /// were never scheduled.
+  TimePoint scheduled_at() const { return dispatch_scheduled_at_; }
+
   /// Run events until the queue is exhausted or `stop()` is called.
   /// Returns the number of events executed.
   std::uint64_t run();
@@ -128,6 +151,11 @@ class Simulator {
 
   struct EventRecord {
     UniqueFunction fn;
+    /// The live heap entry's key. A retime pushes a new entry; the old one
+    /// stays behind as a dead entry whose time no longer matches.
+    std::int64_t when_usec = 0;
+    std::uint64_t seq = 0;
+    std::int64_t scheduled_usec = 0;
     std::uint32_t generation = 0;
     std::uint32_t next_free = kNilSlot;
     SlotState state = SlotState::kFree;
@@ -135,7 +163,7 @@ class Simulator {
 
   /// Heap entry: 24 bytes, ordered by (when, seq). The slot's generation
   /// at scheduling time distinguishes a live entry from a stale one whose
-  /// slot was compacted away and reused.
+  /// slot was reused; its time, one a retime left behind.
   struct HeapEntry {
     std::int64_t when_usec;
     std::uint64_t seq;
@@ -153,7 +181,11 @@ class Simulator {
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t slot);
   void cancel_slot(std::uint32_t slot, std::uint32_t generation);
+  void retime_slot(std::uint32_t slot, std::uint32_t generation,
+                   TimePoint when);
   bool slot_pending(std::uint32_t slot, std::uint32_t generation) const;
+  EventHandle push_event(TimePoint when, std::uint64_t seq,
+                         std::int64_t scheduled_usec, Callback fn);
 
   void heap_push(HeapEntry entry);
   void heap_pop_root();
@@ -161,6 +193,8 @@ class Simulator {
   const HeapEntry* peek_live();
   /// True when the popped entry still references a live pending event.
   bool entry_live(const HeapEntry& entry) const;
+  /// Drop a dead entry, reclaiming its slot if it held a cancelled event.
+  void discard_dead(const HeapEntry& entry);
   void maybe_compact();
 
   bool dispatch_one();
@@ -169,12 +203,19 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
+  /// The dispatching event's sequence number and scheduling time, and
+  /// whether it may still schedule its continuation.
+  std::uint64_t dispatch_seq_ = 0;
+  TimePoint dispatch_scheduled_at_ = TimePoint::max();
+  bool continuation_open_ = false;
 
   std::vector<EventRecord> records_;
   std::uint32_t free_head_ = kNilSlot;
+  /// Every pending event has exactly one live entry; the rest are dead
+  /// (cancelled events, and entries a retime left behind), so
+  /// heap_.size() - live_count_ counts the lazy-deletion tombstones.
   std::vector<HeapEntry> heap_;
   std::size_t live_count_ = 0;          // pending and not cancelled
-  std::size_t cancelled_in_heap_ = 0;   // lazy-deletion tombstones
   unsigned arity_ = 4;
   std::size_t compact_min_ = 64;
 };

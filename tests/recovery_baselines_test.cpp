@@ -233,6 +233,29 @@ TEST_F(BaselineTest, AsFallsBackColdWhenStandbyNotReady) {
   EXPECT_EQ(metrics_.counter("as_cold_restarts"), 1.0);
 }
 
+TEST_F(BaselineTest, AsTearsDownTheStandbyAFailureSuperseded) {
+  ActiveStandbyHandler as(*platform_);
+  platform_->set_recovery_handler(&as);
+  platform_->add_observer(&as);
+
+  faas::JobSpec job;
+  job.functions.push_back(probe());
+  const auto id = platform_->submit_job(job);
+  ASSERT_TRUE(id.ok());
+  const FunctionId fn = platform_->job_functions(id.value()).front();
+  // The failure is handled while the first standby is still launching,
+  // so the takeover provisions a second one. The first must not outlive
+  // the function as a warm-idle standby.
+  kills_.kill(fn, 1, Duration::msec(200));
+  sim_.run();
+
+  EXPECT_TRUE(platform_->job_completed(id.value()));
+  EXPECT_EQ(metrics_.counter("as_cold_restarts"), 1.0);
+  EXPECT_EQ(platform_->warm_idle_count(faas::RuntimeImage::kPython3,
+                                       faas::ContainerPurpose::kStandby),
+            0u);
+}
+
 TEST_F(BaselineTest, AsReplacesStandbyLostToNodeFailure) {
   ActiveStandbyHandler as(*platform_);
   platform_->set_recovery_handler(&as);

@@ -3,13 +3,14 @@
 //
 // Two layers of fuzzing, both fully deterministic per seed:
 //
-//  * Engine fuzz: random interleavings of schedule / cancel /
-//    schedule-from-callback operations checked against an oracle — the
-//    virtual clock never goes backwards, same-timestamp events fire in
-//    scheduling order (FIFO tiebreak), cancelled events never fire, and
-//    every scheduled event is accounted for (fired xor cancelled). The
-//    same operation tape replayed on different heap arities and
-//    compaction thresholds must dispatch the identical event sequence.
+//  * Engine fuzz: random interleavings of schedule / cancel / retime /
+//    continuation operations checked against an oracle — the virtual
+//    clock never goes backwards, same-timestamp events fire in tie order
+//    (FIFO on scheduling, which a continuation inherits and a retime
+//    keeps), cancelled events never fire, and every scheduled event is
+//    accounted for (fired xor cancelled). The same operation tape
+//    replayed on different heap arities and compaction thresholds must
+//    dispatch the identical event sequence.
 //
 //  * Scenario fuzz: 64 seeds of randomized workloads, strategies, error
 //    rates and failure schedules through the full stack, asserting the
@@ -40,6 +41,9 @@ namespace {
 struct FiredEvent {
   int id;
   std::int64_t when_usec;
+  /// The event's place in the tie order: a fresh schedule takes the next
+  /// one, a continuation its parent's, and a retime keeps it.
+  std::uint64_t order;
 };
 
 struct TapeResult {
@@ -47,105 +51,138 @@ struct TapeResult {
   std::uint64_t executed = 0;
 };
 
-/// Replays a pseudo-random operation tape derived from `seed` on an
-/// engine with the given options, recording the dispatch order and
-/// checking the oracle invariants inline.
-TapeResult run_tape(std::uint64_t seed, sim::SimulatorOptions options,
-                    int op_count) {
-  std::mt19937_64 rng(seed);
-  sim::Simulator sim(options);
-  TapeResult result;
+/// Replays a pseudo-random operation tape on one engine, recording the
+/// dispatch order and checking the oracle invariants inline. Every
+/// fourth event schedules a continuation when it fires.
+class Tape {
+ public:
+  explicit Tape(sim::SimulatorOptions options) : sim_(options) {}
 
+  TapeResult run(std::uint64_t seed, int op_count) {
+    std::mt19937_64 rng(seed);
+    for (int op = 0; op < op_count; ++op) {
+      const auto roll = rng() % 100;
+      if (roll < 50 || tracked_.empty()) {
+        // Coarse delays make timestamp collisions common, exercising the
+        // FIFO tiebreak.
+        schedule(static_cast<std::int64_t>(rng() % 50) * 1000);
+      } else if (roll < 70) {
+        auto& victim = tracked_[rng() % tracked_.size()];
+        const bool was_pending = victim.handle.pending();
+        victim.handle.cancel();
+        if (was_pending && !victim.fired) victim.cancelled = true;
+        EXPECT_FALSE(victim.handle.pending());
+      } else if (roll < 80) {
+        // Retime a random event; one that fired or was cancelled stays
+        // as it is. Never onto the current timestamp: an event moved
+        // there keeps its place and could tie ahead of one already fired.
+        auto& victim = tracked_[rng() % tracked_.size()];
+        const std::int64_t when =
+            sim_.now().count_usec() +
+            static_cast<std::int64_t>(1 + rng() % 49) * 1000;
+        const bool was_pending = victim.handle.pending();
+        victim.handle.retime(TimePoint::from_usec(when));
+        EXPECT_EQ(victim.handle.pending(), was_pending);
+        if (was_pending) victim.when_usec = when;
+      } else if (roll < 90) {
+        // Drain a few events mid-tape so schedule/cancel interleave with
+        // dispatch and slot reuse.
+        for (int i = 0; i < 5; ++i) {
+          if (!sim_.step()) break;
+        }
+      } else {
+        // Double-cancel / cancel-after-fire probes on a random handle.
+        auto& victim = tracked_[rng() % tracked_.size()];
+        victim.handle.cancel();
+        victim.handle.cancel();
+        if (victim.fired) {
+          EXPECT_FALSE(victim.handle.pending());
+        } else {
+          victim.cancelled = true;
+        }
+      }
+    }
+    sim_.run();
+    result_.executed = sim_.executed_events();
+
+    // Work conservation: every event either fired or was cancelled, and
+    // the engine's executed count matches the oracle's.
+    std::size_t fired_count = 0;
+    for (const auto& rec : tracked_) {
+      EXPECT_NE(rec.fired, rec.cancelled)
+          << "event neither fired nor cancelled (or both)";
+      if (rec.fired) ++fired_count;
+    }
+    EXPECT_EQ(fired_count, result_.fired.size());
+    EXPECT_EQ(sim_.pending_events(), 0u);
+    EXPECT_TRUE(sim_.empty());
+
+    // FIFO tiebreak: among equal timestamps, tie-order places ascend. A
+    // fresh place is assigned at scheduling time, and mid-tape drains
+    // never reorder scheduling order within a timestamp.
+    for (std::size_t i = 1; i < result_.fired.size(); ++i) {
+      if (result_.fired[i].when_usec == result_.fired[i - 1].when_usec) {
+        EXPECT_LT(result_.fired[i - 1].order, result_.fired[i].order)
+            << "FIFO tiebreak violated at t=" << result_.fired[i].when_usec;
+      }
+    }
+    return result_;
+  }
+
+ private:
   struct Tracked {
     sim::EventHandle handle;
     std::int64_t when_usec = 0;
+    std::uint64_t order = 0;
     bool cancelled = false;
     bool fired = false;
   };
-  // Deque-like stable storage: callbacks capture indices, not pointers.
-  static thread_local std::vector<Tracked>* tracked_ptr = nullptr;
-  std::vector<Tracked> tracked;
-  tracked.reserve(static_cast<std::size_t>(op_count) * 2);
-  tracked_ptr = &tracked;
 
-  std::int64_t last_fired_usec = -1;
-  int next_id = 0;
-
-  auto schedule_one = [&](std::int64_t delay_usec) {
-    const int id = next_id++;
-    tracked.push_back({});
-    const std::int64_t when = sim.now().count_usec() + delay_usec;
-    tracked[static_cast<std::size_t>(id)].when_usec = when;
-    tracked[static_cast<std::size_t>(id)].handle = sim.schedule_after(
-        Duration::usec(delay_usec), [&sim, &result, &last_fired_usec, id] {
-          auto& rec = (*tracked_ptr)[static_cast<std::size_t>(id)];
-          EXPECT_FALSE(rec.cancelled) << "cancelled event " << id << " fired";
-          EXPECT_FALSE(rec.fired) << "event " << id << " fired twice";
-          rec.fired = true;
-          // Clock monotonicity and exactness.
-          EXPECT_EQ(sim.now().count_usec(), rec.when_usec);
-          EXPECT_GE(sim.now().count_usec(), last_fired_usec);
-          last_fired_usec = sim.now().count_usec();
-          result.fired.push_back({id, rec.when_usec});
-        });
-  };
-
-  for (int op = 0; op < op_count; ++op) {
-    const auto roll = rng() % 100;
-    if (roll < 55 || tracked.empty()) {
-      // Coarse delays make timestamp collisions common, exercising the
-      // FIFO tiebreak.
-      schedule_one(static_cast<std::int64_t>(rng() % 50) * 1000);
-    } else if (roll < 80) {
-      auto& victim = tracked[rng() % tracked.size()];
-      const bool was_pending = victim.handle.pending();
-      victim.handle.cancel();
-      if (was_pending && !victim.fired) victim.cancelled = true;
-      EXPECT_FALSE(victim.handle.pending());
-    } else if (roll < 90) {
-      // Drain a few events mid-tape so schedule/cancel interleave with
-      // dispatch and slot reuse.
-      for (int i = 0; i < 5; ++i) {
-        if (!sim.step()) break;
-      }
-    } else {
-      // Double-cancel / cancel-after-fire probes on a random handle.
-      auto& victim = tracked[rng() % tracked.size()];
-      victim.handle.cancel();
-      victim.handle.cancel();
-      if (victim.fired) {
-        EXPECT_FALSE(victim.handle.pending());
-      } else {
-        victim.cancelled = true;
-      }
-    }
+  void schedule(std::int64_t delay_usec) {
+    const int id = static_cast<int>(tracked_.size());
+    const std::int64_t when = sim_.now().count_usec() + delay_usec;
+    tracked_.push_back({});
+    tracked_.back().when_usec = when;
+    tracked_.back().order = next_order_++;
+    tracked_.back().handle =
+        sim_.schedule_at(TimePoint::from_usec(when), [this, id] { fire(id); });
   }
-  sim.run();
-  result.executed = sim.executed_events();
 
-  // Work conservation: every event either fired or was cancelled, and
-  // the engine's executed count matches the oracle's.
-  std::size_t fired_count = 0;
-  for (const auto& rec : tracked) {
-    EXPECT_NE(rec.fired, rec.cancelled)
-        << "event neither fired nor cancelled (or both)";
-    if (rec.fired) ++fired_count;
+  void fire(int id) {
+    // Index, not reference: the continuation below grows tracked_.
+    const auto index = static_cast<std::size_t>(id);
+    EXPECT_FALSE(tracked_[index].cancelled)
+        << "cancelled event " << id << " fired";
+    EXPECT_FALSE(tracked_[index].fired) << "event " << id << " fired twice";
+    tracked_[index].fired = true;
+    // Clock monotonicity and exactness.
+    EXPECT_EQ(sim_.now().count_usec(), tracked_[index].when_usec);
+    EXPECT_GE(sim_.now().count_usec(), last_fired_usec_);
+    last_fired_usec_ = sim_.now().count_usec();
+    result_.fired.push_back(
+        {id, tracked_[index].when_usec, tracked_[index].order});
+    if (id % 4 != 0) return;
+    // A continuation 1-4 ms on takes over this event's place.
+    const int next = static_cast<int>(tracked_.size());
+    const std::int64_t when =
+        sim_.now().count_usec() + (1 + id % 3 + id % 2) * 1000;
+    tracked_.push_back({});
+    tracked_.back().when_usec = when;
+    tracked_.back().order = tracked_[index].order;
+    tracked_.back().handle = sim_.schedule_continuation(
+        TimePoint::from_usec(when), [this, next] { fire(next); });
   }
-  EXPECT_EQ(fired_count, result.fired.size());
-  EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_TRUE(sim.empty());
 
-  // FIFO tiebreak: among equal timestamps, ids must ascend — an id is
-  // assigned at scheduling time, and mid-tape drains never reorder
-  // scheduling order within a timestamp.
-  for (std::size_t i = 1; i < result.fired.size(); ++i) {
-    if (result.fired[i].when_usec == result.fired[i - 1].when_usec) {
-      EXPECT_LT(result.fired[i - 1].id, result.fired[i].id)
-          << "FIFO tiebreak violated at t=" << result.fired[i].when_usec;
-    }
-  }
-  tracked_ptr = nullptr;
-  return result;
+  sim::Simulator sim_;
+  std::vector<Tracked> tracked_;
+  std::uint64_t next_order_ = 0;
+  std::int64_t last_fired_usec_ = -1;
+  TapeResult result_;
+};
+
+TapeResult run_tape(std::uint64_t seed, sim::SimulatorOptions options,
+                    int op_count) {
+  return Tape(options).run(seed, op_count);
 }
 
 TEST(SimFuzzTest, EngineInvariantsHoldAcross64Seeds) {

@@ -3,9 +3,11 @@
 // reuse, handles outliving run(), and default-constructed / moved-from
 // handles. These pin down the contract that used to be implicit (and in
 // the case of pending() on an empty handle, broken) in the shared_ptr
-// engine.
+// engine. The last group covers retime and continuations, which keep an
+// event's sequence number.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -236,6 +238,103 @@ TEST(SimHandleTest, RescheduleFromCallbackReusesSlotsSafely) {
   sim.run();
   EXPECT_EQ(hops, 50);
   EXPECT_EQ(sim.executed_events(), 50u);
+}
+
+// ---- retime and continuations ---------------------------------------------
+
+TEST(SimHandleTest, RetimeKeepsTheSequenceNumber) {
+  Simulator sim;
+  std::vector<char> order;
+  const TimePoint t = TimePoint::origin() + Duration::msec(10);
+  EventHandle a =
+      sim.schedule_at(t + Duration::msec(5), [&] { order.push_back('a'); });
+  sim.schedule_at(t, [&] { order.push_back('b'); });
+  EventHandle c = sim.schedule_at(t, [&] { order.push_back('c'); });
+  // Moved onto `b`'s timestamp, `a` ties ahead of it: it was scheduled
+  // first. Moved away and back, `c` keeps its place behind `b`.
+  a.retime(t);
+  c.retime(t + Duration::msec(7));
+  c.retime(t);
+  EXPECT_TRUE(a.pending());
+  EXPECT_EQ(sim.pending_events(), 3u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c'}));
+  EXPECT_EQ(sim.executed_events(), 3u);
+}
+
+TEST(SimHandleTest, RetimeMovesEarlierAndLater) {
+  Simulator sim;
+  std::vector<std::int64_t> fired_at;
+  EventHandle early = sim.schedule_after(
+      Duration::msec(30), [&] { fired_at.push_back(sim.now().count_usec()); });
+  EventHandle late = sim.schedule_after(
+      Duration::msec(10), [&] { fired_at.push_back(sim.now().count_usec()); });
+  early.retime(TimePoint::origin() + Duration::msec(5));
+  late.retime(TimePoint::origin() + Duration::msec(40));
+  sim.run();
+  EXPECT_EQ(fired_at, (std::vector<std::int64_t>{5000, 40000}));
+}
+
+TEST(SimHandleTest, RetimeAfterFireOrCancelIsNoOp) {
+  Simulator sim;
+  int fired = 0;
+  EventHandle done = sim.schedule_after(Duration::msec(1), [&] { ++fired; });
+  sim.run();
+  done.retime(TimePoint::origin() + Duration::msec(5));
+  EXPECT_FALSE(done.pending());
+  EXPECT_EQ(sim.pending_events(), 0u);
+
+  EventHandle cancelled =
+      sim.schedule_after(Duration::msec(1), [&] { ++fired; });
+  cancelled.cancel();
+  cancelled.retime(TimePoint::origin() + Duration::msec(8));
+  EXPECT_FALSE(cancelled.pending());
+  EXPECT_EQ(sim.pending_events(), 0u);
+
+  EventHandle inert;
+  inert.retime(TimePoint::origin() + Duration::msec(9));
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.executed_events(), 1u);
+}
+
+TEST(SimHandleTest, ContinuationTiesAsItsChainsFirstEvent) {
+  Simulator sim;
+  std::vector<char> order;
+  const TimePoint t = TimePoint::origin() + Duration::msec(10);
+  // `a` is scheduled first; its continuation lands on `b`'s timestamp and
+  // keeps `a`'s place ahead of `b`. A fresh event there would follow `b`.
+  sim.schedule_at(TimePoint::origin() + Duration::msec(1), [&] {
+    EXPECT_EQ(sim.scheduled_at(), TimePoint::origin());
+    sim.schedule_continuation(t, [&] {
+      EXPECT_EQ(sim.scheduled_at(), TimePoint::origin());
+      order.push_back('a');
+    });
+  });
+  sim.schedule_at(t, [&] { order.push_back('b'); });
+  EXPECT_EQ(sim.scheduled_at(), TimePoint::max());
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b'}));
+  EXPECT_EQ(sim.scheduled_at(), TimePoint::max());
+}
+
+TEST(SimHandleDeathTest, SecondContinuationFromOneDispatchAborts) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        sim.schedule_after(Duration::msec(1), [&] {
+          sim.schedule_continuation(sim.now() + Duration::msec(1), [] {});
+          sim.schedule_continuation(sim.now() + Duration::msec(2), [] {});
+        });
+        sim.run();
+      },
+      "continuation");
+}
+
+TEST(SimHandleDeathTest, ContinuationOutsideADispatchAborts) {
+  Simulator sim;
+  EXPECT_DEATH(sim.schedule_continuation(TimePoint::origin(), [] {}),
+               "continuation");
 }
 
 }  // namespace
