@@ -3,7 +3,7 @@
 // Unlike the figure benches (which reproduce the paper's plots) this
 // binary answers an engineering question: how fast is the event engine
 // and the platform above it, and does the hot path allocate? It runs
-// four phases and writes BENCH_scale.json (canary.bench/v2), gated
+// five phases and writes BENCH_scale.json (canary.bench/v2), gated
 // against bench/BENCH_scale.baseline.json (a >20% regression of a gated
 // value fails the smoke run):
 //
@@ -16,14 +16,18 @@
 //                   on the same web-service jobs: checkpoint commits,
 //                   warm replica pools and recovery; 65k invocations
 //                   across 256 nodes (quick mode: 8k across 64 nodes)
+//   canary_scale_events  quick mode's canary_scale (8k invocations, 64
+//                   nodes) with the causal event log on, in both modes:
+//                   ~870k logged events stay under the log's 1M-event
+//                   cap, and a dropped event fails the report
 //
 // The engine phases gate events/sec. platform_scale gates
 // invocations/sec: the platform dispatches one engine event per
 // execution segment, not per state, so the events it takes to simulate an
 // invocation are not fixed, and a change that removes events must not
-// read as a slowdown. canary_scale gates allocations/event instead: the
-// count is exact for a given build, so that gate does not depend on how
-// busy the host is.
+// read as a slowdown. canary_scale and canary_scale_events gate
+// allocations/event instead: the count is exact for a given build, so
+// that gate does not depend on how busy the host is.
 //
 // A second sweep reruns the platform phase sharded (the same topology
 // split into 8 partitions, each an independent scenario) at 1, 2 and 4
@@ -125,6 +129,7 @@ struct PhaseResult {
   std::uint64_t invocations = 0;  // simulated invocations (platform phases)
   double wall_s = 0.0;
   std::uint64_t allocations = 0;  // operator new calls during the phase
+  std::uint64_t events_dropped = 0;  // by the causal log's cap
   Gate gate = Gate::kEventsPerSec;
   double events_per_sec() const {
     return wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0;
@@ -243,17 +248,18 @@ std::vector<faas::JobSpec> web_service_batch(std::size_t jobs,
 
 /// The full stack at scale: `jobs` x `functions_per_job` web-service
 /// invocations over `nodes` nodes under `strategy` with a small hazard
-/// error rate, event and span recording off (this phase measures the
-/// platform and the strategy, not the recorders). Gates simulated
-/// invocations/sec.
+/// error rate, span recording off and the causal event log on only when
+/// `record_events` (by default the phase measures the platform and the
+/// strategy, not the recorders). Gates simulated invocations/sec.
 PhaseResult platform_scale(const std::string& name,
                            recovery::StrategyConfig strategy,
                            std::size_t nodes, std::size_t jobs,
-                           std::size_t functions_per_job) {
+                           std::size_t functions_per_job,
+                           bool record_events = false) {
   harness::ScenarioConfig config =
       scenario(strategy, /*error_rate=*/0.02, nodes);
   config.record_spans = false;
-  config.record_events = false;
+  config.record_events = record_events;
 
   const std::vector<faas::JobSpec> batch =
       web_service_batch(jobs, functions_per_job);
@@ -268,6 +274,7 @@ PhaseResult platform_scale(const std::string& name,
   result.gate = PhaseResult::Gate::kInvocationsPerSec;
   result.wall_s = wall_seconds_since(start);
   result.allocations = allocations_now() - alloc_start;
+  result.events_dropped = run.events_dropped;
   if (!run.completed) {
     std::cerr << name << ": run did not complete\n";
     std::exit(1);
@@ -327,6 +334,10 @@ int write_report(const std::string& name, bool quick, std::size_t nodes,
   for (const PhaseResult& phase : phases) {
     if (phase.events == 0 || phase.wall_s <= 0.0) {
       violations.push_back(phase.name + ": no events or no wall time");
+    }
+    if (phase.events_dropped > 0) {
+      violations.push_back(phase.name + ": the event log dropped " +
+                           std::to_string(phase.events_dropped) + " events");
     }
     switch (phase.gate) {
       case PhaseResult::Gate::kEventsPerSec:
@@ -409,6 +420,11 @@ int run(int argc, char** argv) {
   phases.push_back(platform_scale("canary_scale",
                                   recovery::StrategyConfig::canary_full(),
                                   nodes, canary_jobs, functions_per_job));
+  phases.back().gate = PhaseResult::Gate::kAllocationsPerEvent;
+  phases.push_back(platform_scale("canary_scale_events",
+                                  recovery::StrategyConfig::canary_full(),
+                                  /*nodes=*/64, /*jobs=*/2, functions_per_job,
+                                  /*record_events=*/true));
   phases.back().gate = PhaseResult::Gate::kAllocationsPerEvent;
   const std::uint64_t invocations = phases[2].invocations;
   const std::uint64_t canary_invocations = phases[3].invocations;

@@ -166,9 +166,8 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
     // the nominal epilogue interval ending now.
     obs::SpanLabels labels{inv.job, inv.id, inv.container, inv.node,
                            inv.attempt};
-    events_->append(inv.trace, obs::EventKind::kCheckpoint,
-                    "checkpoint_" + std::to_string(idx), sim_.now(), labels,
-                    obs::kNoEvent, state_epilogue(inv, idx));
+    events_->append_checkpoint(inv.trace, idx, sim_.now(), labels,
+                               state_epilogue(inv, idx));
   }
 
   FunctionCheckpoints& checkpoints = checkpoints_[inv.id];
@@ -292,8 +291,8 @@ void CheckpointingModule::zombie_commit(NodeId node, FunctionId fn) {
     labels.function = fn;
     events_->append_raw(events_->new_trace(), obs::kNoEvent,
                         obs::EventKind::kAnnotation,
-                        put.ok() ? "zombie_commit_committed"
-                                 : "zombie_commit_rejected",
+                        put.ok() ? obs::Name::kZombieCommitCommitted
+                                 : obs::Name::kZombieCommitRejected,
                         sim_.now(), labels);
   }
 }

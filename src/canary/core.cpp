@@ -159,7 +159,7 @@ void CoreModule::recover_cold(const faas::Invocation& inv,
   start.node_pref = target;
   start.extra_setup = plan.restore_time;
   platform_.metrics().count("cold_fallback_recoveries");
-  platform_.log_recovery_action(inv.id, "cold_fallback_recovery");
+  platform_.log_recovery_action(inv.id, obs::Name::kColdFallbackRecovery);
   arm_recovery_watch(inv.id, target);
   platform_.start_attempt(inv.id, start);
 }
@@ -201,7 +201,7 @@ void CoreModule::dispatch_recovery(const faas::Invocation& inv,
     start.container = *replica;
     start.extra_setup = kMigrationOverhead + plan.restore_time;
     platform_.metrics().count("replica_recoveries");
-    platform_.log_recovery_action(inv.id, "replica_recovery");
+    platform_.log_recovery_action(inv.id, obs::Name::kReplicaRecovery);
     replication_.on_replica_consumed(image);
     arm_recovery_watch(inv.id, worker);
     platform_.start_attempt(inv.id, start);
@@ -218,7 +218,7 @@ void CoreModule::dispatch_recovery(const faas::Invocation& inv,
     if (auto pending = runtime_manager_.promise_launching(image, min_age)) {
       promised_[*pending] = inv.id;
       platform_.metrics().count("sla_promised_recoveries");
-      platform_.log_recovery_action(inv.id, "sla_promised_recovery");
+      platform_.log_recovery_action(inv.id, obs::Name::kSlaPromisedRecovery);
       replication_.on_replica_consumed(image);
       arm_recovery_watch(inv.id, platform_.container(*pending).node);
       return;  // dispatch happens in on_container_ready
@@ -278,7 +278,7 @@ void CoreModule::recovery_watch_fired(FunctionId id) {
     // signature. Kill the attempt and re-route the next dispatch away
     // from the stalled node. kRecoveryStall skips the invoker detection
     // delay (the controller initiated the kill, it already knows).
-    platform_.log_recovery_action(inv.id, "recovery_stall_reroute");
+    platform_.log_recovery_action(inv.id, obs::Name::kRecoveryStallReroute);
     avoid_[id] = stalled;
     platform_.kill_function(id, faas::FailureKind::kRecoveryStall);
     return;  // on_failure re-dispatches and re-arms the watch
@@ -341,7 +341,7 @@ void CoreModule::on_function_failed(const faas::Invocation& inv,
       obs::SpanLabels labels;
       labels.node = info.node;
       events->append_raw(events->new_trace(), obs::kNoEvent,
-                         obs::EventKind::kAnnotation, "node_marked_suspect",
+                         obs::EventKind::kAnnotation, obs::Name::kNodeMarkedSuspect,
                          platform_.simulator().now(), labels);
     }
     replication_.reconcile(inv.spec->runtime);

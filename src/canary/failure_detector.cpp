@@ -105,7 +105,7 @@ void FailureDetector::deliver_heartbeat(NodeId node, TimePoint sent) {
     // double-executes.
     w.suspected = false;
     platform_.metrics().count("false_suspicions");
-    annotate(node, "worker_unsuspected");
+    annotate(node, obs::Name::kWorkerUnsuspected);
   }
 }
 
@@ -126,13 +126,13 @@ void FailureDetector::sweep() {
     if (!w.suspected && suspicion >= config_.timeout_multiplier) {
       w.suspected = true;
       platform_.metrics().count("worker_suspicions");
-      annotate(node, "worker_suspected");
+      annotate(node, obs::Name::kWorkerSuspected);
     }
     if (w.suspected &&
         suspicion >= config_.timeout_multiplier + config_.confirm_multiplier) {
       w.confirmed = true;
       platform_.metrics().count("workers_confirmed_dead");
-      annotate(node, "worker_confirmed_dead");
+      annotate(node, obs::Name::kWorkerConfirmedDead);
       if (listener_ != nullptr) listener_->on_worker_confirmed_dead(node);
       // Fence + drain stashed node failures into the recovery handler.
       platform_.confirm_node_dead(node);
@@ -140,7 +140,7 @@ void FailureDetector::sweep() {
   }
 }
 
-void FailureDetector::annotate(NodeId node, const char* what) {
+void FailureDetector::annotate(NodeId node, obs::Name what) {
   auto* events = platform_.events();
   if (events == nullptr) return;
   obs::SpanLabels labels;

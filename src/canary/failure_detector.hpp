@@ -124,7 +124,7 @@ class FailureDetector {
   void deliver_heartbeat(NodeId node, TimePoint sent);
   void schedule_sweep();
   void sweep();
-  void annotate(NodeId node, const char* what);
+  void annotate(NodeId node, obs::Name what);
 
   sim::Simulator& sim_;
   faas::Platform& platform_;

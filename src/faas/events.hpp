@@ -10,12 +10,12 @@
 
 #include <cstddef>
 #include <optional>
-#include <string_view>
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
 #include "faas/container.hpp"
 #include "faas/function.hpp"
+#include "obs/name.hpp"
 
 namespace canary::faas {
 
@@ -29,14 +29,15 @@ enum class FailureKind {
   kRecoveryStall,
 };
 
-inline std::string_view to_string_view(FailureKind kind) {
+/// The name of a kill's kFailure event.
+inline obs::Name event_name(FailureKind kind) {
   switch (kind) {
-    case FailureKind::kContainerKill: return "container_kill";
-    case FailureKind::kNodeFailure: return "node_failure";
-    case FailureKind::kTimeout: return "timeout";
-    case FailureKind::kRecoveryStall: return "recovery_stall";
+    case FailureKind::kContainerKill: return obs::Name::kContainerKill;
+    case FailureKind::kNodeFailure: return obs::Name::kNodeFailure;
+    case FailureKind::kTimeout: return obs::Name::kTimeout;
+    case FailureKind::kRecoveryStall: return obs::Name::kRecoveryStall;
   }
-  return "unknown";
+  return obs::Name::kUnnamed;
 }
 
 struct FailureInfo {

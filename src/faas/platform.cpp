@@ -85,11 +85,11 @@ obs::SpanLabels Platform::obs_labels(const InvocationInternal& inv) const {
 }
 
 obs::EventId Platform::obs_event(InvocationInternal& inv, obs::EventKind kind,
-                                 std::string_view name, obs::EventId cause) {
+                                 obs::Name name, obs::EventId cause) {
   if (events_ == nullptr) return obs::kNoEvent;
   if (!inv.trace.trace.valid()) inv.trace.trace = events_->new_trace();
-  return events_->extend(inv.trace, kind, std::string(name), sim_.now(),
-                         obs_labels(inv), cause);
+  return events_->extend(inv.trace, kind, name, sim_.now(), obs_labels(inv),
+                         cause);
 }
 
 void Platform::arm_slo(InvocationInternal& inv, Duration sla,
@@ -109,7 +109,7 @@ void Platform::arm_slo(InvocationInternal& inv, Duration sla,
       return;
     }
     m_slo_violations_.add();
-    obs_event(target, obs::EventKind::kSlaViolation, "sla_violation");
+    obs_event(target, obs::EventKind::kSlaViolation, obs::Name::kSlaViolation);
   });
 }
 
@@ -238,12 +238,15 @@ Result<JobId> Platform::submit_job(std::shared_ptr<const JobSpec> spec_ptr) {
     const TimePoint enqueued = record.spec->enqueued_at;
     const bool open_loop =
         enqueued != TimePoint::max() && enqueued < sim_.now();
-    if (open_loop && events_ != nullptr) {
-      if (!inv.trace.trace.valid()) inv.trace.trace = events_->new_trace();
-      events_->extend(inv.trace, obs::EventKind::kQueued, fn.name, enqueued,
-                      obs_labels(inv));
+    if (events_ != nullptr) {
+      const obs::Name name = events_->intern(fn.name);
+      if (open_loop) {
+        if (!inv.trace.trace.valid()) inv.trace.trace = events_->new_trace();
+        events_->extend(inv.trace, obs::EventKind::kQueued, name, enqueued,
+                        obs_labels(inv));
+      }
+      obs_event(inv, obs::EventKind::kSubmit, name);
     }
-    obs_event(inv, obs::EventKind::kSubmit, fn.name);
     arm_slo(inv, fn.sla > Duration::zero() ? fn.sla : record.spec->sla,
             open_loop ? enqueued : sim_.now());
     record.functions.push_back(fid);
@@ -288,13 +291,15 @@ Result<JobId> Platform::shed_job(JobSpec spec) {
     inv.completion_time = sim_.now();
     inv.phase = Phase::kShed;
     record.functions.push_back(fid);
-    if (events_ != nullptr && enqueued != TimePoint::max() &&
-        enqueued < sim_.now()) {
-      if (!inv.trace.trace.valid()) inv.trace.trace = events_->new_trace();
-      events_->extend(inv.trace, obs::EventKind::kQueued, fn.name, enqueued,
-                      obs_labels(inv));
+    if (events_ != nullptr) {
+      const obs::Name name = events_->intern(fn.name);
+      if (enqueued != TimePoint::max() && enqueued < sim_.now()) {
+        if (!inv.trace.trace.valid()) inv.trace.trace = events_->new_trace();
+        events_->extend(inv.trace, obs::EventKind::kQueued, name, enqueued,
+                        obs_labels(inv));
+      }
+      obs_event(inv, obs::EventKind::kShed, name);
     }
-    obs_event(inv, obs::EventKind::kShed, fn.name);
     m_functions_shed_.add();
   }
   return job_id;
@@ -549,7 +554,7 @@ void Platform::start_cold(InvocationInternal& inv, NodeId node,
   }
   inv.container = cid;
   m_cold_starts_.add();
-  obs_event(inv, obs::EventKind::kLaunch, "launch");
+  obs_event(inv, obs::EventKind::kLaunch, obs::Name::kLaunch);
 
   const double speed = host.speed();
   arm_kill_timer(inv, attempt_busy_estimate(inv, spec, speed, /*cold=*/true));
@@ -572,7 +577,7 @@ void Platform::start_cold(InvocationInternal& inv, NodeId node,
     if (target == nullptr) return;
     c->state = ContainerState::kInitializing;
     target->phase = Phase::kInitializing;
-    obs_event(*target, obs::EventKind::kInit, "init");
+    obs_event(*target, obs::EventKind::kInit, obs::Name::kInit);
     target->progress_event =
         sim_.schedule_after(init, [this, id, attempt, cid, setup] {
           auto* target = attempt_guard(id, attempt, cid);
@@ -580,7 +585,7 @@ void Platform::start_cold(InvocationInternal& inv, NodeId node,
           container_ref(cid).state = ContainerState::kBusy;
           target->phase = Phase::kStarting;
           if (setup > Duration::zero()) {
-            obs_event(*target, obs::EventKind::kRestore, "restore");
+            obs_event(*target, obs::EventKind::kRestore, obs::Name::kRestore);
           }
           target->progress_event =
               sim_.schedule_after(setup, [this, id, attempt, cid] {
@@ -614,7 +619,7 @@ void Platform::start_warm(InvocationInternal& inv, Container& c,
   m_warm_starts_.add();
   // Warm adoption skips launch+init (the replication win); the dispatch
   // window plus any checkpoint restore is the whole pre-exec cost.
-  obs_event(inv, obs::EventKind::kRestore, "warm_dispatch");
+  obs_event(inv, obs::EventKind::kRestore, obs::Name::kWarmDispatch);
 
   const double speed = cluster_.node(c.node).speed();
   arm_kill_timer(inv, attempt_busy_estimate(inv, spec, speed, /*cold=*/false));
@@ -633,7 +638,7 @@ void Platform::start_warm(InvocationInternal& inv, Container& c,
 void Platform::begin_execution(InvocationInternal& inv, int attempt) {
   CANARY_CHECK(inv.attempt == attempt, "stale execution event");
   inv.phase = Phase::kExecuting;
-  obs_event(inv, obs::EventKind::kExec, "exec");
+  obs_event(inv, obs::EventKind::kExec, obs::Name::kExec);
   if (inv.first_dispatch_time == TimePoint::max()) {
     inv.first_dispatch_time = sim_.now();
   }
@@ -656,7 +661,7 @@ void Platform::schedule_segment(InvocationInternal& inv, bool continuation) {
 
   if (inv.next_state >= n) {
     inv.phase = Phase::kFinalizing;
-    obs_event(inv, obs::EventKind::kFinalize, "finalize");
+    obs_event(inv, obs::EventKind::kFinalize, obs::Name::kFinalize);
     const Duration fin = inv.spec->finalize * speed;
     inv.progress_event = sim_.schedule_after(fin, [this, id, attempt] {
       auto& target = internal(id);
@@ -726,9 +731,8 @@ void Platform::catch_up(InvocationInternal& inv,
     const std::size_t idx = inv.next_state;
     inv.work_done += inv.spec->states[idx].duration;
     inv.next_state = idx + 1;
-    if (events_ != nullptr) {  // build the name only for a log
-      obs_event(inv, obs::EventKind::kStateCommit,
-                "state_" + std::to_string(idx));
+    if (events_ != nullptr) {  // once per state: no call without a log
+      obs_event(inv, obs::EventKind::kStateCommit, obs::Name::state(idx));
     }
     if (hooks_ != nullptr) hooks_->on_state_committed(inv, idx);
     if (inv.next_state > through) return;
@@ -764,7 +768,7 @@ void Platform::complete_function(InvocationInternal& inv) {
                                            inv.submit_time);
   }
   resolve_recovery_markers(inv);
-  obs_event(inv, obs::EventKind::kComplete, "complete");
+  obs_event(inv, obs::EventKind::kComplete, obs::Name::kComplete);
 
   if (inv.container.valid()) {
     Container* c = alive_container(inv.container);
@@ -836,7 +840,7 @@ void Platform::handle_kill(InvocationInternal& inv, FailureKind kind) {
   // carry it — kRecovered draws its cause edge back to this event. During
   // fail_node() the node-level kNodeFailure event is the failure's cause.
   const obs::EventId fail_event =
-      obs_event(inv, obs::EventKind::kFailure, to_string_view(kind),
+      obs_event(inv, obs::EventKind::kFailure, event_name(kind),
                 node_failure_cause_);
 
   // In-flight partial state work is lost outright.
@@ -888,7 +892,7 @@ void Platform::handle_kill(InvocationInternal& inv, FailureKind kind) {
   sim_.schedule_after(detect_delay, [this, id, attempt, info] {
     auto& target = internal(id);
     if (target.attempt != attempt || target.phase != Phase::kFailed) return;
-    obs_event(target, obs::EventKind::kDetect, "detect");
+    obs_event(target, obs::EventKind::kDetect, obs::Name::kDetect);
     if (recovery_ != nullptr) recovery_->on_failure(target, info);
   });
 }
@@ -925,7 +929,7 @@ void Platform::confirm_node_dead(NodeId node) {
     if (target.attempt != stash.attempt || target.phase != Phase::kFailed) {
       continue;
     }
-    obs_event(target, obs::EventKind::kDetect, "detect");
+    obs_event(target, obs::EventKind::kDetect, obs::Name::kDetect);
     if (recovery_ != nullptr) recovery_->on_failure(target, stash.info);
   }
 }
@@ -940,7 +944,8 @@ void Platform::logically_fence(NodeId node) {
     labels.node = node;
     node_failure_cause_ =
         events_->append_raw(events_->new_trace(), obs::kNoEvent,
-                            obs::EventKind::kAnnotation, "node_fenced",
+                            obs::EventKind::kAnnotation,
+                            obs::Name::kNodeFenced,
                             sim_.now(), labels);
   }
 
@@ -997,7 +1002,8 @@ void Platform::resolve_recovery_markers(InvocationInternal& inv) {
       inv.recovery_time += recovery;
       m_recovery_time_.record_duration(recovery);
       m_recoveries_.add();
-      obs_event(inv, obs::EventKind::kRecovered, "recovered", it->fail_event);
+      obs_event(inv, obs::EventKind::kRecovered, obs::Name::kRecovered,
+                it->fail_event);
       it = inv.markers.erase(it);
     } else {
       ++it;
@@ -1009,7 +1015,7 @@ void Platform::kill_function(FunctionId id, FailureKind kind) {
   handle_kill(internal(id), kind);
 }
 
-void Platform::log_recovery_action(FunctionId id, const char* action) {
+void Platform::log_recovery_action(FunctionId id, obs::Name action) {
   obs_event(internal(id), obs::EventKind::kRecoveryAction, action);
 }
 
@@ -1053,7 +1059,7 @@ void Platform::discard_function(FunctionId id) {
                      [id](const UndetectedFailure& u) { return u.id == id; }),
       undetected_.end());
   m_functions_discarded_.add();
-  obs_event(inv, obs::EventKind::kAnnotation, "discarded");
+  obs_event(inv, obs::EventKind::kAnnotation, obs::Name::kDiscarded);
   complete_function(inv);
 }
 
@@ -1092,8 +1098,11 @@ FunctionId Platform::hedge_clone(FunctionId primary) {
 
   // kHedged on the primary marks the fork point; the clone's kSubmit then
   // joins the primary's trace so the race is one causal DAG.
-  obs_event(inv, obs::EventKind::kHedged, "hedged");
-  obs_event(clone, obs::EventKind::kSubmit, clone.spec->name);
+  obs_event(inv, obs::EventKind::kHedged, obs::Name::kHedged);
+  if (events_ != nullptr) {
+    obs_event(clone, obs::EventKind::kSubmit,
+              events_->intern(clone.spec->name));
+  }
   join_trace(fid, primary);
 
   // No SLO target and no account concurrency slot: the primary already
@@ -1124,7 +1133,7 @@ void Platform::cancel_hedge(FunctionId loser, FunctionId winner) {
   auto& win = internal(winner);
   // The cause edge points at the winner's latest event, so the chrome
   // trace renders the race resolution as a flow arrow across the fork.
-  obs_event(lose, obs::EventKind::kHedgeCancelled, "hedge_cancelled",
+  obs_event(lose, obs::EventKind::kHedgeCancelled, obs::Name::kHedgeCancelled,
             win.trace.last);
   discard_function(loser);
 }
@@ -1140,7 +1149,8 @@ void Platform::fail_node(NodeId node, obs::EventId cause) {
     labels.node = node;
     node_failure_cause_ =
         events_->append_raw(events_->new_trace(), obs::kNoEvent,
-                            obs::EventKind::kNodeFailure, "node_failure",
+                            obs::EventKind::kNodeFailure,
+                            obs::Name::kNodeFailure,
                             sim_.now(), labels, cause);
   }
 
@@ -1191,8 +1201,8 @@ Result<ContainerId> Platform::launch_warm_container(
     obs::SpanLabels labels;
     labels.container = cid;
     labels.node = node;
-    events_->extend(warm_trace, obs::EventKind::kReplica, "replica_provision",
-                    sim_.now(), labels);
+    events_->extend(warm_trace, obs::EventKind::kReplica,
+                    obs::Name::kReplicaProvision, sim_.now(), labels);
   }
 
   sim_.schedule_after(launch, [this, cid, init, node, warm_trace,
@@ -1211,8 +1221,8 @@ Result<ContainerId> Platform::launch_warm_container(
         obs::SpanLabels labels;
         labels.container = cid;
         labels.node = inner->node;
-        events_->append(warm_trace, obs::EventKind::kReplica, "replica_ready",
-                        sim_.now(), labels);
+        events_->append(warm_trace, obs::EventKind::kReplica,
+                        obs::Name::kReplicaReady, sim_.now(), labels);
       }
       for (auto* obs : observers_) obs->on_container_ready(*inner);
       if (on_ready) on_ready(cid);

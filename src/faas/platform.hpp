@@ -185,7 +185,7 @@ class Platform {
   /// Append a kRecoveryAction event to `id`'s causal chain — recovery
   /// strategies call this so the trace DAG records which path (retry,
   /// replica migration, standby activation, ...) handled each failure.
-  void log_recovery_action(FunctionId id, const char* action);
+  void log_recovery_action(FunctionId id, obs::Name action);
 
   /// Merge `follower`'s causal chain into `leader`'s trace. Request
   /// replication joins each shadow to its primary so the whole race is
@@ -350,13 +350,9 @@ class Platform {
 
   obs::SpanLabels obs_labels(const InvocationInternal& inv) const;
   /// Append an event to the invocation's causal chain (no-op without an
-  /// installed EventLog). Returns the event id for cause edges. Takes a
-  /// view so the no-op path never copies the name — materializing the
-  /// string only behind the events_ check keeps recording-off runs free
-  /// of per-event string allocations.
+  /// installed EventLog). Returns the event id for cause edges.
   obs::EventId obs_event(InvocationInternal& inv, obs::EventKind kind,
-                         std::string_view name,
-                         obs::EventId cause = obs::kNoEvent);
+                         obs::Name name, obs::EventId cause = obs::kNoEvent);
   /// Arm the SLO watchdog for a newly submitted invocation. The deadline
   /// is `anchor + sla`; open-loop requests anchor at their arrival
   /// instant (JobSpec::enqueued_at), everything else at submission.

@@ -13,7 +13,7 @@ void RetryHandler::on_failure(const Invocation& inv, const FailureInfo& info) {
     return;
   }
   platform_.metrics().count("retry_restarts");
-  platform_.log_recovery_action(inv.id, "retry_restart");
+  platform_.log_recovery_action(inv.id, obs::Name::kRetryRestart);
   // Restart from the first instruction in a new cold container; no state
   // survives the failure.
   StartSpec spec;

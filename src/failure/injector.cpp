@@ -10,7 +10,7 @@ namespace {
 /// (kNoEvent without a log) so correlated kills can share it as a cause.
 obs::EventId annotate_injection(sim::Simulator& simulator,
                                 faas::Platform& platform, NodeId node,
-                                const char* what) {
+                                obs::Name what) {
   auto* events = platform.events();
   if (events == nullptr) return obs::kNoEvent;
   obs::SpanLabels labels;
@@ -89,7 +89,7 @@ std::optional<Duration> FailureInjector::plan_kill(const faas::Invocation& inv,
 void FailureInjector::fire_node_failure(sim::Simulator& simulator,
                                         faas::Platform& platform,
                                         kv::KvStore* store, NodeId victim,
-                                        const char* what, obs::EventId cause) {
+                                        obs::Name what, obs::EventId cause) {
   ++totals_.node_kills;
   annotate_injection(simulator, platform, victim, what);
   platform.fail_node(victim, cause);
@@ -121,7 +121,7 @@ void FailureInjector::schedule_node_failure(sim::Simulator& simulator,
       target = *drawn;
     }
     fire_node_failure(simulator, platform, store, target,
-                      "injected_node_failure");
+                      obs::Name::kInjectedNodeFailure);
   });
 }
 
@@ -165,7 +165,7 @@ void FailureInjector::schedule_correlated_node_failure(
       }
       if (platform.cluster().alive_count() <= 1) return;
       fire_node_failure(simulator, platform, store, node,
-                        "injected_correlated_node_failure");
+                        obs::Name::kInjectedCorrelatedNodeFailure);
     });
   });
 }
@@ -192,7 +192,8 @@ void FailureInjector::schedule_gray_window(sim::Simulator& simulator,
     // Stack with any narrower gray window already in force.
     platform.set_node_slowdown(
         target, platform.cluster().node(target).slowdown() * slowdown);
-    annotate_injection(simulator, platform, target, "injected_gray_start");
+    annotate_injection(simulator, platform, target,
+                       obs::Name::kInjectedGrayStart);
     simulator.schedule_after(duration, [this, &simulator, &platform, target,
                                         slowdown] {
       if (!platform.cluster().contains(target) ||
@@ -201,7 +202,8 @@ void FailureInjector::schedule_gray_window(sim::Simulator& simulator,
       }
       platform.set_node_slowdown(
           target, platform.cluster().node(target).slowdown() / slowdown);
-      annotate_injection(simulator, platform, target, "injected_gray_end");
+      annotate_injection(simulator, platform, target,
+                         obs::Name::kInjectedGrayEnd);
     });
   });
 }
@@ -271,7 +273,7 @@ void FailureInjector::schedule_store_fault(sim::Simulator& simulator,
     }
     if (fired) {
       annotate_injection(simulator, platform, NodeId::invalid(),
-                         "injected_store_fault");
+                         obs::Name::kInjectedStoreFault);
     }
   });
 }
@@ -298,7 +300,7 @@ void FailureInjector::schedule_partition(sim::Simulator& simulator,
         symmetric ? net.block(to, from) : cluster::NetworkModel::RuleId{0};
     ++totals_.partitions_started;
     annotate_injection(simulator, platform, NodeId::invalid(),
-                       "partition_start");
+                       obs::Name::kPartitionStart);
     simulator.schedule_after(duration, [this, &simulator, &platform, forward,
                                         reverse, symmetric] {
       auto& healed = platform.network();
@@ -306,7 +308,7 @@ void FailureInjector::schedule_partition(sim::Simulator& simulator,
       if (symmetric) healed.unblock(reverse);
       ++totals_.partitions_healed;
       annotate_injection(simulator, platform, NodeId::invalid(),
-                         "partition_heal");
+                         obs::Name::kPartitionHeal);
     });
   });
 }
@@ -341,7 +343,8 @@ void FailureInjector::schedule_zone_outage(sim::Simulator& simulator,
     // event carries a cause edge back to it, so the trace shows a single
     // domain-level event fanning out to correlated kills.
     const obs::EventId cause = annotate_injection(
-        simulator, platform, NodeId::invalid(), "injected_zone_outage");
+        simulator, platform, NodeId::invalid(),
+        obs::Name::kInjectedZoneOutage);
     for (const NodeId member : platform.cluster().nodes_in_zone(zone)) {
       if (!platform.cluster().node(member).alive()) {
         // Overlap with an earlier scheduled kill on this member: one
@@ -353,7 +356,7 @@ void FailureInjector::schedule_zone_outage(sim::Simulator& simulator,
       // Keep at least one node alive so the workload can finish.
       if (platform.cluster().alive_count() <= 1) break;
       fire_node_failure(simulator, platform, store, member,
-                        "injected_zone_outage_kill", cause);
+                        obs::Name::kInjectedZoneOutageKill, cause);
     }
   });
 }

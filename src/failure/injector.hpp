@@ -172,7 +172,7 @@ class FailureInjector : public faas::FailurePolicy,
   };
 
   void fire_node_failure(sim::Simulator& simulator, faas::Platform& platform,
-                         kv::KvStore* store, NodeId victim, const char* what,
+                         kv::KvStore* store, NodeId victim, obs::Name what,
                          obs::EventId cause = obs::kNoEvent);
 
   Rng rng_;

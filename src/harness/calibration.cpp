@@ -25,11 +25,11 @@ ScenarioConfig calibration_scenario(const CalibrationWorkload& workload) {
   // half a step later, mid-way into the next step like the real SIGKILL.
   const RunResult pilot =
       ScenarioRunner::run(config, calibration_jobs(workload));
-  const std::string trigger =
-      "state_" + std::to_string(workload.kill_after_step);
-  for (const obs::Event& event : pilot.events->events()) {
-    if (event.kind == obs::EventKind::kStateCommit && event.name == trigger) {
-      config.node_failure_offsets = {event.at - TimePoint::origin() +
+  const obs::Name trigger = obs::Name::state(workload.kill_after_step);
+  for (const obs::Event& event : *pilot.events) {
+    if (event.kind() == obs::EventKind::kStateCommit &&
+        event.name() == trigger) {
+      config.node_failure_offsets = {event.at() - TimePoint::origin() +
                                      workload.step_exec / 2};
       break;
     }

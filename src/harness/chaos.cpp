@@ -516,7 +516,7 @@ OracleCheck check_oracles(const ChaosScenario& scenario,
   if (result.events == nullptr || result.events->truncated()) {
     return check;
   }
-  const auto& events = result.events->events();
+  const obs::EventLog& events = *result.events;
 
   if (hedged) {
     const std::size_t hedged_events =
@@ -544,12 +544,12 @@ OracleCheck check_oracles(const ChaosScenario& scenario,
   std::unordered_map<FunctionId, int> submits;
   std::unordered_map<FunctionId, int> completes;
   for (const obs::Event& event : events) {
-    if (event.kind == obs::EventKind::kSubmit && event.labels.function.valid()) {
-      ++submits[event.labels.function];
+    if (event.kind() == obs::EventKind::kSubmit && event.function().valid()) {
+      ++submits[event.function()];
     }
-    if (event.kind == obs::EventKind::kComplete &&
-        event.labels.function.valid()) {
-      ++completes[event.labels.function];
+    if (event.kind() == obs::EventKind::kComplete &&
+        event.function().valid()) {
+      ++completes[event.function()];
     }
   }
   for (const auto& [fn, count] : completes) {
@@ -582,13 +582,13 @@ OracleCheck check_oracles(const ChaosScenario& scenario,
   // Per-trace time of the most recent unresolved failure.
   std::unordered_map<std::uint64_t, std::pair<TimePoint, bool>> open_failures;
   for (const obs::Event& event : events) {
-    if (event.kind == obs::EventKind::kFailure) {
-      open_failures[event.trace.value()] = {
-          event.at, event.name == "node_failure"};
-    } else if (event.kind == obs::EventKind::kDetect) {
-      auto it = open_failures.find(event.trace.value());
+    if (event.kind() == obs::EventKind::kFailure) {
+      open_failures[event.trace().value()] = {
+          event.at(), event.name() == obs::Name::kNodeFailure};
+    } else if (event.kind() == obs::EventKind::kDetect) {
+      auto it = open_failures.find(event.trace().value());
       if (it == open_failures.end()) continue;
-      const Duration latency = event.at - it->second.first;
+      const Duration latency = event.at() - it->second.first;
       const bool node_level = it->second.second;
       open_failures.erase(it);
       check.max_detection_latency_s =

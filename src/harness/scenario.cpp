@@ -82,7 +82,8 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
     log_mirror.emplace([this](LogLevel, const std::string& msg) {
       if (events == nullptr) return;
       events->append_raw(events->new_trace(), obs::kNoEvent,
-                         obs::EventKind::kAnnotation, msg, simulator.now());
+                         obs::EventKind::kAnnotation, events->intern(msg),
+                         simulator.now());
     });
   }
 

@@ -12,9 +12,9 @@ namespace {
 /// Every record renders under one process; tracks (tid) are nodes.
 constexpr std::int64_t kPid = 1;
 
-void write_event(JsonWriter& json, const Span& span) {
+void write_event(JsonWriter& json, const Span& span, const NameArena* names) {
   json.begin_object();
-  json.field("name", span.name);
+  json.field("name", render(span.name, names).view());
   json.field("cat", to_string_view(span.kind));
   json.field("ph", span.instant ? "i" : "X");
   // Trace timestamps are microseconds; the sim clock already is.
@@ -48,30 +48,35 @@ void write_event(JsonWriter& json, const Span& span) {
 }
 
 std::int64_t event_tid(const Event& event) {
-  return event.labels.node.valid()
-             ? static_cast<std::int64_t>(event.labels.node.value())
-             : std::int64_t{0};
+  const SpanLabels labels = event.labels();
+  return labels.node.valid() ? static_cast<std::int64_t>(labels.node.value())
+                             : std::int64_t{0};
 }
 
-void write_log_event(JsonWriter& json, const Event& event) {
+void write_log_event(JsonWriter& json, const EventLog& log,
+                     const Event& event) {
+  const SpanLabels labels = event.labels();
   json.begin_object();
-  json.field("name", event.name);
-  json.field("cat", to_string_view(event.kind));
+  json.field("name", log.text(event.name()).view());
+  json.field("cat", to_string_view(event.kind()));
   json.field("ph", "i");
-  json.field("ts", event.at.count_usec());
+  json.field("ts", event.at().count_usec());
   json.field("s", "t");
   json.field("pid", kPid);
   json.field("tid", event_tid(event));
   json.key("args").begin_object();
-  json.field("event", event.id);
-  if (event.trace.valid()) json.field("trace", event.trace.value());
-  if (event.parent != kNoEvent) json.field("parent", event.parent);
-  if (event.cause != kNoEvent) json.field("cause", event.cause);
-  if (event.labels.function.valid()) {
-    json.field("function",
-               static_cast<std::int64_t>(event.labels.function.value()));
+  json.field("event", std::uint64_t{event.id()});
+  if (event.trace().valid()) json.field("trace", event.trace().value());
+  if (event.parent() != kNoEvent) {
+    json.field("parent", std::uint64_t{event.parent()});
   }
-  if (event.labels.attempt > 0) json.field("attempt", event.labels.attempt);
+  if (event.cause() != kNoEvent) {
+    json.field("cause", std::uint64_t{event.cause()});
+  }
+  if (labels.function.valid()) {
+    json.field("function", static_cast<std::int64_t>(labels.function.value()));
+  }
+  if (labels.attempt > 0) json.field("attempt", labels.attempt);
   json.end_object();
   json.end_object();
 }
@@ -79,25 +84,26 @@ void write_log_event(JsonWriter& json, const Event& event) {
 /// A `cause` edge renders as a flow arrow: a start record at the cause
 /// event's (time, track) and a binding-point-enclosing finish record at
 /// the effect's. Chrome pairs the two through the shared id.
-void write_flow_pair(JsonWriter& json, const Event& cause,
+void write_flow_pair(JsonWriter& json, const EventLog& log, const Event& cause,
                      const Event& effect) {
+  const NameText name = log.text(effect.name());
   json.begin_object();
-  json.field("name", effect.name);
+  json.field("name", name.view());
   json.field("cat", "causal");
   json.field("ph", "s");
-  json.field("id", effect.id);
-  json.field("ts", cause.at.count_usec());
+  json.field("id", std::uint64_t{effect.id()});
+  json.field("ts", cause.at().count_usec());
   json.field("pid", kPid);
   json.field("tid", event_tid(cause));
   json.end_object();
 
   json.begin_object();
-  json.field("name", effect.name);
+  json.field("name", name.view());
   json.field("cat", "causal");
   json.field("ph", "f");
   json.field("bp", "e");
-  json.field("id", effect.id);
-  json.field("ts", effect.at.count_usec());
+  json.field("id", std::uint64_t{effect.id()});
+  json.field("ts", effect.at().count_usec());
   json.field("pid", kPid);
   json.field("tid", event_tid(effect));
   json.end_object();
@@ -144,15 +150,14 @@ void write_chrome_trace(std::ostream& os, const std::vector<Span>* spans,
   json.key("displayTimeUnit").value("ms");
   json.key("traceEvents").begin_array();
   if (spans != nullptr) {
-    for (const Span& span : *spans) write_event(json, span);
+    const NameArena* names = events != nullptr ? &events->names() : nullptr;
+    for (const Span& span : *spans) write_event(json, span, names);
   }
   if (events != nullptr) {
-    for (const Event& event : events->events()) {
-      write_log_event(json, event);
-      if (event.cause != kNoEvent) {
-        if (const Event* cause = events->find(event.cause)) {
-          write_flow_pair(json, *cause, event);
-        }
+    for (const Event& event : *events) {
+      write_log_event(json, *events, event);
+      if (const Event* cause = events->find(event.cause())) {
+        write_flow_pair(json, *events, *cause, event);
       }
     }
   }

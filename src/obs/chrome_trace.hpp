@@ -28,7 +28,9 @@ namespace canary::obs {
 /// with flow arrows for cause edges, and windowed rollups rendered as
 /// counter tracks ("ph":"C" — one stepped graph per counter/level/p99
 /// stream, named "ts.<stream>"). Any input may be null; a null series
-/// adds nothing, byte for byte.
+/// adds nothing, byte for byte. Span names render through `events`, the
+/// log the spans were derived from; without it only literal and indexed
+/// names render.
 void write_chrome_trace(std::ostream& os, const std::vector<Span>* spans,
                         const EventLog* events,
                         const TimeSeries* series = nullptr);

@@ -181,45 +181,62 @@ CriticalPathAnalyzer::CriticalPathAnalyzer(const EventLog& log) {
 }
 
 void CriticalPathAnalyzer::analyze(const EventLog& log) {
-  std::map<FunctionId, FunctionTimeline> timelines;
-  for (const Event& event : log.events()) {
-    const FunctionId fn = event.labels.function;
+  // Scratch timelines indexed by function id, as derive_spans keeps its
+  // open phases: function ids are dense, and walking the vector visits
+  // them in id order, the order functions_ and windows_ keep. A first
+  // pass sizes each timeline's transition list exactly.
+  std::vector<std::uint32_t> transition_counts;
+  for (const Event& event : log) {
+    const std::uint64_t fn = event.function().value();
+    if (fn >= transition_counts.size()) transition_counts.resize(fn + 1);
+    if (state_for(event.kind()) != -2) ++transition_counts[fn];
+  }
+  std::vector<FunctionTimeline> timelines(transition_counts.size());
+  for (std::size_t fn = 1; fn < timelines.size(); ++fn) {
+    timelines[fn].transitions.reserve(transition_counts[fn]);
+  }
+
+  for (const Event& event : log) {
+    const FunctionId fn = event.function();
     if (!fn.valid()) continue;
-    FunctionTimeline& tl = timelines[fn];
-    if (tl.root == TimePoint::max()) tl.root = event.at;
-    if (event.at > tl.last_seen) tl.last_seen = event.at;
-    if (event.kind == EventKind::kComplete &&
-        tl.completed == TimePoint::max()) {
-      tl.completed = event.at;
-      tl.complete_trace = event.trace;
+    FunctionTimeline& tl = timelines[fn.value()];
+    const TimePoint at = event.at();
+    const EventKind kind = event.kind();
+    if (tl.root == TimePoint::max()) tl.root = at;
+    if (at > tl.last_seen) tl.last_seen = at;
+    if (kind == EventKind::kComplete && tl.completed == TimePoint::max()) {
+      tl.completed = at;
+      tl.complete_trace = event.trace();
     }
-    if ((event.kind == EventKind::kSubmit || event.kind == EventKind::kShed ||
-         event.kind == EventKind::kQueued) &&
+    if ((kind == EventKind::kSubmit || kind == EventKind::kShed ||
+         kind == EventKind::kQueued) &&
         tl.family.empty()) {
-      tl.family = base_function_name(event.name);
+      tl.family = base_function_name(log.text(event.name()).view());
     }
-    if (event.kind == EventKind::kRecovered && event.cause != kNoEvent) {
-      if (const Event* failure = log.find(event.cause)) {
-        tl.windows.emplace_back(failure->at, event.at);
+    if (kind == EventKind::kRecovered && event.cause() != kNoEvent) {
+      if (const Event* failure = log.find(event.cause())) {
+        tl.windows.emplace_back(failure->at(), at);
       }
       continue;
     }
-    if (event.kind == EventKind::kSlaViolation) {
-      tl.breaches.push_back(event.at);
+    if (kind == EventKind::kSlaViolation) {
+      tl.breaches.push_back(at);
       continue;
     }
-    if (event.kind == EventKind::kHedgeCancelled) {
+    if (kind == EventKind::kHedgeCancelled) {
       tl.hedge_cancelled = true;
       continue;
     }
-    const int state = state_for(event.kind);
+    const int state = state_for(kind);
     if (state == -2) continue;
-    tl.transitions.emplace_back(event.at, state);
+    tl.transitions.emplace_back(at, state);
   }
 
-  for (auto& [fn, tl] : timelines) {
-    if (tl.family.empty()) tl.family = "unknown";
+  for (std::size_t id = 1; id < timelines.size(); ++id) {
+    FunctionTimeline& tl = timelines[id];
     if (tl.transitions.empty()) continue;
+    if (tl.family.empty()) tl.family = "unknown";
+    const FunctionId fn{id};
     const TimePoint first = tl.transitions.front().first;
 
     PerFunction& pf = functions_[fn];

@@ -28,13 +28,11 @@ std::string_view to_string_view(SpanKind kind) {
 namespace {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-constexpr std::string_view kProvision = "replica_provision";
-constexpr std::string_view kReady = "replica_ready";
 
 /// True when `event` adds a span to the timeline. The counting pass and
 /// the building pass share it, so the output is sized exactly.
 bool adds_span(const EventLog& log, const Event& event) {
-  switch (event.kind) {
+  switch (event.kind()) {
     case EventKind::kLaunch:
     case EventKind::kInit:
     case EventKind::kRestore:
@@ -47,9 +45,9 @@ bool adds_span(const EventLog& log, const Event& event) {
       return true;
     case EventKind::kRecovered:
       // The window starts at the failure; a truncated log may lack it.
-      return log.find(event.cause) != nullptr;
+      return log.find(event.cause()) != nullptr;
     case EventKind::kReplica:
-      return event.name == kProvision;
+      return event.name() == Name::kReplicaProvision;
     default:
       return false;
   }
@@ -69,14 +67,14 @@ SpanKind phase_kind(EventKind kind) {
 }  // namespace
 
 std::vector<Span> derive_spans(const EventLog& log, TimePoint end) {
-  const std::vector<Event>& events = log.events();
   std::size_t count = 0;
   std::uint64_t max_function = 0;
   std::uint64_t max_container = 0;
-  for (const Event& event : events) {
+  for (const Event& event : log) {
     if (adds_span(log, event)) ++count;
-    max_function = std::max(max_function, event.labels.function.value());
-    max_container = std::max(max_container, event.labels.container.value());
+    const SpanLabels labels = event.labels();
+    max_function = std::max(max_function, labels.function.value());
+    max_container = std::max(max_container, labels.container.value());
   }
 
   std::vector<Span> spans;
@@ -90,60 +88,59 @@ std::vector<Span> derive_spans(const EventLog& log, TimePoint end) {
     spans[open].end = at;
     open = kNone;
   };
-  auto add = [&spans](SpanKind kind, std::string_view name, TimePoint start,
+  auto add = [&spans](SpanKind kind, Name name, TimePoint start,
                       TimePoint stop, const SpanLabels& labels,
                       bool instant = false) {
-    spans.push_back(
-        Span{kind, std::string(name), start, stop, instant, labels});
+    spans.push_back(Span{kind, name, start, stop, instant, labels});
     return spans.size() - 1;
   };
 
-  for (const Event& event : events) {
-    std::size_t& phase = open_phase[event.labels.function.value()];
-    switch (event.kind) {
+  for (const Event& event : log) {
+    const SpanLabels labels = event.labels();
+    const TimePoint at = event.at();
+    std::size_t& phase = open_phase[labels.function.value()];
+    switch (event.kind()) {
       case EventKind::kLaunch:
       case EventKind::kInit:
       case EventKind::kRestore:
       case EventKind::kExec:
       case EventKind::kFinalize:
-        close(phase, event.at);
-        phase = add(phase_kind(event.kind), event.name, event.at, event.at,
-                    event.labels);
+        close(phase, at);
+        phase = add(phase_kind(event.kind()), event.name(), at, at, labels);
         break;
       case EventKind::kComplete:
-        close(phase, event.at);
+        close(phase, at);
         break;
       case EventKind::kFailure:
-        close(phase, event.at);
-        add(SpanKind::kFailure, event.name, event.at, event.at, event.labels,
+        close(phase, at);
+        add(SpanKind::kFailure, event.name(), at, at, labels,
             /*instant=*/true);
         break;
       case EventKind::kNodeFailure:
-        add(SpanKind::kNodeFailure, event.name, event.at, event.at,
-            event.labels, /*instant=*/true);
+        add(SpanKind::kNodeFailure, event.name(), at, at, labels,
+            /*instant=*/true);
         break;
       case EventKind::kRecoveryAction:
-        add(SpanKind::kRecovery, event.name, event.at, event.at, event.labels,
+        add(SpanKind::kRecovery, event.name(), at, at, labels,
             /*instant=*/true);
         break;
       case EventKind::kRecovered:
-        if (const Event* failure = log.find(event.cause)) {
-          add(SpanKind::kRecovery, "recovery", failure->at, event.at,
-              event.labels);
+        if (const Event* failure = log.find(event.cause())) {
+          add(SpanKind::kRecovery, Name::kRecovery, failure->at(), at, labels);
         }
         break;
       case EventKind::kCheckpoint:
-        add(SpanKind::kCheckpoint, "checkpoint", event.at - event.window,
-            event.at, event.labels);
+        add(SpanKind::kCheckpoint, Name::kCheckpoint, at - event.window(), at,
+            labels);
         break;
       case EventKind::kReplica: {
-        std::size_t& provision =
-            open_provision[event.labels.container.value()];
-        if (event.name == kProvision) {
-          provision = add(SpanKind::kReplication, kProvision, event.at,
-                          event.at, event.labels);
-        } else if (event.name == kReady) {
-          close(provision, event.at);
+        std::size_t& provision = open_provision[labels.container.value()];
+        if (event.name() == Name::kReplicaProvision) {
+          provision =
+              add(SpanKind::kReplication, Name::kReplicaProvision, at, at,
+                  labels);
+        } else if (event.name() == Name::kReplicaReady) {
+          close(provision, at);
         }
         break;
       }

@@ -12,20 +12,28 @@
 // begins). The timeline therefore cannot disagree with the log the
 // critical-path and tail analyses read, and a truncated log yields an
 // equally truncated timeline.
+//
+// A Span is a 48-byte trivially copyable record: its name is a Name of
+// the log it was derived from (name.hpp) and its labels are 32-bit ids,
+// so a run's timeline costs 48 bytes per span in one exactly sized
+// vector.
 #pragma once
 
-#include <string>
+#include <cstdint>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/ids.hpp"
+#include "common/result.hpp"
 #include "common/time.hpp"
+#include "obs/name.hpp"
 
 namespace canary::obs {
 
 class EventLog;
 
-enum class SpanKind {
+enum class SpanKind : std::uint8_t {
   kLaunch,       // cold container creation until the runtime is up
   kInit,         // runtime/library initialisation
   kRestore,      // checkpoint restore / warm dispatch / migration setup
@@ -41,17 +49,41 @@ enum class SpanKind {
 
 std::string_view to_string_view(SpanKind kind);
 
+/// A strong id held in 32 bits, the width records store their labels in.
+/// It converts to and from the 64-bit Id; a value past 32 bits
+/// CHECK-fails on the way in.
+template <typename Tag>
+class Id32 {
+ public:
+  constexpr Id32() = default;  // invalid
+  Id32(Id<Tag> id) : value_(static_cast<std::uint32_t>(id.value())) {
+    CANARY_CHECK(id.value() <= UINT32_MAX, "id exceeds 32 bits");
+  }
+  constexpr operator Id<Tag>() const { return Id<Tag>{value_}; }
+
+  constexpr bool valid() const { return value_ != 0; }
+  constexpr std::uint64_t value() const { return value_; }
+
+  constexpr bool operator==(const Id32&) const = default;
+  friend constexpr bool operator==(Id32 a, Id<Tag> b) {
+    return a.value() == b.value();
+  }
+
+ private:
+  std::uint32_t value_ = 0;
+};
+
 struct SpanLabels {
-  JobId job;
-  FunctionId function;
-  ContainerId container;
-  NodeId node;
+  Id32<JobTag> job;
+  Id32<FunctionTag> function;
+  Id32<ContainerTag> container;
+  Id32<NodeTag> node;
   int attempt = 0;
 };
 
 struct Span {
   SpanKind kind = SpanKind::kOther;
-  std::string name;
+  Name name;
   TimePoint start;
   TimePoint end;
   bool instant = false;  // zero-duration marker event
@@ -59,6 +91,7 @@ struct Span {
 
   Duration duration() const { return end - start; }
 };
+static_assert(sizeof(Span) <= 48 && std::is_trivially_copyable_v<Span>);
 
 /// The span timeline of `log`, in the order of the events that open each
 /// span. Rules, applied in log order (F = the event's function):

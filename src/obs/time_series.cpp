@@ -42,24 +42,24 @@ TimeSeries derive_time_series(const EventLog& log,
   const auto& functions = paths.per_function_decomposition();
   std::set<FunctionId> hedged;  // functions that fired a hedge
   std::size_t down = 0;         // nodes failed or fenced so far
-  for (const Event& event : log.events()) {
+  for (const Event& event : log) {
+    const TimePoint at = event.at();
     const auto count = [&](const char* stream) {
-      series.window_at(event.at).counters[stream] += 1.0;
+      series.window_at(at).counters[stream] += 1.0;
     };
     const auto sample = [&](const char* stream, TimePoint from) {
-      series.window_at(event.at).samples[stream].record(
-          (event.at - from).to_seconds());
+      series.window_at(at).samples[stream].record((at - from).to_seconds());
     };
     const auto node_lost = [&] {
-      series.window_at(event.at).levels["nodes_up"] =
+      series.window_at(at).levels["nodes_up"] =
           static_cast<double>(nodes - ++down);
     };
-    switch (event.kind) {
+    switch (event.kind()) {
       case EventKind::kShed: count("shed"); break;
       case EventKind::kLaunch: count("cold_starts"); break;
       case EventKind::kComplete:
         count("completions");
-        if (const auto it = functions.find(event.labels.function);
+        if (const auto it = functions.find(event.function());
             it != functions.end()) {
           sample("latency", it->second.root);
         }
@@ -68,8 +68,8 @@ TimeSeries derive_time_series(const EventLog& log,
       case EventKind::kDetect: count("detections"); break;
       case EventKind::kRecovered:
         count("recoveries");
-        if (const Event* failure = log.find(event.cause)) {
-          sample("recovery_time", failure->at);
+        if (const Event* failure = log.find(event.cause())) {
+          sample("recovery_time", failure->at());
         }
         break;
       case EventKind::kNodeFailure:
@@ -77,15 +77,15 @@ TimeSeries derive_time_series(const EventLog& log,
         node_lost();
         break;
       case EventKind::kAnnotation:
-        if (event.name == "node_fenced") node_lost();
+        if (event.name() == Name::kNodeFenced) node_lost();
         break;
       case EventKind::kHedged:
         count("hedges_fired");
-        hedged.insert(event.labels.function);
+        hedged.insert(event.function());
         break;
       case EventKind::kHedgeCancelled:
-        count(hedged.count(event.labels.function) > 0 ? "hedge_wins"
-                                                       : "hedge_cancelled");
+        count(hedged.count(event.function()) > 0 ? "hedge_wins"
+                                                 : "hedge_cancelled");
         break;
       default: break;
     }

@@ -59,13 +59,13 @@ void ActiveStandbyHandler::on_failure(const faas::Invocation& inv,
     start.from_state = 0;
     start.container = standby;
     platform_.metrics().count("as_standby_activations");
-    platform_.log_recovery_action(inv.id, "as_standby_activation");
+    platform_.log_recovery_action(inv.id, obs::Name::kAsStandbyActivation);
     platform_.start_attempt(inv.id, start);
   } else {
     // Standby not ready (still launching, or lost with its node): cold
     // restart, as a retry would.
     platform_.metrics().count("as_cold_restarts");
-    platform_.log_recovery_action(inv.id, "as_cold_restart");
+    platform_.log_recovery_action(inv.id, obs::Name::kAsColdRestart);
     platform_.start_attempt(inv.id, faas::StartSpec{});
   }
   // Takeover triggers the creation of a new passive instance.

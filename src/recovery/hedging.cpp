@@ -121,7 +121,7 @@ void HedgeHandler::on_failure(const faas::Invocation& inv,
     // turn the budget into a lie. Close the race; the primary carries
     // the request from here.
     const FunctionId primary = it->second;
-    platform_.log_recovery_action(inv.id, "hedge_clone_abandoned");
+    platform_.log_recovery_action(inv.id, obs::Name::kHedgeCloneAbandoned);
     m_cancelled_.add();
     finish_race(primary, /*loser=*/inv.id, /*winner=*/primary);
     return;
@@ -136,7 +136,7 @@ void HedgeHandler::on_failure(const faas::Invocation& inv,
     return;
   }
   m_retries_.add();
-  platform_.log_recovery_action(inv.id, "hedge_retry");
+  platform_.log_recovery_action(inv.id, obs::Name::kHedgeRetry);
   if (config_.retry_backoff > Duration::zero()) {
     const FunctionId id = inv.id;
     const int attempt = inv.attempt;

@@ -66,7 +66,8 @@ void RequestReplicationHandler::on_failure(const faas::Invocation& inv,
   platform_.metrics().count("rr_group_restarts");
   for (std::size_t i = 0; i < group->members.size(); ++i) {
     group->down[i] = false;
-    platform_.log_recovery_action(group->members[i], "rr_group_restart");
+    platform_.log_recovery_action(group->members[i],
+                                    obs::Name::kRrGroupRestart);
     platform_.start_attempt(group->members[i], faas::StartSpec{});
   }
 }

@@ -112,26 +112,27 @@ TEST(SpanTimelineTest, EveryStrategyMarksWhatItsLogRecords) {
     ASSERT_NE(run.events, nullptr);
     EXPECT_EQ(run.spans_recorded, run.spans->size());
     std::size_t actions = 0;
-    for (const obs::Event& event : run.events->events()) {
-      if (event.kind == obs::EventKind::kRecoveryAction) {
+    for (const obs::Event& event : *run.events) {
+      if (event.kind() == obs::EventKind::kRecoveryAction) {
         ++actions;
         const auto marks = std::count_if(
             run.spans->begin(), run.spans->end(), [&](const obs::Span& s) {
               return s.kind == obs::SpanKind::kRecovery && s.instant &&
-                     s.name == event.name && s.start == event.at &&
-                     s.labels.function == event.labels.function;
+                     s.name == event.name() && s.start == event.at() &&
+                     s.labels.function == event.function();
             });
-        EXPECT_EQ(marks, 1) << event.name << " at " << event.at.count_usec();
-      } else if (event.kind == obs::EventKind::kReplica &&
-                 event.name == "replica_provision") {
+        EXPECT_EQ(marks, 1) << run.events->text(event.name()).view() << " at "
+                            << event.at().count_usec();
+      } else if (event.kind() == obs::EventKind::kReplica &&
+                 event.name() == obs::Name::kReplicaProvision) {
         const auto provisions = std::count_if(
             run.spans->begin(), run.spans->end(), [&](const obs::Span& s) {
               return s.kind == obs::SpanKind::kReplication &&
-                     s.start == event.at &&
-                     s.labels.container == event.labels.container;
+                     s.start == event.at() &&
+                     s.labels.container == event.labels().container;
             });
         EXPECT_EQ(provisions, 1) << "container "
-                                 << event.labels.container.value();
+                                 << event.labels().container.value();
       }
     }
     EXPECT_GT(actions, 0u) << "the scenario exercised no recovery";

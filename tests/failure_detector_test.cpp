@@ -34,14 +34,14 @@ ScenarioConfig detection_config(Duration heartbeat_interval) {
 double max_node_detection_latency(const RunResult& result) {
   double worst = 0.0;
   std::unordered_map<std::uint64_t, TimePoint> open;
-  for (const obs::Event& event : result.events->events()) {
-    if (event.kind == obs::EventKind::kFailure &&
-        event.name == "node_failure") {
-      open[event.trace.value()] = event.at;
-    } else if (event.kind == obs::EventKind::kDetect) {
-      auto it = open.find(event.trace.value());
+  for (const obs::Event& event : *result.events) {
+    if (event.kind() == obs::EventKind::kFailure &&
+        event.name() == obs::Name::kNodeFailure) {
+      open[event.trace().value()] = event.at();
+    } else if (event.kind() == obs::EventKind::kDetect) {
+      auto it = open.find(event.trace().value());
       if (it == open.end()) continue;
-      const double latency = (event.at - it->second).to_seconds();
+      const double latency = (event.at() - it->second).to_seconds();
       open.erase(it);
       if (latency > worst) worst = latency;
     }
@@ -54,10 +54,10 @@ void expect_exactly_once(const RunResult& result) {
   ASSERT_NE(result.events, nullptr);
   ASSERT_FALSE(result.events->truncated());
   std::unordered_map<std::uint64_t, int> completes;
-  for (const obs::Event& event : result.events->events()) {
-    if (event.kind == obs::EventKind::kComplete &&
-        event.labels.function.valid()) {
-      ++completes[event.labels.function.value()];
+  for (const obs::Event& event : *result.events) {
+    if (event.kind() == obs::EventKind::kComplete &&
+        event.function().valid()) {
+      ++completes[event.function().value()];
     }
   }
   EXPECT_GT(completes.size(), 0u);
@@ -190,10 +190,10 @@ TEST(FailureDetectorScenarioTest, AsymmetricPartitionConfirmsWithinBound) {
   // a real node death: interval * (1 + timeout + confirm) + 2 sweeps.
   ASSERT_NE(result.events, nullptr);
   double fence_at = -1.0;
-  for (const obs::Event& event : result.events->events()) {
-    if (event.kind == obs::EventKind::kAnnotation &&
-        event.name == "node_fenced") {
-      fence_at = event.at.to_seconds();
+  for (const obs::Event& event : *result.events) {
+    if (event.kind() == obs::EventKind::kAnnotation &&
+        event.name() == obs::Name::kNodeFenced) {
+      fence_at = event.at().to_seconds();
       break;
     }
   }

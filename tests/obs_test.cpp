@@ -63,22 +63,23 @@ struct LogBuilder {
 
   explicit LogBuilder(std::size_t capacity = 1u << 20) : log(capacity) {}
 
-  obs::EventId add(EventKind kind, std::string name, std::int64_t usec,
+  obs::EventId add(EventKind kind, std::string_view name, std::int64_t usec,
                    SpanLabels labels, obs::EventId cause = obs::kNoEvent) {
     const std::size_t slot = labels.function.value();
     if (traces.size() <= slot) traces.resize(slot + 1);
     if (!traces[slot].valid()) traces[slot].trace = log.new_trace();
-    return log.extend(traces[slot], kind, std::move(name), at_us(usec),
+    return log.extend(traces[slot], kind, log.intern(name), at_us(usec),
                       labels, cause);
   }
 };
 
-void expect_span(const Span& span, SpanKind kind, std::string_view name,
-                 std::int64_t start, std::int64_t end) {
+void expect_span(const EventLog& log, const Span& span, SpanKind kind,
+                 std::string_view name, std::int64_t start, std::int64_t end) {
+  const obs::NameText text = log.text(span.name);
   EXPECT_EQ(span.kind, kind);
-  EXPECT_EQ(span.name, name);
-  EXPECT_EQ(span.start, at_us(start)) << span.name;
-  EXPECT_EQ(span.end, at_us(end)) << span.name;
+  EXPECT_EQ(text.view(), name);
+  EXPECT_EQ(span.start, at_us(start)) << text.view();
+  EXPECT_EQ(span.end, at_us(end)) << text.view();
 }
 
 TEST(DeriveSpansTest, PhaseChainClosesEachPhaseAtTheNext) {
@@ -93,11 +94,11 @@ TEST(DeriveSpansTest, PhaseChainClosesEachPhaseAtTheNext) {
 
   const std::vector<Span> spans = obs::derive_spans(b.log, at_us(500));
   ASSERT_EQ(spans.size(), 4u);
-  expect_span(spans[0], SpanKind::kLaunch, "launch", 10, 40);
-  expect_span(spans[1], SpanKind::kInit, "init", 40, 55);
-  expect_span(spans[2], SpanKind::kExec, "exec", 55, 90);
+  expect_span(b.log, spans[0], SpanKind::kLaunch, "launch", 10, 40);
+  expect_span(b.log, spans[1], SpanKind::kInit, "init", 40, 55);
+  expect_span(b.log, spans[2], SpanKind::kExec, "exec", 55, 90);
   // The completion closes the last phase; nothing waits for `end`.
-  expect_span(spans[3], SpanKind::kFinalize, "finalize", 90, 97);
+  expect_span(b.log, spans[3], SpanKind::kFinalize, "finalize", 90, 97);
   for (const Span& span : spans) {
     EXPECT_FALSE(span.instant);
     EXPECT_EQ(span.labels.function, FunctionId{1});
@@ -120,11 +121,11 @@ TEST(DeriveSpansTest, InterleavedFunctionsCloseIndependently) {
 
   const std::vector<Span> spans = obs::derive_spans(b.log, at_us(500));
   ASSERT_EQ(spans.size(), 5u);
-  expect_span(spans[0], SpanKind::kLaunch, "launch", 0, 30);
-  expect_span(spans[1], SpanKind::kRestore, "warm_dispatch", 5, 20);
-  expect_span(spans[2], SpanKind::kExec, "exec", 20, 60);
-  expect_span(spans[3], SpanKind::kInit, "init", 30, 70);
-  expect_span(spans[4], SpanKind::kExec, "exec", 70, 95);
+  expect_span(b.log, spans[0], SpanKind::kLaunch, "launch", 0, 30);
+  expect_span(b.log, spans[1], SpanKind::kRestore, "warm_dispatch", 5, 20);
+  expect_span(b.log, spans[2], SpanKind::kExec, "exec", 20, 60);
+  expect_span(b.log, spans[3], SpanKind::kInit, "init", 30, 70);
+  expect_span(b.log, spans[4], SpanKind::kExec, "exec", 70, 95);
   EXPECT_EQ(spans[1].labels.function, FunctionId{2});
   EXPECT_EQ(spans[3].labels.function, FunctionId{1});
 }
@@ -136,20 +137,21 @@ TEST(DeriveSpansTest, FailureRecoveryCheckpointAndReplication) {
   replica.node = NodeId{3};
   obs::TraceContext warm;
   warm.trace = b.log.new_trace();
-  b.log.extend(warm, EventKind::kReplica, "replica_provision", at_us(2),
-               replica);
+  b.log.extend(warm, EventKind::kReplica, obs::Name::kReplicaProvision,
+               at_us(2), replica);
   b.add(EventKind::kExec, "exec", 10, fn_labels(1));
   b.add(EventKind::kStateCommit, "state_0", 40, fn_labels(1));
-  b.log.append(b.traces[1], EventKind::kCheckpoint, "checkpoint_0", at_us(40),
-               fn_labels(1), obs::kNoEvent, Duration::usec(6));
+  b.log.append_checkpoint(b.traces[1], 0, at_us(40), fn_labels(1),
+                          Duration::usec(6));
   SpanLabels node_only;
   node_only.node = NodeId{1};
   const obs::EventId node_failure = b.log.append_raw(
       b.log.new_trace(), obs::kNoEvent, EventKind::kNodeFailure,
-      "node_failure", at_us(50), node_only);
+      obs::Name::kNodeFailure, at_us(50), node_only);
   const obs::EventId failure = b.add(EventKind::kFailure, "node_failure", 50,
                                      fn_labels(1), node_failure);
-  b.log.append(warm, EventKind::kReplica, "replica_ready", at_us(52), replica);
+  b.log.append(warm, EventKind::kReplica, obs::Name::kReplicaReady, at_us(52),
+               replica);
   b.add(EventKind::kDetect, "detect", 60, fn_labels(1));
   b.add(EventKind::kRecoveryAction, "replica_recovery", 60, fn_labels(1));
   b.add(EventKind::kRestore, "warm_dispatch", 60, fn_labels(1, 2));
@@ -162,24 +164,24 @@ TEST(DeriveSpansTest, FailureRecoveryCheckpointAndReplication) {
   const std::vector<Span> spans = obs::derive_spans(b.log, at_us(500));
   ASSERT_EQ(spans.size(), 9u);
   // Output order is event order.
-  expect_span(spans[0], SpanKind::kReplication, "replica_provision", 2, 52);
+  expect_span(b.log, spans[0], SpanKind::kReplication, "replica_provision", 2, 52);
   EXPECT_EQ(spans[0].labels.container, ContainerId{9});
   EXPECT_EQ(spans[0].labels.node, NodeId{3});
   // The failure closed the attempt's exec phase at the kill.
-  expect_span(spans[1], SpanKind::kExec, "exec", 10, 50);
+  expect_span(b.log, spans[1], SpanKind::kExec, "exec", 10, 50);
   // Checkpoint span: the write window ending at the commit.
-  expect_span(spans[2], SpanKind::kCheckpoint, "checkpoint", 34, 40);
-  expect_span(spans[3], SpanKind::kNodeFailure, "node_failure", 50, 50);
+  expect_span(b.log, spans[2], SpanKind::kCheckpoint, "checkpoint", 34, 40);
+  expect_span(b.log, spans[3], SpanKind::kNodeFailure, "node_failure", 50, 50);
   EXPECT_TRUE(spans[3].instant);
   EXPECT_FALSE(spans[3].labels.function.valid());
-  expect_span(spans[4], SpanKind::kFailure, "node_failure", 50, 50);
+  expect_span(b.log, spans[4], SpanKind::kFailure, "node_failure", 50, 50);
   EXPECT_TRUE(spans[4].instant);
-  expect_span(spans[5], SpanKind::kRecovery, "replica_recovery", 60, 60);
+  expect_span(b.log, spans[5], SpanKind::kRecovery, "replica_recovery", 60, 60);
   EXPECT_TRUE(spans[5].instant);
-  expect_span(spans[6], SpanKind::kRestore, "warm_dispatch", 60, 70);
-  expect_span(spans[7], SpanKind::kExec, "exec", 70, 90);
+  expect_span(b.log, spans[6], SpanKind::kRestore, "warm_dispatch", 60, 70);
+  expect_span(b.log, spans[7], SpanKind::kExec, "exec", 70, 90);
   // The recovery window runs from its cause (the failure) to regained work.
-  expect_span(spans[8], SpanKind::kRecovery, "recovery", 50, 85);
+  expect_span(b.log, spans[8], SpanKind::kRecovery, "recovery", 50, 85);
   EXPECT_FALSE(spans[8].instant);
   EXPECT_EQ(spans[8].labels.attempt, 2);
 }
@@ -190,21 +192,21 @@ TEST(DeriveSpansTest, UnfinishedSpansCloseAtEnd) {
   replica.container = ContainerId{4};
   obs::TraceContext warm;
   warm.trace = b.log.new_trace();
-  b.log.extend(warm, EventKind::kReplica, "replica_provision", at_us(5),
-               replica);
+  b.log.extend(warm, EventKind::kReplica, obs::Name::kReplicaProvision,
+               at_us(5), replica);
   b.add(EventKind::kLaunch, "launch", 10, fn_labels(1));
   b.add(EventKind::kExec, "exec", 20, fn_labels(2));
   // A ready for a container with no open provision closes nothing.
   SpanLabels stranger;
   stranger.container = ContainerId{7};
   b.log.append_raw(b.log.new_trace(), obs::kNoEvent, EventKind::kReplica,
-                   "replica_ready", at_us(30), stranger);
+                   obs::Name::kReplicaReady, at_us(30), stranger);
 
   const std::vector<Span> spans = obs::derive_spans(b.log, at_us(100));
   ASSERT_EQ(spans.size(), 3u);
-  expect_span(spans[0], SpanKind::kReplication, "replica_provision", 5, 100);
-  expect_span(spans[1], SpanKind::kLaunch, "launch", 10, 100);
-  expect_span(spans[2], SpanKind::kExec, "exec", 20, 100);
+  expect_span(b.log, spans[0], SpanKind::kReplication, "replica_provision", 5, 100);
+  expect_span(b.log, spans[1], SpanKind::kLaunch, "launch", 10, 100);
+  expect_span(b.log, spans[2], SpanKind::kExec, "exec", 20, 100);
 }
 
 TEST(DeriveSpansTest, TruncatedLogTruncatesTheTimeline) {
@@ -219,8 +221,8 @@ TEST(DeriveSpansTest, TruncatedLogTruncatesTheTimeline) {
 
   const std::vector<Span> spans = obs::derive_spans(b.log, at_us(40));
   ASSERT_EQ(spans.size(), 2u);
-  expect_span(spans[0], SpanKind::kLaunch, "launch", 10, 20);
-  expect_span(spans[1], SpanKind::kExec, "exec", 20, 40);
+  expect_span(b.log, spans[0], SpanKind::kLaunch, "launch", 10, 20);
+  expect_span(b.log, spans[1], SpanKind::kExec, "exec", 20, 40);
 }
 
 // ---------------------------------------------------------------------------
@@ -397,7 +399,7 @@ TEST(AttributeTailTest, PicksTheNearestRankCompletionOfEachGroup) {
       EXPECT_DOUBLE_EQ(a.latency_s, expected[g].latency_s[i])
           << group.metric << " p" << a.percentile;
       EXPECT_NEAR(a.attributed_s, a.latency_s, 1e-9);
-      EXPECT_EQ(a.trace, b.log.find(completes[a.function])->trace.value());
+      EXPECT_EQ(a.trace, b.log.find(completes[a.function])->trace().value());
     }
   }
   // The open-loop window includes its 2 s admission wait.
@@ -474,8 +476,8 @@ TEST(DeriveTimeSeriesTest, NodesUpCountsDownOnNodeFailureAndFence) {
                            std::uint64_t node) {
     SpanLabels labels;
     labels.node = NodeId{node};
-    b.log.append_raw(b.log.new_trace(), obs::kNoEvent, kind, name,
-                     at_us(sec_us(at)), labels);
+    b.log.append_raw(b.log.new_trace(), obs::kNoEvent, kind,
+                     b.log.intern(name), at_us(sec_us(at)), labels);
   };
   ambient(EventKind::kNodeFailure, "node_failure", 1.5, 2);
   ambient(EventKind::kAnnotation, "node_fenced", 3.2, 3);
@@ -795,10 +797,11 @@ TEST(RunReportTest, JsonRoundTripContainsEveryField) {
 
 TEST(ChromeTraceTest, EmitsCompleteAndInstantEvents) {
   const std::vector<Span> spans = {
-      Span{SpanKind::kExec, "exec", at_us(100), at_us(400), /*instant=*/false,
+      Span{SpanKind::kExec, obs::Name::kExec, at_us(100), at_us(400),
+           /*instant=*/false,
            SpanLabels{JobId{1}, FunctionId{2}, ContainerId{3}, NodeId{4}, 1}},
-      Span{SpanKind::kFailure, "container_kill", at_us(250), at_us(250),
-           /*instant=*/true, SpanLabels{}},
+      Span{SpanKind::kFailure, obs::Name::kContainerKill, at_us(250),
+           at_us(250), /*instant=*/true, SpanLabels{}},
   };
 
   std::ostringstream os;
@@ -820,10 +823,11 @@ TEST(ChromeTraceTest, EmitsCompleteAndInstantEvents) {
 /// derived from that log (counter samples).
 struct TraceInputs {
   std::vector<Span> spans = {
-      Span{SpanKind::kExec, "exec", at_us(100), at_us(400), /*instant=*/false,
+      Span{SpanKind::kExec, obs::Name::kExec, at_us(100), at_us(400),
+           /*instant=*/false,
            SpanLabels{JobId{1}, FunctionId{2}, ContainerId{3}, NodeId{4}, 1}},
-      Span{SpanKind::kFailure, "container_kill", at_us(250), at_us(250),
-           /*instant=*/true, SpanLabels{}},
+      Span{SpanKind::kFailure, obs::Name::kContainerKill, at_us(250),
+           at_us(250), /*instant=*/true, SpanLabels{}},
   };
   LogBuilder log;
   obs::TimeSeries series;

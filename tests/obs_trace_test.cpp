@@ -88,34 +88,38 @@ class TraceTest : public ::testing::Test {
   /// Events attributed to `fn`, in log (== time) order.
   std::vector<const obs::Event*> events_of(FunctionId fn) const {
     std::vector<const obs::Event*> out;
-    for (const auto& e : events_.events()) {
-      if (e.labels.function == fn) out.push_back(&e);
+    for (const obs::Event& e : events_) {
+      if (e.function() == fn) out.push_back(&e);
     }
     return out;
   }
 
   const obs::Event* first_of(obs::EventKind kind) const {
-    for (const auto& e : events_.events()) {
-      if (e.kind == kind) return &e;
+    for (const obs::Event& e : events_) {
+      if (e.kind() == kind) return &e;
     }
     return nullptr;
+  }
+
+  std::string name_of(const obs::Event* e) const {
+    return std::string(events_.text(e->name()).view());
   }
 
   /// Asserts `evs` is one unbroken parent chain on a single trace.
   void expect_chain(const std::vector<const obs::Event*>& evs) {
     ASSERT_FALSE(evs.empty());
-    EXPECT_TRUE(evs.front()->trace.valid());
+    EXPECT_TRUE(evs.front()->trace().valid());
     for (std::size_t i = 1; i < evs.size(); ++i) {
-      EXPECT_EQ(evs[i]->parent, evs[i - 1]->id)
-          << "broken chain at '" << evs[i]->name << "'";
-      EXPECT_EQ(evs[i]->trace, evs.front()->trace);
+      EXPECT_EQ(evs[i]->parent(), evs[i - 1]->id())
+          << "broken chain at '" << name_of(evs[i]) << "'";
+      EXPECT_EQ(evs[i]->trace(), evs.front()->trace());
     }
   }
 
   static std::vector<obs::EventKind> kinds(
       const std::vector<const obs::Event*>& evs) {
     std::vector<obs::EventKind> out;
-    for (const auto* e : evs) out.push_back(e->kind);
+    for (const auto* e : evs) out.push_back(e->kind());
     return out;
   }
 
@@ -143,11 +147,11 @@ TEST_F(TraceTest, ColdStartProducesOneLinearChain) {
                             K::kStateCommit, K::kStateCommit, K::kFinalize,
                             K::kComplete}));
   // The submit event is the chain root, named after the spec.
-  EXPECT_EQ(evs.front()->parent, obs::kNoEvent);
-  EXPECT_EQ(evs.front()->name, "fn");
+  EXPECT_EQ(evs.front()->parent(), obs::kNoEvent);
+  EXPECT_EQ(name_of(evs.front()), "fn");
   // The invocation's public view carries its trace position.
-  EXPECT_EQ(p.invocation(fid).trace.trace, evs.front()->trace);
-  EXPECT_EQ(p.invocation(fid).trace.last, evs.back()->id);
+  EXPECT_EQ(p.invocation(fid).trace.trace, evs.front()->trace());
+  EXPECT_EQ(p.invocation(fid).trace.last, evs.back()->id());
 }
 
 TEST_F(TraceTest, WarmPoolReuseKeepsTheChainAndSkipsLaunch) {
@@ -175,7 +179,7 @@ TEST_F(TraceTest, WarmPoolReuseKeepsTheChainAndSkipsLaunch) {
   EXPECT_EQ(kinds(evs),
             (std::vector<K>{K::kSubmit, K::kRestore, K::kExec, K::kStateCommit,
                             K::kFinalize, K::kComplete}));
-  EXPECT_EQ(evs[1]->name, "warm_dispatch");
+  EXPECT_EQ(name_of(evs[1]), "warm_dispatch");
 }
 
 TEST_F(TraceTest, RetryReattemptStaysOnTheFailureChain) {
@@ -197,24 +201,24 @@ TEST_F(TraceTest, RetryReattemptStaysOnTheFailureChain) {
   const obs::Event* recovered = nullptr;
   std::size_t launches = 0;
   for (const auto* e : evs) {
-    if (e->kind == K::kFailure && failure == nullptr) failure = e;
-    if (e->kind == K::kDetect && detect == nullptr) detect = e;
-    if (e->kind == K::kRecoveryAction && action == nullptr) action = e;
-    if (e->kind == K::kRecovered) recovered = e;
-    if (e->kind == K::kLaunch) ++launches;
+    if (e->kind() == K::kFailure && failure == nullptr) failure = e;
+    if (e->kind() == K::kDetect && detect == nullptr) detect = e;
+    if (e->kind() == K::kRecoveryAction && action == nullptr) action = e;
+    if (e->kind() == K::kRecovered) recovered = e;
+    if (e->kind() == K::kLaunch) ++launches;
   }
   ASSERT_NE(failure, nullptr);
   ASSERT_NE(detect, nullptr);
   ASSERT_NE(action, nullptr);
   ASSERT_NE(recovered, nullptr);
-  EXPECT_EQ(action->name, "retry_restart");
+  EXPECT_EQ(name_of(action), "retry_restart");
   EXPECT_EQ(launches, 2u);  // killed cold start + retry cold start
   // Detection lags the failure by the configured detect delay.
-  EXPECT_EQ((detect->at - failure->at).count_usec(),
+  EXPECT_EQ((detect->at() - failure->at()).count_usec(),
             kFailureDetectDelay.count_usec());
   // The regained-work event points its cause edge back at the failure.
-  EXPECT_EQ(recovered->cause, failure->id);
-  EXPECT_EQ(evs.back()->kind, K::kComplete);
+  EXPECT_EQ(recovered->cause(), failure->id());
+  EXPECT_EQ(evs.back()->kind(), K::kComplete);
 }
 
 TEST_F(TraceTest, NodeFailureIsTheCauseOfItsVictims) {
@@ -229,23 +233,23 @@ TEST_F(TraceTest, NodeFailureIsTheCauseOfItsVictims) {
 
   const obs::Event* node_failure = first_of(obs::EventKind::kNodeFailure);
   ASSERT_NE(node_failure, nullptr);
-  EXPECT_EQ(node_failure->parent, obs::kNoEvent);  // ambient root event
+  EXPECT_EQ(node_failure->parent(), obs::kNoEvent);  // ambient root event
   EXPECT_EQ(events_.count_of(obs::EventKind::kNodeFailure), 1u);
 
   const auto evs = events_of(fid);
   const obs::Event* failure = nullptr;
   const obs::Event* recovered = nullptr;
   for (const auto* e : evs) {
-    if (e->kind == obs::EventKind::kFailure && failure == nullptr) failure = e;
-    if (e->kind == obs::EventKind::kRecovered) recovered = e;
+    if (e->kind() == obs::EventKind::kFailure && failure == nullptr) failure = e;
+    if (e->kind() == obs::EventKind::kRecovered) recovered = e;
   }
   ASSERT_NE(failure, nullptr);
   ASSERT_NE(recovered, nullptr);
   // Victim kill <- node failure, regained work <- the kill: the full
   // failure-to-recovery path is linked through cause edges.
-  EXPECT_EQ(failure->cause, node_failure->id);
-  EXPECT_NE(failure->trace, node_failure->trace);
-  EXPECT_EQ(recovered->cause, failure->id);
+  EXPECT_EQ(failure->cause(), node_failure->id());
+  EXPECT_NE(failure->trace(), node_failure->trace());
+  EXPECT_EQ(recovered->cause(), failure->id());
 
   // The chrome exporter renders each cause edge as an s/f flow pair
   // (shared name + "causal" category + effect id).
@@ -284,9 +288,9 @@ TEST_F(TraceTest, SloWatchdogRecordsBreachOnline) {
   ASSERT_EQ(events_.count_of(obs::EventKind::kSlaViolation), 1u);
   const obs::Event* breach = first_of(obs::EventKind::kSlaViolation);
   ASSERT_NE(breach, nullptr);
-  EXPECT_EQ(breach->labels.function, p.job_functions(id.value())[0]);
+  EXPECT_EQ(breach->function(), p.job_functions(id.value())[0]);
   // The breach fires at the deadline, as a DAG event on the chain.
-  EXPECT_EQ(breach->at.count_usec(), 1'000'000);
+  EXPECT_EQ(breach->at().count_usec(), 1'000'000);
 
   // The analyzer attributes the breach to the dominant component.
   obs::CriticalPathAnalyzer analyzer(events_);
@@ -322,9 +326,11 @@ TEST(EventLogTest, OverflowIsCountedAndLeavesContextsIntact) {
   obs::EventLog log(2);
   obs::TraceContext ctx{log.new_trace()};
   const obs::EventId first =
-      log.extend(ctx, obs::EventKind::kSubmit, "a", TimePoint::origin());
+      log.extend(ctx, obs::EventKind::kSubmit, log.intern("a"),
+                 TimePoint::origin());
   const obs::EventId second =
-      log.extend(ctx, obs::EventKind::kLaunch, "b", TimePoint::origin());
+      log.extend(ctx, obs::EventKind::kLaunch, log.intern("b"),
+                 TimePoint::origin());
   EXPECT_NE(first, obs::kNoEvent);
   EXPECT_NE(second, obs::kNoEvent);
   EXPECT_EQ(ctx.last, second);
@@ -332,13 +338,16 @@ TEST(EventLogTest, OverflowIsCountedAndLeavesContextsIntact) {
 
   // Past the cap every append shape drops, counts, and returns kNoEvent;
   // extend leaves the context where it was.
-  EXPECT_EQ(log.extend(ctx, obs::EventKind::kExec, "c", TimePoint::origin()),
+  EXPECT_EQ(log.extend(ctx, obs::EventKind::kExec, obs::Name::kExec,
+                       TimePoint::origin()),
             obs::kNoEvent);
   EXPECT_EQ(ctx.last, second);
-  EXPECT_EQ(log.append(ctx, obs::EventKind::kCheckpoint, "d", TimePoint::origin()),
+  EXPECT_EQ(log.append_checkpoint(ctx, 0, TimePoint::origin(), {},
+                                  Duration::zero()),
             obs::kNoEvent);
   EXPECT_EQ(log.append_raw(log.new_trace(), obs::kNoEvent,
-                           obs::EventKind::kAnnotation, "e", TimePoint::origin()),
+                           obs::EventKind::kAnnotation, log.intern("e"),
+                           TimePoint::origin()),
             obs::kNoEvent);
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.dropped(), 3u);
@@ -355,14 +364,15 @@ TEST(QueueingAttributionTest, PreAdmissionWaitIsQueueingNotScheduling) {
   labels.function = FunctionId{1};
   const TimePoint t0 = TimePoint::origin();
   const auto at = [t0](double s) { return t0 + Duration::sec(s); };
-  log.extend(ctx, obs::EventKind::kQueued, "web-1", at(0.0), labels);
-  log.extend(ctx, obs::EventKind::kSubmit, "web-1", at(5.0), labels);
-  log.extend(ctx, obs::EventKind::kLaunch, "web-1", at(5.5), labels);
-  log.extend(ctx, obs::EventKind::kInit, "web-1", at(6.0), labels);
-  log.extend(ctx, obs::EventKind::kExec, "web-1", at(6.5), labels);
-  log.extend(ctx, obs::EventKind::kSlaViolation, "web-1", at(7.0), labels);
-  log.extend(ctx, obs::EventKind::kFinalize, "web-1", at(8.0), labels);
-  log.extend(ctx, obs::EventKind::kComplete, "web-1", at(8.5), labels);
+  const obs::Name web = log.intern("web-1");
+  log.extend(ctx, obs::EventKind::kQueued, web, at(0.0), labels);
+  log.extend(ctx, obs::EventKind::kSubmit, web, at(5.0), labels);
+  log.extend(ctx, obs::EventKind::kLaunch, web, at(5.5), labels);
+  log.extend(ctx, obs::EventKind::kInit, web, at(6.0), labels);
+  log.extend(ctx, obs::EventKind::kExec, web, at(6.5), labels);
+  log.extend(ctx, obs::EventKind::kSlaViolation, web, at(7.0), labels);
+  log.extend(ctx, obs::EventKind::kFinalize, web, at(8.0), labels);
+  log.extend(ctx, obs::EventKind::kComplete, web, at(8.5), labels);
 
   obs::CriticalPathAnalyzer analyzer(log);
   const obs::BreakdownReport report = analyzer.report(/*slo_targets=*/1);
@@ -386,9 +396,9 @@ TEST(QueueingAttributionTest, ShedChainTerminatesWithoutAttribution) {
   obs::TraceContext ctx{log.new_trace()};
   obs::SpanLabels labels;
   labels.function = FunctionId{2};
-  log.extend(ctx, obs::EventKind::kQueued, "web-2", TimePoint::origin(),
-             labels);
-  log.extend(ctx, obs::EventKind::kShed, "web-2",
+  const obs::Name web = log.intern("web-2");
+  log.extend(ctx, obs::EventKind::kQueued, web, TimePoint::origin(), labels);
+  log.extend(ctx, obs::EventKind::kShed, web,
              TimePoint::origin() + Duration::sec(2.0), labels);
   obs::CriticalPathAnalyzer analyzer(log);
   const obs::BreakdownReport report = analyzer.report();
@@ -415,8 +425,8 @@ TEST(TraceScenarioTest, RequestReplicationSharesOneTracePerGroup) {
   // shadows are rebound onto their primary's trace: 3 distinct traces,
   // each with exactly two submit events.
   std::map<obs::TraceId, int> submits_per_trace;
-  for (const auto& e : result.events->events()) {
-    if (e.kind == obs::EventKind::kSubmit) ++submits_per_trace[e.trace];
+  for (const obs::Event& e : *result.events) {
+    if (e.kind() == obs::EventKind::kSubmit) ++submits_per_trace[e.trace()];
   }
   std::size_t total = 0;
   for (const auto& [trace, count] : submits_per_trace) {

@@ -138,10 +138,10 @@ void expect_exactly_once(const RunResult& result) {
   ASSERT_NE(result.events, nullptr);
   ASSERT_FALSE(result.events->truncated());
   std::unordered_map<std::uint64_t, int> completes;
-  for (const obs::Event& event : result.events->events()) {
-    if (event.kind == obs::EventKind::kComplete &&
-        event.labels.function.valid()) {
-      ++completes[event.labels.function.value()];
+  for (const obs::Event& event : *result.events) {
+    if (event.kind() == obs::EventKind::kComplete &&
+        event.function().valid()) {
+      ++completes[event.function().value()];
     }
   }
   EXPECT_GT(completes.size(), 0u);
@@ -246,9 +246,9 @@ TEST(PartitionScenarioTest, ZoneOutageIsOneCausalEventAndSkipsDeadNodes) {
 
   ASSERT_NE(result.events, nullptr);
   std::size_t outage_roots = 0;
-  for (const obs::Event& event : result.events->events()) {
-    if (event.kind == obs::EventKind::kAnnotation &&
-        event.name == "injected_zone_outage") {
+  for (const obs::Event& event : *result.events) {
+    if (event.kind() == obs::EventKind::kAnnotation &&
+        event.name() == obs::Name::kInjectedZoneOutage) {
       ++outage_roots;
     }
   }

@@ -81,19 +81,20 @@ TEST(TailAttributionTest, RepresentativeIsTheNearestRankCompletion) {
     std::string family;
   };
   std::map<FunctionId, Function> functions;
-  for (const obs::Event& event : run.events->events()) {
-    if (!event.labels.function.valid()) continue;
-    const auto [it, first] = functions.try_emplace(event.labels.function);
+  for (const obs::Event& event : *run.events) {
+    if (!event.function().valid()) continue;
+    const auto [it, first] = functions.try_emplace(event.function());
     Function& fn = it->second;
-    if (first) fn.root = event.at;
-    if ((event.kind == obs::EventKind::kSubmit ||
-         event.kind == obs::EventKind::kQueued) &&
+    if (first) fn.root = event.at();
+    if ((event.kind() == obs::EventKind::kSubmit ||
+         event.kind() == obs::EventKind::kQueued) &&
         fn.family.empty()) {
-      fn.family = obs::base_function_name(event.name);
+      fn.family =
+          obs::base_function_name(run.events->text(event.name()).view());
     }
-    if (event.kind == obs::EventKind::kComplete &&
+    if (event.kind() == obs::EventKind::kComplete &&
         fn.completed == TimePoint::max()) {
-      fn.completed = event.at;
+      fn.completed = event.at();
     }
   }
   std::map<std::string, std::vector<std::pair<Duration, FunctionId>>> groups;
