@@ -61,8 +61,7 @@ canary::traffic::StreamConfig request_stream(double rate_hz) {
   canary::traffic::StreamConfig stream;
   stream.name = "req";
   stream.fn.runtime = canary::faas::RuntimeImage::kPython3;
-  stream.fn.states.push_back({kStateWork, {}});
-  stream.fn.states.push_back({kStateWork, {}});
+  stream.fn.states = canary::faas::StateTable(2, {kStateWork, {}});
   stream.fn.finalize = kFinalize;
   stream.arrival.kind = canary::traffic::ArrivalSpec::Kind::kPoisson;
   stream.arrival.rate_hz = rate_hz;

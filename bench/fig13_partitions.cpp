@@ -82,6 +82,10 @@ constexpr Variant kVariants[] = {
 /// the 4 slices the same 30-function load the monolithic cluster sees.
 std::vector<canary::faas::JobSpec> make_jobs(int copies) {
   std::vector<canary::faas::JobSpec> jobs;
+  canary::faas::StateSpec state;
+  state.duration = Duration::msec(900);
+  state.checkpoint_payload = Bytes::of(1024 * 1024);
+  const canary::faas::StateTable states(4, state);
   for (int j = 0; j < 3 * copies; ++j) {
     canary::faas::JobSpec job;
     job.name = "fig13-job-" + std::to_string(j);
@@ -90,12 +94,7 @@ std::vector<canary::faas::JobSpec> make_jobs(int copies) {
       canary::faas::FunctionSpec fn;
       fn.name = "fig13-fn-" + std::to_string(j) + "-" + std::to_string(f);
       fn.runtime = canary::faas::RuntimeImage::kPython3;
-      for (int s = 0; s < 4; ++s) {
-        canary::faas::StateSpec state;
-        state.duration = Duration::msec(900);
-        state.checkpoint_payload = Bytes::of(1024 * 1024);
-        fn.states.push_back(state);
-      }
+      fn.states = states;
       fn.finalize = Duration::msec(200);
       job.functions.push_back(std::move(fn));
     }

@@ -27,7 +27,11 @@
 // invocation are not fixed, and a change that removes events must not
 // read as a slowdown. canary_scale and canary_scale_events gate
 // allocations/event instead: the count is exact for a given build, so
-// that gate does not depend on how busy the host is.
+// that gate does not depend on how busy the host is. platform_scale also
+// gates, exactly, the allocations that building its job list takes per
+// invocation: every function of a job shares its template's state table,
+// so what is left is the function vector and the names too long for the
+// string's inline buffer.
 //
 // A second sweep reruns the platform phase sharded (the same topology
 // split into 8 partitions, each an independent scenario) at 1, 2 and 4
@@ -130,7 +134,11 @@ struct PhaseResult {
   double wall_s = 0.0;
   std::uint64_t allocations = 0;  // operator new calls during the phase
   std::uint64_t events_dropped = 0;  // by the causal log's cap
+  /// operator new calls building the phase's job list (platform phases).
+  std::uint64_t batch_allocations = 0;
   Gate gate = Gate::kEventsPerSec;
+  /// Also gate batch_allocations per invocation.
+  bool gate_batch_allocations = false;
   double events_per_sec() const {
     return wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0;
   }
@@ -141,6 +149,11 @@ struct PhaseResult {
     return events > 0
                ? static_cast<double>(allocations) / static_cast<double>(events)
                : 0.0;
+  }
+  double batch_allocations_per_invocation() const {
+    return invocations > 0 ? static_cast<double>(batch_allocations) /
+                                 static_cast<double>(invocations)
+                           : 0.0;
   }
 };
 
@@ -261,8 +274,10 @@ PhaseResult platform_scale(const std::string& name,
   config.record_spans = false;
   config.record_events = record_events;
 
+  const std::uint64_t batch_start = allocations_now();
   const std::vector<faas::JobSpec> batch =
       web_service_batch(jobs, functions_per_job);
+  const std::uint64_t batch_allocations = allocations_now() - batch_start;
 
   const std::uint64_t alloc_start = allocations_now();
   const auto start = std::chrono::steady_clock::now();
@@ -275,6 +290,7 @@ PhaseResult platform_scale(const std::string& name,
   result.wall_s = wall_seconds_since(start);
   result.allocations = allocations_now() - alloc_start;
   result.events_dropped = run.events_dropped;
+  result.batch_allocations = batch_allocations;
   if (!run.completed) {
     std::cerr << name << ": run did not complete\n";
     std::exit(1);
@@ -353,6 +369,10 @@ int write_report(const std::string& name, bool quick, std::size_t nodes,
                          phase.allocations_per_event(), true});
         break;
     }
+    if (phase.gate_batch_allocations) {
+      gated.push_back({phase.name + ".batch_allocations_per_invocation",
+                       phase.batch_allocations_per_invocation(), true});
+    }
   }
   const std::uint64_t rss = peak_rss_bytes();
   if (rss == 0) violations.push_back("peak RSS unavailable");
@@ -374,6 +394,7 @@ int write_report(const std::string& name, bool quick, std::size_t nodes,
           json.field("invocations_per_sec", phase.invocations_per_sec());
           json.field("allocations", phase.allocations);
           json.field("allocations_per_event", phase.allocations_per_event());
+          json.field("batch_allocations", phase.batch_allocations);
           json.end_object();
         }
         json.end_array();
@@ -417,6 +438,7 @@ int run(int argc, char** argv) {
   phases.push_back(platform_scale("platform_scale",
                                   recovery::StrategyConfig::retry(), nodes,
                                   jobs, functions_per_job));
+  phases.back().gate_batch_allocations = true;
   phases.push_back(platform_scale("canary_scale",
                                   recovery::StrategyConfig::canary_full(),
                                   nodes, canary_jobs, functions_per_job));
@@ -454,8 +476,11 @@ int run(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nplatform invocations: " << invocations << " across " << nodes
             << " nodes (canary_scale: " << canary_invocations
-            << ")\npeak rss: " << peak_rss_bytes() / (1024 * 1024)
-            << " MiB\n";
+            << ")\njob list: " << phases[2].batch_allocations
+            << " allocations ("
+            << TextTable::num(phases[2].batch_allocations_per_invocation(), 4)
+            << " per invocation)\npeak rss: "
+            << peak_rss_bytes() / (1024 * 1024) << " MiB\n";
 
   const int scale_status =
       write_report("scale", quick, nodes, invocations, phases);

@@ -68,8 +68,7 @@ canary::traffic::StreamConfig web_stream(double rate_hz) {
   canary::traffic::StreamConfig stream;
   stream.name = "web";
   stream.fn.runtime = canary::faas::RuntimeImage::kPython3;
-  stream.fn.states.push_back({kStateWork, {}});
-  stream.fn.states.push_back({kStateWork, {}});
+  stream.fn.states = canary::faas::StateTable(2, {kStateWork, {}});
   stream.fn.finalize = kFinalize;
   stream.arrival.kind = canary::traffic::ArrivalSpec::Kind::kPoisson;
   stream.arrival.rate_hz = rate_hz;

@@ -62,8 +62,14 @@ bool CoreModule::node_suspect(NodeId node) const {
 }
 
 Result<JobId> CoreModule::submit_job(faas::JobSpec spec) {
+  return submit_job(std::make_shared<const faas::JobSpec>(std::move(spec)));
+}
+
+Result<JobId> CoreModule::submit_job(
+    std::shared_ptr<const faas::JobSpec> spec) {
   CANARY_CHECK(installed_, "call install() before submitting jobs");
-  const ValidationResult verdict = validator_.validate(spec, in_flight_);
+  CANARY_CHECK(spec != nullptr, "null job spec");
+  const ValidationResult verdict = validator_.validate(*spec, in_flight_);
   switch (verdict.verdict) {
     case Verdict::kReject:
       platform_.metrics().count("requests_rejected");
@@ -75,18 +81,18 @@ Result<JobId> CoreModule::submit_job(faas::JobSpec spec) {
     case Verdict::kAccept:
       break;
   }
-  in_flight_ += spec.functions.size();
+  in_flight_ += spec->functions.size();
   return platform_.submit_job(std::move(spec));
 }
 
 void CoreModule::drain_queue() {
   while (!queue_.empty()) {
     const ValidationResult verdict =
-        validator_.validate(queue_.front(), in_flight_);
+        validator_.validate(*queue_.front(), in_flight_);
     if (verdict.verdict != Verdict::kAccept) return;
-    faas::JobSpec spec = std::move(queue_.front());
+    std::shared_ptr<const faas::JobSpec> spec = std::move(queue_.front());
     queue_.pop_front();
-    in_flight_ += spec.functions.size();
+    in_flight_ += spec->functions.size();
     auto submitted = platform_.submit_job(std::move(spec));
     if (!submitted.ok()) {
       CANARY_LOG_WARN("queued job rejected at submission: "

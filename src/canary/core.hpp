@@ -16,6 +16,7 @@
 #pragma once
 
 #include <deque>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 
@@ -67,6 +68,10 @@ class CoreModule final : public faas::RecoveryHandler,
   /// because launching it now would exceed the concurrency limit — it is
   /// submitted automatically as capacity frees (§IV-C2).
   Result<JobId> submit_job(faas::JobSpec spec);
+  /// Zero-copy submission, as faas::Platform's overload: the queue and
+  /// the platform share `spec`. It must stay immutable and outlive the
+  /// platform.
+  Result<JobId> submit_job(std::shared_ptr<const faas::JobSpec> spec);
 
   std::size_t queued_jobs() const { return queue_.size(); }
   std::size_t in_flight_functions() const { return in_flight_; }
@@ -144,7 +149,7 @@ class CoreModule final : public faas::RecoveryHandler,
   ReplicationModule replication_;
   ProactiveMitigator mitigator_;
 
-  std::deque<faas::JobSpec> queue_;
+  std::deque<std::shared_ptr<const faas::JobSpec>> queue_;
   std::size_t in_flight_ = 0;
   bool installed_ = false;
   /// Launching replicas promised to SLA-urgent functions.

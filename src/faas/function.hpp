@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -29,12 +31,52 @@ struct StateSpec {
   Bytes checkpoint_payload = Bytes::zero();
 };
 
+/// A function's state sequence: an immutable table shared by every copy.
+///
+/// Copying a table (and so a FunctionSpec or JobSpec) copies one pointer
+/// and shares the states, so a job of N instances of one template holds
+/// one table, not N. Nothing can change a table once it is built; to give
+/// a function different states, assign it a new table. An empty table
+/// allocates nothing.
+class StateTable {
+ public:
+  StateTable() = default;
+  /// Takes the states over; an empty vector leaves the table empty.
+  /// Implicit, so a built vector assigns straight to
+  /// FunctionSpec::states.
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  StateTable(std::vector<StateSpec> states)
+      : states_(states.empty() ? nullptr
+                               : std::make_shared<const std::vector<StateSpec>>(
+                                     std::move(states))) {}
+  /// `count` copies of `state`.
+  StateTable(std::size_t count, const StateSpec& state)
+      : StateTable(std::vector<StateSpec>(count, state)) {}
+
+  std::size_t size() const { return states_ ? states_->size() : 0; }
+  bool empty() const { return states_ == nullptr; }
+  const StateSpec& operator[](std::size_t i) const { return (*states_)[i]; }
+  const StateSpec& front() const { return states_->front(); }
+  const StateSpec* begin() const { return states_ ? states_->data() : nullptr; }
+  const StateSpec* end() const {
+    return states_ ? states_->data() + states_->size() : nullptr;
+  }
+
+ private:
+  std::shared_ptr<const std::vector<StateSpec>> states_;
+};
+
+/// One function's specification. A copy shares the state table (see
+/// StateTable) and copies the name and the trigger list, so a job of N
+/// instances costs N names, not N state tables. Once a job is submitted
+/// its specs must not change: Invocation::spec points into the job's
+/// spec, which the platform may share with the caller.
 struct FunctionSpec {
   std::string name;
   RuntimeImage runtime = RuntimeImage::kPython3;
   /// Memory request; zero means "use the runtime image default".
   Bytes memory = Bytes::zero();
-  std::vector<StateSpec> states;
+  StateTable states;
   /// fin_f: from the last state update to function completion.
   Duration finalize = Duration::zero();
   /// Per-function completion deadline relative to submission; zero = none

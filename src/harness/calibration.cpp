@@ -42,9 +42,9 @@ std::vector<faas::JobSpec> calibration_jobs(
   faas::FunctionSpec fn;
   fn.name = workload.name;
   fn.runtime = faas::RuntimeImage::kNativeProc;
-  fn.states.assign(workload.steps,
-                   faas::StateSpec{workload.step_exec,
-                                   workload.checkpoint_bytes});
+  fn.states = faas::StateTable(
+      workload.steps,
+      faas::StateSpec{workload.step_exec, workload.checkpoint_bytes});
   faas::JobSpec job;
   job.name = workload.name + "-calibration";
   job.functions = {fn};

@@ -70,14 +70,17 @@ void draw_base(ChaosScenario& out, const Rng& root, unsigned job_scale) {
       fn.runtime = pick_runtime(jobs_rng);
       const std::size_t state_count = jobs_rng.uniform_int(2, 4);
       Duration work = Duration::zero();
+      std::vector<faas::StateSpec> states;
+      states.reserve(state_count);
       for (std::size_t s = 0; s < state_count; ++s) {
         faas::StateSpec state;
         state.duration = Duration::msec(jobs_rng.uniform_int(300, 1500));
         state.checkpoint_payload =
             Bytes::of(jobs_rng.uniform_int(512, 2048) * 1024);
         work += state.duration;
-        fn.states.push_back(state);
+        states.push_back(state);
       }
+      fn.states = std::move(states);
       fn.finalize = Duration::msec(jobs_rng.uniform_int(100, 300));
       work += fn.finalize;
       if (work > longest) longest = work;
@@ -156,12 +159,15 @@ void add_traffic(ScenarioConfig& config, Rng traffic) {
   stream.name = "chaos-burst";
   stream.fn.runtime = pick_runtime(traffic);
   const std::size_t state_count = traffic.uniform_int(1, 2);
+  std::vector<faas::StateSpec> states;
+  states.reserve(state_count);
   for (std::size_t s = 0; s < state_count; ++s) {
     faas::StateSpec state;
     state.duration = Duration::msec(traffic.uniform_int(100, 400));
     state.checkpoint_payload = Bytes::of(traffic.uniform_int(64, 512) * 1024);
-    stream.fn.states.push_back(state);
+    states.push_back(state);
   }
+  stream.fn.states = std::move(states);
   stream.fn.finalize = Duration::msec(traffic.uniform_int(30, 100));
   stream.arrival.kind = traffic::ArrivalSpec::Kind::kOnOff;
   stream.arrival.rate_hz = traffic.uniform(8.0, 18.0);

@@ -115,7 +115,7 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
       canary_fw->install();
       if (detector) canary_fw->attach_detector(*detector);
       for (const auto& job : jobs) {
-        auto submitted = canary_fw->submit_job(job);
+        auto submitted = canary_fw->submit_job(borrow(job));
         CANARY_CHECK(submitted.ok(), "job rejected by the request validator");
       }
       break;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <span>
+#include <utility>
 
 namespace canary::obs {
 
@@ -108,6 +110,16 @@ int state_for(EventKind kind) {
   }
 }
 
+using Transition = std::pair<TimePoint, int>;
+using Window = std::pair<TimePoint, TimePoint>;
+
+/// Grows `run` by one slot into the space after it and fills the slot.
+template <typename T>
+void append(std::span<T>& run, const T& value) {
+  run = std::span<T>(run.data(), run.size() + 1);
+  run.back() = value;
+}
+
 }  // namespace
 
 struct CriticalPathAnalyzer::FunctionTimeline {
@@ -116,12 +128,13 @@ struct CriticalPathAnalyzer::FunctionTimeline {
   TimePoint root = TimePoint::max();
   TimePoint completed = TimePoint::max();
   TraceId complete_trace;
-  /// (time, phase) transitions in event order; phase kStateEnd terminates.
-  std::vector<std::pair<TimePoint, int>> transitions;
-  /// Resolved recovery windows [failed, recovered].
-  std::vector<std::pair<TimePoint, TimePoint>> windows;
-  /// SLA breach instants.
-  std::vector<TimePoint> breaches;
+  /// This function's runs of analyze()'s flat scratch arrays, appended
+  /// in event order: (time, phase) transitions, where phase kStateEnd
+  /// terminates; resolved recovery windows [failed, recovered]; SLA
+  /// breach instants.
+  std::span<Transition> transitions;
+  std::span<Window> windows;
+  std::span<TimePoint> breaches;
   /// Latest event time seen; closes the final open interval on runs that
   /// end mid-execution.
   TimePoint last_seen = TimePoint::origin();
@@ -129,8 +142,10 @@ struct CriticalPathAnalyzer::FunctionTimeline {
   bool hedge_cancelled = false;
 
   /// Decompose [from, to] into components. Execution time overlapping a
-  /// recovery window counts as re-execution.
-  ComponentSums accumulate(TimePoint from, TimePoint to) const {
+  /// recovery window counts as re-execution. `scratch` is reused buffer
+  /// space.
+  ComponentSums accumulate(TimePoint from, TimePoint to,
+                           std::vector<Window>& scratch) const {
     ComponentSums sums;
     for (std::size_t i = 0; i < transitions.size(); ++i) {
       const int state = transitions[i].second;
@@ -143,7 +158,7 @@ struct CriticalPathAnalyzer::FunctionTimeline {
       if (b <= a) continue;
       const double span_s = (b - a).to_seconds();
       if (state == static_cast<int>(PathComponent::kExec)) {
-        const double re_s = window_overlap_seconds(a, b);
+        const double re_s = window_overlap_seconds(a, b, scratch);
         sums[PathComponent::kReExec] += re_s;
         sums[PathComponent::kExec] += span_s - re_s;
       } else {
@@ -154,9 +169,10 @@ struct CriticalPathAnalyzer::FunctionTimeline {
   }
 
   /// Seconds of [a, b] covered by the union of the recovery windows.
-  double window_overlap_seconds(TimePoint a, TimePoint b) const {
+  double window_overlap_seconds(TimePoint a, TimePoint b,
+                                std::vector<Window>& clipped) const {
     // Windows are few per function; clip, sort, and merge.
-    std::vector<std::pair<TimePoint, TimePoint>> clipped;
+    clipped.clear();
     for (const auto& [failed, recovered] : windows) {
       const TimePoint lo = std::max(failed, a);
       const TimePoint hi = std::min(recovered, b);
@@ -180,20 +196,65 @@ CriticalPathAnalyzer::CriticalPathAnalyzer(const EventLog& log) {
   analyze(log);
 }
 
+const CriticalPathAnalyzer::PerFunction* CriticalPathAnalyzer::find(
+    FunctionId fn) const {
+  const auto it = std::lower_bound(
+      functions_.begin(), functions_.end(), fn,
+      [](const PerFunction& pf, FunctionId id) { return pf.id < id; });
+  return it != functions_.end() && it->id == fn ? &*it : nullptr;
+}
+
 void CriticalPathAnalyzer::analyze(const EventLog& log) {
   // Scratch timelines indexed by function id, as derive_spans keeps its
   // open phases: function ids are dense, and walking the vector visits
-  // them in id order, the order functions_ and windows_ keep. A first
-  // pass sizes each timeline's transition list exactly.
-  std::vector<std::uint32_t> transition_counts;
+  // them in id order, the order functions_ and windows_ keep. A counting
+  // pass sizes every function's run of three flat arrays (transitions,
+  // windows, breaches), so the whole analysis takes a fixed number of
+  // blocks, not a few per function.
+  struct Counts {
+    std::uint32_t transitions = 0;
+    std::uint32_t windows = 0;
+    std::uint32_t breaches = 0;
+  };
+  const auto resolves_window = [&log](const Event& event) {
+    return event.kind() == EventKind::kRecovered &&
+           event.cause() != kNoEvent && log.find(event.cause()) != nullptr;
+  };
+  std::vector<Counts> counts;
+  Counts total;
   for (const Event& event : log) {
     const std::uint64_t fn = event.function().value();
-    if (fn >= transition_counts.size()) transition_counts.resize(fn + 1);
-    if (state_for(event.kind()) != -2) ++transition_counts[fn];
+    if (fn >= counts.size()) counts.resize(fn + 1);
+    Counts& c = counts[fn];
+    if (resolves_window(event)) {
+      ++c.windows;
+    } else if (event.kind() == EventKind::kSlaViolation) {
+      ++c.breaches;
+    } else if (state_for(event.kind()) != -2) {
+      ++c.transitions;
+    }
   }
-  std::vector<FunctionTimeline> timelines(transition_counts.size());
+  for (std::size_t fn = 1; fn < counts.size(); ++fn) {
+    total.transitions += counts[fn].transitions;
+    total.windows += counts[fn].windows;
+    total.breaches += counts[fn].breaches;
+  }
+  std::vector<Transition> transitions(total.transitions);
+  std::vector<Window> windows(total.windows);
+  std::vector<TimePoint> breaches(total.breaches);
+  // Each run starts empty at its offset and grows into the space the
+  // counting pass left for it.
+  std::vector<FunctionTimeline> timelines(counts.size());
+  Counts offset;
   for (std::size_t fn = 1; fn < timelines.size(); ++fn) {
-    timelines[fn].transitions.reserve(transition_counts[fn]);
+    FunctionTimeline& tl = timelines[fn];
+    const Counts& c = counts[fn];
+    tl.transitions = {transitions.data() + offset.transitions, 0};
+    tl.windows = {windows.data() + offset.windows, 0};
+    tl.breaches = {breaches.data() + offset.breaches, 0};
+    offset.transitions += c.transitions;
+    offset.windows += c.windows;
+    offset.breaches += c.breaches;
   }
 
   for (const Event& event : log) {
@@ -213,14 +274,12 @@ void CriticalPathAnalyzer::analyze(const EventLog& log) {
         tl.family.empty()) {
       tl.family = base_function_name(log.text(event.name()).view());
     }
-    if (kind == EventKind::kRecovered && event.cause() != kNoEvent) {
-      if (const Event* failure = log.find(event.cause())) {
-        tl.windows.emplace_back(failure->at(), at);
-      }
+    if (resolves_window(event)) {
+      append(tl.windows, Window{log.find(event.cause())->at(), at});
       continue;
     }
     if (kind == EventKind::kSlaViolation) {
-      tl.breaches.push_back(at);
+      append(tl.breaches, at);
       continue;
     }
     if (kind == EventKind::kHedgeCancelled) {
@@ -229,9 +288,13 @@ void CriticalPathAnalyzer::analyze(const EventLog& log) {
     }
     const int state = state_for(kind);
     if (state == -2) continue;
-    tl.transitions.emplace_back(at, state);
+    append(tl.transitions, Transition{at, state});
   }
 
+  functions_.reserve(timelines.size());
+  windows_.reserve(total.windows);
+  breaches_.reserve(total.breaches);
+  std::vector<Window> scratch;
   for (std::size_t id = 1; id < timelines.size(); ++id) {
     FunctionTimeline& tl = timelines[id];
     if (tl.transitions.empty()) continue;
@@ -239,12 +302,13 @@ void CriticalPathAnalyzer::analyze(const EventLog& log) {
     const FunctionId fn{id};
     const TimePoint first = tl.transitions.front().first;
 
-    PerFunction& pf = functions_[fn];
+    PerFunction& pf = functions_.emplace_back();
+    pf.id = fn;
     pf.family = tl.family;
     pf.root = tl.root;
     pf.completed = tl.completed;
     pf.trace = tl.complete_trace;
-    pf.end_to_end = tl.accumulate(first, tl.last_seen);
+    pf.end_to_end = tl.accumulate(first, tl.last_seen, scratch);
     if (tl.hedge_cancelled) {
       // Every second a losing copy spent — launch, init, exec — was
       // speculation, not useful work. Collapsing the loser's whole
@@ -261,7 +325,7 @@ void CriticalPathAnalyzer::analyze(const EventLog& log) {
       window.family = tl.family;
       window.failed = failed;
       window.recovered = recovered;
-      window.components = tl.accumulate(failed, recovered);
+      window.components = tl.accumulate(failed, recovered, scratch);
       pf.recoveries += 1;
       pf.window_s += window.window().to_seconds();
       pf.recovery.merge(window.components);
@@ -269,7 +333,7 @@ void CriticalPathAnalyzer::analyze(const EventLog& log) {
     }
 
     for (const TimePoint breach : tl.breaches) {
-      const ComponentSums to_breach = tl.accumulate(first, breach);
+      const ComponentSums to_breach = tl.accumulate(first, breach, scratch);
       breaches_.emplace_back(tl.family, to_breach.dominant());
     }
   }
@@ -283,7 +347,7 @@ BreakdownReport CriticalPathAnalyzer::report(std::uint64_t slo_targets) const {
     out.recovery_window_s += window.window().to_seconds();
     out.recovery_components.merge(window.components);
   }
-  for (const auto& [fn, pf] : functions_) {
+  for (const PerFunction& pf : functions_) {
     out.end_to_end_components.merge(pf.end_to_end);
     BreakdownReport::FunctionBreakdown& fb = out.per_function[pf.family];
     fb.functions += 1;

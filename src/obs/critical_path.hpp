@@ -139,8 +139,9 @@ class CriticalPathAnalyzer {
   /// not armed targets).
   BreakdownReport report(std::uint64_t slo_targets = 0) const;
 
-  // Per-function end-to-end component sums + metadata, keyed by id.
+  // Per-function end-to-end component sums + metadata.
   struct PerFunction {
+    FunctionId id;
     std::string family;
     ComponentSums end_to_end;
     std::uint64_t recoveries = 0;
@@ -160,17 +161,21 @@ class CriticalPathAnalyzer {
   };
   /// Per-instance decomposition (not family-aggregated): the exact
   /// root-to-completion partition of one invocation, from which
-  /// attribute_tail (tail_analyzer.hpp) picks its representatives.
-  const std::map<FunctionId, PerFunction>& per_function_decomposition() const {
+  /// attribute_tail (tail_analyzer.hpp) picks its representatives. One
+  /// entry per function that logged a phase, in id order.
+  const std::vector<PerFunction>& per_function_decomposition() const {
     return functions_;
   }
+  /// `fn`'s entry of per_function_decomposition(), or nullptr when it
+  /// logged no phase.
+  const PerFunction* find(FunctionId fn) const;
 
  private:
   struct FunctionTimeline;
   void analyze(const EventLog& log);
 
   std::vector<RecoveryWindow> windows_;
-  std::map<FunctionId, PerFunction> functions_;
+  std::vector<PerFunction> functions_;  // ascending id
   // (family, dominant component) per SLA breach, in event order.
   std::vector<std::pair<std::string, PathComponent>> breaches_;
 };

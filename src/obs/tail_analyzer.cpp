@@ -21,8 +21,7 @@ bool representative_beats(const TailAttribution& candidate,
   return candidate.trace < incumbent.trace;
 }
 
-using Completion =
-    std::pair<FunctionId, const CriticalPathAnalyzer::PerFunction*>;
+using Completion = const CriticalPathAnalyzer::PerFunction*;
 
 }  // namespace
 
@@ -63,29 +62,29 @@ TailReport attribute_tail(const CriticalPathAnalyzer& paths) {
 
   // Name-ordered, so the groups come out sorted as merge() expects.
   std::map<std::string, std::vector<Completion>> groups;
-  for (const auto& [fn, pf] : paths.per_function_decomposition()) {
+  for (const auto& pf : paths.per_function_decomposition()) {
     if (!pf.complete()) continue;
-    groups["tail_latency"].emplace_back(fn, &pf);
-    groups["tail_latency.fn." + pf.family].emplace_back(fn, &pf);
+    groups["tail_latency"].push_back(&pf);
+    groups["tail_latency.fn." + pf.family].push_back(&pf);
   }
 
   for (auto& [metric, completions] : groups) {
     std::sort(completions.begin(), completions.end(),
-              [](const Completion& a, const Completion& b) {
-                return std::pair(a.second->latency(), a.first) <
-                       std::pair(b.second->latency(), b.first);
+              [](Completion a, Completion b) {
+                return std::pair(a->latency(), a->id) <
+                       std::pair(b->latency(), b->id);
               });
     TailGroup group;
     group.metric = metric;
     for (const double percentile : kTailPercentiles) {
-      const auto& [fn, pf] =
+      const Completion pf =
           completions[nearest_rank(percentile, completions.size()) - 1];
       TailAttribution a;
       a.percentile = percentile;
       a.samples = completions.size();
       a.latency_s = pf->latency().to_seconds();
       a.trace = pf->trace.value();
-      a.function = fn.value();
+      a.function = pf->id.value();
       a.components = pf->end_to_end;
       a.attributed_s = a.components.total();
       group.percentiles.push_back(a);

@@ -39,7 +39,6 @@ TimeSeries derive_time_series(const EventLog& log,
                               const CriticalPathAnalyzer& paths,
                               std::size_t nodes) {
   TimeSeries series;
-  const auto& functions = paths.per_function_decomposition();
   std::set<FunctionId> hedged;  // functions that fired a hedge
   std::size_t down = 0;         // nodes failed or fenced so far
   for (const Event& event : log) {
@@ -59,9 +58,8 @@ TimeSeries derive_time_series(const EventLog& log,
       case EventKind::kLaunch: count("cold_starts"); break;
       case EventKind::kComplete:
         count("completions");
-        if (const auto it = functions.find(event.function());
-            it != functions.end()) {
-          sample("latency", it->second.root);
+        if (const auto* pf = paths.find(event.function())) {
+          sample("latency", pf->root);
         }
         break;
       case EventKind::kFailure: count("failures"); break;

@@ -13,7 +13,7 @@ faas::FunctionSpec spec_with_payload(Bytes payload, std::size_t states = 4,
                                      Duration dur = Duration::sec(3.0)) {
   faas::FunctionSpec fn;
   fn.name = "fn";
-  for (std::size_t i = 0; i < states; ++i) fn.states.push_back({dur, payload});
+  fn.states = faas::StateTable(states, {dur, payload});
   return fn;
 }
 

@@ -23,9 +23,7 @@ faas::FunctionSpec stateful_function(std::size_t states = 4) {
   faas::FunctionSpec fn;
   fn.name = "stateful";
   fn.runtime = faas::RuntimeImage::kPython3;
-  for (std::size_t i = 0; i < states; ++i) {
-    fn.states.push_back({Duration::sec(1.0), Bytes::kib(64)});
-  }
+  fn.states = faas::StateTable(states, {Duration::sec(1.0), Bytes::kib(64)});
   fn.finalize = Duration::msec(200);
   return fn;
 }

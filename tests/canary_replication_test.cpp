@@ -27,7 +27,7 @@ faas::FunctionSpec probe(faas::RuntimeImage image) {
   faas::FunctionSpec fn;
   fn.name = "probe";
   fn.runtime = image;
-  fn.states.push_back({Duration::sec(5.0), {}});
+  fn.states = faas::StateTable(1, {Duration::sec(5.0), {}});
   return fn;
 }
 

@@ -260,7 +260,7 @@ void add_traffic(harness::ScenarioConfig& config) {
     faas::StateSpec state;
     state.duration = Duration::msec(150 + 40 * s);
     state.checkpoint_payload = Bytes::of(128 * 1024);
-    stream.fn.states.push_back(state);
+    stream.fn.states = faas::StateTable(1, state);
     stream.fn.finalize = Duration::msec(40);
     stream.arrival.rate_hz = 4.0 + s;
     stream.sla = Duration::sec(6.0);

@@ -142,9 +142,7 @@ TEST(SlaRecoveryTest, UrgentFunctionClaimsLaunchingReplica) {
   faas::FunctionSpec fn;
   fn.name = "urgent";
   fn.runtime = faas::RuntimeImage::kDlTrain;
-  for (int i = 0; i < 8; ++i) {
-    fn.states.push_back({Duration::sec(2.5), Bytes::kib(64)});
-  }
+  fn.states = faas::StateTable(8, {Duration::sec(2.5), Bytes::kib(64)});
   fn.finalize = Duration::sec(1.0);
   job.functions.push_back(fn);
   const auto id = core.submit_job(job);
@@ -184,9 +182,7 @@ TEST(SlaRecoveryTest, NonSlaJobFallsBackCold) {
   faas::FunctionSpec fn;
   fn.name = "besteffort";
   fn.runtime = faas::RuntimeImage::kDlTrain;
-  for (int i = 0; i < 8; ++i) {
-    fn.states.push_back({Duration::sec(2.5), Bytes::kib(64)});
-  }
+  fn.states = faas::StateTable(8, {Duration::sec(2.5), Bytes::kib(64)});
   job.functions.push_back(fn);
   const auto id = core.submit_job(job);
   ASSERT_TRUE(id.ok());

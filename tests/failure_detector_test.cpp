@@ -308,9 +308,7 @@ TEST_F(CorruptionFallbackTest, CorruptNewestFallsBackToOlderCheckpoint) {
   auto module = make_module();
   faas::FunctionSpec spec;
   spec.name = "fn";
-  for (int i = 0; i < 4; ++i) {
-    spec.states.push_back({Duration::sec(3.0), Bytes::mib(1)});
-  }
+  spec.states = faas::StateTable(4, {Duration::sec(3.0), Bytes::mib(1)});
   faas::Invocation inv;
   inv.id = FunctionId{1};
   inv.job = JobId{1};
@@ -349,7 +347,7 @@ TEST_F(CorruptionFallbackTest, WriteFailureDegradesWithoutMetadataRow) {
   CheckpointingModule module(sim_, cluster_, storage_, network_, dead_store,
                              metrics_, {});
   faas::FunctionSpec spec;
-  spec.states.push_back({Duration::sec(3.0), Bytes::mib(1)});
+  spec.states = faas::StateTable(1, {Duration::sec(3.0), Bytes::mib(1)});
   faas::Invocation inv;
   inv.id = FunctionId{2};
   inv.job = JobId{1};

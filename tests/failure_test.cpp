@@ -13,7 +13,7 @@ namespace {
 faas::FunctionSpec tiny_function() {
   faas::FunctionSpec fn;
   fn.name = "f";
-  fn.states.push_back({Duration::sec(1.0), {}});
+  fn.states = faas::StateTable(1, {Duration::sec(1.0), {}});
   return fn;
 }
 

@@ -26,8 +26,7 @@ faas::FunctionSpec probe() {
   faas::FunctionSpec fn;
   fn.name = "p";
   fn.runtime = faas::RuntimeImage::kPython3;
-  fn.states.push_back({Duration::sec(1.0), {}});
-  fn.states.push_back({Duration::sec(1.0), {}});
+  fn.states = faas::StateTable(2, {Duration::sec(1.0), {}});
   fn.finalize = Duration::msec(100);
   return fn;
 }

@@ -40,7 +40,7 @@ FunctionSpec simple_function(std::size_t states = 2,
   FunctionSpec fn;
   fn.name = "fn";
   fn.runtime = RuntimeImage::kPython3;
-  for (std::size_t i = 0; i < states; ++i) fn.states.push_back({state_dur, {}});
+  fn.states = StateTable(states, {state_dur, {}});
   fn.finalize = Duration::msec(500);
   return fn;
 }

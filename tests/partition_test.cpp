@@ -163,12 +163,10 @@ std::vector<faas::JobSpec> partition_jobs(int jobs_count = 3) {
       faas::FunctionSpec fn;
       fn.name = "part-fn-" + std::to_string(j) + "-" + std::to_string(f);
       fn.runtime = faas::RuntimeImage::kPython3;
-      for (int s = 0; s < 4; ++s) {
-        faas::StateSpec state;
-        state.duration = Duration::msec(900);
-        state.checkpoint_payload = Bytes::of(1024 * 1024);
-        fn.states.push_back(state);
-      }
+      faas::StateSpec state;
+      state.duration = Duration::msec(900);
+      state.checkpoint_payload = Bytes::of(1024 * 1024);
+      fn.states = faas::StateTable(4, state);
       fn.finalize = Duration::msec(200);
       job.functions.push_back(std::move(fn));
     }

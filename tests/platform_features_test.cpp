@@ -22,7 +22,7 @@ faas::FunctionSpec simple_fn(std::size_t states = 2,
                              Duration dur = Duration::sec(1.0)) {
   faas::FunctionSpec fn;
   fn.name = "f";
-  fn.states.assign(states, {dur, Bytes::zero()});
+  fn.states = faas::StateTable(states, {dur, Bytes::zero()});
   fn.finalize = Duration::msec(100);
   return fn;
 }
@@ -202,7 +202,7 @@ TEST_F(CompressionTest, CompressionAvoidsSpill) {
   // 8 MiB nominal payload, 4 MiB KV limit: uncompressed spills,
   // compressed (8/2.8 = 2.9 MiB) fits the KV store.
   faas::FunctionSpec spec;
-  spec.states.assign(2, {Duration::sec(2.0), Bytes::mib(8)});
+  spec.states = faas::StateTable(2, {Duration::sec(2.0), Bytes::mib(8)});
   faas::Invocation inv;
   inv.id = FunctionId{1};
   inv.spec = &spec;
@@ -226,7 +226,7 @@ TEST_F(CompressionTest, CompressionAvoidsSpill) {
 
 TEST_F(CompressionTest, EpilogueIncludesCompressionCpu) {
   faas::FunctionSpec spec;
-  spec.states.assign(1, {Duration::sec(1.0), Bytes::mib(100)});
+  spec.states = faas::StateTable(1, {Duration::sec(1.0), Bytes::mib(100)});
   faas::Invocation inv;
   inv.id = FunctionId{2};
   inv.spec = &spec;
@@ -247,7 +247,7 @@ TEST_F(CompressionTest, EpilogueIncludesCompressionCpu) {
 
 TEST_F(CompressionTest, RestoreIncludesDecompression) {
   faas::FunctionSpec spec;
-  spec.states.assign(1, {Duration::sec(1.0), Bytes::mib(2)});
+  spec.states = faas::StateTable(1, {Duration::sec(1.0), Bytes::mib(2)});
   faas::Invocation inv;
   inv.id = FunctionId{3};
   inv.spec = &spec;

@@ -22,8 +22,7 @@ faas::FunctionSpec probe() {
   faas::FunctionSpec fn;
   fn.name = "p";
   fn.runtime = faas::RuntimeImage::kPython3;
-  fn.states.push_back({Duration::sec(1.0), {}});
-  fn.states.push_back({Duration::sec(1.0), {}});
+  fn.states = faas::StateTable(2, {Duration::sec(1.0), {}});
   fn.finalize = Duration::msec(100);
   return fn;
 }
@@ -263,7 +262,8 @@ TEST_F(BaselineTest, AsReplacesStandbyLostToNodeFailure) {
 
   faas::JobSpec job;
   job.functions.push_back(probe());
-  job.functions.front().states.assign(6, {Duration::sec(1.0), Bytes::zero()});
+  job.functions.front().states =
+      faas::StateTable(6, {Duration::sec(1.0), Bytes::zero()});
   const auto id = platform_->submit_job(job);
   ASSERT_TRUE(id.ok());
   const FunctionId fn = platform_->job_functions(id.value()).front();

@@ -189,7 +189,7 @@ class Boundary : public faas::PlatformObserver {
     for (int f = 0; f < 2; ++f) {
       faas::FunctionSpec fn;
       fn.name = "f" + std::to_string(f);
-      fn.states.assign(5, {Duration::sec(1.0), Bytes::zero()});
+      fn.states = faas::StateTable(5, {Duration::sec(1.0), Bytes::zero()});
       fn.finalize = Duration::msec(100);
       job.functions.push_back(fn);
     }

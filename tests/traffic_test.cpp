@@ -213,7 +213,7 @@ harness::ScenarioConfig traffic_scenario(double rate_hz,
   StreamConfig stream;
   stream.name = "web";
   stream.fn.runtime = faas::RuntimeImage::kPython3;
-  stream.fn.states.push_back({Duration::msec(200), {}});
+  stream.fn.states = faas::StateTable(1, {Duration::msec(200), {}});
   stream.fn.finalize = Duration::msec(50);
   stream.arrival.kind = ArrivalSpec::Kind::kPoisson;
   stream.arrival.rate_hz = rate_hz;
@@ -300,7 +300,7 @@ TEST(TrafficScenarioTest, DisabledTrafficLeavesSummaryEmpty) {
   job.name = "batch";
   faas::FunctionSpec fn;
   fn.name = "f";
-  fn.states.push_back({Duration::msec(100), {}});
+  fn.states = faas::StateTable(1, {Duration::msec(100), {}});
   job.functions.push_back(fn);
   const auto result = harness::ScenarioRunner::run(config, {job});
   EXPECT_EQ(result.metrics.gauges().count("traffic_queued_end"), 0u);
@@ -351,7 +351,7 @@ class AutoscalerTest : public ::testing::Test {
     StreamConfig stream;
     stream.name = "burst";
     stream.fn.runtime = faas::RuntimeImage::kPython3;
-    stream.fn.states.push_back({Duration::msec(300), {}});
+    stream.fn.states = faas::StateTable(1, {Duration::msec(300), {}});
     stream.fn.finalize = Duration::msec(50);
     stream.arrival.kind = ArrivalSpec::Kind::kOnOff;
     stream.arrival.rate_hz = 20.0;

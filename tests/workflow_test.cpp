@@ -24,7 +24,7 @@ faas::FunctionSpec step_fn(const std::string& name,
   faas::FunctionSpec fn;
   fn.name = name;
   fn.runtime = faas::RuntimeImage::kPython3;
-  fn.states.push_back({Duration::sec(1.0), {}});
+  fn.states = faas::StateTable(1, {Duration::sec(1.0), {}});
   fn.depends_on = std::move(deps);
   return fn;
 }

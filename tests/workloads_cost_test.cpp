@@ -70,8 +70,8 @@ TEST(WorkloadJobTest, KindNames) {
 
 TEST(WorkloadSpecTest, TotalStateWork) {
   faas::FunctionSpec fn;
-  fn.states.push_back({Duration::sec(1.0), {}});
-  fn.states.push_back({Duration::sec(2.0), {}});
+  fn.states = std::vector<faas::StateSpec>{{Duration::sec(1.0), {}},
+                                           {Duration::sec(2.0), {}}};
   EXPECT_EQ(fn.total_state_work(), Duration::sec(3.0));
 }
 

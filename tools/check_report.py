@@ -19,7 +19,7 @@ fig13_partitions, realexec_validate):
 
     {"schema", "name", "params": {"quick", ...},
      "checks": {"violations": [<string>...]},
-     "gated": {<name>: {"value", "better": "lower"|"higher"}},
+     "gated": {<name>: {"value", "better": "lower"|"higher"[, "band"]}},
      ...per-bench payload}
 
 Each bench checks its own payload's identities, bounds and non-vacuity
@@ -29,7 +29,9 @@ regression is a red build even if the producing binary's exit status
 was lost. With --baseline BASE.json (a committed report of the same
 bench), every value gated in the baseline must be present in the report
 and no more than 20% worse than the baseline's in the direction its
-`better` names.
+`better` names. A baseline entry may set its own `band` (a fraction):
+`"band": 0` gates a deterministic counter exactly, so any step in the
+worse direction fails.
 
 With --calibrate BAND.json (a canary.realexec.baseline/v1 tolerance
 file), each scenario of a realexec report has its real/sim ratio per
@@ -52,7 +54,8 @@ import sys
 SCHEMA = "canary.run_report/v3"
 BENCH_SCHEMA = "canary.bench/v2"
 REALEXEC_BASELINE_SCHEMA = "canary.realexec.baseline/v1"
-# A gated value may be at most this much worse than its baseline.
+# A gated value may be at most this much worse than its baseline, unless
+# the baseline entry names its own band.
 GATE_BAND = 0.20
 COMPONENTS = [
     "detection",
@@ -339,6 +342,8 @@ def check_bench_report(report, path):
         expect(entry.get("better") in ("lower", "higher"),
                f"gated.{name}.better: expected 'lower' or 'higher', "
                f"got {entry.get('better')!r}")
+        if "band" in entry:
+            check_number(entry, "band", f"gated.{name}")
 
     checks = report.get("checks")
     expect(isinstance(checks, dict), "checks: expected an object")
@@ -356,7 +361,8 @@ def check_bench_report(report, path):
 
 def gate(report, baseline, path):
     """Fail if any value gated in the baseline is missing from the report
-    or more than GATE_BAND worse than the baseline's value."""
+    or more than its band (GATE_BAND unless the entry sets `band`) worse
+    than the baseline's value."""
     expect(report["name"] == baseline["name"],
            f"report '{report['name']}' gated against a baseline of "
            f"'{baseline['name']}'")
@@ -369,7 +375,8 @@ def gate(report, baseline, path):
             continue
         value = report["gated"][name]["value"]
         lower = base["better"] == "lower"
-        limit = base["value"] * (1.0 + GATE_BAND if lower else 1.0 - GATE_BAND)
+        band = base.get("band", GATE_BAND)
+        limit = base["value"] * (1.0 + band if lower else 1.0 - band)
         delta = ((value - base["value"]) / base["value"]
                  if base["value"] else 0.0)
         print(f"{path}: {name}: {value:.6g} vs baseline {base['value']:.6g} "
@@ -377,7 +384,7 @@ def gate(report, baseline, path):
         if (value > limit) if lower else (value < limit):
             failures.append(f"{name} regressed: {value:.6g} vs limit "
                             f"{limit:.6g} (baseline {base['value']:.6g}, "
-                            f"band {GATE_BAND:.0%})")
+                            f"band {band:.0%})")
     expect(not failures, "; ".join(failures))
 
 

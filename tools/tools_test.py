@@ -246,6 +246,18 @@ class GateTest(ToolCase):
         self.assertEqual(status, 1)
         self.assertIn("events_per_sec regressed", output)
 
+    def test_exact_band_fails_one_step_worse(self):
+        base = {"allocs": {"value": 0.75, "better": "lower", "band": 0}}
+        baseline = self.write("base.json", envelope(gated=base))
+        for value, expected in ((0.75, 0), (0.5, 0), (0.7501, 1)):
+            report = envelope(gated={"allocs": {"value": value,
+                                                "better": "lower"}})
+            status, output = self.run_main(
+                check_report, "--baseline", baseline,
+                self.write("report.json", report))
+            self.assertEqual(status, expected, output)
+        self.assertIn("allocs regressed", output)
+
     def test_missing_gated_name_fails(self):
         gated = self.gated(100.0, 1000.0)
         del gated["events_per_sec"]
