@@ -19,7 +19,9 @@
 //   canary_scale_events  quick mode's canary_scale (8k invocations, 64
 //                   nodes) with the causal event log on, in both modes:
 //                   ~870k logged events stay under the log's 1M-event
-//                   cap, and a dropped event fails the report
+//                   cap, and a dropped event fails the report. After the
+//                   run the phase writes the log's chrome trace to a
+//                   counting null sink (bytes, seconds, allocations)
 //
 // The engine phases gate events/sec. platform_scale gates
 // invocations/sec: the platform dispatches one engine event per
@@ -31,7 +33,10 @@
 // gates, exactly, the allocations that building its job list takes per
 // invocation: every function of a job shares its template's state table,
 // so what is left is the function vector and the names too long for the
-// string's inline buffer.
+// string's inline buffer. canary_scale_events also gates, exactly, the
+// allocations its trace export takes: one block, the writer's chunk,
+// whatever the trace's size. Its export time and MB/s are reported, not
+// gated.
 //
 // A second sweep reruns the platform phase sharded (the same topology
 // split into 8 partitions, each an independent scenario) at 1, 2 and 4
@@ -55,6 +60,8 @@
 #include <cstdlib>
 #include <iostream>
 #include <new>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -62,6 +69,7 @@
 
 #include "common/table.hpp"
 #include "harness/scenario.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/workloads.hpp"
@@ -136,6 +144,11 @@ struct PhaseResult {
   std::uint64_t events_dropped = 0;  // by the causal log's cap
   /// operator new calls building the phase's job list (platform phases).
   std::uint64_t batch_allocations = 0;
+  /// The chrome trace of the phase's event log (phases that record one):
+  /// its size, export time and the operator new calls the export took.
+  std::uint64_t trace_bytes = 0;
+  double trace_export_s = 0.0;
+  std::uint64_t trace_export_allocations = 0;
   Gate gate = Gate::kEventsPerSec;
   /// Also gate batch_allocations per invocation.
   bool gate_batch_allocations = false;
@@ -155,6 +168,25 @@ struct PhaseResult {
                                  static_cast<double>(invocations)
                            : 0.0;
   }
+};
+
+/// Counts the bytes written to it and keeps none.
+class CountingNullBuf final : public std::streambuf {
+ public:
+  std::uint64_t bytes() const { return bytes_; }
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes_ += static_cast<std::uint64_t>(n);
+    return n;
+  }
+  int_type overflow(int_type ch) override {
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) ++bytes_;
+    return traits_type::not_eof(ch);
+  }
+
+ private:
+  std::uint64_t bytes_ = 0;
 };
 
 /// Deterministic xorshift so phase workloads don't depend on libstdc++
@@ -263,7 +295,9 @@ std::vector<faas::JobSpec> web_service_batch(std::size_t jobs,
 /// invocations over `nodes` nodes under `strategy` with a small hazard
 /// error rate, span recording off and the causal event log on only when
 /// `record_events` (by default the phase measures the platform and the
-/// strategy, not the recorders). Gates simulated invocations/sec.
+/// strategy, not the recorders). Gates simulated invocations/sec. A phase
+/// that records the log then exports it as a chrome trace, untimed by the
+/// phase's own wall clock and allocation count.
 PhaseResult platform_scale(const std::string& name,
                            recovery::StrategyConfig strategy,
                            std::size_t nodes, std::size_t jobs,
@@ -294,6 +328,16 @@ PhaseResult platform_scale(const std::string& name,
   if (!run.completed) {
     std::cerr << name << ": run did not complete\n";
     std::exit(1);
+  }
+  if (record_events) {
+    CountingNullBuf sink;
+    std::ostream out(&sink);
+    const std::uint64_t export_start = allocations_now();
+    const auto export_clock = std::chrono::steady_clock::now();
+    obs::write_chrome_trace(out, run.spans.get(), run.events.get());
+    result.trace_export_s = wall_seconds_since(export_clock);
+    result.trace_export_allocations = allocations_now() - export_start;
+    result.trace_bytes = sink.bytes();
   }
   return result;
 }
@@ -373,6 +417,11 @@ int write_report(const std::string& name, bool quick, std::size_t nodes,
       gated.push_back({phase.name + ".batch_allocations_per_invocation",
                        phase.batch_allocations_per_invocation(), true});
     }
+    if (phase.trace_bytes > 0) {
+      gated.push_back({phase.name + ".trace_export_allocations",
+                       static_cast<double>(phase.trace_export_allocations),
+                       true});
+    }
   }
   const std::uint64_t rss = peak_rss_bytes();
   if (rss == 0) violations.push_back("peak RSS unavailable");
@@ -395,6 +444,10 @@ int write_report(const std::string& name, bool quick, std::size_t nodes,
           json.field("allocations", phase.allocations);
           json.field("allocations_per_event", phase.allocations_per_event());
           json.field("batch_allocations", phase.batch_allocations);
+          json.field("trace_bytes", phase.trace_bytes);
+          json.field("trace_export_s", phase.trace_export_s);
+          json.field("trace_export_allocations",
+                     phase.trace_export_allocations);
           json.end_object();
         }
         json.end_array();
@@ -479,8 +532,17 @@ int run(int argc, char** argv) {
             << ")\njob list: " << phases[2].batch_allocations
             << " allocations ("
             << TextTable::num(phases[2].batch_allocations_per_invocation(), 4)
-            << " per invocation)\npeak rss: "
-            << peak_rss_bytes() / (1024 * 1024) << " MiB\n";
+            << " per invocation)\n";
+  const PhaseResult& traced = phases[4];
+  std::cout << "trace export (" << traced.name << "): "
+            << TextTable::num(static_cast<double>(traced.trace_bytes) / 1e6, 1)
+            << " MB in " << TextTable::num(traced.trace_export_s, 3) << " s ("
+            << TextTable::num(static_cast<double>(traced.trace_bytes) / 1e6 /
+                                  traced.trace_export_s,
+                              0)
+            << " MB/s), " << traced.trace_export_allocations
+            << " allocations\npeak rss: " << peak_rss_bytes() / (1024 * 1024)
+            << " MiB\n";
 
   const int scale_status =
       write_report("scale", quick, nodes, invocations, phases);

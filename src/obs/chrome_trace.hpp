@@ -12,6 +12,16 @@
 // (node failure -> container kill, failure -> recovery completion) becomes
 // a flow-event pair ("ph":"s" / "ph":"f") that renders as an arrow across
 // tracks.
+//
+// Every record of a kind has the same keys in the same order, so the
+// exporter writes to a JsonSink (json.hpp) directly rather than through
+// JsonWriter: each record is a fixed sequence of constant fragments that
+// are already valid JSON, keys, separators and constant values fused
+// (`","ph":"i","ts":`). Only the parts that vary are formatted: a name in
+// one escape scan, ids and timestamps through std::to_chars, a counter
+// value as JsonWriter::format_double's text. A counter track's name is
+// written as its "ts." + stream + ".p99" pieces, never built as a string,
+// so the export takes the sink's one chunk and no other allocation.
 #pragma once
 
 #include <iosfwd>

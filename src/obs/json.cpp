@@ -1,15 +1,11 @@
 #include "obs/json.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 
 namespace canary::obs {
 
 namespace {
-
-/// Longest decimal int64/uint64: "-9223372036854775808", UINT64_MAX.
-constexpr std::size_t kMaxIntegerChars = 20;
 
 /// Room for any format_double text plus snprintf's terminator.
 constexpr std::size_t kDoubleBufChars = 40;
@@ -30,30 +26,29 @@ std::size_t format_double_to(double v, char (&buf)[kDoubleBufChars]) {
 
 }  // namespace
 
-JsonWriter::JsonWriter(std::ostream& os, int indent)
+JsonSink::JsonSink(std::ostream& os)
     : os_(os),
-      indent_(indent),
       chunk_(std::make_unique_for_overwrite<char[]>(kChunkBytes)),
       cur_(chunk_.get()),
       end_(chunk_.get() + kChunkBytes) {}
 
-std::string JsonWriter::format_double(double v) {
+void JsonSink::put_double(double v) {
   char buf[kDoubleBufChars];
-  return std::string(buf, format_double_to(v, buf));
+  put(std::string_view(buf, format_double_to(v, buf)));
 }
 
-void JsonWriter::spill() {
+void JsonSink::spill() {
   char* const begin = chunk_.get();
   if (cur_ != begin) os_.write(begin, cur_ - begin);
   cur_ = begin;
 }
 
-bool JsonWriter::flush() {
+bool JsonSink::flush() {
   spill();
   return os_.good();
 }
 
-void JsonWriter::put_long(std::string_view s) {
+void JsonSink::put_long(std::string_view s) {
   while (s.size() > static_cast<std::size_t>(end_ - cur_)) {
     const std::size_t room = static_cast<std::size_t>(end_ - cur_);
     std::memcpy(cur_, s.data(), room);
@@ -64,8 +59,7 @@ void JsonWriter::put_long(std::string_view s) {
   put(s);
 }
 
-void JsonWriter::put_quoted(std::string_view raw) {
-  put('"');
+void JsonSink::put_escaped(std::string_view raw) {
   // Copy each run of bytes that need no escape in one piece.
   const char* run = raw.data();
   const char* const last = raw.data() + raw.size();
@@ -89,15 +83,22 @@ void JsonWriter::put_quoted(std::string_view raw) {
     }
   }
   put(std::string_view(run, static_cast<std::size_t>(last - run)));
-  put('"');
+}
+
+JsonWriter::JsonWriter(std::ostream& os, int indent)
+    : sink_(os), indent_(indent) {}
+
+std::string JsonWriter::format_double(double v) {
+  char buf[kDoubleBufChars];
+  return std::string(buf, format_double_to(v, buf));
 }
 
 void JsonWriter::newline_indent() {
   if (indent_ <= 0) return;
-  put('\n');
+  sink_.put('\n');
   const std::size_t spaces =
       has_element_.size() * static_cast<std::size_t>(indent_);
-  for (std::size_t i = 0; i < spaces; ++i) put(' ');
+  for (std::size_t i = 0; i < spaces; ++i) sink_.put(' ');
 }
 
 void JsonWriter::before_value() {
@@ -106,7 +107,7 @@ void JsonWriter::before_value() {
     return;  // the key already handled separator and indent
   }
   if (!has_element_.empty()) {
-    if (has_element_.back()) put(',');
+    if (has_element_.back()) sink_.put(',');
     has_element_.back() = true;
     newline_indent();
   }
@@ -116,13 +117,13 @@ void JsonWriter::close_container(char bracket) {
   const bool had = !has_element_.empty() && has_element_.back();
   has_element_.pop_back();
   if (had) newline_indent();
-  put(bracket);
-  if (has_element_.empty()) spill();  // the document is complete
+  sink_.put(bracket);
+  if (has_element_.empty()) sink_.flush();  // the document is complete
 }
 
 JsonWriter& JsonWriter::begin_object() {
   before_value();
-  put('{');
+  sink_.put('{');
   has_element_.push_back(false);
   return *this;
 }
@@ -134,7 +135,7 @@ JsonWriter& JsonWriter::end_object() {
 
 JsonWriter& JsonWriter::begin_array() {
   before_value();
-  put('[');
+  sink_.put('[');
   has_element_.push_back(false);
   return *this;
 }
@@ -146,46 +147,43 @@ JsonWriter& JsonWriter::end_array() {
 
 JsonWriter& JsonWriter::key(std::string_view name) {
   if (!has_element_.empty()) {
-    if (has_element_.back()) put(',');
+    if (has_element_.back()) sink_.put(',');
     has_element_.back() = true;
     newline_indent();
   }
-  put_quoted(name);
-  put(indent_ > 0 ? std::string_view(": ") : std::string_view(":"));
+  sink_.put_quoted(name);
+  sink_.put(indent_ > 0 ? std::string_view(": ") : std::string_view(":"));
   pending_key_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view v) {
   before_value();
-  put_quoted(v);
+  sink_.put_quoted(v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(double v) {
   before_value();
-  char buf[kDoubleBufChars];
-  put(std::string_view(buf, format_double_to(v, buf)));
+  sink_.put_double(v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   before_value();
-  reserve(kMaxIntegerChars);
-  cur_ = std::to_chars(cur_, end_, v).ptr;
+  sink_.put_int(v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   before_value();
-  reserve(kMaxIntegerChars);
-  cur_ = std::to_chars(cur_, end_, v).ptr;
+  sink_.put_uint(v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool v) {
   before_value();
-  put(v ? std::string_view("true") : std::string_view("false"));
+  sink_.put(v ? std::string_view("true") : std::string_view("false"));
   return *this;
 }
 

@@ -1,9 +1,9 @@
 // EventLog storage: compact records in chunks, names, the capacity cap,
-// and what recording costs in allocations.
+// and what recording and exporting cost in allocations.
 //
 // This binary replaces the global operator new with a counting one (as
 // bench/scale_stress.cpp does), so the allocation tests count every heap
-// block the log takes, exactly.
+// block the log and the trace exporter take, exactly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,15 +11,19 @@
 #include <cstdlib>
 #include <iterator>
 #include <new>
+#include <ostream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "common/logging.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/critical_path.hpp"
 #include "obs/event_log.hpp"
 #include "obs/span.hpp"
+#include "obs/time_series.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -352,6 +356,80 @@ TEST(EventLogAllocationTest, OneBlockPerChunkPlusTheNameArena) {
     steady.extend(ctx, EventKind::kStateCommit, Name::state(i), at_us(1));
   }
   EXPECT_EQ(allocations_now() - start, 0u);
+}
+
+/// Counts the bytes written to it and keeps none.
+class CountingNullBuf final : public std::streambuf {
+ public:
+  std::uint64_t bytes() const { return bytes_; }
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes_ += static_cast<std::uint64_t>(n);
+    return n;
+  }
+  int_type overflow(int_type ch) override {
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) ++bytes_;
+    return traits_type::not_eof(ch);
+  }
+
+ private:
+  std::uint64_t bytes_ = 0;
+};
+
+/// The series of a log with `windows` one-second windows, each holding a
+/// node failure, a failure recovered 200 ms later and a lost hedge race:
+/// the streams whose counter-track names ("ts.node_failures",
+/// "ts.hedge_cancelled", "ts.recovery_time.p99") are too long for a
+/// string's inline buffer.
+obs::TimeSeries series_with_windows(EventLog& log, std::size_t windows) {
+  for (std::size_t w = 0; w < windows; ++w) {
+    const std::int64_t start = static_cast<std::int64_t>(w) * 1'000'000;
+    const obs::SpanLabels labels = labels_of(w + 1);
+    obs::TraceContext ctx{log.new_trace()};
+    log.extend(ctx, EventKind::kSubmit, Name::kUnnamed, at_us(start), labels);
+    const EventId failure = log.extend(ctx, EventKind::kFailure,
+                                       Name::kContainerKill,
+                                       at_us(start + 100'000), labels);
+    log.extend(ctx, EventKind::kRecovered, Name::kRecovered,
+               at_us(start + 300'000), labels, failure);
+    log.extend(ctx, EventKind::kHedgeCancelled, Name::kHedgeCancelled,
+               at_us(start + 400'000), labels);
+    log.append_raw(obs::TraceId::invalid(), obs::kNoEvent,
+                   EventKind::kNodeFailure, Name::kNodeFailure,
+                   at_us(start + 500'000), labels);
+  }
+  return obs::derive_time_series(log, obs::CriticalPathAnalyzer(log),
+                                 /*nodes=*/2 * windows);
+}
+
+TEST(ChromeTraceAllocationTest, CounterTracksAllocateNothingPerSample) {
+  EventLog one_log;
+  EventLog full_log;
+  const obs::TimeSeries one = series_with_windows(one_log, 1);
+  const obs::TimeSeries full =
+      series_with_windows(full_log, obs::kTimeSeriesMaxWindows);
+  ASSERT_EQ(one.windows().size(), 1u);
+  ASSERT_EQ(full.windows().size(), obs::kTimeSeriesMaxWindows);
+  for (const char* stream : {"node_failures", "hedge_cancelled"}) {
+    ASSERT_EQ(full.windows().back().counters.count(stream), 1u) << stream;
+  }
+  ASSERT_EQ(full.windows().back().samples.count("recovery_time"), 1u);
+
+  CountingNullBuf sink;
+  std::ostream out(&sink);
+  const auto blocks = [&](const obs::TimeSeries& series) {
+    const std::uint64_t before = allocations_now();
+    obs::write_chrome_trace(out, nullptr, nullptr, &series);
+    return allocations_now() - before;
+  };
+  const std::uint64_t one_blocks = blocks(one);
+  const std::uint64_t one_bytes = sink.bytes();
+  const std::uint64_t full_blocks = blocks(full);
+  const std::uint64_t full_bytes = sink.bytes() - one_bytes;
+  // 512 windows of samples cost no block more than one window's.
+  EXPECT_GT(full_bytes, 100 * one_bytes);
+  EXPECT_EQ(full_blocks, one_blocks);
 }
 
 }  // namespace

@@ -88,5 +88,22 @@ TEST(GoldenExportTest, ChromeTraceBytesArePinned) {
   EXPECT_EQ(fnv1a_hex(trace), "cffd336c81143f0c") << trace.size() << " bytes";
 }
 
+// The same run with attribution on adds the counter tracks: one "C"
+// record per stream and window of a run-scale time series.
+TEST(GoldenExportTest, ChromeTraceWithTimeSeriesBytesArePinned) {
+  harness::ScenarioConfig config = golden_config();
+  config.attribution = true;
+  const harness::RunResult run =
+      harness::ScenarioRunner::run(config, golden_jobs());
+  ASSERT_TRUE(run.completed);
+  ASSERT_TRUE(run.attribution.has_value());
+  ASSERT_GT(run.attribution->timeseries.windows().size(), 1u);
+  std::ostringstream out;
+  obs::write_chrome_trace(out, run.spans.get(), run.events.get(),
+                          &run.attribution->timeseries);
+  const std::string trace = out.str();
+  EXPECT_EQ(fnv1a_hex(trace), "9f412b3f63634bec") << trace.size() << " bytes";
+}
+
 }  // namespace
 }  // namespace canary

@@ -878,6 +878,38 @@ TEST(ChromeTraceTest, GoldenSingleSection) {
       "\n");
 }
 
+TEST(ChromeTraceTest, LongNameIsEscapedAcrossChunkBoundaries) {
+  // A text name longer than the writer's 64 KiB chunk that needs every
+  // kind of escape, so escapes straddle the chunk boundaries.
+  const std::string raw_piece = "ab\"c\\d\ne\tf\rg\x01" "h\x1f" "i";
+  const std::string escaped_piece = R"(ab\"c\\d\ne\tf\rg\u0001h\u001fi)";
+  std::string raw;
+  std::string escaped;
+  for (int i = 0; i < 4608; ++i) {
+    raw += raw_piece;
+    escaped += escaped_piece;
+  }
+  ASSERT_GT(raw.size(), 64u * 1024);
+
+  EventLog log;
+  obs::TraceContext ctx{log.new_trace()};
+  log.extend(ctx, EventKind::kAnnotation, log.intern(raw), at_us(5));
+  std::ostringstream os;
+  obs::write_chrome_trace(os, nullptr, &log);
+  const std::string expected =
+      R"({"displayTimeUnit":"ms","traceEvents":[{"name":")" + escaped +
+      R"(","cat":"annotation","ph":"i","ts":5,"s":"t","pid":1,"tid":0,)"
+      R"("args":{"event":0,"trace":1}}],)"
+      R"("otherData":{"spans_dropped":0,"events_dropped":0}})"
+      "\n";
+  ASSERT_GT(expected.size(), 2u * 64 * 1024);  // three chunks or more
+  EXPECT_EQ(os.str(), expected);
+  const std::string trace = os.str();
+  const std::size_t at = trace.find(escaped);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(trace.find(escaped, at + 1), std::string::npos);
+}
+
 /// A device that accepts opens and refuses every write (ENOSPC).
 constexpr const char* kFullDevice = "/dev/full";
 
