@@ -17,12 +17,14 @@
 //
 // Writes BENCH_fig09_hedging.json (canary.bench/v2; the hedge
 // strategy's p99 and cost are gated against
-// bench/BENCH_hedge.baseline.json) and self-checks every strategy's
-// exactly-once race accounting on every run:
+// bench/BENCH_hedge.baseline.json). Every run is checked against the
+// chaos oracles — completion, exactly-once, traffic conservation (so
+// completed <= admitted) and the hedge races' exactly-once accounting
+// (fired == wins + cancelled, no race left open) among them — and the
+// aggregates against:
 //
 //   p50 <= p99 <= p999                              (percentiles monotone)
-//   completed <= admitted, hedges_fired <= admitted (at most one per request)
-//   hedges_fired == hedge_wins + hedges_cancelled   (no race left open)
+//   hedges_fired <= admitted                        (at most one per request)
 //   hedge p99    <= no-hedge p99                    (the point of hedging)
 //   hedge cost   <  replication cost
 //
@@ -128,23 +130,26 @@ struct StrategyResult {
   std::uint64_t hedges_cancelled = 0;
   std::uint64_t hedges_denied = 0;
   std::uint64_t open_races = 0;
-  bool completed_ok = true;
 
   double p50_ms() const { return latency.p50() * 1e3; }
   double p99_ms() const { return latency.p99() * 1e3; }
   double p999_ms() const { return latency.percentile(99.9) * 1e3; }
 };
 
+/// Runs one strategy's repetitions, checking each run against the chaos
+/// oracles.
 StrategyResult run_strategy(const std::string& name,
                             const canary::recovery::StrategyConfig& strategy,
-                            Duration horizon, int reps) {
+                            Duration horizon, int reps,
+                            std::vector<std::string>& violations) {
   StrategyResult out;
   out.name = name;
   for (int rep = 0; rep < reps; ++rep) {
-    const RunResult result = ScenarioRunner::run(
-        strategy_config(strategy, horizon,
-                        kSeed + static_cast<std::uint64_t>(rep)),
-        {});
+    const ScenarioConfig config = strategy_config(
+        strategy, horizon, kSeed + static_cast<std::uint64_t>(rep));
+    const RunResult result = ScenarioRunner::run(config, {});
+    canary::bench::check_oracles(name + " rep " + std::to_string(rep), config,
+                                 result, violations);
     const canary::obs::MetricRegistry& m = result.metrics;
     const auto count = [&m](const char* name) {
       return static_cast<std::uint64_t>(m.counter(name));
@@ -159,7 +164,6 @@ StrategyResult run_strategy(const std::string& name,
     out.hedges_cancelled += count("hedges_cancelled");
     out.hedges_denied += count("hedges_denied");
     out.open_races += static_cast<std::uint64_t>(m.gauge("hedge_open_races"));
-    out.completed_ok = out.completed_ok && result.completed;
   }
   return out;
 }
@@ -182,36 +186,20 @@ void write_strategy(canary::obs::JsonWriter& json, const StrategyResult& s) {
   json.end_object();
 }
 
-/// The race and percentile accounting every strategy must satisfy.
+/// The percentile and hedge-count checks every strategy's aggregate must
+/// satisfy on top of its runs' oracles.
 void check_strategy(const StrategyResult& s,
                     std::vector<std::string>& violations) {
   const std::string who = s.name + ": ";
-  if (!s.completed_ok) {
-    violations.push_back(who + "a run ended with incomplete jobs");
-  }
   if (!(s.p50_ms() <= s.p99_ms() && s.p99_ms() <= s.p999_ms())) {
     violations.push_back(who + "percentiles not monotone (p50 " +
                          num(s.p50_ms()) + ", p99 " + num(s.p99_ms()) +
                          ", p999 " + num(s.p999_ms()) + ")");
   }
-  if (s.completed > s.admitted) {
-    violations.push_back(who + "completed " + std::to_string(s.completed) +
-                         " exceeds admitted " + std::to_string(s.admitted));
-  }
   if (s.hedges_fired > s.admitted) {
     violations.push_back(who + "fired " + std::to_string(s.hedges_fired) +
                          " hedges for only " + std::to_string(s.admitted) +
                          " admitted");
-  }
-  if (s.hedges_fired != s.hedge_wins + s.hedges_cancelled) {
-    violations.push_back(
-        who + "exactly-once: fired " + std::to_string(s.hedges_fired) +
-        " != wins " + std::to_string(s.hedge_wins) + " + cancelled " +
-        std::to_string(s.hedges_cancelled));
-  }
-  if (s.open_races != 0) {
-    violations.push_back(who + std::to_string(s.open_races) +
-                         " race(s) left open after completed runs");
   }
 }
 
@@ -236,14 +224,16 @@ int main(int argc, char** argv) {
             << horizon.to_seconds() << " s x " << reps << " reps"
             << (quick ? " (quick)" : "") << "\n\n";
 
-  const StrategyResult retry = run_strategy(
-      "retry", canary::recovery::StrategyConfig::retry(), horizon, reps);
+  std::vector<std::string> violations;
+  const StrategyResult retry =
+      run_strategy("retry", canary::recovery::StrategyConfig::retry(),
+                   horizon, reps, violations);
   const StrategyResult hedge = run_strategy(
       "hedge", canary::recovery::StrategyConfig::hedged(hedge_config()),
-      horizon, reps);
+      horizon, reps, violations);
   const StrategyResult rr = run_strategy(
       "rr", canary::recovery::StrategyConfig::request_replication(1), horizon,
-      reps);
+      reps, violations);
 
   TextTable table({"strategy", "p50 [ms]", "p99 [ms]", "p999 [ms]",
                    "cost [$]", "admitted", "hedges", "wins"});
@@ -267,8 +257,7 @@ int main(int argc, char** argv) {
             << "% lower; hedge vs rr cost: " << num(cost_vs_rr)
             << "% cheaper\n";
 
-  // ---- self-checks ------------------------------------------------------
-  std::vector<std::string> violations;
+  // ---- self-checks (on top of every run's chaos oracles) ----------------
   for (const StrategyResult* s : {&retry, &hedge, &rr}) {
     check_strategy(*s, violations);
   }

@@ -19,10 +19,11 @@
 //
 // Reported per strategy: recovery time, makespan, and the
 // double-execution-attempt count — commits attempted by fenced zombies
-// while the majority side re-executes the same invocation. Every such
-// attempt must be rejected at the store's epoch gate (split-brain
-// safety); domain-aware placement must strictly reduce correlated-loss
-// recovery time in at least one configuration.
+// while the majority side re-executes the same invocation. Every run is
+// checked against the chaos oracles: among them, every such attempt must
+// be rejected at the store's epoch gate (split-brain safety) and every
+// partition window must heal. Domain-aware placement must strictly reduce
+// correlated-loss recovery time in at least one configuration.
 //
 // Writes BENCH_fig13_partitions.json (canary.bench/v2; each
 // configuration's domain-aware recovery and makespan are gated against
@@ -167,21 +168,26 @@ struct StrategyResult {
   std::uint64_t partitions_started = 0;
   std::uint64_t partitions_healed = 0;
   std::uint64_t zone_outages = 0;
-  std::uint64_t partitions_active_end = 0;
   bool completed = true;
 };
 
+/// Runs one placement policy's repetitions, checking each run against the
+/// chaos oracles.
 StrategyResult run_strategy(const Variant& variant, bool spread,
-                            unsigned shard_workers, int reps) {
+                            unsigned shard_workers, int reps,
+                            std::vector<std::string>& violations) {
   StrategyResult out;
   out.name = spread ? "domain_aware" : "domain_blind";
   const std::vector<canary::faas::JobSpec> jobs =
       make_jobs(shard_workers > 0 ? 4 : 1);
   for (int rep = 0; rep < reps; ++rep) {
-    const RunResult result = ScenarioRunner::run(
+    const ScenarioConfig config =
         variant_config(variant, spread, shard_workers,
-                       kSeed + static_cast<std::uint64_t>(rep)),
-        jobs);
+                       kSeed + static_cast<std::uint64_t>(rep));
+    const RunResult result = ScenarioRunner::run(config, jobs);
+    canary::bench::check_oracles(std::string(variant.name) + "/" + out.name +
+                                     " rep " + std::to_string(rep),
+                                 config, result, violations);
     out.recovery_s += result.total_recovery_s;
     out.makespan_s += result.makespan_s;
     auto counter = [&result](const char* name) {
@@ -195,7 +201,6 @@ StrategyResult run_strategy(const Variant& variant, bool spread,
     out.partitions_started += result.injected.partitions_started;
     out.partitions_healed += result.injected.partitions_healed;
     out.zone_outages += result.injected.zone_outages;
-    out.partitions_active_end += result.partitions_active_end;
     out.completed = out.completed && result.completed;
   }
   return out;
@@ -248,12 +253,13 @@ int main(int argc, char** argv) {
     StrategyResult aware;
     double reduction_pct = 0.0;
   };
+  std::vector<std::string> violations;
   std::vector<VariantResult> results;
   for (const Variant& variant : kVariants) {
     VariantResult vr;
     vr.variant = &variant;
-    vr.blind = run_strategy(variant, false, shard_workers, reps);
-    vr.aware = run_strategy(variant, true, shard_workers, reps);
+    vr.blind = run_strategy(variant, false, shard_workers, reps, violations);
+    vr.aware = run_strategy(variant, true, shard_workers, reps, violations);
     vr.reduction_pct =
         vr.blind.recovery_s > 0.0
             ? 100.0 * (vr.blind.recovery_s - vr.aware.recovery_s) /
@@ -274,37 +280,12 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // ---- self-checks ------------------------------------------------------
-  std::vector<std::string> violations;
+  // ---- self-checks (on top of every run's chaos oracles) ----------------
   int strictly_faster = 0;
   double max_reduction = 0.0;
   std::uint64_t attempts_total = 0, committed_total = 0;
   for (const VariantResult& vr : results) {
     for (const StrategyResult* s : {&vr.blind, &vr.aware}) {
-      if (!s->completed) {
-        violations.push_back(std::string(vr.variant->name) + "/" + s->name +
-                             ": run ended with incomplete jobs");
-      }
-      if (s->zombie_commits_committed > 0) {
-        violations.push_back(
-            std::string(vr.variant->name) + "/" + s->name + ": " +
-            std::to_string(s->zombie_commits_committed) +
-            " fenced-writer commit(s) reached the store");
-      }
-      if (s->double_execution_attempts !=
-          s->zombie_commits_rejected + s->zombie_commits_committed) {
-        violations.push_back(
-            std::string(vr.variant->name) + "/" + s->name +
-            ": double-execution attempts " +
-            std::to_string(s->double_execution_attempts) + " != rejected " +
-            std::to_string(s->zombie_commits_rejected) + " + committed " +
-            std::to_string(s->zombie_commits_committed));
-      }
-      if (s->partitions_healed != s->partitions_started ||
-          s->partitions_active_end != 0) {
-        violations.push_back(std::string(vr.variant->name) + "/" + s->name +
-                             ": partition windows did not all heal");
-      }
       attempts_total += s->double_execution_attempts;
       committed_total += s->zombie_commits_committed;
     }

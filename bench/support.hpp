@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/table.hpp"
+#include "harness/chaos.hpp"
 #include "harness/experiment.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/json.hpp"
@@ -119,6 +120,18 @@ inline int fail(std::string_view bench,
   std::cerr << "\n" << bench << " FAILED:\n";
   for (const std::string& v : violations) std::cerr << "  - " << v << "\n";
   return 1;
+}
+
+/// Checks one bench run against the chaos campaign's oracles (completion,
+/// exactly-once, conservation, hedge accounting, no split brain, heal
+/// convergence, ...) and appends each violation, prefixed with `label`.
+inline void check_oracles(const std::string& label,
+                          const harness::ScenarioConfig& config,
+                          const harness::RunResult& result,
+                          std::vector<std::string>& violations) {
+  for (const std::string& v : harness::chaos_oracles({config, {}}, result)) {
+    violations.push_back(label + ": " + v);
+  }
 }
 
 /// Error-rate sweep used across Figures 4-10 ("vary the error rate from

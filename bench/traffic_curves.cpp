@@ -7,17 +7,18 @@
 // burst (with vs. without) and overload concurrent with a node failure
 // under the full Canary strategy.
 //
-// Writes BENCH_traffic_curves.json (canary.bench/v2) and self-checks
-// every run (each sweep point, both burst runs, the overload run):
+// Writes BENCH_traffic_curves.json (canary.bench/v2). Every run (each
+// sweep point, both burst runs, the overload run) is checked against the
+// chaos oracles — among them both conservation identities
 //
 //   offered == admitted + shed + queued_end
 //   admitted == completed + in_flight
-//   in_flight == queued_end == 0         (the run drained: no backlog)
-//   p50 <= p99                           (when anything completed)
 //
-// plus a strictly increasing offered-load axis, goodput never above
-// offered load, no shedding below 0.75x capacity, and the autoscaler
-// retiring no more containers than it launched. Violations exit 1.
+// and a drained backlog (nothing in flight or queued at the end) — and
+// against p50 <= p99 when anything completed, plus a strictly increasing
+// offered-load axis, goodput never above offered load, no shedding below
+// 0.75x capacity, and the autoscaler retiring no more containers than it
+// launched. Violations exit 1.
 //
 // Usage: traffic_curves [--quick]
 // Environment: CANARY_QUICK=1 (same as --quick), CANARY_REPORT_DIR.
@@ -104,6 +105,7 @@ struct TrafficView {
   std::uint64_t scale_ins = 0;
   std::uint64_t containers_launched = 0;
   std::uint64_t containers_retired = 0;
+  std::uint64_t node_kills = 0;
 };
 
 TrafficView traffic_view(const RunResult& r) {
@@ -130,6 +132,7 @@ TrafficView traffic_view(const RunResult& r) {
   t.scale_ins = count("autoscaler_scale_ins");
   t.containers_launched = count("autoscaler_containers_launched");
   t.containers_retired = count("autoscaler_containers_retired");
+  t.node_kills = r.injected.node_kills;
   return t;
 }
 
@@ -160,26 +163,18 @@ void write_summary(JsonWriter& json, const TrafficView& t) {
   json.field("queue_wait_p99_ms", t.queue_wait_p99_ms);
 }
 
-/// The identities every traffic run must satisfy once it has drained.
-void check_summary(const std::string& where, const TrafficView& t,
-                   std::vector<std::string>& violations) {
-  if (t.offered != t.admitted + t.shed + t.queued_end) {
-    violations.push_back(where + ": offered " + std::to_string(t.offered) +
-                         " != admitted + shed + queued_end");
-  }
-  if (t.admitted != t.completed + t.in_flight) {
-    violations.push_back(where + ": admitted " + std::to_string(t.admitted) +
-                         " != completed + in_flight");
-  }
-  if (t.in_flight != 0 || t.queued_end != 0) {
-    violations.push_back(where + ": run ended with backlog (in_flight " +
-                         std::to_string(t.in_flight) + ", queued " +
-                         std::to_string(t.queued_end) + ")");
-  }
+/// Runs `config`, checks the run against the chaos oracles and its
+/// percentiles for monotonicity, and returns its totals.
+TrafficView checked_run(const std::string& where, const ScenarioConfig& config,
+                        std::vector<std::string>& violations) {
+  const RunResult result = ScenarioRunner::run(config, {});
+  canary::bench::check_oracles(where, config, result, violations);
+  const TrafficView t = traffic_view(result);
   if (t.completed > 0 && t.latency_p99_ms < t.latency_p50_ms) {
     violations.push_back(where + ": p99 " + num(t.latency_p99_ms) +
                          " < p50 " + num(t.latency_p50_ms));
   }
+  return t;
 }
 
 }  // namespace
@@ -212,12 +207,10 @@ int main(int argc, char** argv) {
   for (const double load : loads) {
     ScenarioConfig config = base_config(horizon);
     config.traffic.streams.push_back(web_stream(load * capacity));
-    const RunResult result = ScenarioRunner::run(config, {});
     Point p;
     p.load = load;
-    p.t = traffic_view(result);
+    p.t = checked_run("load " + num(load), config, violations);
     p.horizon_s = horizon.to_seconds();
-    check_summary("load " + num(load), p.t, violations);
     if (load <= 0.75 && p.t.shed != 0) {
       violations.push_back("shed " + std::to_string(p.t.shed) +
                            " arrival(s) at subcritical load " + num(load));
@@ -260,11 +253,9 @@ int main(int argc, char** argv) {
     return config;
   };
   const TrafficView burst_off =
-      traffic_view(ScenarioRunner::run(burst_config(false), {}));
+      checked_run("burst without autoscaler", burst_config(false), violations);
   const TrafficView burst_on =
-      traffic_view(ScenarioRunner::run(burst_config(true), {}));
-  check_summary("burst without autoscaler", burst_off, violations);
-  check_summary("burst with autoscaler", burst_on, violations);
+      checked_run("burst with autoscaler", burst_config(true), violations);
   if (burst_on.containers_retired > burst_on.containers_launched) {
     violations.push_back("autoscaler retired more containers than it "
                          "launched");
@@ -289,14 +280,12 @@ int main(int argc, char** argv) {
   overload.strategy = canary::recovery::StrategyConfig::canary_full();
   overload.traffic.streams.push_back(web_stream(1.2 * capacity));
   overload.node_failure_offsets.push_back(horizon * 0.4);
-  const RunResult failure_run = ScenarioRunner::run(overload, {});
-  const TrafficView ft = traffic_view(failure_run);
-  check_summary("overload + failure", ft, violations);
+  const TrafficView ft = checked_run("overload + failure", overload, violations);
   std::cout << "\noverload (1.2x) + node failure at "
             << (horizon * 0.4).to_seconds() << " s: offered " << ft.offered
             << ", completed " << ft.completed << ", shed " << ft.shed
             << ", p99 " << num(ft.latency_p99_ms) << " ms, node kills "
-            << failure_run.injected.node_kills << "\n";
+            << ft.node_kills << "\n";
 
   const bool written = canary::bench::write_bench_report(
       "traffic_curves", quick, violations, {},
@@ -334,7 +323,7 @@ int main(int argc, char** argv) {
         json.end_object();
         json.key("overload_failure").begin_object();
         write_summary(json, ft);
-        json.field("node_kills", failure_run.injected.node_kills);
+        json.field("node_kills", ft.node_kills);
         json.end_object();
       });
   if (!written) return 1;

@@ -247,7 +247,7 @@ void ReplicationModule::reconcile(faas::RuntimeImage image) {
     const auto node = place_replica(image);
     if (!node) break;  // no capacity anywhere
     auto launched = platform_.launch_warm_container(
-        *node, image, faas::ContainerPurpose::kRuntimeReplica, nullptr);
+        *node, image, faas::ContainerPurpose::kRuntimeReplica);
     if (!launched.ok()) break;
     manager_.register_replica(image, launched.value());
     metrics_.count("replicas_launched");

@@ -50,9 +50,10 @@ std::string to_string(Id<Tag> id) {
 
 /// Monotonic generator for one id family (paper §IV-C1: the Core Module
 /// "generates a set of unique IDs for the submitted jobs, functions,
-/// checkpoints, and replicas"). The platform issues job, function and
-/// container ids and the Checkpointing Module checkpoint ids; a replica
-/// is addressed by its container's id.
+/// checkpoints, and replicas"). The Checkpointing Module issues
+/// checkpoint ids with one; the platform's job, function and container
+/// ids are their records' slab positions, and a replica is addressed by
+/// its container's id.
 template <typename IdT>
 class IdGenerator {
  public:

@@ -56,6 +56,15 @@ bool build_trigger_graph(const JobSpec& spec,
   return processed == n;
 }
 
+/// When an open-loop request waited in admission control before `now`,
+/// its arrival instant (JobSpec::enqueued_at).
+std::optional<TimePoint> queued_at(const JobSpec& spec, TimePoint now) {
+  if (spec.enqueued_at == TimePoint::max() || spec.enqueued_at >= now) {
+    return std::nullopt;
+  }
+  return spec.enqueued_at;
+}
+
 Duration work_floor(const FunctionSpec& spec, std::size_t from_state) {
   Duration floor = Duration::zero();
   for (std::size_t i = 0; i < from_state && i < spec.states.size(); ++i) {
@@ -199,8 +208,8 @@ Result<JobId> Platform::submit_job(std::shared_ptr<const JobSpec> spec_ptr) {
     }
   }
 
-  // Validate the trigger graph before issuing any ids: ids index the
-  // entity slabs, so a rejected job must not consume one.
+  // Validate the trigger graph before creating any record: ids are slab
+  // positions, so a rejected job must not consume one.
   std::vector<std::vector<std::size_t>> dependents;
   std::vector<std::size_t> unmet_deps;
   if (!build_trigger_graph(spec, dependents, unmet_deps)) {
@@ -208,52 +217,25 @@ Result<JobId> Platform::submit_job(std::shared_ptr<const JobSpec> spec_ptr) {
         "job trigger graph has a cycle or an out-of-range dependency");
   }
 
-  const JobId job_id = job_ids_.next();
-  CANARY_CHECK(job_id.value() == jobs_.size() + 1, "job id / slab desync");
-  jobs_.emplace_back();
-  JobRecord& record = jobs_.back();
-  record.spec = std::move(spec_ptr);
-  record.submitted = sim_.now();
-  record.remaining = record.spec->functions.size();
+  const JobId job_id = new_job(std::move(spec_ptr));
+  JobRecord& record = job_record(job_id);
   record.dependents = std::move(dependents);
   record.unmet_deps = std::move(unmet_deps);
 
-  record.functions.reserve(record.spec->functions.size());
-  for (std::size_t i = 0; i < record.spec->functions.size(); ++i) {
-    const auto& fn = record.spec->functions[i];
-    const FunctionId fid = function_ids_.next();
-    CANARY_CHECK(fid.value() == invocations_.size() + 1,
-                 "function id / slab desync");
-    invocations_.emplace_back();
-    InvocationInternal& inv = invocations_.back();
-    inv.id = fid;
-    inv.job = job_id;
-    inv.spec = &fn;
-    inv.index_in_job = i;
-    inv.submit_time = sim_.now();
-    // Open-loop requests carry their admission-control arrival: a kQueued
-    // event at that instant roots the trace so the analyzer attributes
-    // the pre-submission wait to the queueing component, and the SLO
-    // deadline anchors at arrival instead of submission.
-    const TimePoint enqueued = record.spec->enqueued_at;
-    const bool open_loop =
-        enqueued != TimePoint::max() && enqueued < sim_.now();
-    if (events_ != nullptr) {
-      const obs::Name name = events_->intern(fn.name);
-      if (open_loop) {
-        if (!inv.trace.trace.valid()) inv.trace.trace = events_->new_trace();
-        events_->extend(inv.trace, obs::EventKind::kQueued, name, enqueued,
-                        obs_labels(inv));
-      }
-      obs_event(inv, obs::EventKind::kSubmit, name);
-    }
+  // Open-loop requests carry their admission-control arrival: the kQueued
+  // root lets the analyzer attribute the pre-submission wait to the
+  // queueing component, and the SLO deadline anchors at arrival instead
+  // of submission.
+  const std::optional<TimePoint> queued = queued_at(*record.spec, sim_.now());
+  for (const auto& fn : record.spec->functions) {
+    InvocationInternal& inv = new_invocation(job_id, fn);
+    log_arrival(inv, obs::EventKind::kSubmit, queued);
     arm_slo(inv, fn.sla > Duration::zero() ? fn.sla : record.spec->sla,
-            open_loop ? enqueued : sim_.now());
-    record.functions.push_back(fid);
+            queued.value_or(sim_.now()));
     // Functions with open dependencies wait for their trigger; the rest
     // queue immediately (empty unmet_deps = trigger-free job).
-    if (record.unmet_deps.empty() || record.unmet_deps[i] == 0) {
-      pending_.push_back(fid);
+    if (record.unmet_deps.empty() || record.unmet_deps[inv.index_in_job] == 0) {
+      pending_.push_back(inv.id);
     }
   }
 
@@ -266,43 +248,55 @@ Result<JobId> Platform::shed_job(JobSpec spec) {
   if (spec.functions.empty()) {
     return Error::invalid_argument("job has no functions");
   }
-  const JobId job_id = job_ids_.next();
-  CANARY_CHECK(job_id.value() == jobs_.size() + 1, "job id / slab desync");
-  jobs_.emplace_back();
-  JobRecord& record = jobs_.back();
-  record.spec = std::make_shared<const JobSpec>(std::move(spec));
-  record.submitted = sim_.now();
+  const JobId job_id =
+      new_job(std::make_shared<const JobSpec>(std::move(spec)));
+  JobRecord& record = job_record(job_id);
   record.completed = sim_.now();
   record.remaining = 0;  // terminal at birth: nothing will ever run
 
-  const TimePoint enqueued = record.spec->enqueued_at;
-  for (std::size_t i = 0; i < record.spec->functions.size(); ++i) {
-    const auto& fn = record.spec->functions[i];
-    const FunctionId fid = function_ids_.next();
-    CANARY_CHECK(fid.value() == invocations_.size() + 1,
-                 "function id / slab desync");
-    invocations_.emplace_back();
-    InvocationInternal& inv = invocations_.back();
-    inv.id = fid;
-    inv.job = job_id;
-    inv.spec = &fn;
-    inv.index_in_job = i;
-    inv.submit_time = sim_.now();
+  const std::optional<TimePoint> queued = queued_at(*record.spec, sim_.now());
+  for (const auto& fn : record.spec->functions) {
+    InvocationInternal& inv = new_invocation(job_id, fn);
     inv.completion_time = sim_.now();
     inv.phase = Phase::kShed;
-    record.functions.push_back(fid);
-    if (events_ != nullptr) {
-      const obs::Name name = events_->intern(fn.name);
-      if (enqueued != TimePoint::max() && enqueued < sim_.now()) {
-        if (!inv.trace.trace.valid()) inv.trace.trace = events_->new_trace();
-        events_->extend(inv.trace, obs::EventKind::kQueued, name, enqueued,
-                        obs_labels(inv));
-      }
-      obs_event(inv, obs::EventKind::kShed, name);
-    }
+    log_arrival(inv, obs::EventKind::kShed, queued);
     m_functions_shed_.add();
   }
   return job_id;
+}
+
+JobId Platform::new_job(std::shared_ptr<const JobSpec> spec) {
+  JobRecord& record = jobs_.emplace_back();
+  record.spec = std::move(spec);
+  record.submitted = sim_.now();
+  record.remaining = record.spec->functions.size();
+  record.functions.reserve(record.spec->functions.size());
+  return JobId{jobs_.size()};
+}
+
+Platform::InvocationInternal& Platform::new_invocation(JobId job,
+                                                       const FunctionSpec& fn) {
+  JobRecord& record = job_record(job);
+  InvocationInternal& inv = invocations_.emplace_back();
+  inv.id = FunctionId{invocations_.size()};
+  inv.job = job;
+  inv.spec = &fn;
+  inv.index_in_job = record.functions.size();
+  inv.submit_time = sim_.now();
+  record.functions.push_back(inv.id);
+  return inv;
+}
+
+void Platform::log_arrival(InvocationInternal& inv, obs::EventKind kind,
+                           std::optional<TimePoint> queued_at) {
+  if (events_ == nullptr) return;
+  const obs::Name name = events_->intern(inv.spec->name);
+  if (queued_at) {
+    inv.trace.trace = events_->new_trace();
+    events_->extend(inv.trace, obs::EventKind::kQueued, name, *queued_at,
+                    obs_labels(inv));
+  }
+  obs_event(inv, kind, name);
 }
 
 const Invocation& Platform::invocation(FunctionId id) const {
@@ -445,12 +439,8 @@ void Platform::start_attempt(FunctionId id, StartSpec spec) {
 ContainerId Platform::create_container(NodeId node, RuntimeImage image,
                                        Bytes memory,
                                        ContainerPurpose purpose) {
-  const ContainerId cid = container_ids_.next();
-  CANARY_CHECK(cid.value() == containers_.size() + 1,
-               "container id / slab desync");
-  containers_.emplace_back();
-  Container& c = containers_.back();
-  c.id = cid;
+  Container& c = containers_.emplace_back();
+  c.id = ContainerId{containers_.size()};
   c.node = node;
   c.image = image;
   c.memory = memory;
@@ -459,7 +449,7 @@ ContainerId Platform::create_container(NodeId node, RuntimeImage image,
   c.created = sim_.now();
   ledger_.open(c);
   ++inflight_launches_[node.value() - 1];
-  return cid;
+  return c.id;
 }
 
 double Platform::launch_contention_multiplier(NodeId node) const {
@@ -498,66 +488,68 @@ void Platform::arm_kill_timer(InvocationInternal& inv,
   inv.kill_event.cancel();
   inv.timeout_event.cancel();
   if (config_.limits.function_timeout < Duration::max()) {
-    const FunctionId timeout_id = inv.id;
-    const int timeout_attempt = inv.attempt;
-    inv.timeout_event = sim_.schedule_after(
-        config_.limits.function_timeout, [this, timeout_id, timeout_attempt] {
-          auto& target = internal(timeout_id);
-          if (target.attempt != timeout_attempt) return;
-          if (target.phase == Phase::kCompleted ||
-              target.phase == Phase::kFailed) {
-            return;
-          }
-          m_timeouts_.add();
-          handle_kill(target, FailureKind::kTimeout);
-        });
+    inv.timeout_event = schedule_kill(inv, config_.limits.function_timeout,
+                                      FailureKind::kTimeout);
   }
   if (failure_policy_ == nullptr) return;
   const auto offset = failure_policy_->plan_kill(inv, inv.attempt, busy_estimate);
   if (!offset) return;
+  inv.kill_event = schedule_kill(inv, *offset, FailureKind::kContainerKill);
+}
+
+sim::EventHandle Platform::schedule_kill(const InvocationInternal& inv,
+                                         Duration delay, FailureKind kind) {
   const FunctionId id = inv.id;
   const int attempt = inv.attempt;
-  inv.kill_event = sim_.schedule_after(*offset, [this, id, attempt] {
+  return sim_.schedule_after(delay, [this, id, attempt, kind] {
     auto& target = internal(id);
     if (target.attempt != attempt) return;
     if (target.phase == Phase::kCompleted || target.phase == Phase::kFailed) {
       return;
     }
-    handle_kill(target, FailureKind::kContainerKill);
+    if (kind == FailureKind::kTimeout) m_timeouts_.add();
+    handle_kill(target, kind);
   });
+}
+
+double Platform::begin_attempt(InvocationInternal& inv, Container& c,
+                               const StartSpec& spec, bool cold) {
+  ++inv.attempt;
+  inv.next_state = spec.from_state;
+  inv.work_done = work_floor(*inv.spec, spec.from_state);
+  inv.node = c.node;
+  inv.container = c.id;
+  c.assigned = inv.id;
+  if (cold) {
+    inv.phase = Phase::kLaunching;
+    m_cold_starts_.add();
+    obs_event(inv, obs::EventKind::kLaunch, obs::Name::kLaunch);
+  } else {
+    inv.phase = Phase::kStarting;
+    m_warm_starts_.add();
+    // Warm adoption skips launch+init (the replication win); the dispatch
+    // window plus any checkpoint restore is the whole pre-exec cost.
+    obs_event(inv, obs::EventKind::kRestore, obs::Name::kWarmDispatch);
+  }
+  const double speed = cluster_.node(c.node).speed();
+  arm_kill_timer(inv, attempt_busy_estimate(inv, spec, speed, cold));
+  return speed;
 }
 
 void Platform::start_cold(InvocationInternal& inv, NodeId node,
                           StartSpec spec) {
-  auto& host = cluster_.node(node);
   const Bytes memory = inv.spec->effective_memory();
-  const Status reserved = host.reserve(memory);
+  const Status reserved = cluster_.node(node).reserve(memory);
   if (!reserved.ok()) {
     inv.phase = Phase::kPending;
     capacity_waiters_.emplace_back(inv.id, spec);
     return;
   }
 
-  ++inv.attempt;
-  const int attempt = inv.attempt;
-  inv.next_state = spec.from_state;
-  inv.work_done = work_floor(*inv.spec, spec.from_state);
-  inv.node = node;
-  inv.phase = Phase::kLaunching;
-
   const ContainerId cid = create_container(node, inv.spec->runtime, memory,
                                            ContainerPurpose::kFunction);
-  {
-    Container& c = container_ref(cid);
-    c.assigned = inv.id;
-    c.state = ContainerState::kLaunching;
-  }
-  inv.container = cid;
-  m_cold_starts_.add();
-  obs_event(inv, obs::EventKind::kLaunch, obs::Name::kLaunch);
-
-  const double speed = host.speed();
-  arm_kill_timer(inv, attempt_busy_estimate(inv, spec, speed, /*cold=*/true));
+  const double speed =
+      begin_attempt(inv, container_ref(cid), spec, /*cold=*/true);
 
   const auto& rt = profile(inv.spec->runtime);
   const Duration launch =
@@ -565,6 +557,7 @@ void Platform::start_cold(InvocationInternal& inv, NodeId node,
   const Duration init = rt.init * speed;
   const Duration setup = spec.extra_setup;
   const FunctionId id = inv.id;
+  const int attempt = inv.attempt;
 
   inv.progress_event = sim_.schedule_after(launch, [this, id, attempt, cid,
                                                     init, setup] {
@@ -599,16 +592,8 @@ void Platform::start_cold(InvocationInternal& inv, NodeId node,
 
 void Platform::start_warm(InvocationInternal& inv, Container& c,
                           StartSpec spec) {
-  ++inv.attempt;
-  const int attempt = inv.attempt;
-  inv.next_state = spec.from_state;
-  inv.work_done = work_floor(*inv.spec, spec.from_state);
-  inv.node = c.node;
-  inv.container = c.id;
-  inv.phase = Phase::kStarting;
   warm_index_remove(c);  // leaving the Warm state (keyed by old purpose)
   c.state = ContainerState::kBusy;
-  c.assigned = inv.id;
   c.idle_since = TimePoint::max();
   // Cost attribution: any prior interval (replica/standby warm-up, or a
   // previous function's execution on a reused pool container) is closed;
@@ -616,17 +601,12 @@ void Platform::start_warm(InvocationInternal& inv, Container& c,
   ledger_.close(c.id, sim_.now());
   c.purpose = ContainerPurpose::kFunction;
   ledger_.open_at(c, sim_.now());
-  m_warm_starts_.add();
-  // Warm adoption skips launch+init (the replication win); the dispatch
-  // window plus any checkpoint restore is the whole pre-exec cost.
-  obs_event(inv, obs::EventKind::kRestore, obs::Name::kWarmDispatch);
-
-  const double speed = cluster_.node(c.node).speed();
-  arm_kill_timer(inv, attempt_busy_estimate(inv, spec, speed, /*cold=*/false));
+  const double speed = begin_attempt(inv, c, spec, /*cold=*/false);
 
   const auto& rt = profile(inv.spec->runtime);
   const Duration setup = rt.warm_dispatch * speed + spec.extra_setup;
   const FunctionId id = inv.id;
+  const int attempt = inv.attempt;
   const ContainerId cid = c.id;
   inv.progress_event = sim_.schedule_after(setup, [this, id, attempt, cid] {
     auto* target = attempt_guard(id, attempt, cid);
@@ -746,10 +726,10 @@ void Platform::set_node_slowdown(NodeId node, double slowdown) {
   // Speed is read at each state's start. Every segment executing on the
   // node is cut short at its in-flight state's planned end; the segment
   // that follows reads the new speed.
-  for (const Container& c : containers_) {
-    if (c.node != node || !c.alive() || !c.assigned.valid()) continue;
-    InvocationInternal& inv = internal(c.assigned);
-    if (inv.container != c.id || inv.phase != Phase::kExecuting) continue;
+  for (const Container* c : containers_on(node)) {
+    if (!c->alive() || !c->assigned.valid()) continue;
+    InvocationInternal& inv = internal(c->assigned);
+    if (inv.container != c->id || inv.phase != Phase::kExecuting) continue;
     catch_up(inv);
     inv.progress_event.retime(inv.state_planned_end);
   }
@@ -939,31 +919,20 @@ void Platform::logically_fence(NodeId node) {
   // The fence is an ambient root event like a node failure: every victim
   // invocation's kFailure chains off it, and so does the zombie's later
   // rejected commit annotation.
-  if (events_ != nullptr) {
-    obs::SpanLabels labels;
-    labels.node = node;
-    node_failure_cause_ =
-        events_->append_raw(events_->new_trace(), obs::kNoEvent,
-                            obs::EventKind::kAnnotation,
-                            obs::Name::kNodeFenced,
-                            sim_.now(), labels);
-  }
+  open_takedown(node, obs::EventKind::kAnnotation, obs::Name::kNodeFenced,
+                obs::kNoEvent);
+  const std::vector<const Container*> on_node = containers_on(node);
 
   // Zombie commit attempts: each executing invocation on the minority
   // side keeps running over there and tries to commit its in-flight state
   // when that state finishes. The hook routes the attempt through the
   // real KV put path, where the stale-epoch gate rejects it. Scheduled
   // before the kills below so the projected end times are still intact.
-  std::vector<ContainerId> on_node;
-  for (const auto& c : containers_) {
-    if (c.node == node && c.alive()) on_node.push_back(c.id);
-  }
   if (zombie_commit_hook_) {
-    for (const ContainerId cid : on_node) {
-      const auto& c = container_ref(cid);
-      if (!c.assigned.valid()) continue;
-      InvocationInternal& inv = internal(c.assigned);
-      if (inv.container != cid || inv.phase != Phase::kExecuting) continue;
+    for (const Container* c : on_node) {
+      if (!c->assigned.valid()) continue;
+      InvocationInternal& inv = internal(c->assigned);
+      if (inv.container != c->id || inv.phase != Phase::kExecuting) continue;
       catch_up(inv);
       const TimePoint commit_at = std::max(sim_.now(), inv.state_planned_end);
       const FunctionId id = inv.id;
@@ -975,19 +944,37 @@ void Platform::logically_fence(NodeId node) {
     }
   }
 
+  // The kills redeploy the fenced invocations; in kHeartbeat mode they
+  // stash into undetected_ and our caller drains them.
+  take_down(node, on_node);
+}
+
+void Platform::open_takedown(NodeId node, obs::EventKind kind, obs::Name name,
+                             obs::EventId cause) {
+  if (events_ == nullptr) return;
+  obs::SpanLabels labels;
+  labels.node = node;
+  node_failure_cause_ = events_->append_raw(
+      events_->new_trace(), obs::kNoEvent, kind, name, sim_.now(), labels,
+      cause);
+}
+
+void Platform::take_down(NodeId node,
+                         const std::vector<const Container*>& on_node) {
   // Retire the node from the scheduler's view (placement, alive_count,
-  // quorum size) and fail its invocations so recovery redeploys them; in
-  // kHeartbeat mode the kills stash into undetected_ and our caller
-  // drains them.
+  // quorum size) before its invocations fail, so recovery redeploys them
+  // elsewhere.
   cluster_.fail_node(node);
-  for (const ContainerId cid : on_node) {
-    auto& c = container_ref(cid);
-    if (!c.alive()) continue;
-    if (c.assigned.valid() && internal(c.assigned).container == cid &&
-        !internal(c.assigned).completed()) {
-      handle_kill(internal(c.assigned), FailureKind::kNodeFailure);
+  for (const Container* c : on_node) {
+    if (!c->alive()) continue;  // may have died while killing its sibling
+    // Any container with an assigned function — launching, initializing,
+    // or executing — takes its invocation down with it; only unassigned
+    // warm replicas/standbys are plain teardowns.
+    if (c->assigned.valid() && internal(c->assigned).container == c->id &&
+        !internal(c->assigned).completed()) {
+      handle_kill(internal(c->assigned), FailureKind::kNodeFailure);
     } else {
-      destroy_container(cid);
+      destroy_container(c->id);
     }
   }
   node_failure_cause_ = obs::kNoEvent;
@@ -1067,29 +1054,20 @@ FunctionId Platform::hedge_clone(FunctionId primary) {
   auto& inv = internal(primary);
   CANARY_CHECK(inv.phase != Phase::kCompleted && inv.phase != Phase::kShed,
                "cannot hedge a terminal invocation");
-  JobRecord& job = job_record(inv.job);
-
-  const FunctionId fid = function_ids_.next();
-  CANARY_CHECK(fid.value() == invocations_.size() + 1,
-               "function id / slab desync");
-  invocations_.emplace_back();  // slab: `inv` stays valid across growth
-  InvocationInternal& clone = invocations_.back();
-  clone.id = fid;
-  clone.job = inv.job;
   // The clone shares the primary's spec verbatim — growing
   // JobRecord::spec.functions would invalidate every spec pointer of the
   // job, and an identical name keeps the pair in one workload family and
-  // one exactly-once identity per FunctionId.
-  clone.spec = inv.spec;
-  clone.index_in_job = job.functions.size();
-  clone.submit_time = sim_.now();
+  // one exactly-once identity per FunctionId. The slab keeps `inv` valid
+  // across growth.
+  InvocationInternal& clone = new_invocation(inv.job, *inv.spec);
+  const FunctionId fid = clone.id;
 
   // The clone is a first-class member of the job: `remaining` counts it,
   // so the job completes only once both copies reach a terminal state
   // (the loser via discard). Its dependents entry is empty — completing
   // a clone can never double-trigger the primary's dependents. A
   // trigger-free job keeps its graph vectors empty, clones included.
-  job.functions.push_back(fid);
+  JobRecord& job = job_record(inv.job);
   if (!job.dependents.empty()) {
     job.dependents.emplace_back();
     job.unmet_deps.push_back(0);
@@ -1099,10 +1077,7 @@ FunctionId Platform::hedge_clone(FunctionId primary) {
   // kHedged on the primary marks the fork point; the clone's kSubmit then
   // joins the primary's trace so the race is one causal DAG.
   obs_event(inv, obs::EventKind::kHedged, obs::Name::kHedged);
-  if (events_ != nullptr) {
-    obs_event(clone, obs::EventKind::kSubmit,
-              events_->intern(clone.spec->name));
-  }
+  log_arrival(clone, obs::EventKind::kSubmit, std::nullopt);
   join_trace(fid, primary);
 
   // No SLO target and no account concurrency slot: the primary already
@@ -1139,46 +1114,18 @@ void Platform::cancel_hedge(FunctionId loser, FunctionId winner) {
 }
 
 void Platform::fail_node(NodeId node, obs::EventId cause) {
-  cluster_.fail_node(node);
   m_node_failures_.add();
   // The node failure is an ambient root event on its own trace; every
   // victim invocation's kFailure event points back to it via a cause
   // edge, so one chrome flow fans out from the node to all casualties.
-  if (events_ != nullptr) {
-    obs::SpanLabels labels;
-    labels.node = node;
-    node_failure_cause_ =
-        events_->append_raw(events_->new_trace(), obs::kNoEvent,
-                            obs::EventKind::kNodeFailure,
-                            obs::Name::kNodeFailure,
-                            sim_.now(), labels, cause);
-  }
-
-  // Slab order is id order, so the victim list is already sorted.
-  std::vector<ContainerId> on_node;
-  for (const auto& c : containers_) {
-    if (c.node == node && c.alive()) on_node.push_back(c.id);
-  }
-  for (const ContainerId cid : on_node) {
-    auto& c = container_ref(cid);
-    if (!c.alive()) continue;  // may have died while killing its sibling
-    // Any container with an assigned function — launching, initializing,
-    // or executing — takes its invocation down with it; only unassigned
-    // warm replicas/standbys are plain teardowns.
-    if (c.assigned.valid() &&
-        internal(c.assigned).container == cid &&
-        !internal(c.assigned).completed()) {
-      handle_kill(internal(c.assigned), FailureKind::kNodeFailure);
-    } else {
-      destroy_container(cid);
-    }
-  }
-  node_failure_cause_ = obs::kNoEvent;
+  open_takedown(node, obs::EventKind::kNodeFailure, obs::Name::kNodeFailure,
+                cause);
+  take_down(node, containers_on(node));
 }
 
-Result<ContainerId> Platform::launch_warm_container(
-    NodeId node, RuntimeImage image, ContainerPurpose purpose,
-    std::function<void(ContainerId)> on_ready) {
+Result<ContainerId> Platform::launch_warm_container(NodeId node,
+                                                    RuntimeImage image,
+                                                    ContainerPurpose purpose) {
   if (!cluster_.contains(node)) return Error::invalid_argument("unknown node");
   auto& host = cluster_.node(node);
   const Bytes memory = profile(image).memory;
@@ -1205,14 +1152,12 @@ Result<ContainerId> Platform::launch_warm_container(
                     obs::Name::kReplicaProvision, sim_.now(), labels);
   }
 
-  sim_.schedule_after(launch, [this, cid, init, node, warm_trace,
-                               on_ready = std::move(on_ready)]() mutable {
+  sim_.schedule_after(launch, [this, cid, init, node, warm_trace] {
     Container* c = alive_container(cid);
     if (c == nullptr) return;
     release_inflight_launch(node);
     c->state = ContainerState::kInitializing;
-    sim_.schedule_after(init, [this, cid, warm_trace,
-                               on_ready = std::move(on_ready)] {
+    sim_.schedule_after(init, [this, cid, warm_trace] {
       Container* inner = alive_container(cid);
       if (inner == nullptr) return;
       inner->state = ContainerState::kWarm;
@@ -1224,8 +1169,12 @@ Result<ContainerId> Platform::launch_warm_container(
         events_->append(warm_trace, obs::EventKind::kReplica,
                         obs::Name::kReplicaReady, sim_.now(), labels);
       }
-      for (auto* obs : observers_) obs->on_container_ready(*inner);
-      if (on_ready) on_ready(cid);
+      // An observer may adopt or destroy the container; once it is gone,
+      // later observers are not told it is ready.
+      for (auto* obs : observers_) {
+        if (!inner->alive()) break;
+        obs->on_container_ready(*inner);
+      }
     });
   });
   return cid;

@@ -166,12 +166,12 @@ class Platform {
   /// account concurrency queue — they already hold their slot.
   void start_attempt(FunctionId id, StartSpec spec);
 
-  /// Launch a warm container (runtime replica / standby). `on_ready` fires
-  /// when it reaches the Warm state; if the node dies first the callback
-  /// is dropped and observers see the container's destruction.
-  Result<ContainerId> launch_warm_container(
-      NodeId node, RuntimeImage image, ContainerPurpose purpose,
-      std::function<void(ContainerId)> on_ready);
+  /// Launch a warm container (runtime replica / standby / prewarmed pool
+  /// container). Observers see on_container_ready when it reaches the
+  /// Warm state, in registration order until one of them destroys it; if
+  /// the node dies first they see its destruction instead.
+  Result<ContainerId> launch_warm_container(NodeId node, RuntimeImage image,
+                                            ContainerPurpose purpose);
 
   /// Idle warm container running `image` (optionally restricted by
   /// purpose), preferring `prefer_node`, else the lowest id.
@@ -311,6 +311,12 @@ class Platform {
     std::vector<std::size_t> unmet_deps;
   };
 
+  /// The one constructor of each entity record: append it to its slab,
+  /// whose position is its id. They log nothing, so each caller keeps
+  /// its own event order. new_invocation adds the function to its job.
+  JobId new_job(std::shared_ptr<const JobSpec> spec);
+  InvocationInternal& new_invocation(JobId job, const FunctionSpec& fn);
+
   InvocationInternal& internal(FunctionId id);
   const InvocationInternal& internal(FunctionId id) const;
   JobRecord& job_record(JobId id);
@@ -341,7 +347,15 @@ class Platform {
 
   void start_cold(InvocationInternal& inv, NodeId node, StartSpec spec);
   void start_warm(InvocationInternal& inv, Container& c, StartSpec spec);
+  /// The attempt-begin block both starts share: the next attempt runs on
+  /// `c` from the restore point, logs its first event and arms its kill
+  /// timer. Returns the node's speed.
+  double begin_attempt(InvocationInternal& inv, Container& c,
+                       const StartSpec& spec, bool cold);
   void arm_kill_timer(InvocationInternal& inv, Duration busy_estimate);
+  /// Kill the attempt in flight after `delay` unless it has moved on.
+  sim::EventHandle schedule_kill(const InvocationInternal& inv,
+                                 Duration delay, FailureKind kind);
   Duration attempt_busy_estimate(const InvocationInternal& inv,
                                  const StartSpec& spec, double speed,
                                  bool cold) const;
@@ -353,6 +367,10 @@ class Platform {
   /// installed EventLog). Returns the event id for cause edges.
   obs::EventId obs_event(InvocationInternal& inv, obs::EventKind kind,
                          obs::Name name, obs::EventId cause = obs::kNoEvent);
+  /// Log an arrival: a kQueued root at `queued_at` when the request
+  /// waited in admission control, then `kind` (kSubmit or kShed) now.
+  void log_arrival(InvocationInternal& inv, obs::EventKind kind,
+                   std::optional<TimePoint> queued_at);
   /// Arm the SLO watchdog for a newly submitted invocation. The deadline
   /// is `anchor + sla`; open-loop requests anchor at their arrival
   /// instant (JobSpec::enqueued_at), everything else at submission.
@@ -384,6 +402,14 @@ class Platform {
   /// retire it from placement, schedule zombie commit attempts for its
   /// executing invocations, then kill-and-redeploy them.
   void logically_fence(NodeId node);
+  /// The ambient root event of a node takedown (a node failure or a
+  /// fence) on its own trace: every victim's kFailure chains off it.
+  void open_takedown(NodeId node, obs::EventKind kind, obs::Name name,
+                     obs::EventId cause);
+  /// Retire `node` from the cluster, then fail each of `on_node`'s
+  /// still-live containers' invocations, or tear the container down when
+  /// it runs none.
+  void take_down(NodeId node, const std::vector<const Container*>& on_node);
   void resolve_recovery_markers(InvocationInternal& inv);
 
   sim::Simulator& sim_;
@@ -397,17 +423,14 @@ class Platform {
   ExecutionHooks* hooks_ = nullptr;
   obs::EventLog* events_ = nullptr;
   std::size_t slo_targets_ = 0;
-  /// While fail_node() kills a node's containers, the kNodeFailure event
+  /// While a node takedown kills the node's containers, its root event,
   /// whose cause edge every victim's kFailure event carries.
   obs::EventId node_failure_cause_ = obs::kNoEvent;
   std::vector<PlatformObserver*> observers_;
 
-  IdGenerator<JobId> job_ids_;
-  IdGenerator<FunctionId> function_ids_;
-  IdGenerator<ContainerId> container_ids_;
-
-  // Entity slabs. Ids are issued sequentially from 1 and records are
-  // never erased, so a StableSlab indexed by id-1 replaces the old
+  // Entity slabs. An id is its record's slab position plus one (0 stays
+  // the invalid id) and records are never erased, so a StableSlab
+  // indexed by id-1 replaces the old
   // unordered_map<Id, unique_ptr<T>> tables: O(1) lookup with no hashing,
   // stable addresses across growth, and O(log n) total allocations via
   // geometrically doubling blocks (a deque's fixed 512-byte chunks cost

@@ -114,8 +114,8 @@ void draw_base(ChaosScenario& out, const Rng& root, unsigned job_scale) {
 
   const std::size_t hb_count = faults.uniform_int(0, 2);
   for (std::size_t i = 0; i < hb_count; ++i) {
-    ScenarioConfig::HeartbeatFaultCfg fault;
-    fault.at = Duration::sec(faults.uniform(1.0, 15.0));
+    failure::FailureInjector::HeartbeatFault fault;
+    fault.start = TimePoint::origin() + Duration::sec(faults.uniform(1.0, 15.0));
     fault.duration = Duration::sec(faults.uniform(1.0, 4.0));
     // Delays up to ~80% of the confirm threshold: long enough to trigger
     // suspicions (false ones included), short enough that live workers

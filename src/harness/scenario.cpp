@@ -37,6 +37,11 @@ std::shared_ptr<const faas::JobSpec> borrow(const faas::JobSpec& job) {
                                               &job);
 }
 
+const faas::JobSpec& spec_of(const faas::JobSpec& spec) { return spec; }
+const faas::JobSpec& spec_of(const std::shared_ptr<const faas::JobSpec>& spec) {
+  return *spec;
+}
+
 }  // namespace
 
 ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
@@ -101,85 +106,58 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
 
   switch (config.strategy.kind) {
     case StrategyKind::kIdeal:
-    case StrategyKind::kRetry: {
+    case StrategyKind::kRetry:
       retry.emplace(platform);
       platform.set_recovery_handler(&*retry);
-      for (const auto& job : jobs) {
-        auto submitted = platform.submit_job(borrow(job));
-        CANARY_CHECK(submitted.ok(), "job submission failed");
-      }
       break;
-    }
-    case StrategyKind::kCanary: {
+    case StrategyKind::kCanary:
       canary_fw.emplace(platform, store, storage, config.strategy.canary);
       canary_fw->install();
       if (detector) canary_fw->attach_detector(*detector);
-      for (const auto& job : jobs) {
-        auto submitted = canary_fw->submit_job(borrow(job));
-        CANARY_CHECK(submitted.ok(), "job rejected by the request validator");
-      }
       break;
-    }
-    case StrategyKind::kRequestReplication: {
+    case StrategyKind::kRequestReplication:
       rr.emplace(platform, config.strategy.rr_replicas);
       platform.set_recovery_handler(&*rr);
       platform.add_observer(&*rr);
-      for (const auto& job : jobs) {
-        auto submitted = platform.submit_job(rr->expand_job(job));
-        CANARY_CHECK(submitted.ok(), "job submission failed");
-        rr->track_job(submitted.value());
-      }
       break;
-    }
-    case StrategyKind::kActiveStandby: {
+    case StrategyKind::kActiveStandby:
       as.emplace(platform);
       platform.set_recovery_handler(&*as);
       platform.add_observer(&*as);
-      for (const auto& job : jobs) {
-        auto submitted = platform.submit_job(borrow(job));
-        CANARY_CHECK(submitted.ok(), "job submission failed");
-      }
       break;
-    }
-    case StrategyKind::kHedge: {
+    case StrategyKind::kHedge:
       hedge.emplace(platform, config.strategy.hedge);
       platform.set_recovery_handler(&*hedge);
       platform.add_observer(&*hedge);
-      for (const auto& job : jobs) {
-        auto submitted = platform.submit_job(borrow(job));
-        CANARY_CHECK(submitted.ok(), "job submission failed");
-      }
       break;
+  }
+
+  // The one route every job takes, batch job or traffic arrival: the
+  // Canary control plane when it is installed, so the Request Validator
+  // sees the offered load too; request replication's expansion, which
+  // keeps the logical function first (name intact) so the traffic
+  // generator's name-based arrival binding still matches; else the
+  // platform. Batch jobs come borrowed, arrivals owned.
+  const auto submit = [this](auto spec) -> Result<JobId> {
+    if (canary_fw.has_value()) return canary_fw->submit_job(std::move(spec));
+    if (rr.has_value()) {
+      auto submitted = platform.submit_job(rr->expand_job(spec_of(spec)));
+      if (submitted.ok()) rr->track_job(submitted.value());
+      return submitted;
     }
+    return platform.submit_job(std::move(spec));
+  };
+  for (const auto& job : jobs) {
+    const Result<JobId> submitted = submit(borrow(job));
+    CANARY_CHECK(submitted.ok(), "job submission failed");
   }
 
   // Open-loop traffic rides on top of (or instead of) the batch jobs.
-  // Submissions route through the Canary control plane when it is
-  // installed so the Request Validator sees the offered load too.
   if (config.traffic.enabled && !config.traffic.streams.empty()) {
-    traffic::TrafficGenerator::SubmitFn submit_route;
-    if (canary_fw.has_value()) {
-      submit_route = [fw = &*canary_fw](faas::JobSpec spec) {
-        return fw->submit_job(std::move(spec));
-      };
-    } else if (rr.has_value()) {
-      // Request replication expands traffic arrivals too — the expansion
-      // keeps the logical function first (name intact), so the traffic
-      // generator's name-based arrival binding still matches.
-      submit_route = [p = &platform, r = &*rr](faas::JobSpec spec) {
-        auto submitted = p->submit_job(r->expand_job(spec));
-        if (submitted.ok()) r->track_job(submitted.value());
-        return submitted;
-      };
-    } else {
-      submit_route = [p = &platform](faas::JobSpec spec) {
-        return p->submit_job(std::move(spec));
-      };
-    }
     // An independent child stream keeps the arrival draws from perturbing
     // the failure injector, which consumes Rng(seed) directly.
-    traffic_gen.emplace(simulator, platform, config.traffic,
-                        std::move(submit_route), Rng(config.seed).child(4));
+    traffic_gen.emplace(simulator, platform, config.traffic, submit,
+                        Rng(config.seed).child(4));
     platform.add_observer(&*traffic_gen);
     if (config.traffic.autoscaler.enabled) {
       autoscaler.emplace(simulator, platform, *traffic_gen);
@@ -221,9 +199,7 @@ ScenarioInstance::ScenarioInstance(sim::Simulator& sim,
                                      gray.duration, gray.slowdown, gray.node);
     }
     for (const auto& fault : config.heartbeat_faults) {
-      injector->add_heartbeat_fault({TimePoint::origin() + fault.at,
-                                     fault.duration, fault.delay,
-                                     fault.drop_rate, fault.node});
+      injector->add_heartbeat_fault(fault);
     }
     for (const auto& fault : config.store_faults) {
       injector->schedule_store_fault(simulator, platform, store,

@@ -62,15 +62,10 @@ struct ScenarioConfig {
     std::optional<NodeId> node;  // unset = weighted random alive victim
   };
   std::vector<GrayFailure> gray_failures;
-  /// Control-plane fault windows applied to worker heartbeats.
-  struct HeartbeatFaultCfg {
-    Duration at;
-    Duration duration = Duration::sec(2.0);
-    Duration delay = Duration::zero();
-    double drop_rate = 0.0;
-    std::optional<NodeId> node;  // unset = every node
-  };
-  std::vector<HeartbeatFaultCfg> heartbeat_faults;
+  /// Control-plane fault windows applied to worker heartbeats. A run
+  /// starts at TimePoint::origin(), so each window's start is also its
+  /// offset from run start.
+  std::vector<failure::FailureInjector::HeartbeatFault> heartbeat_faults;
   /// KV checkpoint-shard faults: lose/corrupt stored checkpoint entries.
   struct StoreFault {
     Duration at;

@@ -22,16 +22,12 @@ void ActiveStandbyHandler::provision_standby(FunctionId fn) {
   }
 
   auto launched = platform_.launch_warm_container(
-      *node, image, faas::ContainerPurpose::kStandby, [this](ContainerId cid) {
-        // The function finished while the standby was launching; the
-        // orphan would idle (and bill) forever.
-        if (!by_container_.contains(cid)) platform_.destroy_warm_container(cid);
-      });
+      *node, image, faas::ContainerPurpose::kStandby);
   if (!launched.ok()) return;
   auto [it, inserted] = standbys_.try_emplace(fn, launched.value());
   if (!inserted) {
     // A failure found the previous standby still launching. Forget it:
-    // its readiness callback then tears it down instead of leaving it to
+    // on_container_ready then tears it down instead of leaving it to
     // idle (and bill) as a standby of nothing.
     by_container_.erase(it->second);
     it->second = launched.value();
@@ -81,8 +77,15 @@ void ActiveStandbyHandler::on_function_completed(const faas::Invocation& inv) {
   if (platform_.container(standby).warm_idle()) {
     platform_.destroy_warm_container(standby);
   }
-  // A standby still launching is destroyed by its readiness callback once
-  // it finds no by_container_ entry.
+  // A standby still launching is destroyed by on_container_ready once it
+  // finds no by_container_ entry.
+}
+
+void ActiveStandbyHandler::on_container_ready(const faas::Container& c) {
+  // A standby whose function finished, or whose failure superseded it,
+  // while it launched is an orphan that would idle (and bill) forever.
+  if (c.purpose != faas::ContainerPurpose::kStandby) return;
+  if (!by_container_.contains(c.id)) platform_.destroy_warm_container(c.id);
 }
 
 void ActiveStandbyHandler::on_container_destroyed(const faas::Container& c) {

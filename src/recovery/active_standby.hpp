@@ -29,6 +29,7 @@ class ActiveStandbyHandler final : public faas::RecoveryHandler,
   // PlatformObserver
   void on_job_submitted(JobId job) override;
   void on_function_completed(const faas::Invocation& inv) override;
+  void on_container_ready(const faas::Container& c) override;
   void on_container_destroyed(const faas::Container& c) override;
 
  private:

@@ -21,10 +21,9 @@ namespace canary::sim {
 
 class UniqueFunction {
  public:
-  /// Inline capture budget. 64 bytes covers every steady-state platform
-  /// callback (state advance, kill timer, pump tick) with room to spare;
-  /// the rare provisioning callbacks that carry a std::function payload
-  /// spill to the heap.
+  /// Inline capture budget. 64 bytes covers every platform callback
+  /// (state advance, kill timer, pump tick, warm-container launch);
+  /// anything larger spills to the heap.
   static constexpr std::size_t kInlineSize = 64;
 
   UniqueFunction() = default;

@@ -1,15 +1,10 @@
 #include "traffic/arrival.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/result.hpp"
 
 namespace canary::traffic {
 
 namespace {
-
-constexpr double kPi = 3.14159265358979323846;
 
 /// Exponential gap in sim time; clamped to at least one tick so a stream
 /// can never emit two arrivals at the same microsecond (FIFO tiebreak in
@@ -90,78 +85,17 @@ class OnOffProcess final : public ArrivalProcess {
   TimePoint phase_end_;
 };
 
-/// Sinusoid-modulated Poisson via Lewis-Shedler thinning: candidates are
-/// drawn at the peak rate and accepted with probability rate(t)/peak.
-class DiurnalProcess final : public ArrivalProcess {
- public:
-  DiurnalProcess(const ArrivalSpec& spec, Rng rng)
-      : base_(spec.rate_hz),
-        amplitude_(std::clamp(spec.amplitude, 0.0, 0.999)),
-        period_(spec.period),
-        rng_(rng) {}
-
-  std::optional<TimePoint> next(TimePoint now) override {
-    if (base_ <= 0.0) return std::nullopt;
-    const double peak = base_ * (1.0 + amplitude_);
-    TimePoint cursor = now;
-    for (int guard = 0; guard < 1 << 20; ++guard) {
-      cursor = cursor + exp_gap(rng_, peak);
-      const double phase =
-          2.0 * kPi * (cursor - TimePoint::origin()).to_seconds() /
-          period_.to_seconds();
-      const double rate = base_ * (1.0 + amplitude_ * std::sin(phase));
-      if (rng_.bernoulli(rate / peak)) return cursor;
-    }
-    return std::nullopt;
-  }
-
- private:
-  double base_;
-  double amplitude_;
-  Duration period_;
-  Rng rng_;
-};
-
-class TraceProcess final : public ArrivalProcess {
- public:
-  explicit TraceProcess(std::vector<Duration> offsets)
-      : offsets_(std::move(offsets)) {
-    std::sort(offsets_.begin(), offsets_.end());
-  }
-
-  std::optional<TimePoint> next(TimePoint now) override {
-    while (index_ < offsets_.size() &&
-           TimePoint::origin() + offsets_[index_] <= now) {
-      ++index_;
-    }
-    if (index_ >= offsets_.size()) return std::nullopt;
-    return TimePoint::origin() + offsets_[index_++];
-  }
-
- private:
-  std::vector<Duration> offsets_;
-  std::size_t index_ = 0;
-};
-
 }  // namespace
 
 double ArrivalSpec::mean_rate_hz() const {
   switch (kind) {
     case Kind::kPoisson:
-    case Kind::kDiurnal:
-      // The sinusoid integrates to zero over whole periods.
       return rate_hz;
     case Kind::kOnOff: {
       const double on_s = on_mean.to_seconds();
       const double off_s = off_mean.to_seconds();
       if (on_s + off_s <= 0.0) return 0.0;
       return (rate_hz * on_s + off_rate_hz * off_s) / (on_s + off_s);
-    }
-    case Kind::kTrace: {
-      if (trace.size() < 2) return 0.0;
-      const auto [lo, hi] = std::minmax_element(trace.begin(), trace.end());
-      const double span_s = (*hi - *lo).to_seconds();
-      return span_s > 0.0 ? static_cast<double>(trace.size()) / span_s : 0.0;
     }
   }
   return 0.0;
@@ -174,10 +108,6 @@ std::unique_ptr<ArrivalProcess> make_arrival_process(const ArrivalSpec& spec,
       return std::make_unique<PoissonProcess>(spec.rate_hz, rng);
     case ArrivalSpec::Kind::kOnOff:
       return std::make_unique<OnOffProcess>(spec, rng);
-    case ArrivalSpec::Kind::kDiurnal:
-      return std::make_unique<DiurnalProcess>(spec, rng);
-    case ArrivalSpec::Kind::kTrace:
-      return std::make_unique<TraceProcess>(spec.trace);
   }
   CANARY_CHECK(false, "unknown arrival kind");
   return nullptr;

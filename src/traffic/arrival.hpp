@@ -4,18 +4,13 @@
 // sees sustained pressure. An ArrivalProcess is the open-loop half: it
 // produces invocation arrival instants independent of completion times,
 // which is what makes overload, queueing delay and warm-pool sizing
-// observable at all. Four processes cover the space the traffic benches
+// observable at all. Two processes cover the space the traffic benches
 // sweep:
 //
 //   * Poisson        — memoryless arrivals at a constant rate;
 //   * on/off (MMPP)  — a two-phase Markov-modulated process: exponential
 //                      on/off dwell times, each phase Poisson at its own
-//                      rate (bursts with calm valleys);
-//   * diurnal        — a Poisson process whose rate is sinusoid-modulated
-//                      (daily peak/trough), sampled by Lewis-Shedler
-//                      thinning against the peak-rate majorant;
-//   * trace          — replay of explicit offsets (ArrivalSpec::trace),
-//                      bit-exact.
+//                      rate (bursts with calm valleys).
 //
 // Every process owns its Rng by value: two processes built from the same
 // spec and seed emit byte-identical streams, which is the determinism
@@ -24,7 +19,6 @@
 
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -34,10 +28,10 @@ namespace canary::traffic {
 /// Value-type description of an arrival process; the config half of the
 /// subsystem so harness::ScenarioConfig stays copyable.
 struct ArrivalSpec {
-  enum class Kind { kPoisson, kOnOff, kDiurnal, kTrace };
+  enum class Kind { kPoisson, kOnOff };
   Kind kind = Kind::kPoisson;
 
-  /// Poisson rate; on-phase rate for kOnOff; mean rate for kDiurnal.
+  /// Poisson rate; on-phase rate for kOnOff.
   double rate_hz = 10.0;
 
   // kOnOff: off-phase rate and exponential phase dwell means.
@@ -45,21 +39,14 @@ struct ArrivalSpec {
   Duration on_mean = Duration::sec(2.0);
   Duration off_mean = Duration::sec(2.0);
 
-  // kDiurnal: rate(t) = rate_hz * (1 + amplitude * sin(2*pi*t/period)).
-  double amplitude = 0.5;  // in [0, 1)
-  Duration period = Duration::sec(60.0);
-
-  // kTrace: explicit arrival offsets from the origin, ascending.
-  std::vector<Duration> trace;
-
   /// Long-run mean arrival rate implied by the spec: the analytic
   /// reference of the rate-matching property tests.
   double mean_rate_hz() const;
 };
 
 /// A stream of arrival instants. next(now) returns the first arrival
-/// strictly after `now`, or nullopt when the stream is exhausted (trace
-/// replay past its last entry); the generator applies its own horizon.
+/// strictly after `now`, or nullopt when the stream is exhausted (a zero
+/// rate); the generator applies its own horizon.
 class ArrivalProcess {
  public:
   virtual ~ArrivalProcess() = default;

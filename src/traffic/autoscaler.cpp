@@ -61,9 +61,9 @@ void WarmPoolAutoscaler::sweep() {
   const TimePoint hard_stop =
       TimePoint::origin() + generator_.config().horizon + config_.drain_grace;
   if (generator_.quiescent() || now >= hard_stop) {
-    // Drain: release everything we still hold and stop rescheduling once
-    // no launch is in flight (in-flight launches retire on arrival via
-    // the on_ready callback checking stopped_).
+    // Drain: release everything we still hold and stop rescheduling
+    // (in-flight launches retire as they turn warm: on_container_ready
+    // checks stopped_).
     stopped_ = true;
     retire_all();
     return;
@@ -109,21 +109,7 @@ void WarmPoolAutoscaler::sweep_class(std::size_t idx) {
           platform_.cluster().least_loaded(cls.memory);
       if (!node.has_value()) break;  // saturated; retry next sweep
       const Result<ContainerId> id = platform_.launch_warm_container(
-          *node, cls.image, faas::ContainerPurpose::kFunction,
-          [this, idx](ContainerId ready) {
-            PoolClass& c = classes_[idx];
-            if (c.launching.erase(ready) == 0) return;  // died / adopted
-            if (stopped_) {
-              // Landed after the drain began: retire immediately.
-              if (platform_.container(ready).warm_idle()) {
-                retired_.push_back(ready);
-                m_retirements_.add();
-                platform_.destroy_warm_container(ready);
-              }
-              return;
-            }
-            c.owned_warm.insert(ready);
-          });
+          *node, cls.image, faas::ContainerPurpose::kFunction);
       if (!id.ok()) break;
       cls.launching.insert(id.value());
       m_launches_.add();
@@ -161,6 +147,22 @@ void WarmPoolAutoscaler::sweep_class(std::size_t idx) {
       m_scale_ins_.add();
       events_.push_back(ScaleEvent{now, idx, drained, false});
     }
+  }
+}
+
+void WarmPoolAutoscaler::on_container_ready(const faas::Container& c) {
+  if (c.purpose != faas::ContainerPurpose::kFunction) return;
+  for (PoolClass& cls : classes_) {
+    if (cls.launching.erase(c.id) == 0) continue;  // not ours
+    if (!stopped_) {
+      cls.owned_warm.insert(c.id);
+    } else if (c.warm_idle()) {
+      // Landed after the drain began: retire immediately.
+      retired_.push_back(c.id);
+      m_retirements_.add();
+      platform_.destroy_warm_container(c.id);
+    }
+    return;
   }
 }
 

@@ -11,10 +11,11 @@
 // Safety invariant (pinned by tests): the autoscaler retires only
 // containers it launched itself *and* that are warm-idle at retirement
 // time. It tracks ownership through the platform observer hooks — a
-// container it launched that gets adopted by an invocation leaves the
-// owned set at on_attempt_started, and destroyed containers leave at
-// on_container_destroyed — so a busy container, a runtime replica, a
-// request replica or a standby can never be scaled in.
+// container it launched joins the owned set at on_container_ready,
+// leaves it at on_attempt_started once an invocation adopts it, and
+// destroyed containers leave at on_container_destroyed — so a busy
+// container, a runtime replica, a request replica or a standby can never
+// be scaled in.
 //
 // Termination: the sweep rescheduling stops once traffic is quiescent and
 // every owned container is retired; a drain-grace hard stop past the
@@ -57,6 +58,7 @@ class WarmPoolAutoscaler final : public faas::PlatformObserver {
   const std::vector<ContainerId>& retired() const { return retired_; }
 
   // PlatformObserver
+  void on_container_ready(const faas::Container& c) override;
   void on_attempt_started(const faas::Invocation& inv) override;
   void on_container_destroyed(const faas::Container& c) override;
 

@@ -57,7 +57,7 @@ class ReplicationTest : public ::testing::Test {
   ContainerId launch_replica(NodeId node) {
     const auto launched = platform_.launch_warm_container(
         node, faas::RuntimeImage::kPython3,
-        faas::ContainerPurpose::kRuntimeReplica, nullptr);
+        faas::ContainerPurpose::kRuntimeReplica);
     EXPECT_TRUE(launched.ok());
     manager_.register_replica(faas::RuntimeImage::kPython3, launched.value());
     return launched.value();

@@ -3,7 +3,9 @@
 // recovery-time accounting, and the usage ledger.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/network.hpp"
@@ -50,6 +52,22 @@ class FixedKillPolicy : public FailurePolicy {
  private:
   int attempt_;
   Duration offset_;
+};
+
+/// Records every container the platform announces as ready, and when.
+class ReadyRecorder : public PlatformObserver {
+ public:
+  explicit ReadyRecorder(const sim::Simulator& sim) : sim_(sim) {}
+  void on_container_ready(const Container& c) override {
+    ids.push_back(c.id);
+    times.push_back(sim_.now());
+  }
+
+  std::vector<ContainerId> ids;
+  std::vector<TimePoint> times;
+
+ private:
+  const sim::Simulator& sim_;
 };
 
 class PlatformTest : public ::testing::Test {
@@ -214,18 +232,14 @@ TEST_F(PlatformTest, RetryCountsRestarts) {
 
 TEST_F(PlatformTest, WarmContainerSkipsColdStart) {
   auto& p = make_platform();
-  bool ready = false;
-  ContainerId warm_id;
-  auto launched = p.launch_warm_container(
-      NodeId{1}, RuntimeImage::kPython3, ContainerPurpose::kRuntimeReplica,
-      [&](ContainerId cid) {
-        ready = true;
-        warm_id = cid;
-      });
+  ReadyRecorder ready(sim_);
+  p.add_observer(&ready);
+  auto launched = p.launch_warm_container(NodeId{1}, RuntimeImage::kPython3,
+                                          ContainerPurpose::kRuntimeReplica);
   ASSERT_TRUE(launched.ok());
   sim_.run();
-  ASSERT_TRUE(ready);
-  EXPECT_TRUE(p.container(warm_id).warm_idle());
+  ASSERT_EQ(ready.ids, std::vector<ContainerId>{launched.value()});
+  EXPECT_TRUE(p.container(launched.value()).warm_idle());
   EXPECT_EQ(p.warm_container_count(RuntimeImage::kPython3), 1u);
 
   // Dispatch a function onto it: only warm_dispatch (8ms) precedes states.
@@ -244,9 +258,9 @@ TEST_F(PlatformTest, WarmContainerSkipsColdStart) {
 TEST_F(PlatformTest, FindWarmContainerFilters) {
   auto& p = make_platform();
   (void)p.launch_warm_container(NodeId{1}, RuntimeImage::kPython3,
-                                ContainerPurpose::kRuntimeReplica, nullptr);
+                                ContainerPurpose::kRuntimeReplica);
   (void)p.launch_warm_container(NodeId{2}, RuntimeImage::kJava8,
-                                ContainerPurpose::kStandby, nullptr);
+                                ContainerPurpose::kStandby);
   sim_.run();
   EXPECT_TRUE(p.find_warm_container(RuntimeImage::kPython3, std::nullopt,
                                     std::nullopt)
@@ -264,12 +278,13 @@ TEST_F(PlatformTest, FindWarmContainerFilters) {
 
 TEST_F(PlatformTest, StartAttemptOnWarmContainerTiming) {
   auto& p = make_platform();
-  ContainerId warm_id;
-  (void)p.launch_warm_container(
-      NodeId{2}, RuntimeImage::kPython3, ContainerPurpose::kRuntimeReplica,
-      [&](ContainerId cid) { warm_id = cid; });
+  ReadyRecorder ready(sim_);
+  p.add_observer(&ready);
+  (void)p.launch_warm_container(NodeId{2}, RuntimeImage::kPython3,
+                                ContainerPurpose::kRuntimeReplica);
   sim_.run();  // replica warm at t = 800ms
-  ASSERT_TRUE(warm_id.valid());
+  ASSERT_EQ(ready.ids.size(), 1u);
+  const ContainerId warm_id = ready.ids.front();
   const TimePoint warm_at = sim_.now();
   EXPECT_EQ(warm_at.count_usec(), 800'000);
 
@@ -307,7 +322,7 @@ TEST_F(PlatformTest, NodeFailureKillsEverythingOnIt) {
   sim_.schedule_after(Duration::msec(100), [&] {
     ASSERT_EQ(p.invocation(p.job_functions(job).front()).node, NodeId{1});
     (void)p.launch_warm_container(NodeId{1}, RuntimeImage::kPython3,
-                                  ContainerPurpose::kRuntimeReplica, nullptr);
+                                  ContainerPurpose::kRuntimeReplica);
   });
   bool node_failed = false;
   sim_.schedule_after(Duration::sec(1.2), [&] {
@@ -327,19 +342,105 @@ TEST_F(PlatformTest, NodeFailureKillsEverythingOnIt) {
 
 TEST_F(PlatformTest, ColdStartContentionSlowsMassLaunch) {
   auto& p = make_platform();
-  std::vector<TimePoint> ready_times;
+  ReadyRecorder ready(sim_);
+  p.add_observer(&ready);
   for (int i = 0; i < 6; ++i) {
-    (void)p.launch_warm_container(
-        NodeId{1}, RuntimeImage::kPython3, ContainerPurpose::kRuntimeReplica,
-        [&](ContainerId) { ready_times.push_back(sim_.now()); });
+    (void)p.launch_warm_container(NodeId{1}, RuntimeImage::kPython3,
+                                  ContainerPurpose::kRuntimeReplica);
   }
   sim_.run();
+  const std::vector<TimePoint>& ready_times = ready.times;
   ASSERT_EQ(ready_times.size(), 6u);
   // First launch sees no contention (multiplier 1.0): ready at 800ms.
   EXPECT_EQ(ready_times.front().count_usec(), 800'000);
   // The last one launched with 5 siblings in flight: multiplier 1.6.
   EXPECT_GT(ready_times.back(), ready_times.front());
   EXPECT_EQ(ready_times.back().count_usec(), 450'000 * 1.6 + 350'000);
+}
+
+TEST_F(PlatformTest, ObserversAfterADestroyerAreNotToldTheContainerIsReady) {
+  auto& p = make_platform();
+  class Destroyer : public PlatformObserver {
+   public:
+    explicit Destroyer(Platform& platform) : platform_(platform) {}
+    void on_container_ready(const Container& c) override {
+      platform_.destroy_warm_container(c.id);
+    }
+
+   private:
+    Platform& platform_;
+  } destroyer(p);
+  ReadyRecorder later(sim_);
+  p.add_observer(&destroyer);
+  p.add_observer(&later);
+  const auto launched = p.launch_warm_container(
+      NodeId{1}, RuntimeImage::kPython3, ContainerPurpose::kStandby);
+  ASSERT_TRUE(launched.ok());
+  sim_.run();
+  EXPECT_EQ(p.container(launched.value()).state, ContainerState::kDead);
+  EXPECT_TRUE(later.ids.empty());
+}
+
+TEST_F(PlatformTest, EveryIdIsItsSlabPosition) {
+  auto& p = make_platform();
+  const auto two_functions = [] {
+    JobSpec job;
+    job.functions.push_back(simple_function());
+    job.functions.push_back(simple_function());
+    return job;
+  };
+  // Interleave every way a job, function or container record is made.
+  std::vector<JobId> jobs;
+  std::vector<ContainerId> warm;
+  jobs.push_back(p.submit_job(two_functions()).value());
+  warm.push_back(p.launch_warm_container(NodeId{1}, RuntimeImage::kPython3,
+                                         ContainerPurpose::kStandby)
+                     .value());
+  jobs.push_back(p.shed_job(two_functions()).value());
+  sim_.run_until(TimePoint::origin() + Duration::msec(100));
+  const FunctionId clone = p.hedge_clone(p.job_functions(jobs[0]).front());
+  jobs.push_back(p.submit_job(two_functions()).value());
+  warm.push_back(p.launch_warm_container(NodeId{2}, RuntimeImage::kJava8,
+                                         ContainerPurpose::kRuntimeReplica)
+                     .value());
+  jobs.push_back(p.shed_job(two_functions()).value());
+  sim_.run();
+
+  ASSERT_EQ(jobs.size(), 4u);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(jobs[i], JobId{i + 1});
+  }
+  EXPECT_EQ(p.all_job_ids(), jobs);
+  // Functions: the first job's two, the shed job's two, the clone, then
+  // the last two jobs' two each.
+  EXPECT_EQ(clone, FunctionId{5});
+  const std::vector<FunctionId> functions = p.all_function_ids();
+  ASSERT_EQ(functions.size(), 9u);
+  std::vector<FunctionId> by_job;
+  for (const JobId job : jobs) {
+    for (const FunctionId fn : p.job_functions(job)) {
+      EXPECT_EQ(p.invocation(fn).job, job);
+      by_job.push_back(fn);
+    }
+  }
+  std::sort(by_job.begin(), by_job.end());
+  EXPECT_EQ(by_job, functions);
+  for (std::size_t i = 0; i < functions.size(); ++i) {
+    EXPECT_EQ(functions[i], FunctionId{i + 1});
+    EXPECT_EQ(p.invocation(functions[i]).id, functions[i]);
+  }
+  // Containers: the standby, the first job's two cold starts, the clone's,
+  // the replica, then the third job's two.
+  EXPECT_EQ(warm, (std::vector<ContainerId>{ContainerId{1}, ContainerId{5}}));
+  for (std::uint64_t i = 1; i <= 7; ++i) {
+    EXPECT_EQ(p.container(ContainerId{i}).id, ContainerId{i});
+  }
+  for (const FunctionId fn : functions) {
+    const ContainerId cid = p.invocation(fn).container;
+    if (cid.valid()) {
+      EXPECT_EQ(p.container(cid).id, cid);
+    }
+  }
 }
 
 TEST_F(PlatformTest, UsageLedgerRecordsIntervals) {

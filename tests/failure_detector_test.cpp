@@ -117,8 +117,8 @@ TEST(FailureDetectorScenarioTest, FalseSuspicionCancelsCleanly) {
   config.detection.timeout_multiplier = 2.0;   // suspect after 1s gap
   config.detection.confirm_multiplier = 4.0;   // confirm after 3s gap
   config.error_rate = 0.0;
-  ScenarioConfig::HeartbeatFaultCfg fault;
-  fault.at = Duration::sec(2.0);
+  failure::FailureInjector::HeartbeatFault fault;
+  fault.start = TimePoint::origin() + Duration::sec(2.0);
   fault.duration = Duration::sec(2.0);
   fault.delay = Duration::msec(1500);  // between the two thresholds
   fault.node = NodeId{3};

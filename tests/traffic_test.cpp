@@ -46,11 +46,6 @@ ArrivalSpec spec_of(ArrivalSpec::Kind kind) {
   spec.off_rate_hz = 2.0;
   spec.on_mean = Duration::sec(3.0);
   spec.off_mean = Duration::sec(2.0);
-  spec.amplitude = 0.6;
-  spec.period = Duration::sec(40.0);
-  if (kind == ArrivalSpec::Kind::kTrace) {
-    for (int i = 0; i < 100; ++i) spec.trace.push_back(Duration::msec(i * 50));
-  }
   return spec;
 }
 
@@ -75,9 +70,7 @@ TEST_P(ArrivalKindTest, ArrivalsStrictlyAdvance) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, ArrivalKindTest,
                          ::testing::Values(ArrivalSpec::Kind::kPoisson,
-                                           ArrivalSpec::Kind::kOnOff,
-                                           ArrivalSpec::Kind::kDiurnal,
-                                           ArrivalSpec::Kind::kTrace));
+                                           ArrivalSpec::Kind::kOnOff));
 
 TEST(ArrivalTest, DifferentSeedsDifferentStreams) {
   const ArrivalSpec spec = spec_of(ArrivalSpec::Kind::kPoisson);
@@ -109,8 +102,7 @@ TEST_P(RateMatchTest, EmpiricalMatchesAnalyticRate) {
 INSTANTIATE_TEST_SUITE_P(
     SeedsByKind, RateMatchTest,
     ::testing::Combine(::testing::Values(ArrivalSpec::Kind::kPoisson,
-                                         ArrivalSpec::Kind::kOnOff,
-                                         ArrivalSpec::Kind::kDiurnal),
+                                         ArrivalSpec::Kind::kOnOff),
                        ::testing::Values(1, 2, 3, 4, 5)));
 
 // ---- admission ----------------------------------------------------------
