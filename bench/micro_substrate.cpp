@@ -126,25 +126,6 @@ void BM_KvGet(benchmark::State& state) {
 }
 BENCHMARK(BM_KvGet);
 
-void BM_KvConcurrentMixed(benchmark::State& state) {
-  static kv::KvStore* store = [] {
-    std::vector<NodeId> nodes;
-    for (std::uint64_t i = 1; i <= 4; ++i) nodes.push_back(NodeId{i});
-    return new kv::KvStore(kv::KvConfig{}, nodes);
-  }();
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    const std::string key = "key" + std::to_string(i++ % 1024);
-    if (i % 4 == 0) {
-      benchmark::DoNotOptimize(store->put(key, "v"));
-    } else {
-      benchmark::DoNotOptimize(store->get(key));
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KvConcurrentMixed)->Threads(1)->Threads(4)->Threads(8);
-
 void BM_PlatformEndToEnd(benchmark::State& state) {
   // Full simulated run: N web-service functions under Canary at 20% error.
   const auto count = static_cast<std::size_t>(state.range(0));

@@ -116,25 +116,20 @@ Status CheckpointClient::save(std::uint64_t state_index,
 std::optional<CheckpointClient::Restored> CheckpointClient::load_latest()
     const {
   // Recovery runs in a fresh process: enumerate surviving checkpoints
-  // from the KV store rather than trusting local state.
+  // from the KV store rather than trusting local state. Walk
+  // newest-first: a record whose bytes no longer match their put-time
+  // checksum, or a spilled record whose blob is gone, falls back to the
+  // next-older checkpoint.
   const auto keys = store_.keys_with_prefix("app-ckpt/" + app_id_ + "/");
-  std::optional<std::uint64_t> best;
-  for (const auto& key : keys) {
-    const auto slash = key.rfind('/');
-    const std::uint64_t index = std::stoull(key.substr(slash + 1));
-    if (!best || index > *best) best = index;
-  }
-  // Walk newest-first: a spilled record whose blob is gone falls back to
-  // the next-older checkpoint.
   std::vector<std::uint64_t> indices;
   for (const auto& key : keys) {
     indices.push_back(std::stoull(key.substr(key.rfind('/') + 1)));
   }
   std::sort(indices.rbegin(), indices.rend());
   for (const std::uint64_t index : indices) {
-    const auto entry = store_.get(kv_key(index));
-    if (!entry.ok()) continue;
-    std::string record = entry.value().payload;
+    const std::string key = kv_key(index);
+    if (!store_.intact(key)) continue;  // bit rot; try an older checkpoint
+    std::string record = store_.get(key).value().payload;
     if (record.rfind(kSpillPrefix, 0) == 0) {
       const auto blob = blobs_.get(record.substr(sizeof(kSpillPrefix) - 1));
       if (!blob.ok()) continue;  // spill lost; try an older checkpoint

@@ -74,7 +74,9 @@ class CheckpointClient {
     std::vector<std::pair<std::string, std::string>> critical_data;
   };
 
-  /// Newest restorable checkpoint, or nullopt if none survives.
+  /// Newest restorable checkpoint, or nullopt if none survives. A record
+  /// that fails its KV checksum, or a spilled one whose blob is gone, is
+  /// skipped for the next-older checkpoint.
   std::optional<Restored> load_latest() const;
 
   std::uint64_t spills() const { return spills_; }

@@ -15,18 +15,15 @@
 //   * prefix scans (used to enumerate the latest-n checkpoints of a
 //     function).
 //
-// The store is genuinely concurrent — sharded with per-shard shared
-// mutexes. Each simulation run drives it single-threaded; only
-// KvStoreTest.ConcurrentMixedWorkloadIsSafe and micro_substrate's
-// BM_KvConcurrentMixed drive it from several threads.
+// The store is single-threaded: one map, no locks. Every store has one
+// driving thread — a scenario's (one per repetition and per sharded
+// partition), the realexec controller's poll loop, or a CheckpointClient's
+// caller.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,7 +40,6 @@ enum class CacheMode {
 };
 
 struct KvConfig {
-  std::size_t shard_count = 16;
   /// Per-entry limit; Algorithm 1's `db_limit`.
   Bytes max_entry_size = Bytes::mib(4);
   CacheMode mode = CacheMode::kReplicated;
@@ -96,19 +92,16 @@ class KvStore {
   /// Insert or overwrite `key`. The entry's logical size defaults to the
   /// payload length; pass `logical_size` when the payload is a descriptor
   /// for a larger object (a spilled checkpoint's location record carries
-  /// the checkpoint's real size out-of-band). Returns
-  /// kResourceExhausted when `logical_size` exceeds the per-entry limit.
+  /// the checkpoint's real size out-of-band). A valid `writer` makes this
+  /// the commit path for checkpoint/state writes, gated first: kUnavailable
+  /// when `writer` has been epoch-fenced (stale_epoch_rejects), then when
+  /// it fails the installed quorum predicate (quorum_blocked_puts). Then
+  /// kResourceExhausted when the logical size exceeds the per-entry limit,
+  /// and kUnavailable when no cache node is alive and native persistence
+  /// is off.
   Status put(const std::string& key, std::string payload,
-             std::optional<Bytes> logical_size = std::nullopt);
-
-  /// Writer-attributed put: the commit path for checkpoint/state writes.
-  /// Rejected (kUnavailable) when `writer` has been epoch-fenced
-  /// (stale_epoch_rejects) or currently fails the installed quorum
-  /// predicate (quorum_blocked_puts). An invalid writer id or an
-  /// unfenced writer with no predicate installed behaves exactly like the
-  /// plain put above.
-  Status put(const std::string& key, std::string payload,
-             std::optional<Bytes> logical_size, NodeId writer);
+             std::optional<Bytes> logical_size = std::nullopt,
+             NodeId writer = NodeId::invalid());
 
   Result<KvEntry> get(const std::string& key) const;
   bool contains(const std::string& key) const;
@@ -129,7 +122,7 @@ class KvStore {
   /// All live keys beginning with `prefix`, sorted. O(total keys).
   std::vector<std::string> keys_with_prefix(const std::string& prefix) const;
 
-  KvStats stats() const;
+  const KvStats& stats() const { return stats_; }
 
   /// Drop the copies held by `node`. Entries with no remaining copy are
   /// destroyed unless native persistence is enabled; in replicated mode
@@ -158,26 +151,16 @@ class KvStore {
   }
 
  private:
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<std::string, KvEntry> map;
-  };
-
-  Shard& shard_for(const std::string& key);
-  const Shard& shard_for(const std::string& key) const;
   std::vector<NodeId> choose_owners(const std::string& key) const;
 
   KvConfig config_;
   std::function<bool(NodeId)> writer_quorum_;
   std::function<std::uint32_t(NodeId)> zone_of_;
   std::vector<NodeId> cache_nodes_;
-  /// Nodes whose write epoch was advanced by fence_node; guarded by
-  /// membership_mutex_.
+  /// Nodes whose write epoch was advanced by fence_node.
   std::vector<NodeId> fenced_nodes_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::mutex stats_mutex_;
+  std::unordered_map<std::string, KvEntry> entries_;
   mutable KvStats stats_;  // gets/hits/misses are counted in const reads
-  mutable std::shared_mutex membership_mutex_;
 };
 
 }  // namespace canary::kv

@@ -103,6 +103,38 @@ TEST(CheckpointClientTest, LostSpillFallsBackToOlderCheckpoint) {
   EXPECT_EQ(restored->state_data, "small-and-safe");
 }
 
+TEST(CheckpointClientTest, CorruptRecordFallsBackToOlderCheckpoint) {
+  auto store = make_store();
+  InMemoryBlobStore blobs;
+  CheckpointClient checkpoints(store, blobs, "fn-9");
+  ASSERT_TRUE(checkpoints.save(0, "older").ok());
+  ASSERT_TRUE(checkpoints.save(1, "newest").ok());
+  // Bit rot in the newest record: its bytes no longer match the checksum
+  // written at put time, so it must not be decoded.
+  ASSERT_TRUE(store.corrupt_entry("app-ckpt/fn-9/1"));
+
+  const auto restored = checkpoints.load_latest();
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->state_index, 0u);
+  EXPECT_EQ(restored->state_data, "older");
+}
+
+TEST(CheckpointClientTest, CorruptSpillRecordFallsBackToOlderCheckpoint) {
+  auto store = make_store(Bytes::of(128));
+  InMemoryBlobStore blobs;
+  CheckpointClient checkpoints(store, blobs, "fn-10");
+  ASSERT_TRUE(checkpoints.save(0, "small-and-safe").ok());
+  ASSERT_TRUE(checkpoints.save(1, std::string(1024, 'y')).ok());
+  ASSERT_EQ(checkpoints.spills(), 1u);
+  // The rotted location record no longer names its blob.
+  ASSERT_TRUE(store.corrupt_entry("app-ckpt/fn-10/1"));
+
+  const auto restored = checkpoints.load_latest();
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->state_index, 0u);
+  EXPECT_EQ(restored->state_data, "small-and-safe");
+}
+
 TEST(CheckpointClientTest, RetentionKeepsLatestN) {
   auto store = make_store();
   InMemoryBlobStore blobs;

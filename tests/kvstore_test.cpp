@@ -1,9 +1,6 @@
 // Unit tests for the in-memory distributed KV store (Ignite substitute).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-
 #include "kvstore/kvstore.hpp"
 
 namespace canary::kv {
@@ -63,6 +60,75 @@ TEST(KvStoreTest, OversizedEntryRejected) {
   EXPECT_EQ(put.error().code, ErrorCode::kResourceExhausted);
   EXPECT_EQ(store.stats().rejected_oversize, 1u);
   EXPECT_FALSE(store.contains("k"));
+}
+
+TEST(KvStoreTest, WriterGatesPrecedeTheSizeLimit) {
+  // Gate order: the writer's fence, then its quorum, then the size limit.
+  // An oversized put from a fenced writer is a stale-epoch reject.
+  KvConfig config;
+  config.max_entry_size = Bytes::of(8);
+  auto store = make_store(config);
+  store.set_writer_quorum([](NodeId writer) { return writer != NodeId{2}; });
+  store.fence_node(NodeId{1});
+  const std::string oversized = "way too large for the limit";
+  const Status fenced = store.put("k", oversized, std::nullopt, NodeId{1});
+  ASSERT_FALSE(fenced.ok());
+  EXPECT_EQ(fenced.error().code, ErrorCode::kUnavailable);
+  EXPECT_EQ(store.stats().stale_epoch_rejects, 1u);
+  EXPECT_EQ(store.stats().rejected_oversize, 0u);
+
+  const Status blocked = store.put("k", oversized, std::nullopt, NodeId{2});
+  ASSERT_FALSE(blocked.ok());
+  EXPECT_EQ(blocked.error().code, ErrorCode::kUnavailable);
+  EXPECT_EQ(store.stats().quorum_blocked_puts, 1u);
+  EXPECT_EQ(store.stats().rejected_oversize, 0u);
+
+  const Status oversize = store.put("k", oversized, std::nullopt, NodeId{3});
+  ASSERT_FALSE(oversize.ok());
+  EXPECT_EQ(oversize.error().code, ErrorCode::kResourceExhausted);
+  EXPECT_EQ(store.stats().rejected_oversize, 1u);
+}
+
+TEST(KvStoreTest, UnattributedPutSkipsTheQuorumPredicate) {
+  auto store = make_store();
+  store.set_writer_quorum([](NodeId) { return false; });
+  EXPECT_TRUE(store.put("k", "v", std::nullopt, NodeId::invalid()).ok());
+  EXPECT_TRUE(store.put("k2", "v").ok());
+  EXPECT_FALSE(store.put("k3", "v", std::nullopt, NodeId{1}).ok());
+  EXPECT_EQ(store.stats().quorum_blocked_puts, 1u);
+  EXPECT_EQ(store.stats().puts, 2u);
+}
+
+TEST(KvStoreTest, PutAfterEveryCacheNodeDied) {
+  // Cache nodes never rejoin. With native persistence the put is still
+  // durable (a partitioned entry then has no owner); without it there is
+  // nowhere to keep the entry.
+  for (const CacheMode mode :
+       {CacheMode::kReplicated, CacheMode::kPartitioned}) {
+    for (const bool persistence : {true, false}) {
+      SCOPED_TRACE(std::string(mode == CacheMode::kReplicated
+                                   ? "replicated"
+                                   : "partitioned") +
+                   (persistence ? ", persistence" : ", no persistence"));
+      KvConfig config;
+      config.mode = mode;
+      config.native_persistence = persistence;
+      auto store = make_store(config, 2);
+      store.fail_node(NodeId{1});
+      store.fail_node(NodeId{2});
+      const Status put = store.put("k", "v");
+      if (persistence) {
+        ASSERT_TRUE(put.ok());
+        const auto entry = store.get("k");
+        ASSERT_TRUE(entry.ok());
+        EXPECT_TRUE(entry.value().owners.empty());
+      } else {
+        ASSERT_FALSE(put.ok());
+        EXPECT_EQ(put.error().code, ErrorCode::kUnavailable);
+        EXPECT_FALSE(store.contains("k"));
+      }
+    }
+  }
 }
 
 TEST(KvStoreTest, LogicalSizeOverridesPayloadLength) {
@@ -264,58 +330,29 @@ TEST(KvStoreTest, DropEntryDestroysWithoutClientRemove) {
   EXPECT_FALSE(store.intact("ckpt/f2/1"));  // absent keys are not intact
 }
 
-TEST(KvStoreTest, RestoredNodeAcceptsNewEntries) {
-  KvConfig config;
-  config.native_persistence = false;
-  auto store = make_store(config, 2);
-  store.fail_node(NodeId{1});
-  store.fail_node(NodeId{2});
-  EXPECT_FALSE(store.put("k", "v").ok());  // no cache node alive
-}
-
-TEST(KvStoreTest, ConcurrentMixedWorkloadIsSafe) {
-  auto store = make_store({}, 4);
-  constexpr int kThreads = 8;
-  constexpr int kOpsPerThread = 2000;
-  std::atomic<int> errors{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const std::string key = "k" + std::to_string((t * 7 + i) % 97);
-        if (i % 3 == 0) {
-          if (!store.put(key, "v" + std::to_string(i)).ok()) ++errors;
-        } else if (i % 3 == 1) {
-          (void)store.get(key);
-        } else {
-          (void)store.remove(key);
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(errors.load(), 0);
-  const auto stats = store.stats();
-  // i % 3 == 0 hits ceil(kOpsPerThread / 3) = 667 iterations per thread.
-  EXPECT_EQ(stats.puts,
-            static_cast<std::uint64_t>(kThreads) * (kOpsPerThread / 3 + 1));
-}
-
 TEST(KvStoreDeathTest, RequiresCacheNodes) {
   EXPECT_DEATH(KvStore({}, {}), "at least one cache node");
 }
 
 // Property sweep: entries at the limit boundary are accepted, one byte
-// over is rejected, across shard counts.
+// over is rejected, whatever the number of cache nodes the key space is
+// sharded over, in both cache modes.
 class KvBoundaryTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(KvBoundaryTest, EntryLimitIsInclusive) {
-  KvConfig config;
-  config.shard_count = GetParam();
-  config.max_entry_size = Bytes::of(100);
-  KvStore store(config, nodes(2));
-  EXPECT_TRUE(store.put("exact", std::string(100, 'x')).ok());
-  EXPECT_FALSE(store.put("over", std::string(101, 'x')).ok());
+  for (const CacheMode mode :
+       {CacheMode::kReplicated, CacheMode::kPartitioned}) {
+    SCOPED_TRACE(mode == CacheMode::kReplicated ? "replicated"
+                                                : "partitioned");
+    KvConfig config;
+    config.mode = mode;
+    config.max_entry_size = Bytes::of(100);
+    auto store = make_store(config, GetParam());
+    EXPECT_TRUE(store.put("exact", std::string(100, 'x')).ok());
+    EXPECT_FALSE(store.put("over", std::string(101, 'x')).ok());
+    EXPECT_TRUE(store.contains("exact"));
+    EXPECT_FALSE(store.contains("over"));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, KvBoundaryTest,
